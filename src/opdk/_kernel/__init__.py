@@ -2,8 +2,8 @@
 
 Two interchangeable implementations: a Cython extension (built at install
 time) and a pure Python fallback.  Import-time selection, overridable with
-OPDK_PURE_PYTHON=1.  Both expose the same three functions and are compared
-against each other in benchmarks/bench_kernel.py and the test suite.
+OPDK_PURE_PYTHON=1.  Both expose the same three functions; BACKEND names
+the one in use, and benchmarks/run.py records it with every result.
 """
 
 import os

@@ -89,13 +89,14 @@ class LinearMap:
     def __init__(self, source: FreeModule, target: FreeModule, entries):
         assert source.ring == target.ring
         ring = source.ring
+        rows, cols = target.rank, source.rank
+        zero = ring.zero
         clean = {}
         for (i, j), v in entries.items():
-            assert 0 <= i < target.rank and 0 <= j < source.rank, (
-                f"entry ({i},{j}) outside {target.rank}x{source.rank}"
-            )
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
             v = ring.normalize(v)
-            if v != ring.zero:
+            if v != zero:
                 clean[(i, j)] = v
         self.source = source
         self.target = target
@@ -264,7 +265,12 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     ):
         rows = _kernel.matmul_mod(f.to_rows(), g.to_rows(), ring.p)
         return LinearMap.from_rows(g.source, f.target, rows)
-    # sparse path: group g by column
+    return _compose_sparse(f, g)
+
+
+def _compose_sparse(f: LinearMap, g: LinearMap) -> LinearMap:
+    """f after g by merging sparse columns, whatever the sizes."""
+    ring = f.ring
     g_cols: dict = {}
     for (i, j), v in g.entries.items():
         g_cols.setdefault(j, []).append((i, v))
@@ -354,7 +360,7 @@ def rref(m: LinearMap):
         return R, T, pivots
     # dense Fraction path
     n, mm = m.target.rank, m.source.rank
-    r = [[Fraction(x) for x in row] for row in m.to_rows()]
+    r = m.to_rows()  # entries over Q are already Fractions
     t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     pivots = []
     row = 0
@@ -366,14 +372,23 @@ def rref(m: LinearMap):
             continue
         r[row], r[piv] = r[piv], r[row]
         t[row], t[piv] = t[piv], t[row]
-        c = r[row][col]
-        r[row] = [x / c for x in r[row]]
-        t[row] = [x / c for x in t[row]]
+        # row operations touch only the pivot row's nonzero positions
+        prow, ptrow = r[row], t[row]
+        rnz = [k for k, x in enumerate(prow) if x]
+        tnz = [k for k, x in enumerate(ptrow) if x]
+        c = prow[col]
+        for k in rnz:
+            prow[k] /= c
+        for k in tnz:
+            ptrow[k] /= c
         for i in range(n):
             if i != row and r[i][col] != 0:
-                c = r[i][col]
-                r[i] = [x - c * y for x, y in zip(r[i], r[row])]
-                t[i] = [x - c * y for x, y in zip(t[i], t[row])]
+                ri, ti = r[i], t[i]
+                c = ri[col]
+                for k in rnz:
+                    ri[k] -= c * prow[k]
+                for k in tnz:
+                    ti[k] -= c * ptrow[k]
         pivots.append(col)
         row += 1
     R = LinearMap.from_rows(m.source, m.target, r)
@@ -655,27 +670,28 @@ def _smith_field(m: LinearMap) -> SmithForm:
     R1, T, pivots = rref(m)
     r = len(pivots)
     C = m.source.rank
-    # column permutation+elimination sending the pivot block to the front
-    V_entries = {}
+    # V = V0 V1: the permutation V0 puts the pivot columns first, and the
+    # unipotent V1 clears the rest, col k (k >= r) -= sum RP[i][k] col i
+    # with RP = R1 V0.  V1 inverts by negating its off-diagonal block and
+    # V0 by its transpose, so Vinv = V1^-1 V0^T; all three are relabelings
+    # of the entries of R1, whose rows below r are zero.
     used = set(pivots)
-    free_cols = [j for j in range(C) if j not in used]
-    order = list(pivots) + free_cols
-    # V0: permutation matrix placing pivot columns first
-    perm = {(order[k], k): ring.one for k in range(C)}
+    order = list(pivots) + [j for j in range(C) if j not in used]
+    slot = {j: k for k, j in enumerate(order)}
+    V_entries = {(j, k): ring.one for k, j in enumerate(order)}
+    Vinv_entries = {(k, j): ring.one for k, j in enumerate(order)}
+    for (i, j), v in R1.entries.items():
+        if slot[j] >= r:
+            V_entries[(order[i], slot[j])] = ring.neg(v)
+            Vinv_entries[(i, j)] = v
     src = free_module(ring, C, "c")
-    V0 = LinearMap(src, m.source, perm)
-    RP = R1 @ V0
-    # eliminate non-pivot block: col k (k >= r) -= sum RP[i][k] * col i
-    V1_entries = {(k, k): ring.one for k in range(C)}
-    for (i, k), v in RP.entries.items():
-        if k >= r:
-            V1_entries[(i, k)] = ring.neg(v)
-    V1 = LinearMap(src, src, V1_entries)
-    V = V0 @ V1
+    V = LinearMap(src, m.source, V_entries)
+    Vinv = LinearMap(m.source, src, Vinv_entries)
+    if _compose_sparse(V, Vinv) != LinearMap.identity(m.source):
+        raise RuntimeError("field Smith form: V @ Vinv is not the identity")
     D = R1 @ V
     diag = tuple([ring.one] * r) + tuple([ring.zero] * (min(m.target.rank, C) - r))
     Uinv = T.inverse()
-    Vinv = V.inverse()
     return SmithForm(m, T, Uinv, V, Vinv, D, diag)
 
 

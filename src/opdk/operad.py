@@ -12,10 +12,11 @@ instances whose participants all fit inside the window.
 violations instead of a bare boolean, so corrupted inputs are reported
 with the exact law and signature that broke.  `composite_product`
 realizes M o N by symmetric-group coinvariants over decorated two-level
-terms, with a permutation-basis fast path so regular representations do
-not pay for a Smith form.  `homotopy_category` and `dk_equivalence`
-implement the degree-zero homotopy category and the weak-equivalence
-verdict used to compare an operad map with its normalization.
+terms, with a signed union-find fast path so that actions sending basis
+elements to plus or minus basis elements do not pay for a Smith form.
+`homotopy_category` and `dk_equivalence` implement the degree-zero
+homotopy category and the weak-equivalence verdict used to compare an
+operad map with its normalization.
 """
 
 from __future__ import annotations
@@ -876,64 +877,127 @@ def _identity_quotient(module: FreeModule) -> _Quotient:
     return _Quotient(module, ident, ident)
 
 
-def _is_perm_matrix(f: LinearMap) -> bool:
-    n = f.source.rank
-    if f.target.rank != n or len(f.entries) != n:
-        return False
-    rows = set()
-    for (i, j), v in f.entries.items():
-        if v != f.ring.one:
-            return False
-        rows.add(i)
-    return len(rows) == n
+def _signed_images(m: LinearMap, one, minus):
+    """[(i, s)] with m e_j = s e_i for each column j, s = +1 or -1, when
+    m is a signed column function other than the identity; [] for the
+    identity and None for any other matrix."""
+    n = m.source.rank
+    if len(m.entries) != n:
+        return None
+    images = [None] * n
+    moved = False
+    for (i, j), v in m.entries.items():
+        if images[j] is not None:
+            return None
+        if v == one:
+            images[j] = (i, 1)
+            moved = moved or i != j
+        elif v == minus:
+            images[j] = (i, -1)
+            moved = True
+        else:
+            return None
+    return images if moved else []
 
 
-# tests flip this to route permutation actions through the Smith-form
-# path and compare; it is not part of the interface
+# tests flip this to route signed column-function actions through the
+# Smith-form path and compare; it is not part of the interface
 _FORCE_GENERIC = False
+
+_TORSION = ("coinvariants acquire torsion; the composite does not exist "
+            "with free levels over this ring")
 
 
 def _quotient_by(ring: Ring, module: FreeModule, mats) -> _Quotient:
     """module / <g x - x> over the listed action matrices.
 
-    Plain permutation actions quotient to the free module on orbits; in
-    general the cokernel is computed exactly, and torsion is refused
-    because levels of a collection must stay free.
+    When every column of every matrix holds exactly one entry, +1 or -1
+    (permutations, the column functions of tree moves, Koszul-signed
+    actions), each relation g e_j = s e_i identifies e_j with s e_i and
+    a signed union-find (Tarjan 1975) gives the quotient with no Smith
+    form.  It is free on the surviving classes, each represented by its
+    least basis index: proj sends e_x to +-[class], the sign taken
+    against the representative, and section sends [class] to the
+    representative.  A class whose relations force e = -e is 2-torsion:
+    over Z it is refused, over Q and Z/p with p odd the class dies, and
+    over Z/2 it cannot arise, since -1 = 1 there.  Any other matrix sends
+    all relations through one exact cokernel, which refuses torsion as
+    well, because the levels of a collection must stay free.
     """
-    mats = [m for m in mats if not (m - LinearMap.identity(module)).is_zero()]
+    if not _FORCE_GENERIC:
+        one, minus = ring.one, ring.neg(ring.one)
+        images = []
+        for m in mats:
+            img = _signed_images(m, one, minus)
+            if img is None:
+                break
+            if img:
+                images.append(img)
+        else:
+            return _signed_quotient(ring, module, images)
+    ident = LinearMap.identity(module)
+    mats = [m for m in mats if not (m - ident).is_zero()]
     if not mats or module.rank == 0:
         return _identity_quotient(module)
-    if not _FORCE_GENERIC and all(_is_perm_matrix(m) for m in mats):
-        images = [{j: i for (i, j), _ in m.entries.items()} for m in mats]
-        rep = list(range(module.rank))
-        for x in range(module.rank):
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for img in images:
-                    z = img[y]
-                    if rep[z] != rep[x]:
-                        # union under minimum representative
-                        r = min(rep[z], rep[x])
-                        old = max(rep[z], rep[x])
-                        for t in range(module.rank):
-                            if rep[t] == old:
-                                rep[t] = r
-                        stack.append(z)
-        reps = sorted(set(rep))
-        pos = {r: i for i, r in enumerate(reps)}
-        gens = free_module(ring, len(reps), "o")
-        proj = LinearMap(module, gens,
-                         {(pos[rep[x]], x): ring.one for x in range(module.rank)})
-        section = LinearMap(gens, module,
-                            {(r, pos[r]): ring.one for r in reps})
-        return _Quotient(gens, proj, section)
-    rel = hstack([m - LinearMap.identity(module) for m in mats])
-    pres = cokernel(rel)
+    pres = cokernel(hstack([m - ident for m in mats]))
     if pres.invariant_factors:
-        raise ValueError("coinvariants acquire torsion; the composite "
-                         "does not exist with free levels over this ring")
+        raise ValueError(_TORSION)
     return _Quotient(pres.generators, pres.proj, pres.section)
+
+
+def _signed_quotient(ring: Ring, module: FreeModule, images) -> _Quotient:
+    """The union-find path of _quotient_by.  images holds the
+    non-identity matrices as [(i, s)] per column j: e_j = s e_i."""
+    n = module.rank
+    if not images or n == 0:
+        return _identity_quotient(module)
+    # e_x = sign[x] e_parent[x]; a root is the least index of its class
+    parent = list(range(n))
+    sign = [1] * n
+    dead = set()
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        s = 1
+        for y in reversed(path):
+            s *= sign[y]
+            sign[y] = s
+            parent[y] = x
+        return x
+
+    for img in images:
+        for j, (i, s) in enumerate(img):
+            if i == j and s == 1:
+                continue
+            rj, ri = find(j), find(i)
+            s *= sign[j] * sign[i]          # e_rj = s e_ri
+            if rj == ri:
+                if s == -1 and rj not in dead:
+                    if not ring.is_field:
+                        raise ValueError(_TORSION)
+                    dead.add(rj)
+                continue
+            lo, hi = (rj, ri) if rj < ri else (ri, rj)
+            parent[hi] = lo
+            sign[hi] = s
+            if hi in dead:
+                dead.discard(hi)
+                dead.add(lo)
+    reps = [x for x in range(n) if parent[x] == x and x not in dead]
+    pos = {r: k for k, r in enumerate(reps)}
+    one, minus = ring.one, ring.neg(ring.one)
+    proj = {}
+    for x in range(n):
+        k = pos.get(find(x))
+        if k is not None:
+            proj[(k, x)] = one if sign[x] == 1 else minus
+    gens = free_module(ring, len(reps), "o")
+    section = {(r, k): one for k, r in enumerate(reps)}
+    return _Quotient(gens, LinearMap(module, gens, proj),
+                     LinearMap(gens, module, section))
 
 
 def _multi_positions(base: str, objs, n: int):
@@ -1081,9 +1145,13 @@ def _term_relabel_entries(ops, act_map, sigma, src_positions, tgt_positions):
 def composite_product(M: Collection, N: Collection) -> CompositeResult:
     """M o N with the slot-permutation coinvariants taken exactly.
 
-    The levels are free on orbit representatives whenever the action
-    permutes a basis, and cokernels otherwise; the output action
-    relabels inputs, permuting assignments and acting inside fibers.
+    When the actions of M and N send basis elements to plus or minus
+    basis elements (permutations, with Koszul signs in odd degrees), the
+    levels are free on the surviving classes of `_quotient_by`'s signed
+    union-find, each represented by its least basis element; otherwise
+    they are exact cokernels.  Torsion in the coinvariants raises
+    ValueError.  The output action relabels inputs, permuting
+    assignments and acting inside fibers.
     The result is truncated beyond honesty only when N has arity-zero
     levels, since those let the top arity exceed the window.
     """

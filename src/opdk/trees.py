@@ -8,9 +8,14 @@ vertex drive three computations:
 * levels of the free operad on a collection: each class contributes the
   decorations of its planar representatives tensored with the leaf
   labelings, divided by the reordering moves between representatives.
-  This is the same coinvariant machinery the composite product uses,
-  so the quotient stays on the fast orbit path whenever the actions
-  permute basis elements;
+  This is the same coinvariant machinery the composite product uses.
+  A move matrix sends each basis element to plus or minus one basis
+  element, the sign being the Koszul sign of the reordering; it is the
+  identity off the moved representative, so a row can be hit twice and
+  the matrix need not be a permutation.  The quotient takes the signed
+  union-find path of `operad._quotient_by` whenever the collection's
+  actions also send basis elements to +-basis elements, and an exact
+  cokernel otherwise;
 * the cell maps of a free extension of operads: the map attached to a
   tree is an iterated pushout product of the collection map at marked
   vertices and the operad unit elsewhere, and the stages are assembled

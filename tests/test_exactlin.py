@@ -153,6 +153,15 @@ def test_compose_large_routes_through_kernel_backend():
     assert compose(f, g).to_rows() == naive_matmul(f.to_rows(), g.to_rows(), F5)
 
 
+def test_entry_outside_the_shape_raises():
+    # an explicit check, so it also holds under python -O
+    with pytest.raises(ValueError, match=r"entry \(0,0\) outside 0x2"):
+        LinearMap(free_module(ZZ, 2), free_module(ZZ, 0),
+                  {(0, 0): 1, (1, 1): 1})
+    with pytest.raises(ValueError, match=r"outside 2x2"):
+        LinearMap(free_module(ZZ, 2), free_module(ZZ, 2), {(0, -1): 1})
+
+
 def test_compose_shape_mismatch_raises():
     f = random_map(random.Random(4), ZZ, 2, 2)
     g = random_map(random.Random(5), ZZ, 3, 3)

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opdk import corpus, operad as op
 from opdk import permutations as perms
@@ -43,7 +43,7 @@ from opdk.operad import (
     word_graft,
 )
 from opdk.chain import homology
-from opdk.exactlin import LinearMap
+from opdk.exactlin import LinearMap, cokernel, free_module, hstack
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import moore_complex
 
@@ -332,6 +332,50 @@ def test_composite_orbit_fast_path_matches_generic():
     for n in range(1, 4):
         assert fast.level(sig(n)).ranks() == slow.level(sig(n)).ranks()
     assert collection_check(slow) == []
+
+
+@st.composite
+def _signed_action(draw):
+    """A ring, a rank n <= 8 and up to three signed column functions:
+    each column j of a matrix holds one entry, +1 or -1, in any row."""
+    ring = draw(st.sampled_from([ZZ, QQ, F5, Zmod(2)]))
+    n = draw(st.integers(0, 8))
+    mats = []
+    for _ in range(draw(st.integers(0, 3))):
+        cols = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                       st.sampled_from([1, -1])),
+                             min_size=n, max_size=n))
+        mats.append({(i, j): s for j, (i, s) in enumerate(cols)})
+    return ring, n, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed_action())
+# e2 = -e2 kills e2's class before e2 = e0 joins it to a smaller root
+@example((QQ, 3, [{(0, 0): 1, (1, 1): 1, (2, 2): -1},
+                  {(0, 0): 1, (1, 1): 1, (0, 2): 1}]))
+def test_signed_quotient_matches_cokernel(case):
+    ring, n, entries = case
+    M = free_module(ring, n)
+    ident = LinearMap.identity(M)
+    mats = [LinearMap(M, M, e) for e in entries]
+    rel = hstack([m - ident for m in mats]
+                 + [LinearMap.zero(free_module(ring, 0), M)])
+    pres = cokernel(rel)
+    # the union-find path must not fall back on a cokernel
+    saved, op.cokernel = op.cokernel, None
+    try:
+        if pres.invariant_factors:
+            with pytest.raises(ValueError, match="torsion"):
+                op._quotient_by(ring, M, mats)
+            return
+        q = op._quotient_by(ring, M, mats)
+    finally:
+        op.cokernel = saved
+    assert q.generators.rank == pres.generators.rank
+    assert q.proj @ q.section == LinearMap.identity(q.generators)
+    for m in mats:
+        assert (q.proj @ (m - ident)).is_zero()
 
 
 def test_composite_with_nullary_sets_truncation_flag():

@@ -118,6 +118,62 @@ def _brute_planar(root_color, valencies, vmax):
     return gen(root_color, vmax)
 
 
+def _brute_planar_unrank(root_color, valencies, vmax):
+    """(N, tree) for _brute_planar(root_color, valencies, vmax): N is the
+    length of its list and tree(k) its k-th entry, found by counting
+    trees per (root color, exact vertex count) and walking the same
+    generation order, without building the list."""
+    colors = {root_color} | {c for ins, c in valencies} | \
+        {c for ins, _ in valencies for c in ins}
+    # exact[c][v]: planar trees with root color c and exactly v vertices
+    exact = {c: [1] + [0] * vmax for c in colors}
+
+    def tuples(ins, budget):
+        # [u]: child tuples over the colors ins with u vertices in total
+        out = [1] + [0] * budget
+        for c in ins:
+            out = [sum(out[a] * exact[c][u - a] for a in range(u + 1))
+                   for u in range(budget + 1)]
+        return out
+
+    for v in range(1, vmax + 1):
+        for ins, c in valencies:
+            exact[c][v] += 2 * tuples(ins, v - 1)[v - 1]
+
+    # w[v] is how many entries of the enclosing list a tree (or a child
+    # tuple) with v vertices stands for; k is a position in that list
+    def tree(root, budget, k, w):
+        if k < w[0]:
+            return e(root), k
+        k -= w[0]
+        for ins, c in valencies:
+            if c != root or budget < 1:
+                continue
+            w2 = [2 * w[1 + u] for u in range(budget)]
+            block = sum(n * x for n, x in zip(tuples(ins, budget - 1), w2))
+            if k >= block:
+                k -= block
+                continue
+            kids, k = slots(ins, budget - 1, k, w2)
+            wv = w[1 + sum(t.n_vertices for t in kids)]
+            return node(root, kids, k >= wv), k % wv
+        raise IndexError(k)
+
+    def slots(ins, budget, k, w):
+        if not ins:
+            return (), k
+        rest = ins[1:]
+        wt = [sum(n * w[v + u]
+                  for u, n in enumerate(tuples(rest, budget - v)))
+              for v in range(budget + 1)]
+        t, k = tree(ins[0], budget, k, wt)
+        kids, k = slots(rest, budget - t.n_vertices, k, w[t.n_vertices:])
+        return (t,) + kids, k
+
+    return sum(exact[root_color]), \
+        lambda k: tree(root_color, vmax, k, [1] * (vmax + 1))[0]
+
+
 def _brute_classes(planars):
     """Deduplicate by pairwise isomorphism testing only."""
     reps = []
@@ -293,9 +349,13 @@ def test_root_decomposition_left_comb():
 
 
 def test_decompose_graft_round_trip():
+    # the same 60 draws as rng.sample over the materialized list of
+    # _brute_planar("c", ONE_COLOR, 6) without its leading edge tree:
+    # sample depends only on the population size
     rng = random.Random(7)
-    pool = [t for t in _brute_planar("c", ONE_COLOR, 6) if t.n_vertices >= 1]
-    for t in rng.sample(pool, 60):
+    size, unrank = _brute_planar_unrank("c", ONE_COLOR, 6)
+    for k in rng.sample(range(1, size), 60):
+        t = unrank(k)
         r, subs = root_decomposition(t)
         assert graft_root(r, subs) == t
         for stub, li, sub in edge_decompositions(t):
@@ -359,15 +419,27 @@ def test_free_level_truncation_flag():
     assert not free_operad(M, sig(3), 3).truncated
 
 
-def test_free_level_generic_quotient_agrees():
-    M = corpus.binary_generator(ZZ, 3, regular=True)
-    fast = free_operad(M, sig(3), 2).object.ranks()
+def _fast_and_generic(build):
+    """build() on the union-find quotient, then on the Smith-form one."""
+    fast = build()
     op._FORCE_GENERIC = True
     try:
-        slow = free_operad(M, sig(3), 2).object.ranks()
+        slow = build()
     finally:
         op._FORCE_GENERIC = False
+    return fast, slow
+
+
+def test_free_level_generic_quotient_agrees():
+    M = corpus.binary_generator(ZZ, 3, regular=True)
+    fast, slow = _fast_and_generic(
+        lambda: free_operad(M, sig(3), 2).object.ranks())
     assert fast == slow == (12,)
+    # arity 4: the tree moves are column functions, not permutations
+    M4 = corpus.binary_generator(ZZ, 4, regular=True)
+    fast, slow = _fast_and_generic(
+        lambda: free_operad(M4, sig(4), 3).object.ranks())
+    assert fast == slow == (120,)
 
 
 def _graded_binary(ring, max_degree):
@@ -394,6 +466,51 @@ def test_free_level_graded_ranks_and_homology():
     assert lvl4.object.ranks() == (15, 45, 45, 15)
     for n in range(4):
         assert homology(pad(lvl4.object, 4), n).is_zero()
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5, Zmod(2)], ids=lambda r: r.name())
+def test_free_level_graded_fast_path_matches_generic(ring):
+    # sibling swaps of degree-1 vertices carry Koszul signs -1
+    for n in (3, 4):
+        def build():
+            lvl = free_operad(_graded_binary(ring, n - 1), sig(n), n - 1)
+            K = pad(lvl.object, n)
+            return lvl.object.ranks(), [
+                (h.rank, h.invariant_factors)
+                for h in (homology(K, k) for k in range(n))]
+        fast, slow = _fast_and_generic(build)
+        assert fast == slow
+
+
+def _odd_nullary(ring):
+    # a nullary generator in degree 1 and a binary one in degree 0 with
+    # trivial swap: grafting two nullaries swaps two odd factors, so a
+    # basis element is sent to minus itself
+    nul = pad(concentrated(ring, 1, 1), 2)
+    bin2 = pad(concentrated(ring, 0, 1), 2)
+    ops = Collection(ring, "chain", ("c",), 2, 2, {}).ops
+    return Collection(ring, "chain", ("c",), 2, 2,
+                      {((), "c"): nul, sig(2): bin2},
+                      {sig(2): {(1, 0): ops.identity(bin2)}})
+
+
+def test_free_level_sign_conflict_matches_generic():
+    # the class forced to x = -x dies over Q and Z/5 and survives over
+    # Z/2, on both quotient paths
+    for ring, want in ((QQ, (0, 1, 0)), (F5, (0, 1, 0)),
+                       (Zmod(2), (0, 1, 1))):
+        M = _odd_nullary(ring)
+        fast, slow = _fast_and_generic(
+            lambda: free_operad(M, ((), "c"), 3).object.ranks())
+        assert fast == slow == want
+    M = _odd_nullary(ZZ)
+    for force in (False, True):
+        op._FORCE_GENERIC = force
+        try:
+            with pytest.raises(ValueError, match="torsion"):
+                free_operad(M, ((), "c"), 3)
+        finally:
+            op._FORCE_GENERIC = False
 
 
 def test_free_level_refuses_torsion():
