@@ -24,10 +24,6 @@ from . import _kernel
 from .permutations import closure_with_values
 from .rings import Ring, ZZ, ring_from_name
 
-# matrices at least this dense-by-size are routed through the mod-p kernel
-_KERNEL_MIN_CELLS = 512
-
-
 class FreeModule:
     """Finitely generated free module with an ordered, labeled basis."""
 
@@ -252,25 +248,17 @@ class LinearMap:
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """f after g.  Inner modules must agree in ring and rank."""
+    """f after g.  Inner modules must agree in ring and rank.
+
+    One sparse path for every ring and size: each column of g is merged
+    with the columns of f it hits, summing raw products, and
+    `LinearMap` normalizes each output entry once and drops the zeros.
+    The arithmetic is exact over Z, Q and Z/p, so the result does not
+    depend on when it is normalized.
+    """
     assert g.target.compatible(f.source), (
         f"cannot compose: inner ranks {g.target.rank} vs {f.source.rank}"
     )
-    ring = f.ring
-    if (
-        ring.kind == "Zmod"
-        and f.target.rank * g.source.rank >= _KERNEL_MIN_CELLS
-        and f.entries
-        and g.entries
-    ):
-        rows = _kernel.matmul_mod(f.to_rows(), g.to_rows(), ring.p)
-        return LinearMap.from_rows(g.source, f.target, rows)
-    return _compose_sparse(f, g)
-
-
-def _compose_sparse(f: LinearMap, g: LinearMap) -> LinearMap:
-    """f after g by merging sparse columns, whatever the sizes."""
-    ring = f.ring
     g_cols: dict = {}
     for (i, j), v in g.entries.items():
         g_cols.setdefault(j, []).append((i, v))
@@ -282,11 +270,9 @@ def _compose_sparse(f: LinearMap, g: LinearMap) -> LinearMap:
         acc: dict = {}
         for t, w in col:
             for i, v in f_cols.get(t, ()):
-                key = i
-                acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(v, w))
+                acc[i] = acc.get(i, 0) + v * w
         for i, v in acc.items():
-            if v != ring.zero:
-                entries[(i, j)] = v
+            entries[(i, j)] = v
     return LinearMap(g.source, f.target, entries)
 
 
@@ -687,7 +673,7 @@ def _smith_field(m: LinearMap) -> SmithForm:
     src = free_module(ring, C, "c")
     V = LinearMap(src, m.source, V_entries)
     Vinv = LinearMap(m.source, src, Vinv_entries)
-    if _compose_sparse(V, Vinv) != LinearMap.identity(m.source):
+    if V @ Vinv != LinearMap.identity(m.source):
         raise RuntimeError("field Smith form: V @ Vinv is not the identity")
     D = R1 @ V
     diag = tuple([ring.one] * r) + tuple([ring.zero] * (min(m.target.rank, C) - r))

@@ -275,13 +275,6 @@ def _tensor_many(ops, objs):
     return out
 
 
-def _tensor_map_many(ops, maps):
-    out = maps[0]
-    for g in maps[1:]:
-        out = ops.tensor_map(out, g)
-    return out
-
-
 def _unitor(ops, X, side: str):
     """unit (x) X -> X (or X (x) unit -> X); identity entries because
     tensoring with a rank-one degree-zero object never reindexes."""
@@ -1109,37 +1102,63 @@ def _assemble(ops, terms):
     return big, offsets
 
 
-def _term_relabel_entries(ops, act_map, sigma, src_positions, tgt_positions):
-    """Per-degree entries of act (x) factor permutation on one term.
+def _term_entries(ops, head, tails, sigma, src_positions, tgt_positions):
+    """Per-degree entries of head (x) tails on one term, tail relabeled.
 
-    act_map acts on the first tensor factor; sigma permutes the tail so
-    that target slot j carries source factor sigma(j).  Koszul signs
-    appear when odd chain degrees cross.
+    head acts on the first tensor factor and tails[j] on tail factor j;
+    None stands for an identity.  sigma, when given, then permutes the
+    tail so that target slot j carries source factor sigma(j), with a
+    Koszul sign when odd chain degrees cross.  Each source position's
+    column is the product of the factor maps' columns at its indices:
+    the maps have degree 0, so the tensor adds no sign of its own.
+    Products are left for `LinearMap` to normalize.
     """
     ring = ops.ring
+    one = ring.one
+    maps = (head,) + tuple(tails)
+    columns = {}
+
+    def column(slot, deg, idx):
+        f = maps[slot]
+        if f is None:
+            return ((idx, one),)
+        cols = columns.get((slot, deg))
+        if cols is None:
+            cols = columns[(slot, deg)] = {}
+            for (r, c), v in f.component(deg).entries.items():
+                cols.setdefault(c, []).append((r, v))
+        return cols.get(idx, ())
+
+    # relabeling tensor factors costs a sign only in the graded world;
+    # the simplicial symmetry is plain
+    graded = sigma is not None and ops.base == "chain"
     out = []
     for n in range(ops.max_degree + 1):
         entries = {}
         tgt_index = {key: pos for pos, key in enumerate(tgt_positions[n])}
         for col, (degs, idxs) in enumerate(src_positions[n]):
-            mdeg = degs[0]
-            tail_degs = degs[1:]
-            tail_idxs = idxs[1:]
-            # relabeling tensor factors costs a sign only in the graded
-            # world; the simplicial symmetry is plain
-            sgn = _koszul(ring, tail_degs, sigma) if ops.base == "chain" \
-                else ring.one
-            new_tail_degs = tuple(tail_degs[sigma[j]] for j in range(len(sigma)))
-            new_tail_idxs = tuple(tail_idxs[sigma[j]] for j in range(len(sigma)))
-            comp = act_map.component(mdeg)
-            for (r, c), v in comp.entries.items():
-                if c != idxs[0]:
-                    continue
-                key = ((mdeg,) + new_tail_degs, (r,) + new_tail_idxs)
-                row = tgt_index[key]
-                entries[(row, col)] = ring.mul(sgn, v)
+            partial = [((), _koszul(ring, degs[1:], sigma) if graded else one)]
+            for slot, (d, i) in enumerate(zip(degs, idxs)):
+                partial = [(rows + (r,), v * w)
+                           for rows, v in partial for r, w in column(slot, d, i)]
+            if sigma is not None:
+                degs = degs[:1] + tuple(degs[1 + j] for j in sigma)
+            for rows, v in partial:
+                if sigma is not None:
+                    rows = rows[:1] + tuple(rows[1 + j] for j in sigma)
+                entries[(tgt_index[(degs, rows)], col)] = v
         out.append(entries)
     return out
+
+
+def _descend(pushed: LinearMap, q: _Quotient, what: str) -> LinearMap:
+    """The map out of the coinvariants induced by pushed, which is a
+    structure map already followed by the target's projection: pushed
+    after q.section, checked to give pushed back after q.proj."""
+    f = compose(pushed, q.section)
+    if compose(f, q.proj).entries != pushed.entries:
+        raise ValueError(f"{what} does not descend to the coinvariants")
+    return f
 
 
 def composite_product(M: Collection, N: Collection) -> CompositeResult:
@@ -1151,7 +1170,11 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     union-find, each represented by its least basis element; otherwise
     they are exact cokernels.  Torsion in the coinvariants raises
     ValueError.  The output action relabels inputs, permuting
-    assignments and acting inside fibers.
+    assignments and acting inside fibers.  Its entries, like those of the
+    relations, are read from the factor maps' columns at each term's
+    basis positions (`_term_entries`), with no tensor complex built.
+    Every structure map is pushed to the target coinvariants once and
+    checked to descend; one that does not raises ValueError.
     The result is truncated beyond honesty only when N has arity-zero
     levels, since those let the top arity exceed the window.
     """
@@ -1201,8 +1224,8 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                     phi2 = tuple(inv[v] for v in t.phi)
                     t2 = terms[index[(k, dbar2, phi2)]]
                     act = M.action(t.msig, s)
-                    blocks = _term_relabel_entries(
-                        ops, act, s,
+                    blocks = _term_entries(
+                        ops, act, (None,) * k, s,
                         positions[(sig, t.key())], positions[(sig, t2.key())])
                     ti, tj = index[t.key()], index[t2.key()]
                     for n in range(D + 1):
@@ -1220,32 +1243,16 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
         if ops.base == "chain":
             diffs = []
             for n in range(1, D + 1):
-                d = compose(compose(qs[n - 1].proj, big.d(n)), qs[n].section)
-                assert compose(d, qs[n].proj).entries == \
-                    compose(qs[n - 1].proj, big.d(n)).entries, \
-                    "differential does not descend to the coinvariants"
-                diffs.append(d)
+                diffs.append(_descend(compose(qs[n - 1].proj, big.d(n)),
+                                      qs[n], "differential"))
             levels[sig] = ChainComplex(ring, [q.generators for q in qs], diffs)
         else:
-            faces, degen = [], []
-            for n in range(1, D + 1):
-                fs = []
-                for i in range(n + 1):
-                    f = compose(compose(qs[n - 1].proj, big.face(n, i)),
-                                qs[n].section)
-                    assert compose(f, qs[n].proj).entries == \
-                        compose(qs[n - 1].proj, big.face(n, i)).entries
-                    fs.append(f)
-                faces.append(fs)
-            for n in range(D):
-                ss = []
-                for i in range(n + 1):
-                    s_ = compose(compose(qs[n + 1].proj, big.degeneracy(n, i)),
-                                 qs[n].section)
-                    assert compose(s_, qs[n].proj).entries == \
-                        compose(qs[n + 1].proj, big.degeneracy(n, i)).entries
-                    ss.append(s_)
-                degen.append(ss)
+            faces = [[_descend(compose(qs[n - 1].proj, big.face(n, i)),
+                               qs[n], "face") for i in range(n + 1)]
+                     for n in range(1, D + 1)]
+            degen = [[_descend(compose(qs[n + 1].proj, big.degeneracy(n, i)),
+                               qs[n], "degeneracy") for i in range(n + 1)]
+                     for n in range(D)]
             levels[sig] = SimplicialModule(ring, [q.generators for q in qs],
                                            faces, degen)
 
@@ -1266,29 +1273,28 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
             for t in terms:
                 phi2 = tuple(t.phi[s[j]] for j in range(n_inputs))
                 t2 = tterms[tindex[(t.k, t.dbar, phi2)]]
-                maps = [ops.identity(t.factors[0])]
+                tails = []
                 for j in range(t.k):
                     fib = tuple(i for i in range(n_inputs) if t.phi[i] == j)
                     fib2 = tuple(i for i in range(n_inputs) if phi2[i] == j)
                     tau = tuple(fib.index(s[i]) for i in fib2)
-                    maps.append(N.action(t.fiber_sigs[j], tau))
-                whole = _tensor_map_many(ops, maps) if len(maps) > 1 else maps[0]
+                    tails.append(N.action(t.fiber_sigs[j], tau))
+                blocks = _term_entries(ops, None, tails, None,
+                                       positions[(sig, t.key())],
+                                       positions[(tsig, t2.key())])
                 ti, tj = index[t.key()], tindex[t2.key()]
                 for n in range(D + 1):
                     ro = offsets_of[tsig][n][tj]
                     co = offsets_of[sig][n][ti]
-                    for (r, c), v in whole.component(n).entries.items():
+                    for (r, c), v in blocks[n].items():
                         per_degree[n][(ro + r, co + c)] = v
             qs, qt = quotients[sig], quotients[tsig]
             comps = []
             for n in range(D + 1):
                 bigmap = LinearMap(bigs[sig].level(n), bigs[tsig].level(n),
                                    per_degree[n])
-                f = compose(compose(qt[n].proj, bigmap), qs[n].section)
-                assert compose(f, qs[n].proj).entries == \
-                    compose(qt[n].proj, bigmap).entries, \
-                    "input relabeling does not descend to the coinvariants"
-                comps.append(f)
+                comps.append(_descend(compose(qt[n].proj, bigmap), qs[n],
+                                      "input relabeling"))
             table[s] = ops.make_map(levels[sig], levels[tsig], comps)
         actions[sig] = table
 

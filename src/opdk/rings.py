@@ -56,7 +56,7 @@ class Ring:
         if self.kind == "Z":
             return int(x)
         if self.kind == "Q":
-            return Fraction(x)
+            return x if type(x) is Fraction else Fraction(x)
         return int(x) % self.p
 
     def add(self, x, y):

@@ -144,13 +144,21 @@ def test_compose_against_naive_oracle_f5():
         assert compose(f, g).to_rows() == expect
 
 
-def test_compose_large_routes_through_kernel_backend():
-    # exercise the dense mod-p path (>= threshold cells)
+def test_compose_matches_naive_product():
+    # one sparse path for every ring, shape and density; p = 4294967311
+    # is where a dense kernel on machine words overflows
     rng = random.Random(3)
-    F5 = Zmod(5)
-    f = random_map(rng, F5, 30, 30, density=0.8)
-    g = random_map(rng, F5, 30, 30, density=0.8)
-    assert compose(f, g).to_rows() == naive_matmul(f.to_rows(), g.to_rows(), F5)
+    shapes = [(0, 3, 4), (4, 3, 0), (3, 0, 4), (0, 0, 0), (1, 1, 1),
+              (5, 7, 6), (30, 30, 30)]
+    for ring in (ZZ, QQ, Zmod(5), Zmod(4294967311)):
+        for rows, inner, cols in shapes:
+            for density in (0.0, 0.2, 0.8, 1.0):
+                f = random_map(rng, ring, rows, inner, density, bound=10 ** 6)
+                g = random_map(rng, ring, inner, cols, density, bound=10 ** 6)
+                # the oracle reads the column count off g's rows
+                expect = naive_matmul(f.to_rows(), g.to_rows(), ring) \
+                    if inner else [[ring.zero] * cols for _ in range(rows)]
+                assert compose(f, g).to_rows() == expect
 
 
 def test_entry_outside_the_shape_raises():

@@ -334,6 +334,106 @@ def test_composite_orbit_fast_path_matches_generic():
     assert collection_check(slow) == []
 
 
+def _old_route_action(M, N, res, sig, s, n):
+    """Degree-n component of the input relabeling s on (M o N)(sig),
+    built the way composite_product used to: the tensor map of the
+    identity and the fiber actions, one per term, embedded at the term
+    offsets, then proj_t o bigmap o section_s."""
+    ops, ring = M.ops, M.ring
+    tsig = sig_act(sig, s)
+    terms, tterms = res.terms[sig], res.terms[tsig]
+    tindex = {t.key(): ti for ti, t in enumerate(tterms)}
+
+    def offsets(ts):
+        return [sum(u.obj.level(n).rank for u in ts[:i])
+                for i in range(len(ts) + 1)]
+
+    so, to = offsets(terms), offsets(tterms)
+    entries = {}
+    for ti, t in enumerate(terms):
+        phi2 = tuple(t.phi[s[j]] for j in range(len(s)))
+        tj = tindex[(t.k, t.dbar, phi2)]
+        whole = ops.identity(t.factors[0])
+        for j in range(t.k):
+            fib = tuple(i for i in range(len(s)) if t.phi[i] == j)
+            fib2 = tuple(i for i in range(len(s)) if phi2[i] == j)
+            tau = tuple(fib.index(s[i]) for i in fib2)
+            whole = ops.tensor_map(whole, N.action(t.fiber_sigs[j], tau))
+        for (r, c), v in whole.component(n).entries.items():
+            entries[(to[tj] + r, so[ti] + c)] = v
+    bigmap = LinearMap(free_module(ring, so[-1]), free_module(ring, to[-1]),
+                       entries)
+    return res.quotients[tsig][n].proj @ bigmap @ res.quotients[sig][n].section
+
+
+def _bracketings(ring, action):
+    rng = random.Random(101)
+    L, M, N = (corpus.random_collection(rng, ring, "chain", 3, 2, 2, action)
+               for _ in range(3))
+    LM = composite_product(L, M).collection
+    MN = composite_product(M, N).collection
+    return [(L, M), (M, N), (LM, N), (L, MN)]
+
+
+@pytest.mark.parametrize("pairs", [
+    lambda: [(associative_operad(ZZ, "chain", 4, 0).collection,) * 2],
+    lambda: [(associative_operad(ZZ, "simplicial", 3, 2).collection,) * 2],
+    lambda: _bracketings(QQ, "sign"),
+    lambda: _bracketings(F5, "sign"),
+], ids=["regular-4-Z", "simplicial-Z", "triple-Q-sign", "triple-F5-sign"])
+def test_composite_action_tables_match_tensor_map_route(pairs):
+    """Every action table of composite_product, entry for entry, against
+    the tensor-complex route it replaced."""
+    checked = 0
+    for M, N in pairs():
+        res = composite_product(M, N)
+        coll = res.collection
+        for sig in coll.signatures():
+            n_in = len(sig[0])
+            if n_in < 2:
+                continue
+            table = coll.actions[sig]
+            assert set(table) == set(perms.all_permutations(n_in))
+            for s, f in table.items():
+                for n in range(coll.max_degree + 1):
+                    old = _old_route_action(M, N, res, sig, s, n)
+                    assert f.component(n).entries == old.entries
+                    checked += 1
+    assert checked
+
+
+def _random_pair(base):
+    rng = random.Random(101)
+    return [corpus.random_collection(rng, QQ, base, 2, 2, 2, "sign")
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("pair,what", [
+    (lambda: [associative_operad(ZZ, "chain", 3, 0).collection] * 2,
+     "input relabeling"),
+    (lambda: _random_pair("chain"), "differential"),
+    (lambda: _random_pair("simplicial"), "face"),
+], ids=["relabeling", "differential", "face"])
+def test_composite_refuses_a_quotient_that_does_not_descend(
+        monkeypatch, pair, what):
+    # explicit checks, so they also hold under python -O
+    M, N = pair()
+    real = op._quotient_by
+
+    def keep_e0(ring, module, mats):
+        """A quotient onto e0 alone, which the structure maps do not
+        descend to."""
+        if module.rank < 2:
+            return real(ring, module, mats)
+        gens = free_module(ring, 1, "b")
+        return op._Quotient(gens, LinearMap(module, gens, {(0, 0): 1}),
+                            LinearMap(gens, module, {(0, 0): 1}))
+
+    monkeypatch.setattr(op, "_quotient_by", keep_e0)
+    with pytest.raises(ValueError, match=f"^{what} does not descend"):
+        composite_product(M, N)
+
+
 @st.composite
 def _signed_action(draw):
     """A ring, a rank n <= 8 and up to three signed column functions:
