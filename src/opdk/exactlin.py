@@ -256,9 +256,9 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     The arithmetic is exact over Z, Q and Z/p, so the result does not
     depend on when it is normalized.
     """
-    assert g.target.compatible(f.source), (
-        f"cannot compose: inner ranks {g.target.rank} vs {f.source.rank}"
-    )
+    if not g.target.compatible(f.source):
+        raise ValueError(
+            f"cannot compose: inner ranks {g.target.rank} vs {f.source.rank}")
     g_cols: dict = {}
     for (i, j), v in g.entries.items():
         g_cols.setdefault(j, []).append((i, v))

@@ -31,7 +31,7 @@ from . import chain as _chain
 from . import simp as _simp
 from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
 from .exactlin import (FreeModule, LinearMap, cokernel, compose, free_module,
-                       hstack, matrix_from_json, matrix_to_json)
+                       hstack, matrix_from_json, matrix_to_json, sum_labels)
 from .rings import Ring, ZZ, ring_from_name
 from .doldkan import normalize, normalize_map
 
@@ -1087,19 +1087,50 @@ def _composite_terms(M: Collection, N: Collection, sig):
     return out
 
 
+def _structured(ops, mods, make, check=True):
+    """The chain complex or simplicial module on the modules mods whose
+    structure map out of degree n into degree m is make(what, n, m, get),
+    where get reads the matching map (d_n, d_i or s_i) off an object."""
+    D = len(mods) - 1
+    if ops.base == "chain":
+        diffs = [make("differential", n, n - 1, lambda X, n=n: X.d(n))
+                 for n in range(1, D + 1)]
+        return ChainComplex(ops.ring, mods, diffs, check=check)
+    faces = [[make("face", n, n - 1, lambda X, n=n, i=i: X.face(n, i))
+              for i in range(n + 1)] for n in range(1, D + 1)]
+    degen = [[make("degeneracy", n, n + 1,
+                   lambda X, n=n, i=i: X.degeneracy(n, i))
+              for i in range(n + 1)] for n in range(D)]
+    return SimplicialModule(ops.ring, mods, faces, degen)
+
+
 def _assemble(ops, terms):
-    """Direct sum object plus per-degree offsets of each term."""
-    big = terms[0].obj
-    for t in terms[1:]:
-        big = ops.direct_sum(big, t.obj)
-    offsets = []
-    for n in range(ops.max_degree + 1):
-        offs, acc = [], 0
-        for t in terms:
-            offs.append(acc)
-            acc += t.obj.level(n).rank
-        offsets.append(offs)
-    return big, offsets
+    """Direct sum object of the terms, built in one pass with each
+    degree's module and block-diagonal structure maps, plus each term's
+    per-degree offsets."""
+    objs = [t.obj for t in terms]
+    mods = [FreeModule(ops.ring, sum_labels([A.level(n) for A in objs]))
+            for n in range(ops.max_degree + 1)]
+    offsets, acc = [], [0] * len(mods)
+    for A in objs:
+        offsets.append(acc)
+        acc = [a + A.level(n).rank for n, a in enumerate(acc)]
+
+    def block(what, n, m, get):
+        return LinearMap(mods[n], mods[m], {
+            (off[m] + r, off[n] + c): v for A, off in zip(objs, offsets)
+            for (r, c), v in get(A).entries.items()})
+
+    return _structured(ops, mods, block, check=False), offsets
+
+
+def _placed(src, tgt, pieces):
+    """Per-degree maps src.level(n) -> tgt.level(n) from term blocks:
+    pieces holds (blocks, column offsets, row offsets), per degree each."""
+    return [LinearMap(src.level(n), tgt.level(n), {
+        (ro[n] + r, co[n] + c): v for blocks, co, ro in pieces
+        for (r, c), v in blocks[n].items()})
+        for n in range(src.max_degree + 1)]
 
 
 def _term_entries(ops, head, tails, sigma, src_positions, tgt_positions):
@@ -1169,139 +1200,105 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     levels are free on the surviving classes of `_quotient_by`'s signed
     union-find, each represented by its least basis element; otherwise
     they are exact cokernels.  Torsion in the coinvariants raises
-    ValueError.  The output action relabels inputs, permuting
-    assignments and acting inside fibers.  Its entries, like those of the
-    relations, are read from the factor maps' columns at each term's
-    basis positions (`_term_entries`), with no tensor complex built.
-    Every structure map is pushed to the target coinvariants once and
-    checked to descend; one that does not raises ValueError.
-    The result is truncated beyond honesty only when N has arity-zero
-    levels, since those let the top arity exceed the window.
+    ValueError.  Input-relabeling tables are built for the adjacent
+    transpositions only and closed by `Collection.from_transpositions`.
+    Their entries, like the relations', are read from the factor maps'
+    columns at each term's basis positions (`_term_entries`).  Each
+    structure map and relabeling generator is pushed to the target
+    coinvariants and checked to descend; one that does not raises
+    ValueError.  The result is truncated beyond honesty only when N has
+    arity-zero levels, since those let the top arity exceed the window.
     """
-    assert M.base == N.base and M.ring == N.ring
-    assert M.max_degree == N.max_degree and M.max_arity == N.max_arity
-    assert M.colors == N.colors
-    ops = M.ops
-    ring = M.ring
-    D = M.max_degree
-
+    if (M.base, M.ring, M.max_degree, M.max_arity, M.colors) != \
+            (N.base, N.ring, N.max_degree, N.max_arity, N.colors):
+        raise ValueError("composite factors differ in base, ring, window "
+                         "or colors")
+    ops, ring, D = M.ops, M.ring, M.max_degree
     data = {}
     for sig in enumerate_signatures(M.colors, M.max_arity):
         terms = _composite_terms(M, N, sig)
         if terms:
             data[sig] = terms
-
-    positions = {}
-    for sig, terms in data.items():
-        for t in terms:
-            positions[(sig, t.key())] = [
-                _multi_positions(ops.base, t.factors, n) for n in range(D + 1)]
+    positions = {sig: [[_multi_positions(ops.base, t.factors, n)
+                        for n in range(D + 1)] for t in terms]
+                 for sig, terms in data.items()}
+    indices = {sig: {t.key(): ti for ti, t in enumerate(terms)}
+               for sig, terms in data.items()}
 
     levels, quotients, bigs, offsets_of = {}, {}, {}, {}
     for sig, terms in data.items():
         big, offsets = _assemble(ops, terms)
-        index = {t.key(): ti for ti, t in enumerate(terms)}
-        gen_mats = [[] for _ in range(D + 1)]
-        for k in sorted({t.k for t in terms}):
-            if k < 2:
-                continue
-            group_terms = [t for t in terms if t.k == k]
+        index, pos = indices[sig], positions[sig]
+        # identity away from the k-block: the group acts there trivially
+        fixed = [[{(r, r): ring.one for r in range(t.obj.level(n).rank)}
+                  for n in range(D + 1)] for t in terms]
+        gen_mats = []
+        for k in sorted({t.k for t in terms} - {0, 1}):
             for tr in range(k - 1):
                 s = permutations.transposition(k, tr)
-                # identity away from the k-block: the group acts there trivially
-                per_degree = [{} for _ in range(D + 1)]
-                for t in terms:
-                    if t.k == k:
+                pieces = [(fixed[ti], offsets[ti], offsets[ti])
+                          for ti, t in enumerate(terms) if t.k != k]
+                for ti, t in enumerate(terms):
+                    if t.k != k:
                         continue
-                    ti = index[t.key()]
-                    for n in range(D + 1):
-                        off = offsets[n][ti]
-                        for r in range(t.obj.level(n).rank):
-                            per_degree[n][(off + r, off + r)] = ring.one
-                for t in group_terms:
-                    dbar2 = tuple(t.dbar[s[j]] for j in range(k))
-                    inv = permutations.inverse(s)
-                    phi2 = tuple(inv[v] for v in t.phi)
-                    t2 = terms[index[(k, dbar2, phi2)]]
-                    act = M.action(t.msig, s)
-                    blocks = _term_entries(
-                        ops, act, (None,) * k, s,
-                        positions[(sig, t.key())], positions[(sig, t2.key())])
-                    ti, tj = index[t.key()], index[t2.key()]
-                    for n in range(D + 1):
-                        ro, co = offsets[n][tj], offsets[n][ti]
-                        for (r, c), v in blocks[n].items():
-                            per_degree[n][(ro + r, co + c)] = v
-                for n in range(D + 1):
-                    gen_mats[n].append(LinearMap(big.level(n), big.level(n),
-                                                 per_degree[n]))
-        qs = [_quotient_by(ring, big.level(n), gen_mats[n])
+                    # s is an involution, so phi moves by s itself
+                    tj = index[(k, tuple(t.dbar[s[j]] for j in range(k)),
+                                tuple(s[v] for v in t.phi))]
+                    blocks = _term_entries(ops, M.action(t.msig, s),
+                                           (None,) * k, s, pos[ti], pos[tj])
+                    pieces.append((blocks, offsets[ti], offsets[tj]))
+                gen_mats.append(_placed(big, big, pieces))
+        qs = [_quotient_by(ring, big.level(n), [g[n] for g in gen_mats])
               for n in range(D + 1)]
-        quotients[sig] = qs
-        bigs[sig] = big
-        offsets_of[sig] = offsets
-        if ops.base == "chain":
-            diffs = []
-            for n in range(1, D + 1):
-                diffs.append(_descend(compose(qs[n - 1].proj, big.d(n)),
-                                      qs[n], "differential"))
-            levels[sig] = ChainComplex(ring, [q.generators for q in qs], diffs)
-        else:
-            faces = [[_descend(compose(qs[n - 1].proj, big.face(n, i)),
-                               qs[n], "face") for i in range(n + 1)]
-                     for n in range(1, D + 1)]
-            degen = [[_descend(compose(qs[n + 1].proj, big.degeneracy(n, i)),
-                               qs[n], "degeneracy") for i in range(n + 1)]
-                     for n in range(D)]
-            levels[sig] = SimplicialModule(ring, [q.generators for q in qs],
-                                           faces, degen)
+        quotients[sig], bigs[sig], offsets_of[sig] = qs, big, offsets
+        levels[sig] = _structured(
+            ops, [q.generators for q in qs],
+            lambda what, n, m, get: _descend(compose(qs[m].proj, get(big)),
+                                             qs[n], what))
 
-    actions = {}
+    # the action is a homomorphism, so descent on the generators covers
+    # the group, and from_transpositions refuses words that disagree
+    gens = {}
     for sig, terms in data.items():
         n_inputs = sig_arity(sig)
-        if n_inputs < 2 or ops.is_zero(levels.get(sig) or ops.zero_obj()):
+        if n_inputs < 2:
             continue
-        index = {t.key(): ti for ti, t in enumerate(terms)}
-        table = {}
-        for s in permutations.all_permutations(n_inputs):
+        row = []
+        for tr in range(n_inputs - 1):
+            s = permutations.transposition(n_inputs, tr)
             tsig = sig_act(sig, s)
             if tsig not in data:
-                continue
-            tterms = data[tsig]
-            tindex = {t.key(): ti for ti, t in enumerate(tterms)}
-            per_degree = [{} for _ in range(D + 1)]
-            for t in terms:
-                phi2 = tuple(t.phi[s[j]] for j in range(n_inputs))
-                t2 = tterms[tindex[(t.k, t.dbar, phi2)]]
-                tails = []
-                for j in range(t.k):
-                    fib = tuple(i for i in range(n_inputs) if t.phi[i] == j)
-                    fib2 = tuple(i for i in range(n_inputs) if phi2[i] == j)
-                    tau = tuple(fib.index(s[i]) for i in fib2)
-                    tails.append(N.action(t.fiber_sigs[j], tau))
+                raise ValueError(f"input relabeling by {s} sends "
+                                 f"{sig_str(sig)} to {sig_str(tsig)}, "
+                                 f"which has no terms")
+            pieces = []
+            for ti, t in enumerate(terms):
+                phi2 = tuple(t.phi[v] for v in s)
+                tj = indices[tsig][(t.k, t.dbar, phi2)]
+                # the swap moves fibers past each other in order, unless
+                # both inputs sit in one fiber, where it is a swap too
+                tails = [None] * t.k
+                a = t.phi[tr]
+                if phi2[tr] == a:
+                    fsig = t.fiber_sigs[a]
+                    tails[a] = N.action(fsig, permutations.transposition(
+                        sig_arity(fsig), t.phi[:tr].count(a)))
                 blocks = _term_entries(ops, None, tails, None,
-                                       positions[(sig, t.key())],
-                                       positions[(tsig, t2.key())])
-                ti, tj = index[t.key()], tindex[t2.key()]
-                for n in range(D + 1):
-                    ro = offsets_of[tsig][n][tj]
-                    co = offsets_of[sig][n][ti]
-                    for (r, c), v in blocks[n].items():
-                        per_degree[n][(ro + r, co + c)] = v
-            qs, qt = quotients[sig], quotients[tsig]
-            comps = []
-            for n in range(D + 1):
-                bigmap = LinearMap(bigs[sig].level(n), bigs[tsig].level(n),
-                                   per_degree[n])
-                comps.append(_descend(compose(qt[n].proj, bigmap), qs[n],
-                                      "input relabeling"))
-            table[s] = ops.make_map(levels[sig], levels[tsig], comps)
-        actions[sig] = table
+                                       positions[sig][ti], positions[tsig][tj])
+                pieces.append((blocks, offsets_of[sig][ti],
+                               offsets_of[tsig][tj]))
+            comps = [_descend(compose(quotients[tsig][n].proj, bigmap),
+                              quotients[sig][n], "input relabeling")
+                     for n, bigmap in
+                     enumerate(_placed(bigs[sig], bigs[tsig], pieces))]
+            row.append(ops.make_map(levels[sig], levels[tsig], comps))
+        gens[sig] = row
 
     truncated = M.truncated or N.truncated or \
         any(sig_arity(s) == 0 for s in N.levels)
-    coll = Collection(M.ring, M.base, M.colors, M.max_arity, D,
-                      levels, actions, truncated=truncated)
+    coll = Collection.from_transpositions(M.ring, M.base, M.colors,
+                                          M.max_arity, D, levels, gens,
+                                          truncated=truncated)
     return CompositeResult(coll, data, quotients)
 
 

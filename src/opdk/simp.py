@@ -345,11 +345,12 @@ def from_simplicial_set(simplices: dict, ring: Ring, max_degree: int
                 y, word = spec, ()
             else:
                 y, word = spec[0], tuple(spec[1])
-            assert y in dims, f"face {y!r} of {name!r} not listed"
-            assert dims[y] + len(word) == dims[name] - 1, \
-                f"face of {name!r} has wrong dimension"
-            assert all(word[t] > word[t + 1] for t in range(len(word) - 1)), \
-                "degeneracy word must be strictly decreasing"
+            if y not in dims:
+                raise ValueError(f"face {y!r} of {name!r} not listed")
+            if dims[y] + len(word) != dims[name] - 1:
+                raise ValueError(f"face of {name!r} has wrong dimension")
+            if any(word[t] <= word[t + 1] for t in range(len(word) - 1)):
+                raise ValueError("degeneracy word must be strictly decreasing")
             lst.append((y, surjection_from_word(word, dims[y])))
         face_pairs[name] = lst
 

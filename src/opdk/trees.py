@@ -437,7 +437,10 @@ def graft_root(corolla: Tree, subtrees) -> Tree:
 def graft(T1: Tree, leaf_index: int, T2: Tree) -> Tree:
     """Replace the leaf at the planar position leaf_index of T1 by T2."""
     if T1.is_edge:
-        assert leaf_index == 0 and T1.output == T2.root_color
+        if leaf_index != 0:
+            raise IndexError(f"no leaf at position {leaf_index}")
+        if T1.output != T2.root_color:
+            raise ValueError("grafted root color does not match the leaf")
         return T2
     offset = 0
     kids = list(T1.children)

@@ -42,7 +42,7 @@ from opdk.operad import (
     word_act,
     word_graft,
 )
-from opdk.chain import homology
+from opdk.chain import ChainComplex, homology
 from opdk.exactlin import LinearMap, cokernel, free_module, hstack
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import moore_complex
@@ -192,6 +192,31 @@ def test_collection_rejects_unknown_color():
     with pytest.raises(ValueError, match="unknown color"):
         M.is_zero_level(s)
     assert M.is_zero_level((("x",) * 4, "x"))
+
+
+def _rank_two_generators(n, rows):
+    """from_transpositions on one rank-2 level in arity n, where s_t acts
+    by the matrix rows[t]."""
+    ops = op._ops_for("chain", ZZ, 0)
+    lev = ChainComplex(ZZ, [free_module(ZZ, 2)], [])
+    gens = [ops.make_map(lev, lev, [LinearMap.from_rows(
+        lev.level(0), lev.level(0), r)]) for r in rows]
+    return Collection.from_transpositions(ZZ, "chain", (X,), n, 0,
+                                          {sig(n): lev}, {sig(n): gens})
+
+
+def test_from_transpositions_refuses_a_non_involution():
+    # s_1 s_1 must act as the identity; a shear squares to another shear
+    with pytest.raises(ValueError, match=r"inconsistent at .*\(0, 1\)"):
+        _rank_two_generators(2, [[[1, 1], [0, 1]]])
+    assert collection_check(_rank_two_generators(2, [[[0, 1], [1, 0]]])) == []
+
+
+def test_from_transpositions_refuses_a_broken_braid_relation():
+    # both generators are involutions, but s_1 s_2 s_1 = diag(-1, 1)
+    # while s_2 s_1 s_2 swaps the basis with signs
+    with pytest.raises(ValueError, match=r"inconsistent at .*\(2, 1, 0\)"):
+        _rank_two_generators(3, [[[0, 1], [1, 0]], [[1, 0], [0, -1]]])
 
 
 def test_checker_rejects_corrupted_composition():
@@ -375,16 +400,26 @@ def _bracketings(ring, action):
     return [(L, M), (M, N), (LM, N), (L, MN)]
 
 
+def _two_color_associative():
+    """Ass(3) with one color split in two, so that relabeling inputs
+    changes the signature: the closure reads generator tables at
+    signatures other than its start."""
+    A = associative_operad(ZZ, "chain", 3, 0)
+    return restrict_colors({"a": X, "b": X}, A, ("a", "b")).collection
+
+
 @pytest.mark.parametrize("pairs", [
     lambda: [(associative_operad(ZZ, "chain", 4, 0).collection,) * 2],
     lambda: [(associative_operad(ZZ, "simplicial", 3, 2).collection,) * 2],
     lambda: _bracketings(QQ, "sign"),
     lambda: _bracketings(F5, "sign"),
-], ids=["regular-4-Z", "simplicial-Z", "triple-Q-sign", "triple-F5-sign"])
+    lambda: [(_two_color_associative(),) * 2],
+], ids=["regular-4-Z", "simplicial-Z", "triple-Q-sign", "triple-F5-sign",
+        "two-color-Z"])
 def test_composite_action_tables_match_tensor_map_route(pairs):
     """Every action table of composite_product, entry for entry, against
     the tensor-complex route it replaced."""
-    checked = 0
+    checked = crossing = 0
     for M, N in pairs():
         res = composite_product(M, N)
         coll = res.collection
@@ -395,11 +430,14 @@ def test_composite_action_tables_match_tensor_map_route(pairs):
             table = coll.actions[sig]
             assert set(table) == set(perms.all_permutations(n_in))
             for s, f in table.items():
+                crossing += sig_act(sig, s) != sig
                 for n in range(coll.max_degree + 1):
                     old = _old_route_action(M, N, res, sig, s, n)
                     assert f.component(n).entries == old.entries
                     checked += 1
     assert checked
+    if len(coll.colors) > 1:
+        assert crossing
 
 
 def _random_pair(base):
@@ -476,6 +514,26 @@ def test_signed_quotient_matches_cokernel(case):
     assert q.proj @ q.section == LinearMap.identity(q.generators)
     for m in mats:
         assert (q.proj @ (m - ident)).is_zero()
+
+
+def test_composite_refuses_factors_from_different_windows():
+    # an explicit check, so it also holds under python -O
+    A3 = associative_operad(ZZ, "chain", 3, 0).collection
+    A2 = associative_operad(ZZ, "chain", 2, 0).collection
+    with pytest.raises(ValueError, match="composite factors differ"):
+        composite_product(A3, A2)
+
+
+def test_composite_refuses_a_relabeling_onto_a_missing_signature():
+    # N has a,b->b but not b,a->b: its levels are not closed
+    # under relabeling, so the swap has no target to land on
+    ops = op._ops_for("chain", ZZ, 0)
+    N = Collection(ZZ, "chain", ("a", "b"), 2, 0,
+                   {(("a", "b"), "b"): ops.unit_obj()})
+    M = identity_collection(ZZ, "chain", ("a", "b"), 2, 0)
+    with pytest.raises(ValueError,
+                       match="sends a,b->b to b,a->b, which has no terms"):
+        composite_product(M, N)
 
 
 def test_composite_with_nullary_sets_truncation_flag():

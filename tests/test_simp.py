@@ -197,7 +197,7 @@ def test_degenerate_face_spec():
 
 
 def test_missing_face_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="face 'v' of 'e' not listed"):
         from_simplicial_set({"e": ["v", "v"]}, ZZ, 1)
 
 
