@@ -2,7 +2,14 @@
 
 `normalize` carries a truncated simplicial module to the complex of
 intersected face kernels, together with the inclusion into the Moore
-complex and the projection splitting it off.  `gamma` rebuilds a
+complex and the projection splitting it off.  Both come from the
+degeneracy idempotent p_n = (1 - s_0 d_1)(1 - s_1 d_2) ... (1 - s_{n-1} d_n),
+whose rightmost factor acts first: its image is N_n, its kernel the
+degenerate part D_n, and no Smith form, solve or inverse is needed.
+Three checks per level (d_i p_n = 0 for i >= 1, p_n fixing the chosen
+basis of its image, p_n s_j = 0) certify A_n = N_n (+) D_n; a module
+that breaks the simplicial identities fails one of them with
+ValueError.  `gamma` rebuilds a
 simplicial module from a complex as a direct sum indexed by monotone
 surjections; normalizing a `gamma` image returns the input complex on
 the nose, and `counit` realizes the comparison in the other order.
@@ -13,7 +20,8 @@ of a tensor product to the tensor product of the normalizations, and
 None of the sign or direction conventions below are taken on faith:
 every map is constructed with its defining property checked (chain
 maps commute with d, simplicial maps with all faces and degeneracies,
-corestrictions are solved for exactly), so a wrong convention fails at
+corestrictions through the projection are checked against the
+inclusion), so a wrong convention fails at
 construction time rather than producing a plausible-looking matrix.
 """
 
@@ -25,17 +33,7 @@ from typing import Optional
 from . import permutations
 from .chain import ChainComplex, ChainMap, tensor_blocks
 from .chain import tensor as tensor_complex
-from .exactlin import (
-    FreeModule,
-    LinearMap,
-    compose,
-    hnf_columns,
-    hstack,
-    kernel,
-    projection_to_summand,
-    solve,
-    vstack,
-)
+from .exactlin import FreeModule, LinearMap, compose, free_module, hnf_columns, hstack
 from .simp import (
     SimplicialMap,
     SimplicialModule,
@@ -76,37 +74,140 @@ class Normalization:
         return f"Normalization(ranks={self.complex.ranks()})"
 
 
+def _idempotent(A: SimplicialModule, n: int) -> LinearMap:
+    """p_n = (1 - s_0 d_1)(1 - s_1 d_2) ... (1 - s_{n-1} d_n) on level n.
+
+    The rightmost factor acts first: once 1 - s_{i} d_{i+1} has made
+    d_{i+1} vanish, the factors to its left keep it vanishing.
+    """
+    p = LinearMap.identity(A.level(n))
+    for i in range(n - 1, -1, -1):
+        p = p - compose(A.degeneracy(n - 1, i), compose(A.face(n, i + 1), p))
+    return p
+
+
+def _image_basis(p: LinearMap):
+    """(basis, pivots): the basis `kernel` would return for the span of
+    p's columns, with one pivot row per basis vector.
+
+    Over Z this is the column Hermite form, pivoted at each vector's
+    first support row.  Over a field it is the Hermite form of the rows
+    read bottom up: monic at each vector's last support row, which the
+    other vectors miss.  Either way the pivots increase with the column.
+    """
+    ring = p.ring
+    R = p.target.rank
+    flip = ring.is_field
+    if flip:
+        p = LinearMap(p.source, p.target,
+                      {(R - 1 - i, j): v for (i, j), v in p.entries.items()})
+    h = hnf_columns(p)
+    r = h.source.rank
+    pivots = [R] * r
+    for i, j in h.entries:
+        if i < pivots[j]:
+            pivots[j] = i
+    entries = h.entries
+    if flip:
+        entries = {(R - 1 - i, r - 1 - j): v for (i, j), v in entries.items()}
+        pivots = [R - 1 - i for i in reversed(pivots)]
+    return LinearMap(free_module(ring, r, "k"), p.target, entries), pivots
+
+
+def _coordinates(basis: LinearMap, pivots, x: LinearMap) -> LinearMap:
+    """c with basis . c = x, by forward substitution on the pivot rows.
+
+    Basis vector t is zero above its pivot row, so row pivots[k] meets
+    only vectors t <= k.  Raises ValueError when a column of x is not in
+    the span: the pivot rows then cannot account for all of x.
+    """
+    ring = basis.ring
+    at = [dict() for _ in pivots]
+    where = {r: k for k, r in enumerate(pivots)}
+    for (i, t), v in basis.entries.items():
+        k = where.get(i)
+        if k is not None:
+            at[k][t] = v
+    cols: dict = {}
+    for (i, j), v in x.entries.items():
+        cols.setdefault(j, {})[i] = v
+    entries = {}
+    for j, col in cols.items():
+        c = {}
+        for k, r in enumerate(pivots):
+            row = at[k]
+            v = col.get(r, ring.zero)
+            for t, w in row.items():
+                if t in c:
+                    v = ring.sub(v, ring.mul(w, c[t]))
+            if v != ring.zero:
+                c[k] = ring.mul(v, ring.inv(row[k])) if ring.is_field else v // row[k]
+        for k, v in c.items():
+            entries[(k, j)] = v
+    coords = LinearMap(x.source, basis.source, entries)
+    if compose(basis, coords).entries != x.entries:
+        raise ValueError("column is not in the span of the basis")
+    return coords
+
+
+def _corestrict(nz: Normalization, n: int, x: LinearMap) -> LinearMap:
+    """The unique c with incl_n . c = x; ValueError if x leaves N_n."""
+    c = compose(nz.proj.component(n), x)
+    if compose(nz.incl.component(n), c).entries != x.entries:
+        raise ValueError(f"map leaves the normalized summand at degree {n}")
+    return c
+
+
 def normalize(A: SimplicialModule) -> Normalization:
     """N(A)_n = ker d_1 intersect .. intersect ker d_n, with d_0.
 
-    The splitting projection comes from a basis of each level that
-    extends a kernel basis by a basis of the degenerate part; the two
-    span complementary summands, so the change of basis is invertible
-    over the ring and its top rows retract onto the kernel.
+    Level n is the image of the degeneracy idempotent
+    p_n = (1 - s_0 d_1)(1 - s_1 d_2) ... (1 - s_{n-1} d_n), rightmost
+    factor first (Goerss-Jardine III.2), built from sparse products.
+    incl_n is a canonical basis of that image, the Hermite basis over Z
+    and the reduced echelon basis over a field, as `kernel` returns;
+    proj_n reads off the coordinates of p_n, checked to give
+    incl_n . proj_n = p_n.
+
+    x - p_n x lies in the degenerate part D_n for every x, and p_n fixes
+    every x killed by d_1..d_n, whatever the structure maps are.  Three
+    checks then certify A_n = N_n (+) D_n and raise ValueError on a
+    module that breaks the simplicial identities: d_i p_n = 0 for
+    1 <= i <= n (the image is N_n), p_n incl_n = incl_n (p_n is
+    idempotent, so proj_n . incl_n = id) and p_n s_j = 0 for j < n
+    (the kernel is D_n).
     """
     ring = A.ring
     D = A.max_degree
     moore = moore_complex(A)
-    incls = [LinearMap.identity(A.level(0))]
+    ident = LinearMap.identity(A.level(0))
+    incls, projs = [ident], [ident]
     for n in range(1, D + 1):
-        _, incl = kernel(vstack([A.face(n, i) for i in range(1, n + 1)]))
+        p = _idempotent(A, n)
+        incl, pivots = _image_basis(p)
+        proj = _coordinates(incl, pivots, p)
+        # p = incl . proj with incl injective, so the checks on p read
+        # off the thinner factors: d_i p = 0 iff d_i incl = 0, and
+        # p s_j = 0 iff proj s_j = 0
+        for i in range(1, n + 1):
+            if not compose(A.face(n, i), incl).is_zero():
+                raise ValueError(f"d_{i} does not vanish on p_{n}: "
+                                 "not a simplicial module")
+        for j in range(n):
+            if not compose(proj, A.degeneracy(n - 1, j)).is_zero():
+                raise ValueError(f"p_{n} does not kill s_{j}: "
+                                 "not a simplicial module")
+        if compose(p, incl).entries != incl.entries:
+            raise ValueError(f"p_{n} is not idempotent: not a simplicial module")
         incls.append(incl)
+        projs.append(proj)
     levels = [f.source for f in incls]
-    diffs = []
-    for n in range(1, D + 1):
-        d = solve(incls[n - 1], compose(A.face(n, 0), incls[n]))
-        assert d is not None, "d_0 does not preserve the face kernels"
-        diffs.append(d)
+    diffs = [compose(projs[n - 1], compose(A.face(n, 0), incls[n]))
+             for n in range(1, D + 1)]
     N = ChainComplex(ring, levels, diffs)
-    projs = [LinearMap.identity(A.level(0))]
-    for n in range(1, D + 1):
-        degim = hnf_columns(hstack([A.degeneracy(n - 1, i) for i in range(n)]))
-        change = hstack([incls[n], degim])
-        assert change.is_iso(), "kernel and degenerate part do not split the level"
-        projs.append(compose(projection_to_summand([levels[n], degim.source], 0),
-                             change.inverse()))
-    # both constructions are checked: the degenerate part is a
-    # subcomplex of the Moore complex, so proj is a chain map too
+    # both are checked: incl commuting with d certifies that d_0 keeps
+    # N inside the face kernels, and proj commuting with d that the
+    # degenerate part is a subcomplex
     incl = ChainMap(N, moore, incls)
     proj = ChainMap(moore, N, projs)
     return Normalization(N, moore, incl, proj)
@@ -116,17 +217,14 @@ def normalize_map(f: SimplicialMap,
                   source: Optional[Normalization] = None,
                   target: Optional[Normalization] = None) -> ChainMap:
     """N(f).  Simplicial maps preserve face kernels, so the restriction
-    is solved for exactly against the target inclusion."""
+    is corestricted through the target projection and checked against
+    the target inclusion."""
     if source is None:
         source = normalize(f.source)
     if target is None:
         target = normalize(f.target)
-    comps = []
-    for n in range(f.source.max_degree + 1):
-        c = solve(target.incl.component(n),
-                  compose(f.component(n), source.incl.component(n)))
-        assert c is not None, "map does not preserve the face kernels"
-        comps.append(c)
+    comps = [_corestrict(target, n, compose(f.component(n), source.incl.component(n)))
+             for n in range(f.source.max_degree + 1)]
     return ChainMap(source.complex, target.complex, comps)
 
 
@@ -273,16 +371,46 @@ def aw(A: SimplicialModule, B: SimplicialModule,
     return ChainMap(nab.complex, NN, comps)
 
 
+def _shuffle_entries(A: SimplicialModule, B: SimplicialModule,
+                     na: Normalization, nb: Normalization, n: int) -> dict:
+    """Level n of the shuffle map before corestriction, as entries of a
+    map from N(A) (x) N(B) in degree n to level n of A (x) B.
+
+    The (p, q) block sends x (x) y to the signed sum over complementary
+    index sets mu, nu inside {0..p+q-1} of s_nu x (x) s_mu y.
+    """
+    ring = A.ring
+    entries = {}
+    for p, q, off in tensor_blocks(na.complex, nb.complex, n):
+        if na.complex.level(p).rank == 0 or nb.complex.level(q).rank == 0:
+            continue
+        acc: dict = {}
+        for mu in combinations(range(n), p):
+            nu = tuple(i for i in range(n) if i not in mu)
+            sgn = ring.normalize(permutations.sign(mu + nu))
+            sa = simplicial_operator(
+                A, surjection_from_word(tuple(reversed(nu)), p), p)
+            sb = simplicial_operator(
+                B, surjection_from_word(tuple(reversed(mu)), q), q)
+            term = compose(sa, na.incl.component(p)).tensor(
+                compose(sb, nb.incl.component(q)))
+            for key, v in term.entries.items():
+                acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(sgn, v))
+        for (i, j), v in acc.items():
+            if v != ring.zero:
+                entries[(i, off + j)] = v
+    return entries
+
+
 def shuffle(A: SimplicialModule, B: SimplicialModule,
             na: Optional[Normalization] = None,
             nb: Optional[Normalization] = None,
             nab: Optional[Normalization] = None) -> ChainMap:
     """Shuffle map N(A) (x) N(B) -> N(A (x) B).
 
-    The (p, q) block sends x (x) y to the signed sum over complementary
-    index sets mu, nu inside {0..p+q-1} of s_nu x (x) s_mu y.  The
-    stacked blocks land in the face kernels of the product, and the
-    corestriction is solved for exactly rather than projected.
+    Each level of the signed sum lands in the face kernels of the
+    product; the corestriction goes through the projection and is
+    checked against the inclusion.
     """
     AB = tensor_simplicial(A, B)
     if na is None:
@@ -292,33 +420,10 @@ def shuffle(A: SimplicialModule, B: SimplicialModule,
     if nab is None:
         nab = normalize(AB)
     D = AB.max_degree
-    ring = A.ring
     NN = tensor_complex(na.complex, nb.complex, bound=D)
-    comps = []
-    for n in range(D + 1):
-        entries = {}
-        for p, q, off in tensor_blocks(na.complex, nb.complex, n):
-            if na.complex.level(p).rank == 0 or nb.complex.level(q).rank == 0:
-                continue
-            acc: dict = {}
-            for mu in combinations(range(n), p):
-                nu = tuple(i for i in range(n) if i not in mu)
-                sgn = ring.normalize(permutations.sign(mu + nu))
-                sa = simplicial_operator(
-                    A, surjection_from_word(tuple(reversed(nu)), p), p)
-                sb = simplicial_operator(
-                    B, surjection_from_word(tuple(reversed(mu)), q), q)
-                term = compose(sa, na.incl.component(p)).tensor(
-                    compose(sb, nb.incl.component(q)))
-                for key, v in term.entries.items():
-                    acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(sgn, v))
-            for (i, j), v in acc.items():
-                if v != ring.zero:
-                    entries[(i, off + j)] = v
-        total = LinearMap(NN.level(n), AB.level(n), entries)
-        c = solve(nab.incl.component(n), total)
-        assert c is not None, "shuffle image escapes the face kernels"
-        comps.append(c)
+    comps = [_corestrict(nab, n, LinearMap(NN.level(n), AB.level(n),
+                                           _shuffle_entries(A, B, na, nb, n)))
+             for n in range(D + 1)]
     return ChainMap(NN, nab.complex, comps)
 
 

@@ -167,6 +167,12 @@ class SimplicialModule:
         faces[n - 1][i] = new
         return SimplicialModule(self.ring, self.levels, faces, self.degeneracies)
 
+    def replace_degeneracy(self, n: int, i: int, new: LinearMap) -> "SimplicialModule":
+        """Copy with one degeneracy matrix swapped out (for negative controls)."""
+        degeneracies = [list(ss) for ss in self.degeneracies]
+        degeneracies[n][i] = new
+        return SimplicialModule(self.ring, self.levels, self.faces, degeneracies)
+
 
 class SimplicialMap:
     __slots__ = ("source", "target", "components")

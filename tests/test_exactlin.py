@@ -174,6 +174,20 @@ def test_compose_shape_mismatch_raises():
         compose(f, g)
 
 
+def test_inverse_of_a_non_unit_raises():
+    M, M2 = free_module(ZZ, 1), free_module(ZZ, 2)
+    with pytest.raises(ValueError, match="map is not invertible"):
+        LinearMap.from_rows(M, M, [[2]]).inverse()
+    with pytest.raises(ValueError, match="map is not invertible"):
+        LinearMap.from_rows(M2, M, [[1, 0]]).inverse()
+    F = free_module(Zmod(5), 2)
+    with pytest.raises(ValueError, match="map is not invertible"):
+        LinearMap.from_rows(F, F, [[1, 2], [2, 4]]).inverse()
+    f = LinearMap.from_rows(M2, M2, [[2, 1], [1, 1]])
+    assert f.is_iso() and not LinearMap.from_rows(M2, M2, [[2, 0], [0, 1]]).is_iso()
+    assert f @ f.inverse() == LinearMap.identity(M2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_compose_associativity(seed):
@@ -475,6 +489,22 @@ def test_json_roundtrip():
         m2 = matrix_from_json(data)
         assert m2.to_rows() == m.to_rows()
         assert m2.ring == ring
+
+
+def test_hnf_columns_is_the_reduced_hermite_basis_of_the_span():
+    # spans compared through the Smith-form solver, not through hnf
+    rng = random.Random(29)
+    for t in range(40):
+        rows, inner, cols = rng.randint(0, 12), rng.randint(0, 8), rng.randint(0, 16)
+        m = compose(random_map(rng, ZZ, rows, inner, density=0.8),
+                    random_map(rng, ZZ, inner, cols, density=0.8))
+        h = hnf_columns(m)
+        leads = [min(i for i, jj in h.entries if jj == j) for j in range(h.source.rank)]
+        assert leads == sorted(set(leads))
+        for k, r in enumerate(leads):
+            assert h.entries[(r, k)] > 0
+            assert all(0 <= h.entries.get((r, t), 0) < h.entries[(r, k)] for t in range(k))
+        assert solve(h, m) is not None and solve(m, h) is not None
 
 
 def test_hnf_columns_canonical_span():
