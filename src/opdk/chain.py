@@ -626,7 +626,14 @@ class ChainPushout:
 
 
 def pushout_complex(f: ChainMap, g: ChainMap) -> ChainPushout:
-    """Pushout of target(f) <- source -> target(g), degreewise."""
+    """Pushout of target(f) <- source -> target(g), degreewise.
+
+    >>> from opdk.rings import ZZ
+    >>> M = concentrated(ZZ, 0, 1)
+    >>> two = ChainMap(M, M, [LinearMap.from_rows(M.level(0), M.level(0), [[2]])])
+    >>> pushout_complex(two, ChainMap.identity(M)).complex.ranks()
+    (1,)
+    """
     if f.source.ranks() != g.source.ranks():
         raise ValueError("source mismatch")
     D = max(f.target.max_degree, g.target.max_degree, f.source.max_degree)

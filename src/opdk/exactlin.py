@@ -2,15 +2,18 @@
 
 Free modules carry ordered basis labels; maps are sparse coordinate
 matrices with exact entries.  On top of plain matrix arithmetic this
-module provides the four workhorses everything else reduces to:
+module provides the workhorses everything else reduces to:
 
 * smith_normal_form  -- U*m*V = D with unimodular U, V and a divisibility
   chain down the diagonal,
 * kernel             -- saturated kernel sublattice (nullspace over fields),
 * cokernel           -- presentation of target/im(m) with projection and
-  section,
-* pushout / coinvariants -- both computed as cokernels of assembled block
-  maps, with mediating maps solved exactly.
+  section.  Its front end, signed_quotient, is a signed union-find: it
+  takes every relation matrix whose columns hold at most two entries,
+  each +1 or -1 (the incidence matrix of a signed graph), and so every
+  coinvariant module of a signed permutation action and every colimit
+  of complexes along such maps, with no Smith form.  Every other matrix
+  goes through the Smith form.
 
 No floats anywhere.  Matrices stay small (desk scale) but entry growth is
 kept in check by smallest-pivot selection.
@@ -21,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _kernel
-from .permutations import closure_with_values
 from .rings import Ring, ZZ, ring_from_name
 
 class FreeModule:
@@ -317,14 +319,6 @@ def vstack(maps) -> LinearMap:
             entries[(i + off, j)] = v
         off += m.target.rank
     return LinearMap(src, tgt, entries)
-
-
-def inclusion_of_summand(mods, k: int) -> LinearMap:
-    ring = mods[0].ring
-    total = FreeModule(ring, sum_labels(mods))
-    off = sum(m.rank for m in mods[:k])
-    entries = {(off + i, i): ring.one for i in range(mods[k].rank)}
-    return LinearMap(mods[k], total, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +882,7 @@ def same_span(a: LinearMap, b: LinearMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cokernels, coinvariants, pushouts
+# cokernels
 # ---------------------------------------------------------------------------
 
 
@@ -927,33 +921,29 @@ class ModulePresentation:
 
 
 class CokernelPresentation:
-    """target / im(relations), in explicit quotient coordinates.
+    """A quotient of a free module, in explicit quotient coordinates.
 
-    generators lists torsion coordinates first (orders in
-    invariant_factors), then free coordinates.  proj: target ->
-    generators and section: generators -> target satisfy
+    The generators list torsion coordinates first (orders in
+    invariant_factors), then free coordinates.  proj: module ->
+    generators and section: generators -> module satisfy
     proj @ section = id; classes are equal iff their reduced coordinates
     agree.
     """
 
-    __slots__ = (
-        "ring",
-        "target",
-        "relations",
-        "invariant_factors",
-        "generators",
-        "proj",
-        "section",
-    )
+    __slots__ = ("invariant_factors", "proj", "section")
 
-    def __init__(self, ring, target, relations, invariant_factors, generators, proj, section):
-        self.ring = ring
-        self.target = target
-        self.relations = relations
+    def __init__(self, proj, section, invariant_factors=()):
         self.invariant_factors = tuple(invariant_factors)
-        self.generators = generators
         self.proj = proj
         self.section = section
+
+    @property
+    def ring(self) -> Ring:
+        return self.proj.ring
+
+    @property
+    def generators(self) -> FreeModule:
+        return self.proj.target
 
     @property
     def presentation(self) -> ModulePresentation:
@@ -987,14 +977,115 @@ class CokernelPresentation:
         return not self.invariant_factors
 
 
-def cokernel(m: LinearMap) -> CokernelPresentation:
-    """Presentation of target(m)/im(m) with projection and section.
+def _generators(ring: Ring, n_torsion: int, n_free: int) -> FreeModule:
+    return FreeModule(ring, tuple([f"t{k}" for k in range(n_torsion)]
+                                  + [f"q{k}" for k in range(n_free)]))
 
-    >>> M = free_module(ZZ, 2)
-    >>> f = LinearMap.from_rows(M, M, [[2, 0], [0, 3]])
-    >>> cokernel(f).presentation
-    Presentation(rank 0 + Z/6)
+
+def signed_quotient(module: FreeModule, edges, killed=()) -> CokernelPresentation:
+    """module / <e_j - s e_i, e_k> for the signed edges (j, s, i), that
+    is e_j = s e_i with s = +1 or -1, and the killed vertices k.
+
+    A signed union-find (Tarjan 1975) gives the quotient with no Smith
+    form.  Each surviving class is represented by its least basis index:
+    proj sends e_x to +-[class], the sign taken against the
+    representative, and section sends [class] to the representative.  A
+    class holding a killed vertex dies.  A class whose edges force
+    e = -e is unbalanced (Zaslavsky, *Signed graphs*, 1982): over Z it
+    is a torsion generator of order 2, listed first as in the Smith
+    path; over Q and Z/p with p odd it dies.  Over Z/2, where -1 = 1,
+    every sign counts as +1, so no class is unbalanced.
+
+    >>> M = free_module(ZZ, 3)
+    >>> signed_quotient(M, [(1, -1, 0)], killed=[2]).presentation
+    Presentation(rank 1)
+    >>> signed_quotient(M, [(1, -1, 0), (1, 1, 0)]).presentation
+    Presentation(rank 1 + Z/2)
     """
+    ring = module.ring
+    n = module.rank
+    one, minus = ring.one, ring.neg(ring.one)
+    if one == minus:
+        edges = [(j, 1, i) for j, _, i in edges]
+    # e_x = sign[x] e_parent[x]; a root is the least index of its class
+    parent = list(range(n))
+    sign = [1] * n
+    odd = [False] * n
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        s = 1
+        for y in reversed(path):
+            s *= sign[y]
+            sign[y] = s
+            parent[y] = x
+        return x
+
+    for j, s, i in edges:
+        rj, ri = find(j), find(i)
+        s *= sign[j] * sign[i]              # e_rj = s e_ri
+        if rj == ri:
+            if s == -1:
+                odd[rj] = True
+            continue
+        lo, hi = (rj, ri) if rj < ri else (ri, rj)
+        parent[hi] = lo
+        sign[hi] = s
+        odd[lo] = odd[lo] or odd[hi]
+    dead = {find(k) for k in killed}
+    torsion, free = [], []
+    for x in range(n):
+        if parent[x] == x and x not in dead:
+            if not odd[x]:
+                free.append(x)
+            elif not ring.is_field:
+                torsion.append(x)
+    reps = torsion + free
+    pos = {r: k for k, r in enumerate(reps)}
+    proj = {}
+    for x in range(n):
+        k = pos.get(find(x))
+        if k is not None:
+            proj[(k, x)] = one if sign[x] == 1 else minus
+    gens = _generators(ring, len(torsion), len(free))
+    return CokernelPresentation(
+        LinearMap(module, gens, proj),
+        LinearMap(gens, module, {(r, k): one for k, r in enumerate(reps)}),
+        [2] * len(torsion))
+
+
+def _signed_graph(m: LinearMap):
+    """(edges, killed) for signed_quotient when every column of m holds
+    at most two entries, each +1 or -1 in the ring: a column a e_i kills
+    e_i, and a column a e_i + b e_j is the edge e_j = -ab e_i, its sign
+    taken in the ring.  None for any other matrix."""
+    ring = m.ring
+    one, minus = ring.one, ring.neg(ring.one)
+    cols: dict = {}
+    for (i, j), v in m.entries.items():
+        if v != one and v != minus:
+            return None
+        col = cols.setdefault(j, [])
+        if len(col) == 2:
+            return None
+        col.append((i, v))
+    edges, killed = [], []
+    for col in cols.values():
+        if len(col) == 1:
+            killed.append(col[0][0])
+        else:
+            (i, a), (j, b) = col
+            s = ring.neg(ring.mul(a, b))
+            edges.append((j, 1 if s == one else -1, i))
+    return edges, killed
+
+
+def _smith_cokernel(m: LinearMap) -> CokernelPresentation:
+    """The general path of cokernel: proj and section are the kept rows
+    of U and columns of U^-1 from the Smith form."""
     ring = m.ring
     sf = smith_normal_form(m)
     R = m.target.rank
@@ -1002,139 +1093,47 @@ def cokernel(m: LinearMap) -> CokernelPresentation:
     if ring.is_field:
         torsion_idx = []
         free_idx = [i for i in range(R) if diag[i] == ring.zero]
-        inv_factors = []
     else:
         torsion_idx = [i for i in range(R) if diag[i] not in (0, 1)]
         free_idx = [i for i in range(R) if diag[i] == 0]
-        inv_factors = [diag[i] for i in torsion_idx]
-    keep = torsion_idx + free_idx
-    labels = tuple(
-        [f"t{k}" for k in range(len(torsion_idx))]
-        + [f"q{k}" for k in range(len(free_idx))]
-    )
-    gens = FreeModule(ring, labels)
-    proj_entries = {}
-    for out_i, i in enumerate(keep):
-        for (r_, c_), v in sf.U.entries.items():
-            if r_ == i:
-                proj_entries[(out_i, c_)] = v
-    proj = LinearMap(m.target, gens, proj_entries)
-    sec_entries = {}
-    for out_i, i in enumerate(keep):
-        for (r_, c_), v in sf.Uinv.entries.items():
-            if c_ == i:
-                sec_entries[(r_, out_i)] = v
-    section = LinearMap(gens, m.target, sec_entries)
-    assert (proj @ section) == LinearMap.identity(gens)
-    return CokernelPresentation(ring, m.target, m, inv_factors, gens, proj, section)
+    slot = {i: k for k, i in enumerate(torsion_idx + free_idx)}
+    gens = _generators(ring, len(torsion_idx), len(free_idx))
+    proj = {(slot[r], c): v for (r, c), v in sf.U.entries.items() if r in slot}
+    sec = {(r, slot[c]): v for (r, c), v in sf.Uinv.entries.items()
+           if c in slot}
+    return CokernelPresentation(LinearMap(m.target, gens, proj),
+                                LinearMap(gens, m.target, sec),
+                                [diag[i] for i in torsion_idx])
 
 
-class GroupAction:
-    """Action of a finite permutation-presented group on a free module.
-
-    perms are faithful permutation images of the generators; mats the
-    assigned matrices.  validate() closes the group and checks every
-    relation (two words landing on the same permutation must carry the
-    same matrix).
-    """
-
-    def __init__(self, module: FreeModule, perms, mats, check: bool = True):
-        assert len(perms) == len(mats)
-        for f in mats:
-            assert f.source.compatible(module) and f.target.compatible(module)
-        self.module = module
-        self.perms = [tuple(p) for p in perms]
-        self.mats = list(mats)
-        self._table = None
-        if check:
-            self.validate()
-
-    def validate(self):
-        # consistency over the closure also forces invertibility: the
-        # inverse word of each generator lands on the identity permutation,
-        # whose value is pinned to the identity matrix
-        table = closure_with_values(
-            self.perms,
-            self.mats,
-            lambda a, b: a @ b,
-            LinearMap.identity(self.module),
-        )
-        self._table = table
-        return table
-
-    @property
-    def order(self) -> int:
-        if self._table is None:
-            self.validate()
-        return len(self._table)
-
-    def elements(self):
-        if self._table is None:
-            self.validate()
-        return self._table
+# tests flip this to route every cokernel through the Smith form and
+# compare; it is not part of the interface
+_FORCE_GENERIC = False
 
 
-def coinvariants(action: GroupAction):
-    """(presentation, proj) for module / <g x - x>.
+def cokernel(m: LinearMap) -> CokernelPresentation:
+    """Presentation of target(m)/im(m) with projection and section.
 
-    The block map stacks (g - id) over the generators; its cokernel is
-    the coinvariant module.
-    """
-    module = action.module
-    ident = LinearMap.identity(module)
-    blocks = [g - ident for g in action.mats]
-    blocks = [b for b in blocks if not b.is_zero()]
-    if not blocks:
-        rel = LinearMap.zero(free_module(module.ring, 0, "g"), module)
-    else:
-        rel = hstack(blocks)
-    pres = cokernel(rel)
-    return pres, pres.proj
+    A relation matrix whose columns each hold at most two entries, each
+    +1 or -1, is the incidence matrix of a signed graph, and its
+    cokernel is a signed_quotient; every other matrix goes through the
+    Smith form.
 
-
-class PushoutResult:
-    __slots__ = ("presentation", "inl", "inr", "_span")
-
-    def __init__(self, presentation, inl, inr, span):
-        self.presentation = presentation
-        self.inl = inl
-        self.inr = inr
-        self._span = span
-
-    def mediating(self, u: LinearMap, v: LinearMap) -> LinearMap:
-        """Unique map h out of the pushout with h@inl = u, h@inr = v.
-
-        Requires u @ f = v @ g for the defining span (f, g).
-        """
-        f, g = self._span
-        assert (u @ f) == (v @ g), "cocone does not commute"
-        pres = self.presentation
-        both = hstack([u, v])
-        h = both @ pres.section
-        h = LinearMap(pres.generators, u.target, h.entries)
-        assert (h @ self.inl) == u
-        assert (h @ self.inr) == v
-        return h
-
-
-def pushout(f: LinearMap, g: LinearMap) -> PushoutResult:
-    """Pushout of target(f) <- source -> target(g) with structure maps.
-
-    >>> M1 = free_module(ZZ, 1)
-    >>> two = LinearMap.from_rows(M1, M1, [[2]])
-    >>> po = pushout(two, LinearMap.identity(M1))
-    >>> po.presentation.presentation
+    >>> M = free_module(ZZ, 2)
+    >>> f = LinearMap.from_rows(M, M, [[2, 0], [0, 3]])
+    >>> cokernel(f).presentation
+    Presentation(rank 0 + Z/6)
+    >>> cokernel(LinearMap.from_rows(M, M, [[1, 1], [1, 1]])).presentation
     Presentation(rank 1)
     """
-    assert f.source.compatible(g.source)
-    rel = vstack([f, -g])
-    pres = cokernel(rel)
-    mods = [f.target, g.target]
-    inl = pres.proj @ inclusion_of_summand(mods, 0)
-    inr = pres.proj @ inclusion_of_summand(mods, 1)
-    inl = LinearMap(f.target, pres.generators, inl.entries)
-    inr = LinearMap(g.target, pres.generators, inr.entries)
-    return PushoutResult(pres, inl, inr, (f, g))
+    graph = None if _FORCE_GENERIC else _signed_graph(m)
+    if graph is None:
+        pres = _smith_cokernel(m)
+    else:
+        pres = signed_quotient(m.target, *graph)
+    if pres.proj @ pres.section != LinearMap.identity(pres.generators):
+        raise RuntimeError("cokernel: proj @ section is not the identity")
+    return pres
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,10 @@ from .chain import (ChainComplex, ChainMap, zero_complex, pad, unit_complex,
 from . import chain as _chain
 from . import simp as _simp
 from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
-from .exactlin import (FreeModule, LinearMap, cokernel, compose, free_module,
-                       hstack, matrix_from_json, matrix_to_json, sum_labels)
+from . import exactlin
+from .exactlin import (CokernelPresentation, FreeModule, LinearMap, cokernel,
+                       compose, free_module, hstack, matrix_from_json,
+                       matrix_to_json, signed_quotient, sum_labels)
 from .rings import Ring, ZZ, ring_from_name
 from .doldkan import normalize, normalize_map
 
@@ -854,143 +856,63 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
 # ---------------------------------------------------------------------------
 
 
-class _Quotient:
-    """proj/section presentation of a free quotient."""
-
-    __slots__ = ("generators", "proj", "section")
-
-    def __init__(self, generators, proj, section):
-        self.generators = generators
-        self.proj = proj
-        self.section = section
-
-
-def _identity_quotient(module: FreeModule) -> _Quotient:
-    ident = LinearMap.identity(module)
-    return _Quotient(module, ident, ident)
-
-
-def _signed_images(m: LinearMap, one, minus):
-    """[(i, s)] with m e_j = s e_i for each column j, s = +1 or -1, when
-    m is a signed column function other than the identity; [] for the
-    identity and None for any other matrix."""
-    n = m.source.rank
-    if len(m.entries) != n:
-        return None
-    images = [None] * n
-    moved = False
-    for (i, j), v in m.entries.items():
-        if images[j] is not None:
+def _signed_edges(ring: Ring, module: FreeModule, mats):
+    """The signed edges (j, s, i), e_j = s e_i, of the relations
+    g e_j = e_j when every column of every matrix g holds exactly one
+    entry, +1 or -1; None for any other matrix."""
+    n = module.rank
+    one, minus = ring.one, ring.neg(ring.one)
+    edges = []
+    for m in mats:
+        if len(m.entries) != n:
             return None
-        if v == one:
-            images[j] = (i, 1)
-            moved = moved or i != j
-        elif v == minus:
-            images[j] = (i, -1)
-            moved = True
-        else:
-            return None
-    return images if moved else []
+        seen = set()
+        for (i, j), v in m.entries.items():
+            if j in seen:
+                return None
+            seen.add(j)
+            if v == one:
+                if i != j:
+                    edges.append((j, 1, i))
+            elif v == minus:
+                edges.append((j, -1, i))
+            else:
+                return None
+    return edges
 
-
-# tests flip this to route signed column-function actions through the
-# Smith-form path and compare; it is not part of the interface
-_FORCE_GENERIC = False
 
 _TORSION = ("coinvariants acquire torsion; the composite does not exist "
             "with free levels over this ring")
 
 
-def _quotient_by(ring: Ring, module: FreeModule, mats) -> _Quotient:
+def _quotient_by(ring: Ring, module: FreeModule, mats) -> CokernelPresentation:
     """module / <g x - x> over the listed action matrices.
 
     When every column of every matrix holds exactly one entry, +1 or -1
     (permutations, the column functions of tree moves, Koszul-signed
-    actions), each relation g e_j = s e_i identifies e_j with s e_i and
-    a signed union-find (Tarjan 1975) gives the quotient with no Smith
-    form.  It is free on the surviving classes, each represented by its
-    least basis index: proj sends e_x to +-[class], the sign taken
-    against the representative, and section sends [class] to the
-    representative.  A class whose relations force e = -e is 2-torsion:
-    over Z it is refused, over Q and Z/p with p odd the class dies, and
-    over Z/2 it cannot arise, since -1 = 1 there.  Any other matrix sends
-    all relations through one exact cokernel, which refuses torsion as
-    well, because the levels of a collection must stay free.
+    actions), each relation g e_j = s e_i is a signed edge, and
+    `exactlin.signed_quotient` takes them directly, with no relation
+    matrix and no Smith form: the quotient is free on the surviving
+    classes, each represented by its least basis index, with proj
+    sending e_x to +-[class] and section sending [class] to the
+    representative.  Any other matrix sends all relations through one
+    exact cokernel.  Either way torsion is refused, because the levels
+    of a collection must stay free: a class forced to e = -e is
+    2-torsion over Z, dies over Q and Z/p with p odd, and cannot arise
+    over Z/2, since -1 = 1 there.
     """
-    if not _FORCE_GENERIC:
-        one, minus = ring.one, ring.neg(ring.one)
-        images = []
-        for m in mats:
-            img = _signed_images(m, one, minus)
-            if img is None:
-                break
-            if img:
-                images.append(img)
-        else:
-            return _signed_quotient(ring, module, images)
-    ident = LinearMap.identity(module)
-    mats = [m for m in mats if not (m - ident).is_zero()]
-    if not mats or module.rank == 0:
-        return _identity_quotient(module)
-    pres = cokernel(hstack([m - ident for m in mats]))
+    edges = None if exactlin._FORCE_GENERIC else \
+        _signed_edges(ring, module, mats)
+    if edges is not None:
+        pres = signed_quotient(module, edges)
+    else:
+        ident = LinearMap.identity(module)
+        rels = [m - ident for m in mats]
+        rels = [r for r in rels if not r.is_zero()]
+        pres = cokernel(hstack(rels)) if rels else signed_quotient(module, ())
     if pres.invariant_factors:
         raise ValueError(_TORSION)
-    return _Quotient(pres.generators, pres.proj, pres.section)
-
-
-def _signed_quotient(ring: Ring, module: FreeModule, images) -> _Quotient:
-    """The union-find path of _quotient_by.  images holds the
-    non-identity matrices as [(i, s)] per column j: e_j = s e_i."""
-    n = module.rank
-    if not images or n == 0:
-        return _identity_quotient(module)
-    # e_x = sign[x] e_parent[x]; a root is the least index of its class
-    parent = list(range(n))
-    sign = [1] * n
-    dead = set()
-
-    def find(x):
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        s = 1
-        for y in reversed(path):
-            s *= sign[y]
-            sign[y] = s
-            parent[y] = x
-        return x
-
-    for img in images:
-        for j, (i, s) in enumerate(img):
-            if i == j and s == 1:
-                continue
-            rj, ri = find(j), find(i)
-            s *= sign[j] * sign[i]          # e_rj = s e_ri
-            if rj == ri:
-                if s == -1 and rj not in dead:
-                    if not ring.is_field:
-                        raise ValueError(_TORSION)
-                    dead.add(rj)
-                continue
-            lo, hi = (rj, ri) if rj < ri else (ri, rj)
-            parent[hi] = lo
-            sign[hi] = s
-            if hi in dead:
-                dead.discard(hi)
-                dead.add(lo)
-    reps = [x for x in range(n) if parent[x] == x and x not in dead]
-    pos = {r: k for k, r in enumerate(reps)}
-    one, minus = ring.one, ring.neg(ring.one)
-    proj = {}
-    for x in range(n):
-        k = pos.get(find(x))
-        if k is not None:
-            proj[(k, x)] = one if sign[x] == 1 else minus
-    gens = free_module(ring, len(reps), "o")
-    section = {(r, k): one for k, r in enumerate(reps)}
-    return _Quotient(gens, LinearMap(module, gens, proj),
-                     LinearMap(gens, module, section))
+    return pres
 
 
 def _multi_positions(base: str, objs, n: int):
@@ -1182,7 +1104,7 @@ def _term_entries(ops, head, tails, sigma, src_positions, tgt_positions):
     return out
 
 
-def _descend(pushed: LinearMap, q: _Quotient, what: str) -> LinearMap:
+def _descend(pushed: LinearMap, q: CokernelPresentation, what: str) -> LinearMap:
     """The map out of the coinvariants induced by pushed, which is a
     structure map already followed by the target's projection: pushed
     after q.section, checked to give pushed back after q.proj."""

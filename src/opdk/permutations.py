@@ -105,38 +105,3 @@ def mulclose(gens: list[tuple]) -> set:
                     new.append(gh)
         frontier = new
     return els
-
-
-def closure_with_values(gens: list[tuple], values: list, mul, one):
-    """Close a generating set while tracking assigned values.
-
-    values[i] is attached to gens[i]; mul combines values along
-    composition and one is the value of the identity.  Raises ValueError
-    if two words evaluating to the same permutation disagree, i.e. the
-    assignment does not factor through the group.  Returns {perm: value}.
-    """
-    n = len(gens[0]) if gens else 0
-    table = {identity(n): one}
-    frontier = [identity(n)]
-    while frontier:
-        new = []
-        for g, gv in zip(gens, values):
-            for h in frontier:
-                gh = compose(g, h)
-                val = mul(gv, table[h])
-                if gh in table:
-                    if table[gh] != val:
-                        raise ValueError(
-                            f"inconsistent values along permutation {gh}"
-                        )
-                else:
-                    table[gh] = val
-                    new.append(gh)
-        frontier = new
-    # one more sweep over all pairs to catch relations not on the tree
-    for g, gv in zip(gens, values):
-        for h, hv in table.items():
-            gh = compose(g, h)
-            if table[gh] != mul(gv, hv):
-                raise ValueError(f"inconsistent values along permutation {gh}")
-    return table

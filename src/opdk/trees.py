@@ -12,14 +12,16 @@ vertex drive three computations:
   A move matrix sends each basis element to plus or minus one basis
   element, the sign being the Koszul sign of the reordering; it is the
   identity off the moved representative, so a row can be hit twice and
-  the matrix need not be a permutation.  The quotient takes the signed
-  union-find path of `operad._quotient_by` whenever the collection's
-  actions also send basis elements to +-basis elements, and an exact
-  cokernel otherwise;
+  the matrix need not be a permutation.  `operad._quotient_by` feeds
+  the moves to the signed union-find `exactlin.signed_quotient`
+  whenever the collection's actions also send basis elements to
+  +-basis elements, and takes an exact cokernel otherwise;
 * the cell maps of a free extension of operads: the map attached to a
   tree is an iterated pushout product of the collection map at marked
   vertices and the operad unit elsewhere, and the stages are assembled
-  with degreewise pushouts of complexes.
+  with degreewise pushouts of complexes.  When the cell maps send
+  basis elements to +-basis elements, the pushout relations form a
+  signed graph, and `exactlin.cokernel` takes the same union-find.
 
 Everything is exact.  Quotients that would acquire torsion raise
 instead of truncating invariant factors, and every stage object records
@@ -707,8 +709,9 @@ class _Block:
         diffs = []
         for n in range(1, bound + 1):
             d = quos[n - 1].proj @ big.d(n) @ quos[n].section
-            assert (quos[n - 1].proj @ big.d(n)) == (d @ quos[n].proj), \
-                "differential does not descend to the class quotient"
+            if (quos[n - 1].proj @ big.d(n)) != (d @ quos[n].proj):
+                raise ValueError(
+                    "differential does not descend to the class quotient")
             diffs.append(d)
         self.obj = ChainComplex(ring, levels, diffs)
         self.proj = ChainMap(big, self.obj, [q.proj for q in quos],
@@ -949,27 +952,32 @@ class FreeOperad:
         tl = self.levels[sig_act(sig, sigma)]
         assert len(fl.blocks) == len(tl.blocks)
         ring = self.ring
-        entries = [dict() for _ in range(self.bound + 1)]
-        for bi, b in enumerate(fl.blocks):
-            tb = tl.blocks[bi]
-            assert b.tree_class.encoding == tb.tree_class.encoding
-            for pi in range(len(b.planar)):
-                lab_tgt = {lab: i for i, lab in enumerate(tb.labs[pi])}
-                relab = {}
-                for i, lab in enumerate(b.labs[pi]):
-                    relab[i] = lab_tgt[word_act(lab, sigma)]
-                for n in range(self.bound + 1):
-                    for pos, (degs, idxs) in enumerate(b.positions(n, pi)):
-                        col = b.offsets[n][pi] + pos
-                        tidx = idxs[:-1] + (relab[idxs[-1]],)
-                        row = tb.flat_index(n, pi, degs, tidx)
-                        entries[n][(row, col)] = ring.one
         src, tgt = _big_sum(self.ops, fl), _big_sum(self.ops, tl)
-        big = self.ops.make_map(src, tgt,
-                                [LinearMap(src.level(n), tgt.level(n),
-                                           entries[n])
-                                 for n in range(self.bound + 1)])
-        return _descend(self.ops, big, fl, tl)
+        comps = []
+        for n in range(self.bound + 1):
+            # each block sits after the earlier blocks in its big sum
+            entries, soff, toff = {}, 0, 0
+            for b, tb in zip(fl.blocks, tl.blocks):
+                assert b.tree_class.encoding == tb.tree_class.encoding
+                for pi in range(len(b.planar)):
+                    lab_tgt = {lab: i for i, lab in enumerate(tb.labs[pi])}
+                    relab = [lab_tgt[word_act(lab, sigma)]
+                             for lab in b.labs[pi]]
+                    for pos, (degs, idxs) in enumerate(b.positions(n, pi)):
+                        col = soff + b.offsets[n][pi] + pos
+                        tidx = idxs[:-1] + (relab[idxs[-1]],)
+                        row = toff + tb.flat_index(n, pi, degs, tidx)
+                        entries[(row, col)] = ring.one
+                soff += b.big.level(n).rank
+                toff += tb.big.level(n).rank
+            rank = src.level(n).rank
+            if (tgt.level(n).rank != rank or len(entries) != rank
+                    or len({r for r, _ in entries}) != rank):
+                raise ValueError(
+                    f"relabeling {sigma} at {sig_str(sig)} is not a "
+                    f"permutation of the degree-{n} basis")
+            comps.append(LinearMap(src.level(n), tgt.level(n), entries))
+        return _descend(self.ops, self.ops.make_map(src, tgt, comps), fl, tl)
 
     def _composition_map(self, osig, i, isig):
         fl1, fl2 = self.levels[osig], self.levels[isig]
@@ -1111,7 +1119,8 @@ def _descend(ops, big_map: ChainMap, fl: FreeLevel, tl: FreeLevel) -> ChainMap:
     for n in range(bound + 1):
         lhs = prj.component(n) @ big_map.component(n)
         rhs = out.component(n) @ chk.component(n)
-        assert lhs == rhs, "map does not descend to the class quotients"
+        if lhs != rhs:
+            raise ValueError("map does not descend to the class quotients")
     return out
 
 

@@ -9,28 +9,30 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from opdk import exactlin
+from opdk.chain import ChainComplex, ChainMap, pushout_complex
 from opdk.exactlin import (
-    CokernelPresentation,
     FreeModule,
-    GroupAction,
     LinearMap,
     cokernel,
-    coinvariants,
     compose,
     free_module,
     hnf_columns,
+    hstack,
     kernel,
     matrix_from_json,
     matrix_to_json,
-    pushout,
     same_span,
+    signed_quotient,
     smith_normal_form,
     solve,
     vstack,
 )
 from opdk.rings import QQ, ZZ, Zmod
+
+F5 = Zmod(5)
 
 
 # ---------------------------------------------------------------------------
@@ -364,44 +366,140 @@ def test_cokernel_projection_section():
         assert killed.is_zero()
 
 
+def _smith_cokernel(m):
+    """cokernel(m) through the Smith form, the front end switched off."""
+    exactlin._FORCE_GENERIC = True
+    try:
+        return cokernel(m)
+    finally:
+        exactlin._FORCE_GENERIC = False
+
+
+@st.composite
+def _signed_graph_matrix(draw):
+    """A ring and a matrix whose columns each hold zero, one or two
+    entries, each +1 or -1: the incidence matrix of a signed graph with
+    killed vertices, parallel edges and cycles of either balance."""
+    ring = draw(st.sampled_from([ZZ, QQ, F5, Zmod(2)]))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 10))
+    entries = {}
+    for j in range(cols):
+        ends = draw(st.lists(st.integers(0, rows - 1), max_size=2,
+                             unique=True)) if rows else []
+        for i in ends:
+            entries[(i, j)] = draw(st.sampled_from([1, -1]))
+    return LinearMap(free_module(ring, cols, "s"),
+                     free_module(ring, rows, "t"), entries)
+
+
+def _incidence(ring, rows, cols):
+    """The matrix with the listed columns, each {row: entry}."""
+    return LinearMap(free_module(ring, len(cols), "s"),
+                     free_module(ring, rows, "t"),
+                     {(i, j): v for j, col in enumerate(cols)
+                      for i, v in col.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_graph_matrix())
+# an unbalanced triangle: Z/2 over Z, dead over a field of odd
+# characteristic, and a free class over Z/2, where -1 = 1
+@example(_incidence(ZZ, 3, [{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: -1}]))
+@example(_incidence(F5, 3, [{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: -1}]))
+@example(_incidence(Zmod(2), 3, [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]))
+# a balanced cycle, and an unbalanced pair of parallel edges whose class
+# a killed vertex clears of its torsion
+@example(_incidence(ZZ, 3, [{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}]))
+@example(_incidence(ZZ, 3, [{0: 1, 1: 1}, {0: 1, 1: -1}, {1: -1}, {}]))
+# an unbalanced class joined to a class with a smaller root passes its
+# torsion on
+@example(_incidence(ZZ, 3, [{1: 1, 2: 1}, {1: 1, 2: -1}, {0: 1, 1: -1}]))
+# two unbalanced classes: both torsion generators come first
+@example(_incidence(ZZ, 5, [{0: 1, 1: 1}, {0: 1, 1: -1}, {3: 1, 4: 1},
+                            {3: -1, 4: 1}]))
+@example(_incidence(QQ, 0, [{}, {}]))
+@example(_incidence(Zmod(2), 3, []))
+def test_cokernel_signed_graph_front_end_matches_smith(m):
+    fast = cokernel(m)
+    slow = _smith_cokernel(m)
+    assert exactlin._signed_graph(m) is not None
+    assert fast.presentation == slow.presentation
+    for pres in (fast, slow):
+        assert pres.proj.source.rank == m.target.rank
+        assert compose(pres.proj, pres.section) == \
+            LinearMap.identity(pres.generators)
+        assert pres.reduce_map(compose(pres.proj, m)).is_zero()
+    # torsion generators first, as on the Smith path
+    assert all(lab.startswith("t") for lab in
+               fast.generators.labels[:fast.torsion_rank])
+
+
+def test_cokernel_front_end_refuses_other_matrices():
+    # an entry other than +-1, or a third entry in a column, is not a
+    # signed graph; Z/3 reads -2 as 1, so there it is one
+    for ring, cols in ((ZZ, [{0: 2}]), (QQ, [{0: 1, 1: 1, 2: 1}]),
+                       (F5, [{0: 2, 1: 1}])):
+        m = _incidence(ring, 3, cols)
+        assert exactlin._signed_graph(m) is None
+        assert cokernel(m).presentation == _smith_cokernel(m).presentation
+    assert exactlin._signed_graph(_incidence(Zmod(3), 1, [{0: -2}]))
+
+
+def test_signed_quotient_self_loop_and_killed_vertex():
+    # e1 = -e1 is 2-torsion over Z; a killed vertex in the class clears
+    # it, and over Q the class dies
+    M = free_module(ZZ, 3)
+    pres = signed_quotient(M, [(1, -1, 1), (2, 1, 0)])
+    assert pres.presentation.free_rank == 1
+    assert pres.invariant_factors == (2,)
+    assert pres.generators.labels == ("t0", "q0")
+    assert pres.section.entries == {(1, 0): 1, (0, 1): 1}
+    killed = signed_quotient(M, [(1, -1, 1), (2, 1, 0)], killed=[1])
+    assert killed.presentation.free_rank == 1
+    assert killed.invariant_factors == ()
+    over_q = signed_quotient(free_module(QQ, 3), [(1, -1, 1), (2, 1, 0)])
+    assert over_q.presentation.free_rank == 1
+    # over Z/2 the sign -1 is 1, so the self-loop relates nothing
+    over_2 = signed_quotient(free_module(Zmod(2), 3), [(1, -1, 1), (2, 1, 0)])
+    assert over_2.presentation.free_rank == 2
+
+
 # ---------------------------------------------------------------------------
-# coinvariants
+# coinvariants, as the cokernel of the stacked g - id
 # ---------------------------------------------------------------------------
+
+
+def coinvariants(module, mats):
+    """module / <g x - x> for the listed action matrices."""
+    ident = LinearMap.identity(module)
+    rel = [g - ident for g in mats]
+    return cokernel(hstack(rel + [LinearMap.zero(free_module(module.ring, 0),
+                                                 module)]))
 
 
 def test_coinvariants_swap():
     M = free_module(ZZ, 2)
     swap = LinearMap.from_rows(M, M, [[0, 1], [1, 0]])
-    act = GroupAction(M, [(1, 0)], [swap])
-    pres, proj = coinvariants(act)
+    pres = coinvariants(M, [swap])
     assert pres.presentation.free_rank == 1
     assert pres.presentation.invariant_factors == ()
     # proj identifies e1 ~ e2
-    assert proj.column(0) == proj.column(1)
+    assert pres.proj.column(0) == pres.proj.column(1)
 
 
 def test_coinvariants_sign_action():
     M = free_module(ZZ, 1)
     sgn = LinearMap.from_rows(M, M, [[-1]])
-    act = GroupAction(M, [(1, 0)], [sgn])
-    pres, _ = coinvariants(act)
+    pres = coinvariants(M, [sgn])
     assert pres.presentation.free_rank == 0
     assert pres.presentation.invariant_factors == (2,)
 
 
 def test_coinvariants_trivial_action():
     M = free_module(ZZ, 3)
-    act = GroupAction(M, [(1, 0)], [LinearMap.identity(M)])
-    pres, proj = coinvariants(act)
-    assert proj == LinearMap(M, pres.generators, LinearMap.identity(M).entries)
-
-
-def test_invalid_action_rejected():
-    # matrix of order 3 assigned to a transposition
-    M = free_module(ZZ, 2)
-    rot = LinearMap.from_rows(M, M, [[0, -1], [1, -1]])  # order 3
-    with pytest.raises(ValueError):
-        GroupAction(M, [(1, 0)], [rot])
+    pres = coinvariants(M, [LinearMap.identity(M)])
+    assert pres.proj == LinearMap(M, pres.generators,
+                                  LinearMap.identity(M).entries)
 
 
 def test_coinvariants_functoriality():
@@ -412,17 +510,18 @@ def test_coinvariants_functoriality():
     cyc = LinearMap.from_rows(
         M, M, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     )  # 3-cycle permuting the basis
-    act = GroupAction(M, [(1, 2, 0)], [cyc])
+    group = [LinearMap.identity(M), cyc, compose(cyc, cyc)]
+    assert compose(cyc, group[2]) == group[0]
     for _ in range(5):
         h0 = random_map(rng, ZZ, 3, 3, bound=3)
-        table = act.elements()
         h = None
-        for g, mat in table.items():
+        for mat in group:
             term = compose(compose(mat, h0), mat.inverse())
             h = term if h is None else h + term
         # h is now equivariant: cyc h = h cyc
         assert compose(cyc, h) == compose(h, cyc)
-        pres, proj = coinvariants(act)
+        pres = coinvariants(M, [cyc])
+        proj = pres.proj
         induced = compose(compose(proj, h), pres.section)
         lhs = pres.reduce_map(compose(induced, proj))
         rhs = pres.reduce_map(compose(proj, h))
@@ -430,33 +529,43 @@ def test_coinvariants_functoriality():
 
 
 # ---------------------------------------------------------------------------
-# pushout
+# pushout, through chain.pushout_complex in degree 0
 # ---------------------------------------------------------------------------
+
+
+def _degree0(m):
+    """m as a chain map of complexes concentrated in degree 0."""
+    return ChainMap(ChainComplex(m.ring, [m.source], []),
+                    ChainComplex(m.ring, [m.target], []), [m])
+
+
+def pushout(f, g):
+    return pushout_complex(_degree0(f), _degree0(g))
 
 
 def test_pushout_of_identities():
     M = free_module(ZZ, 2)
     po = pushout(LinearMap.identity(M), LinearMap.identity(M))
-    assert po.presentation.presentation.free_rank == 2
-    assert po.presentation.presentation.invariant_factors == ()
+    assert po.complex.ranks() == (2,)
 
 
 def test_pushout_coproduct():
     M0 = free_module(ZZ, 0)
     M, N = free_module(ZZ, 2), free_module(ZZ, 3)
     po = pushout(LinearMap.zero(M0, M), LinearMap.zero(M0, N))
-    assert po.presentation.presentation.free_rank == 5
+    assert po.complex.ranks() == (5,)
 
 
 def test_pushout_two_against_identity():
     M = free_module(ZZ, 1)
     two = LinearMap.from_rows(M, M, [[2]])
     po = pushout(two, LinearMap.identity(M))
-    assert po.presentation.presentation.free_rank == 1
-    assert po.presentation.presentation.invariant_factors == ()
+    assert po.complex.ranks() == (1,)
     # direct quotient oracle: coker(f, -g) on stacked matrix
     stacked = vstack([two, -LinearMap.identity(M)])
-    assert cokernel(stacked).presentation == po.presentation.presentation
+    assert cokernel(stacked).presentation == exactlin.ModulePresentation(1)
+    assert _smith_cokernel(stacked).presentation == \
+        exactlin.ModulePresentation(1)
 
 
 def test_pushout_universal_property_random():
@@ -467,16 +576,20 @@ def test_pushout_universal_property_random():
         g = random_map(rng, ZZ, 2, 2, bound=3)
         f = LinearMap(S, f.target, f.entries)
         g = LinearMap(S, g.target, g.entries)
+        if not cokernel(vstack([f, -g])).is_free():
+            # mediating into a free W needs a free pushout here, and
+            # pushout_complex refuses the torsion
+            with pytest.raises(ValueError, match="torsion"):
+                pushout(f, g)
+            continue
         po = pushout(f, g)
-        if not po.presentation.is_free():
-            continue  # mediating into a free W needs a free pushout here
         # random cocone through a free module W: build u, v compatibly by
         # factoring through the pushout itself
-        W = po.presentation.generators
-        r = random_map(rng, ZZ, W.rank, W.rank, bound=2)
-        r = LinearMap(W, W, r.entries)
-        u = compose(r, po.inl)
-        v = compose(r, po.inr)
+        W = po.complex
+        r = random_map(rng, ZZ, W.level(0).rank, W.level(0).rank, bound=2)
+        r = ChainMap(W, W, [LinearMap(W.level(0), W.level(0), r.entries)])
+        u = r @ po.inl
+        v = r @ po.inr
         h = po.mediating(u, v)
         assert h == r  # uniqueness: any mediating map equals r
 

@@ -43,7 +43,9 @@ from opdk.operad import (
     word_graft,
 )
 from opdk.chain import ChainComplex, homology
-from opdk.exactlin import LinearMap, cokernel, free_module, hstack
+from opdk import exactlin
+from opdk.exactlin import (CokernelPresentation, LinearMap, cokernel,
+                           free_module, hstack)
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import moore_complex
 
@@ -212,6 +214,12 @@ def test_from_transpositions_refuses_a_non_involution():
     assert collection_check(_rank_two_generators(2, [[[0, 1], [1, 0]]])) == []
 
 
+def test_from_transpositions_refuses_an_order_three_swap():
+    # a matrix of order 3 assigned to a transposition
+    with pytest.raises(ValueError, match=r"inconsistent at"):
+        _rank_two_generators(2, [[[0, -1], [1, -1]]])
+
+
 def test_from_transpositions_refuses_a_broken_braid_relation():
     # both generators are involutions, but s_1 s_2 s_1 = diag(-1, 1)
     # while s_2 s_1 s_2 swaps the basis with signs
@@ -349,11 +357,11 @@ def test_composite_sign_action_over_a_field_is_exact():
 def test_composite_orbit_fast_path_matches_generic():
     A = associative_operad(F5, "chain", 3, 0)
     fast = composite_product(A.collection, A.collection).collection
-    op._FORCE_GENERIC = True
+    exactlin._FORCE_GENERIC = True
     try:
         slow = composite_product(A.collection, A.collection).collection
     finally:
-        op._FORCE_GENERIC = False
+        exactlin._FORCE_GENERIC = False
     for n in range(1, 4):
         assert fast.level(sig(n)).ranks() == slow.level(sig(n)).ranks()
     assert collection_check(slow) == []
@@ -464,8 +472,8 @@ def test_composite_refuses_a_quotient_that_does_not_descend(
         if module.rank < 2:
             return real(ring, module, mats)
         gens = free_module(ring, 1, "b")
-        return op._Quotient(gens, LinearMap(module, gens, {(0, 0): 1}),
-                            LinearMap(gens, module, {(0, 0): 1}))
+        return CokernelPresentation(LinearMap(module, gens, {(0, 0): 1}),
+                                    LinearMap(gens, module, {(0, 0): 1}))
 
     monkeypatch.setattr(op, "_quotient_by", keep_e0)
     with pytest.raises(ValueError, match=f"^{what} does not descend"):
@@ -499,9 +507,17 @@ def test_signed_quotient_matches_cokernel(case):
     mats = [LinearMap(M, M, e) for e in entries]
     rel = hstack([m - ident for m in mats]
                  + [LinearMap.zero(free_module(ring, 0), M)])
-    pres = cokernel(rel)
-    # the union-find path must not fall back on a cokernel
-    saved, op.cokernel = op.cokernel, None
+    exactlin._FORCE_GENERIC = True
+    try:
+        pres = cokernel(rel)
+    finally:
+        exactlin._FORCE_GENERIC = False
+    # the union-find path must not fall back on a cokernel or on any
+    # Smith form
+    def no_smith(m):
+        raise AssertionError("Smith form on the union-find path")
+    saved = op.cokernel, exactlin.smith_normal_form
+    op.cokernel, exactlin.smith_normal_form = None, no_smith
     try:
         if pres.invariant_factors:
             with pytest.raises(ValueError, match="torsion"):
@@ -509,8 +525,9 @@ def test_signed_quotient_matches_cokernel(case):
             return
         q = op._quotient_by(ring, M, mats)
     finally:
-        op.cokernel = saved
+        op.cokernel, exactlin.smith_normal_form = saved
     assert q.generators.rank == pres.generators.rank
+    assert q.invariant_factors == ()
     assert q.proj @ q.section == LinearMap.identity(q.generators)
     for m in mats:
         assert (q.proj @ (m - ident)).is_zero()

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from opdk import corpus, operad as op
+from opdk import corpus, exactlin
 from opdk.chain import concentrated, homology, pad, two_term
 from opdk.exactlin import LinearMap
 from opdk.operad import Collection, associative_operad, operad_check
@@ -423,11 +423,11 @@ def test_free_level_truncation_flag():
 def _fast_and_generic(build):
     """build() on the union-find quotient, then on the Smith-form one."""
     fast = build()
-    op._FORCE_GENERIC = True
+    exactlin._FORCE_GENERIC = True
     try:
         slow = build()
     finally:
-        op._FORCE_GENERIC = False
+        exactlin._FORCE_GENERIC = False
     return fast, slow
 
 
@@ -506,12 +506,12 @@ def test_free_level_sign_conflict_matches_generic():
         assert fast == slow == want
     M = _odd_nullary(ZZ)
     for force in (False, True):
-        op._FORCE_GENERIC = force
+        exactlin._FORCE_GENERIC = force
         try:
             with pytest.raises(ValueError, match="torsion"):
                 free_operad(M, ((), "c"), 3)
         finally:
-            op._FORCE_GENERIC = False
+            exactlin._FORCE_GENERIC = False
 
 
 def test_free_level_refuses_torsion():
@@ -730,6 +730,32 @@ def test_extension_stage_ranks_regular_q():
     assert [s.total_rank() for s in st.stages] == [12, 36, 48, 48]
     assert st.colimit.total_rank() == \
         free_operad(Y, sig(3), 3).object.total_rank() == 48
+
+
+def test_free_operad_arity_four_passes_axiom_checker():
+    # arity 4 has two tree classes, so each relabeling table must place
+    # the second class's block after the first in both big sums
+    M, _, _ = corpus.split_binary_inclusion(ZZ, 4, m_rank=1,
+                                            m_regular=False)
+    assert operad_check(FreeOperad(M, max_arity=4, max_vertices=3).operad()) \
+        == []
+
+
+@pytest.mark.parametrize("ring", [ZZ, F5], ids=lambda r: r.name())
+def test_extension_stage_ranks_arity_four(ring):
+    # M(2) and the attached generator have rank 1 with trivial swaps.
+    # The 15 leaf-labelled binary trees with 4 leaves have 3 vertices,
+    # and stage k adds the trees with k marked vertices:
+    # 15 * sum_{j<=k} C(3, j) = [15, 60, 105, 120].
+    M, Y, f = corpus.split_binary_inclusion(ring, 4, m_rank=1,
+                                            m_regular=False)
+    F = FreeOperad(M, max_arity=4, max_vertices=3)
+    st = extension_stage(F.operad(), f, sig(4), 3,
+                         generator_map=generator_inclusion(F))
+    assert [s.total_rank() for s in st.stages] == [15, 60, 105, 120]
+    assert st.colimit.total_rank() == \
+        free_operad(Y, sig(4), 3).object.total_rank() == 120
+    assert st.certificate["stabilized"] and not st.certificate["truncated"]
 
 
 def test_extension_from_zero_source_is_free():
