@@ -329,7 +329,8 @@ def vstack(maps) -> LinearMap:
 def rref(m: LinearMap):
     """Reduced row echelon form over a field: (R, T, pivots), R = T*m."""
     ring = m.ring
-    assert ring.is_field
+    if not ring.is_field:
+        raise ValueError(f"rref needs a field, got {ring}")
     if ring.kind == "Zmod":
         rows, trans, pivots = _kernel.rref_mod(m.to_rows(), ring.p)
         if m.target.rank == 0:

@@ -86,22 +86,3 @@ def block_permutation(blocks: list[int], sigma: tuple) -> tuple:
             out[starts[j] + t] = pos
             pos += 1
     return tuple(out)
-
-
-def mulclose(gens: list[tuple]) -> set:
-    """Closure of a generator list under composition."""
-    if not gens:
-        return {()}
-    n = len(gens[0])
-    els = {identity(n)}
-    frontier = list(els)
-    while frontier:
-        new = []
-        for g in gens:
-            for h in frontier:
-                gh = compose(g, h)
-                if gh not in els:
-                    els.add(gh)
-                    new.append(gh)
-        frontier = new
-    return els

@@ -97,15 +97,6 @@ class Ring:
             return y % x == 0
         return True
 
-    def exact_div(self, y, x):
-        x, y = self.normalize(x), self.normalize(y)
-        assert self.divides(x, y)
-        if self.kind == "Z":
-            return y // x if x else 0
-        if self.kind == "Q":
-            return y / x
-        return (y * self.inv(x)) % self.p
-
     @property
     def is_field(self) -> bool:
         return self.kind != "Z"

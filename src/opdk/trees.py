@@ -282,10 +282,6 @@ class TreeIsoClass:
         return f"TreeIsoClass[{self.encoding}]"
 
 
-def iso_class(T: Tree) -> TreeIsoClass:
-    return TreeIsoClass(T)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -855,9 +851,6 @@ class FreeLevel:
 
     def ranks(self):
         return self.object.ranks()
-
-    def block_of(self, bi: int) -> _Block:
-        return self.blocks[bi]
 
 
 def free_operad(M: Collection, sig, max_vertices: int) -> FreeLevel:

@@ -201,6 +201,60 @@ def test_compose_associativity(seed):
 
 
 # ---------------------------------------------------------------------------
+# rref
+# ---------------------------------------------------------------------------
+
+# 4294967311 is the least prime above 2**32: products of two residues
+# overflow 64-bit integers
+RREF_RINGS = [QQ, F5, Zmod(2), Zmod(4294967311)]
+
+
+def _rref_cases():
+    for ring in RREF_RINGS:
+        cases = {f"{rows}x{cols}": LinearMap.zero(free_module(ring, cols, "s"),
+                                                  free_module(ring, rows, "t"))
+                 for rows, cols in ((0, 3), (3, 0), (0, 0))}
+        M = free_module(ring, 1)
+        cases["1x1"] = LinearMap.from_rows(M, M, [[3]])
+        bound = ring.p - 1 if ring.kind == "Zmod" else 4
+        for density in (0, 0.5, 1):
+            for seed in range(3):
+                rng = random.Random(1000 * seed + int(10 * density))
+                cases[f"6x8-d{density}-s{seed}"] = random_map(
+                    rng, ring, 6, 8, density=density, bound=bound)
+        for shape, m in cases.items():
+            yield pytest.param(m, id=f"{ring.name()}-{shape}")
+
+
+@pytest.mark.parametrize("m", _rref_cases())
+def test_rref_is_a_reduced_echelon_form(m):
+    ring = m.ring
+    n, ncols = m.target.rank, m.source.rank
+    R, T, pivots = exactlin.rref(m)
+    r, t = R.to_rows(), T.to_rows()
+    assert (R.target.rank, R.source.rank) == (n, ncols)
+    assert (T.target.rank, T.source.rank) == (n, n)
+    assert r == naive_matmul(t, m.to_rows(), ncols, ring)
+    # reduced echelon: row k leads with 1 at pivots[k], each pivot column
+    # is a unit vector, and the rows below the pivots are zero
+    assert pivots == sorted(set(pivots)) and len(pivots) <= n
+    for k, c in enumerate(pivots):
+        assert r[k][c] == 1 and not any(r[k][:c])
+        assert all(r[i][c] == 0 for i in range(n) if i != k)
+    assert not any(any(row) for row in r[len(pivots):])
+    assert len(pivots) == gauss_rank(m.to_rows(), ring)
+    # T is invertible, by the textbook elimination above
+    assert gauss_rank(t, ring) == n
+
+
+def test_rref_over_Z_raises():
+    # an explicit check, so it also holds under python -O
+    M = free_module(ZZ, 2)
+    with pytest.raises(ValueError, match="rref needs a field"):
+        exactlin.rref(LinearMap.from_rows(M, M, [[2, 1], [4, 3]]))
+
+
+# ---------------------------------------------------------------------------
 # smith normal form
 # ---------------------------------------------------------------------------
 
