@@ -466,16 +466,13 @@ def random_collection(rng: random.Random, ring: Ring, base: str,
             obj = random_simplicial_module(rng, ring, max_degree, max_rank)
         sig = ((color,) * n, color)
         levels[sig] = obj
-        if n >= 2:
-            table = {}
-            for s in perms.all_permutations(n):
-                scale = ring.one if action == "trivial" else \
-                    ring.normalize(perms.sign(s))
-                table[s] = ops.make_map(obj, obj, [
-                    LinearMap(obj.level(m), obj.level(m),
-                              {(i, i): scale for i in range(obj.level(m).rank)})
-                    for m in range(max_degree + 1)])
-            actions[sig] = table
+        # a transposition has sign -1
+        scale = ring.one if action == "trivial" else ring.normalize(-1)
+        swap = ops.make_map(obj, obj, [
+            LinearMap(obj.level(m), obj.level(m),
+                      {(i, i): scale for i in range(obj.level(m).rank)})
+            for m in range(max_degree + 1)])
+        actions[sig] = dict.fromkeys(perms.transpositions(n), swap)
     if not levels:
         levels[((color,), color)] = ops.unit_obj()
     return op.Collection(ring, base, (color,), max_arity, max_degree,

@@ -465,7 +465,8 @@ def normalize_operad_data(P):
     """
     from . import operad as _op
     coll = P.collection
-    assert coll.base == "simplicial", "only simplicial operads normalize"
+    if coll.base != "simplicial":
+        raise ValueError("only simplicial operads normalize")
     ring, D = coll.ring, coll.max_degree
     ops = _op._ops_for("chain", ring, D)
     nz: dict = {}
@@ -477,13 +478,10 @@ def normalize_operad_data(P):
         return nz[sig]
 
     levels = {sig: norm(sig).complex for sig in coll.signatures()}
-    actions = {}
-    for sig in coll.signatures():
-        if len(sig[0]) < 2:
-            continue
-        actions[sig] = {
-            s: normalize_map(f, norm(sig), norm(_op.sig_act(sig, s)))
-            for s, f in coll.actions[sig].items()}
+    actions = {sig: {s: normalize_map(coll.action(sig, s), norm(sig),
+                                      norm(_op.sig_act(sig, s)))
+                     for s in permutations.transpositions(len(sig[0]))}
+               for sig in coll.signatures()}
 
     units = {}
     usrc = ops.unit_obj()

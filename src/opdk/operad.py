@@ -296,12 +296,16 @@ def _unitor(ops, X, side: str):
 class Collection:
     """Signature-indexed levels with a right symmetric-group action.
 
-    levels maps signatures to nonzero objects; an absent signature over
-    the known colors is the zero object, and a signature with a color
-    outside ``colors`` raises ValueError.  actions[sig][sigma] is the
-    map level(sig) -> level(sig.sigma); the identity is filled in
-    automatically and must be present for every permutation of every
-    nonzero arity->=2 level.
+    levels maps signatures to objects; zero objects are dropped, an
+    absent signature over the known colors is the zero object, and a
+    color outside ``colors`` raises ValueError.  For each level of arity
+    n, actions[sig] holds exactly the generators: the map level(sig) ->
+    level(sig.s) for each s in ``permutations.transpositions(n)``.  The
+    constructor closes them to ``self.actions[sig][sigma]`` for every
+    sigma in S_n, and raises ValueError on a missing generator, a key
+    that is not an adjacent transposition, a generator onto a signature
+    with no level or of the wrong shape, and two words for one
+    permutation that disagree.  Actions at absent signatures are ignored.
     """
 
     __slots__ = ("ring", "base", "ops", "colors", "max_arity", "max_degree",
@@ -320,19 +324,43 @@ class Collection:
         self.levels = {}
         for sig, obj in levels.items():
             sig = (tuple(sig[0]), sig[1])
-            assert sig_arity(sig) <= max_arity, f"arity above bound at {sig_str(sig)}"
-            for c in sig[0] + (sig[1],):
-                assert c in self.colors, f"unknown color {c!r}"
-            assert obj.max_degree == max_degree, \
-                f"level {sig_str(sig)} truncated at the wrong degree"
+            if sig_arity(sig) > max_arity:
+                raise ValueError(f"arity above bound at {sig_str(sig)}")
+            self._check_colors(sig)
+            if obj.max_degree != max_degree:
+                raise ValueError(f"level {sig_str(sig)} truncated at the "
+                                 f"wrong degree")
             if not self.ops.is_zero(obj):
                 self.levels[sig] = obj
+        gens = actions or {}
+        for sig, obj in self.levels.items():
+            row = gens.get(sig, {})
+            adjacent = permutations.transpositions(sig_arity(sig))
+            for g in set(row) - set(adjacent):
+                raise ValueError(f"action key {g} at {sig_str(sig)} is not "
+                                 f"an adjacent transposition")
+            for g in adjacent:
+                tsig = sig_act(sig, g)
+                if g not in row:
+                    raise ValueError(f"missing action generator {g} at "
+                                     f"{sig_str(sig)}")
+                if tsig not in self.levels:
+                    raise ValueError(f"action generator {g} sends "
+                                     f"{sig_str(sig)} to {sig_str(tsig)}, "
+                                     f"which has no level")
+                if (row[g].source.ranks(), row[g].target.ranks()) != \
+                        (obj.ranks(), self.levels[tsig].ranks()):
+                    raise ValueError(f"action generator {g} at "
+                                     f"{sig_str(sig)} has the wrong shape")
         self.actions = {}
-        actions = actions or {}
-        for sig in self.levels:
-            n = sig_arity(sig)
-            table = dict(actions.get(sig, {}))
-            table[permutations.identity(n)] = self.ops.identity(self.levels[sig])
+        for sig, obj in self.levels.items():
+            table = {permutations.identity(sig_arity(sig)):
+                     self.ops.identity(obj)}
+            for s, g in _action_law_failures(self.ops, sig, table,
+                                             lambda tsig, g: gens[tsig][g]):
+                raise ValueError(f"action generators inconsistent at "
+                                 f"{sig_str(sig)}, permutation "
+                                 f"{permutations.compose(s, g)}")
             self.actions[sig] = table
 
     def _check_colors(self, sig):
@@ -358,7 +386,9 @@ class Collection:
 
     def action(self, sig, sigma):
         sig = (tuple(sig[0]), sig[1])
-        assert len(sigma) == sig_arity(sig)
+        if len(sigma) != sig_arity(sig):
+            raise ValueError(f"permutation {tuple(sigma)} has the wrong "
+                             f"length for {sig_str(sig)}")
         if sig not in self.levels:
             return self.ops.zero_map(self.level(sig), self.level(sig_act(sig, sigma)))
         return self.actions[sig][tuple(sigma)]
@@ -369,45 +399,30 @@ class Collection:
                       key=lambda s: (len(s[0]), tuple(idx[c] for c in s[0]),
                                      idx[s[1]]))
 
-    @classmethod
-    def from_transpositions(cls, ring: Ring, base: str, colors, max_arity: int,
-                            max_degree: int, levels: dict, gens: dict,
-                            truncated: bool = False) -> "Collection":
-        """Close adjacent-transposition actions to the full tables.
 
-        gens[sig][t] acts by the swap of slots t, t+1.  Inconsistent
-        assignments (words evaluating to the same permutation with
-        different matrices) raise ValueError.
-        """
-        ops = _ops_for(base, ring, max_degree)
-        actions: dict = {}
-        for sig, obj in levels.items():
-            sig = (tuple(sig[0]), sig[1])
-            n = sig_arity(sig)
-            if ops.is_zero(obj) or n < 2:
-                continue
-            table = {permutations.identity(n): ops.identity(obj)}
-            frontier = [permutations.identity(n)]
-            while frontier:
-                new = []
-                for h in frontier:
-                    cur = sig_act(sig, h)
-                    for t in range(n - 1):
-                        g = permutations.transposition(n, t)
-                        p = permutations.compose(h, g)
-                        val = gens[cur][t] @ table[h]
-                        if p in table:
-                            if not ops.equal(table[p], val):
-                                raise ValueError(
-                                    f"action generators inconsistent at "
-                                    f"{sig_str(sig)}, permutation {p}")
-                        else:
-                            table[p] = val
-                            new.append(p)
-                frontier = new
-            actions[sig] = table
-        return cls(ring, base, colors, max_arity, max_degree, levels,
-                   actions, truncated)
+def _action_law_failures(ops, sig, table, generator):
+    """The pairs (s, g), g an adjacent transposition, where
+    generator(sig.s, g) after table[s] differs from table[s g].  The walk
+    is breadth-first from the identity; an entry missing from table is
+    filled with the word that reaches it instead of compared."""
+    n = sig_arity(sig)
+    e = permutations.identity(n)
+    reached, frontier = {e}, [e]
+    while frontier:
+        new = []
+        for s in frontier:
+            src = sig_act(sig, s)
+            for g in permutations.transpositions(n):
+                p = permutations.compose(s, g)
+                val = generator(src, g) @ table[s]
+                if p not in table:
+                    table[p] = val
+                elif not ops.equal(table[p], val):
+                    yield s, g
+                if p not in reached:
+                    reached.add(p)
+                    new.append(p)
+        frontier = new
 
 
 def collection_check(M: Collection) -> list:
@@ -449,14 +464,9 @@ def collection_check(M: Collection) -> list:
         if sig in broken or any(sig_act(sig, s) in broken
                                 for s in permutations.all_permutations(n)):
             continue
-        # generator against everything pins the whole multiplication table
-        for s in permutations.all_permutations(n):
-            for t in range(n - 1):
-                g = permutations.transposition(n, t)
-                lhs = M.action(sig_act(sig, s), g) @ M.action(sig, s)
-                rhs = M.action(sig, permutations.compose(s, g))
-                if not M.ops.equal(lhs, rhs):
-                    out.append(("action-law", sig, s, g))
+        for s, g in _action_law_failures(M.ops, sig, M.actions[sig],
+                                         M.action):
+            out.append(("action-law", sig, s, g))
     return out
 
 
@@ -800,16 +810,13 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
     actions = {}
     for n in arities:
         sig = ((color,) * n, color)
-        if sig not in levels or n < 2:
-            continue
         ws = words(n)
         index = {w: i for i, w in enumerate(ws)}
-        table = {}
-        for s in permutations.all_permutations(n):
-            entries = {(index[word_act(w, s)], j): ring.one
+        actions[sig] = {}
+        for s in permutations.transpositions(n):
+            relabel = {(index[word_act(w, s)], j): ring.one
                        for j, w in enumerate(ws)}
-            table[s] = const_map(sig, sig, entries)
-        actions[sig] = table
+            actions[sig][s] = const_map(sig, sig, relabel)
 
     coll = Collection(ring, base, (color,), max_arity, max_degree,
                       levels, actions)
@@ -1122,8 +1129,8 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     levels are free on the surviving classes of `_quotient_by`'s signed
     union-find, each represented by its least basis element; otherwise
     they are exact cokernels.  Torsion in the coinvariants raises
-    ValueError.  Input-relabeling tables are built for the adjacent
-    transpositions only and closed by `Collection.from_transpositions`.
+    ValueError.  Input relabelings are built for the adjacent
+    transpositions only, which the `Collection` constructor closes.
     Their entries, like the relations', are read from the factor maps'
     columns at each term's basis positions (`_term_entries`).  Each
     structure map and relabeling generator is pushed to the target
@@ -1179,13 +1186,11 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                                              qs[n], what))
 
     # the action is a homomorphism, so descent on the generators covers
-    # the group, and from_transpositions refuses words that disagree
+    # the group, and the Collection constructor refuses words that disagree
     gens = {}
     for sig, terms in data.items():
         n_inputs = sig_arity(sig)
-        if n_inputs < 2:
-            continue
-        row = []
+        gens[sig] = {}
         for tr in range(n_inputs - 1):
             s = permutations.transposition(n_inputs, tr)
             tsig = sig_act(sig, s)
@@ -1213,14 +1218,12 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                               quotients[sig][n], "input relabeling")
                      for n, bigmap in
                      enumerate(_placed(bigs[sig], bigs[tsig], pieces))]
-            row.append(ops.make_map(levels[sig], levels[tsig], comps))
-        gens[sig] = row
+            gens[sig][s] = ops.make_map(levels[sig], levels[tsig], comps)
 
     truncated = M.truncated or N.truncated or \
         any(sig_arity(s) == 0 for s in N.levels)
-    coll = Collection.from_transpositions(M.ring, M.base, M.colors,
-                                          M.max_arity, D, levels, gens,
-                                          truncated=truncated)
+    coll = Collection(M.ring, M.base, M.colors, M.max_arity, D, levels,
+                      gens, truncated=truncated)
     return CompositeResult(coll, data, quotients)
 
 
@@ -1233,7 +1236,9 @@ def restrict_colors(alpha: dict, Q: Operad, colors) -> Operad:
     """Pull back Q along a color map; levels and laws come for free."""
     coll = Q.collection
     for c in colors:
-        assert alpha[c] in coll.colors
+        if alpha.get(c) not in coll.colors:
+            raise ValueError(f"color {c!r} maps to {alpha.get(c)!r}, "
+                             f"which is not a color of the target")
 
     def push(sig):
         return (tuple(alpha[c] for c in sig[0]), alpha[sig[1]])
@@ -1245,9 +1250,8 @@ def restrict_colors(alpha: dict, Q: Operad, colors) -> Operad:
             continue
         levels[sig] = coll.level(img)
         n = sig_arity(sig)
-        if n >= 2:
-            actions[sig] = {s: coll.action(img, s)
-                            for s in permutations.all_permutations(n)}
+        actions[sig] = {s: coll.action(img, s)
+                        for s in permutations.transpositions(n)}
     out = Collection(coll.ring, coll.base, colors, coll.max_arity,
                      coll.max_degree, levels, actions,
                      truncated=coll.truncated)
@@ -1543,17 +1547,14 @@ def operad_from_json(data: dict) -> Operad:
     for entry in data["levels"]:
         sig = (tuple(entry["inputs"]), entry["output"])
         levels[sig] = _obj_from_json(base, entry["object"])
-    gens = {sig: [None] * max(0, sig_arity(sig) - 1) for sig in levels}
+    gens = {sig: {} for sig in levels}
     for entry in data["actions"]:
         sig = (tuple(entry["inputs"]), entry["output"])
-        tgt = sig_act(sig, permutations.transposition(sig_arity(sig), entry["swap"]))
-        gens[sig][entry["swap"]] = _map_from_json(
-            ops, levels[sig], levels[tgt], entry["map"])
-    for sig, maps in gens.items():
-        if any(m is None for m in maps):
-            raise ValueError(f"missing action generators at {sig_str(sig)}")
-    coll = Collection.from_transpositions(ring, base, colors, A, D, levels,
-                                          gens, truncated=data.get("truncated", False))
+        s = permutations.transposition(sig_arity(sig), entry["swap"])
+        gens[sig][s] = _map_from_json(
+            ops, levels[sig], levels[sig_act(sig, s)], entry["map"])
+    coll = Collection(ring, base, colors, A, D, levels, gens,
+                      truncated=data.get("truncated", False))
     units = {}
     for c in colors:
         usig = ((c,), c)

@@ -55,6 +55,15 @@ def transposition(n: int, i: int) -> tuple:
     return tuple(p)
 
 
+def transpositions(n: int) -> list:
+    """The adjacent swaps s_0..s_{n-2}, which generate S_n.
+
+    >>> transpositions(3)
+    [(1, 0, 2), (0, 2, 1)]
+    """
+    return [transposition(n, t) for t in range(n - 1)]
+
+
 def all_permutations(n: int):
     return [tuple(p) for p in _itperms(range(n))]
 

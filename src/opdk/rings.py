@@ -27,11 +27,13 @@ class Ring:
     __slots__ = ("kind", "p")
 
     def __init__(self, kind: str, p: int | None = None):
-        assert kind in ("Z", "Q", "Zmod")
+        if kind not in ("Z", "Q", "Zmod"):
+            raise ValueError(f"unknown ring kind {kind!r}")
         if kind == "Zmod":
-            assert p is not None and _is_prime(p), "modulus must be prime"
-        else:
-            assert p is None
+            if p is None or not _is_prime(p):
+                raise ValueError(f"modulus must be prime, got {p!r}")
+        elif p is not None:
+            raise ValueError(f"ring {kind} takes no modulus, got {p!r}")
         self.kind = kind
         self.p = p
 

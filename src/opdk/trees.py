@@ -806,7 +806,8 @@ class FreeLevel:
                  "truncated", "ring", "bound", "lookup")
 
     def __init__(self, M: Collection, sig, max_vertices: int):
-        assert M.base == "chain", "free operad levels live over chain complexes"
+        if M.base != "chain":
+            raise ValueError("free operad levels live over chain complexes")
         self.sig = (tuple(sig[0]), sig[1])
         self.max_vertices = max_vertices
         self.ring = M.ring
@@ -872,7 +873,8 @@ class FreeOperad:
     """
 
     def __init__(self, M: Collection, max_arity: int, max_vertices: int):
-        assert M.base == "chain"
+        if M.base != "chain":
+            raise ValueError("free operad levels live over chain complexes")
         self.M = M
         self.ring = M.ring
         self.bound = M.max_degree
@@ -900,15 +902,9 @@ class FreeOperad:
             return self._operad
         ring, ops = self.ring, self.ops
         levels = {sig: fl.object for sig, fl in self.levels.items()}
-        actions: dict = {}
-        for sig, fl in self.levels.items():
-            n = sig_arity(sig)
-            if n < 2:
-                continue
-            table = {}
-            for s in permutations.all_permutations(n):
-                table[s] = self._action_map(sig, s)
-            actions[sig] = table
+        actions = {sig: {s: self._action_map(sig, s)
+                         for s in permutations.transpositions(sig_arity(sig))}
+                   for sig in self.levels}
         coll = Collection(ring, "chain", self.M.colors, self.max_arity,
                           self.bound, levels, actions,
                           truncated=self.truncated())
@@ -943,7 +939,10 @@ class FreeOperad:
         the leaf multiset."""
         fl = self.levels[sig]
         tl = self.levels[sig_act(sig, sigma)]
-        assert len(fl.blocks) == len(tl.blocks)
+        if [b.tree_class.encoding for b in fl.blocks] != \
+                [b.tree_class.encoding for b in tl.blocks]:
+            raise ValueError(f"relabeling {sigma} at {sig_str(sig)} does "
+                             f"not match the tree classes")
         ring = self.ring
         src, tgt = _big_sum(self.ops, fl), _big_sum(self.ops, tl)
         comps = []
@@ -951,7 +950,6 @@ class FreeOperad:
             # each block sits after the earlier blocks in its big sum
             entries, soff, toff = {}, 0, 0
             for b, tb in zip(fl.blocks, tl.blocks):
-                assert b.tree_class.encoding == tb.tree_class.encoding
                 for pi in range(len(b.planar)):
                     lab_tgt = {lab: i for i, lab in enumerate(tb.labs[pi])}
                     relab = [lab_tgt[word_act(lab, sigma)]
@@ -1062,8 +1060,9 @@ def _level_basis(fl: FreeLevel, n: int):
         sec = b.section.component(n)
         cols: dict = {}
         for (i, j), v in sec.entries.items():
-            assert j not in cols and v == b.ring.one, \
-                "composition bookkeeping needs unit section columns"
+            if j in cols or v != b.ring.one:
+                raise ValueError(
+                    "composition bookkeeping needs unit section columns")
             cols[j] = i
         for j in range(b.obj.level(n).rank):
             flat = cols[j]
@@ -1574,19 +1573,16 @@ def cokernel_collection(f: CollectionMap):
             prjm = _coker_proj(ring, comp.component(n - 1), rets[n - 1],
                                secs[n - 1])
             d = prjm @ f.target.level(sig).d(n) @ secs[n]
-            assert (prjm @ f.target.level(sig).d(n)) == (d @ prjn), \
-                "cokernel differential does not descend"
+            if (prjm @ f.target.level(sig).d(n)) != (d @ prjn):
+                raise ValueError("cokernel differential does not descend")
             dq.append(d)
         Q = ChainComplex(ring, qlevels, dq)
         levels[sig] = Q
         datas[sig] = (rets, secs)
         sections[sig] = ops.make_map(Q, f.target.level(sig), secs)
     for sig, Q in levels.items():
-        n = sig_arity(sig)
-        if n < 2:
-            continue
-        table = {}
-        for s in permutations.all_permutations(n):
+        actions[sig] = {}
+        for s in permutations.transpositions(sig_arity(sig)):
             tsig = sig_act(sig, s)
             act = f.target.action(sig, s)
             rets_t, secs_t = datas[tsig]
@@ -1596,8 +1592,7 @@ def cokernel_collection(f: CollectionMap):
                 prj = _coker_proj(ring, comp_t.component(m), rets_t[m],
                                   secs_t[m])
                 comps.append(prj @ act.component(m) @ datas[sig][1][m])
-            table[s] = ops.make_map(Q, levels[tsig], comps)
-        actions[sig] = table
+            actions[sig][s] = ops.make_map(Q, levels[tsig], comps)
     Qc = Collection(ring, "chain", f.source.colors, f.source.max_arity,
                     bound, levels, actions)
     return Qc, sections
@@ -1610,7 +1605,8 @@ def _coker_proj(ring, comp, ret, sec) -> LinearMap:
     ident = LinearMap.identity(comp.target)
     compl = ident - (comp @ ret)
     q = solve(sec, compl)
-    assert q is not None, "splitting data is inconsistent"
+    if q is None:
+        raise ValueError("splitting data is inconsistent")
     return q
 
 

@@ -178,6 +178,23 @@ def test_associative_operad_simplicial_checks():
     assert operad_check(associative_operad(ZZ, "simplicial", 3, 2)) == []
 
 
+def test_associative_operad_tables_are_the_word_relabelings():
+    # every closed table entry is the permutation matrix of word_act,
+    # in every degree of a simplicial level
+    for base, A, D, unital in (("chain", 4, 0, False), ("chain", 4, 0, True),
+                               ("simplicial", 3, 2, False)):
+        coll = associative_operad(ZZ, base, A, D, unital=unital).collection
+        for s in coll.signatures():
+            n = len(s[0])
+            words = perms.all_permutations(n) if n else [()]
+            index = {w: i for i, w in enumerate(words)}
+            for p in perms.all_permutations(n):
+                want = {(index[word_act(w, p)], j): 1
+                        for j, w in enumerate(words)}
+                f = coll.action(s, p)
+                assert [c.entries for c in f.components] == [want] * (D + 1)
+
+
 def test_associative_operad_unital_checks():
     P = associative_operad(ZZ, "chain", 3, 0, unital=True)
     assert operad_check(P) == []
@@ -197,34 +214,91 @@ def test_collection_rejects_unknown_color():
 
 
 def _rank_two_generators(n, rows):
-    """from_transpositions on one rank-2 level in arity n, where s_t acts
-    by the matrix rows[t]."""
+    """One rank-2 level in arity n, where s_t acts by the matrix rows[t]."""
     ops = op._ops_for("chain", ZZ, 0)
     lev = ChainComplex(ZZ, [free_module(ZZ, 2)], [])
-    gens = [ops.make_map(lev, lev, [LinearMap.from_rows(
-        lev.level(0), lev.level(0), r)]) for r in rows]
-    return Collection.from_transpositions(ZZ, "chain", (X,), n, 0,
-                                          {sig(n): lev}, {sig(n): gens})
+    gens = {perms.transposition(n, t): ops.make_map(lev, lev, [
+        LinearMap.from_rows(lev.level(0), lev.level(0), r)])
+        for t, r in enumerate(rows)}
+    return Collection(ZZ, "chain", (X,), n, 0, {sig(n): lev}, {sig(n): gens})
 
 
-def test_from_transpositions_refuses_a_non_involution():
+def test_collection_refuses_a_non_involution():
     # s_1 s_1 must act as the identity; a shear squares to another shear
     with pytest.raises(ValueError, match=r"inconsistent at .*\(0, 1\)"):
         _rank_two_generators(2, [[[1, 1], [0, 1]]])
     assert collection_check(_rank_two_generators(2, [[[0, 1], [1, 0]]])) == []
 
 
-def test_from_transpositions_refuses_an_order_three_swap():
+def test_collection_refuses_an_order_three_swap():
     # a matrix of order 3 assigned to a transposition
     with pytest.raises(ValueError, match=r"inconsistent at"):
         _rank_two_generators(2, [[[0, -1], [1, -1]]])
 
 
-def test_from_transpositions_refuses_a_broken_braid_relation():
+def test_collection_refuses_a_broken_braid_relation():
     # both generators are involutions, but s_1 s_2 s_1 = diag(-1, 1)
     # while s_2 s_1 s_2 swaps the basis with signs
     with pytest.raises(ValueError, match=r"inconsistent at .*\(2, 1, 0\)"):
         _rank_two_generators(3, [[[0, 1], [1, 0]], [[1, 0], [0, -1]]])
+
+
+def test_collection_refuses_a_missing_generator():
+    # arity 3 needs s_1 and s_2; s_1 alone does not generate S_3
+    with pytest.raises(ValueError, match=r"missing action generator "
+                                         r"\(0, 2, 1\) at x,x,x->x"):
+        _rank_two_generators(3, [[[0, 1], [1, 0]]])
+
+
+def test_collection_refuses_a_key_that_is_not_an_adjacent_transposition():
+    ops = op._ops_for("chain", ZZ, 0)
+    lev = ops.unit_obj()
+    ident = ops.identity(lev)
+    gens = {(0, 2, 1): ident, (1, 0, 2): ident, (1, 2, 0): ident}
+    with pytest.raises(ValueError, match=r"\(1, 2, 0\) at x,x,x->x is not "
+                                         r"an adjacent transposition"):
+        Collection(ZZ, "chain", (X,), 3, 0, {sig(3): lev}, {sig(3): gens})
+    # the identity is filled in, not given
+    with pytest.raises(ValueError, match="not an adjacent transposition"):
+        Collection(ZZ, "chain", (X,), 1, 0, {sig(1): lev},
+                   {sig(1): {(0,): ident}})
+
+
+def test_collection_refuses_a_generator_onto_a_missing_level():
+    # a,b->b is present but b,a->b is not, so the swap lands nowhere
+    ops = op._ops_for("chain", ZZ, 0)
+    one = ops.unit_obj()
+    with pytest.raises(ValueError, match="sends a,b->b to b,a->b, which "
+                                         "has no level"):
+        Collection(ZZ, "chain", ("a", "b"), 2, 0, {(("a", "b"), "b"): one},
+                   {(("a", "b"), "b"): {(1, 0): ops.identity(one)}})
+
+
+def test_collection_refuses_a_generator_of_the_wrong_shape():
+    ops = op._ops_for("chain", ZZ, 0)
+    two = ChainComplex(ZZ, [free_module(ZZ, 2)], [])
+    one = ops.unit_obj()
+    with pytest.raises(ValueError, match="wrong shape"):
+        Collection(ZZ, "chain", (X,), 2, 0, {sig(2): two},
+                   {sig(2): {(1, 0): ops.identity(one)}})
+
+
+def test_collection_refuses_malformed_levels():
+    # explicit checks, so they also hold under python -O
+    ops = op._ops_for("chain", ZZ, 0)
+    one = ops.unit_obj()
+    with pytest.raises(ValueError, match="arity above bound"):
+        Collection(ZZ, "chain", (X,), 0, 0, {sig(1): one})
+    with pytest.raises(ValueError, match="unknown color 'c'"):
+        Collection(ZZ, "chain", (X,), 1, 0, {sig(1, "c"): one})
+    with pytest.raises(ValueError, match="wrong degree"):
+        Collection(ZZ, "chain", (X,), 1, 1, {sig(1): one})
+
+
+def test_action_refuses_a_permutation_of_the_wrong_length():
+    A = associative_operad(ZZ, "chain", 3, 0).collection
+    with pytest.raises(ValueError, match="wrong length"):
+        A.action(sig(2), (0, 1, 2))
 
 
 def test_checker_rejects_corrupted_composition():
@@ -542,11 +616,16 @@ def test_composite_refuses_factors_from_different_windows():
 
 
 def test_composite_refuses_a_relabeling_onto_a_missing_signature():
-    # N has a,b->b but not b,a->b: its levels are not closed
-    # under relabeling, so the swap has no target to land on
+    # N has a,b->b but not b,a->b: its levels are not closed under
+    # relabeling, so the swap has no target to land on.  The constructor
+    # refuses such an N, so the level is deleted after construction.
     ops = op._ops_for("chain", ZZ, 0)
-    N = Collection(ZZ, "chain", ("a", "b"), 2, 0,
-                   {(("a", "b"), "b"): ops.unit_obj()})
+    one = ops.unit_obj()
+    ab, ba = (("a", "b"), "b"), (("b", "a"), "b")
+    swap = {(1, 0): ops.identity(one)}
+    N = Collection(ZZ, "chain", ("a", "b"), 2, 0, {ab: one, ba: one},
+                   {ab: swap, ba: swap})
+    del N.levels[ba], N.actions[ba]
     M = identity_collection(ZZ, "chain", ("a", "b"), 2, 0)
     with pytest.raises(ValueError,
                        match="sends a,b->b to b,a->b, which has no terms"):
@@ -605,6 +684,16 @@ def test_restrict_colors_stays_an_operad():
         Q.collection.level((("a",), "b")).ranks()
 
 
+def test_restrict_colors_refuses_a_color_outside_the_target():
+    # explicit checks, so they also hold under python -O
+    A = associative_operad(ZZ, "chain", 2, 0)
+    with pytest.raises(ValueError, match="'c' maps to 'y', which is not a "
+                                         "color of the target"):
+        restrict_colors({"c": "y"}, A, ("c",))
+    with pytest.raises(ValueError, match="'d' maps to None"):
+        restrict_colors({"c": X}, A, ("c", "d"))
+
+
 @pytest.mark.parametrize("base,D", [("chain", 0), ("simplicial", 2)])
 def test_json_round_trip(base, D):
     A = associative_operad(F5, base, 3, D)
@@ -641,6 +730,12 @@ def test_normalize_associative_operad():
     s2 = sig(2)
     assert NA.collection.action(s2, (1, 0)).component(0).entries == \
         Ac.collection.action(s2, (1, 0)).component(0).entries
+
+
+def test_normalize_refuses_a_chain_operad():
+    # an explicit check, so it also holds under python -O
+    with pytest.raises(ValueError, match="only simplicial operads"):
+        normalize_operad(associative_operad(ZZ, "chain", 2, 0))
 
 
 def test_normalize_nilpotent_two_color():

@@ -16,8 +16,8 @@ import random
 
 import pytest
 
-from opdk import corpus, exactlin
-from opdk.chain import concentrated, homology, pad, two_term
+from opdk import corpus, exactlin, permutations
+from opdk.chain import ChainMap, concentrated, homology, pad, two_term
 from opdk.exactlin import LinearMap
 from opdk.operad import Collection, associative_operad, operad_check
 from opdk.rings import QQ, ZZ, Zmod
@@ -25,9 +25,12 @@ from opdk.trees import (
     CollectionMap,
     FreeOperad,
     Tree,
+    _coker_proj,
+    _level_basis,
     aut_order,
     canonical,
     cell_pushout_product,
+    cokernel_collection,
     cells_agree,
     edge_decompositions,
     enumerate_planar,
@@ -522,10 +525,7 @@ def test_free_level_refuses_torsion():
     ring = ZZ
     nul = pad(concentrated(ring, 1, 1), 2)
     bin2 = pad(concentrated(ring, 0, 1), 2)
-    M = Collection(ring, "chain", ("c",), 2, 2,
-                   {((), "c"): nul, sig(2): bin2}, {sig(2): {}})
-    ops = M.ops
-    tau = ops.identity(bin2)
+    tau = Collection(ring, "chain", ("c",), 2, 2, {}).ops.identity(bin2)
     M = Collection(ring, "chain", ("c",), 2, 2,
                    {((), "c"): nul, sig(2): bin2},
                    {sig(2): {(1, 0): tau}})
@@ -537,8 +537,7 @@ def test_free_level_refuses_torsion():
     Mq = Collection(QQ, "chain", ("c",), 2, 2,
                     {((), "c"): nulq, sig(2): bin2q},
                     {sig(2): {(1, 0): Collection(
-                        QQ, "chain", ("c",), 2, 2, {sig(2): bin2q},
-                        {sig(2): {}}).ops.identity(bin2q)}})
+                        QQ, "chain", ("c",), 2, 2, {}).ops.identity(bin2q)}})
     free_operad(Mq, ((), "c"), 3)
 
 
@@ -564,6 +563,81 @@ def test_free_operad_two_colors_axioms():
     M, _, _ = corpus.two_color_binary_inclusion(F5, 3)
     P = FreeOperad(M, max_arity=3, max_vertices=3).operad()
     assert operad_check(P) == []
+
+
+@pytest.mark.parametrize("build,max_arity,max_vertices", [
+    (lambda: corpus.split_binary_inclusion(ZZ, 4)[0], 4, 3),
+    (lambda: corpus.split_binary_inclusion(ZZ, 4, m_rank=1,
+                                           m_regular=False)[0], 4, 3),
+    (lambda: corpus.two_color_binary_inclusion(ZZ, 3)[0], 3, 3),
+], ids=["regular-4", "trivial-4", "two-color-3"])
+def test_free_operad_closed_actions_match_relabeling(build, max_arity,
+                                                     max_vertices):
+    # the constructor closes the adjacent transpositions; every entry
+    # must equal the relabeling map of its permutation built directly
+    F = FreeOperad(build(), max_arity=max_arity, max_vertices=max_vertices)
+    coll = F.operad().collection
+    assert any(len(s[0]) == max_arity for s in coll.signatures())
+    for s in coll.signatures():
+        for p in permutations.all_permutations(len(s[0])):
+            assert coll.action(s, p) == F._action_map(s, p)
+
+
+def test_free_operad_refuses_a_simplicial_collection():
+    # explicit checks, so they also hold under python -O
+    A = associative_operad(ZZ, "simplicial", 2, 1).collection
+    with pytest.raises(ValueError, match="chain complexes"):
+        FreeOperad(A, max_arity=2, max_vertices=1)
+    with pytest.raises(ValueError, match="chain complexes"):
+        free_operad(A, (("x", "x"), "x"), 1)
+
+
+def test_action_map_refuses_mismatched_tree_classes():
+    M, _, _ = corpus.two_color_binary_inclusion(ZZ, 2)
+    F = FreeOperad(M, max_arity=2, max_vertices=1)
+    ab, ba = (("a", "b"), "a"), (("b", "a"), "a")
+    # a,b->a and b,a->a have one corolla class each; point the target
+    # at a level whose classes differ
+    F.levels[ba] = F.levels[(("a",), "a")]
+    with pytest.raises(ValueError, match="tree classes"):
+        F._action_map(ab, (1, 0))
+
+
+def test_level_basis_refuses_non_unit_sections():
+    M = corpus.binary_generator(ZZ, 3, regular=True)
+    fl = free_operad(M, sig(3), 2)
+    b = fl.blocks[0]
+    doubled = [LinearMap(c.source, c.target,
+                         {k: 2 * v for k, v in c.entries.items()})
+               for c in b.section.components]
+    b.section = ChainMap(b.section.source, b.section.target, doubled,
+                         check=False)
+    with pytest.raises(ValueError, match="unit section columns"):
+        _level_basis(fl, 0)
+
+
+def test_cokernel_collection_refuses_a_non_descending_differential():
+    # f hits the top of x -> m but not its boundary m, so f is not a
+    # chain map and the cokernel differential cannot descend
+    ring = ZZ
+    M = Collection(ring, "chain", ("c",), 1, 1,
+                   {sig(1): pad(concentrated(ring, 1, 1), 1)})
+    Y = Collection(ring, "chain", ("c",), 1, 1,
+                   {sig(1): two_term(ring, [[1]])})
+    A, B = M.level(sig(1)), Y.level(sig(1))
+    f = ChainMap(A, B, [LinearMap(A.level(0), B.level(0), {}),
+                        LinearMap(A.level(1), B.level(1), {(0, 0): 1})],
+                 check=False)
+    with pytest.raises(ValueError, match="does not descend"):
+        cokernel_collection(CollectionMap(M, Y, {sig(1): f}, check=False))
+
+
+def test_coker_proj_refuses_inconsistent_splitting():
+    # a zero-column section cannot reach the complement of a zero map
+    Z1, Z0 = exactlin.free_module(ZZ, 1), exactlin.free_module(ZZ, 0)
+    zero = LinearMap(Z1, Z1, {})
+    with pytest.raises(ValueError, match="splitting data"):
+        _coker_proj(ZZ, zero, LinearMap(Z1, Z1, {}), LinearMap(Z0, Z1, {}))
 
 
 def test_free_operad_refuses_silent_truncation():
