@@ -499,25 +499,30 @@ class Operad:
         ops = collection.ops
         self.units = dict(units)
         for c in collection.colors:
-            assert c in self.units, f"no unit for color {c!r}"
+            if c not in self.units:
+                raise ValueError(f"no unit for color {c!r}")
             usig = ((c,), c)
-            assert not collection.is_zero_level(usig), \
-                f"unit level {sig_str(usig)} is zero"
+            if collection.is_zero_level(usig):
+                raise ValueError(f"unit level {sig_str(usig)} is zero")
             u = self.units[c]
-            assert u.source.ranks() == ops.unit_obj().ranks()
-            assert u.target.ranks() == collection.level(usig).ranks()
+            if u.source.ranks() != ops.unit_obj().ranks():
+                raise ValueError(f"unit source mismatch at color {c!r}")
+            if u.target.ranks() != collection.level(usig).ranks():
+                raise ValueError(f"unit target mismatch at color {c!r}")
         self.compositions = {}
         for (osig, i, isig), f in compositions.items():
             osig = (tuple(osig[0]), osig[1])
             isig = (tuple(isig[0]), isig[1])
             gsig = graft_signature(osig, i, isig)
-            assert sig_arity(gsig) <= collection.max_arity, \
-                f"composite {sig_str(gsig)} leaves the arity window"
+            where = f"({sig_str(osig)}, {i}, {sig_str(isig)})"
+            if sig_arity(gsig) > collection.max_arity:
+                raise ValueError(f"composite {sig_str(gsig)} leaves the "
+                                 f"arity window")
             src = ops.tensor(collection.level(osig), collection.level(isig))
-            assert f.source.ranks() == src.ranks(), \
-                f"composition source mismatch at ({sig_str(osig)}, {i}, {sig_str(isig)})"
-            assert f.target.ranks() == collection.level(gsig).ranks(), \
-                f"composition target mismatch at ({sig_str(osig)}, {i}, {sig_str(isig)})"
+            if f.source.ranks() != src.ranks():
+                raise ValueError(f"composition source mismatch at {where}")
+            if f.target.ranks() != collection.level(gsig).ranks():
+                raise ValueError(f"composition target mismatch at {where}")
             if not all(c.is_zero() for c in f.components):
                 self.compositions[(osig, i, isig)] = f
 
@@ -1062,20 +1067,22 @@ def _placed(src, tgt, pieces):
         for n in range(src.max_degree + 1)]
 
 
-def _term_entries(ops, head, tails, sigma, src_positions, tgt_positions):
-    """Per-degree entries of head (x) tails on one term, tail relabeled.
+def _tensor_entries(ops, maps, sigma, src_positions, tgt_positions):
+    """Per-degree entries of (x)_j maps[j] on a tensor of levels, with
+    its factors permuted.
 
-    head acts on the first tensor factor and tails[j] on tail factor j;
-    None stands for an identity.  sigma, when given, then permutes the
-    tail so that target slot j carries source factor sigma(j), with a
-    Koszul sign when odd chain degrees cross.  Each source position's
-    column is the product of the factor maps' columns at its indices:
-    the maps have degree 0, so the tensor adds no sign of its own.
-    Products are left for `LinearMap` to normalize.
+    maps[j] acts on tensor factor j; None stands for an identity.
+    sigma, when given, then permutes the factors so that target slot j
+    carries source factor sigma(j), with a Koszul sign when odd chain
+    degrees cross.  src_positions[n] and tgt_positions[n] list the
+    degree-n bases as (degree tuple, index tuple) in flat order.  Each
+    source position's column is the product of the factor maps' columns
+    at its indices: the maps have degree 0, so the tensor adds no sign
+    of its own.  Distinct row tuples land on distinct rows, so nothing
+    accumulates; products are left for `LinearMap` to normalize.
     """
     ring = ops.ring
     one = ring.one
-    maps = (head,) + tuple(tails)
     columns = {}
 
     def column(slot, deg, idx):
@@ -1092,20 +1099,22 @@ def _term_entries(ops, head, tails, sigma, src_positions, tgt_positions):
     # relabeling tensor factors costs a sign only in the graded world;
     # the simplicial symmetry is plain
     graded = sigma is not None and ops.base == "chain"
-    out = []
+    signs, out = {}, []
     for n in range(ops.max_degree + 1):
         entries = {}
         tgt_index = {key: pos for pos, key in enumerate(tgt_positions[n])}
         for col, (degs, idxs) in enumerate(src_positions[n]):
-            partial = [((), _koszul(ring, degs[1:], sigma) if graded else one)]
+            if degs not in signs:
+                signs[degs] = _koszul(ring, degs, sigma) if graded else one
+            partial = [((), signs[degs])]
             for slot, (d, i) in enumerate(zip(degs, idxs)):
                 partial = [(rows + (r,), v * w)
                            for rows, v in partial for r, w in column(slot, d, i)]
             if sigma is not None:
-                degs = degs[:1] + tuple(degs[1 + j] for j in sigma)
+                degs = tuple(degs[j] for j in sigma)
             for rows, v in partial:
                 if sigma is not None:
-                    rows = rows[:1] + tuple(rows[1 + j] for j in sigma)
+                    rows = tuple(rows[j] for j in sigma)
                 entries[(tgt_index[(degs, rows)], col)] = v
         out.append(entries)
     return out
@@ -1131,8 +1140,10 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     they are exact cokernels.  Torsion in the coinvariants raises
     ValueError.  Input relabelings are built for the adjacent
     transpositions only, which the `Collection` constructor closes.
-    Their entries, like the relations', are read from the factor maps'
-    columns at each term's basis positions (`_term_entries`).  Each
+    Their entries, like the relations', come from `_tensor_entries`, the
+    one routine that applies a map to each tensor factor of a term and
+    reorders the factors with the Koszul sign; the free-operad blocks
+    and extension stages of `trees` build their moves with it too.  Each
     structure map and relabeling generator is pushed to the target
     coinvariants and checked to descend; one that does not raises
     ValueError.  The result is truncated beyond honesty only when N has
@@ -1173,8 +1184,9 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                     # s is an involution, so phi moves by s itself
                     tj = index[(k, tuple(t.dbar[s[j]] for j in range(k)),
                                 tuple(s[v] for v in t.phi))]
-                    blocks = _term_entries(ops, M.action(t.msig, s),
-                                           (None,) * k, s, pos[ti], pos[tj])
+                    blocks = _tensor_entries(
+                        ops, (M.action(t.msig, s),) + (None,) * k,
+                        (0,) + tuple(1 + j for j in s), pos[ti], pos[tj])
                     pieces.append((blocks, offsets[ti], offsets[tj]))
                 gen_mats.append(_placed(big, big, pieces))
         qs = [_quotient_by(ring, big.level(n), [g[n] for g in gen_mats])
@@ -1204,14 +1216,14 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                 tj = indices[tsig][(t.k, t.dbar, phi2)]
                 # the swap moves fibers past each other in order, unless
                 # both inputs sit in one fiber, where it is a swap too
-                tails = [None] * t.k
+                maps = [None] * (1 + t.k)
                 a = t.phi[tr]
                 if phi2[tr] == a:
                     fsig = t.fiber_sigs[a]
-                    tails[a] = N.action(fsig, permutations.transposition(
+                    maps[1 + a] = N.action(fsig, permutations.transposition(
                         sig_arity(fsig), t.phi[:tr].count(a)))
-                blocks = _term_entries(ops, None, tails, None,
-                                       positions[sig][ti], positions[tsig][tj])
+                blocks = _tensor_entries(ops, maps, None, positions[sig][ti],
+                                         positions[tsig][tj])
                 pieces.append((blocks, offsets_of[sig][ti],
                                offsets_of[tsig][tj]))
             comps = [_descend(compose(quotients[tsig][n].proj, bigmap),
@@ -1550,9 +1562,18 @@ def operad_from_json(data: dict) -> Operad:
     gens = {sig: {} for sig in levels}
     for entry in data["actions"]:
         sig = (tuple(entry["inputs"]), entry["output"])
-        s = permutations.transposition(sig_arity(sig), entry["swap"])
-        gens[sig][s] = _map_from_json(
-            ops, levels[sig], levels[sig_act(sig, s)], entry["map"])
+        n, swap = sig_arity(sig), entry["swap"]
+        if type(swap) is not int or not 0 <= swap < n - 1:
+            raise ValueError(f"action swap {swap!r} at {sig_str(sig)} is not "
+                             f"in range({n - 1})")
+        s = permutations.transposition(n, swap)
+        tsig = sig_act(sig, s)
+        for end in (sig, tsig):
+            if end not in levels:
+                raise ValueError(f"action {s} at {sig_str(sig)} reaches "
+                                 f"{sig_str(end)}, which has no level")
+        gens[sig][s] = _map_from_json(ops, levels[sig], levels[tsig],
+                                      entry["map"])
     coll = Collection(ring, base, colors, A, D, levels, gens,
                       truncated=data.get("truncated", False))
     units = {}

@@ -12,7 +12,11 @@ vertex drive three computations:
   A move matrix sends each basis element to plus or minus one basis
   element, the sign being the Koszul sign of the reordering; it is the
   identity off the moved representative, so a row can be hit twice and
-  the matrix need not be a permutation.  `operad._quotient_by` feeds
+  the matrix need not be a permutation.  The moves, the cell comparison
+  isomorphisms and the block rewrites of the extension stages all come
+  from `operad._tensor_entries`, the one routine that applies a map to
+  each tensor factor and reorders the factors, as the composite product
+  does for its relabelings.  `operad._quotient_by` feeds
   the moves to the signed union-find `exactlin.signed_quotient`
   whenever the collection's actions also send basis elements to
   +-basis elements, and takes an exact cokernel otherwise;
@@ -42,7 +46,7 @@ from .chain import ChainComplex, ChainMap, concentrated, pad
 from . import permutations
 from .operad import (Collection, Operad, graft_signature, sig_act, sig_arity,
                      sig_str, word_act, word_graft, _ops_for,
-                     _multi_positions, _quotient_by)
+                     _multi_positions, _quotient_by, _tensor_entries)
 
 
 _COLOR = re.compile(r"[A-Za-z0-9_.+-]+\Z")
@@ -540,16 +544,13 @@ def leaf_labelings(leaf_colors, inputs):
 # ---------------------------------------------------------------------------
 
 
-def _positions(objs, n: int):
-    """Flat basis of the left-associated chain tensor at degree n, with
-    a rank-one degree-zero placeholder when the factor list is empty."""
-    if not objs:
-        return [((), ())] if n == 0 else []
-    return _multi_positions("chain", objs, n)
+def _chain_positions(objs, bound: int):
+    """Flat bases of the left-associated chain tensor in degrees 0..bound."""
+    return [_multi_positions("chain", objs, n) for n in range(bound + 1)]
 
 
 def _position_index(objs, n: int) -> dict:
-    return {pos: i for i, pos in enumerate(_positions(objs, n))}
+    return {pos: i for i, pos in enumerate(_multi_positions("chain", objs, n))}
 
 
 def _col_cache(f: ChainMap):
@@ -559,44 +560,6 @@ def _col_cache(f: ChainMap):
         for (i, j), v in comp.entries.items():
             cols.setdefault((d, j), []).append((i, v))
     return cols
-
-
-def _reorder_entries(ring: Ring, src_objs, tgt_objs, pi, mats, n: int) -> dict:
-    """Degree-n matrix entries of the map sending factor j of the source
-    through mats[j] (identity when None) into slot pi[j] of the target,
-    with the sign of the graded reordering."""
-    tgt_index = _position_index(tgt_objs, n)
-    caches = [None if m is None else _col_cache(m) for m in mats]
-    entries: dict = {}
-    for col, (degs, idxs) in enumerate(_positions(src_objs, n)):
-        sign = 1
-        for a in range(len(pi)):
-            for b in range(a + 1, len(pi)):
-                if pi[a] > pi[b] and degs[a] % 2 and degs[b] % 2:
-                    sign = -sign
-        base = ring.one if sign == 1 else ring.normalize(-1)
-        choices = []
-        for j, (d, i) in enumerate(zip(degs, idxs)):
-            if caches[j] is None:
-                choices.append([(i, ring.one)])
-            else:
-                choices.append(caches[j].get((d, i), []))
-        for combo in itertools.product(*choices):
-            tdegs = [0] * len(pi)
-            tidxs = [0] * len(pi)
-            for j in range(len(pi)):
-                tdegs[pi[j]] = degs[j]
-                tidxs[pi[j]] = combo[j][0]
-            row = tgt_index.get((tuple(tdegs), tuple(tidxs)))
-            if row is None:
-                continue
-            coeff = base
-            for _, v in combo:
-                coeff = ring.mul(coeff, v)
-            if coeff != ring.zero:
-                key = (row, col)
-                entries[key] = ring.add(entries.get(key, ring.zero), coeff)
-    return {k: v for k, v in entries.items() if v != ring.zero}
 
 
 def _pair_entries(ring: Ring, src_objs, a: int, pairmap: ChainMap, n: int) -> dict:
@@ -609,7 +572,7 @@ def _pair_entries(ring: Ring, src_objs, a: int, pairmap: ChainMap, n: int) -> di
         pair_index[m] = _position_index([A, B], m)
     cols = _col_cache(pairmap)
     entries: dict = {}
-    for col, (degs, idxs) in enumerate(_positions(src_objs, n)):
+    for col, (degs, idxs) in enumerate(_multi_positions("chain", src_objs, n)):
         da, db = degs[a], degs[a + 1]
         q = pair_index[da + db].get(((da, db), (idxs[a], idxs[a + 1])))
         if q is None:
@@ -752,19 +715,15 @@ class _Block:
             LinearMap(Lp.level(n), Lq.level(n),
                       lab_entries if n == 0 else {})
             for n in range(self.bound + 1)])
-        src_objs = self.factors[pi] + [Lp]
-        tgt_objs = self.factors[qi] + [Lq]
-        mats = [None] * len(src_objs)
-        mats[vi] = act
-        mats[-1] = lab_map
-        full_pi = pi_map + [len(src_objs) - 1]
-        out = []
-        for n in range(self.bound + 1):
-            ent = _reorder_entries(ring, src_objs, tgt_objs, full_pi, mats, n)
-            shifted = {(self.offsets[n][qi] + r, self.offsets[n][pi] + c): val
-                       for (r, c), val in ent.items()}
-            out.append(shifted)
-        return out
+        maps = [None] * len(pi_map) + [lab_map]
+        maps[vi] = act
+        sigma = permutations.inverse(pi_map + [len(pi_map)])
+        degrees = range(self.bound + 1)
+        ents = _tensor_entries(ops, maps, sigma,
+                               [self.positions(n, pi) for n in degrees],
+                               [self.positions(n, qi) for n in degrees])
+        return [{(self.offsets[n][qi] + r, self.offsets[n][pi] + c): val
+                 for (r, c), val in ent.items()} for n, ent in enumerate(ents)]
 
     def _objs(self, planar_idx: int):
         return self.factors[planar_idx] + [
@@ -774,7 +733,7 @@ class _Block:
     def positions(self, n: int, planar_idx: int):
         key = (n, planar_idx)
         if key not in self._pos:
-            pos = _positions(self._objs(planar_idx), n)
+            pos = _multi_positions("chain", self._objs(planar_idx), n)
             self._pos[key] = (pos, {p: i for i, p in enumerate(pos)})
         return self._pos[key][0]
 
@@ -1434,8 +1393,7 @@ def cell_comparison_iso(cellA: EpsilonCell, cellB: EpsilonCell,
                         atom_perm, ops) -> ChainMap:
     """The codomain isomorphism matching atom j of A with atom
     atom_perm[j] of B, with the graded reordering sign."""
-    ring = ops.ring
-    bound = ops.max_degree
+    degrees = range(ops.max_degree + 1)
     targetsA = [a.target for a in cellA.atoms]
     targetsB = [b.target for b in cellB.atoms]
     leavesA = _build_leaves(cellA.build)
@@ -1444,27 +1402,13 @@ def cell_comparison_iso(cellA: EpsilonCell, cellB: EpsilonCell,
     pi = [slotB[atom_perm[leavesA[s]]] for s in range(len(leavesA))]
     codA = cellA.map.target
     codB = cellB.map.target
-    comps = []
-    for n in range(bound + 1):
-        posB = {pos: i for i, pos in
-                enumerate(_build_positions(cellB.build, targetsB, ops, n))}
-        entries = {}
-        for col, (degs, idxs) in enumerate(
-                _build_positions(cellA.build, targetsA, ops, n)):
-            sign = 1
-            for a in range(len(pi)):
-                for b in range(a + 1, len(pi)):
-                    if pi[a] > pi[b] and degs[a] % 2 and degs[b] % 2:
-                        sign = -sign
-            tdegs = [0] * len(pi)
-            tidxs = [0] * len(pi)
-            for j in range(len(pi)):
-                tdegs[pi[j]] = degs[j]
-                tidxs[pi[j]] = idxs[j]
-            row = posB[(tuple(tdegs), tuple(tidxs))]
-            entries[(row, col)] = ring.one if sign == 1 else ring.normalize(-1)
-        comps.append(LinearMap(codA.level(n), codB.level(n), entries))
-    return ops.make_map(codA, codB, comps)
+    ents = _tensor_entries(
+        ops, [None] * len(pi), permutations.inverse(pi),
+        [_build_positions(cellA.build, targetsA, ops, n) for n in degrees],
+        [_build_positions(cellB.build, targetsB, ops, n) for n in degrees])
+    return ops.make_map(codA, codB, [
+        LinearMap(codA.level(n), codB.level(n), ent)
+        for n, ent in enumerate(ents)])
 
 
 def cells_agree(cellA: EpsilonCell, cellB: EpsilonCell, atom_perm,
@@ -1629,14 +1573,14 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
     bound = ops.max_degree
     sig = (tuple(sig[0]), sig[1])
     coll = O.collection
-    assert coll.max_arity >= sig_arity(sig), \
-        "the operad's arity window is smaller than the signature"
+    if coll.max_arity < sig_arity(sig):
+        raise ValueError("the operad's arity window is smaller than the "
+                         "signature")
     for c in coll.colors:
-        u = O.unit(c)
         usig = ((c,), c)
-        assert coll.level(usig).ranks() == ops.unit_obj().ranks() and \
-            u.component(0).is_iso(), \
-            f"unary level at {c!r} is larger than the unit"
+        if coll.level(usig).ranks() != ops.unit_obj().ranks() or \
+                not O.unit(c).component(0).is_iso():
+            raise ValueError(f"unary level at {c!r} is larger than the unit")
 
     Qc, q_sections = cokernel_collection(f)
     trivial = all(ops.is_zero(Qc.level(s)) for s in f.target.signatures())
@@ -1651,10 +1595,12 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
         return ExtensionStages(sig, [stage] * (K + 1),
                                [ops.identity(stage)] * K,
                                {k: [] for k in range(1, K + 1)}, cert)
-    assert all(sig_arity(s) >= 2 for s in f.source.signatures()), \
-        "attaching maps need source generators in arities >= 2"
-    assert generator_map is not None or not f.source.signatures(), \
-        "a nontrivial extension needs the generator map into O"
+    if any(sig_arity(s) < 2 for s in f.source.signatures()):
+        raise ValueError("attaching maps need source generators in "
+                         "arities >= 2")
+    if generator_map is None and f.source.signatures():
+        raise ValueError("a nontrivial extension needs the generator map "
+                         "into O")
 
     marked_vals = f.target.signatures()
     unmarked_vals = [s for s in coll.signatures() if sig_arity(s) != 1]
@@ -1807,15 +1753,13 @@ def _choice_block(O, f, Qc, q_sections, g, block, bi, pi, p, marked_paths,
     D = _tensor_with_labels(ops, facs, len(block.labs[pi]))
     if D.total_rank() == 0:
         return D, None, None
-    tgt_objs = block.factors[pi] + [L]
-    idpi = list(range(len(facs) + 1))
-    comps = []
-    for n in range(bound + 1):
-        ent = _reorder_entries(ring, facs + [L], tgt_objs, idpi,
-                               mats + [None], n)
-        shifted = {(block.offsets[n][pi] + r, c): v
-                   for (r, c), v in ent.items()}
-        comps.append(LinearMap(D.level(n), block.big.level(n), shifted))
+    ents = _tensor_entries(ops, mats + [None], None,
+                           _chain_positions(facs + [L], bound),
+                           [block.positions(n, pi) for n in range(bound + 1)])
+    comps = [LinearMap(D.level(n), block.big.level(n),
+                       {(block.offsets[n][pi] + r, c): v
+                        for (r, c), v in ent.items()})
+             for n, ent in enumerate(ents)]
     ink = block.proj @ ops.make_map(D, block.big, comps)
 
     att = _collapse(O, f, Qc, q_sections, g, p, kind, facs, D,
@@ -1847,11 +1791,8 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
         else:
             flags.append(m)
     tree = _reflag(tree, flags)
-    cur = []
-    for n in range(bound + 1):
-        cur.append(dict(_reorder_entries(
-            ring, facs + [L], objs + [L],
-            list(range(len(facs) + 1)), mats, n)))
+    cur = _tensor_entries(ops, mats, None, _chain_positions(facs + [L], bound),
+                          _chain_positions(objs + [L], bound))
 
     # contract unmarked-unmarked edges until none remain
     while True:
@@ -1871,13 +1812,11 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
         for j in range(parent_vi + 1, child_vi):
             pi_map[j] = j + 1
         pi_map[child_vi] = parent_vi + 1
-        perm_entries = []
-        tgt_objs = [objs[j] for j in sorted(range(m),
-                                            key=lambda t: pi_map[t])]
-        for n in range(bound + 1):
-            ent = _reorder_entries(ring, objs + [L], tgt_objs + [L],
-                                   pi_map + [m], [None] * (m + 1), n)
-            perm_entries.append(ent)
+        sigma = permutations.inverse(pi_map + [m])
+        tgt_objs = [objs[j] for j in sigma[:m]]
+        perm_entries = _tensor_entries(ops, [None] * (m + 1), sigma,
+                                       _chain_positions(objs + [L], bound),
+                                       _chain_positions(tgt_objs + [L], bound))
         cur = _compose_entry_lists(ring, perm_entries, cur, bound)
         objs = tgt_objs
         pair = O.composition(psig, slot, csig)
@@ -1933,7 +1872,6 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
     for vi, (vsig, m) in enumerate(tree.vertex_preorder()):
         mats.append(q_sections[vsig] if m else None)
     lab_tgt = {lab: i for i, lab in enumerate(tb.labs[tpi])}
-    ident = list(range(len(objs) + 1))
     Lt = _labeling_complex(ring, len(tb.labs[tpi]), bound)
     lab_entries = {(lab_tgt[lab], li): ring.one
                    for li, lab in enumerate(labs)}
@@ -1941,13 +1879,11 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
         LinearMap(L.level(n), Lt.level(n),
                   lab_entries if n == 0 else {})
         for n in range(bound + 1)])
-    final = []
-    for n in range(bound + 1):
-        ent = _reorder_entries(ring, objs + [L], tb.factors[tpi] + [Lt],
-                               ident, mats + [lab_map], n)
-        shifted = {(tb.offsets[n][tpi] + r, c): v
-                   for (r, c), v in ent.items()}
-        final.append(shifted)
+    final = _tensor_entries(ops, mats + [lab_map], None,
+                            _chain_positions(objs + [L], bound),
+                            [tb.positions(n, tpi) for n in range(bound + 1)])
+    final = [{(tb.offsets[n][tpi] + r, c): v for (r, c), v in ent.items()}
+             for n, ent in enumerate(final)]
     cur = _compose_entry_lists(ring, final, cur, bound)
     mdl = ops.make_map(D, tb.big,
                        [LinearMap(D.level(n), tb.big.level(n), cur[n])

@@ -554,6 +554,80 @@ def test_composite_refuses_a_quotient_that_does_not_descend(
         composite_product(M, N)
 
 
+def _graded_factor(rng, ring, D):
+    """A complex with zero differentials and a nonzero odd degree."""
+    ranks = [rng.randint(0, 2) for _ in range(D + 1)]
+    ranks[1] = max(ranks[1], 1)
+    levels = [free_module(ring, r) for r in ranks]
+    return ChainComplex(ring, levels, [LinearMap.zero(levels[n], levels[n - 1])
+                                       for n in range(1, D + 1)])
+
+
+def _adjacent_swap(ops, objs, i):
+    """Swap tensor factors i and i+1 of a left-associated tensor of two or
+    three factors, through the braiding and, at i = 1, the associator."""
+    if i == 0:
+        swap = ops.braiding(objs[0], objs[1])
+        return swap if len(objs) == 2 else \
+            ops.tensor_map(swap, ops.identity(objs[2]))
+    A, B, C = objs
+    inner = ops.tensor_map(ops.identity(A), ops.braiding(B, C))
+    return ops.associator(A, C, B).inverse() @ inner @ ops.associator(A, B, C)
+
+
+def _tensor_route(ops, objs, maps, sigma):
+    """(x)_j maps[j], then slot j gets factor sigma(j), by adjacent swaps."""
+    maps = [ops.identity(A) if f is None else f for A, f in zip(objs, maps)]
+    whole = maps[0]
+    for f in maps[1:]:
+        whole = ops.tensor_map(whole, f)
+    order = list(range(len(maps)))
+    for j, want in enumerate(sigma):
+        for i in range(order.index(want) - 1, j - 1, -1):
+            factors = [maps[t].target for t in order]
+            whole = _adjacent_swap(ops, factors, i) @ whole
+            order[i], order[i + 1] = order[i + 1], order[i]
+    return whole
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5, Zmod(2)], ids=lambda r: r.name())
+@pytest.mark.parametrize("base", ["chain", "simplicial"])
+def test_tensor_entries_match_braiding_route(base, ring, k):
+    """_tensor_entries against tensor_map, braidings and associators, for
+    every sigma in S_k and random factor maps, some of them identities;
+    the chain factors have odd degrees, so Koszul signs show."""
+    D = 2
+    ops = op._ops_for(base, ring, D)
+    checked = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        if base == "chain":
+            objs = [_graded_factor(rng, ring, D) for _ in range(k)]
+            tgts = [_graded_factor(rng, ring, D) for _ in range(k)]
+        else:
+            objs = [corpus.random_simplicial_module(rng, ring, D, 1)
+                    for _ in range(2 * k)]
+            objs, tgts = objs[:k], objs[k:]
+        maps = [None if rng.random() < 0.3 else ops.make_map(A, B, [
+            corpus.random_matrix(rng, A.level(n), B.level(n), 1, 0.8)
+            for n in range(D + 1)]) for A, B in zip(objs, tgts)]
+        outs = [A if f is None else f.target for A, f in zip(objs, maps)]
+        src = [op._multi_positions(base, objs, n) for n in range(D + 1)]
+        for sigma in [None] + perms.all_permutations(k):
+            order = sigma or range(k)
+            route = _tensor_route(ops, objs, maps, order)
+            tgt = [op._multi_positions(base, [outs[j] for j in order], n)
+                   for n in range(D + 1)]
+            got = op._tensor_entries(ops, maps, sigma, src, tgt)
+            for n in range(D + 1):
+                comp = route.component(n)
+                assert LinearMap(comp.source, comp.target,
+                                 got[n]).entries == comp.entries
+                checked += bool(comp.entries)
+    assert checked
+
+
 @st.composite
 def _signed_action(draw):
     """A ring, a rank n <= 8 and up to three signed column functions:
@@ -713,6 +787,71 @@ def test_json_missing_generator_raises():
     data["actions"] = []
     with pytest.raises(ValueError, match="generator"):
         operad_from_json(data)
+
+
+def test_json_action_into_a_missing_level_raises():
+    # explicit checks, so they also hold under python -O
+    A = associative_operad(ZZ, "chain", 2, 0)
+    data = operad_to_json(restrict_colors({"a": X, "b": X}, A, ("a", "b")))
+    ba_b = {"inputs": ["b", "a"], "output": "b"}
+    data["levels"] = [e for e in data["levels"]
+                      if {"inputs": e["inputs"], "output": e["output"]} != ba_b]
+    data["actions"] = [e for e in data["actions"]
+                       if {"inputs": e["inputs"], "output": e["output"]} != ba_b]
+    with pytest.raises(ValueError, match=r"reaches b,a->b, which has no level"):
+        operad_from_json(data)
+
+
+@pytest.mark.parametrize("swap", [5, -1])
+def test_json_action_swap_out_of_range_raises(swap):
+    data = operad_to_json(associative_operad(F5, "chain", 2, 0))
+    for entry in data["actions"]:
+        entry["swap"] = swap
+    with pytest.raises(ValueError, match=rf"swap {swap} at x,x->x is not in "
+                                         rf"range\(1\)"):
+        operad_from_json(data)
+
+
+def _broken_operad_parts(case):
+    """Collection, units and compositions of Ass(2), one of them broken."""
+    A = associative_operad(ZZ, "chain", 2, 0)
+    coll, ops = A.collection, A.ops
+    one, l1, l2 = ops.unit_obj(), coll.level(sig(1)), coll.level(sig(2))
+    if case == "zero-unit-level":
+        gens = {sig(2): {(1, 0): coll.action(sig(2), (1, 0))}}
+        bare = Collection(ZZ, "chain", (X,), 2, 0, {sig(2): l2}, gens)
+        return bare, A.units, {}
+    units = {"missing-unit": {},
+             "unit-source": {X: ops.identity(l2)},
+             "unit-target": {X: ops.zero_map(one, l2)}}.get(case, A.units)
+    comps = {
+        "arity-window": {(sig(2), 0, sig(2)): ops.zero_map(
+            ops.tensor(l2, l2), ops.zero_obj())},
+        "composition-source": {(sig(2), 0, sig(1)): ops.identity(one)},
+        "composition-target": {(sig(2), 0, sig(1)): ops.zero_map(
+            ops.tensor(l2, l1), one)},
+    }.get(case, {})
+    return coll, units, comps
+
+
+_BROKEN_OPERAD_MESSAGES = {
+    "missing-unit": "no unit for color 'x'",
+    "zero-unit-level": "unit level x->x is zero",
+    "unit-source": "unit source mismatch at color 'x'",
+    "unit-target": "unit target mismatch at color 'x'",
+    "arity-window": "composite x,x,x->x leaves the arity window",
+    "composition-source":
+        r"composition source mismatch at \(x,x->x, 0, x->x\)",
+    "composition-target":
+        r"composition target mismatch at \(x,x->x, 0, x->x\)",
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_OPERAD_MESSAGES))
+def test_operad_constructor_refuses_bad_shapes(case):
+    # explicit checks, so they also hold under python -O
+    with pytest.raises(ValueError, match="^" + _BROKEN_OPERAD_MESSAGES[case]):
+        op.Operad(*_broken_operad_parts(case))
 
 
 # -- normalization of operads -------------------------------------------------

@@ -19,7 +19,8 @@ import pytest
 from opdk import corpus, exactlin, permutations
 from opdk.chain import ChainMap, concentrated, homology, pad, two_term
 from opdk.exactlin import LinearMap
-from opdk.operad import Collection, associative_operad, operad_check
+from opdk.operad import (Collection, Operad, associative_operad,
+                         operad_check)
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.trees import (
     CollectionMap,
@@ -852,6 +853,51 @@ def test_extension_two_colors():
     assert [s.total_rank() for s in st.stages] == [2, 3, 3, 3]
     assert st.colimit.total_rank() == \
         free_operad(Y, (("a", "b", "b"), "a"), 3).object.total_rank()
+
+
+def _unary_generator_inclusion():
+    """The inclusion of a unary generator into itself plus a binary one."""
+    one = pad(concentrated(ZZ, 0, 1), 0)
+    ops = Collection(ZZ, "chain", ("c",), 3, 0, {}).ops
+    X = Collection(ZZ, "chain", ("c",), 3, 0, {sig(1): one})
+    Y = Collection(ZZ, "chain", ("c",), 3, 0, {sig(1): one, sig(2): one},
+                   {sig(2): {(1, 0): ops.identity(one)}})
+    return CollectionMap(X, Y, {sig(1): ops.identity(one)})
+
+
+def _broken_extension(case):
+    """extension_stage arguments over the free operad on M(2) of rank 2,
+    with one of them broken."""
+    M, _, f = corpus.split_binary_inclusion(ZZ, 3)
+    F = FreeOperad(M, max_arity=3, max_vertices=3)
+    O, g, s = F.operad(), generator_inclusion(F), sig(3)
+    if case == "arity-window":
+        s = sig(4)
+    elif case == "unit-not-iso":
+        zero = O.ops.zero_map(O.ops.unit_obj(), O.collection.level(sig(1)))
+        O = Operad(O.collection, {"c": zero}, O.compositions)
+    elif case == "unary-source":
+        f = _unary_generator_inclusion()
+    elif case == "no-generator-map":
+        g = None
+    return O, f, s, 3, g
+
+
+_BROKEN_EXTENSION_MESSAGES = {
+    "arity-window": "the operad's arity window is smaller than the signature",
+    "unit-not-iso": "unary level at 'c' is larger than the unit",
+    "unary-source": "attaching maps need source generators in arities >= 2",
+    "no-generator-map": "a nontrivial extension needs the generator map "
+                        "into O",
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_EXTENSION_MESSAGES))
+def test_extension_stage_refuses_bad_input(case):
+    # explicit checks, so they also hold under python -O
+    with pytest.raises(ValueError,
+                       match="^" + _BROKEN_EXTENSION_MESSAGES[case]):
+        extension_stage(*_broken_extension(case))
 
 
 def test_extension_stage_maps_are_split_injections():
