@@ -21,7 +21,10 @@ operad map with its normalization.
 
 from __future__ import annotations
 
-from itertools import product
+from collections import deque
+from itertools import groupby, product
+from math import prod
+from operator import itemgetter
 from typing import Optional
 
 from . import permutations
@@ -868,21 +871,24 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
 # ---------------------------------------------------------------------------
 
 
-def _signed_edges(ring: Ring, module: FreeModule, mats):
-    """The signed edges (j, s, i), e_j = s e_i, of the relations
-    g e_j = e_j when every column of every matrix g holds exactly one
-    entry, +1 or -1; None for any other matrix."""
-    n = module.rank
-    one, minus = ring.one, ring.neg(ring.one)
-    edges = []
-    for m in mats:
-        if len(m.entries) != n:
-            return None
-        seen = set()
-        for (i, j), v in m.entries.items():
-            if j in seen:
+def _signed_edges(ring: Ring, relations):
+    """(edges, killed) for `signed_quotient` from relations g e_j = e_j,
+    read straight off the columns each g moves: an entry s e_i in
+    column j, with s = +1 or -1, is the edge e_j = s e_i, and a listed
+    column with no entry is a zero column, so e_j dies.  None when a
+    column holds two entries or one that is not +1 or -1."""
+    one, zero, minus = ring.one, ring.zero, ring.neg(ring.one)
+    edges, killed = [], []
+    for entries, cols in relations:
+        hit = set()
+        for (i, j), v in entries.items():
+            # entries may come unnormalized, say -1 over Z/p
+            v = ring.normalize(v)
+            if v == zero:
+                continue
+            if j in hit:
                 return None
-            seen.add(j)
+            hit.add(j)
             if v == one:
                 if i != j:
                     edges.append((j, 1, i))
@@ -890,37 +896,50 @@ def _signed_edges(ring: Ring, module: FreeModule, mats):
                 edges.append((j, -1, i))
             else:
                 return None
-    return edges
+        killed.extend(j for j in cols if j not in hit)
+    return edges, killed
 
 
 _TORSION = ("coinvariants acquire torsion; the composite does not exist "
             "with free levels over this ring")
 
 
-def _quotient_by(ring: Ring, module: FreeModule, mats) -> CokernelPresentation:
-    """module / <g x - x> over the listed action matrices.
+def _quotient_by(ring: Ring, module: FreeModule, relations) -> CokernelPresentation:
+    """module / <g x - x> over the listed relations g.
 
-    When every column of every matrix holds exactly one entry, +1 or -1
-    (permutations, the column functions of tree moves, Koszul-signed
-    actions), each relation g e_j = s e_i is a signed edge, and
-    `exactlin.signed_quotient` takes them directly, with no relation
-    matrix and no Smith form: the quotient is free on the surviving
-    classes, each represented by its least basis index, with proj
-    sending e_x to +-[class] and section sending [class] to the
-    representative.  Any other matrix sends all relations through one
-    exact cokernel.  Either way torsion is refused, because the levels
-    of a collection must stay free: a class forced to e = -e is
-    2-torsion over Z, dies over Q and Z/p with p odd, and cannot arise
-    over Z/2, since -1 = 1 there.
+    Each relation is (entries, cols): g's entries, all in the columns
+    cols (a range or a set), with g the identity on every other column
+    and zero on a column of cols that holds no entry.  A tree move or a
+    slot relabeling touches one representative's or one arity's
+    columns, so nothing else is stored.  When every listed column holds
+    at most one entry, +1 or -1 (permutations, the column functions of
+    tree moves, Koszul-signed actions), the relations are a signed
+    graph, and `exactlin.signed_quotient` takes it directly, with no
+    relation matrix and no Smith form: the quotient is free on the
+    surviving classes, each represented by its least basis index, with
+    proj sending e_x to +-[class] and section sending [class] to the
+    representative.  Any other relation, and every relation under
+    `exactlin._FORCE_GENERIC`, is padded here, and only here, to its
+    full matrix, and all relations go through one exact cokernel.
+    Either way torsion is refused, because the levels of a collection
+    must stay free: a class forced to e = -e is 2-torsion over Z, dies
+    over Q and Z/p with p odd, and cannot arise over Z/2, since
+    -1 = 1 there.
     """
-    edges = None if exactlin._FORCE_GENERIC else \
-        _signed_edges(ring, module, mats)
-    if edges is not None:
-        pres = signed_quotient(module, edges)
+    graph = None if exactlin._FORCE_GENERIC else \
+        _signed_edges(ring, relations)
+    if graph is not None:
+        pres = signed_quotient(module, *graph)
     else:
         ident = LinearMap.identity(module)
-        rels = [m - ident for m in mats]
-        rels = [r for r in rels if not r.is_zero()]
+        rels = []
+        for entries, cols in relations:
+            full = {(j, j): ring.one for j in range(module.rank)
+                    if j not in cols}
+            full.update(entries)
+            rel = LinearMap(module, module, full) - ident
+            if not rel.is_zero():
+                rels.append(rel)
         pres = cokernel(hstack(rels)) if rels else signed_quotient(module, ())
     if pres.invariant_factors:
         raise ValueError(_TORSION)
@@ -1058,13 +1077,12 @@ def _assemble(ops, terms):
     return _structured(ops, mods, block, check=False), offsets
 
 
-def _placed(src, tgt, pieces):
-    """Per-degree maps src.level(n) -> tgt.level(n) from term blocks:
-    pieces holds (blocks, column offsets, row offsets), per degree each."""
-    return [LinearMap(src.level(n), tgt.level(n), {
-        (ro[n] + r, co[n] + c): v for blocks, co, ro in pieces
-        for (r, c), v in blocks[n].items()})
-        for n in range(src.max_degree + 1)]
+def _placed(pieces, max_degree: int):
+    """Per-degree entries assembled from term blocks: pieces holds
+    (blocks, column offsets, row offsets), per degree each."""
+    return [{(ro[n] + r, co[n] + c): v for blocks, co, ro in pieces
+             for (r, c), v in blocks[n].items()}
+            for n in range(max_degree + 1)]
 
 
 def _tensor_entries(ops, maps, sigma, src_positions, tgt_positions):
@@ -1075,12 +1093,124 @@ def _tensor_entries(ops, maps, sigma, src_positions, tgt_positions):
     sigma, when given, then permutes the factors so that target slot j
     carries source factor sigma(j), with a Koszul sign when odd chain
     degrees cross.  src_positions[n] and tgt_positions[n] list the
-    degree-n bases as (degree tuple, index tuple) in flat order.  Each
-    source position's column is the product of the factor maps' columns
-    at its indices: the maps have degree 0, so the tensor adds no sign
-    of its own.  Distinct row tuples land on distinct rows, so nothing
-    accumulates; products are left for `LinearMap` to normalize.
+    degree-n bases as (degree tuple, index tuple) in flat order.  The
+    maps have degree 0, so the tensor adds no sign of its own, and
+    distinct row tuples land on distinct rows; products are left for
+    `LinearMap` to normalize.
+
+    Every map the callers pass is an identity or a monomial column map
+    (each column holds at most one entry: signed permutations, leaf
+    relabelings, cokernel sections, generator inclusions), and
+    `_multi_positions` lays each degree tuple out as one contiguous
+    row-major run.  Then a source run's image is one mixed-radix sum:
+    the source factor at slot sigma^-1(j) moves by its target stride,
+    and the Koszul sign is taken once per degree tuple, so no target
+    position is looked up.  Any other map or layout (the interleaved
+    runs of `trees._build_positions`), and every call under
+    `exactlin._FORCE_GENERIC`, takes `_tensor_entries_general`, which
+    stays the oracle of the fast path.
     """
+    images = None if exactlin._FORCE_GENERIC else \
+        _monomial_images(ops, maps)
+    if images is not None:
+        out = []
+        for src, tgt in zip(src_positions, tgt_positions):
+            runs, truns = _row_major_runs(src), _row_major_runs(tgt)
+            if runs is None or truns is None:
+                break
+            out.append(_monomial_entries(ops, images, sigma, runs, truns))
+        else:
+            return out
+    return _tensor_entries_general(ops, maps, sigma, src_positions,
+                                   tgt_positions)
+
+
+def _monomial_images(ops, maps):
+    """images[j][d] lists (column, (row, entry)) for maps[j] in degree
+    d by column, with zero columns left out, and images[j] is None for
+    an identity; None when some column holds two entries."""
+    images = []
+    for f in maps:
+        if f is None:
+            images.append(None)
+            continue
+        per_degree = []
+        for d in range(ops.max_degree + 1):
+            cols = {}
+            for (r, c), v in f.component(d).entries.items():
+                if c in cols:
+                    return None
+                cols[c] = (r, v)
+            # column order keeps the entries in the general path's order
+            per_degree.append(sorted(cols.items()))
+        images.append(per_degree)
+    return images
+
+
+def _row_major_runs(positions):
+    """{degree tuple: (first flat position, factor ranks)} when each
+    degree tuple's positions form one contiguous row-major run; None
+    when a run does not start at the zero index or does not fill the
+    box up to its last index, as when a degree tuple comes back after
+    another run."""
+    runs, start = {}, 0
+    for degs, run in groupby(positions, itemgetter(0)):
+        first = next(run)[1]
+        tail = deque(enumerate(run, 2), maxlen=1)
+        size, last = (tail[0][0], tail[0][1][1]) if tail else (1, first)
+        dims = tuple(i + 1 for i in last)
+        if any(first) or prod(dims) != size:
+            return None
+        runs[degs] = (start, dims)
+        start += size
+    return runs
+
+
+def _strides(dims):
+    """Row-major strides of an index tuple with these ranks."""
+    out, acc = [], 1
+    for d in reversed(dims):
+        out.append(acc)
+        acc *= d
+    return out[::-1]
+
+
+def _monomial_entries(ops, images, sigma, runs, truns):
+    """One degree of `_tensor_entries` for monomial column maps."""
+    ring = ops.ring
+    one = ring.one
+    k = len(images)
+    graded = sigma is not None and ops.base == "chain"
+    inv = permutations.inverse(sigma) if sigma is not None else range(k)
+    entries = {}
+    for degs, (start, dims) in runs.items():
+        tdegs = degs if sigma is None else tuple(degs[j] for j in sigma)
+        hit = truns.get(tdegs)
+        if hit is None:
+            # a target factor has rank 0 here, so every column dies
+            continue
+        toff, tdims = hit
+        tstrides = _strides(tdims)
+        sign = _koszul(ring, degs, sigma) if graded else one
+        acc = [(start, toff, sign)]
+        for j, (d, cs) in enumerate(zip(degs, _strides(dims))):
+            rs = tstrides[inv[j]]
+            img = images[j]
+            if img is None:
+                steps = [(c * cs, c * rs, one) for c in range(dims[j])]
+            else:
+                steps = [(c * cs, r * rs, v) for c, (r, v) in img[d]]
+            acc = [(a + c, b + r, u * v) for a, b, u in acc
+                   for c, r, v in steps]
+        entries.update(((b, a), u) for a, b, u in acc)
+    return entries
+
+
+def _tensor_entries_general(ops, maps, sigma, src_positions, tgt_positions):
+    """`_tensor_entries` for any maps and layouts: each source
+    position's column is the product of the factor maps' columns at its
+    indices, and each row tuple is looked up among the target
+    positions."""
     ring = ops.ring
     one = ring.one
     columns = {}
@@ -1138,12 +1268,16 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     levels are free on the surviving classes of `_quotient_by`'s signed
     union-find, each represented by its least basis element; otherwise
     they are exact cokernels.  Torsion in the coinvariants raises
-    ValueError.  Input relabelings are built for the adjacent
-    transpositions only, which the `Collection` constructor closes.
-    Their entries, like the relations', come from `_tensor_entries`, the
-    one routine that applies a map to each tensor factor of a term and
-    reorders the factors with the Koszul sign; the free-operad blocks
-    and extension stages of `trees` build their moves with it too.  Each
+    ValueError.  A slot transposition of S_k is one relation: its
+    entries on the columns of the arity-k terms, the identity on the
+    other terms left implicit for `_quotient_by`.  Input relabelings are
+    built for the adjacent transpositions only, which the `Collection`
+    constructor closes.  Their entries, like the relations', come from
+    `_tensor_entries`, the one routine that applies a map to each tensor
+    factor of a term and reorders the factors with the Koszul sign, on
+    its monomial fast path for signed-permutation actions; the
+    free-operad blocks and extension stages of `trees` build their moves
+    with it too.  Each
     structure map and relabeling generator is pushed to the target
     coinvariants and checked to descend; one that does not raises
     ValueError.  The result is truncated beyond honesty only when N has
@@ -1169,18 +1303,18 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     for sig, terms in data.items():
         big, offsets = _assemble(ops, terms)
         index, pos = indices[sig], positions[sig]
-        # identity away from the k-block: the group acts there trivially
-        fixed = [[{(r, r): ring.one for r in range(t.obj.level(n).rank)}
-                  for n in range(D + 1)] for t in terms]
-        gen_mats = []
+        rels = [[] for _ in range(D + 1)]
         for k in sorted({t.k for t in terms} - {0, 1}):
+            # S_k moves only the arity-k terms and fixes every other one
+            kterms = [ti for ti, t in enumerate(terms) if t.k == k]
+            cols = [{offsets[ti][n] + r for ti in kterms
+                     for r in range(terms[ti].obj.level(n).rank)}
+                    for n in range(D + 1)]
             for tr in range(k - 1):
                 s = permutations.transposition(k, tr)
-                pieces = [(fixed[ti], offsets[ti], offsets[ti])
-                          for ti, t in enumerate(terms) if t.k != k]
-                for ti, t in enumerate(terms):
-                    if t.k != k:
-                        continue
+                pieces = []
+                for ti in kterms:
+                    t = terms[ti]
                     # s is an involution, so phi moves by s itself
                     tj = index[(k, tuple(t.dbar[s[j]] for j in range(k)),
                                 tuple(s[v] for v in t.phi))]
@@ -1188,9 +1322,9 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                         ops, (M.action(t.msig, s),) + (None,) * k,
                         (0,) + tuple(1 + j for j in s), pos[ti], pos[tj])
                     pieces.append((blocks, offsets[ti], offsets[tj]))
-                gen_mats.append(_placed(big, big, pieces))
-        qs = [_quotient_by(ring, big.level(n), [g[n] for g in gen_mats])
-              for n in range(D + 1)]
+                for n, ents in enumerate(_placed(pieces, D)):
+                    rels[n].append((ents, cols[n]))
+        qs = [_quotient_by(ring, big.level(n), rels[n]) for n in range(D + 1)]
         quotients[sig], bigs[sig], offsets_of[sig] = qs, big, offsets
         levels[sig] = _structured(
             ops, [q.generators for q in qs],
@@ -1226,10 +1360,10 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                                          positions[tsig][tj])
                 pieces.append((blocks, offsets_of[sig][ti],
                                offsets_of[tsig][tj]))
-            comps = [_descend(compose(quotients[tsig][n].proj, bigmap),
+            comps = [_descend(compose(quotients[tsig][n].proj, LinearMap(
+                bigs[sig].level(n), bigs[tsig].level(n), ents)),
                               quotients[sig][n], "input relabeling")
-                     for n, bigmap in
-                     enumerate(_placed(bigs[sig], bigs[tsig], pieces))]
+                     for n, ents in enumerate(_placed(pieces, D))]
             gens[sig][s] = ops.make_map(levels[sig], levels[tsig], comps)
 
     truncated = M.truncated or N.truncated or \
@@ -1579,6 +1713,11 @@ def operad_from_json(data: dict) -> Operad:
     units = {}
     for c in colors:
         usig = ((c,), c)
+        if str(c) not in data["units"]:
+            raise ValueError(f"no unit for color {c!r}")
+        if usig not in levels:
+            raise ValueError(f"unit of color {c!r} reaches {sig_str(usig)}, "
+                             f"which has no level")
         units[c] = _map_from_json(ops, ops.unit_obj(), levels[usig],
                                   data["units"][str(c)])
     comps = {}
@@ -1586,6 +1725,11 @@ def operad_from_json(data: dict) -> Operad:
         osig = (tuple(entry["outer"]["inputs"]), entry["outer"]["output"])
         isig = (tuple(entry["inner"]["inputs"]), entry["inner"]["output"])
         i = entry["slot"]
+        for end in (osig, isig):
+            if end not in levels:
+                raise ValueError(f"composition ({sig_str(osig)}, {i}, "
+                                 f"{sig_str(isig)}) reads {sig_str(end)}, "
+                                 f"which has no level")
         gsig = graft_signature(osig, i, isig)
         src = ops.tensor(levels[osig], levels[isig])
         tgt = levels.get(gsig) or ops.zero_obj()

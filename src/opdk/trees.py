@@ -9,17 +9,22 @@ vertex drive three computations:
   decorations of its planar representatives tensored with the leaf
   labelings, divided by the reordering moves between representatives.
   This is the same coinvariant machinery the composite product uses.
-  A move matrix sends each basis element to plus or minus one basis
-  element, the sign being the Koszul sign of the reordering; it is the
-  identity off the moved representative, so a row can be hit twice and
-  the matrix need not be a permutation.  The moves, the cell comparison
-  isomorphisms and the block rewrites of the extension stages all come
-  from `operad._tensor_entries`, the one routine that applies a map to
-  each tensor factor and reorders the factors, as the composite product
-  does for its relabelings.  `operad._quotient_by` feeds
-  the moves to the signed union-find `exactlin.signed_quotient`
-  whenever the collection's actions also send basis elements to
-  +-basis elements, and takes an exact cokernel otherwise;
+  A move sends each basis element of one planar representative to plus
+  or minus one basis element of its swapped twin, the sign being the
+  Koszul sign of the reordering.  It is stored as those columns alone:
+  the identity on every other representative stays implicit, so a
+  level costs one entry per moved basis element, not a square matrix
+  per move.  The moves, the cell comparison isomorphisms and the block
+  rewrites of the extension stages all come from
+  `operad._tensor_entries`, the one routine that applies a map to each
+  tensor factor and reorders the factors, as the composite product does
+  for its relabelings; for the signed permutations, leaf relabelings,
+  cokernel sections and generator inclusions used here, each column
+  has at most one entry, and it computes the target rows as mixed-radix
+  sums.  `operad._quotient_by` feeds the moves' columns to the signed
+  union-find `exactlin.signed_quotient` whenever the collection's
+  actions also send basis elements to +-basis elements, and pads them
+  to full matrices for an exact cokernel otherwise;
 * the cell maps of a free extension of operads: the map attached to a
   tree is an iterated pushout product of the collection map at marked
   vertices and the operad unit elsewhere, and the stages are assembled
@@ -641,8 +646,13 @@ class _Block:
             self.offsets.append(offs)
         self._pos = {}
 
-        mats_per_degree = [[] for _ in range(bound + 1)]
+        # a move touches only its representative's columns; the
+        # identity on the other representatives stays implicit
+        rels = [[] for _ in range(bound + 1)]
         for pi, p in enumerate(self.planar):
+            cols = [range(self.offsets[n][pi],
+                          self.offsets[n][pi] + blocks[pi].level(n).rank)
+                    for n in range(bound + 1)]
             paths = p.vertex_paths()
             for vi, path in enumerate(paths):
                 v = p.subtree_at(path)
@@ -652,17 +662,8 @@ class _Block:
                     move = self._move_entries(ops, action, pi, qi, p, q,
                                               path, vi, t)
                     for n in range(bound + 1):
-                        full = dict(move[n])
-                        lev = big.level(n)
-                        for pj in range(len(self.planar)):
-                            if pj == pi:
-                                continue
-                            off = self.offsets[n][pj]
-                            for r in range(blocks[pj].level(n).rank):
-                                full[(off + r, off + r)] = ring.one
-                        mats_per_degree[n].append(
-                            LinearMap(lev, lev, full))
-        quos = [_quotient_by(ring, big.level(n), mats_per_degree[n])
+                        rels[n].append((move[n], cols[n]))
+        quos = [_quotient_by(ring, big.level(n), rels[n])
                 for n in range(bound + 1)]
         levels = [q.generators for q in quos]
         diffs = []

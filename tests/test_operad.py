@@ -11,6 +11,7 @@ corrupted inputs.
 
 import json
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
@@ -628,6 +629,112 @@ def test_tensor_entries_match_braiding_route(base, ring, k):
     assert checked
 
 
+def _zero_differentials(ring, ranks):
+    levels = [free_module(ring, r) for r in ranks]
+    return ChainComplex(ring, levels, [LinearMap.zero(levels[n], levels[n - 1])
+                                       for n in range(1, len(ranks))])
+
+
+_MONOMIAL_D = 2
+
+
+@st.composite
+def _monomial_factors(draw):
+    """ops, k = 1..4 source objects, a map out of each (None, a signed
+    permutation, or monomial with entries outside +-1 and zero columns,
+    possibly into rank 0) and sigma in S_k or None.  Chain factors have
+    zero differentials and a nonzero degree 1, so Koszul signs cross."""
+    ring = draw(st.sampled_from([ZZ, QQ, F5, Zmod(2)]))
+    base = draw(st.sampled_from(["chain", "simplicial"]))
+    ops = op._ops_for(base, ring, _MONOMIAL_D)
+
+    def obj(min_odd):
+        if base == "simplicial":
+            rng = random.Random(draw(st.integers(0, 2 ** 16)))
+            return corpus.random_simplicial_module(rng, ring, _MONOMIAL_D, 1)
+        ranks = draw(st.lists(st.integers(0, 2), min_size=_MONOMIAL_D + 1,
+                              max_size=_MONOMIAL_D + 1))
+        ranks[1] = max(ranks[1], min_odd)
+        return _zero_differentials(ring, ranks)
+
+    k = draw(st.integers(1, 4))
+    objs, maps = [], []
+    for _ in range(k):
+        A = obj(1)
+        kind = draw(st.sampled_from(["identity", "signed", "monomial"]))
+        if kind == "identity":
+            objs.append(A)
+            maps.append(None)
+            continue
+        B = A if kind == "signed" else obj(0)
+        comps = []
+        for n in range(_MONOMIAL_D + 1):
+            src, tgt = A.level(n), B.level(n)
+            if kind == "signed":
+                # listed by row, so the columns come out of order
+                cols = draw(st.permutations(range(src.rank)))
+                ents = {(r, c): draw(st.sampled_from([1, -1]))
+                        for r, c in enumerate(cols)}
+            else:
+                ents = {}
+                for c in range(src.rank):
+                    if tgt.rank and draw(st.booleans()):
+                        r = draw(st.integers(0, tgt.rank - 1))
+                        ents[(r, c)] = draw(st.sampled_from([1, -1, 2, -3]))
+            comps.append(LinearMap(src, tgt, ents))
+        objs.append(A)
+        maps.append(ops.make_map(A, B, comps))
+    # sigma is None in about one case in four
+    sigma = None if draw(st.integers(0, 3)) == 0 else \
+        tuple(draw(st.permutations(range(k))))
+    return ops, objs, maps, sigma
+
+
+def _rank_zero_target():
+    """Factor 0's degree-1 part maps into rank 0, so the nonzero source
+    block of degrees (1, 0) has a target degree tuple of rank 0."""
+    ops = op._ops_for("chain", ZZ, _MONOMIAL_D)
+    A = _zero_differentials(ZZ, [1, 1, 0])
+    B = _zero_differentials(ZZ, [1, 0, 0])
+    f = ops.make_map(A, B, [LinearMap(A.level(0), B.level(0), {(0, 0): 2}),
+                            LinearMap.zero(A.level(1), B.level(1)),
+                            LinearMap.zero(A.level(2), B.level(2))])
+    return ops, [A, A], [f, None], (1, 0)
+
+
+def _odd_swap():
+    """Two degree-1 factors trade places, with Koszul sign -1."""
+    ops = op._ops_for("chain", ZZ, _MONOMIAL_D)
+    A = _zero_differentials(ZZ, [0, 1, 0])
+    return ops, [A, A], [None, None], (1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_factors())
+@example(_rank_zero_target())
+@example(_odd_swap())
+def test_tensor_entries_fast_path_matches_general(case):
+    ops, objs, maps, sigma = case
+    order = sigma or range(len(objs))
+    outs = [A if f is None else f.target for A, f in zip(objs, maps)]
+    degrees = range(_MONOMIAL_D + 1)
+    src = [op._multi_positions(ops.base, objs, n) for n in degrees]
+    tgt = [op._multi_positions(ops.base, [outs[j] for j in order], n)
+           for n in degrees]
+    # the case must be one the fast path takes
+    assert op._monomial_images(ops, maps) is not None
+    assert all(op._row_major_runs(p) is not None for p in src + tgt)
+    fast = op._tensor_entries(ops, maps, sigma, src, tgt)
+    exactlin._FORCE_GENERIC = True
+    try:
+        general = op._tensor_entries(ops, maps, sigma, src, tgt)
+    finally:
+        exactlin._FORCE_GENERIC = False
+    # in the same order too: LinearMap keeps its entries' order
+    assert [list(e.items()) for e in fast] == \
+        [list(e.items()) for e in general]
+
+
 @st.composite
 def _signed_action(draw):
     """A ring, a rank n <= 8 and up to three signed column functions:
@@ -667,11 +774,12 @@ def test_signed_quotient_matches_cokernel(case):
     saved = op.cokernel, exactlin.smith_normal_form
     op.cokernel, exactlin.smith_normal_form = None, no_smith
     try:
+        rels = [(m.entries, range(n)) for m in mats]
         if pres.invariant_factors:
             with pytest.raises(ValueError, match="torsion"):
-                op._quotient_by(ring, M, mats)
+                op._quotient_by(ring, M, rels)
             return
-        q = op._quotient_by(ring, M, mats)
+        q = op._quotient_by(ring, M, rels)
     finally:
         op.cokernel, exactlin.smith_normal_form = saved
     assert q.generators.rank == pres.generators.rank
@@ -679,6 +787,43 @@ def test_signed_quotient_matches_cokernel(case):
     assert q.proj @ q.section == LinearMap.identity(q.generators)
     for m in mats:
         assert (q.proj @ (m - ident)).is_zero()
+
+
+def test_quotient_by_pads_a_relation_outside_plus_minus_one(monkeypatch):
+    # a rank-2 block with swap [[0, 2], [1/2, 0]] beside a fixed e2:
+    # monomial, but not signed, so the relation takes the general
+    # cokernel, padded with the identity on e2, exactly as the full
+    # matrix did
+    M = free_module(QQ, 3)
+    swap = {(0, 1): 2, (1, 0): Fraction(1, 2)}
+    full = LinearMap(M, M, {**swap, (2, 2): 1})
+    old = cokernel(hstack([full - LinearMap.identity(M)]))
+    seen = []
+    monkeypatch.setattr(op, "cokernel", lambda m: seen.append(m) or
+                        cokernel(m))
+    q = op._quotient_by(QQ, M, [(swap, range(2))])
+    assert [m.entries for m in seen] == \
+        [(full - LinearMap.identity(M)).entries]
+    assert q.generators.rank == 2
+    assert q.proj.entries == old.proj.entries
+    assert q.section.entries == old.section.entries
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_quotient_by_reads_a_missing_column_as_zero(force):
+    # g e0 = e1 and g e1 = 0 on columns {0, 1}, the identity on e2: e1
+    # dies, then e0 with it; read as the identity, e1 would survive
+    M = free_module(ZZ, 3)
+    full = LinearMap(M, M, {(1, 0): 1, (2, 2): 1})
+    old = cokernel(hstack([full - LinearMap.identity(M)]))
+    exactlin._FORCE_GENERIC = force
+    try:
+        q = op._quotient_by(ZZ, M, [({(1, 0): 1}, range(2))])
+    finally:
+        exactlin._FORCE_GENERIC = False
+    assert q.generators.rank == old.generators.rank == 1
+    assert (q.proj @ (full - LinearMap.identity(M))).is_zero()
+    assert q.proj.entries == {(0, 2): 1}
 
 
 def test_composite_refuses_factors_from_different_windows():
@@ -809,6 +954,32 @@ def test_json_action_swap_out_of_range_raises(swap):
         entry["swap"] = swap
     with pytest.raises(ValueError, match=rf"swap {swap} at x,x->x is not in "
                                          rf"range\(1\)"):
+        operad_from_json(data)
+
+
+def test_json_unit_without_its_level_raises():
+    # explicit checks, so they also hold under python -O
+    data = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    data["levels"] = [e for e in data["levels"] if e["inputs"] != [X]]
+    with pytest.raises(ValueError, match=r"^unit of color 'x' reaches x->x, "
+                                         r"which has no level"):
+        operad_from_json(data)
+
+
+def test_json_missing_unit_raises():
+    data = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    data["units"] = {}
+    with pytest.raises(ValueError, match=r"^no unit for color 'x'"):
+        operad_from_json(data)
+
+
+@pytest.mark.parametrize("end", ["outer", "inner"])
+def test_json_composition_of_a_missing_level_raises(end):
+    data = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    entry = data["compositions"][0]
+    entry[end] = {"inputs": [X] * 3, "output": X}
+    with pytest.raises(ValueError, match=r"^composition \(.*\) reads "
+                                         r"x,x,x->x, which has no level"):
         operad_from_json(data)
 
 

@@ -20,12 +20,14 @@ from opdk import corpus, exactlin, permutations
 from opdk.chain import ChainMap, concentrated, homology, pad, two_term
 from opdk.exactlin import LinearMap
 from opdk.operad import (Collection, Operad, associative_operad,
-                         operad_check)
+                         operad_check, _ops_for, _row_major_runs,
+                         _tensor_entries)
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.trees import (
     CollectionMap,
     FreeOperad,
     Tree,
+    _build_positions,
     _coker_proj,
     _level_basis,
     aut_order,
@@ -406,6 +408,9 @@ def test_free_level_regular_generator_ranks():
     assert free_operad(M, sig(2), 3).object.total_rank() == 2
     assert free_operad(M, sig(3), 3).object.total_rank() == 12
     assert free_operad(M, sig(4), 3).object.total_rank() == 120
+    # 5! * C_4 = 1680
+    M5 = corpus.binary_generator(ZZ, 5, regular=True)
+    assert free_operad(M5, sig(5), 4).object.total_rank() == 1680
 
 
 def test_free_level_trivial_generator_ranks():
@@ -763,6 +768,28 @@ def test_epsilon_decomposition_identity():
     assert checked >= 6
 
 
+def test_tensor_entries_on_interleaved_runs_is_the_tensor_map():
+    # in A (x) (B (x) C) a degree tuple of B (x) C repeats once per index
+    # of A, so the runs interleave and _tensor_entries must not take its
+    # row-major fast path; its answer is still id (x) (f (x) id)
+    ops = _ops_for("chain", ZZ, 2)
+    A, B, C = (pad(two_term(ZZ, [[1], [1]]), 2) for _ in range(3))
+    f = ops.make_map(B, B, [LinearMap(B.level(0), B.level(0), {(1, 0): 1,
+                                                               (0, 1): 1}),
+                            LinearMap.identity(B.level(1)),
+                            LinearMap.zero(B.level(2), B.level(2))])
+    build = ("pair", ("atom", 0), ("pair", ("atom", 1), ("atom", 2)))
+    pos = [_build_positions(build, [A, B, C], ops, n) for n in range(3)]
+    assert _row_major_runs(pos[1]) is None
+    want = ops.tensor_map(ops.identity(A),
+                          ops.tensor_map(f, ops.identity(C)))
+    got = _tensor_entries(ops, [None, f, None], None, pos, pos)
+    for n in range(3):
+        comp = want.component(n)
+        assert LinearMap(comp.source, comp.target, got[n]).entries == \
+            comp.entries
+
+
 # -- extension stages -------------------------------------------------------
 
 
@@ -816,20 +843,28 @@ def test_free_operad_arity_four_passes_axiom_checker():
         == []
 
 
-@pytest.mark.parametrize("ring", [ZZ, F5], ids=lambda r: r.name())
-def test_extension_stage_ranks_arity_four(ring):
-    # M(2) and the attached generator have rank 1 with trivial swaps.
+_TRIVIAL_M = {"m_rank": 1, "m_regular": False}
+
+
+@pytest.mark.parametrize("ring,m,stages", [
+    (ZZ, _TRIVIAL_M, [15, 60, 105, 120]),
+    (F5, _TRIVIAL_M, [15, 60, 105, 120]),
+    (ZZ, {}, [120, 300, 390, 405]),
+], ids=["Z", "Zmod:5", "Z-regular"])
+def test_extension_stage_ranks_arity_four(ring, m, stages):
     # The 15 leaf-labelled binary trees with 4 leaves have 3 vertices,
-    # and stage k adds the trees with k marked vertices:
-    # 15 * sum_{j<=k} C(3, j) = [15, 60, 105, 120].
-    M, Y, f = corpus.split_binary_inclusion(ring, 4, m_rank=1,
-                                            m_regular=False)
+    # and stage k adds the trees with k marked vertices.  The attached
+    # generator has rank 1 with trivial swap.  With M(2) of rank 1 and
+    # trivial swap, stage k is 15 * sum_{j<=k} C(3, j); with the default
+    # regular M(2) of rank 2, an unmarked vertex counts twice, so it is
+    # 15 * sum_{j<=k} C(3, j) 2^(3-j).
+    M, Y, f = corpus.split_binary_inclusion(ring, 4, **m)
     F = FreeOperad(M, max_arity=4, max_vertices=3)
     st = extension_stage(F.operad(), f, sig(4), 3,
                          generator_map=generator_inclusion(F))
-    assert [s.total_rank() for s in st.stages] == [15, 60, 105, 120]
+    assert [s.total_rank() for s in st.stages] == stages
     assert st.colimit.total_rank() == \
-        free_operad(Y, sig(4), 3).object.total_rank() == 120
+        free_operad(Y, sig(4), 3).object.total_rank() == stages[-1]
     assert st.certificate["stabilized"] and not st.certificate["truncated"]
 
 
