@@ -1057,11 +1057,13 @@ def _structured(ops, mods, make, check=True):
     return SimplicialModule(ops.ring, mods, faces, degen)
 
 
-def _assemble(ops, terms):
-    """Direct sum object of the terms, built in one pass with each
-    degree's module and block-diagonal structure maps, plus each term's
-    per-degree offsets."""
-    objs = [t.obj for t in terms]
+def _assemble(ops, objs):
+    """Direct sum of the objects, built in one pass with each degree's
+    module and block-diagonal structure maps, plus each object's
+    per-degree offsets.  It is the one direct-sum layout: composite
+    terms, the planar representatives of a tree class, the classes of a
+    free level and the blocks of an extension stage are summed here, and
+    maps between sums are placed by these offsets."""
     mods = [FreeModule(ops.ring, sum_labels([A.level(n) for A in objs]))
             for n in range(ops.max_degree + 1)]
     offsets, acc = [], [0] * len(mods)
@@ -1077,9 +1079,31 @@ def _assemble(ops, terms):
     return _structured(ops, mods, block, check=False), offsets
 
 
+def _coinvariants(ops, big, relations):
+    """big divided degreewise by `_quotient_by` over relations[n], with
+    its structure maps pushed down: (object, per-degree quotients).
+    The composite product and the tree-class blocks both quotient here."""
+    qs = [_quotient_by(ops.ring, big.level(n), rels)
+          for n, rels in enumerate(relations)]
+    return _quotient_object(ops, big, qs), qs
+
+
+def _quotient_object(ops, big, quotients):
+    """The object on the generators of the per-degree quotients of big,
+    each structure map of big pushed down by `_descend`, which raises
+    ValueError when one does not descend."""
+    return _structured(
+        ops, [q.generators for q in quotients],
+        lambda what, n, m, get: _descend(compose(quotients[m].proj, get(big)),
+                                         quotients[n], what))
+
+
 def _placed(pieces, max_degree: int):
     """Per-degree entries assembled from term blocks: pieces holds
-    (blocks, column offsets, row offsets), per degree each."""
+    (blocks, column offsets, row offsets), per degree each, with None
+    for offsets that are all zero."""
+    none = [0] * (max_degree + 1)
+    pieces = [(blocks, co or none, ro or none) for blocks, co, ro in pieces]
     return [{(ro[n] + r, co[n] + c): v for blocks, co, ro in pieces
              for (r, c), v in blocks[n].items()}
             for n in range(max_degree + 1)]
@@ -1277,9 +1301,11 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     factor of a term and reorders the factors with the Koszul sign, on
     its monomial fast path for signed-permutation actions; the
     free-operad blocks and extension stages of `trees` build their moves
-    with it too.  Each
-    structure map and relabeling generator is pushed to the target
-    coinvariants and checked to descend; one that does not raises
+    with it too.  The terms are summed by `_assemble` and divided by
+    `_coinvariants`, the one sum-quotient-descend layer that the
+    tree-class blocks of `trees` share, which pushes each structure map
+    down with `_descend`; the relabeling generators are pushed down
+    with `_descend` too, and one that does not descend raises
     ValueError.  The result is truncated beyond honesty only when N has
     arity-zero levels, since those let the top arity exceed the window.
     """
@@ -1287,7 +1313,7 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
             (N.base, N.ring, N.max_degree, N.max_arity, N.colors):
         raise ValueError("composite factors differ in base, ring, window "
                          "or colors")
-    ops, ring, D = M.ops, M.ring, M.max_degree
+    ops, D = M.ops, M.max_degree
     data = {}
     for sig in enumerate_signatures(M.colors, M.max_arity):
         terms = _composite_terms(M, N, sig)
@@ -1301,7 +1327,7 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
 
     levels, quotients, bigs, offsets_of = {}, {}, {}, {}
     for sig, terms in data.items():
-        big, offsets = _assemble(ops, terms)
+        big, offsets = _assemble(ops, [t.obj for t in terms])
         index, pos = indices[sig], positions[sig]
         rels = [[] for _ in range(D + 1)]
         for k in sorted({t.k for t in terms} - {0, 1}):
@@ -1324,12 +1350,8 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                     pieces.append((blocks, offsets[ti], offsets[tj]))
                 for n, ents in enumerate(_placed(pieces, D)):
                     rels[n].append((ents, cols[n]))
-        qs = [_quotient_by(ring, big.level(n), rels[n]) for n in range(D + 1)]
-        quotients[sig], bigs[sig], offsets_of[sig] = qs, big, offsets
-        levels[sig] = _structured(
-            ops, [q.generators for q in qs],
-            lambda what, n, m, get: _descend(compose(qs[m].proj, get(big)),
-                                             qs[n], what))
+        levels[sig], quotients[sig] = _coinvariants(ops, big, rels)
+        bigs[sig], offsets_of[sig] = big, offsets
 
     # the action is a homomorphism, so descent on the generators covers
     # the group, and the Collection constructor refuses words that disagree

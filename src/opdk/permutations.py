@@ -66,32 +66,3 @@ def transpositions(n: int) -> list:
 
 def all_permutations(n: int):
     return [tuple(p) for p in _itperms(range(n))]
-
-
-def block_permutation(blocks: list[int], sigma: tuple) -> tuple:
-    """Permute consecutive blocks of the stated sizes by sigma.
-
-    Position layout: block j occupies the slots after blocks 0..j-1.  The
-    result sends the contents of block j (in order) to where block
-    sigma^{-1}... concretely: new layout lists block sigma[0]'s... The
-    convention: the block at old position j moves to the position that j
-    maps to under sigma, preserving inner order.
-
-    >>> block_permutation([2, 1], (1, 0))
-    (1, 2, 0)
-    """
-    n = len(blocks)
-    starts = [0] * n
-    for j in range(1, n):
-        starts[j] = starts[j - 1] + blocks[j - 1]
-    total = starts[-1] + blocks[-1] if n else 0
-    inv = inverse(sigma)
-    # new order of blocks: block inv[0], inv[1], ...
-    out = [0] * total
-    pos = 0
-    for slot in range(n):
-        j = inv[slot]
-        for t in range(blocks[j]):
-            out[starts[j] + t] = pos
-            pos += 1
-    return tuple(out)

@@ -8,10 +8,17 @@ vertex drive three computations:
 * levels of the free operad on a collection: each class contributes the
   decorations of its planar representatives tensored with the leaf
   labelings, divided by the reordering moves between representatives.
-  This is the same coinvariant machinery the composite product uses.
-  A move sends each basis element of one planar representative to plus
-  or minus one basis element of its swapped twin, the sign being the
-  Koszul sign of the reordering.  It is stored as those columns alone:
+  This is the same coinvariant machinery the composite product uses,
+  in one sum-quotient-descend layer of `operad`: `_assemble` lays out
+  every direct sum (the representatives of a class, the classes of a
+  level, the blocks of an extension stage) and maps between sums are
+  placed by its offsets; `_coinvariants` divides a class sum by its
+  moves through `_quotient_by` and pushes the differential down; and
+  `_descend` pushes relabelings and evaluations down block by block,
+  raising ValueError on one that does not descend.  A move sends each
+  basis element of one planar representative to plus or minus one
+  basis element of its swapped twin, the sign being the Koszul sign of
+  the reordering.  It is stored as those columns alone:
   the identity on every other representative stays implicit, so a
   level costs one entry per moved basis element, not a square matrix
   per move.  The moves, the cell comparison isomorphisms and the block
@@ -28,9 +35,12 @@ vertex drive three computations:
 * the cell maps of a free extension of operads: the map attached to a
   tree is an iterated pushout product of the collection map at marked
   vertices and the operad unit elsewhere, and the stages are assembled
-  with degreewise pushouts of complexes.  When the cell maps send
-  basis elements to +-basis elements, the pushout relations form a
-  signed graph, and `exactlin.cokernel` takes the same union-find.
+  with degreewise pushouts of complexes.  The cokernel collection of
+  the attaching map takes its levels from the cokernel presentations
+  through `operad._quotient_object`, the descent step of that layer.
+  When the cell maps send basis elements to +-basis elements, the
+  pushout relations form a signed graph, and `exactlin.cokernel` takes
+  the same union-find.
 
 Everything is exact.  Quotients that would acquire torsion raise
 instead of truncating invariant factors, and every stage object records
@@ -45,13 +55,14 @@ import re
 from typing import Callable, Optional
 
 from .rings import Ring
-from .exactlin import LinearMap, cokernel, hstack, solve
+from .exactlin import LinearMap, cokernel, compose, hstack, solve
 from . import chain as _chain
 from .chain import ChainComplex, ChainMap, concentrated, pad
 from . import permutations
 from .operad import (Collection, Operad, graft_signature, sig_act, sig_arity,
-                     sig_str, word_act, word_graft, _ops_for,
-                     _multi_positions, _quotient_by, _tensor_entries)
+                     sig_str, word_act, word_graft, _assemble, _coinvariants,
+                     _descend, _multi_positions, _ops_for, _placed,
+                     _quotient_object, _tensor_entries)
 
 
 _COLOR = re.compile(r"[A-Za-z0-9_.+-]+\Z")
@@ -597,6 +608,17 @@ def _labeling_complex(ring: Ring, count: int, bound: int) -> ChainComplex:
     return pad(concentrated(ring, 0, count, prefix="l"), bound)
 
 
+def _placed_map(ops, src, tgt, pieces):
+    """The map src -> tgt holding each piece (per-degree LinearMaps,
+    column offsets, row offsets) at its per-degree offsets, None for no
+    offset: block maps go into and out of `operad._assemble` sums this
+    way, through `operad._placed`."""
+    ents = _placed([([m.entries for m in maps], co, ro)
+                    for maps, co, ro in pieces], ops.max_degree)
+    return ops.make_map(src, tgt, [LinearMap(src.level(n), tgt.level(n), e)
+                                   for n, e in enumerate(ents)])
+
+
 # ---------------------------------------------------------------------------
 # class blocks: decorations tensor labelings, divided by reordering moves
 # ---------------------------------------------------------------------------
@@ -606,14 +628,19 @@ class _Block:
     """The contribution of one tree class to a level.
 
     big is the direct sum over the planar orbit of (decorations tensor
-    labelings); obj is its quotient by the sibling-swap moves, which act
-    on decorations through the collection actions and permute labelings
-    through the induced leaf permutation.  proj and section are chain
-    maps between the two.
+    labelings), laid out by `operad._assemble`, with offsets[pi][n] the
+    first degree-n row of representative pi; obj is its quotient by the
+    sibling-swap moves, which act on decorations through the collection
+    actions and permute labelings through the induced leaf permutation.
+    `operad._coinvariants` takes the quotient and descends the
+    differential, as it does for the composite product.  quotients[n]
+    is the degree-n quotient, and proj and section are chain maps
+    between big and obj made of its maps.
     """
 
     __slots__ = ("tree_class", "planar", "factors", "labs", "big", "obj",
-                 "proj", "section", "offsets", "_pos", "ring", "bound")
+                 "proj", "section", "quotients", "offsets", "_pos", "ring",
+                 "bound")
 
     def __init__(self, ring: Ring, bound: int, tree_class: TreeIsoClass,
                  decor: Callable, action: Callable, sig_inputs):
@@ -625,33 +652,22 @@ class _Block:
         where = {p.key(): pi for pi, p in enumerate(self.planar)}
         self.factors = []
         self.labs = []
-        blocks = []
+        objs = []
         for p in self.planar:
             facs = [decor(vsig, m) for vsig, m in p.vertex_preorder()]
             labs = leaf_labelings(p.leaves(), sig_inputs)
             self.factors.append(facs)
             self.labs.append(labs)
-            blocks.append(_tensor_with_labels(ops, facs,
-                                              len(labs)))
-        big = blocks[0]
-        for B in blocks[1:]:
-            big = ops.direct_sum(big, B)
-        self.big = big
-        self.offsets = []
-        for n in range(bound + 1):
-            offs, total = [], 0
-            for B in blocks:
-                offs.append(total)
-                total += B.level(n).rank
-            self.offsets.append(offs)
+            objs.append(_tensor_with_labels(ops, facs, len(labs)))
+        self.big, self.offsets = _assemble(ops, objs)
         self._pos = {}
 
         # a move touches only its representative's columns; the
         # identity on the other representatives stays implicit
         rels = [[] for _ in range(bound + 1)]
         for pi, p in enumerate(self.planar):
-            cols = [range(self.offsets[n][pi],
-                          self.offsets[n][pi] + blocks[pi].level(n).rank)
+            cols = [range(self.offsets[pi][n],
+                          self.offsets[pi][n] + objs[pi].level(n).rank)
                     for n in range(bound + 1)]
             paths = p.vertex_paths()
             for vi, path in enumerate(paths):
@@ -663,20 +679,11 @@ class _Block:
                                               path, vi, t)
                     for n in range(bound + 1):
                         rels[n].append((move[n], cols[n]))
-        quos = [_quotient_by(ring, big.level(n), rels[n])
-                for n in range(bound + 1)]
-        levels = [q.generators for q in quos]
-        diffs = []
-        for n in range(1, bound + 1):
-            d = quos[n - 1].proj @ big.d(n) @ quos[n].section
-            if (quos[n - 1].proj @ big.d(n)) != (d @ quos[n].proj):
-                raise ValueError(
-                    "differential does not descend to the class quotient")
-            diffs.append(d)
-        self.obj = ChainComplex(ring, levels, diffs)
-        self.proj = ChainMap(big, self.obj, [q.proj for q in quos],
-                             check=False)
-        self.section = ChainMap(self.obj, big, [q.section for q in quos],
+        self.obj, self.quotients = _coinvariants(ops, self.big, rels)
+        self.proj = ChainMap(self.big, self.obj,
+                             [q.proj for q in self.quotients], check=False)
+        self.section = ChainMap(self.obj, self.big,
+                                [q.section for q in self.quotients],
                                 check=False)
 
     def _move_entries(self, ops, action, pi, qi, p, q, path, vi, t):
@@ -723,8 +730,8 @@ class _Block:
         ents = _tensor_entries(ops, maps, sigma,
                                [self.positions(n, pi) for n in degrees],
                                [self.positions(n, qi) for n in degrees])
-        return [{(self.offsets[n][qi] + r, self.offsets[n][pi] + c): val
-                 for (r, c), val in ent.items()} for n, ent in enumerate(ents)]
+        return _placed([(ents, self.offsets[pi], self.offsets[qi])],
+                       self.bound)
 
     def _objs(self, planar_idx: int):
         return self.factors[planar_idx] + [
@@ -741,7 +748,7 @@ class _Block:
     def flat_index(self, n: int, planar_idx: int, degs, idxs) -> int:
         self.positions(n, planar_idx)
         local = self._pos[(n, planar_idx)][1][(tuple(degs), tuple(idxs))]
-        return self.offsets[n][planar_idx] + local
+        return self.offsets[planar_idx][n] + local
 
 
 def _tensor_with_labels(ops, facs, n_labs: int) -> ChainComplex:
@@ -760,9 +767,14 @@ def _tensor_with_labels(ops, facs, n_labs: int) -> ChainComplex:
 
 
 class FreeLevel:
-    """One signature level of the free operad on a collection."""
+    """One signature level of the free operad on a collection.
 
-    __slots__ = ("sig", "max_vertices", "blocks", "object", "legs",
+    object is the `operad._assemble` sum of the class blocks' quotients,
+    block bi starting at row offsets[bi][n] in degree n; a map out of or
+    into a block is placed by these offsets.
+    """
+
+    __slots__ = ("sig", "max_vertices", "blocks", "object", "offsets",
                  "truncated", "ring", "bound", "lookup")
 
     def __init__(self, M: Collection, sig, max_vertices: int):
@@ -781,25 +793,8 @@ class FreeLevel:
         self.blocks = [_Block(M.ring, M.max_degree, cl, decor, action,
                               self.sig[0]) for cl in classes]
         self.blocks = [b for b in self.blocks if not ops.is_zero(b.obj)]
-        if self.blocks:
-            obj = self.blocks[0].obj
-            for b in self.blocks[1:]:
-                obj = ops.direct_sum(obj, b.obj)
-        else:
-            obj = ops.zero_obj()
-        self.object = obj
-        self.legs = []
-        off = [0] * (self.bound + 1)
-        for b in self.blocks:
-            comps = []
-            for n in range(self.bound + 1):
-                comps.append(LinearMap(
-                    b.obj.level(n), obj.level(n),
-                    {(off[n] + i, i): M.ring.one
-                     for i in range(b.obj.level(n).rank)}))
-            self.legs.append(ops.make_map(b.obj, obj, comps))
-            for n in range(self.bound + 1):
-                off[n] += b.obj.level(n).rank
+        self.object, self.offsets = _assemble(ops,
+                                              [b.obj for b in self.blocks])
         self.lookup = {}
         for bi, b in enumerate(self.blocks):
             for pi, p in enumerate(b.planar):
@@ -873,12 +868,8 @@ class FreeOperad:
             fl = self.levels[((c,), c)]
             bi = next(i for i, b in enumerate(fl.blocks)
                       if b.tree_class.rep.is_edge)
-            u = fl.legs[bi] @ fl.blocks[bi].proj
-            units[c] = ops.make_map(
-                ops.unit_obj(), fl.object,
-                [LinearMap(ops.unit_obj().level(n), fl.object.level(n),
-                           dict(u.component(n).entries))
-                 for n in range(self.bound + 1)])
+            units[c] = _placed_map(ops, ops.unit_obj(), fl.object, [
+                (fl.blocks[bi].proj.components, None, fl.offsets[bi])])
         comps = {}
         for osig, flo in self.levels.items():
             for i in range(sig_arity(osig)):
@@ -896,39 +887,40 @@ class FreeOperad:
     def _action_map(self, sig, sigma):
         """Relabel the leaf labelings; classes and planar orbits of the
         source and target levels coincide because both only depend on
-        the leaf multiset."""
+        the leaf multiset, so each block maps to the block at its own
+        index and descends through `operad._descend` on its own."""
         fl = self.levels[sig]
         tl = self.levels[sig_act(sig, sigma)]
         if [b.tree_class.encoding for b in fl.blocks] != \
                 [b.tree_class.encoding for b in tl.blocks]:
             raise ValueError(f"relabeling {sigma} at {sig_str(sig)} does "
                              f"not match the tree classes")
-        ring = self.ring
-        src, tgt = _big_sum(self.ops, fl), _big_sum(self.ops, tl)
-        comps = []
-        for n in range(self.bound + 1):
-            # each block sits after the earlier blocks in its big sum
-            entries, soff, toff = {}, 0, 0
-            for b, tb in zip(fl.blocks, tl.blocks):
+        one = self.ring.one
+        pieces = []
+        for b, tb, soff, toff in zip(fl.blocks, tl.blocks, fl.offsets,
+                                     tl.offsets):
+            comps = []
+            for n in range(self.bound + 1):
+                entries = {}
                 for pi in range(len(b.planar)):
                     lab_tgt = {lab: i for i, lab in enumerate(tb.labs[pi])}
                     relab = [lab_tgt[word_act(lab, sigma)]
                              for lab in b.labs[pi]]
                     for pos, (degs, idxs) in enumerate(b.positions(n, pi)):
-                        col = soff + b.offsets[n][pi] + pos
                         tidx = idxs[:-1] + (relab[idxs[-1]],)
-                        row = toff + tb.flat_index(n, pi, degs, tidx)
-                        entries[(row, col)] = ring.one
-                soff += b.big.level(n).rank
-                toff += tb.big.level(n).rank
-            rank = src.level(n).rank
-            if (tgt.level(n).rank != rank or len(entries) != rank
-                    or len({r for r, _ in entries}) != rank):
-                raise ValueError(
-                    f"relabeling {sigma} at {sig_str(sig)} is not a "
-                    f"permutation of the degree-{n} basis")
-            comps.append(LinearMap(src.level(n), tgt.level(n), entries))
-        return _descend(self.ops, self.ops.make_map(src, tgt, comps), fl, tl)
+                        entries[(tb.flat_index(n, pi, degs, tidx),
+                                 b.offsets[pi][n] + pos)] = one
+                src, tgt = b.big.level(n), tb.big.level(n)
+                if (tgt.rank != src.rank or len(entries) != src.rank
+                        or len({r for r, _ in entries}) != src.rank):
+                    raise ValueError(
+                        f"relabeling {sigma} at {sig_str(sig)} is not a "
+                        f"permutation of the degree-{n} basis")
+                pushed = compose(tb.quotients[n].proj,
+                                 LinearMap(src, tgt, entries))
+                comps.append(_descend(pushed, b.quotients[n], "relabeling"))
+            pieces.append((comps, soff, toff))
+        return _placed_map(self.ops, fl.object, tl.object, pieces)
 
     def _composition_map(self, osig, i, isig):
         fl1, fl2 = self.levels[osig], self.levels[isig]
@@ -1015,8 +1007,7 @@ def _level_basis(fl: FreeLevel, n: int):
     representative choice, which the callers do not accept.
     """
     out = []
-    off = 0
-    for bi, b in enumerate(fl.blocks):
+    for bi, (b, off) in enumerate(zip(fl.blocks, fl.offsets)):
         sec = b.section.component(n)
         cols: dict = {}
         for (i, j), v in sec.entries.items():
@@ -1026,79 +1017,23 @@ def _level_basis(fl: FreeLevel, n: int):
             cols[j] = i
         for j in range(b.obj.level(n).rank):
             flat = cols[j]
-            pi = 0
-            offs = b.offsets[n]
-            for k in range(len(b.planar)):
-                if flat >= offs[k]:
-                    pi = k
-            local = flat - offs[pi]
+            pi = max(k for k, offs in enumerate(b.offsets)
+                     if flat >= offs[n])
+            local = flat - b.offsets[pi][n]
             degs, idxs = b.positions(n, pi)[local]
-            out.append((off + j, (bi, pi, degs, idxs)))
-        off += b.obj.level(n).rank
+            out.append((off[n] + j, (bi, pi, degs, idxs)))
     return out
 
 
 def _obj_row(fl: FreeLevel, bi: int, n: int, flat_in_block: int, block: _Block):
     """Rows of the level object hit by a big-module basis element."""
     proj = block.proj.component(n)
-    off = sum(b.obj.level(n).rank for b in fl.blocks[:bi])
+    off = fl.offsets[bi][n]
     out = []
     for (i, j), v in proj.entries.items():
         if j == flat_in_block:
             out.append((off + i, v))
     return out or None
-
-
-def _big_sum(ops, fl: FreeLevel) -> ChainComplex:
-    if not fl.blocks:
-        return ops.zero_obj()
-    out = fl.blocks[0].big
-    for b in fl.blocks[1:]:
-        out = ops.direct_sum(out, b.big)
-    return out
-
-
-def _descend(ops, big_map: ChainMap, fl: FreeLevel, tl: FreeLevel) -> ChainMap:
-    """Conjugate a big-module map by the quotient data of both sides."""
-    ring = ops.ring
-    bound = ops.max_degree
-    sec = _stacked(ops, fl, "section")
-    prj = _stacked(ops, tl, "proj")
-    out = ops.make_map(fl.object, tl.object,
-                       [(prj.component(n) @ big_map.component(n)
-                         @ sec.component(n)) for n in range(bound + 1)])
-    chk = _stacked(ops, fl, "proj")
-    for n in range(bound + 1):
-        lhs = prj.component(n) @ big_map.component(n)
-        rhs = out.component(n) @ chk.component(n)
-        if lhs != rhs:
-            raise ValueError("map does not descend to the class quotients")
-    return out
-
-
-def _stacked(ops, fl: FreeLevel, kind: str) -> ChainMap:
-    big = _big_sum(ops, fl)
-    bound = ops.max_degree
-    comps = []
-    for n in range(bound + 1):
-        entries = {}
-        ob, bb = 0, 0
-        for b in fl.blocks:
-            m = getattr(b, kind).component(n)
-            for (i, j), v in m.entries.items():
-                if kind == "proj":
-                    entries[(ob + i, bb + j)] = v
-                else:
-                    entries[(bb + i, ob + j)] = v
-            ob += b.obj.level(n).rank
-            bb += b.big.level(n).rank
-        if kind == "proj":
-            comps.append(LinearMap(big.level(n), fl.object.level(n), entries))
-        else:
-            comps.append(LinearMap(fl.object.level(n), big.level(n), entries))
-    if kind == "proj":
-        return ops.make_map(big, fl.object, comps)
-    return ops.make_map(fl.object, big, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -1113,15 +1048,24 @@ class CollectionMap:
 
     def __init__(self, source: Collection, target: Collection,
                  components: dict, check: bool = True):
-        assert source.ring == target.ring and source.base == target.base
-        assert source.max_degree == target.max_degree
+        if (source.ring, source.base) != (target.ring, target.base):
+            raise ValueError("a collection map needs one ring and base, "
+                             f"got {source.ring.name()} {source.base} -> "
+                             f"{target.ring.name()} {target.base}")
+        if source.max_degree != target.max_degree:
+            raise ValueError("a collection map needs one max_degree, got "
+                             f"{source.max_degree} -> {target.max_degree}")
         self.source = source
         self.target = target
         self.components = {}
         for sig, f in components.items():
             sig = (tuple(sig[0]), sig[1])
-            assert f.source.ranks() == source.level(sig).ranks()
-            assert f.target.ranks() == target.level(sig).ranks()
+            for end, coll in (("source", source), ("target", target)):
+                got = getattr(f, end).ranks()
+                if got != coll.level(sig).ranks():
+                    raise ValueError(
+                        f"component at {sig_str(sig)} has {end} ranks "
+                        f"{got}, not {coll.level(sig).ranks()}")
             self.components[sig] = f
         if check:
             self._check()
@@ -1180,7 +1124,8 @@ def generator_inclusion(F: FreeOperad) -> CollectionMap:
                            [LinearMap(lev.level(n), block.big.level(n),
                                       entries[n])
                             for n in range(F.bound + 1)])
-        comps[sig] = fl.legs[bi] @ (block.proj @ emb)
+        comps[sig] = _placed_map(ops, lev, fl.object, [
+            ((block.proj @ emb).components, None, fl.offsets[bi])])
     return CollectionMap(M, F.operad().collection, comps)
 
 
@@ -1188,56 +1133,44 @@ def extend_to_operad(F: FreeOperad, target: Operad,
                      g: CollectionMap) -> "object":
     """The operad map Free(M) -> target induced by g: M -> target.
 
-    Decorations must be concentrated in degree zero.  Each basis element
-    evaluates by composing its decorations along the tree and acting by
-    the labeling permutation; the result is checked as an operad map,
-    and precomposition with the generator inclusion returns g.
+    Decorations must be concentrated in degree zero, so every basis
+    element sits in degree zero.  Each evaluates by composing its
+    decorations along the tree and acting by the labeling permutation;
+    each block's evaluation descends to its quotient through
+    `operad._descend`, which raises ValueError when it is not
+    move-invariant.  The result is checked as an operad map, and
+    precomposition with the generator inclusion returns g.
     """
     from .operad import OpMorphism
     M = F.M
     for s in M.signatures():
-        assert sum(M.level(s).ranks()[1:]) == 0, \
-            "evaluation needs generators concentrated in degree zero"
+        if sum(M.level(s).ranks()[1:]):
+            raise ValueError("evaluation needs generators concentrated in "
+                             f"degree zero, not so at {sig_str(s)}")
     ops = F.ops
-    ring = F.ring
     P = F.operad()
     level_maps = {}
     for sig, fl in F.levels.items():
         tgt = target.collection.level(sig)
-        entries = [dict() for _ in range(F.bound + 1)]
-        big = _big_sum(ops, fl)
-        off = [0] * (F.bound + 1)
-        for bi, b in enumerate(fl.blocks):
+        pieces = []
+        for b, off in zip(fl.blocks, fl.offsets):
+            entries = {}
             for pi, p in enumerate(b.planar):
-                for n in range(F.bound + 1):
-                    for local, (degs, idxs) in enumerate(b.positions(n, pi)):
-                        if any(degs[:-1]):
-                            continue
-                        col = off[n] + b.offsets[n][pi] + local
-                        lab = b.labs[pi][idxs[-1]]
-                        colmap = _eval_tree(target, g, p, list(idxs[:-1]))
-                        psig = p.signature
-                        if lab:
-                            sigma = permutations.inverse(lab)
-                            colmap = target.collection.action(
-                                psig, sigma) @ colmap
-                        for (i, z), v in colmap.component(0).entries.items():
-                            entries[0][(i, col)] = v
-            for n in range(F.bound + 1):
-                off[n] += b.big.level(n).rank
-        bigmap = ops.make_map(big, tgt,
-                              [LinearMap(big.level(n), tgt.level(n),
-                                         entries[n])
-                               for n in range(F.bound + 1)])
-        sec = _stacked(ops, fl, "section")
-        prj = _stacked(ops, fl, "proj")
-        lm = ops.make_map(fl.object, tgt,
-                          [bigmap.component(n) @ sec.component(n)
-                           for n in range(F.bound + 1)])
-        for n in range(F.bound + 1):
-            assert (lm.component(n) @ prj.component(n)) == bigmap.component(n), \
-                "evaluation is not move-invariant"
-        level_maps[sig] = lm
+                for local, (_, idxs) in enumerate(b.positions(0, pi)):
+                    lab = b.labs[pi][idxs[-1]]
+                    colmap = _eval_tree(target, g, p, list(idxs[:-1]))
+                    if lab:
+                        colmap = target.collection.action(
+                            p.signature, permutations.inverse(lab)) @ colmap
+                    col = b.offsets[pi][0] + local
+                    for (i, _), v in colmap.component(0).entries.items():
+                        entries[(i, col)] = v
+            comps = [_descend(LinearMap(b.big.level(n), tgt.level(n),
+                                        entries if n == 0 else {}),
+                              b.quotients[n], "evaluation")
+                     for n in range(F.bound + 1)]
+            pieces.append((comps, off, None))
+        level_maps[sig] = _placed_map(ops, fl.object, tgt, pieces)
     colors = {c: c for c in M.colors}
     return OpMorphism(P, target, colors, level_maps)
 
@@ -1476,83 +1409,57 @@ class ExtensionStages:
         return self.stages[-1]
 
 
-def _split_data(ring, f: ChainMap):
-    """(retraction, coker section) of a degreewise split injection, or
-    None when f does not split with a free cokernel."""
-    rets, secs = [], []
-    for n in range(f.source.max_degree + 1):
-        comp = f.component(n)
+def _split_data(f: ChainMap):
+    """The per-degree cokernel presentations of a degreewise split
+    injection f, or None when f does not split with a free cokernel.
+
+    [f_n | section_n] is invertible, so the presentation's proj is the
+    one map q with q f_n = 0 and q section_n = id: the projection along
+    the splitting."""
+    out = []
+    for comp in f.components:
         pres = cokernel(comp)
-        if pres.invariant_factors:
+        if pres.invariant_factors or \
+                not hstack([comp, pres.section]).is_iso():
             return None
-        B = hstack([comp, pres.section])
-        if not B.is_iso():
-            return None
-        X = comp.source
-        proj = LinearMap(B.source, X,
-                         {(i, i): ring.one for i in range(X.rank)})
-        rets.append(proj @ B.inverse())
-        secs.append(pres.section)
-    return rets, secs
+        out.append(pres)
+    return out
 
 
 def cokernel_collection(f: CollectionMap):
     """The cokernel of a degreewise split collection map, with the
     induced actions, plus the chain-level sections picking the
-    complement inside the target."""
-    ring = f.source.ring
-    bound = f.source.max_degree
+    complement inside the target.
+
+    Each level is `operad._quotient_object` on the cokernel
+    presentations of `_split_data`, the quotient-and-descend step that
+    the composite product and the tree-class blocks share; the
+    differentials and action generators are pushed down with
+    `operad._descend`, and one that does not descend raises ValueError.
+    """
     ops = f.source.ops
-    levels, actions, sections = {}, {}, {}
-    datas = {}
+    levels, actions, sections, quotients = {}, {}, {}, {}
     for sig in f.target.signatures():
-        comp = f.component(sig)
-        data = _split_data(ring, comp)
-        if data is None:
+        qs = _split_data(f.component(sig))
+        if qs is None:
             raise ValueError(f"map does not split at {sig_str(sig)}")
-        rets, secs = data
-        qlevels = [s.source for s in secs]
-        dq, dsec = [], []
-        for n in range(1, bound + 1):
-            prjn = _coker_proj(ring, comp.component(n), rets[n], secs[n])
-            prjm = _coker_proj(ring, comp.component(n - 1), rets[n - 1],
-                               secs[n - 1])
-            d = prjm @ f.target.level(sig).d(n) @ secs[n]
-            if (prjm @ f.target.level(sig).d(n)) != (d @ prjn):
-                raise ValueError("cokernel differential does not descend")
-            dq.append(d)
-        Q = ChainComplex(ring, qlevels, dq)
-        levels[sig] = Q
-        datas[sig] = (rets, secs)
-        sections[sig] = ops.make_map(Q, f.target.level(sig), secs)
+        T = f.target.level(sig)
+        levels[sig] = _quotient_object(ops, T, qs)
+        quotients[sig] = qs
+        sections[sig] = ops.make_map(levels[sig], T, [q.section for q in qs])
     for sig, Q in levels.items():
         actions[sig] = {}
         for s in permutations.transpositions(sig_arity(sig)):
             tsig = sig_act(sig, s)
             act = f.target.action(sig, s)
-            rets_t, secs_t = datas[tsig]
-            comp_t = f.component(tsig)
-            comps = []
-            for m in range(bound + 1):
-                prj = _coker_proj(ring, comp_t.component(m), rets_t[m],
-                                  secs_t[m])
-                comps.append(prj @ act.component(m) @ datas[sig][1][m])
+            comps = [_descend(compose(quotients[tsig][m].proj,
+                                      act.component(m)),
+                              quotients[sig][m], "action")
+                     for m in range(ops.max_degree + 1)]
             actions[sig][s] = ops.make_map(Q, levels[tsig], comps)
-    Qc = Collection(ring, "chain", f.source.colors, f.source.max_arity,
-                    bound, levels, actions)
+    Qc = Collection(f.source.ring, "chain", f.source.colors,
+                    f.source.max_arity, ops.max_degree, levels, actions)
     return Qc, sections
-
-
-def _coker_proj(ring, comp, ret, sec) -> LinearMap:
-    """Projection target -> coker generators along the splitting."""
-    # q = section^+ . (id - f r); with unit section columns this is just
-    # reading off the complement coordinates, computed by solving
-    ident = LinearMap.identity(comp.target)
-    compl = ident - (comp @ ret)
-    q = solve(sec, compl)
-    if q is None:
-        raise ValueError("splitting data is inconsistent")
-    return q
 
 
 def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
@@ -1627,19 +1534,7 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
             attached.append(0)
             cells_by_stage[k] = []
             continue
-        C = blocks[0].obj
-        for b in blocks[1:]:
-            C = ops.direct_sum(C, b.obj)
-        c_off = [0] * (bound + 1)
-        c_legs = []
-        for b in blocks:
-            comps = [LinearMap(b.obj.level(n), C.level(n),
-                               {(c_off[n] + i, i): ring.one
-                                for i in range(b.obj.level(n).rank)})
-                     for n in range(bound + 1)]
-            c_legs.append(ops.make_map(b.obj, C, comps))
-            for n in range(bound + 1):
-                c_off[n] += b.obj.level(n).rank
+        C, c_off = _assemble(ops, [b.obj for b in blocks])
         doms, inks, atts = [], [], []
         for bi, b in enumerate(blocks):
             for pi, p in enumerate(b.planar):
@@ -1650,32 +1545,28 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
                     if all(choice):
                         continue
                     D, ink, att = _choice_block(
-                        O, f, Qc, q_sections, generator_map, b, bi, pi, p,
+                        O, f, Qc, q_sections, generator_map, b, pi, p,
                         marked_paths, choice, cells_by_stage, cell_legs,
                         base_leg, stage, sig)
                     if ink is None:
                         continue
                     doms.append(D)
-                    inks.append(c_legs[bi] @ ink)
-                    atts.append(att)
-        if doms:
-            Dtot = doms[0]
-            for D in doms[1:]:
-                Dtot = ops.direct_sum(Dtot, D)
-            ink_tot = _stack_legs(ops, doms, inks, Dtot, C)
-            att_tot = _stack_legs(ops, doms, atts, Dtot, stage)
-        else:
-            Dtot = ops.zero_obj()
-            ink_tot = ops.zero_map(Dtot, C)
-            att_tot = ops.zero_map(Dtot, stage)
+                    inks.append((ink.components, c_off[bi]))
+                    atts.append(att.components)
+        Dtot, d_off = _assemble(ops, doms)
+        ink_tot = _placed_map(ops, Dtot, C, [
+            (ink, off, row) for (ink, row), off in zip(inks, d_off)])
+        att_tot = _placed_map(ops, Dtot, stage, [
+            (att, off, None) for att, off in zip(atts, d_off)])
         po = _chain.pushout_complex(ink_tot, att_tot)
         new_stage = po.complex
         stage_map = po.inr
         cells_by_stage[k] = blocks
-        for key in list(cell_legs):
-            cell_legs[key] = stage_map @ cell_legs[key]
-        for bi, b in enumerate(blocks):
-            cell_legs[(k, bi)] = po.inl @ c_legs[bi]
+        # each earlier stage's class sum, with its block offsets, maps on
+        # into the new stage
+        for key, (leg, offs) in cell_legs.items():
+            cell_legs[key] = (stage_map @ leg, offs)
+        cell_legs[k] = (po.inl, c_off)
         base_leg = stage_map @ base_leg
         maps.append(stage_map)
         stages.append(new_stage)
@@ -1706,22 +1597,7 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
     return ExtensionStages(sig, stages, maps, cells_by_stage, cert)
 
 
-def _stack_legs(ops, doms, legs, Dtot, target):
-    ring = ops.ring
-    bound = ops.max_degree
-    comps = []
-    for n in range(bound + 1):
-        entries = {}
-        off = 0
-        for D, leg in zip(doms, legs):
-            for (i, j), v in leg.component(n).entries.items():
-                entries[(i, off + j)] = v
-            off += D.level(n).rank
-        comps.append(LinearMap(Dtot.level(n), target.level(n), entries))
-    return ops.make_map(Dtot, target, comps)
-
-
-def _choice_block(O, f, Qc, q_sections, g, block, bi, pi, p, marked_paths,
+def _choice_block(O, f, Qc, q_sections, g, block, pi, p, marked_paths,
                   choice, cells_by_stage, cell_legs, base_leg, stage, sig):
     """One mixed block of a cell domain with its two legs.
 
@@ -1757,11 +1633,10 @@ def _choice_block(O, f, Qc, q_sections, g, block, bi, pi, p, marked_paths,
     ents = _tensor_entries(ops, mats + [None], None,
                            _chain_positions(facs + [L], bound),
                            [block.positions(n, pi) for n in range(bound + 1)])
-    comps = [LinearMap(D.level(n), block.big.level(n),
-                       {(block.offsets[n][pi] + r, c): v
-                        for (r, c), v in ent.items()})
-             for n, ent in enumerate(ents)]
-    ink = block.proj @ ops.make_map(D, block.big, comps)
+    ents = _placed([(ents, None, block.offsets[pi])], bound)
+    ink = block.proj @ ops.make_map(D, block.big, [
+        LinearMap(D.level(n), block.big.level(n), ent)
+        for n, ent in enumerate(ents)])
 
     att = _collapse(O, f, Qc, q_sections, g, p, kind, facs, D,
                     block.labs[pi], cells_by_stage, cell_legs, base_leg,
@@ -1883,13 +1758,14 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
     final = _tensor_entries(ops, mats + [lab_map], None,
                             _chain_positions(objs + [L], bound),
                             [tb.positions(n, tpi) for n in range(bound + 1)])
-    final = [{(tb.offsets[n][tpi] + r, c): v for (r, c), v in ent.items()}
-             for n, ent in enumerate(final)]
+    final = _placed([(final, None, tb.offsets[tpi])], bound)
     cur = _compose_entry_lists(ring, final, cur, bound)
     mdl = ops.make_map(D, tb.big,
                        [LinearMap(D.level(n), tb.big.level(n), cur[n])
                         for n in range(bound + 1)])
-    return cell_legs[(kprime, tbi)] @ (tb.proj @ mdl)
+    leg, offs = cell_legs[kprime]
+    return leg @ _placed_map(ops, D, leg.source, [
+        ((tb.proj @ mdl).components, None, offs[tbi])])
 
 
 def _reflag(tree: Tree, marks) -> Tree:

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from opdk import corpus, exactlin, permutations
+from opdk import operad as op
 from opdk.chain import ChainMap, concentrated, homology, pad, two_term
 from opdk.exactlin import LinearMap
 from opdk.operad import (Collection, Operad, associative_operad,
@@ -28,7 +29,6 @@ from opdk.trees import (
     FreeOperad,
     Tree,
     _build_positions,
-    _coker_proj,
     _level_basis,
     aut_order,
     canonical,
@@ -638,12 +638,58 @@ def test_cokernel_collection_refuses_a_non_descending_differential():
         cokernel_collection(CollectionMap(M, Y, {sig(1): f}, check=False))
 
 
-def test_coker_proj_refuses_inconsistent_splitting():
-    # a zero-column section cannot reach the complement of a zero map
-    Z1, Z0 = exactlin.free_module(ZZ, 1), exactlin.free_module(ZZ, 0)
-    zero = LinearMap(Z1, Z1, {})
-    with pytest.raises(ValueError, match="splitting data"):
-        _coker_proj(ZZ, zero, LinearMap(Z1, Z1, {}), LinearMap(Z0, Z1, {}))
+def test_free_level_refuses_a_quotient_that_does_not_descend(monkeypatch):
+    # explicit checks, so they also hold under python -O; the class
+    # blocks quotient through the same helper as the composite product
+    real = op._quotient_by
+
+    def keep_e0(ring, module, rels):
+        """A quotient onto e0 alone, which the differential does not
+        descend to."""
+        if module.rank < 2:
+            return real(ring, module, rels)
+        gens = exactlin.free_module(ring, 1, "b")
+        return exactlin.CokernelPresentation(
+            LinearMap(module, gens, {(0, 0): 1}),
+            LinearMap(gens, module, {(0, 0): 1}))
+
+    monkeypatch.setattr(op, "_quotient_by", keep_e0)
+    with pytest.raises(ValueError, match="^differential does not descend"):
+        free_operad(_graded_binary(ZZ, 2), sig(3), 2)
+
+
+def _inclusion_parts():
+    M, Y, f = corpus.split_binary_inclusion(ZZ, 3)
+    return M, Y, f.component(sig(2))
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda M, Y, g: (M, corpus.split_binary_inclusion(QQ, 3)[1], {}),
+     "one ring and base"),
+    (lambda M, Y, g: (
+        M, corpus.split_binary_inclusion(ZZ, 3, max_degree=1)[1], {}),
+     "one max_degree"),
+    (lambda M, Y, g: (M, Y, {sig(2): Y.ops.identity(Y.level(sig(2)))}),
+     "source ranks"),
+    (lambda M, Y, g: (M, Y, {sig(2): M.ops.identity(M.level(sig(2)))}),
+     "target ranks"),
+], ids=["ring", "max_degree", "source", "target"])
+def test_collection_map_refuses_bad_shapes(make, match):
+    # explicit checks, so they also hold under python -O, even without
+    # the equivariance check
+    source, target, comps = make(*_inclusion_parts())
+    with pytest.raises(ValueError, match=match):
+        CollectionMap(source, target, comps, check=False)
+
+
+def test_extend_to_operad_refuses_graded_generators():
+    # explicit check, so it also holds under python -O
+    M = _graded_binary(ZZ, 1)
+    F = FreeOperad(M, max_arity=2, max_vertices=1)
+    A = associative_operad(ZZ, "chain", 2, 1, color="c")
+    g = CollectionMap(M, A.collection, {})
+    with pytest.raises(ValueError, match="concentrated in degree zero"):
+        extend_to_operad(F, A, g)
 
 
 def test_free_operad_refuses_silent_truncation():
