@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .exactlin import (
     FreeModule,
     LinearMap,
+    _kron_entries,
     cokernel,
     compose,
     free_module,
@@ -40,13 +41,20 @@ class ChainComplex:
                  differentials: Sequence[LinearMap], check: bool = True):
         levels = tuple(levels)
         differentials = tuple(differentials)
-        assert levels, "need at least degree 0"
-        assert len(differentials) == len(levels) - 1
-        for M in levels:
-            assert M.ring == ring
+        if not levels:
+            raise ValueError("a chain complex needs at least degree 0")
+        if len(differentials) != len(levels) - 1:
+            raise ValueError(f"{len(levels)} levels need {len(levels) - 1} "
+                             f"differentials, got {len(differentials)}")
+        for n, M in enumerate(levels):
+            if M.ring != ring:
+                raise ValueError(f"level {n} is over {M.ring.name()}, "
+                                 f"not {ring.name()}")
         for n, d in enumerate(differentials, start=1):
-            assert d.source.compatible(levels[n])
-            assert d.target.compatible(levels[n - 1])
+            if not (d.source.compatible(levels[n])
+                    and d.target.compatible(levels[n - 1])):
+                raise ValueError(f"d_{n} is not a map from level {n} to "
+                                 f"level {n - 1}")
         self.ring = ring
         self.max_degree = len(levels) - 1
         self.levels = levels
@@ -152,14 +160,20 @@ class ChainMap:
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  components: Sequence[LinearMap], check: bool = True):
-        assert source.ring == target.ring, "ring mismatch"
-        assert source.max_degree == target.max_degree, \
-            "source and target truncated at different degrees; pad first"
+        if source.ring != target.ring:
+            raise ValueError("ring mismatch")
+        if source.max_degree != target.max_degree:
+            raise ValueError("source and target truncated at different "
+                             "degrees; pad first")
         components = tuple(components)
-        assert len(components) == source.max_degree + 1
+        if len(components) != source.max_degree + 1:
+            raise ValueError(f"need {source.max_degree + 1} components, got "
+                             f"{len(components)}")
         for n, f in enumerate(components):
-            assert f.source.compatible(source.level(n))
-            assert f.target.compatible(target.level(n))
+            if not (f.source.compatible(source.level(n))
+                    and f.target.compatible(target.level(n))):
+                raise ValueError(f"component {n} is not a map between the "
+                                 f"degree-{n} levels")
         self.source = source
         self.target = target
         self.components = components
@@ -238,9 +252,9 @@ def tensor_blocks(K: ChainComplex, L: ChainComplex, n: int):
     return out
 
 
-def _tensor_level(K: ChainComplex, L: ChainComplex, n: int) -> FreeModule:
+def _tensor_level(K: ChainComplex, L: ChainComplex, blocks) -> FreeModule:
     labels = []
-    for p, q, _ in tensor_blocks(K, L, n):
+    for p, q, _ in blocks:
         for a in K.level(p).labels:
             for b in L.level(q).labels:
                 labels.append(f"{p}|({a})(x)({b})")
@@ -248,40 +262,65 @@ def _tensor_level(K: ChainComplex, L: ChainComplex, n: int) -> FreeModule:
 
 
 def tensor(K: ChainComplex, L: ChainComplex, bound: Optional[int] = None) -> ChainComplex:
-    """(K (x) L)_n = sum over p+q=n of K_p (x) L_q, Koszul differential."""
+    """(K (x) L)_n = sum over p+q=n of K_p (x) L_q, Koszul differential.
+
+    The summands follow p ascending (`tensor_blocks`), and in each one
+    the basis pair (a, b) of K_p (x) L_q sits at offset + a * rank(L_q) + b.
+    d_n is written straight into one entry dict by that offset
+    arithmetic, with no identity map or per-block module.  Its entries
+    come in this order: source summands p ascending; in each, first the
+    d_K (x) 1 block (d_K's entries outer, the basis of L_q inner), then
+    the (-1)^p 1 (x) d_L block (the basis of K_p outer, d_L's entries
+    inner).  That is the order of the Kronecker route through
+    `LinearMap.identity` and `LinearMap.tensor`, and pivoting may read it.
+    """
     if K.ring != L.ring:
         raise ValueError("ring mismatch")
+    ring = K.ring
     D = K.max_degree + L.max_degree
     if bound is not None:
         D = min(D, bound)
-    levels = [_tensor_level(K, L, n) for n in range(D + 1)]
+    blocks = [tensor_blocks(K, L, n) for n in range(D + 1)]
+    levels = [_tensor_level(K, L, b) for b in blocks]
     diffs = []
     for n in range(1, D + 1):
         entries = {}
-        tgt_off = {(p, q): off for p, q, off in tensor_blocks(K, L, n - 1)}
-        for p, q, off in tensor_blocks(K, L, n):
-            if p >= 1 and (p - 1, q) in tgt_off:
-                blk = K.d(p).tensor(LinearMap.identity(L.level(q)))
-                to = tgt_off[(p - 1, q)]
-                for (i, j), v in blk.entries.items():
-                    entries[(to + i, off + j)] = v
-            if q >= 1 and (p, q - 1) in tgt_off:
-                blk = LinearMap.identity(K.level(p)).tensor(L.d(q))
-                sign = K.ring.normalize(-1) if p % 2 else K.ring.one
-                to = tgt_off[(p, q - 1)]
-                for (i, j), v in blk.entries.items():
-                    key = (to + i, off + j)
-                    entries[key] = K.ring.add(entries.get(key, K.ring.zero),
-                                              K.ring.mul(sign, v))
-        diffs.append(LinearMap(levels[n], levels[n - 1],
-                               {k: v for k, v in entries.items() if v != K.ring.zero}))
-    return ChainComplex(K.ring, levels, diffs)
+        tgt_off = {(p, q): off for p, q, off in blocks[n - 1]}
+        for p, q, off in blocks[n]:
+            rq = L.level(q).rank
+            to = tgt_off.get((p - 1, q))
+            if to is not None:
+                for (i, j), v in K.d(p).entries.items():
+                    r, c = to + i * rq, off + j * rq
+                    for k in range(rq):
+                        entries[(r + k, c + k)] = v
+            to = tgt_off.get((p, q - 1))
+            if to is not None:
+                dl = L.d(q).entries.items()
+                if p % 2:
+                    dl = [(kl, ring.neg(w)) for kl, w in dl]
+                rt = L.level(q - 1).rank
+                for i in range(K.level(p).rank):
+                    r, c = to + i * rt, off + i * rq
+                    for (k, l), w in dl:
+                        entries[(r + k, c + l)] = w
+        diffs.append(LinearMap(levels[n], levels[n - 1], entries))
+    return ChainComplex(ring, levels, diffs)
 
 
 def tensor_map(f: ChainMap, g: ChainMap, bound: Optional[int] = None) -> ChainMap:
-    """f (x) g degreewise. Both maps have degree 0, so no signs appear."""
-    src = tensor(f.source, g.source, bound)
-    tgt = tensor(f.target, g.target, bound)
+    """f (x) g degreewise. Both maps have degree 0, so no signs appear.
+
+    Each block f_p (x) g_q comes from `exactlin._kron_entries` and keeps
+    its order; the blocks follow the source summands, p ascending.
+    """
+    return _tensor_map(f, g, tensor(f.source, g.source, bound),
+                       tensor(f.target, g.target, bound))
+
+
+def _tensor_map(f: ChainMap, g: ChainMap, src: ChainComplex,
+                tgt: ChainComplex) -> ChainMap:
+    """`tensor_map` between the prebuilt tensors src and tgt."""
     D = max(src.max_degree, tgt.max_degree)
     src, tgt = pad(src, D), pad(tgt, D)
     comps = []
@@ -289,11 +328,10 @@ def tensor_map(f: ChainMap, g: ChainMap, bound: Optional[int] = None) -> ChainMa
         entries = {}
         tgt_off = {(p, q): off for p, q, off in tensor_blocks(f.target, g.target, n)}
         for p, q, off in tensor_blocks(f.source, g.source, n):
-            if (p, q) not in tgt_off:
+            to = tgt_off.get((p, q))
+            if to is None:
                 continue
-            blk = f.component(p).tensor(g.component(q))
-            to = tgt_off[(p, q)]
-            for (i, j), v in blk.entries.items():
+            for (i, j), v in _kron_entries(f.component(p), g.component(q)).items():
                 entries[(to + i, off + j)] = v
         comps.append(LinearMap(src.level(n), tgt.level(n), entries))
     return ChainMap(src, tgt, comps, check=False)
@@ -319,7 +357,13 @@ def tensor_map_many(maps: Sequence[ChainMap], bound: Optional[int] = None) -> Ch
 def braiding(K: ChainComplex, L: ChainComplex,
              bound: Optional[int] = None) -> ChainMap:
     """K (x) L -> L (x) K, x (x) y |-> (-1)^{pq} y (x) x."""
-    src, tgt = tensor(K, L, bound), tensor(L, K, bound)
+    return _braiding(K, L, tensor(K, L, bound), tensor(L, K, bound))
+
+
+def _braiding(K: ChainComplex, L: ChainComplex, src: ChainComplex,
+              tgt: ChainComplex) -> ChainMap:
+    """`braiding` between the prebuilt tensors src = K (x) L and
+    tgt = L (x) K; still checked to be a chain map."""
     comps = []
     for n in range(src.max_degree + 1):
         entries = {}
@@ -344,33 +388,41 @@ def associator(K: ChainComplex, L: ChainComplex, M: ChainComplex,
     is still an isomorphism.
     """
     KL, LM = tensor(K, L, bound), tensor(L, M, bound)
-    src, tgt = tensor(KL, M, bound), tensor(K, LM, bound)
+    return _associator(K, L, M, KL, LM, tensor(KL, M, bound),
+                       tensor(K, LM, bound))
+
+
+def _associator(K: ChainComplex, L: ChainComplex, M: ChainComplex,
+                KL: ChainComplex, LM: ChainComplex, src: ChainComplex,
+                tgt: ChainComplex) -> ChainMap:
+    """`associator` between the prebuilt tensors KL = K (x) L,
+    LM = L (x) M, src = KL (x) M and tgt = K (x) LM; still checked to be
+    a chain map."""
+    one = K.ring.one
     comps = []
     for n in range(src.max_degree + 1):
         entries = {}
-        # target index of the basis vector (p, q, r, i, j, k)
-        tgt_pos = {}
-        for p, t, off in tensor_blocks(K, LM, n):
-            inner = {(q, r): ioff for q, r, ioff in tensor_blocks(L, M, t)}
-            for (q, r), ioff in inner.items():
-                rj, rk = L.level(q).rank, M.level(r).rank
-                for i in range(K.level(p).rank):
-                    for j in range(rj):
-                        for k in range(rk):
-                            tgt_pos[(p, q, r, i, j, k)] = (
-                                off + i * LM.level(t).rank + ioff + j * rk + k)
-        col = 0
+        # the basis vector (p, q, r, i, j, k) sits at
+        # off(p) + i * rank(LM_t) + off_t(q, r) + j * rank(M_r) + k in tgt
+        tgt_off = {p: (off, LM.level(t).rank)
+                   for p, t, off in tensor_blocks(K, LM, n)}
+        inner_off = {}
         for s, r, off in tensor_blocks(KL, M, n):
-            inner = tensor_blocks(K, L, s)
             rm = M.level(r).rank
-            for p, q, ioff in inner:
+            for p, q, ioff in tensor_blocks(K, L, s):
+                t = q + r
+                if t not in inner_off:
+                    inner_off[t] = {(a, b): o
+                                    for a, b, o in tensor_blocks(L, M, t)}
+                toff, rt = tgt_off[p]
+                toff += inner_off[t][(q, r)]
                 rj = L.level(q).rank
                 for i in range(K.level(p).rank):
                     for j in range(rj):
-                        src_a = ioff + i * rj + j
+                        row = toff + i * rt + j * rm
+                        col = off + (ioff + i * rj + j) * rm
                         for k in range(rm):
-                            col = off + src_a * rm + k
-                            entries[(tgt_pos[(p, q, r, i, j, k)], col)] = K.ring.one
+                            entries[(row + k, col + k)] = one
         comps.append(LinearMap(src.level(n), tgt.level(n), entries))
     return ChainMap(src, tgt, comps)
 

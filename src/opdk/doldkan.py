@@ -461,7 +461,10 @@ def normalize_operad_data(P):
     shuffle map, which is compatible with both associativities because
     the simplicial tensor is strict and the shuffle is associative and
     symmetric; the result is replayed through the full law check and a
-    violation is an internal error, not a property of the input.
+    violation is an internal error, not a property of the input.  That
+    check builds each tensor complex and structure map of the replay
+    once, in a memo that lives only for its own call (`operad_check`);
+    nothing is cached across calls or between operads.
     """
     from . import operad as _op
     coll = P.collection

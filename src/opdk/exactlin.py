@@ -183,17 +183,13 @@ class LinearMap:
     # -- structure --------------------------------------------------------
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
-        """Kronecker product in row-major pair order."""
-        assert self.ring == other.ring
+        """Kronecker product in row-major pair order (`_kron_entries`)."""
+        if self.ring != other.ring:
+            raise ValueError("ring mismatch")
         ring = self.ring
         src = FreeModule(ring, tensor_labels(self.source, other.source))
         tgt = FreeModule(ring, tensor_labels(self.target, other.target))
-        sb, tb = other.source.rank, other.target.rank
-        entries = {}
-        for (i, j), v in self.entries.items():
-            for (k, l), w in other.entries.items():
-                entries[(i * tb + k, j * sb + l)] = ring.mul(v, w)
-        return LinearMap(src, tgt, entries)
+        return LinearMap(src, tgt, _kron_entries(self, other))
 
     def direct_sum(self, other: "LinearMap") -> "LinearMap":
         assert self.ring == other.ring
@@ -258,6 +254,27 @@ class LinearMap:
         if (inv @ self) != LinearMap.identity(self.source):
             raise ValueError("inverse fails on the source side")
         return inv
+
+
+def _kron_entries(f: LinearMap, g: LinearMap) -> dict:
+    """Entries of the Kronecker product f (x) g, with no module or map.
+
+    Basis pair (a, b) sits at a * rank + b, rank that of g's side, and
+    the entries come in this order: f's entries outer, g's inner, each
+    in its own insertion order.  Callers that place the product into a
+    bigger map keep that order, and so the order their maps had when
+    they went through `LinearMap.tensor`.  The rings have no zero
+    divisors, so no product of stored entries is zero.
+    """
+    mul = f.ring.mul
+    sb, tb = g.source.rank, g.target.rank
+    g_items = list(g.entries.items())
+    entries = {}
+    for (i, j), v in f.entries.items():
+        r, c = i * tb, j * sb
+        for (k, l), w in g_items:
+            entries[(r + k, c + l)] = mul(v, w)
+    return entries
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:

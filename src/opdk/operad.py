@@ -184,6 +184,9 @@ class _ChainOps:
     def tensor_map(self, f, g):
         return _chain.tensor_map(f, g, bound=self.max_degree)
 
+    def tensor_map_on(self, f, g, src, tgt):
+        return _chain._tensor_map(f, g, src, tgt)
+
     def direct_sum(self, A, B):
         return _chain.direct_sum(A, B)
 
@@ -199,8 +202,14 @@ class _ChainOps:
     def associator(self, A, B, C):
         return _chain.associator(A, B, C, bound=self.max_degree)
 
+    def associator_on(self, A, B, C, AB, BC, src, tgt):
+        return _chain._associator(A, B, C, AB, BC, src, tgt)
+
     def braiding(self, A, B):
         return _chain.braiding(A, B, bound=self.max_degree)
+
+    def braiding_on(self, A, B, src, tgt):
+        return _chain._braiding(A, B, src, tgt)
 
     def equal(self, f, g) -> bool:
         return f == g
@@ -231,6 +240,9 @@ class _SimpOps:
     def tensor_map(self, f, g):
         return _simp.tensor_map(f, g)
 
+    def tensor_map_on(self, f, g, src, tgt):
+        return _simp._tensor_map(f, g, src, tgt)
+
     def direct_sum(self, A, B):
         return _simp.direct_sum(A, B)
 
@@ -246,9 +258,12 @@ class _SimpOps:
         return SimplicialMap(A, B, comps, check=False)
 
     def associator(self, A, B, C):
+        AB, BC = self.tensor(A, B), self.tensor(B, C)
+        return self.associator_on(A, B, C, AB, BC, self.tensor(AB, C),
+                                  self.tensor(A, BC))
+
+    def associator_on(self, A, B, C, AB, BC, src, tgt):
         # degreewise Kronecker is associative on the nose
-        src = self.tensor(self.tensor(A, B), C)
-        tgt = self.tensor(A, self.tensor(B, C))
         comps = [LinearMap(src.level(n), tgt.level(n),
                            {(i, i): self.ring.one
                             for i in range(src.level(n).rank)})
@@ -257,6 +272,9 @@ class _SimpOps:
 
     def braiding(self, A, B):
         return _simp.swap_map(A, B)
+
+    def braiding_on(self, A, B, src, tgt):
+        return _simp._swap_map(A, B, src, tgt)
 
     def equal(self, f, g) -> bool:
         return f == g
@@ -280,15 +298,74 @@ def _tensor_many(ops, objs):
     return out
 
 
-def _unitor(ops, X, side: str):
-    """unit (x) X -> X (or X (x) unit -> X); identity entries because
-    tensoring with a rank-one degree-zero object never reindexes."""
-    src = ops.tensor(ops.unit_obj(), X) if side == "left" else \
-        ops.tensor(X, ops.unit_obj())
-    comps = [LinearMap(src.level(n), X.level(n),
-                       {(i, i): ops.ring.one for i in range(X.level(n).rank)})
-             for n in range(ops.max_degree + 1)]
-    return ops.make_map(src, X, comps)
+class _Replay:
+    """The tensor objects and structure maps of one law replay, each
+    built once.
+
+    Wraps the ops of operad P's collection.  Tensor objects, associators,
+    braidings, unitors, the unit object and the zero compositions are
+    memoized by the identity of their inputs (the signatures, for a zero
+    composition).  Each memo entry holds its inputs, so no id is reused
+    while the memo lives, and nothing outlives it: `operad_check` makes
+    one per call.  Every map is built as the ops build it, checks
+    included.
+    """
+
+    __slots__ = ("P", "ops", "_memo")
+
+    def __init__(self, P):
+        self.P, self.ops, self._memo = P, P.ops, {}
+
+    def _once(self, key, inputs, build):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = (inputs, build())
+        return hit[1]
+
+    def tensor(self, A, B):
+        return self._once(("tensor", id(A), id(B)), (A, B),
+                          lambda: self.ops.tensor(A, B))
+
+    def tensor_map(self, f, g):
+        return self.ops.tensor_map_on(f, g, self.tensor(f.source, g.source),
+                                      self.tensor(f.target, g.target))
+
+    def associator(self, A, B, C):
+        def build():
+            AB, BC = self.tensor(A, B), self.tensor(B, C)
+            return self.ops.associator_on(A, B, C, AB, BC, self.tensor(AB, C),
+                                          self.tensor(A, BC))
+        return self._once(("associator", id(A), id(B), id(C)), (A, B, C), build)
+
+    def braiding(self, A, B):
+        return self._once(("braiding", id(A), id(B)), (A, B),
+                          lambda: self.ops.braiding_on(A, B, self.tensor(A, B),
+                                                       self.tensor(B, A)))
+
+    def unitor(self, X, side: str):
+        """unit (x) X -> X (or X (x) unit -> X); identity entries because
+        tensoring with a rank-one degree-zero object never reindexes."""
+        def build():
+            ops = self.ops
+            u = self._once(("unit",), (), ops.unit_obj)
+            src = self.tensor(u, X) if side == "left" else self.tensor(X, u)
+            comps = [LinearMap(src.level(n), X.level(n),
+                               {(i, i): ops.ring.one
+                                for i in range(X.level(n).rank)})
+                     for n in range(ops.max_degree + 1)]
+            return ops.make_map(src, X, comps)
+        return self._once(("unitor", side, id(X)), (X,), build)
+
+    def composition(self, osig, i: int, isig):
+        """`P.composition`, with its zero maps built once."""
+        key = ((tuple(osig[0]), osig[1]), i, (tuple(isig[0]), isig[1]))
+        f = self.P.compositions.get(key)
+        if f is not None:
+            return f
+        M = self.P.collection
+        return self._once(("zero",) + key, (), lambda: self.ops.zero_map(
+            self.tensor(M.level(key[0]), M.level(key[2])),
+            M.level(graft_signature(*key))))
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +641,12 @@ def operad_check(P: Operad) -> list:
     collection, unit laws, sequential and parallel associativity, and
     equivariance against adjacent transpositions on both sides.  An
     empty list is the validity certificate.
+
+    Every law instance is evaluated.  The structure maps they compare
+    come from a `_Replay`, a memo local to this call: each tensor
+    object, associator, braiding, unitor and the unit object is built
+    once, keyed by the identity of its inputs, and the memo is dropped
+    when the call returns.
     """
     M = P.collection
     ops = M.ops
@@ -583,17 +666,18 @@ def operad_check(P: Operad) -> list:
     if out:
         return out
 
+    R = _Replay(P)
     for sig in sigs:
         lev = M.level(sig)
         c = sig[1]
-        left = P.composition(((c,), c), 0, sig) @ ops.tensor_map(
+        left = R.composition(((c,), c), 0, sig) @ R.tensor_map(
             P.unit(c), ops.identity(lev))
-        if not ops.equal(left, _unitor(ops, lev, "left")):
+        if not ops.equal(left, R.unitor(lev, "left")):
             out.append(("unit-left", sig))
         for i, ci in enumerate(sig[0]):
-            right = P.composition(sig, i, ((ci,), ci)) @ ops.tensor_map(
+            right = R.composition(sig, i, ((ci,), ci)) @ R.tensor_map(
                 ops.identity(lev), P.unit(ci))
-            if not ops.equal(right, _unitor(ops, lev, "right")):
+            if not ops.equal(right, R.unitor(lev, "right")):
                 out.append(("unit-right", sig, i))
 
     pairs = [(osig, i, isig)
@@ -613,12 +697,12 @@ def operad_check(P: Operad) -> list:
                 if sig_arity(mid) + sig_arity(zsig) - 1 > M.max_arity:
                     continue
                 Z = M.level(zsig)
-                lhs = P.composition(mid, i + j, zsig) @ ops.tensor_map(
-                    P.composition(osig, i, isig), ops.identity(Z))
+                lhs = R.composition(mid, i + j, zsig) @ R.tensor_map(
+                    R.composition(osig, i, isig), ops.identity(Z))
                 inner = graft_signature(isig, j, zsig)
-                rhs = P.composition(osig, i, inner) @ ops.tensor_map(
-                    ops.identity(X), P.composition(isig, j, zsig))
-                if not ops.equal(lhs, rhs @ ops.associator(X, Y, Z)):
+                rhs = R.composition(osig, i, inner) @ R.tensor_map(
+                    ops.identity(X), R.composition(isig, j, zsig))
+                if not ops.equal(lhs, rhs @ R.associator(X, Y, Z)):
                     out.append(("assoc-seq", osig, i, isig, j, zsig))
         # z into a later slot of x: parallel associativity
         for zsig in sigs:
@@ -634,13 +718,13 @@ def operad_check(P: Operad) -> list:
                 tot1 = graft_signature(mid, j + m - 1, zsig)
                 tot2 = graft_signature(mid2, i, isig)
                 assert tot1 == tot2, "parallel grafts disagree on the signature"
-                lhs = P.composition(mid, j + m - 1, zsig) @ ops.tensor_map(
-                    P.composition(osig, i, isig), ops.identity(Z))
-                rhs = P.composition(mid2, i, isig) @ ops.tensor_map(
-                    P.composition(osig, j, zsig), ops.identity(Y))
-                mediator = (ops.associator(X, Z, Y).inverse()
-                            @ ops.tensor_map(ops.identity(X), ops.braiding(Y, Z))
-                            @ ops.associator(X, Y, Z))
+                lhs = R.composition(mid, j + m - 1, zsig) @ R.tensor_map(
+                    R.composition(osig, i, isig), ops.identity(Z))
+                rhs = R.composition(mid2, i, isig) @ R.tensor_map(
+                    R.composition(osig, j, zsig), ops.identity(Y))
+                mediator = (R.associator(X, Z, Y).inverse()
+                            @ R.tensor_map(ops.identity(X), R.braiding(Y, Z))
+                            @ R.associator(X, Y, Z))
                 if not ops.equal(lhs, rhs @ mediator):
                     out.append(("assoc-par", osig, i, j, isig, zsig))
 
@@ -656,9 +740,9 @@ def operad_check(P: Operad) -> list:
             rho = perm_block_insert(s, i, m)
             gs = graft_signature(osig, s[i], isig)
             assert sig_act(gs, rho) == graft_signature(ssig, i, isig)
-            lhs = P.composition(ssig, i, isig) @ ops.tensor_map(
+            lhs = R.composition(ssig, i, isig) @ R.tensor_map(
                 M.action(osig, s), ops.identity(Y))
-            rhs = M.action(gs, rho) @ P.composition(osig, s[i], isig)
+            rhs = M.action(gs, rho) @ R.composition(osig, s[i], isig)
             if not ops.equal(lhs, rhs):
                 out.append(("equiv-outer", osig, i, isig, s))
         # inner equivariance against transpositions of the inner slots
@@ -667,9 +751,9 @@ def operad_check(P: Operad) -> list:
             rho = perm_inner_insert(k, i, s)
             gs = graft_signature(osig, i, isig)
             assert sig_act(gs, rho) == graft_signature(osig, i, sig_act(isig, s))
-            lhs = P.composition(osig, i, sig_act(isig, s)) @ ops.tensor_map(
+            lhs = R.composition(osig, i, sig_act(isig, s)) @ R.tensor_map(
                 ops.identity(X), M.action(isig, s))
-            rhs = M.action(gs, rho) @ P.composition(osig, i, isig)
+            rhs = M.action(gs, rho) @ R.composition(osig, i, isig)
             if not ops.equal(lhs, rhs):
                 out.append(("equiv-inner", osig, i, isig, s))
     return out

@@ -1,5 +1,8 @@
 """Coefficient rings: Z, Q and Z/p for p prime.
 
+A modulus is tested by deterministic Miller-Rabin, which is exact below
+3,317,044,064,679,887,385,961,981; larger moduli raise ValueError.
+
 Elements are plain data: int for Z and Z/p (reduced into [0, p)), Fraction
 for Q.  A Ring object bundles the arithmetic, canonical string formatting
 and parsing used by the JSON interfaces.
@@ -10,14 +13,42 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Strong-probable-prime tests to the thirteen prime bases 2..41 decide
+# primality exactly below _MR_BOUND, the least strong pseudoprime to all
+# of them (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86 (2017) 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above _MR_BOUND.
+
+    >>> [q for q in range(30) if _is_prime(q)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    """
+    if p >= _MR_BOUND:
+        raise ValueError(f"modulus {p} is at or above {_MR_BOUND}, where "
+                         f"primality is not decided")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -17,6 +17,7 @@ from .chain import ChainComplex
 from .exactlin import (
     FreeModule,
     LinearMap,
+    _kron_entries,
     compose,
     free_module,
     matrix_from_json,
@@ -450,7 +451,11 @@ def constant_module(ring: Ring, max_degree: int, rank: int = 1) -> SimplicialMod
 
 
 def tensor(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
-    """Degreewise tensor; operators act diagonally."""
+    """Degreewise tensor; operators act diagonally.
+
+    Each operator is the Kronecker product of the two factors' operators,
+    with its entries in the order of `exactlin._kron_entries`.
+    """
     if A.ring != B.ring:
         raise ValueError("ring mismatch")
     D = min(A.max_degree, B.max_degree)
@@ -459,31 +464,28 @@ def tensor(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
         labels = tuple(f"({a})(x)({b})" for a in A.level(n).labels
                        for b in B.level(n).labels)
         levels.append(FreeModule(A.ring, labels))
-    faces = []
-    for n in range(1, D + 1):
-        fs = []
-        for i in range(n + 1):
-            blk = A.face(n, i).tensor(B.face(n, i))
-            fs.append(LinearMap(levels[n], levels[n - 1], blk.entries))
-        faces.append(fs)
-    degeneracies = []
-    for n in range(D):
-        ss = []
-        for i in range(n + 1):
-            blk = A.degeneracy(n, i).tensor(B.degeneracy(n, i))
-            ss.append(LinearMap(levels[n], levels[n + 1], blk.entries))
-        degeneracies.append(ss)
+    faces = [[LinearMap(levels[n], levels[n - 1],
+                        _kron_entries(A.face(n, i), B.face(n, i)))
+              for i in range(n + 1)]
+             for n in range(1, D + 1)]
+    degeneracies = [[LinearMap(levels[n], levels[n + 1],
+                               _kron_entries(A.degeneracy(n, i), B.degeneracy(n, i)))
+                     for i in range(n + 1)]
+                    for n in range(D)]
     return SimplicialModule(A.ring, levels, faces, degeneracies)
 
 
 def tensor_map(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
     """f (x) g degreewise between the tensor modules."""
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
-    comps = []
-    for n in range(src.max_degree + 1):
-        blk = f.component(n).tensor(g.component(n))
-        comps.append(LinearMap(src.level(n), tgt.level(n), blk.entries))
+    return _tensor_map(f, g, tensor(f.source, g.source), tensor(f.target, g.target))
+
+
+def _tensor_map(f: SimplicialMap, g: SimplicialMap, src: SimplicialModule,
+                tgt: SimplicialModule) -> SimplicialMap:
+    """`tensor_map` between the prebuilt tensors src and tgt."""
+    comps = [LinearMap(src.level(n), tgt.level(n),
+                       _kron_entries(f.component(n), g.component(n)))
+             for n in range(src.max_degree + 1)]
     return SimplicialMap(src, tgt, comps, check=False)
 
 
@@ -514,7 +516,13 @@ def direct_sum(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
 
 def swap_map(A: SimplicialModule, B: SimplicialModule) -> SimplicialMap:
     """A (x) B -> B (x) A, transposing basis pairs; no signs degreewise."""
-    AB, BA = tensor(A, B), tensor(B, A)
+    return _swap_map(A, B, tensor(A, B), tensor(B, A))
+
+
+def _swap_map(A: SimplicialModule, B: SimplicialModule, AB: SimplicialModule,
+              BA: SimplicialModule) -> SimplicialMap:
+    """`swap_map` between the prebuilt tensors AB = A (x) B and
+    BA = B (x) A; still checked to be a simplicial map."""
     comps = []
     for n in range(AB.max_degree + 1):
         ra, rb = A.level(n).rank, B.level(n).rank

@@ -930,7 +930,7 @@ class FreeOperad:
         src = ops.tensor(fl1.object, fl2.object)
         if flg is None:
             raise ValueError(f"graft level {sig_str(gsig)} vanished")
-        n2 = sig_arity(isig)
+        columns: dict = {}  # (block, degree) -> `_proj_columns`
         comps = []
         for n in range(bound + 1):
             entries: dict = {}
@@ -966,7 +966,10 @@ class FreeOperad:
                         idxsg = (idxs1[:insert] + idxs2[:-1]
                                  + idxs1[insert:m1] + (lgi,))
                         rowflat = blockg.flat_index(n, pg, degsg, idxsg)
-                        row_obj = _obj_row(flg, bg, n, rowflat, blockg)
+                        cols = columns.get((bg, n))
+                        if cols is None:
+                            cols = columns[(bg, n)] = _proj_columns(flg, bg, n)
+                        row_obj = cols.get(rowflat)
                         if row_obj is None:
                             continue
                         col = off + c1 * rank2 + c2
@@ -1025,15 +1028,15 @@ def _level_basis(fl: FreeLevel, n: int):
     return out
 
 
-def _obj_row(fl: FreeLevel, bi: int, n: int, flat_in_block: int, block: _Block):
-    """Rows of the level object hit by a big-module basis element."""
-    proj = block.proj.component(n)
+def _proj_columns(fl: FreeLevel, bi: int, n: int) -> dict:
+    """Column index of block bi's degree-n proj: each big-module basis
+    element to the level-object rows it hits, as (row, entry) in the
+    order of the proj's entries."""
     off = fl.offsets[bi][n]
-    out = []
-    for (i, j), v in proj.entries.items():
-        if j == flat_in_block:
-            out.append((off + i, v))
-    return out or None
+    cols: dict = {}
+    for (i, j), v in fl.blocks[bi].proj.component(n).entries.items():
+        cols.setdefault(j, []).append((off + i, v))
+    return cols
 
 
 # ---------------------------------------------------------------------------

@@ -462,3 +462,46 @@ def test_json_roundtrip():
     K = random_complex(rng, ZZ, 3)
     K2 = chain_from_json(chain_to_json(K))
     assert K2 == K
+
+
+def _complex_inputs():
+    M1, M2, M3 = (free_module(ZZ, r) for r in (1, 2, 3))
+    return {
+        "empty": ((ZZ, [], []), "at least degree 0"),
+        "count": ((ZZ, [M3, M2], []), "need 1 differentials, got 0"),
+        "ring": ((QQ, [M1], []), "level 0 is over Z, not Q"),
+        # d_1: M1 -> M1 on levels of ranks (3, 2)
+        "shape": ((ZZ, [M3, M2], [LinearMap.identity(M2)]),
+                  "d_1 is not a map from level 1 to level 0"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_complex_inputs()))
+def test_chain_complex_refuses_malformed_input(case):
+    # explicit raises, so they also hold under python -O
+    args, msg = _complex_inputs()[case]
+    with pytest.raises(ValueError, match=msg):
+        ChainComplex(*args)
+
+
+def _chain_map_inputs():
+    K, L = two_term(ZZ, [[1, 0]]), two_term(ZZ, [[1]])
+    f = ChainMap(L, L, [LinearMap.identity(M) for M in L.levels])
+    KQ = two_term(QQ, [[1]])
+    comps = list(f.components)
+    return {
+        "ring": ((L, KQ, comps), "ring mismatch"),
+        "degree": ((L, pad(L, 2), comps), "truncated at different degrees"),
+        "count": ((L, L, comps[:1]), "need 2 components, got 1"),
+        # component 1 lands in a rank-2 module where L_1 has rank 1
+        "target": ((L, L, [comps[0], LinearMap.from_rows(
+            L.level(1), K.level(1), [[1], [0]])]),
+            "component 1 is not a map between the degree-1 levels"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_chain_map_inputs()))
+def test_chain_map_refuses_malformed_input(case):
+    args, msg = _chain_map_inputs()[case]
+    with pytest.raises(ValueError, match=msg):
+        ChainMap(*args)

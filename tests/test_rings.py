@@ -5,7 +5,7 @@ The checks are explicit raises, so they also hold under python -O.
 
 import pytest
 
-from opdk.rings import QQ, ZZ, Ring, Zmod, ring_from_name
+from opdk.rings import QQ, ZZ, Ring, Zmod, _MR_BOUND, _is_prime, ring_from_name
 
 
 def test_composite_modulus_is_refused():
@@ -27,3 +27,52 @@ def test_modulus_on_z_or_q_is_refused():
     with pytest.raises(ValueError, match="takes no modulus"):
         Ring("Q", 5)
     assert Ring("Z") == ZZ and Ring("Q") == QQ
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-3, 20000) if _is_prime(n)] == \
+        [n for n in range(-3, 20000) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911,
+                               41041, 825265, 321197185, 5394826801])
+def test_carmichael_numbers_are_refused(n):
+    # Fermat pseudoprimes to every coprime base
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        Zmod(n)
+
+
+@pytest.mark.parametrize("n,factors", [
+    (2047, (23, 89)),                           # strong to base 2
+    (3215031751, (151, 751, 28351)),            # strong to 2, 3, 5, 7
+    (3825123056546413051, (149491, 747451, 34233211)),  # strong to 2..31
+    (318665857834031151167461, (399165290221, 798330580441)),  # 2..37
+])
+def test_strong_pseudoprimes_are_refused(n, factors):
+    product = 1
+    for f in factors:
+        product *= f
+    assert product == n
+    assert not _is_prime(n)
+
+
+def test_large_primes_are_accepted_quickly():
+    for p in (10 ** 15 + 37, 2 ** 61 - 1, 2 ** 31 - 1):
+        assert _is_prime(p)
+        assert Zmod(p).p == p
+    assert ring_from_name(f"Zmod:{10 ** 15 + 37}").normalize(-1) == 10 ** 15 + 36
+
+
+def test_moduli_past_the_miller_rabin_range_are_refused():
+    assert _MR_BOUND == 3317044064679887385961981
+    assert isinstance(_is_prime(_MR_BOUND - 2), bool)
+    for n in (_MR_BOUND, _MR_BOUND + 1, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="at or above"):
+            _is_prime(n)
+        with pytest.raises(ValueError, match="at or above"):
+            Zmod(n)

@@ -1,0 +1,396 @@
+"""Tensor products by offset arithmetic against the Kronecker block route.
+
+The oracles below are the block loops the library used before: every
+block of a chain tensor differential, tensor map or simplicial operator
+is a `LinearMap.tensor` product, with `LinearMap.identity` standing in
+for the identity factor, copied in at its offsets.  The library now
+writes the same entries straight into one dict.  The comparison is on
+the ordered entry lists and on the level labels, since rref and Smith
+pivoting may read a map's entry order.  `operad_check`, which builds
+each structure map once per call through `operad._Replay`, is compared
+with the same replay building every map afresh.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from opdk import chain, corpus, simp
+from opdk import operad as op
+from opdk.chain import tensor_blocks
+from opdk.exactlin import LinearMap, free_module
+from opdk.rings import QQ, ZZ, Zmod
+
+RINGS = [ZZ, QQ, Zmod(5), Zmod(2)]
+X = "x"
+
+
+def sig(n, color=X):
+    return ((color,) * n, color)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the Kronecker block route
+# ---------------------------------------------------------------------------
+
+
+def _kron(f, g):
+    """The Kronecker product as `LinearMap.tensor` computed it, written
+    out here so that the oracles do not go through `_kron_entries`."""
+    ring = f.ring
+    sb, tb = g.source.rank, g.target.rank
+    entries = {}
+    for (i, j), v in f.entries.items():
+        for (k, l), w in g.entries.items():
+            entries[(i * tb + k, j * sb + l)] = ring.mul(v, w)
+    return LinearMap(free_module(ring, f.source.rank * sb),
+                     free_module(ring, f.target.rank * tb), entries)
+
+
+def _placed(ring, rows, cols, entries):
+    """Entries as the route's final `LinearMap` normalized them."""
+    m = LinearMap(free_module(ring, cols), free_module(ring, rows), entries)
+    return list(m.entries.items())
+
+
+def _oracle_labels(K, L, D):
+    return [tuple(f"{p}|({a})(x)({b})"
+                  for p, q, _ in tensor_blocks(K, L, n)
+                  for a in K.level(p).labels for b in L.level(q).labels)
+            for n in range(D + 1)]
+
+
+def _oracle_tensor(K, L, bound):
+    ring = K.ring
+    D = K.max_degree + L.max_degree
+    if bound is not None:
+        D = min(D, bound)
+    labels = _oracle_labels(K, L, D)
+    diffs = []
+    for n in range(1, D + 1):
+        entries = {}
+        tgt_off = {(p, q): off for p, q, off in tensor_blocks(K, L, n - 1)}
+        for p, q, off in tensor_blocks(K, L, n):
+            if p >= 1 and (p - 1, q) in tgt_off:
+                blk = _kron(K.d(p), LinearMap.identity(L.level(q)))
+                to = tgt_off[(p - 1, q)]
+                for (i, j), v in blk.entries.items():
+                    entries[(to + i, off + j)] = v
+            if q >= 1 and (p, q - 1) in tgt_off:
+                blk = _kron(LinearMap.identity(K.level(p)), L.d(q))
+                sign = ring.normalize(-1) if p % 2 else ring.one
+                to = tgt_off[(p, q - 1)]
+                for (i, j), v in blk.entries.items():
+                    key = (to + i, off + j)
+                    entries[key] = ring.add(entries.get(key, ring.zero),
+                                            ring.mul(sign, v))
+        diffs.append(_placed(ring, len(labels[n - 1]), len(labels[n]),
+                             {k: v for k, v in entries.items()
+                              if v != ring.zero}))
+    return labels, diffs
+
+
+def _oracle_tensor_map(f, g, bound):
+    src, _ = _oracle_tensor(f.source, g.source, bound)
+    tgt, _ = _oracle_tensor(f.target, g.target, bound)
+    comps = []
+    for n in range(len(src)):
+        entries = {}
+        tgt_off = {(p, q): off
+                   for p, q, off in tensor_blocks(f.target, g.target, n)}
+        for p, q, off in tensor_blocks(f.source, g.source, n):
+            if (p, q) not in tgt_off:
+                continue
+            blk = _kron(f.component(p), g.component(q))
+            to = tgt_off[(p, q)]
+            for (i, j), v in blk.entries.items():
+                entries[(to + i, off + j)] = v
+        comps.append(_placed(f.source.ring, len(tgt[n]), len(src[n]), entries))
+    return src, tgt, comps
+
+
+def _oracle_braiding(K, L, bound):
+    ring = K.ring
+    src, _ = _oracle_tensor(K, L, bound)
+    comps = []
+    for n in range(len(src)):
+        entries = {}
+        tgt_off = {(q, p): off for q, p, off in tensor_blocks(L, K, n)}
+        for p, q, off in tensor_blocks(K, L, n):
+            to = tgt_off[(q, p)]
+            rk, rl = K.level(p).rank, L.level(q).rank
+            sign = ring.one if (p * q) % 2 == 0 else ring.normalize(-1)
+            for i in range(rk):
+                for j in range(rl):
+                    entries[(to + j * rk + i, off + i * rl + j)] = sign
+        comps.append(_placed(ring, len(src[n]), len(src[n]), entries))
+    return comps
+
+
+def _oracle_associator(K, L, M, bound):
+    """The position-dictionary loop: every target basis vector
+    (p, q, r, i, j, k) is looked up by its index tuple."""
+    KL, LM = chain.tensor(K, L, bound), chain.tensor(L, M, bound)
+    src, _ = _oracle_tensor(KL, M, bound)
+    comps = []
+    for n in range(len(src)):
+        entries = {}
+        tgt_pos = {}
+        for p, t, off in tensor_blocks(K, LM, n):
+            for q, r, ioff in tensor_blocks(L, M, t):
+                rj, rk = L.level(q).rank, M.level(r).rank
+                for i in range(K.level(p).rank):
+                    for j in range(rj):
+                        for k in range(rk):
+                            tgt_pos[(p, q, r, i, j, k)] = (
+                                off + i * LM.level(t).rank + ioff + j * rk + k)
+        for s, r, off in tensor_blocks(KL, M, n):
+            rm = M.level(r).rank
+            for p, q, ioff in tensor_blocks(K, L, s):
+                rj = L.level(q).rank
+                for i in range(K.level(p).rank):
+                    for j in range(rj):
+                        for k in range(rm):
+                            col = off + (ioff + i * rj + j) * rm + k
+                            entries[(tgt_pos[(p, q, r, i, j, k)], col)] = \
+                                K.ring.one
+        comps.append(_placed(K.ring, len(src[n]), len(src[n]), entries))
+    return comps
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
+
+
+def chain_case(seed):
+    """Random complexes of degree <= 3 and ranks <= 2 (rank-0 levels
+    included), chain maps between same-degree pairs, and a bound below
+    the degree sum."""
+    rng = random.Random(seed)
+    ring = RINGS[seed % len(RINGS)]
+    K, L, M = (corpus.random_complex(rng, ring, rng.randint(0, 3), max_rank=2)
+               for _ in range(3))
+    K2 = corpus.random_complex(rng, ring, K.max_degree, max_rank=2)
+    L2 = corpus.random_complex(rng, ring, L.max_degree, max_rank=2)
+    f = corpus.random_chain_map(rng, K, K2)
+    g = corpus.random_chain_map(rng, L, L2)
+    total = K.max_degree + L.max_degree
+    low = rng.randint(0, total - 1) if total else None
+    return K, L, M, f, g, low
+
+
+def simp_case(seed):
+    rng = random.Random(seed)
+    ring = RINGS[seed % len(RINGS)]
+    D = rng.randint(0, 3)
+    A, A2, B, B2 = (corpus.random_instance(rng, ring, D, max_rank=2)
+                    for _ in range(4))
+    f = corpus.random_simplicial_map(rng, A, A2)
+    g = corpus.random_simplicial_map(rng, B, B2)
+    return A.module, B.module, f, g
+
+
+FIXED_CHAIN = range(1000, 1012)
+FIXED_SIMP = range(2000, 2008)
+
+
+def _items(maps):
+    return [list(m.entries.items()) for m in maps]
+
+
+def _check_chain_case(seed):
+    K, L, M, f, g, low = chain_case(seed)
+    bounds = [None] if low is None else [None, low]
+    for bound in bounds:
+        T = chain.tensor(K, L, bound)
+        labels, diffs = _oracle_tensor(K, L, bound)
+        assert [lev.labels for lev in T.levels] == labels
+        assert _items(T.differentials) == diffs
+
+        tm = chain.tensor_map(f, g, bound)
+        src, tgt, comps = _oracle_tensor_map(f, g, bound)
+        assert [lev.labels for lev in tm.source.levels] == src
+        assert [lev.labels for lev in tm.target.levels] == tgt
+        assert _items(tm.components) == comps
+
+        assert _items(chain.braiding(K, L, bound).components) == \
+            _oracle_braiding(K, L, bound)
+        assoc = chain.associator(K, L, M, bound)
+        assert _items(assoc.components) == _oracle_associator(K, L, M, bound)
+
+
+def _check_simp_case(seed):
+    A, B, f, g = simp_case(seed)
+    T = simp.tensor(A, B)
+    assert [lev.labels for lev in T.levels] == \
+        [tuple(f"({a})(x)({b})" for a in A.level(n).labels
+               for b in B.level(n).labels) for n in range(T.max_degree + 1)]
+    for n in range(1, T.max_degree + 1):
+        for i in range(n + 1):
+            assert list(T.face(n, i).entries.items()) == \
+                list(_kron(A.face(n, i), B.face(n, i)).entries.items())
+    for n in range(T.max_degree):
+        for i in range(n + 1):
+            assert list(T.degeneracy(n, i).entries.items()) == \
+                list(_kron(A.degeneracy(n, i),
+                           B.degeneracy(n, i)).entries.items())
+    tm = simp.tensor_map(f, g)
+    assert _items(tm.components) == \
+        [list(_kron(f.component(n), g.component(n)).entries.items())
+         for n in range(T.max_degree + 1)]
+
+
+def test_linear_map_tensor_is_the_kronecker_product():
+    for seed in FIXED_SIMP:
+        A, B, f, g = simp_case(seed)
+        for n in range(A.max_degree + 1):
+            a, b = f.component(n), g.component(n)
+            t = a.tensor(b)
+            assert list(t.entries.items()) == list(_kron(a, b).entries.items())
+            assert t.source.labels == tuple(
+                f"({x})⊗({y})" for x in a.source.labels for y in b.source.labels)
+
+
+@pytest.mark.parametrize("seed", FIXED_CHAIN)
+def test_chain_tensor_routes_fixed(seed):
+    _check_chain_case(seed)
+
+
+@pytest.mark.parametrize("seed", FIXED_SIMP)
+def test_simp_tensor_routes_fixed(seed):
+    _check_simp_case(seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_chain_tensor_matches_kronecker_route(seed):
+    _check_chain_case(seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_simp_tensor_matches_kronecker_route(seed):
+    _check_simp_case(seed)
+
+
+def test_fixed_cases_reach_odd_degrees_rank_zero_and_every_ring():
+    odd = zero = 0
+    rings = set()
+    for seed in FIXED_CHAIN:
+        K, L, M, f, g, low = chain_case(seed)
+        rings.add(K.ring)
+        # the sign (-1)^p of 1 (x) d_L shows at a nonzero odd-degree K_p
+        odd += any(K.level(p).rank for p in range(1, K.max_degree + 1, 2)) \
+            and any(d.entries for d in L.differentials)
+        zero += 0 in K.ranks() + L.ranks()
+    assert rings == set(RINGS) and odd and zero
+
+
+# ---------------------------------------------------------------------------
+# operad_check: one build per structure map, the same verdicts
+# ---------------------------------------------------------------------------
+
+
+def _corrupt_composition():
+    P = op.associative_operad(ZZ, "chain", 3, 0)
+    key = (sig(2), 0, sig(2))
+    f = P.compositions[key]
+    bad = dict(f.component(0).entries)
+    (r, c), v = next(iter(bad.items()))
+    bad[(r, c)] = v + 1
+    comps = [LinearMap(f.component(0).source, f.component(0).target, bad)]
+    P.compositions[key] = P.ops.make_map(f.source, f.target, comps)
+    return P
+
+
+def _non_simplicial_composition():
+    F5 = Zmod(5)
+    P = op.associative_operad(F5, "simplicial", 2, 2)
+    key = (sig(2), 0, sig(1))
+    f = P.composition(*key)
+    comps = list(f.components)
+    top = dict(comps[-1].entries)
+    top[(0, 0)] = F5.add(top.get((0, 0), F5.zero), F5.one)
+    comps[-1] = LinearMap(comps[-1].source, comps[-1].target, top)
+    P.compositions[key] = P.ops.make_map(f.source, f.target, comps)
+    return P
+
+
+def _scaled_composition():
+    # graded, and every law replays: the composition is a chain map
+    P = op.associative_operad(QQ, "chain", 3, 1)
+    key = (sig(2), 1, sig(2))
+    f = P.compositions[key]
+    P.compositions[key] = P.ops.make_map(f.source, f.target,
+                                         [c.scale(2) for c in f.components])
+    return P
+
+
+BROKEN = {
+    "corrupt-composition": (_corrupt_composition, 3),
+    "non-simplicial": (_non_simplicial_composition, 1),
+    "scaled-composition": (_scaled_composition, 2),
+}
+
+F5 = Zmod(5)
+CORPUS = {
+    "assoc-chain": lambda: op.associative_operad(ZZ, "chain", 3, 0),
+    "assoc-simplicial": lambda: op.associative_operad(ZZ, "simplicial", 3, 2),
+    "indiscrete-acyclic": lambda: corpus.indiscrete_operad(
+        F5, "simplicial", 2, disk=corpus.acyclic_disk(F5, 2)),
+    "disconnected": lambda: corpus.disconnected_operad(
+        F5, "simplicial", 2, disk=corpus.acyclic_disk(F5, 2)),
+    "scaled-pair": lambda: corpus.scaled_pair_operad(ZZ, 4),
+    "nilpotent": lambda: corpus.nilpotent_two_color_operad(ZZ, 1),
+    "normalized-assoc": lambda: op.associative_operad(
+        ZZ, "simplicial", 3, 2),
+}
+
+
+def _unmemoized(monkeypatch):
+    """Make `_Replay` build every structure map afresh, as the checker
+    did before it kept them."""
+    monkeypatch.setattr(op._Replay, "_once",
+                        lambda self, key, inputs, build: build())
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_operad_check_memo_keeps_the_violations(monkeypatch, name):
+    make, count = BROKEN[name]
+    got = op.operad_check(make())
+    assert len(got) == count
+    _unmemoized(monkeypatch)
+    assert op.operad_check(make()) == got
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_operad_check_memo_passes_the_corpus(monkeypatch, name):
+    P = CORPUS[name]()
+    if name == "normalized-assoc":
+        from opdk.doldkan import normalize_operad
+        P = normalize_operad(P)
+    assert op.operad_check(P) == []
+    _unmemoized(monkeypatch)
+    assert op.operad_check(P) == []
+
+
+def test_operad_check_builds_each_tensor_once_per_call(monkeypatch):
+    # every chain tensor the replay asks for has distinct inputs, and a
+    # second call builds exactly as many again: nothing is kept between
+    # calls
+    P = _scaled_composition()
+    real = chain.tensor
+    seen = []
+
+    def counting(K, L, bound=None):
+        seen.append((id(K), id(L)))
+        return real(K, L, bound)
+
+    monkeypatch.setattr(chain, "tensor", counting)
+    first = op.operad_check(P)
+    n_first = len(seen)
+    assert n_first and len(set(seen)) == n_first
+    assert op.operad_check(P) == first
+    assert len(seen) == 2 * n_first
