@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .chain import ChainComplex, ChainMap, concentrated, pad, two_term
+from .chain import ChainComplex, ChainMap, concentrated, pad, tensor_blocks, two_term
 from .doldkan import gamma, gamma_map
 from .exactlin import LinearMap, compose, free_module, kernel
 from .rings import Ring
@@ -226,25 +226,41 @@ def _sq_zero_mult(ops, ring, X, Y, Z, xc: bool, yc: bool, zc: bool):
     Sends const(x)const to const, const(x)disk and disk(x)const to the
     disk identically, disk(x)disk to zero.  All three disks must be the
     same object for the identity blocks to typecheck.
+
+    Over the simplicial base the unit is constant, so index 0 is the
+    constant generator in every degree, and X (x) Y is the degreewise
+    Kronecker product: the pair (i, j) sits at i * rank(Y_n) + j.  Over
+    the chain base the unit lives in degree 0 only, and degree n of
+    X (x) Y is the sum of X_p (x) Y_q over p + q = n (`tensor_blocks`):
+    the pair sits at the block offset plus i * rank(Y_q) + j, and only
+    X_0, Y_0 and Z_0 hold the constant.  Since the constant is a cycle
+    and the disk a subcomplex, the Koszul differential then commutes
+    with this map: d(c (x) y) = c (x) dy and d(x (x) c) = dx (x) c.
     """
     src = ops.tensor(X, Y)
-    dx, dy, dz = int(xc), int(yc), int(zc)
+    chain = ops.base == "chain"
     comps = []
     for n in range(ops.max_degree + 1):
-        rx, ry = X.level(n).rank, Y.level(n).rank
+        blocks = tensor_blocks(X, Y, n) if chain else [(n, n, 0)]
+        dz = int(zc and (n == 0 or not chain))
         entries = {}
-        for i in range(rx):
-            for j in range(ry):
-                col = i * ry + j
-                xi_const = xc and i == 0
-                yj_const = yc and j == 0
-                if xi_const and yj_const:
-                    if zc:
-                        entries[(0, col)] = ring.one
-                elif xi_const:
-                    entries[(dz + (j - dy), col)] = ring.one
-                elif yj_const:
-                    entries[(dz + (i - dx), col)] = ring.one
+        for p, q, off in blocks:
+            x0 = xc and (p == 0 or not chain)
+            y0 = yc and (q == 0 or not chain)
+            dx, dy = int(x0), int(y0)
+            rx, ry = X.level(p).rank, Y.level(q).rank
+            for i in range(rx):
+                for j in range(ry):
+                    col = off + i * ry + j
+                    xi_const = x0 and i == 0
+                    yj_const = y0 and j == 0
+                    if xi_const and yj_const:
+                        if dz:
+                            entries[(0, col)] = ring.one
+                    elif xi_const:
+                        entries[(dz + (j - dy), col)] = ring.one
+                    elif yj_const:
+                        entries[(dz + (i - dx), col)] = ring.one
         comps.append(LinearMap(src.level(n), Z.level(n), entries))
     return ops.make_map(src, Z, comps)
 

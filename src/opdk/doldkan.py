@@ -337,6 +337,28 @@ def counit(A: SimplicialModule, nz: Optional[Normalization] = None) -> Simplicia
 # ---------------------------------------------------------------------------
 
 
+def _product_normalization(A: SimplicialModule, B: SimplicialModule,
+                           nab: Optional[Normalization]) -> Normalization:
+    """nab, checked to be a normalization of a module shaped like
+    A (x) B; the normalization of A (x) B itself when nab is None.
+
+    A given nab is trusted to be N(A (x) B): A (x) B is not rebuilt to
+    compare it entry for entry.  Its ring and its Moore ranks must still
+    be A's ring and the degreewise products of A's and B's ranks, or
+    ValueError.
+    """
+    if A.ring != B.ring:
+        raise ValueError("ring mismatch")
+    if nab is None:
+        return normalize(tensor_simplicial(A, B))
+    D = min(A.max_degree, B.max_degree)
+    want = tuple(A.level(n).rank * B.level(n).rank for n in range(D + 1))
+    if nab.moore.ring != A.ring or nab.moore.ranks() != want:
+        raise ValueError(
+            f"nab has Moore ranks {nab.moore.ranks()}, but A (x) B has {want}")
+    return nab
+
+
 def aw(A: SimplicialModule, B: SimplicialModule,
        na: Optional[Normalization] = None,
        nb: Optional[Normalization] = None,
@@ -345,16 +367,15 @@ def aw(A: SimplicialModule, B: SimplicialModule,
 
     The (p, q) block is front face tensor back face: restrict a to its
     first p vertices and b to its last q, then project both to the
-    normalized summands.
+    normalized summands.  A given `nab` stands for N(A (x) B), which is
+    then not rebuilt (`_product_normalization`).
     """
-    AB = tensor_simplicial(A, B)
+    nab = _product_normalization(A, B, nab)
     if na is None:
         na = normalize(A)
     if nb is None:
         nb = normalize(B)
-    if nab is None:
-        nab = normalize(AB)
-    D = AB.max_degree
+    D = nab.complex.max_degree
     NN = tensor_complex(na.complex, nb.complex, bound=D)
     comps = []
     for n in range(D + 1):
@@ -410,18 +431,17 @@ def shuffle(A: SimplicialModule, B: SimplicialModule,
 
     Each level of the signed sum lands in the face kernels of the
     product; the corestriction goes through the projection and is
-    checked against the inclusion.
+    checked against the inclusion.  A given `nab` stands for
+    N(A (x) B), as in `aw`.
     """
-    AB = tensor_simplicial(A, B)
+    nab = _product_normalization(A, B, nab)
     if na is None:
         na = normalize(A)
     if nb is None:
         nb = normalize(B)
-    if nab is None:
-        nab = normalize(AB)
-    D = AB.max_degree
+    D = nab.complex.max_degree
     NN = tensor_complex(na.complex, nb.complex, bound=D)
-    comps = [_corestrict(nab, n, LinearMap(NN.level(n), AB.level(n),
+    comps = [_corestrict(nab, n, LinearMap(NN.level(n), nab.moore.level(n),
                                            _shuffle_entries(A, B, na, nb, n)))
              for n in range(D + 1)]
     return ChainMap(NN, nab.complex, comps)

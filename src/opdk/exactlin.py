@@ -29,20 +29,19 @@ from .rings import Ring, ZZ, ring_from_name
 class FreeModule:
     """Finitely generated free module with an ordered, labeled basis."""
 
-    __slots__ = ("ring", "labels")
+    __slots__ = ("ring", "labels", "rank")
 
     def __init__(self, ring: Ring, labels):
         labels = tuple(labels)
-        assert len(set(labels)) == len(labels), "basis labels must be distinct"
+        if len(set(labels)) != len(labels):
+            raise ValueError("basis labels must be distinct")
         self.ring = ring
         self.labels = labels
-
-    @property
-    def rank(self) -> int:
-        return len(self.labels)
+        self.rank = len(labels)
 
     def compatible(self, other: "FreeModule") -> bool:
-        return self.ring == other.ring and self.rank == other.rank
+        return self is other or (
+            self.ring == other.ring and self.rank == other.rank)
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -80,12 +79,24 @@ class LinearMap:
     """Map of free modules, stored as {(row, col): entry} with no zeros.
 
     Rows index the target basis, columns the source basis.
+
+    Every stored entry is canonical: its position lies inside the shape,
+    it is nonzero, and it is an int over Z, a Fraction over Q and an int
+    in [0, p) over Z/p.  The public constructor checks and normalizes
+    each entry it is given, and is the only way entries from outside
+    this module come in.  The private `_canonical` stores a dict as it
+    is; only this module's own arithmetic calls it, on entries that
+    arithmetic has just made canonical from canonical operands:
+    `identity`, `zero`, `+`, `-`, `scale` and negation, `tensor`,
+    `direct_sum`, `transpose`, `compose`, `hstack` and `vstack`.  Each
+    of them checks its operands' rings and shapes with ValueError.
     """
 
     __slots__ = ("source", "target", "entries")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries):
-        assert source.ring == target.ring
+        if source.ring != target.ring:
+            raise ValueError("source and target lie over different rings")
         ring = source.ring
         rows, cols = target.rank, source.rank
         zero = ring.zero
@@ -100,6 +111,17 @@ class LinearMap:
         self.target = target
         self.entries = clean
 
+    @classmethod
+    def _canonical(cls, source: FreeModule, target: FreeModule,
+                   entries: dict) -> "LinearMap":
+        """A map holding `entries` itself, unchecked: see the class
+        docstring for who may call this and what it relies on."""
+        m = object.__new__(cls)
+        m.source = source
+        m.target = target
+        m.entries = entries
+        return m
+
     # -- construction helpers -------------------------------------------
 
     @classmethod
@@ -113,13 +135,15 @@ class LinearMap:
 
     @classmethod
     def identity(cls, module: FreeModule):
-        return cls(
-            module, module, {(i, i): module.ring.one for i in range(module.rank)}
-        )
+        one = module.ring.one
+        return cls._canonical(
+            module, module, {(i, i): one for i in range(module.rank)})
 
     @classmethod
     def zero(cls, source: FreeModule, target: FreeModule):
-        return cls(source, target, {})
+        if source.ring != target.ring:
+            raise ValueError("source and target lie over different rings")
+        return cls._canonical(source, target, {})
 
     @property
     def ring(self) -> Ring:
@@ -137,25 +161,49 @@ class LinearMap:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        assert self.shape == other.shape and self.ring == other.ring
-        ring = self.ring
+    def _merge(self, other: "LinearMap", sign: int) -> "LinearMap":
+        """self + sign * other for sign +1 or -1, in one pass: self's
+        entries keep their order, other's new positions follow in
+        theirs, and a position that cancels is dropped."""
+        if self.shape != other.shape or self.ring != other.ring:
+            raise ValueError(
+                f"cannot add a {other.shape[0]}x{other.shape[1]} map over "
+                f"{other.ring.name()} to a {self.shape[0]}x{self.shape[1]} "
+                f"map over {self.ring.name()}")
+        p = self.ring.p
         entries = dict(self.entries)
+        get = entries.get
         for k, v in other.entries.items():
-            entries[k] = ring.add(entries.get(k, ring.zero), v)
-        return LinearMap(self.source, self.target, entries)
+            t = get(k)
+            if t is None:
+                v = v if sign == 1 else -v
+            else:
+                v = t + v if sign == 1 else t - v
+            if p is not None:
+                v %= p
+            if v:
+                entries[k] = v
+            else:
+                del entries[k]
+        return LinearMap._canonical(self.source, self.target, entries)
+
+    def __add__(self, other: "LinearMap") -> "LinearMap":
+        return self._merge(other, 1)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + other.scale(-1)
+        return self._merge(other, -1)
 
     def scale(self, c) -> "LinearMap":
         ring = self.ring
         c = ring.normalize(c)
-        return LinearMap(
-            self.source,
-            self.target,
-            {k: ring.mul(c, v) for k, v in self.entries.items()},
-        )
+        if not c:
+            return LinearMap._canonical(self.source, self.target, {})
+        p = ring.p
+        if p is None:
+            entries = {k: c * v for k, v in self.entries.items()}
+        else:
+            entries = {k: c * v % p for k, v in self.entries.items()}
+        return LinearMap._canonical(self.source, self.target, entries)
 
     def __neg__(self):
         return self.scale(-1)
@@ -189,10 +237,11 @@ class LinearMap:
         ring = self.ring
         src = FreeModule(ring, tensor_labels(self.source, other.source))
         tgt = FreeModule(ring, tensor_labels(self.target, other.target))
-        return LinearMap(src, tgt, _kron_entries(self, other))
+        return LinearMap._canonical(src, tgt, _kron_entries(self, other))
 
     def direct_sum(self, other: "LinearMap") -> "LinearMap":
-        assert self.ring == other.ring
+        if self.ring != other.ring:
+            raise ValueError("ring mismatch")
         ring = self.ring
         src = FreeModule(ring, sum_labels([self.source, other.source]))
         tgt = FreeModule(ring, sum_labels([self.target, other.target]))
@@ -200,10 +249,10 @@ class LinearMap:
         r0, c0 = self.target.rank, self.source.rank
         for (i, j), v in other.entries.items():
             entries[(i + r0, j + c0)] = v
-        return LinearMap(src, tgt, entries)
+        return LinearMap._canonical(src, tgt, entries)
 
     def transpose(self) -> "LinearMap":
-        return LinearMap(
+        return LinearMap._canonical(
             self.target, self.source, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
@@ -264,16 +313,21 @@ def _kron_entries(f: LinearMap, g: LinearMap) -> dict:
     in its own insertion order.  Callers that place the product into a
     bigger map keep that order, and so the order their maps had when
     they went through `LinearMap.tensor`.  The rings have no zero
-    divisors, so no product of stored entries is zero.
+    divisors, so the product of two canonical entries, reduced mod p
+    over Z/p, is canonical again.
     """
-    mul = f.ring.mul
+    p = f.ring.p
     sb, tb = g.source.rank, g.target.rank
     g_items = list(g.entries.items())
     entries = {}
     for (i, j), v in f.entries.items():
         r, c = i * tb, j * sb
-        for (k, l), w in g_items:
-            entries[(r + k, c + l)] = mul(v, w)
+        if p is None:
+            for (k, l), w in g_items:
+                entries[(r + k, c + l)] = v * w
+        else:
+            for (k, l), w in g_items:
+                entries[(r + k, c + l)] = v * w % p
     return entries
 
 
@@ -281,20 +335,24 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """f after g.  Inner modules must agree in ring and rank.
 
     One sparse path for every ring and size: each column of g is merged
-    with the columns of f it hits, summing raw products, and
-    `LinearMap` normalizes each output entry once and drops the zeros.
-    The arithmetic is exact over Z, Q and Z/p, so the result does not
-    depend on when it is normalized.
+    with the columns of f it hits, summing raw products; each output
+    entry is reduced mod p once (over Z/p) and dropped if zero.  The
+    arithmetic is exact over Z, Q and Z/p, so the result does not depend
+    on when it is reduced, and it is canonical as it stands.
     """
-    if not g.target.compatible(f.source):
+    fs, gt = f.source, g.target
+    if not gt.compatible(fs):
         raise ValueError(
-            f"cannot compose: inner ranks {g.target.rank} vs {f.source.rank}")
+            f"cannot compose: inner ranks {gt.rank} vs {fs.rank}")
+    if not f.entries or not g.entries:
+        return LinearMap._canonical(g.source, f.target, {})
     g_cols: dict = {}
     for (i, j), v in g.entries.items():
         g_cols.setdefault(j, []).append((i, v))
     f_cols: dict = {}
     for (i, j), v in f.entries.items():
         f_cols.setdefault(j, []).append((i, v))
+    p = fs.ring.p
     entries: dict = {}
     for j, col in g_cols.items():
         acc: dict = {}
@@ -302,40 +360,50 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
             for i, v in f_cols.get(t, ()):
                 acc[i] = acc.get(i, 0) + v * w
         for i, v in acc.items():
-            entries[(i, j)] = v
-    return LinearMap(g.source, f.target, entries)
+            if p is not None:
+                v %= p
+            if v:
+                entries[(i, j)] = v
+    return LinearMap._canonical(g.source, f.target, entries)
+
+
+def _stack(maps, common: str, what: str):
+    """The maps as a list, and their common side; ValueError unless
+    there is at least one map and they share that side's ring and rank."""
+    maps = list(maps)
+    if not maps:
+        raise ValueError(f"{what} needs at least one map")
+    side = getattr(maps[0], common)
+    for m in maps:
+        if not getattr(m, common).compatible(side):
+            raise ValueError(f"{what}: the maps' {common}s differ in ring or rank")
+    return maps, side
 
 
 def hstack(maps) -> LinearMap:
     """[f g ...] : S1 + S2 + ... -> T for maps with a common target."""
-    maps = list(maps)
-    tgt = maps[0].target
-    ring = maps[0].ring
-    src = FreeModule(ring, sum_labels([m.source for m in maps]))
+    maps, tgt = _stack(maps, "target", "hstack")
+    src = FreeModule(tgt.ring, sum_labels([m.source for m in maps]))
     entries = {}
     off = 0
     for m in maps:
-        assert m.target.compatible(tgt)
         for (i, j), v in m.entries.items():
             entries[(i, j + off)] = v
         off += m.source.rank
-    return LinearMap(src, tgt, entries)
+    return LinearMap._canonical(src, tgt, entries)
 
 
 def vstack(maps) -> LinearMap:
     """(f; g; ...) : S -> T1 + T2 + ... for maps with a common source."""
-    maps = list(maps)
-    src = maps[0].source
-    ring = maps[0].ring
-    tgt = FreeModule(ring, sum_labels([m.target for m in maps]))
+    maps, src = _stack(maps, "source", "vstack")
+    tgt = FreeModule(src.ring, sum_labels([m.target for m in maps]))
     entries = {}
     off = 0
     for m in maps:
-        assert m.source.compatible(src)
         for (i, j), v in m.entries.items():
             entries[(i + off, j)] = v
         off += m.target.rank
-    return LinearMap(src, tgt, entries)
+    return LinearMap._canonical(src, tgt, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +710,10 @@ def _smith_integer(m: LinearMap) -> SmithForm:
                 changed = True
     diag = [row_get(i, i) for i in range(n)]
     # nonzero entries first is guaranteed by pivoting; sanity-check the chain
-    for i in range(len(diag) - 1):
-        if diag[i] == 0:
-            assert diag[i + 1] == 0
-        else:
-            assert diag[i + 1] % diag[i] == 0
+    for a, b in zip(diag, diag[1:]):
+        if (b % a if a else b) != 0:
+            raise RuntimeError("integer Smith form: the diagonal is not a "
+                               "divisibility chain")
 
     def to_map(d, src, tgt):
         entries = {}
@@ -844,7 +911,8 @@ def kernel(m: LinearMap):
         reduced = hnf_columns(cols)
         K = free_module(ring, reduced.source.rank, "k")
         incl = LinearMap(K, m.source, reduced.entries)
-    assert (m @ incl).is_zero()
+    if not (m @ incl).is_zero():
+        raise RuntimeError("kernel: the basis is not killed by the map")
     return incl.source, incl
 
 
@@ -855,7 +923,10 @@ def _column_map(m: LinearMap, j: int) -> LinearMap:
 
 def solve(m: LinearMap, b: LinearMap):
     """Exact solution X of m @ X = b, or None.  b shares m's target."""
-    assert b.target.compatible(m.target)
+    if not b.target.compatible(m.target):
+        raise ValueError(
+            f"solve: the right-hand side has {b.target.rank} rows over "
+            f"{b.ring.name()}, the map {m.target.rank} over {m.ring.name()}")
     ring = m.ring
     if ring.is_field:
         R1, T, pivots = rref(m)
@@ -893,7 +964,10 @@ def solve(m: LinearMap, b: LinearMap):
 
 def same_span(a: LinearMap, b: LinearMap) -> bool:
     """Whether the column spans (sublattices over Z) coincide."""
-    assert a.target.compatible(b.target)
+    if not a.target.compatible(b.target):
+        raise ValueError(
+            f"same_span: targets of rank {a.target.rank} over {a.ring.name()} "
+            f"and {b.target.rank} over {b.ring.name()}")
     ha = hnf_columns(a)
     hb = hnf_columns(LinearMap(b.source, a.target, b.entries))
     return ha.entries == hb.entries and ha.source.rank == hb.source.rank

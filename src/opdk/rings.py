@@ -112,7 +112,8 @@ class Ring:
 
     def inv(self, x):
         x = self.normalize(x)
-        assert self.is_unit(x), f"{x} is not a unit in {self}"
+        if not self.is_unit(x):
+            raise ValueError(f"{self.to_str(x)} is not a unit in {self.name()}")
         if self.kind == "Z":
             return x
         if self.kind == "Q":
@@ -159,7 +160,7 @@ class Ring:
         return f"Ring({self.name()})"
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Ring)
             and self.kind == other.kind
             and self.p == other.p

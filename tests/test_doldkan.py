@@ -442,6 +442,23 @@ def test_aw_after_shuffle_identity_on_randoms():
         assert (F @ G) == ChainMap.identity(NN)
 
 
+def test_aw_and_shuffle_refuse_a_normalization_of_another_product():
+    rng = random.Random(11)
+    A = corpus.random_instance(rng, ZZ, 2, max_rank=1).module
+    B = corpus.random_instance(rng, ZZ, 2, max_rank=2).module
+    assert A.ranks() != B.ranks()
+    na, nb = normalize(A), normalize(B)
+    naa = normalize(simp_tensor(A, A))
+    for build in (aw, shuffle):
+        with pytest.raises(ValueError, match="Moore ranks"):
+            build(A, B, na, nb, naa)
+    # the normalization of A (x) B itself is accepted, and gives what
+    # building it inside gives
+    nab = normalize(simp_tensor(A, B))
+    assert aw(A, B, na, nb, nab) == aw(A, B)
+    assert shuffle(A, B, na, nb, nab) == shuffle(A, B)
+
+
 def test_shuffle_after_aw_identity_on_homology():
     rng = random.Random(508)
     pairs = [_interval_pair()[:2]]

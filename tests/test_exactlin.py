@@ -176,6 +176,60 @@ def test_compose_shape_mismatch_raises():
         compose(f, g)
 
 
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_mismatched_sums_raise(op):
+    # the 3x3 map's only entry lies inside the 2x2 shape, so only an
+    # explicit shape check can refuse it (also under python -O)
+    small = LinearMap.zero(free_module(ZZ, 2), free_module(ZZ, 2))
+    big = LinearMap(free_module(ZZ, 3), free_module(ZZ, 3), {(0, 0): 1})
+    for f, g in ((small, big), (big, small)):
+        with pytest.raises(ValueError, match="cannot add"):
+            f + g if op == "add" else f - g
+    over_q = LinearMap.zero(free_module(QQ, 2), free_module(QQ, 2))
+    with pytest.raises(ValueError, match="cannot add"):
+        small + over_q if op == "add" else small - over_q
+
+
+def test_mismatched_blocks_and_stacks_raise():
+    Z2, Q2, Z3 = free_module(ZZ, 2), free_module(QQ, 2), free_module(ZZ, 3)
+    fz, fq = LinearMap.identity(Z2), LinearMap.identity(Q2)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        fz.tensor(fq)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        fz.direct_sum(fq)
+    g = LinearMap(Z3, Z3, {(0, 0): 1})
+    with pytest.raises(ValueError, match="hstack: the maps' targets differ"):
+        hstack([fz, g])
+    with pytest.raises(ValueError, match="vstack: the maps' sources differ"):
+        vstack([fz, g])
+    with pytest.raises(ValueError, match="hstack: the maps' targets differ"):
+        hstack([fz, fq])
+    with pytest.raises(ValueError, match="at least one map"):
+        hstack([])
+    with pytest.raises(ValueError, match="at least one map"):
+        vstack([])
+
+
+def test_maps_and_modules_refuse_malformed_input():
+    with pytest.raises(ValueError, match="different rings"):
+        LinearMap(free_module(ZZ, 1), free_module(QQ, 1), {})
+    with pytest.raises(ValueError, match="different rings"):
+        LinearMap.zero(free_module(ZZ, 1), free_module(QQ, 1))
+    with pytest.raises(ValueError, match="distinct"):
+        FreeModule(ZZ, ("e", "e"))
+
+
+def test_solve_and_same_span_refuse_mismatched_operands():
+    m = LinearMap.identity(free_module(ZZ, 2))
+    b3 = LinearMap(free_module(ZZ, 1), free_module(ZZ, 3), {(0, 0): 1})
+    bq = LinearMap(free_module(QQ, 1), free_module(QQ, 2), {(0, 0): 1})
+    for b in (b3, bq):
+        with pytest.raises(ValueError, match="solve: the right-hand side"):
+            solve(m, b)
+        with pytest.raises(ValueError, match="same_span: targets"):
+            same_span(m, b)
+
+
 def test_inverse_of_a_non_unit_raises():
     M, M2 = free_module(ZZ, 1), free_module(ZZ, 2)
     with pytest.raises(ValueError, match="map is not invertible"):

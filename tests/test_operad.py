@@ -1145,6 +1145,34 @@ def test_dk_verdict_transports_through_normalization(maker, expect):
     assert after.status == expect
 
 
+@pytest.mark.parametrize("max_degree", [1, 2])
+@pytest.mark.parametrize("ring", [QQ, F5], ids=lambda r: r.name())
+@pytest.mark.parametrize("disk", ["acyclic", "loop"])
+@pytest.mark.parametrize("shape", ["indiscrete", "disconnected"])
+def test_chain_square_zero_operads_pass_the_law_check(shape, disk, ring,
+                                                      max_degree):
+    make = {"indiscrete": corpus.indiscrete_operad,
+            "disconnected": corpus.disconnected_operad}[shape]
+    D = {"acyclic": corpus.acyclic_disk, "loop": corpus.loop_disk}[disk](
+        ring, max_degree, base="chain")
+    assert op.operad_check(make(ring, "chain", max_degree, disk=D)) == []
+
+
+def test_chain_square_zero_composition_uses_the_degree_sum_layout():
+    # hom = C (+) disk with the disk b0 <- a0: degree 0 is (const, b0),
+    # degree 1 is (a0).  Degree 1 of hom (x) hom is the block
+    # hom_0 (x) hom_1 = (const a0, b0 a0) followed by the block
+    # hom_1 (x) hom_0 = (a0 const, a0 b0); const a0 and a0 const go to
+    # a0, the disk products to zero.
+    Q = corpus.indiscrete_operad(QQ, "chain", 1,
+                                 disk=corpus.acyclic_disk(QQ, 1, base="chain"))
+    s = (("a",), "a")
+    f = Q.compositions[(s, 0, s)]
+    assert f.source.ranks() == (4, 4)
+    assert f.component(0).entries == {(0, 0): 1, (1, 1): 1, (1, 2): 1}
+    assert f.component(1).entries == {(0, 0): 1, (0, 2): 1}
+
+
 def test_normalized_morphism_levels_are_the_normalized_maps():
     T = corpus.trivial_operad(F5, "simplicial", 2)
     Q = corpus.indiscrete_operad(F5, "simplicial", 2,

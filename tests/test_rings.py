@@ -3,6 +3,8 @@
 The checks are explicit raises, so they also hold under python -O.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from opdk.rings import QQ, ZZ, Ring, Zmod, _MR_BOUND, _is_prime, ring_from_name
@@ -76,3 +78,21 @@ def test_moduli_past_the_miller_rabin_range_are_refused():
             _is_prime(n)
         with pytest.raises(ValueError, match="at or above"):
             Zmod(n)
+
+
+@pytest.mark.parametrize("name,x", [("Z", 2), ("Z", 0), ("Z", -3), ("Q", 0),
+                                    ("Zmod:5", 0), ("Zmod:5", 10),
+                                    ("Zmod:2", 4)])
+def test_inverse_of_a_non_unit_is_refused(name, x):
+    # an explicit check: under python -O an assert let ZZ.inv(2) return 2
+    # and Zmod(5).inv(0) return 0
+    with pytest.raises(ValueError, match="is not a unit"):
+        ring_from_name(name).inv(x)
+
+
+def test_inverses_of_units():
+    assert ZZ.inv(-1) == -1 and ZZ.inv(1) == 1
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    F7 = Zmod(7)
+    assert all(F7.mul(x, F7.inv(x)) == 1 for x in range(1, 7))
+    assert F7.inv(-1) == 6
