@@ -3,8 +3,11 @@
 Rooted planar trees with colored edges and a marked/unmarked flag per
 vertex drive three computations:
 
-* enumeration of isomorphism classes within a vertex bound, together
-  with canonical forms, grafting, and automorphism orders;
+* enumeration of isomorphism classes within a vertex bound, pruned by
+  the leaf-vertex identity L - 1 = sum over vertices of (arity - 1),
+  together with canonical forms, grafting, and automorphism orders; a
+  free level or an extension stage takes its classes and its
+  truncation flag from one enumeration one vertex past its bound;
 * levels of the free operad on a collection: each class contributes the
   decorations of its planar representatives tensored with the leaf
   labelings, divided by the reordering moves between representatives.
@@ -89,8 +92,8 @@ class Tree:
     __slots__ = ("output", "marked", "children", "_k", "_enc")
 
     def __init__(self, output, marked, children):
-        assert isinstance(output, str) and _COLOR.match(output), \
-            f"colors are plain identifiers, got {output!r}"
+        if not (isinstance(output, str) and _COLOR.match(output)):
+            raise ValueError(f"colors are plain identifiers, got {output!r}")
         self.output = output
         self.marked = marked
         self.children = children
@@ -115,7 +118,8 @@ class Tree:
 
     @property
     def inputs(self):
-        assert not self.is_edge
+        if self.is_edge:
+            raise ValueError("the edge tree has no vertex, so no inputs")
         return tuple(ch.output for ch in self.children)
 
     @property
@@ -285,14 +289,30 @@ def _swap_children(T: Tree, path, t: int) -> Tree:
 
 
 class TreeIsoClass:
-    """Canonical representative plus its orbit and automorphism data."""
+    """Canonical representative plus its orbit and automorphism data.
 
-    __slots__ = ("rep", "aut_order", "orbit_size")
+    orbit is `planar_orbit(rep)` in its order, which the class's block
+    takes as its planar representatives.  It is built on first use and
+    kept: a class past a vertex bound is only counted, and orbits built
+    among the enumeration's short-lived trees scatter over the heap,
+    which raised the peak RSS of a benchmark pass."""
+
+    __slots__ = ("rep", "aut_order", "_orbit")
 
     def __init__(self, rep: Tree):
         self.rep = canonical(rep)
         self.aut_order = aut_order(self.rep)
-        self.orbit_size = len(planar_orbit(self.rep))
+        self._orbit = None
+
+    @property
+    def orbit(self):
+        if self._orbit is None:
+            self._orbit = planar_orbit(self.rep)
+        return self._orbit
+
+    @property
+    def orbit_size(self) -> int:
+        return len(self.orbit)
 
     @property
     def encoding(self) -> str:
@@ -327,21 +347,32 @@ def enumerate_planar(sig, marked: int, max_vertices: int,
     flagged vertices exactly.  Valency lists default to every signature
     over the colors of sig with arity at most (leaves + bound - 1),
     which is the largest arity a tree within the bound can carry.
+
+    Every tree with L leaves obeys L - 1 = sum over its vertices of
+    (arity - 1).  So with a_min and a_max the least and greatest arity
+    over both valency lists, a subtree with v >= 1 vertices, k of them
+    marked, exists only if (a_min - 1) v <= L - 1 <= (a_max - 1) v and
+    k <= v; the search skips every other (leaves, k, v) split.  With an
+    arity-0 or arity-1 valency the lower bound never prunes.
     """
     if marked_valencies is None:
         marked_valencies = _default_valencies(sig, max_vertices)
     if unmarked_valencies is None:
         unmarked_valencies = _default_valencies(sig, max_vertices)
-    by_out_m: dict = {}
-    by_out_u: dict = {}
-    for (ins, c) in marked_valencies:
-        by_out_m.setdefault(c, []).append(tuple(ins))
-    for (ins, c) in unmarked_valencies:
-        by_out_u.setdefault(c, []).append(tuple(ins))
+    # flag -> output color -> input tuples, marked first
+    by_out: dict = {True: {}, False: {}}
+    for flag, vals in ((True, marked_valencies), (False, unmarked_valencies)):
+        for ins, c in vals:
+            by_out[flag].setdefault(c, []).append(tuple(ins))
+    arities = [len(ins) for t in by_out.values() for r in t.values()
+               for ins in r]
+    lo, hi = min(arities, default=1) - 1, max(arities, default=1) - 1
 
     memo: dict = {}
 
     def gen(ms, root, k, v, under_unmarked):
+        if v and not (k <= v and lo * v <= len(ms) - 1 <= hi * v):
+            return ()
         key = (ms, root, k, v, under_unmarked and no_adjacent_unmarked)
         if key in memo:
             return memo[key]
@@ -349,7 +380,7 @@ def enumerate_planar(sig, marked: int, max_vertices: int,
         if v == 0 and k == 0 and ms == (root,):
             out.append(Tree.edge(root))
         if v >= 1:
-            for flag, table in ((True, by_out_m), (False, by_out_u)):
+            for flag, table in by_out.items():
                 if flag and k == 0:
                     continue
                 if (not flag) and no_adjacent_unmarked and under_unmarked:
@@ -368,6 +399,7 @@ def enumerate_planar(sig, marked: int, max_vertices: int,
     out = []
     for v in range(max_vertices + 1):
         out.extend(gen(leaves, sig[1], marked, v, False))
+    del gen  # gen's closure refers to gen: free the memo now, not at a GC
     return out
 
 
@@ -379,8 +411,7 @@ def _child_seqs(ins, ms, k, v, under_unmarked, gen):
             yield ()
         return
     first, rest = ins[0], ins[1:]
-    for sub in _sub_multisets(ms):
-        remainder = _multiset_minus(ms, sub)
+    for sub, remainder in _splits(ms):
         for k1 in range(k + 1):
             for v1 in range(v + 1):
                 heads = gen(sub, first, k1, v1, under_unmarked)
@@ -392,23 +423,15 @@ def _child_seqs(ins, ms, k, v, under_unmarked, gen):
                         yield (h,) + tail
 
 
-def _sub_multisets(ms):
+def _splits(ms):
+    """(sub-multiset, complement) pairs of the sorted tuple ms, both
+    sorted."""
     vals = sorted(set(ms))
     counts = [ms.count(c) for c in vals]
-    out = []
     for picks in itertools.product(*(range(n + 1) for n in counts)):
-        sub = ()
-        for c, n in zip(vals, picks):
-            sub += (c,) * n
-        out.append(sub)
-    return out
-
-
-def _multiset_minus(ms, sub):
-    left = list(ms)
-    for c in sub:
-        left.remove(c)
-    return tuple(sorted(left))
+        yield (sum(((c,) * p for c, p in zip(vals, picks)), ()),
+               sum(((c,) * (n - p) for c, n, p in zip(vals, counts, picks)),
+                   ()))
 
 
 def enumerate_trees(sig, marked: int, max_vertices: int,
@@ -417,7 +440,10 @@ def enumerate_trees(sig, marked: int, max_vertices: int,
     """Isomorphism classes, ordered by vertex count then encoding.
 
     Extending the vertex bound appends classes without reordering the
-    ones already emitted.
+    ones already emitted, so one call at max_vertices + 1 holds the
+    call at max_vertices as a prefix: `FreeLevel` and `extension_stage`
+    take both their classes and their truncation flag from it, through
+    `_classes_within`.
     """
     seen = {}
     for p in enumerate_planar(sig, marked, max_vertices, marked_valencies,
@@ -429,6 +455,15 @@ def enumerate_trees(sig, marked: int, max_vertices: int,
                   key=lambda cl: (cl.rep.n_vertices, cl.encoding))
 
 
+def _classes_within(sig, marked: int, max_vertices: int, *valencies, **kw):
+    """(classes with at most max_vertices vertices, whether one with
+    more exists), from one `enumerate_trees` call one vertex past the
+    bound."""
+    classes = enumerate_trees(sig, marked, max_vertices + 1, *valencies, **kw)
+    within = [cl for cl in classes if cl.rep.n_vertices <= max_vertices]
+    return within, len(within) < len(classes)
+
+
 # ---------------------------------------------------------------------------
 # grafting and decomposition
 # ---------------------------------------------------------------------------
@@ -436,7 +471,8 @@ def enumerate_trees(sig, marked: int, max_vertices: int,
 
 def root_decomposition(T: Tree):
     """The root corolla and the subtrees grafted onto its inputs."""
-    assert not T.is_edge, "the edge tree has no root vertex"
+    if T.is_edge:
+        raise ValueError("the edge tree has no root vertex")
     corolla = Tree.node(T.output,
                         tuple(Tree.edge(ch.output) for ch in T.children),
                         T.marked)
@@ -444,11 +480,17 @@ def root_decomposition(T: Tree):
 
 
 def graft_root(corolla: Tree, subtrees) -> Tree:
-    assert not corolla.is_edge
-    assert len(subtrees) == len(corolla.children)
+    """Graft subtrees onto the inputs of a corolla, one per input."""
+    if corolla.is_edge:
+        raise ValueError("the edge tree has no root vertex to graft onto")
+    if len(subtrees) != len(corolla.children):
+        raise ValueError(f"{len(subtrees)} subtrees for a corolla with "
+                         f"{len(corolla.children)} inputs")
     for slot, sub in zip(corolla.children, subtrees):
-        assert slot.is_edge and slot.output == sub.root_color, \
-            "grafted root color does not match the slot"
+        if not slot.is_edge:
+            raise ValueError("graft_root needs a corolla")
+        if slot.output != sub.root_color:
+            raise ValueError("grafted root color does not match the slot")
     return Tree.node(corolla.output, subtrees, corolla.marked)
 
 
@@ -482,7 +524,8 @@ def edge_decompositions(T: Tree):
         stub = T.replace_at(path, Tree.edge(sub.root_color))
         parent = T.subtree_at(path[:-1])
         leaf_index = _leaf_offset(T, path)
-        assert parent.children[path[-1]] is sub
+        if parent.children[path[-1]] is not sub:
+            raise RuntimeError("vertex path does not lead to its subtree")
         out.append((stub, leaf_index, sub))
     return out
 
@@ -648,7 +691,7 @@ class _Block:
         self.bound = bound
         self.tree_class = tree_class
         ops = _ops_for("chain", ring, bound)
-        self.planar = planar_orbit(tree_class.rep)
+        self.planar = tree_class.orbit
         where = {p.key(): pi for pi, p in enumerate(self.planar)}
         self.factors = []
         self.labs = []
@@ -785,9 +828,8 @@ class FreeLevel:
         self.ring = M.ring
         self.bound = M.max_degree
         ops = M.ops
-        classes = enumerate_trees(self.sig, 0, max_vertices,
-                                  marked_valencies=[],
-                                  unmarked_valencies=M.signatures())
+        classes, self.truncated = _classes_within(
+            self.sig, 0, max_vertices, [], M.signatures())
         decor = lambda vsig, m: M.level(vsig)
         action = lambda vsig, m, tau: M.action(vsig, tau)
         self.blocks = [_Block(M.ring, M.max_degree, cl, decor, action,
@@ -799,11 +841,6 @@ class FreeLevel:
         for bi, b in enumerate(self.blocks):
             for pi, p in enumerate(b.planar):
                 self.lookup[p.key()] = (bi, pi)
-        frontier = enumerate_trees(self.sig, 0, max_vertices + 1,
-                                   marked_valencies=[],
-                                   unmarked_valencies=M.signatures())
-        self.truncated = any(cl.rep.n_vertices == max_vertices + 1
-                             for cl in frontier)
 
     def ranks(self):
         return self.object.ranks()
@@ -1183,14 +1220,11 @@ def _eval_tree(target: Operad, g: CollectionMap, p: Tree, dec_idxs):
     ops = target.ops
     ring = target.ring
 
-    def unit_col(color):
-        return target.unit(color), ((color,), color)
-
     idx_iter = iter(dec_idxs)
 
     def rec(t: Tree):
         if t.is_edge:
-            return unit_col(t.output)
+            return target.unit(t.output), ((t.output,), t.output)
         j = next(idx_iter)
         lev = g.source.level(t.val)
         col = ops.make_map(
@@ -1209,7 +1243,9 @@ def _eval_tree(target: Operad, g: CollectionMap, p: Tree, dec_idxs):
         return cur, cur_sig
 
     col, sig = rec(p)
-    assert sig == p.signature
+    if sig != p.signature:
+        raise RuntimeError(f"evaluation reached {sig_str(sig)}, not the "
+                           f"tree's signature {sig_str(p.signature)}")
     return col
 
 
@@ -1521,10 +1557,16 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
     cells_by_stage: dict = {}
     cell_legs: dict = {}
     attached = []
+    truncated = False
 
-    for k in range(1, K + 1):
-        classes = enumerate_trees(sig, k, max_vertices, marked_vals,
-                                  unmarked_vals, no_adjacent_unmarked=True)
+    # past stage K, a marked count is enumerated only for the flag
+    for k in range(1, max(K, max_vertices + 1) + 1):
+        classes, beyond = _classes_within(sig, k, max_vertices, marked_vals,
+                                          unmarked_vals,
+                                          no_adjacent_unmarked=True)
+        truncated = truncated or beyond
+        if k > K:
+            continue
         decor = lambda vsig, m: f.target.level(vsig) if m else coll.level(vsig)
         action = lambda vsig, m, tau: (f.target.action(vsig, tau) if m
                                        else coll.action(vsig, tau))
@@ -1576,13 +1618,6 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
         stage = new_stage
         attached.append(sum(b.obj.total_rank() for b in blocks))
 
-    frontier = []
-    for k in range(1, max_vertices + 2):
-        for cl in enumerate_trees(sig, k, max_vertices + 1, marked_vals,
-                                  unmarked_vals, no_adjacent_unmarked=True):
-            if cl.rep.n_vertices == max_vertices + 1:
-                frontier.append(cl)
-    truncated = bool(frontier)
     stable_from = len(attached)
     while stable_from > 0 and attached[stable_from - 1] == 0:
         stable_from -= 1
@@ -1715,7 +1750,9 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
     if kprime == 0:
         # a single unmarked vertex; its factor lands in the base level
         # through the action of each labeling
-        assert tree.n_vertices == 1
+        if tree.n_vertices != 1:
+            raise RuntimeError("an unmarked collapse left more than one "
+                               "vertex")
         psig = tree.val
         entries = []
         for n in range(bound + 1):
@@ -1737,8 +1774,8 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
     # locate the class of the collapsed tree among the earlier stages;
     # a class absent there had zero coinvariants, so the image is zero
     target_blocks = cells_by_stage.get(kprime)
-    assert target_blocks is not None, \
-        "collapse reached a stage that was never built"
+    if target_blocks is None:
+        raise RuntimeError("collapse reached a stage that was never built")
     enc = tree.encoding()
     tbi = next((i for i, b in enumerate(target_blocks)
                 if b.tree_class.encoding == enc), None)

@@ -90,38 +90,42 @@ def _brute_aut(T):
     return _iso_count(T, T)
 
 
-def _brute_planar(root_color, valencies, vmax):
+def _brute_planar(root_color, valencies, vmax, max_leaves=None):
     """Every planar tree with the given root color and at most vmax
     vertices, generated by splitting the vertex budget across ordered
-    child slots.  Marked flags range freely over the vertices."""
+    child slots.  Marked flags range freely over the vertices.  With
+    max_leaves, a child tuple is dropped once its leaves exceed it: a
+    tree's leaves are the sum of its children's."""
     memo = {}
 
-    def gen(root, budget):
-        key = (root, budget)
+    def gen(root, budget, room):
+        # (tree, vertices, leaves); children hold at most room leaves
+        key = (root, budget, room)
         if key in memo:
             return memo[key]
-        res = [e(root)]
+        res = [(e(root), 0, 1)]
         if budget >= 1:
             for ins, c in valencies:
                 if c != root:
                     continue
-                for kids in slots(ins, 0, budget - 1):
-                    res.append(node(root, kids, False))
-                    res.append(node(root, kids, True))
+                for kids, v, w in slots(ins, 0, budget - 1, room):
+                    res.append((node(root, kids, False), v + 1, w))
+                    res.append((node(root, kids, True), v + 1, w))
         memo[key] = res
         return res
 
-    def slots(ins, i, budget):
+    def slots(ins, i, budget, room):
         if i == len(ins):
-            yield ()
+            yield (), 0, 0
             return
-        for t in gen(ins[i], budget):
-            if t.n_vertices > budget:
+        for t, v, w in gen(ins[i], budget, room):
+            if w > room:
                 continue
-            for rest in slots(ins, i + 1, budget - t.n_vertices):
-                yield (t,) + rest
+            for rest, rv, rw in slots(ins, i + 1, budget - v, room - w):
+                yield (t,) + rest, v + rv, w + rw
 
-    return gen(root_color, vmax)
+    cap = float("inf") if max_leaves is None else max_leaves
+    return [t for t, _, _ in gen(root_color, vmax, cap)]
 
 
 def _brute_planar_unrank(root_color, valencies, vmax):
@@ -178,6 +182,20 @@ def _brute_planar_unrank(root_color, valencies, vmax):
 
     return sum(exact[root_color]), \
         lambda k: tree(root_color, vmax, k, [1] * (vmax + 1))[0]
+
+
+def _brute_orbit_size(t):
+    """Planar trees reached from t by reordering children at every
+    vertex in every way, counted without repeats."""
+    def rec(u):
+        if u.is_edge:
+            return [u]
+        out = []
+        for kids in itertools.permutations(u.children):
+            for combo in itertools.product(*(rec(ch) for ch in kids)):
+                out.append(node(u.output, combo, u.marked))
+        return out
+    return len({p.key() for p in rec(t)})
 
 
 def _brute_classes(planars):
@@ -326,6 +344,87 @@ def test_enumerate_against_brute_force():
         assert len(classes) == len(_brute_classes(want))
 
 
+def _brute_filtered(sig, k, marked_vals, unmarked_vals, no_adjacent_unmarked,
+                    vmax):
+    """_brute_planar over both valency lists, kept when the leaves, the
+    marked count, each vertex's list and the adjacency rule all fit."""
+    allowed = {True: set(marked_vals), False: set(unmarked_vals)}
+
+    def fits(t, under_unmarked):
+        if t.is_edge:
+            return True
+        if t.val not in allowed[t.marked]:
+            return False
+        if no_adjacent_unmarked and under_unmarked and not t.marked:
+            return False
+        return all(fits(ch, not t.marked) for ch in t.children)
+
+    pool = list(dict.fromkeys(list(marked_vals) + list(unmarked_vals)))
+    return [t for t in _brute_planar(sig[1], pool, vmax, len(sig[0]))
+            if sorted(t.leaves()) == sorted(sig[0]) and t.n_marked == k
+            and fits(t, False)]
+
+
+def _differential_draws(seed, count, min_arity):
+    """(sig, k, marked list, unmarked list, no_adjacent_unmarked), with
+    sig and k read off a tree grown at random over the two lists, so
+    that most draws have trees; every fourth k is drawn blind."""
+    rng = random.Random(seed)
+    pool = [(ins, c) for r in range(min_arity, 4)
+            for ins in itertools.product(("a", "b"), repeat=r)
+            for c in ("a", "b")]
+    for _ in range(count):
+        mv = rng.sample(pool, rng.randint(1, 4))
+        uv = rng.sample(pool, rng.randint(1, 4))
+        budget = [rng.randint(0, 3)]
+
+        def grow(color):
+            opts = [(m, ins) for m, vals in ((True, mv), (False, uv))
+                    for ins, c in vals if c == color]
+            if not budget[0] or not opts or rng.random() < 0.3:
+                return [color], 0
+            budget[0] -= 1
+            m, ins = rng.choice(opts)
+            leaves, k = [], int(m)
+            for c in ins:
+                sub, sk = grow(c)
+                leaves, k = leaves + sub, k + sk
+            return leaves, k
+
+        root = rng.choice("ab")
+        leaves, k = grow(root)
+        leaves = leaves[:5]  # the brute generator grows fast in leaves
+        if rng.random() < 0.25:
+            k = rng.randint(0, 3)
+        yield ((tuple(rng.sample(leaves, len(leaves))), root), k, mv, uv,
+               rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("min_arity,seed", [(0, 1), (2, 2)],
+                         ids=["arities-0-3", "arities-2-3"])
+def test_enumerate_differential_with_pruning(min_arity, seed):
+    # the pruned search against the unpruned brute generator: two colors,
+    # marked and unmarked lists that differ, no_adjacent_unmarked on and
+    # off, k in 0..3 and every bound in 0..5.  Without arity 0 or 1 the
+    # lower bound of the leaf-vertex identity prunes too; ONE_COLOR has
+    # arity 1, so test_enumerate_against_brute_force never reaches it.
+    for sig_, k, mv, uv, nau in _differential_draws(seed, 25, min_arity):
+        brute = _brute_filtered(sig_, k, mv, uv, nau, 5)
+        for bound in range(6):
+            want = [t for t in brute if t.n_vertices <= bound]
+            got = enumerate_planar(sig_, k, bound, mv, uv, nau)
+            assert len(got) == len(want)
+            assert {t.key() for t in got} == {t.key() for t in want}
+            classes = enumerate_trees(sig_, k, bound, mv, uv, nau)
+            # by vertex count, which is the count of "(", then encoding
+            assert [c.encoding for c in classes] == sorted(
+                {t.encoding() for t in want},
+                key=lambda enc: (enc.count("("), enc))
+            for c in classes:
+                assert c.orbit_size == _brute_orbit_size(c.rep)
+                assert c.aut_order == _brute_aut(c.rep)
+
+
 def test_enumerate_vertex_stability():
     sig = (("c", "c"), "c")
     small = enumerate_trees(sig, 1, 3, marked_valencies=ONE_COLOR,
@@ -366,6 +465,31 @@ def test_decompose_graft_round_trip():
         assert graft_root(r, subs) == t
         for stub, li, sub in edge_decompositions(t):
             assert graft(stub, li, sub) == t
+
+
+_BAD_TREE_INPUTS = {
+    "color": (lambda: e("a b"), "colors are plain identifiers"),
+    "edge-inputs": (lambda: e("c").inputs, "no vertex"),
+    "edge-decomposition": (lambda: root_decomposition(e("c")),
+                           "no root vertex"),
+    "edge-graft": (lambda: graft_root(e("c"), []), "no root vertex"),
+    "count": (lambda: graft_root(corolla(2), [e("c")]),
+              "1 subtrees for a corolla with 2 inputs"),
+    "root-color": (lambda: graft_root(corolla(2),
+                                      [e("c"), corolla(2, color="d")]),
+                   "root color does not match the slot"),
+    "not-corolla": (lambda: graft_root(node("c", [corolla(2), e("c")]),
+                                       [e("c"), e("c")]),
+                    "needs a corolla"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TREE_INPUTS))
+def test_tree_input_checks_raise_value_error(case):
+    # explicit checks, so they also hold under python -O
+    build, match = _BAD_TREE_INPUTS[case]
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_graft_at_leaf_positions():
@@ -427,6 +551,10 @@ def test_free_level_truncation_flag():
     lvl = free_operad(M, sig(5), 3)
     assert lvl.object.total_rank() == 0 and lvl.truncated
     assert not free_operad(M, sig(3), 3).truncated
+    # the flag flips exactly at the bound: the binary trees with 3
+    # leaves have exactly 2 vertices
+    assert free_operad(M, sig(3), 1).truncated
+    assert not free_operad(M, sig(3), 2).truncated
 
 
 def _fast_and_generic(build):
@@ -979,6 +1107,19 @@ def test_extension_stage_refuses_bad_input(case):
     with pytest.raises(ValueError,
                        match="^" + _BROKEN_EXTENSION_MESSAGES[case]):
         extension_stage(*_broken_extension(case))
+
+
+def test_extension_truncation_flips_at_the_bound():
+    # the binary trees with 3 leaves have exactly 2 vertices
+    M, _, f = corpus.split_binary_inclusion(ZZ, 3)
+    F = FreeOperad(M, max_arity=3, max_vertices=2)
+    O, g = F.operad(), generator_inclusion(F)
+    certs = [extension_stage(O, f, sig(3), bound,
+                             generator_map=g).certificate
+             for bound in (1, 2)]
+    assert [c["truncated"] for c in certs] == [True, False]
+    assert [c["stabilized"] for c in certs] == [False, True]
+    assert "warning" in certs[0] and "warning" not in certs[1]
 
 
 def test_extension_stage_maps_are_split_injections():
