@@ -124,7 +124,8 @@ def two_term(ring: Ring, rows: Sequence[Sequence]) -> ChainComplex:
 
 
 def direct_sum(K: ChainComplex, L: ChainComplex) -> ChainComplex:
-    assert K.ring == L.ring and K.max_degree == L.max_degree
+    if K.ring != L.ring or K.max_degree != L.max_degree:
+        raise ValueError("direct sum summands differ in ring or max_degree")
     levels = []
     for n in range(K.max_degree + 1):
         labels = tuple(f"l:{a}" for a in K.level(n).labels) + \
@@ -139,7 +140,9 @@ def direct_sum(K: ChainComplex, L: ChainComplex) -> ChainComplex:
 
 def pad(K: ChainComplex, max_degree: int) -> ChainComplex:
     """Extend by zero levels up to max_degree. Identity if already there."""
-    assert max_degree >= K.max_degree
+    if max_degree < K.max_degree:
+        raise ValueError(f"cannot pad a complex of max_degree "
+                         f"{K.max_degree} down to {max_degree}")
     if max_degree == K.max_degree:
         return K
     levels = list(K.levels)
@@ -199,7 +202,10 @@ class ChainMap:
         return LinearMap.zero(self.source.level(n), self.target.level(n))
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
-        assert other.target.ranks() == self.source.ranks()
+        if other.target.ranks() != self.source.ranks():
+            raise ValueError(f"composable chain maps need matching ranks, "
+                             f"got {other.target.ranks()} -> "
+                             f"{self.source.ranks()}")
         comps = [compose(a, b) for a, b in zip(self.components, other.components)]
         return ChainMap(other.source, self.target, comps, check=False)
 
@@ -482,11 +488,13 @@ class HomologyResult:
 
 def homology(K: ChainComplex, n: int) -> HomologyResult:
     """ker(d_n)/im(d_{n+1}); at n == max_degree only a truncation artifact."""
-    assert 0 <= n <= K.max_degree
+    if not 0 <= n <= K.max_degree:
+        raise ValueError(f"homology degree {n} outside 0..{K.max_degree}")
     cycles, incl = kernel(K.d(n))
     dn1 = K.d(n + 1)
     X = solve(incl, dn1)
-    assert X is not None, "boundaries must lie in the cycle lattice"
+    if X is None:
+        raise RuntimeError("boundaries must lie in the cycle lattice")
     pres = cokernel(X)
     return HomologyResult(n, incl, X, pres,
                           boundary_unreliable=(n == K.max_degree))
@@ -501,7 +509,8 @@ def homology_map(f: ChainMap, n: int):
     Hs = homology(f.source, n)
     Ht = homology(f.target, n)
     lifted = solve(Ht.kernel_incl, compose(f.component(n), Hs.kernel_incl))
-    assert lifted is not None, "chain maps send cycles to cycles"
+    if lifted is None:
+        raise RuntimeError("chain maps send cycles to cycles")
     induced = compose(Ht.presentation.proj, lifted)
     return induced, Hs, Ht
 
@@ -567,10 +576,13 @@ class ChainColimit:
 
         Legs are padded to the colimit's degree automatically.
         """
-        assert len(legs) == len(self.injections)
+        if len(legs) != len(self.injections):
+            raise ValueError(f"{len(legs)} legs for a diagram of "
+                             f"{len(self.injections)} vertices")
         D = self.complex.max_degree
         W = pad(legs[0].target, max(D, max(l.target.max_degree for l in legs)))
-        assert W.max_degree == D, "cocone target exceeds colimit truncation"
+        if W.max_degree != D:
+            raise ValueError("cocone target exceeds colimit truncation")
         legs = [ChainMap(pad(leg.source, D), W,
                          [leg.component(n) for n in range(D + 1)], check=False)
                 for leg in legs]
@@ -593,7 +605,8 @@ def diagram_colimit(vertices: Sequence[ChainComplex],
     edges are (src_index, tgt_index, ChainMap). The result must be free in
     every degree; torsion raises.
     """
-    assert vertices
+    if not vertices:
+        raise ValueError("a diagram colimit needs at least one vertex")
     ring = vertices[0].ring
     D = max(V.max_degree for V in vertices)
     vs = [pad(V, D) for V in vertices]
@@ -668,7 +681,8 @@ class ChainPushout:
         """Unique h with h . inl = u and h . inr = v; raises if the cocone
         does not commute."""
         D = self.complex.max_degree
-        assert u.target.max_degree <= D, "cocone target exceeds pushout truncation"
+        if u.target.max_degree > D:
+            raise ValueError("cocone target exceeds pushout truncation")
         u = ChainMap(pad(u.source, D), pad(u.target, D),
                      [u.component(n) for n in range(D + 1)], check=False)
         v = ChainMap(pad(v.source, D), pad(v.target, D),
@@ -712,7 +726,8 @@ def pushout_product(f: ChainMap, g: ChainMap, bound: Optional[int] = None) -> Ch
 
 def iterated_pushout_product(f: ChainMap, n: int, bound: Optional[int] = None) -> ChainMap:
     """f^{square n}, left-associated."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"pushout-product power {n} is not positive")
     out = f
     for _ in range(n - 1):
         out = pushout_product(out, f, bound)
@@ -722,7 +737,8 @@ def iterated_pushout_product(f: ChainMap, n: int, bound: Optional[int] = None) -
 def punctured_cube_colimit(f: ChainMap, n: int) -> ChainColimit:
     """Colimit over proper subsets S of {1..n} of the tensor with f's
     target in slots S and f's source elsewhere."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"punctured cube of dimension {n} is not positive")
     X, A = f.source, f.target
     subsets = []
     for size in range(n):

@@ -21,10 +21,9 @@ operad map with its normalization.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import groupby, product
+from itertools import product
 from math import prod
-from operator import itemgetter
+from operator import mul
 from typing import Optional
 
 from . import permutations
@@ -65,10 +64,16 @@ def sig_act(sig, sigma):
 
 def graft_signature(outer, i, inner):
     """Signature of x o_i y: slot i of the outer inputs is replaced by
-    the inner inputs.  Slot indices are 0-based throughout."""
+    the inner inputs.  Slot indices are 0-based throughout.  A slot out
+    of range, or an inner output color other than the slot's, raises
+    ValueError naming the key (outer, i, inner)."""
     (o_in, o_out), (i_in, i_out) = outer, inner
-    assert 0 <= i < len(o_in), "slot out of range"
-    assert o_in[i] == i_out, "inner output color does not match the slot"
+    if not isinstance(i, int) or not 0 <= i < len(o_in):
+        raise ValueError(f"slot {i!r} of ({sig_str(outer)}, {i!r}, "
+                         f"{sig_str(inner)}) is out of range")
+    if o_in[i] != i_out:
+        raise ValueError(f"inner output color of ({sig_str(outer)}, {i}, "
+                         f"{sig_str(inner)}) does not match its slot")
     return (o_in[:i] + i_in + o_in[i + 1:], o_out)
 
 
@@ -1030,33 +1035,6 @@ def _quotient_by(ring: Ring, module: FreeModule, relations) -> CokernelPresentat
     return pres
 
 
-def _multi_positions(base: str, objs, n: int):
-    """Ordered basis of the left-associated tensor at level n.
-
-    Entries are (degree tuple, index tuple) in flat position order:
-    Kronecker row-major degreewise for the simplicial tensor, prefix
-    degree ascending then row-major for the chain tensor.
-    """
-    if base == "simplicial":
-        combos = [((), ())]
-        for A in objs:
-            combos = [(d + (n,), i + (t,)) for d, i in combos
-                      for t in range(A.level(n).rank)]
-        return combos
-    if len(objs) == 1:
-        return [((n,), (i,)) for i in range(objs[0].level(n).rank)]
-    out = []
-    for s in range(n + 1):
-        r = n - s
-        last = objs[-1].level(r).rank
-        if last == 0:
-            continue
-        for degs, idxs in _multi_positions(base, objs[:-1], s):
-            for i in range(last):
-                out.append((degs + (r,), idxs + (i,)))
-    return out
-
-
 def _koszul(ring: Ring, degs, sigma):
     """Sign of rearranging graded letters so slot j carries letter sigma(j)."""
     inv = permutations.inverse(sigma)
@@ -1193,44 +1171,104 @@ def _placed(pieces, max_degree: int):
             for n in range(max_degree + 1)]
 
 
-def _tensor_entries(ops, maps, sigma, src_positions, tgt_positions):
+def _atom_layout(A, max_degree: int):
+    """The layout of one object: a single box per degree of nonzero
+    rank."""
+    ranks = [A.level(n).rank for n in range(max_degree + 1)]
+    return [{(n,): (0, (r,), (1,))} if r else {} for n, r in enumerate(ranks)]
+
+
+def _layout_rank(boxes) -> int:
+    return sum(prod(dims) for _, dims, _ in boxes.values())
+
+
+def _tensor_layout(base: str, left, right):
+    """The layout of A (x) B from the layouts of A and B.
+
+    The summands of degree n follow the base's block rule: chain blocks
+    A_s (x) B_(n-s) go s ascending, as in `chain.tensor_blocks`, and the
+    simplicial tensor is Kronecker at equal degree.  In a summand at
+    offset off, the pair (a, b) sits at off + a * rank(B_r) + b, so a
+    box of A and a box of B give the box starting at
+    off + start_A * rank(B_r) + start_B, with A's strides scaled by
+    rank(B_r) and B's strides as they are.
+    """
+    left_ranks = [_layout_rank(b) for b in left]
+    right_ranks = [_layout_rank(b) for b in right]
+    out = []
+    for n in range(len(left)):
+        boxes, off = {}, 0
+        for s in ((n,) if base == "simplicial" else range(n + 1)):
+            r = n if base == "simplicial" else n - s
+            rb = right_ranks[r]
+            for dl, (sl, diml, strl) in left[s].items():
+                for dr, (sr, dimr, strr) in right[r].items():
+                    boxes[dl + dr] = (off + sl * rb + sr, diml + dimr,
+                                      tuple(x * rb for x in strl) + strr)
+            off += left_ranks[s] * rb
+        out.append(boxes)
+    return out
+
+
+def _layout(ops, objs):
+    """The layout of the left-associated tensor of objs, as
+    `_tensor_many` builds it: the combinator folded over the factors.
+    Its boxes are contiguous row-major runs in ascending start order."""
+    out = _atom_layout(objs[0], ops.max_degree)
+    for A in objs[1:]:
+        out = _tensor_layout(ops.base, out, _atom_layout(A, ops.max_degree))
+    return out
+
+
+def _flat(box, idxs) -> int:
+    """Flat position of an index tuple in its box."""
+    return box[0] + sum(map(mul, idxs, box[2]))
+
+
+def _expand(boxes):
+    """One degree of a layout as its flat-ordered list of (degree tuple,
+    index tuple)."""
+    out = [None] * _layout_rank(boxes)
+    for degs, box in boxes.items():
+        for idxs in product(*map(range, box[1])):
+            out[_flat(box, idxs)] = (degs, idxs)
+    return out
+
+
+def _tensor_entries(ops, maps, sigma, src_layout, tgt_layout):
     """Per-degree entries of (x)_j maps[j] on a tensor of levels, with
     its factors permuted.
 
     maps[j] acts on tensor factor j; None stands for an identity.
     sigma, when given, then permutes the factors so that target slot j
     carries source factor sigma(j), with a Koszul sign when odd chain
-    degrees cross.  src_positions[n] and tgt_positions[n] list the
-    degree-n bases as (degree tuple, index tuple) in flat order.  The
-    maps have degree 0, so the tensor adds no sign of its own, and
+    degrees cross.  src_layout[n] and tgt_layout[n] are the layouts of
+    the degree-n bases: {degree tuple: (start, dims, strides)}, one
+    strided box per degree tuple, with the boxes of rank 0 left out, so
+    that index tuple idx of a degree tuple sits at flat position
+    start + sum idx[j] * strides[j].  `_layout` gives them for a
+    left-associated tensor, and `_tensor_layout` for any bracketing.
+    The maps have degree 0, so the tensor adds no sign of its own, and
     distinct row tuples land on distinct rows; products are left for
     `LinearMap` to normalize.
 
     Every map the callers pass is an identity or a monomial column map
     (each column holds at most one entry: signed permutations, leaf
-    relabelings, cokernel sections, generator inclusions), and
-    `_multi_positions` lays each degree tuple out as one contiguous
-    row-major run.  Then a source run's image is one mixed-radix sum:
-    the source factor at slot sigma^-1(j) moves by its target stride,
-    and the Koszul sign is taken once per degree tuple, so no target
-    position is looked up.  Any other map or layout (the interleaved
-    runs of `trees._build_positions`), and every call under
-    `exactlin._FORCE_GENERIC`, takes `_tensor_entries_general`, which
-    stays the oracle of the fast path.
+    relabelings, cokernel sections, generator inclusions).  Then a
+    source box's image is one strided sum: the source factor at slot
+    sigma^-1(j) moves by its target stride, and the Koszul sign is
+    taken once per degree tuple, so no target position is looked up.
+    Any other map, and every call under `exactlin._FORCE_GENERIC`,
+    takes `_tensor_entries_general`, which stays the oracle of the fast
+    path.
     """
     images = None if exactlin._FORCE_GENERIC else \
         _monomial_images(ops, maps)
-    if images is not None:
-        out = []
-        for src, tgt in zip(src_positions, tgt_positions):
-            runs, truns = _row_major_runs(src), _row_major_runs(tgt)
-            if runs is None or truns is None:
-                break
-            out.append(_monomial_entries(ops, images, sigma, runs, truns))
-        else:
-            return out
-    return _tensor_entries_general(ops, maps, sigma, src_positions,
-                                   tgt_positions)
+    if images is None:
+        return _tensor_entries_general(ops, maps, sigma, src_layout,
+                                       tgt_layout)
+    return [_monomial_entries(ops, images, sigma, src, tgt)
+            for src, tgt in zip(src_layout, tgt_layout)]
 
 
 def _monomial_images(ops, maps):
@@ -1255,35 +1293,7 @@ def _monomial_images(ops, maps):
     return images
 
 
-def _row_major_runs(positions):
-    """{degree tuple: (first flat position, factor ranks)} when each
-    degree tuple's positions form one contiguous row-major run; None
-    when a run does not start at the zero index or does not fill the
-    box up to its last index, as when a degree tuple comes back after
-    another run."""
-    runs, start = {}, 0
-    for degs, run in groupby(positions, itemgetter(0)):
-        first = next(run)[1]
-        tail = deque(enumerate(run, 2), maxlen=1)
-        size, last = (tail[0][0], tail[0][1][1]) if tail else (1, first)
-        dims = tuple(i + 1 for i in last)
-        if any(first) or prod(dims) != size:
-            return None
-        runs[degs] = (start, dims)
-        start += size
-    return runs
-
-
-def _strides(dims):
-    """Row-major strides of an index tuple with these ranks."""
-    out, acc = [], 1
-    for d in reversed(dims):
-        out.append(acc)
-        acc *= d
-    return out[::-1]
-
-
-def _monomial_entries(ops, images, sigma, runs, truns):
+def _monomial_entries(ops, images, sigma, boxes, tboxes):
     """One degree of `_tensor_entries` for monomial column maps."""
     ring = ops.ring
     one = ring.one
@@ -1291,17 +1301,16 @@ def _monomial_entries(ops, images, sigma, runs, truns):
     graded = sigma is not None and ops.base == "chain"
     inv = permutations.inverse(sigma) if sigma is not None else range(k)
     entries = {}
-    for degs, (start, dims) in runs.items():
+    for degs, (start, dims, strides) in boxes.items():
         tdegs = degs if sigma is None else tuple(degs[j] for j in sigma)
-        hit = truns.get(tdegs)
+        hit = tboxes.get(tdegs)
         if hit is None:
             # a target factor has rank 0 here, so every column dies
             continue
-        toff, tdims = hit
-        tstrides = _strides(tdims)
+        toff, _, tstrides = hit
         sign = _koszul(ring, degs, sigma) if graded else one
         acc = [(start, toff, sign)]
-        for j, (d, cs) in enumerate(zip(degs, _strides(dims))):
+        for j, (d, cs) in enumerate(zip(degs, strides)):
             rs = tstrides[inv[j]]
             img = images[j]
             if img is None:
@@ -1314,11 +1323,11 @@ def _monomial_entries(ops, images, sigma, runs, truns):
     return entries
 
 
-def _tensor_entries_general(ops, maps, sigma, src_positions, tgt_positions):
-    """`_tensor_entries` for any maps and layouts: each source
-    position's column is the product of the factor maps' columns at its
-    indices, and each row tuple is looked up among the target
-    positions."""
+def _tensor_entries_general(ops, maps, sigma, src_layout, tgt_layout):
+    """`_tensor_entries` for any maps: both layouts are expanded by
+    `_expand`, each source position's column is the product of the
+    factor maps' columns at its indices, and each row tuple is looked
+    up among the target positions."""
     ring = ops.ring
     one = ring.one
     columns = {}
@@ -1340,8 +1349,9 @@ def _tensor_entries_general(ops, maps, sigma, src_positions, tgt_positions):
     signs, out = {}, []
     for n in range(ops.max_degree + 1):
         entries = {}
-        tgt_index = {key: pos for pos, key in enumerate(tgt_positions[n])}
-        for col, (degs, idxs) in enumerate(src_positions[n]):
+        tgt_index = {key: pos
+                     for pos, key in enumerate(_expand(tgt_layout[n]))}
+        for col, (degs, idxs) in enumerate(_expand(src_layout[n])):
             if degs not in signs:
                 signs[degs] = _koszul(ring, degs, sigma) if graded else one
             partial = [((), signs[degs])]
@@ -1403,16 +1413,15 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
         terms = _composite_terms(M, N, sig)
         if terms:
             data[sig] = terms
-    positions = {sig: [[_multi_positions(ops.base, t.factors, n)
-                        for n in range(D + 1)] for t in terms]
-                 for sig, terms in data.items()}
+    layouts = {sig: [_layout(ops, t.factors) for t in terms]
+               for sig, terms in data.items()}
     indices = {sig: {t.key(): ti for ti, t in enumerate(terms)}
                for sig, terms in data.items()}
 
     levels, quotients, bigs, offsets_of = {}, {}, {}, {}
     for sig, terms in data.items():
         big, offsets = _assemble(ops, [t.obj for t in terms])
-        index, pos = indices[sig], positions[sig]
+        index, lay = indices[sig], layouts[sig]
         rels = [[] for _ in range(D + 1)]
         for k in sorted({t.k for t in terms} - {0, 1}):
             # S_k moves only the arity-k terms and fixes every other one
@@ -1430,7 +1439,7 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                                 tuple(s[v] for v in t.phi))]
                     blocks = _tensor_entries(
                         ops, (M.action(t.msig, s),) + (None,) * k,
-                        (0,) + tuple(1 + j for j in s), pos[ti], pos[tj])
+                        (0,) + tuple(1 + j for j in s), lay[ti], lay[tj])
                     pieces.append((blocks, offsets[ti], offsets[tj]))
                 for n, ents in enumerate(_placed(pieces, D)):
                     rels[n].append((ents, cols[n]))
@@ -1462,8 +1471,8 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                     fsig = t.fiber_sigs[a]
                     maps[1 + a] = N.action(fsig, permutations.transposition(
                         sig_arity(fsig), t.phi[:tr].count(a)))
-                blocks = _tensor_entries(ops, maps, None, positions[sig][ti],
-                                         positions[tsig][tj])
+                blocks = _tensor_entries(ops, maps, None, layouts[sig][ti],
+                                         layouts[tsig][tj])
                 pieces.append((blocks, offsets_of[sig][ti],
                                offsets_of[tsig][tj]))
             comps = [_descend(compose(quotients[tsig][n].proj, LinearMap(

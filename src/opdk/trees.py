@@ -30,8 +30,10 @@ vertex drive three computations:
   tensor factor and reorders the factors, as the composite product does
   for its relabelings; for the signed permutations, leaf relabelings,
   cokernel sections and generator inclusions used here, each column
-  has at most one entry, and it computes the target rows as mixed-radix
-  sums.  `operad._quotient_by` feeds the moves' columns to the signed
+  has at most one entry, and it computes the target rows as strided
+  sums over the layouts of both tensors (`operad._layout`: one strided
+  box per degree tuple), whatever their bracketing.
+  `operad._quotient_by` feeds the moves' columns to the signed
   union-find `exactlin.signed_quotient` whenever the collection's
   actions also send basis elements to +-basis elements, and pads them
   to full matrices for an exact cokernel otherwise;
@@ -55,6 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from bisect import bisect_right
 from typing import Callable, Optional
 
 from .rings import Ring
@@ -63,9 +66,10 @@ from . import chain as _chain
 from .chain import ChainComplex, ChainMap, concentrated, pad
 from . import permutations
 from .operad import (Collection, Operad, graft_signature, sig_act, sig_arity,
-                     sig_str, word_act, word_graft, _assemble, _coinvariants,
-                     _descend, _multi_positions, _ops_for, _placed,
-                     _quotient_object, _tensor_entries)
+                     sig_str, word_act, word_graft, _assemble, _atom_layout,
+                     _coinvariants, _descend, _expand, _flat, _layout,
+                     _ops_for, _placed, _quotient_object, _tensor_entries,
+                     _tensor_layout, _tensor_many)
 
 
 _COLOR = re.compile(r"[A-Za-z0-9_.+-]+\Z")
@@ -601,15 +605,17 @@ def leaf_labelings(leaf_colors, inputs):
 # ---------------------------------------------------------------------------
 # tensor bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def _chain_positions(objs, bound: int):
-    """Flat bases of the left-associated chain tensor in degrees 0..bound."""
-    return [_multi_positions("chain", objs, n) for n in range(bound + 1)]
-
-
-def _position_index(objs, n: int) -> dict:
-    return {pos: i for i, pos in enumerate(_multi_positions("chain", objs, n))}
+#
+# The basis of an iterated tensor is read off its layout: per degree,
+# {degree tuple: (start, dims, strides)}, one strided box per degree
+# tuple with nonzero rank, so index tuple idx sits at flat position
+# start + sum idx[j] * strides[j] (`operad._flat`).  `operad._layout`
+# folds the binary combinator `operad._tensor_layout` over a factor list
+# (left-associated, as `operad._tensor_many` builds the objects), and `_build_layout` applies it along a cell's
+# bracketing.  Blocks keep one layout per planar representative, and
+# stage rewrites build theirs per factor list; no position list or
+# index dict is stored, and `operad._expand` lists a degree's basis
+# only where a caller walks it.
 
 
 def _col_cache(f: ChainMap):
@@ -621,34 +627,43 @@ def _col_cache(f: ChainMap):
     return cols
 
 
-def _pair_entries(ring: Ring, src_objs, a: int, pairmap: ChainMap, n: int) -> dict:
-    """Contract factors a, a+1 through a map out of their tensor."""
-    A, B = src_objs[a], src_objs[a + 1]
-    tgt_objs = list(src_objs[:a]) + [pairmap.target] + list(src_objs[a + 2:])
-    tgt_index = _position_index(tgt_objs, n)
-    pair_index: dict = {}
-    for m in range(n + 1):
-        pair_index[m] = _position_index([A, B], m)
+def _pair_entries(ops, src_objs, a: int, pairmap: ChainMap):
+    """Per-degree entries contracting factors a, a+1 through a map out
+    of their tensor."""
+    ring = ops.ring
+    pair = _layout(ops, src_objs[a:a + 2])
+    tgt = _layout(ops, src_objs[:a] + [pairmap.target] + src_objs[a + 2:])
     cols = _col_cache(pairmap)
-    entries: dict = {}
-    for col, (degs, idxs) in enumerate(_multi_positions("chain", src_objs, n)):
-        da, db = degs[a], degs[a + 1]
-        q = pair_index[da + db].get(((da, db), (idxs[a], idxs[a + 1])))
-        if q is None:
-            continue
-        for row_in_pair, v in cols.get((da + db, q), []):
-            tdegs = degs[:a] + (da + db,) + degs[a + 2:]
-            tidxs = idxs[:a] + (row_in_pair,) + idxs[a + 2:]
-            row = tgt_index.get((tdegs, tidxs))
-            if row is None:
-                continue
-            key = (row, col)
-            entries[key] = ring.add(entries.get(key, ring.zero), v)
-    return {k: v for k, v in entries.items() if v != ring.zero}
+    out = []
+    for n, boxes in enumerate(_layout(ops, src_objs)):
+        entries: dict = {}
+        for col, (degs, idxs) in enumerate(_expand(boxes)):
+            d = degs[a] + degs[a + 1]
+            q = _flat(pair[d][degs[a:a + 2]], idxs[a:a + 2])
+            for row_in_pair, v in cols.get((d, q), []):
+                row = _flat(tgt[n][degs[:a] + (d,) + degs[a + 2:]],
+                            idxs[:a] + (row_in_pair,) + idxs[a + 2:])
+                key = (row, col)
+                entries[key] = ring.add(entries.get(key, ring.zero), v)
+        out.append({k: v for k, v in entries.items() if v != ring.zero})
+    return out
 
 
 def _labeling_complex(ring: Ring, count: int, bound: int) -> ChainComplex:
     return pad(concentrated(ring, 0, count, prefix="l"), bound)
+
+
+def _labeling_map(ops, labs, tgt_labs, relabel):
+    """The map of labeling complexes sending labeling lab to
+    relabel(lab) among tgt_labs."""
+    where = {lab: i for i, lab in enumerate(tgt_labs)}
+    Lp = _labeling_complex(ops.ring, len(labs), ops.max_degree)
+    Lq = _labeling_complex(ops.ring, len(tgt_labs), ops.max_degree)
+    ents = {(where[relabel(lab)], i): ops.ring.one
+            for i, lab in enumerate(labs)}
+    return ops.make_map(Lp, Lq, [
+        LinearMap(Lp.level(n), Lq.level(n), ents if n == 0 else {})
+        for n in range(ops.max_degree + 1)])
 
 
 def _placed_map(ops, src, tgt, pieces):
@@ -679,10 +694,17 @@ class _Block:
     differential, as it does for the composite product.  quotients[n]
     is the degree-n quotient, and proj and section are chain maps
     between big and obj made of its maps.
+
+    layouts[pi] is the `operad._layout` of representative pi's factors
+    (its decorations in vertex preorder, then its labelings): per
+    degree, one strided box per degree tuple.  It is all the tensor
+    bookkeeping a block keeps; a basis element's row is its box's start
+    plus its indices times the box's strides, and no position list is
+    stored.
     """
 
-    __slots__ = ("tree_class", "planar", "factors", "labs", "big", "obj",
-                 "proj", "section", "quotients", "offsets", "_pos", "ring",
+    __slots__ = ("tree_class", "planar", "factors", "labs", "layouts", "big",
+                 "obj", "proj", "section", "quotients", "offsets", "ring",
                  "bound")
 
     def __init__(self, ring: Ring, bound: int, tree_class: TreeIsoClass,
@@ -695,15 +717,17 @@ class _Block:
         where = {p.key(): pi for pi, p in enumerate(self.planar)}
         self.factors = []
         self.labs = []
+        self.layouts = []
         objs = []
         for p in self.planar:
             facs = [decor(vsig, m) for vsig, m in p.vertex_preorder()]
             labs = leaf_labelings(p.leaves(), sig_inputs)
             self.factors.append(facs)
             self.labs.append(labs)
-            objs.append(_tensor_with_labels(ops, facs, len(labs)))
+            factors = facs + [_labeling_complex(ring, len(labs), bound)]
+            self.layouts.append(_layout(ops, factors))
+            objs.append(_tensor_many(ops, factors))
         self.big, self.offsets = _assemble(ops, objs)
-        self._pos = {}
 
         # a move touches only its representative's columns; the
         # identity on the other representatives stays implicit
@@ -730,7 +754,6 @@ class _Block:
                                 check=False)
 
     def _move_entries(self, ops, action, pi, qi, p, q, path, vi, t):
-        ring = self.ring
         v = p.subtree_at(path)
         tau = permutations.transposition(len(v.children), t)
         act = action(v.val, v.marked, tau)
@@ -753,55 +776,20 @@ class _Block:
             rho[start + j] = start + wb + j
         for j in range(wb):
             rho[start + wa + j] = start + j
-        lab_tgt = {lab: i for i, lab in enumerate(self.labs[qi])}
-        lab_entries = {}
-        for i, lab in enumerate(self.labs[pi]):
-            new = [0] * nleaves
-            for pos in range(nleaves):
-                new[rho[pos]] = lab[pos]
-            lab_entries[(lab_tgt[tuple(new)], i)] = ring.one
-        Lp = _labeling_complex(ring, len(self.labs[pi]), self.bound)
-        Lq = _labeling_complex(ring, len(self.labs[qi]), self.bound)
-        lab_map = ops.make_map(Lp, Lq, [
-            LinearMap(Lp.level(n), Lq.level(n),
-                      lab_entries if n == 0 else {})
-            for n in range(self.bound + 1)])
+        back = permutations.inverse(rho)
+        lab_map = _labeling_map(ops, self.labs[pi], self.labs[qi],
+                                lambda lab: tuple(lab[j] for j in back))
         maps = [None] * len(pi_map) + [lab_map]
         maps[vi] = act
         sigma = permutations.inverse(pi_map + [len(pi_map)])
-        degrees = range(self.bound + 1)
-        ents = _tensor_entries(ops, maps, sigma,
-                               [self.positions(n, pi) for n in degrees],
-                               [self.positions(n, qi) for n in degrees])
+        ents = _tensor_entries(ops, maps, sigma, self.layouts[pi],
+                               self.layouts[qi])
         return _placed([(ents, self.offsets[pi], self.offsets[qi])],
                        self.bound)
 
-    def _objs(self, planar_idx: int):
-        return self.factors[planar_idx] + [
-            _labeling_complex(self.ring, len(self.labs[planar_idx]),
-                              self.bound)]
-
-    def positions(self, n: int, planar_idx: int):
-        key = (n, planar_idx)
-        if key not in self._pos:
-            pos = _multi_positions("chain", self._objs(planar_idx), n)
-            self._pos[key] = (pos, {p: i for i, p in enumerate(pos)})
-        return self._pos[key][0]
-
     def flat_index(self, n: int, planar_idx: int, degs, idxs) -> int:
-        self.positions(n, planar_idx)
-        local = self._pos[(n, planar_idx)][1][(tuple(degs), tuple(idxs))]
-        return self.offsets[planar_idx][n] + local
-
-
-def _tensor_with_labels(ops, facs, n_labs: int) -> ChainComplex:
-    L = _labeling_complex(ops.ring, n_labs, ops.max_degree)
-    if not facs:
-        return L
-    out = facs[0]
-    for F in facs[1:]:
-        out = ops.tensor(out, F)
-    return ops.tensor(out, L)
+        return self.offsets[planar_idx][n] + _flat(
+            self.layouts[planar_idx][n][tuple(degs)], idxs)
 
 
 # ---------------------------------------------------------------------------
@@ -932,21 +920,19 @@ class FreeOperad:
                 [b.tree_class.encoding for b in tl.blocks]:
             raise ValueError(f"relabeling {sigma} at {sig_str(sig)} does "
                              f"not match the tree classes")
-        one = self.ring.one
+        ops = self.ops
         pieces = []
         for b, tb, soff, toff in zip(fl.blocks, tl.blocks, fl.offsets,
                                      tl.offsets):
+            relabels = []
+            for pi, facs in enumerate(b.factors):
+                lab_map = _labeling_map(ops, b.labs[pi], tb.labs[pi],
+                                        lambda lab: word_act(lab, sigma))
+                relabels.append((_tensor_entries(
+                    ops, [None] * len(facs) + [lab_map], None, b.layouts[pi],
+                    tb.layouts[pi]), b.offsets[pi], tb.offsets[pi]))
             comps = []
-            for n in range(self.bound + 1):
-                entries = {}
-                for pi in range(len(b.planar)):
-                    lab_tgt = {lab: i for i, lab in enumerate(tb.labs[pi])}
-                    relab = [lab_tgt[word_act(lab, sigma)]
-                             for lab in b.labs[pi]]
-                    for pos, (degs, idxs) in enumerate(b.positions(n, pi)):
-                        tidx = idxs[:-1] + (relab[idxs[-1]],)
-                        entries[(tb.flat_index(n, pi, degs, tidx),
-                                 b.offsets[pi][n] + pos)] = one
+            for n, entries in enumerate(_placed(relabels, self.bound)):
                 src, tgt = b.big.level(n), tb.big.level(n)
                 if (tgt.rank != src.rank or len(entries) != src.rank
                         or len({r for r, _ in entries}) != src.rank):
@@ -968,20 +954,23 @@ class FreeOperad:
         if flg is None:
             raise ValueError(f"graft level {sig_str(gsig)} vanished")
         columns: dict = {}  # (block, degree) -> `_proj_columns`
+        basis1 = [_level_basis(fl1, m) for m in range(bound + 1)]
+        basis2 = [_level_basis(fl2, m) for m in range(bound + 1)]
         comps = []
         for n in range(bound + 1):
             entries: dict = {}
             for s, r, off in _chain.tensor_blocks(fl1.object, fl2.object, n):
                 rank2 = fl2.object.level(r).rank
-                for c1, (b1, p1, degs1, idxs1) in _level_basis(fl1, s):
+                for c1, (b1, p1, degs1, idxs1) in basis1[s]:
                     block1 = fl1.blocks[b1]
                     l1 = block1.labs[p1][idxs1[-1]]
                     tree1 = block1.planar[p1]
-                    for c2, (b2, p2, degs2, idxs2) in _level_basis(fl2, r):
+                    t = l1.index(i)
+                    insert = _graft_insert_position(tree1, t)
+                    for c2, (b2, p2, degs2, idxs2) in basis2[r]:
                         block2 = fl2.blocks[b2]
                         l2 = block2.labs[p2][idxs2[-1]]
                         tree2 = block2.planar[p2]
-                        t = l1.index(i)
                         p = graft(tree1, t, tree2)
                         if p.n_vertices > self.max_vertices:
                             raise ValueError(
@@ -991,7 +980,6 @@ class FreeOperad:
                         blockg = flg.blocks[bg]
                         lg = word_graft(l1, i, l2)
                         lgi = blockg.labs[pg].index(lg)
-                        insert = _graft_insert_position(tree1, t)
                         m1 = len(degs1) - 1
                         sign = 1
                         tail = [d for d in degs1[insert:m1] if d % 2]
@@ -1044,7 +1032,10 @@ def _level_basis(fl: FreeLevel, n: int):
 
     Sections out of the orbit fast path are unit columns, so the
     correspondence is exact there; a generic section would make this a
-    representative choice, which the callers do not accept.
+    representative choice, which the callers do not accept.  A block
+    layout's boxes are contiguous row-major runs in ascending start
+    order, so a flat position unranks by a bisect over the box starts,
+    then by divmod over the box's strides.
     """
     out = []
     for bi, (b, off) in enumerate(zip(fl.blocks, fl.offsets)):
@@ -1055,13 +1046,20 @@ def _level_basis(fl: FreeLevel, n: int):
                 raise ValueError(
                     "composition bookkeeping needs unit section columns")
             cols[j] = i
+        runs = [list(lay[n].items()) for lay in b.layouts]
+        starts = [[box[0] for _, box in run] for run in runs]
         for j in range(b.obj.level(n).rank):
             flat = cols[j]
             pi = max(k for k, offs in enumerate(b.offsets)
                      if flat >= offs[n])
             local = flat - b.offsets[pi][n]
-            degs, idxs = b.positions(n, pi)[local]
-            out.append((off[n] + j, (bi, pi, degs, idxs)))
+            degs, (start, _, strides) = \
+                runs[pi][bisect_right(starts[pi], local) - 1]
+            rem, idxs = local - start, []
+            for stride in strides:
+                q, rem = divmod(rem, stride)
+                idxs.append(q)
+            out.append((off[n] + j, (bi, pi, degs, tuple(idxs))))
     return out
 
 
@@ -1196,7 +1194,7 @@ def extend_to_operad(F: FreeOperad, target: Operad,
         for b, off in zip(fl.blocks, fl.offsets):
             entries = {}
             for pi, p in enumerate(b.planar):
-                for local, (_, idxs) in enumerate(b.positions(0, pi)):
+                for local, (_, idxs) in enumerate(_expand(b.layouts[pi][0])):
                     lab = b.labs[pi][idxs[-1]]
                     colmap = _eval_tree(target, g, p, list(idxs[:-1]))
                     if lab:
@@ -1336,37 +1334,19 @@ def _build_leaves(build):
     return _build_leaves(build[1]) + _build_leaves(build[2])
 
 
-def _build_object(build, targets, ops):
+def _build_layout(build, targets, ops):
+    """The `operad._tensor_layout` of the bracketed tensor of a cell's
+    atom targets, its degree and index tuples in leaf order."""
     if build[0] == "atom":
-        return targets[build[1]]
-    return ops.tensor(_build_object(build[1], targets, ops),
-                      _build_object(build[2], targets, ops))
-
-
-def _build_positions(build, targets, ops, n: int):
-    """Flat basis at degree n as (atom degs, atom idxs) in leaf order."""
-    if build[0] == "atom":
-        A = targets[build[1]]
-        return [((d,), (i,)) for d in [n] for i in range(A.level(d).rank)]
-    L = _build_object(build[1], targets, ops)
-    R = _build_object(build[2], targets, ops)
-    posL = {m: _build_positions(build[1], targets, ops, m)
-            for m in range(n + 1)}
-    posR = {m: _build_positions(build[2], targets, ops, m)
-            for m in range(n + 1)}
-    out = []
-    for s, r, off in _chain.tensor_blocks(L, R, n):
-        for dl, il in posL[s]:
-            for dr, ir in posR[r]:
-                out.append((dl + dr, il + ir))
-    return out
+        return _atom_layout(targets[build[1]], ops.max_degree)
+    return _tensor_layout(ops.base, _build_layout(build[1], targets, ops),
+                          _build_layout(build[2], targets, ops))
 
 
 def cell_comparison_iso(cellA: EpsilonCell, cellB: EpsilonCell,
                         atom_perm, ops) -> ChainMap:
     """The codomain isomorphism matching atom j of A with atom
     atom_perm[j] of B, with the graded reordering sign."""
-    degrees = range(ops.max_degree + 1)
     targetsA = [a.target for a in cellA.atoms]
     targetsB = [b.target for b in cellB.atoms]
     leavesA = _build_leaves(cellA.build)
@@ -1377,8 +1357,8 @@ def cell_comparison_iso(cellA: EpsilonCell, cellB: EpsilonCell,
     codB = cellB.map.target
     ents = _tensor_entries(
         ops, [None] * len(pi), permutations.inverse(pi),
-        [_build_positions(cellA.build, targetsA, ops, n) for n in degrees],
-        [_build_positions(cellB.build, targetsB, ops, n) for n in degrees])
+        _build_layout(cellA.build, targetsA, ops),
+        _build_layout(cellB.build, targetsB, ops))
     return ops.make_map(codA, codB, [
         LinearMap(codA.level(n), codB.level(n), ent)
         for n, ent in enumerate(ents)])
@@ -1665,12 +1645,11 @@ def _choice_block(O, f, Qc, q_sections, g, block, pi, p, marked_paths,
             facs.append(f.source.level(vsig))
             mats.append(f.component(vsig))
     L = _labeling_complex(ring, len(block.labs[pi]), bound)
-    D = _tensor_with_labels(ops, facs, len(block.labs[pi]))
+    D = _tensor_many(ops, facs + [L])
     if D.total_rank() == 0:
         return D, None, None
-    ents = _tensor_entries(ops, mats + [None], None,
-                           _chain_positions(facs + [L], bound),
-                           [block.positions(n, pi) for n in range(bound + 1)])
+    ents = _tensor_entries(ops, mats + [None], None, _layout(ops, facs + [L]),
+                           block.layouts[pi])
     ents = _placed([(ents, None, block.offsets[pi])], bound)
     ink = block.proj @ ops.make_map(D, block.big, [
         LinearMap(D.level(n), block.big.level(n), ent)
@@ -1705,8 +1684,8 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
         else:
             flags.append(m)
     tree = _reflag(tree, flags)
-    cur = _tensor_entries(ops, mats, None, _chain_positions(facs + [L], bound),
-                          _chain_positions(objs + [L], bound))
+    cur = _tensor_entries(ops, mats, None, _layout(ops, facs + [L]),
+                          _layout(ops, objs + [L]))
 
     # contract unmarked-unmarked edges until none remain
     while True:
@@ -1729,16 +1708,13 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
         sigma = permutations.inverse(pi_map + [m])
         tgt_objs = [objs[j] for j in sigma[:m]]
         perm_entries = _tensor_entries(ops, [None] * (m + 1), sigma,
-                                       _chain_positions(objs + [L], bound),
-                                       _chain_positions(tgt_objs + [L], bound))
+                                       _layout(ops, objs + [L]),
+                                       _layout(ops, tgt_objs + [L]))
         cur = _compose_entry_lists(ring, perm_entries, cur, bound)
         objs = tgt_objs
         pair = O.composition(psig, slot, csig)
-        pair_entries = []
-        for n in range(bound + 1):
-            pair_entries.append(_pair_entries(
-                ring, objs + [L], parent_vi, pair, n))
-        cur = _compose_entry_lists(ring, pair_entries, cur, bound)
+        cur = _compose_entry_lists(
+            ring, _pair_entries(ops, objs + [L], parent_vi, pair), cur, bound)
         objs = objs[:parent_vi] + [pair.target] + objs[parent_vi + 2:]
         merged_kids = (parent.children[:slot] + child.children
                        + parent.children[slot + 1:])
@@ -1755,15 +1731,12 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
                                "vertex")
         psig = tree.val
         entries = []
-        for n in range(bound + 1):
+        for n, boxes in enumerate(_layout(ops, objs + [L])):
             acc: dict = {}
-            src = _position_index(objs + [L], n)
             for li, lab in enumerate(labs):
                 act = coll.action(psig, permutations.inverse(lab))
                 for (i, j), v in act.component(n).entries.items():
-                    col = src.get(((n, 0), (j, li)))
-                    if col is not None:
-                        acc[(i, col)] = v
+                    acc[(i, _flat(boxes[(n, 0)], (j, li)))] = v
             entries.append(acc)
         cur = _compose_entry_lists(ring, entries, cur, bound)
         tgt = coll.level(sig)
@@ -1787,17 +1760,9 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
     mats = []
     for vi, (vsig, m) in enumerate(tree.vertex_preorder()):
         mats.append(q_sections[vsig] if m else None)
-    lab_tgt = {lab: i for i, lab in enumerate(tb.labs[tpi])}
-    Lt = _labeling_complex(ring, len(tb.labs[tpi]), bound)
-    lab_entries = {(lab_tgt[lab], li): ring.one
-                   for li, lab in enumerate(labs)}
-    lab_map = ops.make_map(L, Lt, [
-        LinearMap(L.level(n), Lt.level(n),
-                  lab_entries if n == 0 else {})
-        for n in range(bound + 1)])
+    lab_map = _labeling_map(ops, labs, tb.labs[tpi], lambda lab: lab)
     final = _tensor_entries(ops, mats + [lab_map], None,
-                            _chain_positions(objs + [L], bound),
-                            [tb.positions(n, tpi) for n in range(bound + 1)])
+                            _layout(ops, objs + [L]), tb.layouts[tpi])
     final = _placed([(final, None, tb.offsets[tpi])], bound)
     cur = _compose_entry_lists(ring, final, cur, bound)
     mdl = ops.make_map(D, tb.big,

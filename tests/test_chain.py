@@ -14,6 +14,7 @@ from opdk.chain import (
     chain_to_json,
     concentrated,
     diagram_colimit,
+    direct_sum,
     homology,
     homology_map,
     is_quasi_iso,
@@ -505,3 +506,61 @@ def test_chain_map_refuses_malformed_input(case):
     args, msg = _chain_map_inputs()[case]
     with pytest.raises(ValueError, match=msg):
         ChainMap(*args)
+
+
+def _chain_input_checks():
+    K = two_term(ZZ, [[2]])
+    idK, id3 = ChainMap.identity(K), ChainMap.identity(pad(K, 3))
+    colim = diagram_colimit([K], [])
+    po = pushout_complex(idK, idK)
+    return {
+        "pad": (lambda: pad(pad(K, 2), 1),
+                "cannot pad a complex of max_degree 2 down to 1"),
+        "homology-below": (lambda: homology(K, -1),
+                           r"homology degree -1 outside 0\.\.1"),
+        "homology-above": (lambda: homology(K, 2),
+                           r"homology degree 2 outside 0\.\.1"),
+        "direct-sum": (lambda: direct_sum(K, pad(K, 2)),
+                       "summands differ in ring or max_degree"),
+        "compose": (lambda: idK @ ChainMap.identity(two_term(ZZ, [[1, 0]])),
+                    "composable chain maps need matching ranks"),
+        "legs": (lambda: colim.mediating([idK, idK]),
+                 "2 legs for a diagram of 1 vertices"),
+        "colimit-degree": (lambda: colim.mediating([id3]),
+                           "cocone target exceeds colimit truncation"),
+        "empty-diagram": (lambda: diagram_colimit([], []),
+                          "needs at least one vertex"),
+        "pushout-degree": (lambda: po.mediating(id3, id3),
+                           "cocone target exceeds pushout truncation"),
+        "power": (lambda: iterated_pushout_product(idK, 0),
+                  "pushout-product power 0 is not positive"),
+        "cube": (lambda: punctured_cube_colimit(idK, 0),
+                 "punctured cube of dimension 0 is not positive"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_chain_input_checks()))
+def test_chain_input_checks_raise_value_error(case):
+    # explicit raises, so they also hold under python -O
+    call, msg = _chain_input_checks()[case]
+    with pytest.raises(ValueError, match=msg):
+        call()
+
+
+def test_homology_invariant_raises_runtime_error(monkeypatch):
+    import opdk.chain as chain_module
+    monkeypatch.setattr(chain_module, "solve", lambda a, b: None)
+    with pytest.raises(RuntimeError, match="boundaries must lie in the "
+                                           "cycle lattice"):
+        homology(two_term(ZZ, [[2]]), 0)
+
+
+def test_homology_map_invariant_raises_runtime_error():
+    # e in degree 1 is a cycle, and its image a is not: f is no chain map
+    K = pad(concentrated(ZZ, 1, 1), 1)
+    L = two_term(ZZ, [[1]])
+    f = ChainMap(K, L, [LinearMap.zero(K.level(0), L.level(0)),
+                        LinearMap(K.level(1), L.level(1), {(0, 0): 1})],
+                 check=False)
+    with pytest.raises(RuntimeError, match="chain maps send cycles to cycles"):
+        homology_map(f, 1)

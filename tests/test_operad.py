@@ -11,6 +11,7 @@ corrupted inputs.
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
@@ -43,12 +44,13 @@ from opdk.operad import (
     word_act,
     word_graft,
 )
-from opdk.chain import ChainComplex, homology
+from opdk.chain import ChainComplex, homology, tensor_many
 from opdk import exactlin
-from opdk.exactlin import (CokernelPresentation, LinearMap, cokernel,
-                           free_module, hstack)
+from opdk.exactlin import (CokernelPresentation, FreeModule, LinearMap,
+                           cokernel, free_module, hstack)
 from opdk.rings import QQ, ZZ, Zmod
-from opdk.simp import moore_complex
+from opdk.simp import SimplicialModule, moore_complex
+from opdk.trees import _build_layout
 
 F5 = Zmod(5)
 X = "x"
@@ -614,12 +616,11 @@ def test_tensor_entries_match_braiding_route(base, ring, k):
             corpus.random_matrix(rng, A.level(n), B.level(n), 1, 0.8)
             for n in range(D + 1)]) for A, B in zip(objs, tgts)]
         outs = [A if f is None else f.target for A, f in zip(objs, maps)]
-        src = [op._multi_positions(base, objs, n) for n in range(D + 1)]
+        src = op._layout(ops, objs)
         for sigma in [None] + perms.all_permutations(k):
             order = sigma or range(k)
             route = _tensor_route(ops, objs, maps, order)
-            tgt = [op._multi_positions(base, [outs[j] for j in order], n)
-                   for n in range(D + 1)]
+            tgt = op._layout(ops, [outs[j] for j in order])
             got = op._tensor_entries(ops, maps, sigma, src, tgt)
             for n in range(D + 1):
                 comp = route.component(n)
@@ -638,12 +639,38 @@ def _zero_differentials(ring, ranks):
 _MONOMIAL_D = 2
 
 
+def _left(k):
+    """The left-associated bracketing of k factors, as nested pairs."""
+    tree = 0
+    for j in range(1, k):
+        tree = (tree, j)
+    return tree
+
+
+@st.composite
+def _bracketing(draw, lo, hi):
+    """A bracketing of the factors lo..hi-1, as nested pairs."""
+    if hi - lo == 1:
+        return lo
+    cut = draw(st.integers(lo + 1, hi - 1))
+    return (draw(_bracketing(lo, cut)), draw(_bracketing(cut, hi)))
+
+
+def _bracketed_layout(ops, objs, tree):
+    if isinstance(tree, int):
+        return op._atom_layout(objs[tree], ops.max_degree)
+    return op._tensor_layout(ops.base,
+                             *(_bracketed_layout(ops, objs, t) for t in tree))
+
+
 @st.composite
 def _monomial_factors(draw):
     """ops, k = 1..4 source objects, a map out of each (None, a signed
     permutation, or monomial with entries outside +-1 and zero columns,
-    possibly into rank 0) and sigma in S_k or None.  Chain factors have
-    zero differentials and a nonzero degree 1, so Koszul signs cross."""
+    possibly into rank 0), sigma in S_k or None, and a bracketing of
+    the source and of the target tensor.  Chain factors have zero
+    differentials and a nonzero degree 1, so Koszul signs cross; a
+    bracketing other than the left one interleaves the boxes."""
     ring = draw(st.sampled_from([ZZ, QQ, F5, Zmod(2)]))
     base = draw(st.sampled_from(["chain", "simplicial"]))
     ops = op._ops_for(base, ring, _MONOMIAL_D)
@@ -687,7 +714,8 @@ def _monomial_factors(draw):
     # sigma is None in about one case in four
     sigma = None if draw(st.integers(0, 3)) == 0 else \
         tuple(draw(st.permutations(range(k))))
-    return ops, objs, maps, sigma
+    return ops, objs, maps, sigma, draw(_bracketing(0, k)), \
+        draw(_bracketing(0, k))
 
 
 def _rank_zero_target():
@@ -699,14 +727,14 @@ def _rank_zero_target():
     f = ops.make_map(A, B, [LinearMap(A.level(0), B.level(0), {(0, 0): 2}),
                             LinearMap.zero(A.level(1), B.level(1)),
                             LinearMap.zero(A.level(2), B.level(2))])
-    return ops, [A, A], [f, None], (1, 0)
+    return ops, [A, A], [f, None], (1, 0), _left(2), _left(2)
 
 
 def _odd_swap():
     """Two degree-1 factors trade places, with Koszul sign -1."""
     ops = op._ops_for("chain", ZZ, _MONOMIAL_D)
     A = _zero_differentials(ZZ, [0, 1, 0])
-    return ops, [A, A], [None, None], (1, 0)
+    return ops, [A, A], [None, None], (1, 0), _left(2), _left(2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -714,25 +742,100 @@ def _odd_swap():
 @example(_rank_zero_target())
 @example(_odd_swap())
 def test_tensor_entries_fast_path_matches_general(case):
-    ops, objs, maps, sigma = case
+    ops, objs, maps, sigma, src_tree, tgt_tree = case
     order = sigma or range(len(objs))
     outs = [A if f is None else f.target for A, f in zip(objs, maps)]
-    degrees = range(_MONOMIAL_D + 1)
-    src = [op._multi_positions(ops.base, objs, n) for n in degrees]
-    tgt = [op._multi_positions(ops.base, [outs[j] for j in order], n)
-           for n in degrees]
+    src = _bracketed_layout(ops, objs, src_tree)
+    tgt = _bracketed_layout(ops, [outs[j] for j in order], tgt_tree)
     # the case must be one the fast path takes
     assert op._monomial_images(ops, maps) is not None
-    assert all(op._row_major_runs(p) is not None for p in src + tgt)
     fast = op._tensor_entries(ops, maps, sigma, src, tgt)
     exactlin._FORCE_GENERIC = True
     try:
         general = op._tensor_entries(ops, maps, sigma, src, tgt)
     finally:
         exactlin._FORCE_GENERIC = False
-    # in the same order too: LinearMap keeps its entries' order
-    assert [list(e.items()) for e in fast] == \
-        [list(e.items()) for e in general]
+    assert fast == general
+    # on a left-associated source, whose boxes are row-major runs in
+    # ascending start order, in the same order too: LinearMap keeps its
+    # entries' order
+    if src_tree == _left(len(objs)):
+        assert [list(e.items()) for e in fast] == \
+            [list(e.items()) for e in general]
+
+
+def _tokened(A, j):
+    """A with the basis labels replaced by unique tokens <j.n.i>: factor
+    j, degree n, index i."""
+    D = A.max_degree
+    levels = [FreeModule(A.ring, tuple(f"<{j}.{n}.{i}>"
+                                       for i in range(A.level(n).rank)))
+              for n in range(D + 1)]
+
+    def moved(f, n, m):
+        return LinearMap(levels[n], levels[m], f.entries)
+
+    if isinstance(A, ChainComplex):
+        return ChainComplex(A.ring, levels, [moved(A.d(n), n, n - 1)
+                                             for n in range(1, D + 1)])
+    return SimplicialModule(
+        A.ring, levels,
+        [[moved(A.face(n, i), n, n - 1) for i in range(n + 1)]
+         for n in range(1, D + 1)],
+        [[moved(A.degeneracy(n, i), n, n + 1) for i in range(n + 1)]
+         for n in range(D)])
+
+
+def _as_build(tree):
+    if isinstance(tree, int):
+        return ("atom", tree)
+    return ("pair", _as_build(tree[0]), _as_build(tree[1]))
+
+
+def _bracketed_tensor(ops, objs, tree):
+    if isinstance(tree, int):
+        return objs[tree]
+    return ops.tensor(*(_bracketed_tensor(ops, objs, t) for t in tree))
+
+
+def _assert_layout_reads_labels(ops, T, layout, k):
+    """The tokens in T's label at each flat index, factor by factor, are
+    the degree and index tuples that `_expand` puts there."""
+    assert len(layout) == ops.max_degree + 1
+    for n, boxes in enumerate(layout):
+        want = []
+        for label in T.level(n).labels:
+            toks = re.findall(r"<(\d+)\.(\d+)\.(\d+)>", label)
+            assert [int(j) for j, _, _ in toks] == list(range(k))
+            want.append((tuple(int(d) for _, d, _ in toks),
+                         tuple(int(i) for _, _, i in toks)))
+        assert op._expand(boxes) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["chain", "simplicial"]), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_layouts_read_the_tensor_labels(base, k, seed, data):
+    """`operad._layout`, and `trees._build_layout` on a random
+    bracketing, against the basis of the tensor object itself, with
+    rank-0 levels among the chain factors."""
+    D = 2
+    rng = random.Random(seed)
+    ring = rng.choice([ZZ, QQ, F5])
+    ops = op._ops_for(base, ring, D)
+    if base == "chain":
+        objs = [corpus.random_complex(rng, ring, D, max_rank=2)
+                for _ in range(k)]
+    else:
+        objs = [corpus.random_simplicial_module(rng, ring, D, 1)
+                for _ in range(k)]
+    objs = [_tokened(A, j) for j, A in enumerate(objs)]
+    left = tensor_many(objs, D) if base == "chain" else \
+        _bracketed_tensor(ops, objs, _left(k))
+    _assert_layout_reads_labels(ops, left, op._layout(ops, objs), k)
+    tree = data.draw(_bracketing(0, k))
+    _assert_layout_reads_labels(ops, _bracketed_tensor(ops, objs, tree),
+                                _build_layout(_as_build(tree), objs, ops), k)
 
 
 @st.composite
@@ -980,6 +1083,42 @@ def test_json_composition_of_a_missing_level_raises(end):
     entry[end] = {"inputs": [X] * 3, "output": X}
     with pytest.raises(ValueError, match=r"^composition \(.*\) reads "
                                          r"x,x,x->x, which has no level"):
+        operad_from_json(data)
+
+
+@pytest.mark.parametrize("slot", [-1, 2, 3, "0"])
+def test_graft_signature_refuses_a_slot_out_of_range(slot):
+    # explicit checks, so they also hold under python -O
+    with pytest.raises(ValueError, match=r"^slot .* of \(x,x->x, .*, x->x\) "
+                                         r"is out of range"):
+        graft_signature(((X, X), X), slot, ((X,), X))
+
+
+def test_graft_signature_refuses_a_slot_of_another_color():
+    with pytest.raises(ValueError, match=r"^inner output color of "
+                                         r"\(a,b->a, 1, a->a\) does not "
+                                         r"match its slot"):
+        graft_signature((("a", "b"), "a"), 1, (("a",), "a"))
+
+
+def test_json_composition_slot_out_of_range_raises():
+    data = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    entry = data["compositions"][0]
+    entry["slot"] = len(entry["outer"]["inputs"])
+    with pytest.raises(ValueError, match=r"^slot \d+ of \(.*\) is out of "
+                                         r"range"):
+        operad_from_json(data)
+
+
+def test_json_composition_into_a_slot_of_another_color_raises():
+    data = operad_to_json(corpus.indiscrete_operad(QQ, "chain", 1))
+    entry = data["compositions"][0]
+    assert (entry["outer"], entry["slot"], entry["inner"]["output"]) == \
+        ({"inputs": ["a"], "output": "a"}, 0, "a")
+    entry["outer"]["inputs"] = ["b"]
+    with pytest.raises(ValueError, match=r"^inner output color of "
+                                         r"\(b->a, 0, a->a\) does not match "
+                                         r"its slot"):
         operad_from_json(data)
 
 

@@ -21,14 +21,13 @@ from opdk import operad as op
 from opdk.chain import ChainMap, concentrated, homology, pad, two_term
 from opdk.exactlin import LinearMap
 from opdk.operad import (Collection, Operad, associative_operad,
-                         operad_check, _ops_for, _row_major_runs,
-                         _tensor_entries)
+                         operad_check, _expand, _ops_for, _tensor_entries)
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.trees import (
     CollectionMap,
     FreeOperad,
     Tree,
-    _build_positions,
+    _build_layout,
     _level_basis,
     aut_order,
     canonical,
@@ -942,10 +941,10 @@ def test_epsilon_decomposition_identity():
     assert checked >= 6
 
 
-def test_tensor_entries_on_interleaved_runs_is_the_tensor_map():
+def test_tensor_entries_on_interleaved_runs_is_the_tensor_map(monkeypatch):
     # in A (x) (B (x) C) a degree tuple of B (x) C repeats once per index
-    # of A, so the runs interleave and _tensor_entries must not take its
-    # row-major fast path; its answer is still id (x) (f (x) id)
+    # of A, so its box interleaves with the others; _tensor_entries still
+    # takes its strided fast path, and its answer is id (x) (f (x) id)
     ops = _ops_for("chain", ZZ, 2)
     A, B, C = (pad(two_term(ZZ, [[1], [1]]), 2) for _ in range(3))
     f = ops.make_map(B, B, [LinearMap(B.level(0), B.level(0), {(1, 0): 1,
@@ -953,11 +952,18 @@ def test_tensor_entries_on_interleaved_runs_is_the_tensor_map():
                             LinearMap.identity(B.level(1)),
                             LinearMap.zero(B.level(2), B.level(2))])
     build = ("pair", ("atom", 0), ("pair", ("atom", 1), ("atom", 2)))
-    pos = [_build_positions(build, [A, B, C], ops, n) for n in range(3)]
-    assert _row_major_runs(pos[1]) is None
+    lay = _build_layout(build, [A, B, C], ops)
+    runs = [degs for degs, _ in itertools.groupby(
+        degs for degs, _ in _expand(lay[1]))]
+    assert len(runs) > len(lay[1])
+
+    def general(*args):
+        raise AssertionError("the strided fast path was not taken")
+
+    monkeypatch.setattr(op, "_tensor_entries_general", general)
     want = ops.tensor_map(ops.identity(A),
                           ops.tensor_map(f, ops.identity(C)))
-    got = _tensor_entries(ops, [None, f, None], None, pos, pos)
+    got = _tensor_entries(ops, [None, f, None], None, lay, lay)
     for n in range(3):
         comp = want.component(n)
         assert LinearMap(comp.source, comp.target, got[n]).entries == \
