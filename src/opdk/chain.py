@@ -9,9 +9,12 @@ Sign convention for tensors: d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
+from operator import mul
 from typing import Optional, Sequence
 
+from . import exactlin, permutations
 from .exactlin import (
     FreeModule,
     LinearMap,
@@ -258,6 +261,251 @@ def tensor_blocks(K: ChainComplex, L: ChainComplex, n: int):
     return out
 
 
+# The basis of an iterated tensor, chain or simplicial, is read off its
+# layout: per degree, {degree tuple: (start, dims, strides)}, one
+# strided box per degree tuple of nonzero rank, so that index tuple idx
+# sits at flat position start + sum idx[j] * strides[j].  The chain
+# boxes follow the block rule of `tensor_blocks`.  `_tensor_entries`
+# applies maps to the factors of a tensor and permutes them between two
+# layouts; with identity maps it is `_coherence`, every braiding and
+# associator of both base categories.
+
+
+def _koszul(ring: Ring, degs, sigma):
+    """Sign of rearranging graded letters so slot j carries letter
+    sigma(j): -1 to the number of pairs of odd letters that the
+    rearrangement puts out of order."""
+    odd = [a for a in sigma if degs[a] % 2]
+    flips = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return ring.one if flips % 2 == 0 else ring.normalize(-1)
+
+
+def _atom_layout(A, max_degree: int):
+    """The layout of one object: a single box per degree of nonzero
+    rank."""
+    ranks = [A.level(n).rank for n in range(max_degree + 1)]
+    return [{(n,): (0, (r,), (1,))} if r else {} for n, r in enumerate(ranks)]
+
+
+def _layout_rank(boxes) -> int:
+    return sum(prod(dims) for _, dims, _ in boxes.values())
+
+
+def _tensor_layout(base: str, left, right):
+    """The layout of A (x) B from the layouts of A and B.
+
+    The summands of degree n follow the base's block rule: chain blocks
+    A_s (x) B_(n-s) go s ascending, as in `tensor_blocks`, and the
+    simplicial tensor is Kronecker at equal degree.  In a summand at
+    offset off, the pair (a, b) sits at off + a * rank(B_r) + b, so a
+    box of A and a box of B give the box starting at
+    off + start_A * rank(B_r) + start_B, with A's strides scaled by
+    rank(B_r) and B's strides as they are.
+    """
+    left_ranks = [_layout_rank(b) for b in left]
+    right_ranks = [_layout_rank(b) for b in right]
+    out = []
+    for n in range(len(left)):
+        boxes, off = {}, 0
+        for s in ((n,) if base == "simplicial" else range(n + 1)):
+            r = n if base == "simplicial" else n - s
+            rb = right_ranks[r]
+            for dl, (sl, diml, strl) in left[s].items():
+                for dr, (sr, dimr, strr) in right[r].items():
+                    boxes[dl + dr] = (off + sl * rb + sr, diml + dimr,
+                                      tuple(x * rb for x in strl) + strr)
+            off += left_ranks[s] * rb
+        out.append(boxes)
+    return out
+
+
+def _layout(base: str, objs, max_degree: int):
+    """The layout in degrees 0..max_degree of the left-associated tensor
+    of objs: the combinator folded over the factors.  Its boxes are
+    contiguous row-major runs in ascending start order."""
+    out = _atom_layout(objs[0], max_degree)
+    for A in objs[1:]:
+        out = _tensor_layout(base, out, _atom_layout(A, max_degree))
+    return out
+
+
+def _bracketed_layout(base: str, objs, tree, max_degree: int):
+    """The layout of the tensor of objs bracketed as tree: a factor
+    index, or a pair of trees."""
+    if isinstance(tree, int):
+        return _atom_layout(objs[tree], max_degree)
+    return _tensor_layout(base, *(_bracketed_layout(base, objs, t, max_degree)
+                                  for t in tree))
+
+
+def _leaves(tree) -> tuple:
+    return (tree,) if isinstance(tree, int) else \
+        _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _flat(box, idxs) -> int:
+    """Flat position of an index tuple in its box."""
+    return box[0] + sum(map(mul, idxs, box[2]))
+
+
+def _expand(boxes):
+    """One degree of a layout as its flat-ordered list of (degree tuple,
+    index tuple)."""
+    out = [None] * _layout_rank(boxes)
+    for degs, box in boxes.items():
+        for idxs in product(*map(range, box[1])):
+            out[_flat(box, idxs)] = (degs, idxs)
+    return out
+
+
+def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
+                    tgt_layout):
+    """Per-degree entries of (x)_j maps[j] on a tensor of levels, with
+    its factors permuted.
+
+    maps[j] acts on tensor factor j; None stands for an identity.
+    sigma, when given, then permutes the factors so that target slot j
+    carries source factor sigma(j), with a Koszul sign when odd chain
+    degrees cross (base "chain").  src_layout[n] and tgt_layout[n] are
+    the layouts of the degree-n bases, with the boxes of rank 0 left
+    out.  `_layout` gives them for a left-associated tensor, and
+    `_tensor_layout` for any bracketing.  The maps have degree 0, so the
+    tensor adds no sign of its own, and distinct row tuples land on
+    distinct rows; products are left for `LinearMap` to normalize.
+
+    Every map the callers pass is an identity or a monomial column map
+    (each column holds at most one entry: signed permutations, leaf
+    relabelings, cokernel sections, generator inclusions).  Then a
+    source box's image is one strided sum: the source factor at slot
+    sigma^-1(j) moves by its target stride, and the Koszul sign is
+    taken once per degree tuple, so no target position is looked up.
+    Any other map, and every call under `exactlin._FORCE_GENERIC`,
+    takes `_tensor_entries_general`, which stays the oracle of the fast
+    path.
+    """
+    images = None if exactlin._FORCE_GENERIC else \
+        _monomial_images(maps, len(src_layout))
+    if images is None:
+        return _tensor_entries_general(ring, base, maps, sigma, src_layout,
+                                       tgt_layout)
+    return [_monomial_entries(ring, base, images, sigma, src, tgt)
+            for src, tgt in zip(src_layout, tgt_layout)]
+
+
+def _monomial_images(maps, degrees: int):
+    """images[j][d] lists (column, (row, entry)) for maps[j] in degree
+    d < degrees by column, with zero columns left out, and images[j] is
+    None for an identity; None when some column holds two entries."""
+    images = []
+    for f in maps:
+        if f is None:
+            images.append(None)
+            continue
+        per_degree = []
+        for d in range(degrees):
+            cols = {}
+            for (r, c), v in f.component(d).entries.items():
+                if c in cols:
+                    return None
+                cols[c] = (r, v)
+            # column order keeps the entries in the general path's order
+            per_degree.append(sorted(cols.items()))
+        images.append(per_degree)
+    return images
+
+
+def _monomial_entries(ring: Ring, base: str, images, sigma, boxes, tboxes):
+    """One degree of `_tensor_entries` for monomial column maps."""
+    one = ring.one
+    k = len(images)
+    graded = sigma is not None and base == "chain"
+    inv = permutations.inverse(sigma) if sigma is not None else range(k)
+    entries = {}
+    for degs, (start, dims, strides) in boxes.items():
+        tdegs = degs if sigma is None else tuple(degs[j] for j in sigma)
+        hit = tboxes.get(tdegs)
+        if hit is None:
+            # a target factor has rank 0 here, so every column dies
+            continue
+        toff, _, tstrides = hit
+        sign = _koszul(ring, degs, sigma) if graded else one
+        acc = [(start, toff, sign)]
+        for j, (d, cs) in enumerate(zip(degs, strides)):
+            rs = tstrides[inv[j]]
+            img = images[j]
+            if img is None:
+                steps = [(c * cs, c * rs, one) for c in range(dims[j])]
+            else:
+                steps = [(c * cs, r * rs, v) for c, (r, v) in img[d]]
+            acc = [(a + c, b + r, u * v) for a, b, u in acc
+                   for c, r, v in steps]
+        entries.update(((b, a), u) for a, b, u in acc)
+    return entries
+
+
+def _tensor_entries_general(ring: Ring, base: str, maps, sigma, src_layout,
+                            tgt_layout):
+    """`_tensor_entries` for any maps: both layouts are expanded by
+    `_expand`, each source position's column is the product of the
+    factor maps' columns at its indices, and each row tuple is looked
+    up among the target positions."""
+    one = ring.one
+    columns = {}
+
+    def column(slot, deg, idx):
+        f = maps[slot]
+        if f is None:
+            return ((idx, one),)
+        cols = columns.get((slot, deg))
+        if cols is None:
+            cols = columns[(slot, deg)] = {}
+            for (r, c), v in f.component(deg).entries.items():
+                cols.setdefault(c, []).append((r, v))
+        return cols.get(idx, ())
+
+    # relabeling tensor factors costs a sign only in the graded world;
+    # the simplicial symmetry is plain
+    graded = sigma is not None and base == "chain"
+    signs, out = {}, []
+    for src_boxes, tgt_boxes in zip(src_layout, tgt_layout):
+        entries = {}
+        tgt_index = {key: pos for pos, key in enumerate(_expand(tgt_boxes))}
+        for col, (degs, idxs) in enumerate(_expand(src_boxes)):
+            if degs not in signs:
+                signs[degs] = _koszul(ring, degs, sigma) if graded else one
+            partial = [((), signs[degs])]
+            for slot, (d, i) in enumerate(zip(degs, idxs)):
+                partial = [(rows + (r,), v * w)
+                           for rows, v in partial for r, w in column(slot, d, i)]
+            if sigma is not None:
+                degs = tuple(degs[j] for j in sigma)
+            for rows, v in partial:
+                if sigma is not None:
+                    rows = tuple(rows[j] for j in sigma)
+                entries[(tgt_index[(degs, rows)], col)] = v
+        out.append(entries)
+    return out
+
+
+def _coherence(ring: Ring, base: str, objs, src_tree, tgt_tree, src, tgt):
+    """The components src -> tgt of the structure map between two
+    bracketed tensors of the factors objs, each bracketing a tree of
+    factor indices (`_bracketed_layout`), the target's leaves in any
+    order.  By Mac Lane's coherence theorem (*Categories for the
+    Working Mathematician*, ch. XI) every composite of braidings and
+    associators between them is this one signed
+    permutation: `_tensor_entries` of identity maps, with target slot j
+    carrying the factor at leaf j of tgt_tree."""
+    where = {a: j for j, a in enumerate(_leaves(src_tree))}
+    sigma = tuple(where[a] for a in _leaves(tgt_tree))
+    D = src.max_degree
+    ents = _tensor_entries(ring, base, (None,) * len(sigma), sigma,
+                           _bracketed_layout(base, objs, src_tree, D),
+                           _bracketed_layout(base, objs, tgt_tree, D))
+    return [LinearMap(src.level(n), tgt.level(n), e)
+            for n, e in enumerate(ents)]
+
+
 def _tensor_level(K: ChainComplex, L: ChainComplex, blocks) -> FreeModule:
     labels = []
     for p, q, _ in blocks:
@@ -362,75 +610,28 @@ def tensor_map_many(maps: Sequence[ChainMap], bound: Optional[int] = None) -> Ch
 
 def braiding(K: ChainComplex, L: ChainComplex,
              bound: Optional[int] = None) -> ChainMap:
-    """K (x) L -> L (x) K, x (x) y |-> (-1)^{pq} y (x) x."""
-    return _braiding(K, L, tensor(K, L, bound), tensor(L, K, bound))
-
-
-def _braiding(K: ChainComplex, L: ChainComplex, src: ChainComplex,
-              tgt: ChainComplex) -> ChainMap:
-    """`braiding` between the prebuilt tensors src = K (x) L and
-    tgt = L (x) K; still checked to be a chain map."""
-    comps = []
-    for n in range(src.max_degree + 1):
-        entries = {}
-        tgt_off = {(q, p): off for q, p, off in tensor_blocks(L, K, n)}
-        for p, q, off in tensor_blocks(K, L, n):
-            to = tgt_off[(q, p)]
-            rk, rl = K.level(p).rank, L.level(q).rank
-            sign = K.ring.one if (p * q) % 2 == 0 else K.ring.normalize(-1)
-            for i in range(rk):
-                for j in range(rl):
-                    entries[(to + j * rk + i, off + i * rl + j)] = sign
-        comps.append(LinearMap(src.level(n), tgt.level(n), entries))
-    return ChainMap(src, tgt, comps)
+    """K (x) L -> L (x) K, x (x) y |-> (-1)^{pq} y (x) x: the layouts'
+    signed permutation (`_coherence` with sigma = (1, 0)), checked to be
+    a chain map."""
+    src, tgt = tensor(K, L, bound), tensor(L, K, bound)
+    return ChainMap(src, tgt, _coherence(K.ring, "chain", (K, L), (0, 1),
+                                         (1, 0), src, tgt))
 
 
 def associator(K: ChainComplex, L: ChainComplex, M: ChainComplex,
                bound: Optional[int] = None) -> ChainMap:
-    """(K (x) L) (x) M -> K (x) (L (x) M), pure reindexing, no signs.
+    """(K (x) L) (x) M -> K (x) (L (x) M), pure reindexing, no signs:
+    `_coherence` from the left bracketing's layout to the right one's,
+    checked to be a chain map.
 
     With a bound the same truncation is applied to every intermediate
     tensor; the surviving triple blocks agree on both sides, so the map
     is still an isomorphism.
     """
-    KL, LM = tensor(K, L, bound), tensor(L, M, bound)
-    return _associator(K, L, M, KL, LM, tensor(KL, M, bound),
-                       tensor(K, LM, bound))
-
-
-def _associator(K: ChainComplex, L: ChainComplex, M: ChainComplex,
-                KL: ChainComplex, LM: ChainComplex, src: ChainComplex,
-                tgt: ChainComplex) -> ChainMap:
-    """`associator` between the prebuilt tensors KL = K (x) L,
-    LM = L (x) M, src = KL (x) M and tgt = K (x) LM; still checked to be
-    a chain map."""
-    one = K.ring.one
-    comps = []
-    for n in range(src.max_degree + 1):
-        entries = {}
-        # the basis vector (p, q, r, i, j, k) sits at
-        # off(p) + i * rank(LM_t) + off_t(q, r) + j * rank(M_r) + k in tgt
-        tgt_off = {p: (off, LM.level(t).rank)
-                   for p, t, off in tensor_blocks(K, LM, n)}
-        inner_off = {}
-        for s, r, off in tensor_blocks(KL, M, n):
-            rm = M.level(r).rank
-            for p, q, ioff in tensor_blocks(K, L, s):
-                t = q + r
-                if t not in inner_off:
-                    inner_off[t] = {(a, b): o
-                                    for a, b, o in tensor_blocks(L, M, t)}
-                toff, rt = tgt_off[p]
-                toff += inner_off[t][(q, r)]
-                rj = L.level(q).rank
-                for i in range(K.level(p).rank):
-                    for j in range(rj):
-                        row = toff + i * rt + j * rm
-                        col = off + (ioff + i * rj + j) * rm
-                        for k in range(rm):
-                            entries[(row + k, col + k)] = one
-        comps.append(LinearMap(src.level(n), tgt.level(n), entries))
-    return ChainMap(src, tgt, comps)
+    src = tensor(tensor(K, L, bound), M, bound)
+    tgt = tensor(K, tensor(L, M, bound), bound)
+    return ChainMap(src, tgt, _coherence(K.ring, "chain", (K, L, M),
+                                         ((0, 1), 2), (0, (1, 2)), src, tgt))
 
 
 def left_unitor(K: ChainComplex) -> ChainMap:

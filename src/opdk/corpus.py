@@ -64,7 +64,9 @@ def random_chain_map(rng: random.Random, K: ChainComplex, L: ChainComplex,
     a random small combination of its saturated kernel basis is a chain
     map, and every chain map arises this way.
     """
-    assert K.ring == L.ring and K.max_degree == L.max_degree
+    if K.ring != L.ring or K.max_degree != L.max_degree:
+        raise ValueError("chain maps need complexes over one ring and of "
+                         "one degree")
     ring = K.ring
     D = K.max_degree
     col_off, total = {}, 0
@@ -213,7 +215,8 @@ def _hom_object(ops, ring, const: bool, disk):
         parts.append(ops.unit_obj())
     if disk is not None:
         parts.append(disk)
-    assert parts
+    if not parts:
+        raise ValueError("a hom object needs the constant summand or a disk")
     out = parts[0]
     for p in parts[1:]:
         out = ops.direct_sum(out, p)
@@ -537,7 +540,8 @@ def split_binary_inclusion(ring: Ring, max_arity: int, m_rank: int = 2,
 
     def block(r, regular):
         if regular:
-            assert r % 2 == 0
+            if r % 2:
+                raise RuntimeError(f"a regular block of odd rank {r}")
             return {(i + 1 - 2 * (i % 2), i): ring.one for i in range(r)}
         return {(i, i): ring.one for i in range(r)}
 

@@ -511,7 +511,10 @@ def normalize_operad_data(P):
     for c in coll.colors:
         u = P.unit(c)
         nu = normalize_map(u, normalize(u.source), norm(((c,), c)))
-        assert nu.source.ranks() == usrc.ranks()
+        if nu.source.ranks() != usrc.ranks():
+            raise RuntimeError(f"the normalized unit of color {c!r} has "
+                               f"source ranks {nu.source.ranks()}, not "
+                               f"{usrc.ranks()}")
         units[c] = ChainMap(
             usrc, nu.target,
             [LinearMap(usrc.level(n), nu.target.level(n),

@@ -22,13 +22,12 @@ operad map with its normalization.
 from __future__ import annotations
 
 from itertools import product
-from math import prod
-from operator import mul
 from typing import Optional
 
 from . import permutations
 from .chain import (ChainComplex, ChainMap, zero_complex, pad, unit_complex,
-                    homology, is_quasi_iso)
+                    homology, is_quasi_iso, _coherence, _layout,
+                    _tensor_entries)
 from . import chain as _chain
 from . import simp as _simp
 from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
@@ -162,9 +161,9 @@ def word_act(w, sigma):
 #
 # Everything downstream is written against this tiny interface so that
 # chain complexes and simplicial modules are handled by the same code.
-# The simplicial tensor is strictly associative (degreewise Kronecker),
-# so its associator is an identity-entry map; the chain tensor needs the
-# real block reindexing.
+# The shims build objects and maps; the braidings and associators of
+# both bases are not here but come from the tensor layouts
+# (`chain._coherence`).
 
 
 class _ChainOps:
@@ -203,18 +202,6 @@ class _ChainOps:
 
     def make_map(self, A, B, comps):
         return ChainMap(A, B, comps, check=False)
-
-    def associator(self, A, B, C):
-        return _chain.associator(A, B, C, bound=self.max_degree)
-
-    def associator_on(self, A, B, C, AB, BC, src, tgt):
-        return _chain._associator(A, B, C, AB, BC, src, tgt)
-
-    def braiding(self, A, B):
-        return _chain.braiding(A, B, bound=self.max_degree)
-
-    def braiding_on(self, A, B, src, tgt):
-        return _chain._braiding(A, B, src, tgt)
 
     def equal(self, f, g) -> bool:
         return f == g
@@ -262,25 +249,6 @@ class _SimpOps:
     def make_map(self, A, B, comps):
         return SimplicialMap(A, B, comps, check=False)
 
-    def associator(self, A, B, C):
-        AB, BC = self.tensor(A, B), self.tensor(B, C)
-        return self.associator_on(A, B, C, AB, BC, self.tensor(AB, C),
-                                  self.tensor(A, BC))
-
-    def associator_on(self, A, B, C, AB, BC, src, tgt):
-        # degreewise Kronecker is associative on the nose
-        comps = [LinearMap(src.level(n), tgt.level(n),
-                           {(i, i): self.ring.one
-                            for i in range(src.level(n).rank)})
-                 for n in range(self.max_degree + 1)]
-        return SimplicialMap(src, tgt, comps, check=False)
-
-    def braiding(self, A, B):
-        return _simp.swap_map(A, B)
-
-    def braiding_on(self, A, B, src, tgt):
-        return _simp._swap_map(A, B, src, tgt)
-
     def equal(self, f, g) -> bool:
         return f == g
 
@@ -307,13 +275,14 @@ class _Replay:
     """The tensor objects and structure maps of one law replay, each
     built once.
 
-    Wraps the ops of operad P's collection.  Tensor objects, associators,
-    braidings, unitors, the unit object and the zero compositions are
-    memoized by the identity of their inputs (the signatures, for a zero
-    composition).  Each memo entry holds its inputs, so no id is reused
-    while the memo lives, and nothing outlives it: `operad_check` makes
-    one per call.  Every map is built as the ops build it, checks
-    included.
+    Wraps the ops of operad P's collection.  Tensor objects, the
+    reorderings of three factors (`reordered`: the associator and the
+    parallel-associativity mediator), unitors, the unit object and the
+    zero compositions are memoized by the identity of their inputs (the
+    signatures, for a zero composition).  Each memo entry holds its
+    inputs, so no id is reused while the memo lives, and nothing
+    outlives it: `operad_check` makes one per call.  Every reordering is
+    checked to be a chain or simplicial map.
     """
 
     __slots__ = ("P", "ops", "_memo")
@@ -335,17 +304,27 @@ class _Replay:
         return self.ops.tensor_map_on(f, g, self.tensor(f.source, g.source),
                                       self.tensor(f.target, g.target))
 
-    def associator(self, A, B, C):
+    def reordered(self, X, Y, Z, tree):
+        """(X (x) Y) (x) Z -> the tensor of the same factors bracketed
+        and ordered as tree, a nest of pairs of the factor indices 0, 1
+        and 2: the associator for (0, (1, 2)), and for ((0, 2), 1) the
+        mediator x (x) y (x) z |-> (-1)^{|y||z|} x (x) z (x) y of
+        parallel associativity, in one signed permutation
+        (`chain._coherence`)."""
         def build():
-            AB, BC = self.tensor(A, B), self.tensor(B, C)
-            return self.ops.associator_on(A, B, C, AB, BC, self.tensor(AB, C),
-                                          self.tensor(A, BC))
-        return self._once(("associator", id(A), id(B), id(C)), (A, B, C), build)
+            ops, objs = self.ops, (X, Y, Z)
+            src = self.tensor(self.tensor(X, Y), Z)
 
-    def braiding(self, A, B):
-        return self._once(("braiding", id(A), id(B)), (A, B),
-                          lambda: self.ops.braiding_on(A, B, self.tensor(A, B),
-                                                       self.tensor(B, A)))
+            def obj(t):
+                return objs[t] if isinstance(t, int) else \
+                    self.tensor(obj(t[0]), obj(t[1]))
+            tgt = obj(tree)
+            f = ops.make_map(src, tgt, _coherence(
+                ops.ring, ops.base, objs, ((0, 1), 2), tree, src, tgt))
+            ops.check_map(f)
+            return f
+        return self._once(("reordered", tree, id(X), id(Y), id(Z)),
+                          (X, Y, Z), build)
 
     def unitor(self, X, side: str):
         """unit (x) X -> X (or X (x) unit -> X); identity entries because
@@ -541,7 +520,7 @@ def collection_check(M: Collection) -> list:
                 continue
             try:
                 M.ops.check_map(f)
-            except (ValueError, AssertionError):
+            except ValueError:
                 out.append(("action-not-a-map", sig, s))
                 broken.add(sig)
     for sig in M.signatures():
@@ -649,9 +628,13 @@ def operad_check(P: Operad) -> list:
 
     Every law instance is evaluated.  The structure maps they compare
     come from a `_Replay`, a memo local to this call: each tensor
-    object, associator, braiding, unitor and the unit object is built
-    once, keyed by the identity of its inputs, and the memo is dropped
-    when the call returns.
+    object, unitor, the unit object and each reordering of three factors
+    is built once, keyed by the identity of its inputs, and the memo is
+    dropped when the call returns.  A reordering is one signed
+    permutation of the tensor layouts: the associator, and for parallel
+    associativity the map (X (x) Y) (x) Z -> (X (x) Z) (x) Y, with no
+    braiding or inverse associator composed in.  A broken internal
+    invariant raises RuntimeError.
     """
     M = P.collection
     ops = M.ops
@@ -661,12 +644,12 @@ def operad_check(P: Operad) -> list:
     for c in M.colors:
         try:
             ops.check_map(P.unit(c))
-        except (ValueError, AssertionError):
+        except ValueError:
             out.append(("unit-not-a-map", c))
     for key, f in P.compositions.items():
         try:
             ops.check_map(f)
-        except (ValueError, AssertionError):
+        except ValueError:
             out.append(("composition-not-a-map", key))
     if out:
         return out
@@ -707,7 +690,7 @@ def operad_check(P: Operad) -> list:
                 inner = graft_signature(isig, j, zsig)
                 rhs = R.composition(osig, i, inner) @ R.tensor_map(
                     ops.identity(X), R.composition(isig, j, zsig))
-                if not ops.equal(lhs, rhs @ R.associator(X, Y, Z)):
+                if not ops.equal(lhs, rhs @ R.reordered(X, Y, Z, (0, (1, 2)))):
                     out.append(("assoc-seq", osig, i, isig, j, zsig))
         # z into a later slot of x: parallel associativity
         for zsig in sigs:
@@ -722,15 +705,14 @@ def operad_check(P: Operad) -> list:
                     continue
                 tot1 = graft_signature(mid, j + m - 1, zsig)
                 tot2 = graft_signature(mid2, i, isig)
-                assert tot1 == tot2, "parallel grafts disagree on the signature"
+                if tot1 != tot2:
+                    raise RuntimeError("parallel grafts disagree on the "
+                                       "signature")
                 lhs = R.composition(mid, j + m - 1, zsig) @ R.tensor_map(
                     R.composition(osig, i, isig), ops.identity(Z))
                 rhs = R.composition(mid2, i, isig) @ R.tensor_map(
                     R.composition(osig, j, zsig), ops.identity(Y))
-                mediator = (R.associator(X, Z, Y).inverse()
-                            @ R.tensor_map(ops.identity(X), R.braiding(Y, Z))
-                            @ R.associator(X, Y, Z))
-                if not ops.equal(lhs, rhs @ mediator):
+                if not ops.equal(lhs, rhs @ R.reordered(X, Y, Z, ((0, 2), 1))):
                     out.append(("assoc-par", osig, i, j, isig, zsig))
 
     for osig, i, isig in pairs:
@@ -744,7 +726,9 @@ def operad_check(P: Operad) -> list:
                 continue
             rho = perm_block_insert(s, i, m)
             gs = graft_signature(osig, s[i], isig)
-            assert sig_act(gs, rho) == graft_signature(ssig, i, isig)
+            if sig_act(gs, rho) != graft_signature(ssig, i, isig):
+                raise RuntimeError("outer block insertion disagrees on the "
+                                   "signature")
             lhs = R.composition(ssig, i, isig) @ R.tensor_map(
                 M.action(osig, s), ops.identity(Y))
             rhs = M.action(gs, rho) @ R.composition(osig, s[i], isig)
@@ -755,7 +739,10 @@ def operad_check(P: Operad) -> list:
             s = permutations.transposition(m, t)
             rho = perm_inner_insert(k, i, s)
             gs = graft_signature(osig, i, isig)
-            assert sig_act(gs, rho) == graft_signature(osig, i, sig_act(isig, s))
+            if sig_act(gs, rho) != graft_signature(osig, i,
+                                                   sig_act(isig, s)):
+                raise RuntimeError("inner block insertion disagrees on the "
+                                   "signature")
             lhs = R.composition(osig, i, sig_act(isig, s)) @ R.tensor_map(
                 ops.identity(X), M.action(isig, s))
             rhs = M.action(gs, rho) @ R.composition(osig, i, isig)
@@ -782,22 +769,31 @@ class OpMorphism:
 
     def __init__(self, source: Operad, target: Operad, color_map: dict,
                  level_maps: dict, check: bool = True):
-        assert source.collection.base == target.collection.base
-        assert source.ring == target.ring
-        assert source.collection.max_degree == target.collection.max_degree
-        assert source.collection.max_arity <= target.collection.max_arity
+        S, T = source.collection, target.collection
+        if S.base != T.base:
+            raise ValueError(f"{S.base} source, {T.base} target")
+        if source.ring != target.ring:
+            raise ValueError(f"source over {source.ring.name()}, target "
+                             f"over {target.ring.name()}")
+        if S.max_degree != T.max_degree:
+            raise ValueError(f"source degree {S.max_degree}, target degree "
+                             f"{T.max_degree}")
+        if S.max_arity > T.max_arity:
+            raise ValueError(f"source arity {S.max_arity} exceeds target "
+                             f"arity {T.max_arity}")
         self.source = source
         self.target = target
         self.color_map = dict(color_map)
-        for c in source.collection.colors:
-            assert self.color_map.get(c) in target.collection.colors, \
-                f"color {c!r} is not mapped"
+        for c in S.colors:
+            if self.color_map.get(c) not in T.colors:
+                raise ValueError(f"color {c!r} is not mapped")
         self.level_maps = {}
         for sig, f in level_maps.items():
             sig = (tuple(sig[0]), sig[1])
-            assert f.source.ranks() == source.collection.level(sig).ranks()
-            assert f.target.ranks() == target.collection.level(
-                self.map_sig(sig)).ranks()
+            if f.source.ranks() != S.level(sig).ranks() or \
+                    f.target.ranks() != T.level(self.map_sig(sig)).ranks():
+                raise ValueError(f"level map at {sig_str(sig)} has the "
+                                 f"wrong shape")
             self.level_maps[sig] = f
         if check:
             self._check()
@@ -853,8 +849,12 @@ class OpMorphism:
                     for sig in P.collection.signatures()}, check=False)
 
     def __matmul__(self, other: "OpMorphism") -> "OpMorphism":
-        assert other.target is self.source or \
-            other.target.collection.levels.keys() == self.source.collection.levels.keys()
+        if other.target is not self.source and \
+                other.target.collection.levels.keys() != \
+                self.source.collection.levels.keys():
+            raise ValueError("composed morphisms do not meet: the first "
+                             "one's target has other levels than the "
+                             "second one's source")
         cmap = {c: self.color_map[v] for c, v in other.color_map.items()}
         maps = {sig: self.level_map(other.map_sig(sig)) @ other.level_map(sig)
                 for sig in other.source.collection.signatures()}
@@ -1035,17 +1035,6 @@ def _quotient_by(ring: Ring, module: FreeModule, relations) -> CokernelPresentat
     return pres
 
 
-def _koszul(ring: Ring, degs, sigma):
-    """Sign of rearranging graded letters so slot j carries letter sigma(j)."""
-    inv = permutations.inverse(sigma)
-    flips = 0
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if inv[a] > inv[b] and degs[a] % 2 and degs[b] % 2:
-                flips += 1
-    return ring.one if flips % 2 == 0 else ring.normalize(-1)
-
-
 class CompositeTerm:
     __slots__ = ("k", "dbar", "phi", "msig", "fiber_sigs", "factors", "obj")
 
@@ -1171,203 +1160,6 @@ def _placed(pieces, max_degree: int):
             for n in range(max_degree + 1)]
 
 
-def _atom_layout(A, max_degree: int):
-    """The layout of one object: a single box per degree of nonzero
-    rank."""
-    ranks = [A.level(n).rank for n in range(max_degree + 1)]
-    return [{(n,): (0, (r,), (1,))} if r else {} for n, r in enumerate(ranks)]
-
-
-def _layout_rank(boxes) -> int:
-    return sum(prod(dims) for _, dims, _ in boxes.values())
-
-
-def _tensor_layout(base: str, left, right):
-    """The layout of A (x) B from the layouts of A and B.
-
-    The summands of degree n follow the base's block rule: chain blocks
-    A_s (x) B_(n-s) go s ascending, as in `chain.tensor_blocks`, and the
-    simplicial tensor is Kronecker at equal degree.  In a summand at
-    offset off, the pair (a, b) sits at off + a * rank(B_r) + b, so a
-    box of A and a box of B give the box starting at
-    off + start_A * rank(B_r) + start_B, with A's strides scaled by
-    rank(B_r) and B's strides as they are.
-    """
-    left_ranks = [_layout_rank(b) for b in left]
-    right_ranks = [_layout_rank(b) for b in right]
-    out = []
-    for n in range(len(left)):
-        boxes, off = {}, 0
-        for s in ((n,) if base == "simplicial" else range(n + 1)):
-            r = n if base == "simplicial" else n - s
-            rb = right_ranks[r]
-            for dl, (sl, diml, strl) in left[s].items():
-                for dr, (sr, dimr, strr) in right[r].items():
-                    boxes[dl + dr] = (off + sl * rb + sr, diml + dimr,
-                                      tuple(x * rb for x in strl) + strr)
-            off += left_ranks[s] * rb
-        out.append(boxes)
-    return out
-
-
-def _layout(ops, objs):
-    """The layout of the left-associated tensor of objs, as
-    `_tensor_many` builds it: the combinator folded over the factors.
-    Its boxes are contiguous row-major runs in ascending start order."""
-    out = _atom_layout(objs[0], ops.max_degree)
-    for A in objs[1:]:
-        out = _tensor_layout(ops.base, out, _atom_layout(A, ops.max_degree))
-    return out
-
-
-def _flat(box, idxs) -> int:
-    """Flat position of an index tuple in its box."""
-    return box[0] + sum(map(mul, idxs, box[2]))
-
-
-def _expand(boxes):
-    """One degree of a layout as its flat-ordered list of (degree tuple,
-    index tuple)."""
-    out = [None] * _layout_rank(boxes)
-    for degs, box in boxes.items():
-        for idxs in product(*map(range, box[1])):
-            out[_flat(box, idxs)] = (degs, idxs)
-    return out
-
-
-def _tensor_entries(ops, maps, sigma, src_layout, tgt_layout):
-    """Per-degree entries of (x)_j maps[j] on a tensor of levels, with
-    its factors permuted.
-
-    maps[j] acts on tensor factor j; None stands for an identity.
-    sigma, when given, then permutes the factors so that target slot j
-    carries source factor sigma(j), with a Koszul sign when odd chain
-    degrees cross.  src_layout[n] and tgt_layout[n] are the layouts of
-    the degree-n bases: {degree tuple: (start, dims, strides)}, one
-    strided box per degree tuple, with the boxes of rank 0 left out, so
-    that index tuple idx of a degree tuple sits at flat position
-    start + sum idx[j] * strides[j].  `_layout` gives them for a
-    left-associated tensor, and `_tensor_layout` for any bracketing.
-    The maps have degree 0, so the tensor adds no sign of its own, and
-    distinct row tuples land on distinct rows; products are left for
-    `LinearMap` to normalize.
-
-    Every map the callers pass is an identity or a monomial column map
-    (each column holds at most one entry: signed permutations, leaf
-    relabelings, cokernel sections, generator inclusions).  Then a
-    source box's image is one strided sum: the source factor at slot
-    sigma^-1(j) moves by its target stride, and the Koszul sign is
-    taken once per degree tuple, so no target position is looked up.
-    Any other map, and every call under `exactlin._FORCE_GENERIC`,
-    takes `_tensor_entries_general`, which stays the oracle of the fast
-    path.
-    """
-    images = None if exactlin._FORCE_GENERIC else \
-        _monomial_images(ops, maps)
-    if images is None:
-        return _tensor_entries_general(ops, maps, sigma, src_layout,
-                                       tgt_layout)
-    return [_monomial_entries(ops, images, sigma, src, tgt)
-            for src, tgt in zip(src_layout, tgt_layout)]
-
-
-def _monomial_images(ops, maps):
-    """images[j][d] lists (column, (row, entry)) for maps[j] in degree
-    d by column, with zero columns left out, and images[j] is None for
-    an identity; None when some column holds two entries."""
-    images = []
-    for f in maps:
-        if f is None:
-            images.append(None)
-            continue
-        per_degree = []
-        for d in range(ops.max_degree + 1):
-            cols = {}
-            for (r, c), v in f.component(d).entries.items():
-                if c in cols:
-                    return None
-                cols[c] = (r, v)
-            # column order keeps the entries in the general path's order
-            per_degree.append(sorted(cols.items()))
-        images.append(per_degree)
-    return images
-
-
-def _monomial_entries(ops, images, sigma, boxes, tboxes):
-    """One degree of `_tensor_entries` for monomial column maps."""
-    ring = ops.ring
-    one = ring.one
-    k = len(images)
-    graded = sigma is not None and ops.base == "chain"
-    inv = permutations.inverse(sigma) if sigma is not None else range(k)
-    entries = {}
-    for degs, (start, dims, strides) in boxes.items():
-        tdegs = degs if sigma is None else tuple(degs[j] for j in sigma)
-        hit = tboxes.get(tdegs)
-        if hit is None:
-            # a target factor has rank 0 here, so every column dies
-            continue
-        toff, _, tstrides = hit
-        sign = _koszul(ring, degs, sigma) if graded else one
-        acc = [(start, toff, sign)]
-        for j, (d, cs) in enumerate(zip(degs, strides)):
-            rs = tstrides[inv[j]]
-            img = images[j]
-            if img is None:
-                steps = [(c * cs, c * rs, one) for c in range(dims[j])]
-            else:
-                steps = [(c * cs, r * rs, v) for c, (r, v) in img[d]]
-            acc = [(a + c, b + r, u * v) for a, b, u in acc
-                   for c, r, v in steps]
-        entries.update(((b, a), u) for a, b, u in acc)
-    return entries
-
-
-def _tensor_entries_general(ops, maps, sigma, src_layout, tgt_layout):
-    """`_tensor_entries` for any maps: both layouts are expanded by
-    `_expand`, each source position's column is the product of the
-    factor maps' columns at its indices, and each row tuple is looked
-    up among the target positions."""
-    ring = ops.ring
-    one = ring.one
-    columns = {}
-
-    def column(slot, deg, idx):
-        f = maps[slot]
-        if f is None:
-            return ((idx, one),)
-        cols = columns.get((slot, deg))
-        if cols is None:
-            cols = columns[(slot, deg)] = {}
-            for (r, c), v in f.component(deg).entries.items():
-                cols.setdefault(c, []).append((r, v))
-        return cols.get(idx, ())
-
-    # relabeling tensor factors costs a sign only in the graded world;
-    # the simplicial symmetry is plain
-    graded = sigma is not None and ops.base == "chain"
-    signs, out = {}, []
-    for n in range(ops.max_degree + 1):
-        entries = {}
-        tgt_index = {key: pos
-                     for pos, key in enumerate(_expand(tgt_layout[n]))}
-        for col, (degs, idxs) in enumerate(_expand(src_layout[n])):
-            if degs not in signs:
-                signs[degs] = _koszul(ring, degs, sigma) if graded else one
-            partial = [((), signs[degs])]
-            for slot, (d, i) in enumerate(zip(degs, idxs)):
-                partial = [(rows + (r,), v * w)
-                           for rows, v in partial for r, w in column(slot, d, i)]
-            if sigma is not None:
-                degs = tuple(degs[j] for j in sigma)
-            for rows, v in partial:
-                if sigma is not None:
-                    rows = tuple(rows[j] for j in sigma)
-                entries[(tgt_index[(degs, rows)], col)] = v
-        out.append(entries)
-    return out
-
-
 def _descend(pushed: LinearMap, q: CokernelPresentation, what: str) -> LinearMap:
     """The map out of the coinvariants induced by pushed, which is a
     structure map already followed by the target's projection: pushed
@@ -1413,7 +1205,7 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
         terms = _composite_terms(M, N, sig)
         if terms:
             data[sig] = terms
-    layouts = {sig: [_layout(ops, t.factors) for t in terms]
+    layouts = {sig: [_layout(ops.base, t.factors, D) for t in terms]
                for sig, terms in data.items()}
     indices = {sig: {t.key(): ti for ti, t in enumerate(terms)}
                for sig, terms in data.items()}
@@ -1438,7 +1230,8 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                     tj = index[(k, tuple(t.dbar[s[j]] for j in range(k)),
                                 tuple(s[v] for v in t.phi))]
                     blocks = _tensor_entries(
-                        ops, (M.action(t.msig, s),) + (None,) * k,
+                        ops.ring, ops.base,
+                        (M.action(t.msig, s),) + (None,) * k,
                         (0,) + tuple(1 + j for j in s), lay[ti], lay[tj])
                     pieces.append((blocks, offsets[ti], offsets[tj]))
                 for n, ents in enumerate(_placed(pieces, D)):
@@ -1471,8 +1264,8 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                     fsig = t.fiber_sigs[a]
                     maps[1 + a] = N.action(fsig, permutations.transposition(
                         sig_arity(fsig), t.phi[:tr].count(a)))
-                blocks = _tensor_entries(ops, maps, None, layouts[sig][ti],
-                                         layouts[tsig][tj])
+                blocks = _tensor_entries(ops.ring, ops.base, maps, None,
+                                         layouts[sig][ti], layouts[tsig][tj])
                 pieces.append((blocks, offsets_of[sig][ti],
                                offsets_of[tsig][tj]))
             comps = [_descend(compose(quotients[tsig][n].proj, LinearMap(

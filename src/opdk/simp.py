@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .chain import ChainComplex
+from .chain import ChainComplex, _coherence
 from .exactlin import (
     FreeModule,
     LinearMap,
@@ -111,18 +111,30 @@ class SimplicialModule:
         D = len(levels) - 1
         faces = tuple(tuple(fs) for fs in faces)
         degeneracies = tuple(tuple(ss) for ss in degeneracies)
-        assert len(faces) == D
-        assert len(degeneracies) == D if D > 0 else not degeneracies
+        if not levels:
+            raise ValueError("a simplicial module needs at least degree 0")
+        if len(faces) != D:
+            raise ValueError(f"{D + 1} levels need face lists for degrees "
+                             f"1..{D}, got {len(faces)}")
+        if len(degeneracies) != D:
+            raise ValueError(f"{D + 1} levels need degeneracy lists for "
+                             f"degrees 0..{D - 1}, got {len(degeneracies)}")
         for n in range(1, D + 1):
-            assert len(faces[n - 1]) == n + 1, f"need d_0..d_{n} at degree {n}"
-            for d in faces[n - 1]:
-                assert d.source.compatible(levels[n])
-                assert d.target.compatible(levels[n - 1])
+            if len(faces[n - 1]) != n + 1:
+                raise ValueError(f"need d_0..d_{n} at degree {n}")
+            for i, d in enumerate(faces[n - 1]):
+                if not (d.source.compatible(levels[n])
+                        and d.target.compatible(levels[n - 1])):
+                    raise ValueError(f"d_{i} at degree {n} is not a map "
+                                     f"from level {n} to level {n - 1}")
         for n in range(D):
-            assert len(degeneracies[n]) == n + 1, f"need s_0..s_{n} at degree {n}"
-            for s in degeneracies[n]:
-                assert s.source.compatible(levels[n])
-                assert s.target.compatible(levels[n + 1])
+            if len(degeneracies[n]) != n + 1:
+                raise ValueError(f"need s_0..s_{n} at degree {n}")
+            for i, s in enumerate(degeneracies[n]):
+                if not (s.source.compatible(levels[n])
+                        and s.target.compatible(levels[n + 1])):
+                    raise ValueError(f"s_{i} at degree {n} is not a map "
+                                     f"from level {n} to level {n + 1}")
         self.ring = ring
         self.max_degree = D
         self.levels = levels
@@ -135,11 +147,15 @@ class SimplicialModule:
         return FreeModule(self.ring, ())
 
     def face(self, n: int, i: int) -> LinearMap:
-        assert 1 <= n <= self.max_degree and 0 <= i <= n
+        if not (1 <= n <= self.max_degree and 0 <= i <= n):
+            raise ValueError(f"no face d_{i} out of degree {n} in degrees "
+                             f"0..{self.max_degree}")
         return self.faces[n - 1][i]
 
     def degeneracy(self, n: int, i: int) -> LinearMap:
-        assert 0 <= n < self.max_degree and 0 <= i <= n
+        if not (0 <= n < self.max_degree and 0 <= i <= n):
+            raise ValueError(f"no degeneracy s_{i} out of degree {n} in "
+                             f"degrees 0..{self.max_degree}")
         return self.degeneracies[n][i]
 
     def ranks(self):
@@ -180,10 +196,17 @@ class SimplicialMap:
 
     def __init__(self, source: SimplicialModule, target: SimplicialModule,
                  components: Sequence[LinearMap], check: bool = True):
-        assert source.ring == target.ring
-        assert source.max_degree == target.max_degree
+        if source.ring != target.ring:
+            raise ValueError(f"source over {source.ring.name()}, target "
+                             f"over {target.ring.name()}")
+        if source.max_degree != target.max_degree:
+            raise ValueError(f"source degree {source.max_degree}, target "
+                             f"degree {target.max_degree}")
         components = tuple(components)
-        assert len(components) == source.max_degree + 1
+        if len(components) != source.max_degree + 1:
+            raise ValueError(f"degrees 0..{source.max_degree} need "
+                             f"{source.max_degree + 1} components, got "
+                             f"{len(components)}")
         self.source = source
         self.target = target
         self.components = components
@@ -301,7 +324,8 @@ def simplicial_operator(A: SimplicialModule, f, n: int) -> LinearMap:
     composing the stored matrices contravariantly.
     """
     p = len(f) - 1
-    assert all(0 <= v <= n for v in f) and is_monotone(f)
+    if not (all(0 <= v <= n for v in f) and is_monotone(f)):
+        raise ValueError(f"{f} is not a monotone map into [{n}]")
     op = LinearMap.identity(A.level(n))
     cur = f
     hi = n
@@ -490,7 +514,9 @@ def _tensor_map(f: SimplicialMap, g: SimplicialMap, src: SimplicialModule,
 
 
 def direct_sum(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
-    assert A.ring == B.ring and A.max_degree == B.max_degree
+    if A.ring != B.ring or A.max_degree != B.max_degree:
+        raise ValueError("direct sum of simplicial modules over different "
+                         "rings or degrees")
     D = A.max_degree
     levels = []
     for n in range(D + 1):
@@ -515,23 +541,15 @@ def direct_sum(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
 
 
 def swap_map(A: SimplicialModule, B: SimplicialModule) -> SimplicialMap:
-    """A (x) B -> B (x) A, transposing basis pairs; no signs degreewise."""
-    return _swap_map(A, B, tensor(A, B), tensor(B, A))
-
-
-def _swap_map(A: SimplicialModule, B: SimplicialModule, AB: SimplicialModule,
-              BA: SimplicialModule) -> SimplicialMap:
-    """`swap_map` between the prebuilt tensors AB = A (x) B and
-    BA = B (x) A; still checked to be a simplicial map."""
-    comps = []
-    for n in range(AB.max_degree + 1):
-        ra, rb = A.level(n).rank, B.level(n).rank
-        entries = {}
-        for i in range(ra):
-            for j in range(rb):
-                entries[(j * ra + i, i * rb + j)] = A.ring.one
-        comps.append(LinearMap(AB.level(n), BA.level(n), entries))
-    return SimplicialMap(AB, BA, comps)
+    """A (x) B -> B (x) A, transposing basis pairs; no signs degreewise:
+    the layouts' permutation (`chain._coherence` with sigma = (1, 0)),
+    checked to be a simplicial map.  The simplicial associator needs no
+    routine of its own: degreewise Kronecker is associative on the nose,
+    so both bracketings have one layout and `_coherence` gives identity
+    entries."""
+    AB, BA = tensor(A, B), tensor(B, A)
+    return SimplicialMap(AB, BA, _coherence(A.ring, "simplicial", (A, B),
+                                            (0, 1), (1, 0), AB, BA))
 
 
 def moore_complex(A: SimplicialModule) -> ChainComplex:

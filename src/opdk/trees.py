@@ -26,12 +26,12 @@ vertex drive three computations:
   level costs one entry per moved basis element, not a square matrix
   per move.  The moves, the cell comparison isomorphisms and the block
   rewrites of the extension stages all come from
-  `operad._tensor_entries`, the one routine that applies a map to each
+  `chain._tensor_entries`, the one routine that applies a map to each
   tensor factor and reorders the factors, as the composite product does
   for its relabelings; for the signed permutations, leaf relabelings,
   cokernel sections and generator inclusions used here, each column
   has at most one entry, and it computes the target rows as strided
-  sums over the layouts of both tensors (`operad._layout`: one strided
+  sums over the layouts of both tensors (`chain._layout`: one strided
   box per degree tuple), whatever their bracketing.
   `operad._quotient_by` feeds the moves' columns to the signed
   union-find `exactlin.signed_quotient` whenever the collection's
@@ -63,13 +63,13 @@ from typing import Callable, Optional
 from .rings import Ring
 from .exactlin import LinearMap, cokernel, compose, hstack, solve
 from . import chain as _chain
-from .chain import ChainComplex, ChainMap, concentrated, pad
+from .chain import (ChainComplex, ChainMap, concentrated, pad, _coherence,
+                    _expand, _flat, _layout, _tensor_entries)
 from . import permutations
 from .operad import (Collection, Operad, graft_signature, sig_act, sig_arity,
-                     sig_str, word_act, word_graft, _assemble, _atom_layout,
-                     _coinvariants, _descend, _expand, _flat, _layout,
-                     _ops_for, _placed, _quotient_object, _tensor_entries,
-                     _tensor_layout, _tensor_many)
+                     sig_str, word_act, word_graft, _assemble, _coinvariants,
+                     _descend, _ops_for, _placed, _quotient_object,
+                     _tensor_many)
 
 
 _COLOR = re.compile(r"[A-Za-z0-9_.+-]+\Z")
@@ -609,13 +609,13 @@ def leaf_labelings(leaf_colors, inputs):
 # The basis of an iterated tensor is read off its layout: per degree,
 # {degree tuple: (start, dims, strides)}, one strided box per degree
 # tuple with nonzero rank, so index tuple idx sits at flat position
-# start + sum idx[j] * strides[j] (`operad._flat`).  `operad._layout`
-# folds the binary combinator `operad._tensor_layout` over a factor list
-# (left-associated, as `operad._tensor_many` builds the objects), and `_build_layout` applies it along a cell's
-# bracketing.  Blocks keep one layout per planar representative, and
-# stage rewrites build theirs per factor list; no position list or
-# index dict is stored, and `operad._expand` lists a degree's basis
-# only where a caller walks it.
+# start + sum idx[j] * strides[j] (`chain._flat`).  `chain._layout`
+# folds the binary combinator `chain._tensor_layout` over a factor list
+# (left-associated, as `operad._tensor_many` builds the objects), and
+# `chain._bracketed_layout` applies it along a cell's bracketing.  Blocks
+# keep one layout per planar representative, and stage rewrites build
+# theirs per factor list; no position list or index dict is stored, and
+# `chain._expand` lists a degree's basis only where a caller walks it.
 
 
 def _col_cache(f: ChainMap):
@@ -630,12 +630,12 @@ def _col_cache(f: ChainMap):
 def _pair_entries(ops, src_objs, a: int, pairmap: ChainMap):
     """Per-degree entries contracting factors a, a+1 through a map out
     of their tensor."""
-    ring = ops.ring
-    pair = _layout(ops, src_objs[a:a + 2])
-    tgt = _layout(ops, src_objs[:a] + [pairmap.target] + src_objs[a + 2:])
+    ring, base, D = ops.ring, ops.base, ops.max_degree
+    pair = _layout(base, src_objs[a:a + 2], D)
+    tgt = _layout(base, src_objs[:a] + [pairmap.target] + src_objs[a + 2:], D)
     cols = _col_cache(pairmap)
     out = []
-    for n, boxes in enumerate(_layout(ops, src_objs)):
+    for n, boxes in enumerate(_layout(base, src_objs, D)):
         entries: dict = {}
         for col, (degs, idxs) in enumerate(_expand(boxes)):
             d = degs[a] + degs[a + 1]
@@ -725,7 +725,7 @@ class _Block:
             self.factors.append(facs)
             self.labs.append(labs)
             factors = facs + [_labeling_complex(ring, len(labs), bound)]
-            self.layouts.append(_layout(ops, factors))
+            self.layouts.append(_layout(ops.base, factors, bound))
             objs.append(_tensor_many(ops, factors))
         self.big, self.offsets = _assemble(ops, objs)
 
@@ -782,8 +782,8 @@ class _Block:
         maps = [None] * len(pi_map) + [lab_map]
         maps[vi] = act
         sigma = permutations.inverse(pi_map + [len(pi_map)])
-        ents = _tensor_entries(ops, maps, sigma, self.layouts[pi],
-                               self.layouts[qi])
+        ents = _tensor_entries(ops.ring, ops.base, maps, sigma,
+                               self.layouts[pi], self.layouts[qi])
         return _placed([(ents, self.offsets[pi], self.offsets[qi])],
                        self.bound)
 
@@ -929,8 +929,9 @@ class FreeOperad:
                 lab_map = _labeling_map(ops, b.labs[pi], tb.labs[pi],
                                         lambda lab: word_act(lab, sigma))
                 relabels.append((_tensor_entries(
-                    ops, [None] * len(facs) + [lab_map], None, b.layouts[pi],
-                    tb.layouts[pi]), b.offsets[pi], tb.offsets[pi]))
+                    ops.ring, ops.base, [None] * len(facs) + [lab_map], None,
+                    b.layouts[pi], tb.layouts[pi]), b.offsets[pi],
+                    tb.offsets[pi]))
             comps = []
             for n, entries in enumerate(_placed(relabels, self.bound)):
                 src, tgt = b.big.level(n), tb.big.level(n)
@@ -1267,8 +1268,10 @@ class EpsilonCell:
     """An iterated pushout product together with its factor bookkeeping.
 
     atoms are the vertex maps in preorder; build records the bracketing
-    of the codomain so cells assembled along different decompositions
-    can be compared through an explicit reordering isomorphism.
+    of the codomain, a tree of atom indices as `chain._bracketed_layout`
+    reads it (() for no atom), so cells assembled along different
+    decompositions can be compared through an explicit reordering
+    isomorphism.
     """
 
     __slots__ = ("map", "atoms", "vertices", "build")
@@ -1302,10 +1305,10 @@ def epsilon(T: Tree, f: CollectionMap, O: Operad) -> EpsilonCell:
         return EpsilonCell(ops.zero_map(ops.zero_obj(), ops.unit_obj()),
                            [], [], ())
     cur = atoms[0]
-    build = ("atom", 0)
+    build = 0
     for k in range(1, len(atoms)):
         cur = _chain.pushout_product(cur, atoms[k], bound=bound)
-        build = ("pair", build, ("atom", k))
+        build = (build, k)
     return EpsilonCell(cur, atoms, verts, build)
 
 
@@ -1313,55 +1316,28 @@ def cell_pushout_product(a: EpsilonCell, b: EpsilonCell,
                          bound: int) -> EpsilonCell:
     m = _chain.pushout_product(a.map, b.map, bound=bound)
     shift = len(a.atoms)
-    bb = _shift_build(b.build, shift)
     return EpsilonCell(m, a.atoms + b.atoms, a.vertices + b.vertices,
-                       ("pair", a.build, bb))
+                       (a.build, _relabel(b.build, lambda j: j + shift)))
 
 
-def _shift_build(build, k: int):
-    if not build:
-        return build
-    if build[0] == "atom":
-        return ("atom", build[1] + k)
-    return ("pair", _shift_build(build[1], k), _shift_build(build[2], k))
-
-
-def _build_leaves(build):
-    if not build:
-        return []
-    if build[0] == "atom":
-        return [build[1]]
-    return _build_leaves(build[1]) + _build_leaves(build[2])
-
-
-def _build_layout(build, targets, ops):
-    """The `operad._tensor_layout` of the bracketed tensor of a cell's
-    atom targets, its degree and index tuples in leaf order."""
-    if build[0] == "atom":
-        return _atom_layout(targets[build[1]], ops.max_degree)
-    return _tensor_layout(ops.base, _build_layout(build[1], targets, ops),
-                          _build_layout(build[2], targets, ops))
+def _relabel(build, rename):
+    """A cell's bracketing with atom j renamed rename(j)."""
+    if isinstance(build, int):
+        return rename(build)
+    return tuple(_relabel(t, rename) for t in build)
 
 
 def cell_comparison_iso(cellA: EpsilonCell, cellB: EpsilonCell,
                         atom_perm, ops) -> ChainMap:
     """The codomain isomorphism matching atom j of A with atom
-    atom_perm[j] of B, with the graded reordering sign."""
-    targetsA = [a.target for a in cellA.atoms]
-    targetsB = [b.target for b in cellB.atoms]
-    leavesA = _build_leaves(cellA.build)
-    leavesB = _build_leaves(cellB.build)
-    slotB = {atom: s for s, atom in enumerate(leavesB)}
-    pi = [slotB[atom_perm[leavesA[s]]] for s in range(len(leavesA))]
-    codA = cellA.map.target
-    codB = cellB.map.target
-    ents = _tensor_entries(
-        ops, [None] * len(pi), permutations.inverse(pi),
-        _build_layout(cellA.build, targetsA, ops),
-        _build_layout(cellB.build, targetsB, ops))
-    return ops.make_map(codA, codB, [
-        LinearMap(codA.level(n), codB.level(n), ent)
-        for n, ent in enumerate(ents)])
+    atom_perm[j] of B, with the graded reordering sign: the reordering
+    (`chain._coherence`) from A's bracketing to B's, each atom of B
+    named by its match in A."""
+    match = {b: a for a, b in enumerate(atom_perm)}
+    codA, codB = cellA.map.target, cellB.map.target
+    return ops.make_map(codA, codB, _coherence(
+        ops.ring, ops.base, [a.target for a in cellA.atoms], cellA.build,
+        _relabel(cellB.build, match.__getitem__), codA, codB))
 
 
 def cells_agree(cellA: EpsilonCell, cellB: EpsilonCell, atom_perm,
@@ -1648,7 +1624,8 @@ def _choice_block(O, f, Qc, q_sections, g, block, pi, p, marked_paths,
     D = _tensor_many(ops, facs + [L])
     if D.total_rank() == 0:
         return D, None, None
-    ents = _tensor_entries(ops, mats + [None], None, _layout(ops, facs + [L]),
+    ents = _tensor_entries(ring, ops.base, mats + [None], None,
+                           _layout(ops.base, facs + [L], bound),
                            block.layouts[pi])
     ents = _placed([(ents, None, block.offsets[pi])], bound)
     ink = block.proj @ ops.make_map(D, block.big, [
@@ -1684,8 +1661,9 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
         else:
             flags.append(m)
     tree = _reflag(tree, flags)
-    cur = _tensor_entries(ops, mats, None, _layout(ops, facs + [L]),
-                          _layout(ops, objs + [L]))
+    cur = _tensor_entries(ring, ops.base, mats, None,
+                          _layout(ops.base, facs + [L], bound),
+                          _layout(ops.base, objs + [L], bound))
 
     # contract unmarked-unmarked edges until none remain
     while True:
@@ -1707,9 +1685,10 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
         pi_map[child_vi] = parent_vi + 1
         sigma = permutations.inverse(pi_map + [m])
         tgt_objs = [objs[j] for j in sigma[:m]]
-        perm_entries = _tensor_entries(ops, [None] * (m + 1), sigma,
-                                       _layout(ops, objs + [L]),
-                                       _layout(ops, tgt_objs + [L]))
+        perm_entries = _tensor_entries(
+            ring, ops.base, [None] * (m + 1), sigma,
+            _layout(ops.base, objs + [L], bound),
+            _layout(ops.base, tgt_objs + [L], bound))
         cur = _compose_entry_lists(ring, perm_entries, cur, bound)
         objs = tgt_objs
         pair = O.composition(psig, slot, csig)
@@ -1731,7 +1710,7 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
                                "vertex")
         psig = tree.val
         entries = []
-        for n, boxes in enumerate(_layout(ops, objs + [L])):
+        for n, boxes in enumerate(_layout(ops.base, objs + [L], bound)):
             acc: dict = {}
             for li, lab in enumerate(labs):
                 act = coll.action(psig, permutations.inverse(lab))
@@ -1761,8 +1740,9 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
     for vi, (vsig, m) in enumerate(tree.vertex_preorder()):
         mats.append(q_sections[vsig] if m else None)
     lab_map = _labeling_map(ops, labs, tb.labs[tpi], lambda lab: lab)
-    final = _tensor_entries(ops, mats + [lab_map], None,
-                            _layout(ops, objs + [L]), tb.layouts[tpi])
+    final = _tensor_entries(ring, ops.base, mats + [lab_map], None,
+                            _layout(ops.base, objs + [L], bound),
+                            tb.layouts[tpi])
     final = _placed([(final, None, tb.offsets[tpi])], bound)
     cur = _compose_entry_lists(ring, final, cur, bound)
     mdl = ops.make_map(D, tb.big,

@@ -15,11 +15,12 @@ import re
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opdk import corpus, operad as op
+from opdk import chain, corpus, operad as op
 from opdk import permutations as perms
 from opdk.doldkan import normalize_operad, normalize_operad_data
 from opdk.operad import (
@@ -50,7 +51,8 @@ from opdk.exactlin import (CokernelPresentation, FreeModule, LinearMap,
                            cokernel, free_module, hstack)
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import SimplicialModule, moore_complex
-from opdk.trees import _build_layout
+from test_tensor_routes import (_oracle_associator, _oracle_braiding,
+                                _oracle_swap)
 
 F5 = Zmod(5)
 X = "x"
@@ -566,16 +568,44 @@ def _graded_factor(rng, ring, D):
                                        for n in range(1, D + 1)])
 
 
+def _oracle_map(ops, src, tgt, items):
+    return ops.make_map(src, tgt, [LinearMap(src.level(n), tgt.level(n),
+                                             dict(ents))
+                                   for n, ents in enumerate(items)])
+
+
+def _hand_braiding(ops, A, B):
+    """A (x) B -> B (x) A from the hand loops of `test_tensor_routes`."""
+    items = _oracle_braiding(A, B, ops.max_degree) if ops.base == "chain" \
+        else _oracle_swap(A, B)
+    return _oracle_map(ops, ops.tensor(A, B), ops.tensor(B, A), items)
+
+
+def _hand_associator(ops, A, B, C):
+    """(A (x) B) (x) C -> A (x) (B (x) C) from the hand loop of
+    `test_tensor_routes`; the simplicial tensor is degreewise Kronecker,
+    so its associator has identity entries."""
+    src = ops.tensor(ops.tensor(A, B), C)
+    tgt = ops.tensor(A, ops.tensor(B, C))
+    items = _oracle_associator(A, B, C, ops.max_degree) \
+        if ops.base == "chain" else \
+        [[((i, i), ops.ring.one) for i in range(src.level(n).rank)]
+         for n in range(ops.max_degree + 1)]
+    return _oracle_map(ops, src, tgt, items)
+
+
 def _adjacent_swap(ops, objs, i):
     """Swap tensor factors i and i+1 of a left-associated tensor of two or
-    three factors, through the braiding and, at i = 1, the associator."""
+    three factors, through the braiding and, at i = 1, the associator,
+    each written out by hand."""
     if i == 0:
-        swap = ops.braiding(objs[0], objs[1])
+        swap = _hand_braiding(ops, objs[0], objs[1])
         return swap if len(objs) == 2 else \
             ops.tensor_map(swap, ops.identity(objs[2]))
     A, B, C = objs
-    inner = ops.tensor_map(ops.identity(A), ops.braiding(B, C))
-    return ops.associator(A, C, B).inverse() @ inner @ ops.associator(A, B, C)
+    inner = ops.tensor_map(ops.identity(A), _hand_braiding(ops, B, C))
+    return _hand_associator(ops, A, C, B).inverse() @ inner @ \
+        _hand_associator(ops, A, B, C)
 
 
 def _tensor_route(ops, objs, maps, sigma):
@@ -616,18 +646,54 @@ def test_tensor_entries_match_braiding_route(base, ring, k):
             corpus.random_matrix(rng, A.level(n), B.level(n), 1, 0.8)
             for n in range(D + 1)]) for A, B in zip(objs, tgts)]
         outs = [A if f is None else f.target for A, f in zip(objs, maps)]
-        src = op._layout(ops, objs)
+        src = chain._layout(base, objs, D)
         for sigma in [None] + perms.all_permutations(k):
             order = sigma or range(k)
             route = _tensor_route(ops, objs, maps, order)
-            tgt = op._layout(ops, [outs[j] for j in order])
-            got = op._tensor_entries(ops, maps, sigma, src, tgt)
+            tgt = chain._layout(base, [outs[j] for j in order], D)
+            got = chain._tensor_entries(ring, base, maps, sigma, src, tgt)
             for n in range(D + 1):
                 comp = route.component(n)
                 assert LinearMap(comp.source, comp.target,
                                  got[n]).entries == comp.entries
                 checked += bool(comp.entries)
     assert checked
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5, Zmod(2)], ids=lambda r: r.name())
+@pytest.mark.parametrize("base", ["chain", "simplicial"])
+def test_replay_reorderings_match_the_hand_route(base, ring):
+    """The law replay's associator is the hand associator, entry order
+    included, and its parallel-associativity mediator, one signed
+    permutation, is assoc(X,Z,Y)^-1 (1 (x) braiding(Y,Z)) assoc(X,Y,Z)
+    from the hand loops; the chain factors have odd degrees, so the
+    Koszul sign of the mediator shows."""
+    D = 2
+    ops = op._ops_for(base, ring, D)
+    R = op._Replay(SimpleNamespace(ops=ops))
+    signed = moved = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        if base == "chain":
+            X, Y, Z = (_graded_factor(rng, ring, D) for _ in range(3))
+        else:
+            X, Y, Z = (corpus.random_simplicial_module(rng, ring, D, 2)
+                       for _ in range(3))
+        assoc = R.reordered(X, Y, Z, (0, (1, 2)))
+        hand = _hand_associator(ops, X, Y, Z)
+        assert [list(c.entries.items()) for c in assoc.components] == \
+            [list(c.entries.items()) for c in hand.components]
+        mediator = R.reordered(X, Y, Z, ((0, 2), 1))
+        route = _adjacent_swap(ops, [X, Y, Z], 1)
+        assert mediator == route
+        moved += any(r != c for comp in mediator.components
+                     for r, c in comp.entries)
+        signed += any(v != ring.one for comp in mediator.components
+                      for v in comp.entries.values())
+    # Y and Z trade places, with the sign -1 wherever the symmetry is
+    # signed and -1 != 1
+    assert moved
+    assert bool(signed) == (base == "chain" and ring != Zmod(2))
 
 
 def _zero_differentials(ring, ranks):
@@ -654,13 +720,6 @@ def _bracketing(draw, lo, hi):
         return lo
     cut = draw(st.integers(lo + 1, hi - 1))
     return (draw(_bracketing(lo, cut)), draw(_bracketing(cut, hi)))
-
-
-def _bracketed_layout(ops, objs, tree):
-    if isinstance(tree, int):
-        return op._atom_layout(objs[tree], ops.max_degree)
-    return op._tensor_layout(ops.base,
-                             *(_bracketed_layout(ops, objs, t) for t in tree))
 
 
 @st.composite
@@ -745,14 +804,15 @@ def test_tensor_entries_fast_path_matches_general(case):
     ops, objs, maps, sigma, src_tree, tgt_tree = case
     order = sigma or range(len(objs))
     outs = [A if f is None else f.target for A, f in zip(objs, maps)]
-    src = _bracketed_layout(ops, objs, src_tree)
-    tgt = _bracketed_layout(ops, [outs[j] for j in order], tgt_tree)
+    ring, base, D = ops.ring, ops.base, ops.max_degree
+    src = chain._bracketed_layout(base, objs, src_tree, D)
+    tgt = chain._bracketed_layout(base, [outs[j] for j in order], tgt_tree, D)
     # the case must be one the fast path takes
-    assert op._monomial_images(ops, maps) is not None
-    fast = op._tensor_entries(ops, maps, sigma, src, tgt)
+    assert chain._monomial_images(maps, D + 1) is not None
+    fast = chain._tensor_entries(ring, base, maps, sigma, src, tgt)
     exactlin._FORCE_GENERIC = True
     try:
-        general = op._tensor_entries(ops, maps, sigma, src, tgt)
+        general = chain._tensor_entries(ring, base, maps, sigma, src, tgt)
     finally:
         exactlin._FORCE_GENERIC = False
     assert fast == general
@@ -786,12 +846,6 @@ def _tokened(A, j):
          for n in range(D)])
 
 
-def _as_build(tree):
-    if isinstance(tree, int):
-        return ("atom", tree)
-    return ("pair", _as_build(tree[0]), _as_build(tree[1]))
-
-
 def _bracketed_tensor(ops, objs, tree):
     if isinstance(tree, int):
         return objs[tree]
@@ -809,14 +863,14 @@ def _assert_layout_reads_labels(ops, T, layout, k):
             assert [int(j) for j, _, _ in toks] == list(range(k))
             want.append((tuple(int(d) for _, d, _ in toks),
                          tuple(int(i) for _, _, i in toks)))
-        assert op._expand(boxes) == want
+        assert chain._expand(boxes) == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["chain", "simplicial"]), st.integers(1, 4),
        st.integers(0, 2 ** 32 - 1), st.data())
 def test_layouts_read_the_tensor_labels(base, k, seed, data):
-    """`operad._layout`, and `trees._build_layout` on a random
+    """`chain._layout`, and `chain._bracketed_layout` on a random
     bracketing, against the basis of the tensor object itself, with
     rank-0 levels among the chain factors."""
     D = 2
@@ -832,10 +886,11 @@ def test_layouts_read_the_tensor_labels(base, k, seed, data):
     objs = [_tokened(A, j) for j, A in enumerate(objs)]
     left = tensor_many(objs, D) if base == "chain" else \
         _bracketed_tensor(ops, objs, _left(k))
-    _assert_layout_reads_labels(ops, left, op._layout(ops, objs), k)
+    _assert_layout_reads_labels(ops, left, chain._layout(base, objs, D), k)
     tree = data.draw(_bracketing(0, k))
     _assert_layout_reads_labels(ops, _bracketed_tensor(ops, objs, tree),
-                                _build_layout(_as_build(tree), objs, ops), k)
+                                chain._bracketed_layout(base, objs, tree, D),
+                                k)
 
 
 @st.composite
@@ -1321,3 +1376,93 @@ def test_normalized_morphism_levels_are_the_normalized_maps():
     s1 = (("*",), "*")
     assert nphi.source.collection.level(s1).ranks() == (1, 0, 0)
     assert nphi.level_map(s1).component(0).entries == {(0, 0): F5.one}
+
+
+# ---------------------------------------------------------------------------
+# explicit raises, so they also hold under python -O
+# ---------------------------------------------------------------------------
+
+
+def _op_morphism_inputs():
+    P = associative_operad(ZZ, "chain", 3, 0)
+    idP = OpMorphism.identity(P)
+    level_maps = dict(idP.level_maps)
+    wrong = dict(level_maps)
+    wrong[sig(2)] = level_maps[sig(3)]
+
+    def morphism(target, color_map=None, maps=None):
+        return lambda: OpMorphism(P, target, color_map or {X: X},
+                                  level_maps if maps is None else maps)
+
+    return {
+        "base": (morphism(associative_operad(ZZ, "simplicial", 3, 0)),
+                 "chain source, simplicial target"),
+        "ring": (morphism(associative_operad(QQ, "chain", 3, 0)),
+                 "source over Z, target over Q"),
+        "degree": (morphism(associative_operad(ZZ, "chain", 3, 1)),
+                   "source degree 0, target degree 1"),
+        "arity": (morphism(associative_operad(ZZ, "chain", 2, 0)),
+                  "source arity 3 exceeds target arity 2"),
+        "color": (morphism(P, color_map={X: "y"}),
+                  "color 'x' is not mapped"),
+        "shape": (morphism(P, maps=wrong),
+                  "level map at x,x->x has the wrong shape"),
+        "compose": (lambda: idP @ OpMorphism.identity(
+            associative_operad(ZZ, "chain", 2, 0)),
+                    "composed morphisms do not meet"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_op_morphism_inputs()))
+def test_op_morphism_refuses_mismatches(case):
+    call, msg = _op_morphism_inputs()[case]
+    with pytest.raises(ValueError, match=msg):
+        call()
+
+
+def test_operad_check_parallel_signature_invariant_raises(monkeypatch):
+    # a graft that lists its inputs when it fills slot 0 breaks the
+    # equality of the two parallel grafts, and nothing else
+    real = op.graft_signature
+
+    def listing(outer, i, inner):
+        got = real((tuple(outer[0]), outer[1]), i,
+                   (tuple(inner[0]), inner[1]))
+        return (list(got[0]), got[1]) if i == 0 else got
+
+    monkeypatch.setattr(op, "graft_signature", listing)
+    with pytest.raises(RuntimeError, match="parallel grafts disagree"):
+        operad_check(associative_operad(ZZ, "chain", 3, 0))
+
+
+@pytest.mark.parametrize("name, msg", [
+    ("perm_block_insert", "outer block insertion disagrees"),
+    ("perm_inner_insert", "inner block insertion disagrees"),
+])
+def test_operad_check_block_insertion_invariants_raise(monkeypatch, name,
+                                                       msg):
+    # a permutation one letter short relabels to a shorter signature
+    real = getattr(op, name)
+    monkeypatch.setattr(op, name, lambda *args: real(*args)[:-1])
+    with pytest.raises(RuntimeError, match=msg):
+        operad_check(associative_operad(ZZ, "chain", 3, 0))
+
+
+def test_normalize_operad_unit_shape_invariant_raises(monkeypatch):
+    unit = op._ChainOps.unit_obj
+    monkeypatch.setattr(op._ChainOps, "unit_obj",
+                        lambda self: op.pad(op._chain.direct_sum(
+                            unit(self), unit(self)), self.max_degree))
+    with pytest.raises(RuntimeError, match="the normalized unit of color "
+                                           "'x' has source ranks"):
+        normalize_operad_data(associative_operad(ZZ, "simplicial", 2, 1))
+
+
+def test_corpus_input_checks_raise_value_error():
+    rng = random.Random(0)
+    K = corpus.random_complex(rng, ZZ, 1, max_rank=1)
+    L = corpus.random_complex(rng, ZZ, 2, max_rank=1)
+    with pytest.raises(ValueError, match="one ring and of one degree"):
+        corpus.random_chain_map(rng, K, L)
+    with pytest.raises(ValueError, match="constant summand or a disk"):
+        corpus._hom_object(op._ops_for("chain", ZZ, 1), ZZ, False, None)

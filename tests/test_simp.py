@@ -11,6 +11,7 @@ from opdk.simp import (
     compose_monotone,
     constant_module,
     delta,
+    direct_sum,
     from_simplicial_set,
     monotone_surjections,
     moore_complex,
@@ -284,3 +285,61 @@ def test_surjection_enumeration():
     for n in range(5):
         for k in range(n + 1):
             assert len(monotone_surjections(n, k)) == comb(n, k)
+
+
+def _simp_input_checks():
+    A = standard_simplex(1, ZZ, 2)
+    M0, M1, M2 = A.levels
+    faces = [list(fs) for fs in A.faces]
+    degen = [list(ss) for ss in A.degeneracies]
+    comps = [LinearMap.identity(M) for M in A.levels]
+
+    def module(levels=A.levels, faces=faces, degen=degen):
+        return lambda: SimplicialModule(ZZ, levels, faces, degen)
+
+    return {
+        "no-levels": (module([], [], []), "needs at least degree 0"),
+        "face-count": (module(faces=faces[:1]),
+                       "3 levels need face lists for degrees 1..2, got 1"),
+        "degeneracy-count": (module(degen=degen + [[]]),
+                             "3 levels need degeneracy lists for degrees "
+                             r"0\.\.1, got 3"),
+        "faces-at-degree": (module(faces=[faces[0], faces[1][:2]]),
+                            r"need d_0\.\.d_2 at degree 2"),
+        "degeneracies-at-degree": (module(degen=[degen[0], degen[1][:1]]),
+                                   r"need s_0\.\.s_1 at degree 1"),
+        "face-shape": (module(faces=[faces[0], faces[1][:2] + [faces[0][0]]]),
+                       "d_2 at degree 2 is not a map from level 2 to "
+                       "level 1"),
+        "degeneracy-shape": (module(degen=[[degen[1][0]], degen[1]]),
+                             "s_0 at degree 0 is not a map from level 0 to "
+                             "level 1"),
+        "face-index": (lambda: A.face(2, 3), "no face d_3 out of degree 2"),
+        "face-degree": (lambda: A.face(0, 0), "no face d_0 out of degree 0"),
+        "degeneracy-index": (lambda: A.degeneracy(1, 2),
+                             "no degeneracy s_2 out of degree 1"),
+        "degeneracy-degree": (lambda: A.degeneracy(2, 0),
+                              "no degeneracy s_0 out of degree 2"),
+        "map-ring": (lambda: SimplicialMap(A, standard_simplex(1, QQ, 2),
+                                           comps, check=False),
+                     "source over Z, target over Q"),
+        "map-degree": (lambda: SimplicialMap(A, standard_simplex(1, ZZ, 1),
+                                             comps, check=False),
+                       "source degree 2, target degree 1"),
+        "map-components": (lambda: SimplicialMap(A, A, comps[:2]),
+                           r"degrees 0\.\.2 need 3 components, got 2"),
+        "direct-sum": (lambda: direct_sum(A, standard_simplex(1, ZZ, 1)),
+                       "over different rings or degrees"),
+        "operator-range": (lambda: simplicial_operator(A, (0, 3), 2),
+                           r"\(0, 3\) is not a monotone map into \[2\]"),
+        "operator-monotone": (lambda: simplicial_operator(A, (1, 0), 2),
+                              r"\(1, 0\) is not a monotone map into \[2\]"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_simp_input_checks()))
+def test_simp_input_checks_raise_value_error(case):
+    # explicit raises, so they also hold under python -O
+    call, msg = _simp_input_checks()[case]
+    with pytest.raises(ValueError, match=msg):
+        call()

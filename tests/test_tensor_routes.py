@@ -1,10 +1,13 @@
-"""Tensor products by offset arithmetic against the Kronecker block route.
+"""Tensor products and their structure maps against hand-written loops.
 
 The oracles below are the block loops the library used before: every
 block of a chain tensor differential, tensor map or simplicial operator
 is a `LinearMap.tensor` product, with `LinearMap.identity` standing in
 for the identity factor, copied in at its offsets.  The library now
-writes the same entries straight into one dict.  The comparison is on
+writes the same entries straight into one dict.  The chain braiding,
+the chain associator and the simplicial swap come from the tensor
+layouts (`chain._coherence`); their oracles are the block-offset loops
+that wrote each basis vector's image by hand.  The comparison is on
 the ordered entry lists and on the level labels, since rref and Smith
 pivoting may read a map's entry order.  `operad_check`, which builds
 each structure map once per call through `operad._Replay`, is compared
@@ -128,6 +131,20 @@ def _oracle_braiding(K, L, bound):
     return comps
 
 
+def _oracle_swap(A, B):
+    """A (x) B -> B (x) A for simplicial modules: the pair (i, j) at
+    i * rank(B_n) + j goes to j * rank(A_n) + i, with no sign."""
+    comps = []
+    for n in range(min(A.max_degree, B.max_degree) + 1):
+        ra, rb = A.level(n).rank, B.level(n).rank
+        entries = {}
+        for i in range(ra):
+            for j in range(rb):
+                entries[(j * ra + i, i * rb + j)] = A.ring.one
+        comps.append(_placed(A.ring, ra * rb, ra * rb, entries))
+    return comps
+
+
 def _oracle_associator(K, L, M, bound):
     """The position-dictionary loop: every target basis vector
     (p, q, r, i, j, k) is looked up by its index tuple."""
@@ -240,6 +257,7 @@ def _check_simp_case(seed):
     assert _items(tm.components) == \
         [list(_kron(f.component(n), g.component(n)).entries.items())
          for n in range(T.max_degree + 1)]
+    assert _items(simp.swap_map(A, B).components) == _oracle_swap(A, B)
 
 
 def test_linear_map_tensor_is_the_kronecker_product():

@@ -16,18 +16,18 @@ import random
 
 import pytest
 
-from opdk import corpus, exactlin, permutations
+from opdk import chain, corpus, exactlin, permutations
 from opdk import operad as op
-from opdk.chain import ChainMap, concentrated, homology, pad, two_term
+from opdk.chain import (ChainMap, concentrated, homology, pad, two_term,
+                        _expand, _tensor_entries)
 from opdk.exactlin import LinearMap
 from opdk.operad import (Collection, Operad, associative_operad,
-                         operad_check, _expand, _ops_for, _tensor_entries)
+                         operad_check, _ops_for)
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.trees import (
     CollectionMap,
     FreeOperad,
     Tree,
-    _build_layout,
     _level_basis,
     aut_order,
     canonical,
@@ -951,8 +951,7 @@ def test_tensor_entries_on_interleaved_runs_is_the_tensor_map(monkeypatch):
                                                                (0, 1): 1}),
                             LinearMap.identity(B.level(1)),
                             LinearMap.zero(B.level(2), B.level(2))])
-    build = ("pair", ("atom", 0), ("pair", ("atom", 1), ("atom", 2)))
-    lay = _build_layout(build, [A, B, C], ops)
+    lay = chain._bracketed_layout("chain", [A, B, C], (0, (1, 2)), 2)
     runs = [degs for degs, _ in itertools.groupby(
         degs for degs, _ in _expand(lay[1]))]
     assert len(runs) > len(lay[1])
@@ -960,10 +959,10 @@ def test_tensor_entries_on_interleaved_runs_is_the_tensor_map(monkeypatch):
     def general(*args):
         raise AssertionError("the strided fast path was not taken")
 
-    monkeypatch.setattr(op, "_tensor_entries_general", general)
+    monkeypatch.setattr(chain, "_tensor_entries_general", general)
     want = ops.tensor_map(ops.identity(A),
                           ops.tensor_map(f, ops.identity(C)))
-    got = _tensor_entries(ops, [None, f, None], None, lay, lay)
+    got = _tensor_entries(ZZ, "chain", [None, f, None], None, lay, lay)
     for n in range(3):
         comp = want.component(n)
         assert LinearMap(comp.source, comp.target, got[n]).entries == \
