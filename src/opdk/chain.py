@@ -134,10 +134,9 @@ def direct_sum(K: ChainComplex, L: ChainComplex) -> ChainComplex:
         labels = tuple(f"l:{a}" for a in K.level(n).labels) + \
             tuple(f"r:{b}" for b in L.level(n).labels)
         levels.append(FreeModule(K.ring, labels))
-    diffs = []
-    for n in range(1, K.max_degree + 1):
-        blk = K.d(n).direct_sum(L.d(n))
-        diffs.append(LinearMap(levels[n], levels[n - 1], blk.entries))
+    diffs = [LinearMap.placed(levels[n], levels[n - 1], [
+        (0, 0, K.d(n)), (K.level(n - 1).rank, K.level(n).rank, L.d(n))])
+        for n in range(1, K.max_degree + 1)]
     return ChainComplex(K.ring, levels, diffs, check=False)
 
 
@@ -634,22 +633,25 @@ def associator(K: ChainComplex, L: ChainComplex, M: ChainComplex,
                                          ((0, 1), 2), (0, (1, 2)), src, tgt))
 
 
+def _unitor_components(src, X, max_degree: int) -> list:
+    """Levels 0..max_degree of the unitor src = unit (x) X -> X (or
+    X (x) unit -> X), chain or simplicial: identity entries, because
+    tensoring with a rank-one degree-zero unit never reindexes."""
+    return [LinearMap.placed(src.level(n), X.level(n),
+                             [(0, 0, LinearMap.identity(X.level(n)))])
+            for n in range(max_degree + 1)]
+
+
 def left_unitor(K: ChainComplex) -> ChainMap:
     """unit (x) K -> K."""
     src = tensor(unit_complex(K.ring), K)
-    comps = [LinearMap(src.level(n), K.level(n),
-                       {(i, i): K.ring.one for i in range(K.level(n).rank)})
-             for n in range(K.max_degree + 1)]
-    return ChainMap(src, K, comps)
+    return ChainMap(src, K, _unitor_components(src, K, K.max_degree))
 
 
 def right_unitor(K: ChainComplex) -> ChainMap:
     """K (x) unit -> K."""
     src = tensor(K, unit_complex(K.ring))
-    comps = [LinearMap(src.level(n), K.level(n),
-                       {(i, i): K.ring.one for i in range(K.level(n).rank)})
-             for n in range(K.max_degree + 1)]
-    return ChainMap(src, K, comps)
+    return ChainMap(src, K, _unitor_components(src, K, K.max_degree))
 
 
 # ---------------------------------------------------------------------------

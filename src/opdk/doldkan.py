@@ -13,6 +13,11 @@ ValueError.  `gamma` rebuilds a
 simplicial module from a complex as a direct sum indexed by monotone
 surjections; normalizing a `gamma` image returns the input complex on
 the nose, and `counit` realizes the comparison in the other order.
+Which summands level n has, and how a face or degeneracy theta acts on
+each through the epi-mono factorization of eta . theta, depend on n and
+theta only, never on the complex: both are tabled once per degree
+(`_surjection_index`, `_gamma_action`), and each complex only places
+its identity and differential blocks at its own summand offsets.
 The Eilenberg-Zilber maps `aw` and `shuffle` relate the normalization
 of a tensor product to the tensor product of the normalizations, and
 `gamma_oplax` assembles them into the oplax structure map of gamma.
@@ -27,13 +32,14 @@ construction time rather than producing a plausible-looking matrix.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 from typing import Optional
 
 from . import permutations
 from .chain import ChainComplex, ChainMap, tensor_blocks
 from .chain import tensor as tensor_complex
-from .exactlin import FreeModule, LinearMap, compose, free_module, hnf_columns, hstack
+from .exactlin import FreeModule, LinearMap, compose, free_module, hnf_columns
 from .simp import (
     SimplicialMap,
     SimplicialModule,
@@ -233,66 +239,92 @@ def normalize_map(f: SimplicialMap,
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _surjection_index(n: int) -> tuple:
+    """The summands of level n of gamma, (k, eta) over eta: [n] ->> [k]:
+    k descending, eta lexicographic within each k."""
+    return tuple((k, eta) for k in range(n, -1, -1)
+                 for eta in monotone_surjections(n, k))
+
+
+@functools.cache
+def _gamma_action(theta, n: int) -> tuple:
+    """How theta: [m] -> [n] acts from level n of gamma to level m, per
+    summand eta: [n] ->> [k] of level n (Goerss-Jardine III.2).
+
+    Factor eta . theta through its image: a full image sends the summand
+    by the identity onto the summand of that surjection, (t, False); the
+    image {1..k} sends it by d_k onto summand t of k - 1, (t, True);
+    any other image kills it, None.  t indexes `_surjection_index(m)`.
+    """
+    m = len(theta) - 1
+    where = {key: t for t, key in enumerate(_surjection_index(m))}
+    out = []
+    for k, eta in _surjection_index(n):
+        c = compose_monotone(eta, theta)
+        image = sorted(set(c))
+        if len(image) == k + 1:
+            out.append((where[(k, c)], False))
+        elif image == list(range(1, k + 1)):
+            out.append((where[(k - 1, tuple(v - 1 for v in c))], True))
+        else:
+            out.append(None)
+    return tuple(out)
+
+
 def gamma_summands(K: ChainComplex, n: int):
     """Index of gamma(K) at level n: (k, eta, offset) over eta: [n] ->> [k].
 
     The identity surjection comes first (k descending, eta lexicographic
     within each k), so every level starts with a verbatim copy of K_n
-    and normalizing the result reads off exactly that copy.
+    and normalizing the result reads off exactly that copy.  The order
+    is `_surjection_index(n)`, tabled once per degree; only the offsets
+    read K's ranks.
     """
+    ranks = K.ranks()
     out = []
     off = 0
-    for k in range(n, -1, -1):
-        for eta in monotone_surjections(n, k):
-            out.append((k, eta, off))
-            off += K.level(k).rank
+    for k, eta in _surjection_index(n):
+        out.append((k, eta, off))
+        if k < len(ranks):
+            off += ranks[k]
     return out
 
 
 def _gamma_level(K: ChainComplex, n: int) -> FreeModule:
     labels = []
-    for k, eta, _ in gamma_summands(K, n):
+    for k, eta in _surjection_index(n):
         tag = ".".join(map(str, eta))
         labels.extend(f"{tag}|{a}" for a in K.level(k).labels)
     return FreeModule(K.ring, tuple(labels))
 
 
-def _gamma_operator(K: ChainComplex, theta, src, tgt, src_level, tgt_level):
-    # theta: [m] -> [n] acts from level n to level m.  On the summand
-    # eta: [n] ->> [k], factor eta . theta through its image: a full
-    # image gives the identity block, image {1..k} feeds the complex
-    # differential into the shifted summand, anything else vanishes.
-    ring = K.ring
-    tgt_off = {(k, eta): off for k, eta, off in tgt}
-    entries = {}
-    for k, eta, off in src:
-        if K.level(k).rank == 0:
-            continue
-        c = compose_monotone(eta, theta)
-        image = sorted(set(c))
-        if len(image) == k + 1:
-            to = tgt_off[(k, c)]
-            for i in range(K.level(k).rank):
-                entries[(to + i, off + i)] = ring.one
-        elif image == list(range(1, k + 1)):
-            to = tgt_off[(k - 1, tuple(v - 1 for v in c))]
-            for (i, j), v in K.d(k).entries.items():
-                entries[(to + i, off + j)] = v
-    return LinearMap(src_level, tgt_level, entries)
-
-
 def gamma(K: ChainComplex, max_degree: Optional[int] = None) -> SimplicialModule:
-    """Simplicial module with level n the sum of K_k over [n] ->> [k]."""
+    """Simplicial module with level n the sum of K_k over [n] ->> [k].
+
+    A face or degeneracy theta acts on each summand through the
+    factorization of eta . theta, which `_gamma_action` tables once per
+    (theta, n), independent of K: each operator is the identity and
+    differential blocks of K placed at the summand offsets.
+    """
     D = K.max_degree if max_degree is None else max_degree
     summands = [gamma_summands(K, n) for n in range(D + 1)]
     levels = [_gamma_level(K, n) for n in range(D + 1)]
-    faces = [[_gamma_operator(K, delta(i, n), summands[n], summands[n - 1],
-                              levels[n], levels[n - 1])
-              for i in range(n + 1)]
+    idents = [LinearMap.identity(K.level(k)) for k in range(D + 1)]
+
+    def operator(theta, n, m):
+        # theta: [m] -> [n] acts from level n to level m
+        tgt = summands[m]
+        blocks = []
+        for (k, _, off), act in zip(summands[n], _gamma_action(theta, n)):
+            if act is not None:
+                t, through_d = act
+                blocks.append((tgt[t][2], off, K.d(k) if through_d else idents[k]))
+        return LinearMap.placed(levels[n], levels[m], blocks)
+
+    faces = [[operator(delta(i, n), n, n - 1) for i in range(n + 1)]
              for n in range(1, D + 1)]
-    degeneracies = [[_gamma_operator(K, sigma(i, n), summands[n], summands[n + 1],
-                                     levels[n], levels[n + 1])
-                     for i in range(n + 1)]
+    degeneracies = [[operator(sigma(i, n), n, n + 1) for i in range(n + 1)]
                     for n in range(D)]
     return SimplicialModule(K.ring, levels, faces, degeneracies)
 
@@ -304,13 +336,9 @@ def gamma_map(f: ChainMap, max_degree: Optional[int] = None) -> SimplicialMap:
     A, B = gamma(f.source, D), gamma(f.target, D)
     comps = []
     for n in range(D + 1):
-        tgt_off = {(k, eta): off for k, eta, off in gamma_summands(f.target, n)}
-        entries = {}
-        for k, eta, off in gamma_summands(f.source, n):
-            to = tgt_off[(k, eta)]
-            for (i, j), v in f.component(k).entries.items():
-                entries[(to + i, off + j)] = v
-        comps.append(LinearMap(A.level(n), B.level(n), entries))
+        blocks = [(to, off, f.component(k)) for (k, _, off), (_, _, to)
+                  in zip(gamma_summands(f.source, n), gamma_summands(f.target, n))]
+        comps.append(LinearMap.placed(A.level(n), B.level(n), blocks))
     return SimplicialMap(A, B, comps)
 
 
@@ -326,9 +354,10 @@ def counit(A: SimplicialModule, nz: Optional[Normalization] = None) -> Simplicia
     G = gamma(nz.complex, A.max_degree)
     comps = []
     for n in range(A.max_degree + 1):
-        parts = [compose(simplicial_operator(A, eta, k), nz.incl.component(k))
-                 for k, eta, _ in gamma_summands(nz.complex, n)]
-        comps.append(LinearMap(G.level(n), A.level(n), hstack(parts).entries))
+        blocks = [(0, off, compose(simplicial_operator(A, eta, k),
+                                   nz.incl.component(k)))
+                  for k, eta, off in gamma_summands(nz.complex, n)]
+        comps.append(LinearMap.placed(G.level(n), A.level(n), blocks))
     return SimplicialMap(G, A, comps)
 
 
@@ -379,16 +408,14 @@ def aw(A: SimplicialModule, B: SimplicialModule,
     NN = tensor_complex(na.complex, nb.complex, bound=D)
     comps = []
     for n in range(D + 1):
-        entries = {}
+        blocks = []
         for p, q, off in tensor_blocks(na.complex, nb.complex, n):
             front = simplicial_operator(A, tuple(range(p + 1)), n)
             back = simplicial_operator(B, tuple(range(p, n + 1)), n)
             fa = compose(na.proj.component(p), front)
             fb = compose(nb.proj.component(q), back)
-            blk = compose(fa.tensor(fb), nab.incl.component(n))
-            for (i, j), v in blk.entries.items():
-                entries[(off + i, j)] = v
-        comps.append(LinearMap(nab.complex.level(n), NN.level(n), entries))
+            blocks.append((off, 0, compose(fa.tensor(fb), nab.incl.component(n))))
+        comps.append(LinearMap.placed(nab.complex.level(n), NN.level(n), blocks))
     return ChainMap(nab.complex, NN, comps)
 
 

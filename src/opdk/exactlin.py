@@ -90,6 +90,8 @@ class LinearMap:
     `identity`, `zero`, `+`, `-`, `scale` and negation, `tensor`,
     `direct_sum`, `transpose`, `compose`, `hstack` and `vstack`.  Each
     of them checks its operands' rings and shapes with ValueError.
+    `placed` calls it too, to copy the entries of maps that are
+    canonical already into a larger or relabelled map.
     """
 
     __slots__ = ("source", "target", "entries")
@@ -138,6 +140,38 @@ class LinearMap:
         one = module.ring.one
         return cls._canonical(
             module, module, {(i, i): one for i in range(module.rank)})
+
+    @classmethod
+    def placed(cls, source: FreeModule, target: FreeModule,
+               blocks) -> "LinearMap":
+        """The map source -> target holding, for each block (row, col, m)
+        in turn, m's entry (i, j) at (row + i, col + j).
+
+        m's entries are canonical already, so each block is checked once,
+        not entry by entry: it must lie over the target's ring and fit
+        inside the target shape at (row, col), or ValueError.  Entries
+        are placed, never summed: two blocks storing an entry at the same
+        position raise ValueError.
+        """
+        ring = target.ring
+        if source.ring != ring:
+            raise ValueError("source and target lie over different rings")
+        rows, cols = target.rank, source.rank
+        entries = {}
+        for r, c, m in blocks:
+            if m.source.ring != ring:
+                raise ValueError("a block lies over another ring")
+            if not (0 <= r and 0 <= c and r + m.target.rank <= rows
+                    and c + m.source.rank <= cols):
+                raise ValueError(f"a {m.target.rank}x{m.source.rank} block at "
+                                 f"({r},{c}) leaves {rows}x{cols}")
+            count = len(entries) + len(m.entries)
+            for (i, j), v in m.entries.items():
+                entries[(r + i, c + j)] = v
+            if len(entries) != count:
+                raise ValueError(f"the block at ({r},{c}) overlaps an entry "
+                                 "already placed")
+        return cls._canonical(source, target, entries)
 
     @classmethod
     def zero(cls, source: FreeModule, target: FreeModule):

@@ -27,7 +27,7 @@ from typing import Optional
 from . import permutations
 from .chain import (ChainComplex, ChainMap, zero_complex, pad, unit_complex,
                     homology, is_quasi_iso, _coherence, _layout,
-                    _tensor_entries)
+                    _tensor_entries, _unitor_components)
 from . import chain as _chain
 from . import simp as _simp
 from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
@@ -327,17 +327,14 @@ class _Replay:
                           (X, Y, Z), build)
 
     def unitor(self, X, side: str):
-        """unit (x) X -> X (or X (x) unit -> X); identity entries because
-        tensoring with a rank-one degree-zero object never reindexes."""
+        """unit (x) X -> X (or X (x) unit -> X), from
+        `chain._unitor_components`."""
         def build():
             ops = self.ops
             u = self._once(("unit",), (), ops.unit_obj)
             src = self.tensor(u, X) if side == "left" else self.tensor(X, u)
-            comps = [LinearMap(src.level(n), X.level(n),
-                               {(i, i): ops.ring.one
-                                for i in range(X.level(n).rank)})
-                     for n in range(ops.max_degree + 1)]
-            return ops.make_map(src, X, comps)
+            return ops.make_map(src, X, _unitor_components(
+                src, X, ops.max_degree))
         return self._once(("unitor", side, id(X)), (X,), build)
 
     def composition(self, osig, i: int, isig):

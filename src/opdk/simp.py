@@ -523,20 +523,14 @@ def direct_sum(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
         labels = tuple(f"l:{a}" for a in A.level(n).labels) + \
             tuple(f"r:{b}" for b in B.level(n).labels)
         levels.append(FreeModule(A.ring, labels))
-    faces = []
-    for n in range(1, D + 1):
-        fs = []
-        for i in range(n + 1):
-            blk = A.face(n, i).direct_sum(B.face(n, i))
-            fs.append(LinearMap(levels[n], levels[n - 1], blk.entries))
-        faces.append(fs)
-    degeneracies = []
-    for n in range(D):
-        ss = []
-        for i in range(n + 1):
-            blk = A.degeneracy(n, i).direct_sum(B.degeneracy(n, i))
-            ss.append(LinearMap(levels[n], levels[n + 1], blk.entries))
-        degeneracies.append(ss)
+    def block_sum(f, g, n, m):
+        return LinearMap.placed(levels[n], levels[m], [
+            (0, 0, f), (A.level(m).rank, A.level(n).rank, g)])
+
+    faces = [[block_sum(A.face(n, i), B.face(n, i), n, n - 1)
+              for i in range(n + 1)] for n in range(1, D + 1)]
+    degeneracies = [[block_sum(A.degeneracy(n, i), B.degeneracy(n, i), n, n + 1)
+                     for i in range(n + 1)] for n in range(D)]
     return SimplicialModule(A.ring, levels, faces, degeneracies)
 
 

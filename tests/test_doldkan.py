@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opdk import corpus
 from opdk.chain import (
@@ -33,7 +34,9 @@ from opdk.chain import direct_sum as chain_direct_sum
 from opdk.chain import tensor as chain_tensor
 from opdk.doldkan import (
     Normalization,
+    _gamma_action,
     _shuffle_entries,
+    _surjection_index,
     aw,
     counit,
     gamma,
@@ -45,6 +48,7 @@ from opdk.doldkan import (
     shuffle,
 )
 from opdk.exactlin import (
+    FreeModule,
     LinearMap,
     compose,
     hnf_columns,
@@ -56,8 +60,14 @@ from opdk.exactlin import (
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import (
     SimplicialMap,
+    SimplicialModule,
+    compose_monotone,
     constant_module,
+    delta,
+    monotone_surjections,
     moore_complex,
+    sigma,
+    simplicial_operator,
     standard_simplex,
     swap_map,
     validate,
@@ -308,6 +318,179 @@ def test_gamma_validates_on_randoms():
         ring = [ZZ, F5, QQ][t % 3]
         K = corpus.random_complex(rng, ring, rng.randint(1, 4), max_rank=3)
         assert validate(gamma(K)) == []
+
+
+# The inverse construction as it was before its combinatorics were
+# tabled per degree: every summand and every operator factors eta . theta
+# afresh, and every map goes through the checking constructor.
+
+
+def _oracle_summands(K, n):
+    out = []
+    off = 0
+    for k in range(n, -1, -1):
+        for eta in monotone_surjections(n, k):
+            out.append((k, eta, off))
+            off += K.level(k).rank
+    return out
+
+
+def _oracle_level(K, n):
+    labels = []
+    for k, eta, _ in _oracle_summands(K, n):
+        tag = ".".join(map(str, eta))
+        labels.extend(f"{tag}|{a}" for a in K.level(k).labels)
+    return FreeModule(K.ring, tuple(labels))
+
+
+def _oracle_operator(K, theta, src, tgt, src_level, tgt_level):
+    ring = K.ring
+    tgt_off = {(k, eta): off for k, eta, off in tgt}
+    entries = {}
+    for k, eta, off in src:
+        if K.level(k).rank == 0:
+            continue
+        c = compose_monotone(eta, theta)
+        image = sorted(set(c))
+        if len(image) == k + 1:
+            to = tgt_off[(k, c)]
+            for i in range(K.level(k).rank):
+                entries[(to + i, off + i)] = ring.one
+        elif image == list(range(1, k + 1)):
+            to = tgt_off[(k - 1, tuple(v - 1 for v in c))]
+            for (i, j), v in K.d(k).entries.items():
+                entries[(to + i, off + j)] = v
+    return LinearMap(src_level, tgt_level, entries)
+
+
+def _oracle_gamma(K, D):
+    summands = [_oracle_summands(K, n) for n in range(D + 1)]
+    levels = [_oracle_level(K, n) for n in range(D + 1)]
+    faces = [[_oracle_operator(K, delta(i, n), summands[n], summands[n - 1],
+                               levels[n], levels[n - 1])
+              for i in range(n + 1)]
+             for n in range(1, D + 1)]
+    degeneracies = [[_oracle_operator(K, sigma(i, n), summands[n],
+                                      summands[n + 1], levels[n], levels[n + 1])
+                     for i in range(n + 1)]
+                    for n in range(D)]
+    return SimplicialModule(K.ring, levels, faces, degeneracies)
+
+
+def _oracle_gamma_map(f, D):
+    A, B = _oracle_gamma(f.source, D), _oracle_gamma(f.target, D)
+    comps = []
+    for n in range(D + 1):
+        tgt_off = {(k, eta): off for k, eta, off in _oracle_summands(f.target, n)}
+        entries = {}
+        for k, eta, off in _oracle_summands(f.source, n):
+            to = tgt_off[(k, eta)]
+            for (i, j), v in f.component(k).entries.items():
+                entries[(to + i, off + j)] = v
+        comps.append(LinearMap(A.level(n), B.level(n), entries))
+    return comps
+
+
+def _oracle_counit(A, nz):
+    G = _oracle_gamma(nz.complex, A.max_degree)
+    comps = []
+    for n in range(A.max_degree + 1):
+        parts = [compose(simplicial_operator(A, eta, k), nz.incl.component(k))
+                 for k, eta, _ in _oracle_summands(nz.complex, n)]
+        comps.append(LinearMap(G.level(n), A.level(n), hstack(parts).entries))
+    return comps
+
+
+def _ordered(m):
+    """A map as its labels and its entries in insertion order, with the
+    type of each entry."""
+    return (m.source.labels, m.target.labels,
+            [(key, type(v), v) for key, v in m.entries.items()])
+
+
+def _complex_with_ranks(rng, ring, ranks):
+    """A random complex with the given ranks; d*d = 0 because each
+    differential factors through the kernel of the one below."""
+    levels = [FreeModule(ring, tuple(f"e{i}" for i in range(r))) for r in ranks]
+    diffs = []
+    for n in range(1, len(ranks)):
+        if n == 1:
+            d = corpus.random_matrix(rng, levels[1], levels[0])
+        else:
+            _, incl = kernel(diffs[-1])
+            d = compose(incl, corpus.random_matrix(rng, levels[n], incl.source))
+        diffs.append(d)
+    return ChainComplex(ring, levels, diffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=st.sampled_from([ZZ, QQ, F5, Zmod(2)]),
+       ranks=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       target_ranks=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+       extra=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_gamma_matches_the_untabled_oracle(ring, ranks, target_ranks, extra, seed):
+    # gamma, gamma_map and counit against the route that factors every
+    # eta . theta afresh, entry for entry and in insertion order, with
+    # max_degree equal to and above the complex's degree
+    rng = random.Random(seed)
+    K = _complex_with_ranks(rng, ring, ranks)
+    D = K.max_degree + extra
+    G = gamma(K, D)
+    want = _oracle_gamma(K, D)
+    assert validate(G) == []
+    assert G.levels == want.levels
+    for got_ops, want_ops in ((G.faces, want.faces),
+                              (G.degeneracies, want.degeneracies)):
+        assert [[_ordered(f) for f in fs] for fs in got_ops] == \
+            [[_ordered(f) for f in fs] for fs in want_ops]
+    for n in range(D + 1):
+        assert gamma_summands(K, n) == _oracle_summands(K, n)
+
+    L = _complex_with_ranks(rng, ring, target_ranks[:len(ranks)])
+    f = corpus.random_chain_map(rng, K, L)
+    assert [_ordered(c) for c in gamma_map(f, D).components] == \
+        [_ordered(c) for c in _oracle_gamma_map(f, D)]
+
+    if D <= 3:
+        change = [corpus.random_unimodular(rng, G.level(n)) for n in range(D + 1)]
+        A = corpus.conjugate(G, change)
+        nz = normalize(A)
+        assert [_ordered(c) for c in counit(A, nz).components] == \
+            [_ordered(c) for c in _oracle_counit(A, nz)]
+
+
+def test_surjection_tables_are_immutable_and_lists_stay_fresh():
+    # the per-degree tables hand out tuples only, and monotone_surjections
+    # still builds a new list per call: mutating one, even before the
+    # tables are built from it, changes neither the next call nor gamma
+    K = two_term(ZZ, [[3, 0], [1, 2]])
+    _surjection_index.cache_clear()
+    _gamma_action.cache_clear()
+    first = monotone_surjections(3, 1)
+    assert first == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
+    first.append((9,))
+    first[0] = (7, 7, 7, 7)
+    assert monotone_surjections(3, 1) == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
+    assert monotone_surjections(3, 1) is not monotone_surjections(3, 1)
+    G = gamma(K, 3)
+    monotone_surjections(3, 1).clear()
+    want = _oracle_gamma(K, 3)
+    for got, again in ((G, gamma(K, 3)), (want, G)):
+        assert got.levels == again.levels
+        assert [[_ordered(f) for f in fs]
+                for fs in got.faces + got.degeneracies] == \
+            [[_ordered(f) for f in fs]
+             for fs in again.faces + again.degeneracies]
+    for n in range(4):
+        table = _surjection_index(n)
+        assert isinstance(table, tuple)
+        assert all(isinstance(key, tuple) and isinstance(key[1], tuple)
+                   for key in table)
+        for theta in [delta(i, n) for i in range(n + 1) if n] + \
+                [sigma(i, n) for i in range(n + 1)]:
+            act = _gamma_action(theta, n)
+            assert isinstance(act, tuple)
+            assert all(a is None or isinstance(a, tuple) for a in act)
 
 
 def test_normalize_gamma_roundtrip_is_identity():

@@ -210,6 +210,49 @@ def test_mismatched_blocks_and_stacks_raise():
         vstack([])
 
 
+def test_placed_blocks_match_the_checking_constructor():
+    Z2, Z3, Z5 = free_module(ZZ, 2), free_module(ZZ, 3), free_module(ZZ, 5)
+    f = LinearMap(Z3, Z2, {(1, 2): -4, (0, 0): 3, (1, 0): 1})
+    g = LinearMap(Z2, Z3, {(2, 1): 7, (0, 0): -1})
+    got = LinearMap.placed(Z5, Z5, [(3, 0, f), (0, 3, g),
+                                    (0, 0, LinearMap.zero(Z3, Z3))])
+    raw = {(4, 2): -4, (3, 0): 3, (4, 0): 1, (2, 4): 7, (0, 3): -1}
+    assert list(got.entries.items()) == list(LinearMap(Z5, Z5, raw).entries.items())
+    # one block filling the shape relabels a map
+    rel = LinearMap.placed(free_module(ZZ, 3, "x"), Z2, [(0, 0, f)])
+    assert rel.source.labels == ("x0", "x1", "x2") and rel.entries == f.entries
+    assert rel.entries is not f.entries
+    # blocks may share rows and columns where their entries do not meet
+    h = LinearMap.placed(Z2, Z2, [(0, 0, LinearMap(Z2, Z2, {(0, 1): 1})),
+                                  (0, 0, LinearMap(Z2, Z2, {(1, 0): 2}))])
+    assert h.entries == {(0, 1): 1, (1, 0): 2}
+    assert LinearMap.placed(Z2, Z3, []).is_zero()
+
+
+@pytest.mark.parametrize("case", [
+    "block over another ring", "source and target over different rings",
+    "too many rows", "too many columns", "negative offset",
+    "entries overlap"])
+def test_placed_refuses_bad_blocks(case):
+    Z2, Z3 = free_module(ZZ, 2), free_module(ZZ, 3)
+    one = LinearMap.identity(Z2)
+    source, target, blocks = Z3, Z3, [(0, 0, one)]
+    if case == "block over another ring":
+        blocks = [(0, 0, LinearMap.identity(free_module(QQ, 2)))]
+    elif case == "source and target over different rings":
+        source = free_module(QQ, 3)
+    elif case == "too many rows":
+        blocks = [(2, 0, one)]
+    elif case == "too many columns":
+        blocks = [(0, 2, one)]
+    elif case == "negative offset":
+        blocks = [(-1, 0, one)]
+    else:
+        blocks = [(0, 0, one), (1, 1, one)]
+    with pytest.raises(ValueError):
+        LinearMap.placed(source, target, blocks)
+
+
 def test_maps_and_modules_refuse_malformed_input():
     with pytest.raises(ValueError, match="different rings"):
         LinearMap(free_module(ZZ, 1), free_module(QQ, 1), {})

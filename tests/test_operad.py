@@ -696,6 +696,36 @@ def test_replay_reorderings_match_the_hand_route(base, ring):
     assert bool(signed) == (base == "chain" and ring != Zmod(2))
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5, Zmod(2)], ids=lambda r: r.name())
+@pytest.mark.parametrize("base", ["chain", "simplicial"])
+def test_unitors_are_identity_entries(base, ring):
+    """The replay's unitors, and chain.left_unitor and right_unitor,
+    hold the identity entries in order from the tensor with the unit,
+    and commute with the structure maps."""
+    D = 2
+    ops = op._ops_for(base, ring, D)
+    R = op._Replay(SimpleNamespace(ops=ops))
+    for seed in range(3):
+        rng = random.Random(seed)
+        X = _graded_factor(rng, ring, D) if base == "chain" else \
+            corpus.random_simplicial_module(rng, ring, D, 2)
+        unit = ops.unit_obj()
+        for side, src in (("left", ops.tensor(unit, X)),
+                          ("right", ops.tensor(X, unit))):
+            f = R.unitor(X, side)
+            ops.check_map(f)
+            assert f.source.ranks() == src.ranks() and f.target is X
+            assert [list(c.entries.items()) for c in f.components] == \
+                [[((i, i), ring.one) for i in range(X.level(n).rank)]
+                 for n in range(D + 1)]
+            if base == "chain":
+                g = (chain.left_unitor if side == "left" else chain.right_unitor)(X)
+                assert [list(c.entries.items()) for c in g.components] == \
+                    [list(c.entries.items()) for c in f.components]
+                assert [L.labels for L in g.source.levels] == \
+                    [L.labels for L in src.levels]
+
+
 def _zero_differentials(ring, ranks):
     levels = [free_module(ring, r) for r in ranks]
     return ChainComplex(ring, levels, [LinearMap.zero(levels[n], levels[n - 1])
