@@ -14,11 +14,10 @@ from math import prod
 from operator import mul
 from typing import Optional, Sequence
 
-from . import exactlin, permutations
+from . import permutations
 from .exactlin import (
     FreeModule,
     LinearMap,
-    _kron_entries,
     cokernel,
     compose,
     free_module,
@@ -267,7 +266,8 @@ def tensor_blocks(K: ChainComplex, L: ChainComplex, n: int):
 # boxes follow the block rule of `tensor_blocks`.  `_tensor_entries`
 # applies maps to the factors of a tensor and permutes them between two
 # layouts; with identity maps it is `_coherence`, every braiding and
-# associator of both base categories.
+# associator of both base categories, and with two maps and no
+# permutation it is `tensor_map` of both.
 
 
 def _koszul(ring: Ring, degs, sigma):
@@ -369,140 +369,89 @@ def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
     the layouts of the degree-n bases, with the boxes of rank 0 left
     out.  `_layout` gives them for a left-associated tensor, and
     `_tensor_layout` for any bracketing.  The maps have degree 0, so the
-    tensor adds no sign of its own, and distinct row tuples land on
-    distinct rows; products are left for `LinearMap` to normalize.
+    tensor adds no sign of its own; products are left for `LinearMap`
+    to normalize.
 
-    Every map the callers pass is an identity or a monomial column map
-    (each column holds at most one entry: signed permutations, leaf
-    relabelings, cokernel sections, generator inclusions).  Then a
-    source box's image is one strided sum: the source factor at slot
-    sigma^-1(j) moves by its target stride, and the Koszul sign is
-    taken once per degree tuple, so no target position is looked up.
-    Any other map, and every call under `exactlin._FORCE_GENERIC`,
-    takes `_tensor_entries_general`, which stays the oracle of the fast
-    path.
+    A source box's image is one strided sum: a tuple of factor entries
+    (r_j, c_j) gives the column start + sum c_j * strides[j] and the row
+    toff + sum r_j * tstrides[sigma^-1(j)], the factor at target slot
+    sigma^-1(j) moving by its target stride, and the Koszul sign is
+    taken once per degree tuple.  Each source box has columns of its
+    own, and inside it both sums are injective on the index tuples, so
+    no two products share a position and none is ever summed or looked
+    up: the one path serves every map, however many entries its columns
+    hold.  The entries come in the factors' own entry order, factor 0
+    outermost, as `exactlin._kron_entries` lists two factors.
     """
-    images = None if exactlin._FORCE_GENERIC else \
-        _monomial_images(maps, len(src_layout))
-    if images is None:
-        return _tensor_entries_general(ring, base, maps, sigma, src_layout,
-                                       tgt_layout)
-    return [_monomial_entries(ring, base, images, sigma, src, tgt)
-            for src, tgt in zip(src_layout, tgt_layout)]
-
-
-def _monomial_images(maps, degrees: int):
-    """images[j][d] lists (column, (row, entry)) for maps[j] in degree
-    d < degrees by column, with zero columns left out, and images[j] is
-    None for an identity; None when some column holds two entries."""
-    images = []
-    for f in maps:
-        if f is None:
-            images.append(None)
-            continue
-        per_degree = []
-        for d in range(degrees):
-            cols = {}
-            for (r, c), v in f.component(d).entries.items():
-                if c in cols:
-                    return None
-                cols[c] = (r, v)
-            # column order keeps the entries in the general path's order
-            per_degree.append(sorted(cols.items()))
-        images.append(per_degree)
-    return images
-
-
-def _monomial_entries(ring: Ring, base: str, images, sigma, boxes, tboxes):
-    """One degree of `_tensor_entries` for monomial column maps."""
     one = ring.one
-    k = len(images)
     graded = sigma is not None and base == "chain"
-    inv = permutations.inverse(sigma) if sigma is not None else range(k)
-    entries = {}
-    for degs, (start, dims, strides) in boxes.items():
-        tdegs = degs if sigma is None else tuple(degs[j] for j in sigma)
-        hit = tboxes.get(tdegs)
-        if hit is None:
-            # a target factor has rank 0 here, so every column dies
-            continue
-        toff, _, tstrides = hit
-        sign = _koszul(ring, degs, sigma) if graded else one
-        acc = [(start, toff, sign)]
-        for j, (d, cs) in enumerate(zip(degs, strides)):
-            rs = tstrides[inv[j]]
-            img = images[j]
-            if img is None:
-                steps = [(c * cs, c * rs, one) for c in range(dims[j])]
-            else:
-                steps = [(c * cs, r * rs, v) for c, (r, v) in img[d]]
-            acc = [(a + c, b + r, u * v) for a, b, u in acc
-                   for c, r, v in steps]
-        entries.update(((b, a), u) for a, b, u in acc)
-    return entries
-
-
-def _tensor_entries_general(ring: Ring, base: str, maps, sigma, src_layout,
-                            tgt_layout):
-    """`_tensor_entries` for any maps: both layouts are expanded by
-    `_expand`, each source position's column is the product of the
-    factor maps' columns at its indices, and each row tuple is looked
-    up among the target positions."""
-    one = ring.one
-    columns = {}
-
-    def column(slot, deg, idx):
-        f = maps[slot]
-        if f is None:
-            return ((idx, one),)
-        cols = columns.get((slot, deg))
-        if cols is None:
-            cols = columns[(slot, deg)] = {}
-            for (r, c), v in f.component(deg).entries.items():
-                cols.setdefault(c, []).append((r, v))
-        return cols.get(idx, ())
-
-    # relabeling tensor factors costs a sign only in the graded world;
-    # the simplicial symmetry is plain
-    graded = sigma is not None and base == "chain"
-    signs, out = {}, []
-    for src_boxes, tgt_boxes in zip(src_layout, tgt_layout):
+    inv = permutations.inverse(sigma) if sigma is not None else \
+        range(len(maps))
+    last = len(maps) - 1
+    out = []
+    for boxes, tboxes in zip(src_layout, tgt_layout):
         entries = {}
-        tgt_index = {key: pos for pos, key in enumerate(_expand(tgt_boxes))}
-        for col, (degs, idxs) in enumerate(_expand(src_boxes)):
-            if degs not in signs:
-                signs[degs] = _koszul(ring, degs, sigma) if graded else one
-            partial = [((), signs[degs])]
-            for slot, (d, i) in enumerate(zip(degs, idxs)):
-                partial = [(rows + (r,), v * w)
-                           for rows, v in partial for r, w in column(slot, d, i)]
-            if sigma is not None:
-                degs = tuple(degs[j] for j in sigma)
-            for rows, v in partial:
-                if sigma is not None:
-                    rows = tuple(rows[j] for j in sigma)
-                entries[(tgt_index[(degs, rows)], col)] = v
+        for degs, (start, dims, strides) in boxes.items():
+            tdegs = degs if sigma is None else tuple(degs[j] for j in sigma)
+            hit = tboxes.get(tdegs)
+            if hit is None:
+                # a target factor has rank 0 here, so every column dies
+                continue
+            toff, _, tstrides = hit
+            sign = _koszul(ring, degs, sigma) if graded else one
+            acc = [(start, toff, sign)]
+            for j, (f, d, cs) in enumerate(zip(maps, degs, strides)):
+                rs = tstrides[inv[j]]
+                if f is None:
+                    steps = [(c * cs, c * rs, one) for c in range(dims[j])]
+                else:
+                    steps = [(c * cs, r * rs, v)
+                             for (r, c), v in f.component(d).entries.items()]
+                if j < last:
+                    acc = [(a + c, b + r, u * v) for a, b, u in acc
+                           for c, r, v in steps]
+                    continue
+                # the last factor writes straight into the entries
+                for a, b, u in acc:
+                    for c, r, v in steps:
+                        entries[(b + r, a + c)] = u * v
         out.append(entries)
     return out
 
 
-def _coherence(ring: Ring, base: str, objs, src_tree, tgt_tree, src, tgt):
+def _tensor_components(base: str, maps, sigma, src, tgt, src_layout,
+                       tgt_layout) -> list:
+    """`_tensor_entries` as the degreewise maps src -> tgt, src and tgt
+    the tensor objects that the two layouts describe."""
+    ents = _tensor_entries(src.ring, base, maps, sigma, src_layout,
+                           tgt_layout)
+    return [LinearMap(src.level(n), tgt.level(n), e)
+            for n, e in enumerate(ents)]
+
+
+def _coherence(base: str, layout, src_tree, tgt_tree, src, tgt):
     """The components src -> tgt of the structure map between two
-    bracketed tensors of the factors objs, each bracketing a tree of
-    factor indices (`_bracketed_layout`), the target's leaves in any
-    order.  By Mac Lane's coherence theorem (*Categories for the
-    Working Mathematician*, ch. XI) every composite of braidings and
-    associators between them is this one signed
+    bracketed tensors of the same factors, each bracketing a tree of
+    factor indices, the target's leaves in any order, and layout(tree)
+    the layout of the tensor bracketed as tree (`_bracketed_layout`, or
+    a memo of its pieces).  By Mac Lane's coherence theorem
+    (*Categories for the Working Mathematician*, ch. XI) every composite
+    of braidings and associators between them is this one signed
     permutation: `_tensor_entries` of identity maps, with target slot j
     carrying the factor at leaf j of tgt_tree."""
     where = {a: j for j, a in enumerate(_leaves(src_tree))}
     sigma = tuple(where[a] for a in _leaves(tgt_tree))
+    return _tensor_components(base, (None,) * len(sigma), sigma, src, tgt,
+                              layout(src_tree), layout(tgt_tree))
+
+
+def _pair_map_components(base: str, f, g, src, tgt) -> list:
+    """The components of f (x) g between the prebuilt tensors src and
+    tgt: `_tensor_entries` on the two-factor layouts."""
     D = src.max_degree
-    ents = _tensor_entries(ring, base, (None,) * len(sigma), sigma,
-                           _bracketed_layout(base, objs, src_tree, D),
-                           _bracketed_layout(base, objs, tgt_tree, D))
-    return [LinearMap(src.level(n), tgt.level(n), e)
-            for n, e in enumerate(ents)]
+    return _tensor_components(base, (f, g), None, src, tgt,
+                              _layout(base, (f.source, g.source), D),
+                              _layout(base, (f.target, g.target), D))
 
 
 def _tensor_level(K: ChainComplex, L: ChainComplex, blocks) -> FreeModule:
@@ -564,30 +513,14 @@ def tensor(K: ChainComplex, L: ChainComplex, bound: Optional[int] = None) -> Cha
 def tensor_map(f: ChainMap, g: ChainMap, bound: Optional[int] = None) -> ChainMap:
     """f (x) g degreewise. Both maps have degree 0, so no signs appear.
 
-    Each block f_p (x) g_q comes from `exactlin._kron_entries` and keeps
-    its order; the blocks follow the source summands, p ascending.
+    The components are `_tensor_entries` of (f, g) on the two-factor
+    layouts: in each block f_p (x) g_q, p ascending, f_p's entries
+    outer and g_q's inner, the order of `exactlin._kron_entries`.
     """
-    return _tensor_map(f, g, tensor(f.source, g.source, bound),
-                       tensor(f.target, g.target, bound))
-
-
-def _tensor_map(f: ChainMap, g: ChainMap, src: ChainComplex,
-                tgt: ChainComplex) -> ChainMap:
-    """`tensor_map` between the prebuilt tensors src and tgt."""
-    D = max(src.max_degree, tgt.max_degree)
-    src, tgt = pad(src, D), pad(tgt, D)
-    comps = []
-    for n in range(D + 1):
-        entries = {}
-        tgt_off = {(p, q): off for p, q, off in tensor_blocks(f.target, g.target, n)}
-        for p, q, off in tensor_blocks(f.source, g.source, n):
-            to = tgt_off.get((p, q))
-            if to is None:
-                continue
-            for (i, j), v in _kron_entries(f.component(p), g.component(q)).items():
-                entries[(to + i, off + j)] = v
-        comps.append(LinearMap(src.level(n), tgt.level(n), entries))
-    return ChainMap(src, tgt, comps, check=False)
+    src = tensor(f.source, g.source, bound)
+    tgt = tensor(f.target, g.target, bound)
+    return ChainMap(src, tgt, _pair_map_components("chain", f, g, src, tgt),
+                    check=False)
 
 
 def tensor_many(factors: Sequence[ChainComplex], bound: Optional[int] = None) -> ChainComplex:
@@ -601,6 +534,10 @@ def tensor_many(factors: Sequence[ChainComplex], bound: Optional[int] = None) ->
 
 
 def tensor_map_many(maps: Sequence[ChainMap], bound: Optional[int] = None) -> ChainMap:
+    """Left-associated iterated tensor of maps."""
+    if not maps:
+        raise ValueError("empty tensor product of maps has no ring to "
+                         "live over")
     out = maps[0]
     for g in maps[1:]:
         out = tensor_map(out, g, bound)
@@ -613,8 +550,10 @@ def braiding(K: ChainComplex, L: ChainComplex,
     signed permutation (`_coherence` with sigma = (1, 0)), checked to be
     a chain map."""
     src, tgt = tensor(K, L, bound), tensor(L, K, bound)
-    return ChainMap(src, tgt, _coherence(K.ring, "chain", (K, L), (0, 1),
-                                         (1, 0), src, tgt))
+    return ChainMap(src, tgt, _coherence(
+        "chain",
+        lambda t: _bracketed_layout("chain", (K, L), t, src.max_degree),
+        (0, 1), (1, 0), src, tgt))
 
 
 def associator(K: ChainComplex, L: ChainComplex, M: ChainComplex,
@@ -629,8 +568,10 @@ def associator(K: ChainComplex, L: ChainComplex, M: ChainComplex,
     """
     src = tensor(tensor(K, L, bound), M, bound)
     tgt = tensor(K, tensor(L, M, bound), bound)
-    return ChainMap(src, tgt, _coherence(K.ring, "chain", (K, L, M),
-                                         ((0, 1), 2), (0, (1, 2)), src, tgt))
+    return ChainMap(src, tgt, _coherence(
+        "chain", lambda t: _bracketed_layout("chain", (K, L, M), t,
+                                             src.max_degree),
+        ((0, 1), 2), (0, (1, 2)), src, tgt))
 
 
 def _unitor_components(src, X, max_degree: int) -> list:

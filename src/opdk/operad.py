@@ -26,8 +26,9 @@ from typing import Optional
 
 from . import permutations
 from .chain import (ChainComplex, ChainMap, zero_complex, pad, unit_complex,
-                    homology, is_quasi_iso, _coherence, _layout,
-                    _tensor_entries, _unitor_components)
+                    homology, is_quasi_iso, _atom_layout, _coherence,
+                    _layout, _tensor_components, _tensor_entries,
+                    _tensor_layout, _unitor_components)
 from . import chain as _chain
 from . import simp as _simp
 from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
@@ -188,9 +189,6 @@ class _ChainOps:
     def tensor_map(self, f, g):
         return _chain.tensor_map(f, g, bound=self.max_degree)
 
-    def tensor_map_on(self, f, g, src, tgt):
-        return _chain._tensor_map(f, g, src, tgt)
-
     def direct_sum(self, A, B):
         return _chain.direct_sum(A, B)
 
@@ -232,9 +230,6 @@ class _SimpOps:
     def tensor_map(self, f, g):
         return _simp.tensor_map(f, g)
 
-    def tensor_map_on(self, f, g, src, tgt):
-        return _simp._tensor_map(f, g, src, tgt)
-
     def direct_sum(self, A, B):
         return _simp.direct_sum(A, B)
 
@@ -272,17 +267,18 @@ def _tensor_many(ops, objs):
 
 
 class _Replay:
-    """The tensor objects and structure maps of one law replay, each
-    built once.
+    """The tensor objects, their layouts and the structure maps of one
+    law replay, each built once.
 
     Wraps the ops of operad P's collection.  Tensor objects, the
     reorderings of three factors (`reordered`: the associator and the
     parallel-associativity mediator), unitors, the unit object and the
     zero compositions are memoized by the identity of their inputs (the
-    signatures, for a zero composition).  Each memo entry holds its
-    inputs, so no id is reused while the memo lives, and nothing
-    outlives it: `operad_check` makes one per call.  Every reordering is
-    checked to be a chain or simplicial map.
+    signatures, for a zero composition), and layouts by the ranks of
+    their factors (`layout`).  Each memo entry holds its inputs, so no
+    id is reused while the memo lives, and nothing outlives it:
+    `operad_check` makes one per call.  Every reordering is checked to
+    be a chain or simplicial map.
     """
 
     __slots__ = ("P", "ops", "_memo")
@@ -300,9 +296,36 @@ class _Replay:
         return self._once(("tensor", id(A), id(B)), (A, B),
                           lambda: self.ops.tensor(A, B))
 
+    def layout(self, objs, tree):
+        """The layout of the tensor of objs bracketed as tree, a factor
+        index or a pair of trees, as `chain._bracketed_layout` builds
+        it: an atom's from `chain._atom_layout`, a pair's from its
+        halves' through `chain._tensor_layout`.  A layout depends on the
+        factors' ranks alone, so it is memoized under tree with each
+        index replaced by its object's ranks, and objects of equal ranks,
+        such as the sources of different compositions, share it."""
+        def ranks(t):
+            return objs[t].ranks() if isinstance(t, int) else \
+                (ranks(t[0]), ranks(t[1]))
+
+        def build():
+            ops = self.ops
+            if isinstance(tree, int):
+                return _atom_layout(objs[tree], ops.max_degree)
+            return _tensor_layout(ops.base, self.layout(objs, tree[0]),
+                                  self.layout(objs, tree[1]))
+        return self._once(("layout", ranks(tree)), (), build)
+
     def tensor_map(self, f, g):
-        return self.ops.tensor_map_on(f, g, self.tensor(f.source, g.source),
-                                      self.tensor(f.target, g.target))
+        """f (x) g between the memoized tensors, on their memoized
+        two-factor layouts (`chain._tensor_components`)."""
+        ops = self.ops
+        src = self.tensor(f.source, g.source)
+        tgt = self.tensor(f.target, g.target)
+        return ops.make_map(src, tgt, _tensor_components(
+            ops.base, (f, g), None, src, tgt,
+            self.layout((f.source, g.source), (0, 1)),
+            self.layout((f.target, g.target), (0, 1))))
 
     def reordered(self, X, Y, Z, tree):
         """(X (x) Y) (x) Z -> the tensor of the same factors bracketed
@@ -310,7 +333,7 @@ class _Replay:
         and 2: the associator for (0, (1, 2)), and for ((0, 2), 1) the
         mediator x (x) y (x) z |-> (-1)^{|y||z|} x (x) z (x) y of
         parallel associativity, in one signed permutation
-        (`chain._coherence`)."""
+        (`chain._coherence` on the memoized layouts)."""
         def build():
             ops, objs = self.ops, (X, Y, Z)
             src = self.tensor(self.tensor(X, Y), Z)
@@ -320,7 +343,8 @@ class _Replay:
                     self.tensor(obj(t[0]), obj(t[1]))
             tgt = obj(tree)
             f = ops.make_map(src, tgt, _coherence(
-                ops.ring, ops.base, objs, ((0, 1), 2), tree, src, tgt))
+                ops.base, lambda t: self.layout(objs, t), ((0, 1), 2), tree,
+                src, tgt))
             ops.check_map(f)
             return f
         return self._once(("reordered", tree, id(X), id(Y), id(Z)),
@@ -447,9 +471,13 @@ class Collection:
 
     def action(self, sig, sigma):
         sig = (tuple(sig[0]), sig[1])
-        if len(sigma) != sig_arity(sig):
+        n = sig_arity(sig)
+        if len(sigma) != n:
             raise ValueError(f"permutation {tuple(sigma)} has the wrong "
                              f"length for {sig_str(sig)}")
+        if set(sigma) != set(range(n)):
+            raise ValueError(f"{tuple(sigma)} is not a permutation of "
+                             f"range({n})")
         if sig not in self.levels:
             return self.ops.zero_map(self.level(sig), self.level(sig_act(sig, sigma)))
         return self.actions[sig][tuple(sigma)]
@@ -1181,8 +1209,8 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     built for the adjacent transpositions only, which the `Collection`
     constructor closes.  Their entries, like the relations', come from
     `_tensor_entries`, the one routine that applies a map to each tensor
-    factor of a term and reorders the factors with the Koszul sign, on
-    its monomial fast path for signed-permutation actions; the
+    factor of a term and reorders the factors with the Koszul sign, for
+    any action maps, by strided sums over the terms' layouts; the
     free-operad blocks and extension stages of `trees` build their moves
     with it too.  The terms are summed by `_assemble` and divided by
     `_coinvariants`, the one sum-quotient-descend layer that the

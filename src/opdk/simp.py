@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .chain import ChainComplex, _coherence
+from .chain import (ChainComplex, _bracketed_layout, _coherence,
+                    _pair_map_components)
 from .exactlin import (
     FreeModule,
     LinearMap,
@@ -478,7 +479,11 @@ def tensor(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
     """Degreewise tensor; operators act diagonally.
 
     Each operator is the Kronecker product of the two factors' operators,
-    with its entries in the order of `exactlin._kron_entries`.
+    with its entries in the order of `exactlin._kron_entries`.  Level n
+    is the two-factor layout's single box at degrees (n, n)
+    (`chain._layout`): the pair (a, b) sits at a * rank(B_n) + b, so
+    maps between tensors, `tensor_map` and `swap_map`, come from
+    `chain._tensor_entries` on that layout in the same entry order.
     """
     if A.ring != B.ring:
         raise ValueError("ring mismatch")
@@ -500,17 +505,12 @@ def tensor(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
 
 
 def tensor_map(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
-    """f (x) g degreewise between the tensor modules."""
-    return _tensor_map(f, g, tensor(f.source, g.source), tensor(f.target, g.target))
-
-
-def _tensor_map(f: SimplicialMap, g: SimplicialMap, src: SimplicialModule,
-                tgt: SimplicialModule) -> SimplicialMap:
-    """`tensor_map` between the prebuilt tensors src and tgt."""
-    comps = [LinearMap(src.level(n), tgt.level(n),
-                       _kron_entries(f.component(n), g.component(n)))
-             for n in range(src.max_degree + 1)]
-    return SimplicialMap(src, tgt, comps, check=False)
+    """f (x) g degreewise between the tensor modules: `chain._tensor_entries`
+    of (f, g) on the two-factor layouts, f's entries outer and g's
+    inner, the order of `exactlin._kron_entries`."""
+    src, tgt = tensor(f.source, g.source), tensor(f.target, g.target)
+    return SimplicialMap(src, tgt, _pair_map_components(
+        "simplicial", f, g, src, tgt), check=False)
 
 
 def direct_sum(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
@@ -542,8 +542,10 @@ def swap_map(A: SimplicialModule, B: SimplicialModule) -> SimplicialMap:
     so both bracketings have one layout and `_coherence` gives identity
     entries."""
     AB, BA = tensor(A, B), tensor(B, A)
-    return SimplicialMap(AB, BA, _coherence(A.ring, "simplicial", (A, B),
-                                            (0, 1), (1, 0), AB, BA))
+    return SimplicialMap(AB, BA, _coherence(
+        "simplicial",
+        lambda t: _bracketed_layout("simplicial", (A, B), t, AB.max_degree),
+        (0, 1), (1, 0), AB, BA))
 
 
 def moore_complex(A: SimplicialModule) -> ChainComplex:

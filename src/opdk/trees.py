@@ -29,10 +29,10 @@ vertex drive three computations:
   `chain._tensor_entries`, the one routine that applies a map to each
   tensor factor and reorders the factors, as the composite product does
   for its relabelings; for the signed permutations, leaf relabelings,
-  cokernel sections and generator inclusions used here, each column
-  has at most one entry, and it computes the target rows as strided
-  sums over the layouts of both tensors (`chain._layout`: one strided
-  box per degree tuple), whatever their bracketing.
+  cokernel sections and generator inclusions used here, as for any
+  other maps, it computes the target rows as strided sums over the
+  layouts of both tensors (`chain._layout`: one strided box per degree
+  tuple), whatever their bracketing.
   `operad._quotient_by` feeds the moves' columns to the signed
   union-find `exactlin.signed_quotient` whenever the collection's
   actions also send basis elements to +-basis elements, and pads them
@@ -63,8 +63,9 @@ from typing import Callable, Optional
 from .rings import Ring
 from .exactlin import LinearMap, cokernel, compose, hstack, solve
 from . import chain as _chain
-from .chain import (ChainComplex, ChainMap, concentrated, pad, _coherence,
-                    _expand, _flat, _layout, _tensor_entries)
+from .chain import (ChainComplex, ChainMap, concentrated, pad,
+                    _bracketed_layout, _coherence, _expand, _flat, _layout,
+                    _tensor_entries)
 from . import permutations
 from .operad import (Collection, Operad, graft_signature, sig_act, sig_arity,
                      sig_str, word_act, word_graft, _assemble, _coinvariants,
@@ -614,8 +615,12 @@ def leaf_labelings(leaf_colors, inputs):
 # (left-associated, as `operad._tensor_many` builds the objects), and
 # `chain._bracketed_layout` applies it along a cell's bracketing.  Blocks
 # keep one layout per planar representative, and stage rewrites build
-# theirs per factor list; no position list or index dict is stored, and
-# `chain._expand` lists a degree's basis only where a caller walks it.
+# theirs per factor list; no position list or index dict is stored.
+# Every map applied factorwise, a move, a relabeling or a stage rewrite,
+# goes through `chain._tensor_entries`, which places each product by the
+# strides of both layouts.  `chain._expand` lists a degree's basis only
+# where a map is not factorwise: `_pair_entries`, whose map leaves the
+# tensor of two factors, and the evaluation into an operad.
 
 
 def _col_cache(f: ChainMap):
@@ -1335,9 +1340,11 @@ def cell_comparison_iso(cellA: EpsilonCell, cellB: EpsilonCell,
     named by its match in A."""
     match = {b: a for a, b in enumerate(atom_perm)}
     codA, codB = cellA.map.target, cellB.map.target
+    atoms = [a.target for a in cellA.atoms]
     return ops.make_map(codA, codB, _coherence(
-        ops.ring, ops.base, [a.target for a in cellA.atoms], cellA.build,
-        _relabel(cellB.build, match.__getitem__), codA, codB))
+        ops.base,
+        lambda t: _bracketed_layout(ops.base, atoms, t, codA.max_degree),
+        cellA.build, _relabel(cellB.build, match.__getitem__), codA, codB))
 
 
 def cells_agree(cellA: EpsilonCell, cellB: EpsilonCell, atom_perm,
@@ -1356,7 +1363,7 @@ def cells_agree(cellA: EpsilonCell, cellB: EpsilonCell, atom_perm,
         if psi is None:
             return False
         back = solve(cellA.map.component(n),
-                     _inv_entries(phi, n) @ cellB.map.component(n))
+                     phi.component(n).transpose() @ cellB.map.component(n))
         if back is None:
             return False
         psis.append(psi)
@@ -1366,14 +1373,6 @@ def cells_agree(cellA: EpsilonCell, cellB: EpsilonCell, atom_perm,
         if not (psis[n - 1] @ dom.d(n)) == (domB.d(n) @ psis[n]):
             return False
     return True
-
-
-def _inv_entries(phi: ChainMap, n: int) -> LinearMap:
-    comp = phi.component(n)
-    entries = {}
-    for (i, j), v in comp.entries.items():
-        entries[(j, i)] = v
-    return LinearMap(comp.target, comp.source, entries)
 
 
 # ---------------------------------------------------------------------------

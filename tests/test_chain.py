@@ -28,6 +28,7 @@ from opdk.chain import (
     tensor,
     tensor_blocks,
     tensor_map,
+    tensor_map_many,
     two_term,
     unit_complex,
     zero_complex,
@@ -530,6 +531,8 @@ def _chain_input_checks():
                            "cocone target exceeds colimit truncation"),
         "empty-diagram": (lambda: diagram_colimit([], []),
                           "needs at least one vertex"),
+        "empty-tensor-maps": (lambda: tensor_map_many([]),
+                              "empty tensor product of maps"),
         "pushout-degree": (lambda: po.mediating(id3, id3),
                            "cocone target exceeds pushout truncation"),
         "power": (lambda: iterated_pushout_product(idK, 0),

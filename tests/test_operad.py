@@ -52,7 +52,7 @@ from opdk.exactlin import (CokernelPresentation, FreeModule, LinearMap,
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import SimplicialModule, moore_complex
 from test_tensor_routes import (_oracle_associator, _oracle_braiding,
-                                _oracle_swap)
+                                _oracle_swap, _oracle_tensor_entries)
 
 F5 = Zmod(5)
 X = "x"
@@ -304,6 +304,16 @@ def test_action_refuses_a_permutation_of_the_wrong_length():
     A = associative_operad(ZZ, "chain", 3, 0).collection
     with pytest.raises(ValueError, match="wrong length"):
         A.action(sig(2), (0, 1, 2))
+
+
+def test_action_refuses_a_tuple_that_is_not_a_permutation():
+    # at a level, and at a zero level beyond the arity bound, where a
+    # zero map used to come back
+    A = associative_operad(ZZ, "chain", 3, 0).collection
+    with pytest.raises(ValueError, match="not a permutation"):
+        A.action(sig(2), (0, 0))
+    with pytest.raises(ValueError, match="not a permutation"):
+        A.action(sig(4), (0, 0, 1, 2))
 
 
 def test_checker_rejects_corrupted_composition():
@@ -732,7 +742,7 @@ def _zero_differentials(ring, ranks):
                                        for n in range(1, len(ranks))])
 
 
-_MONOMIAL_D = 2
+_TENSOR_D = 2
 
 
 def _left(k):
@@ -752,51 +762,68 @@ def _bracketing(draw, lo, hi):
     return (draw(_bracketing(lo, cut)), draw(_bracketing(cut, hi)))
 
 
+def _column_ordered(f) -> bool:
+    """Whether every component of f lists its entries by strictly
+    ascending column: at most one entry per column, in column order."""
+    return f is None or all(
+        all(a < b for a, b in zip(cols, cols[1:]))
+        for cols in ([c for _, c in comp.entries] for comp in f.components))
+
+
 @st.composite
-def _monomial_factors(draw):
-    """ops, k = 1..4 source objects, a map out of each (None, a signed
-    permutation, or monomial with entries outside +-1 and zero columns,
-    possibly into rank 0), sigma in S_k or None, and a bracketing of
-    the source and of the target tensor.  Chain factors have zero
-    differentials and a nonzero degree 1, so Koszul signs cross; a
-    bracketing other than the left one interleaves the boxes."""
+def _tensor_factors(draw):
+    """ops, k = 1..4 source objects, a map out of each, sigma in S_k or
+    None, and a bracketing of the source and of the target tensor.  A
+    map is None, a signed permutation listed by row (so its columns come
+    out of order), a monomial map with entries outside +-1 and zero
+    columns, or a dense map with several entries in some columns and
+    none in others, listed in a drawn order; the last two may map into
+    rank 0.  Chain factors have zero differentials and a nonzero degree
+    1, so Koszul signs cross; a bracketing other than the left one
+    interleaves the boxes."""
     ring = draw(st.sampled_from([ZZ, QQ, F5, Zmod(2)]))
     base = draw(st.sampled_from(["chain", "simplicial"]))
-    ops = op._ops_for(base, ring, _MONOMIAL_D)
+    ops = op._ops_for(base, ring, _TENSOR_D)
 
     def obj(min_odd):
         if base == "simplicial":
             rng = random.Random(draw(st.integers(0, 2 ** 16)))
-            return corpus.random_simplicial_module(rng, ring, _MONOMIAL_D, 1)
-        ranks = draw(st.lists(st.integers(0, 2), min_size=_MONOMIAL_D + 1,
-                              max_size=_MONOMIAL_D + 1))
+            return corpus.random_simplicial_module(rng, ring, _TENSOR_D, 1)
+        ranks = draw(st.lists(st.integers(0, 2), min_size=_TENSOR_D + 1,
+                              max_size=_TENSOR_D + 1))
         ranks[1] = max(ranks[1], min_odd)
         return _zero_differentials(ring, ranks)
 
+    values = st.sampled_from([1, -1, 2, -3])
     k = draw(st.integers(1, 4))
     objs, maps = [], []
     for _ in range(k):
         A = obj(1)
-        kind = draw(st.sampled_from(["identity", "signed", "monomial"]))
+        kind = draw(st.sampled_from(["identity", "signed", "monomial",
+                                     "dense"]))
         if kind == "identity":
             objs.append(A)
             maps.append(None)
             continue
         B = A if kind == "signed" else obj(0)
         comps = []
-        for n in range(_MONOMIAL_D + 1):
+        for n in range(_TENSOR_D + 1):
             src, tgt = A.level(n), B.level(n)
             if kind == "signed":
-                # listed by row, so the columns come out of order
                 cols = draw(st.permutations(range(src.rank)))
                 ents = {(r, c): draw(st.sampled_from([1, -1]))
                         for r, c in enumerate(cols)}
-            else:
+            elif kind == "monomial":
                 ents = {}
                 for c in range(src.rank):
                     if tgt.rank and draw(st.booleans()):
                         r = draw(st.integers(0, tgt.rank - 1))
-                        ents[(r, c)] = draw(st.sampled_from([1, -1, 2, -3]))
+                        ents[(r, c)] = draw(values)
+            else:
+                cells = [(r, c) for c in range(src.rank)
+                         for r in range(tgt.rank) if draw(st.booleans())]
+                ents = {rc: draw(values)
+                        for rc in draw(st.permutations(cells))}
             comps.append(LinearMap(src, tgt, ents))
         objs.append(A)
         maps.append(ops.make_map(A, B, comps))
@@ -810,7 +837,7 @@ def _monomial_factors(draw):
 def _rank_zero_target():
     """Factor 0's degree-1 part maps into rank 0, so the nonzero source
     block of degrees (1, 0) has a target degree tuple of rank 0."""
-    ops = op._ops_for("chain", ZZ, _MONOMIAL_D)
+    ops = op._ops_for("chain", ZZ, _TENSOR_D)
     A = _zero_differentials(ZZ, [1, 1, 0])
     B = _zero_differentials(ZZ, [1, 0, 0])
     f = ops.make_map(A, B, [LinearMap(A.level(0), B.level(0), {(0, 0): 2}),
@@ -821,37 +848,47 @@ def _rank_zero_target():
 
 def _odd_swap():
     """Two degree-1 factors trade places, with Koszul sign -1."""
-    ops = op._ops_for("chain", ZZ, _MONOMIAL_D)
+    ops = op._ops_for("chain", ZZ, _TENSOR_D)
     A = _zero_differentials(ZZ, [0, 1, 0])
     return ops, [A, A], [None, None], (1, 0), _left(2), _left(2)
 
 
+def _shared_column():
+    """A degree-1 column with two entries, tensored with an odd factor
+    and swapped past it: each entry lands on its own row, signed."""
+    ops = op._ops_for("chain", ZZ, _TENSOR_D)
+    A = _zero_differentials(ZZ, [0, 1, 0])
+    B = _zero_differentials(ZZ, [0, 2, 0])
+    f = ops.make_map(A, B, [LinearMap.zero(A.level(0), B.level(0)),
+                            LinearMap(A.level(1), B.level(1),
+                                      {(1, 0): 3, (0, 0): -1}),
+                            LinearMap.zero(A.level(2), B.level(2))])
+    return ops, [A, A], [f, None], (1, 0), _left(2), _left(2)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_monomial_factors())
+@given(_tensor_factors())
 @example(_rank_zero_target())
 @example(_odd_swap())
-def test_tensor_entries_fast_path_matches_general(case):
+@example(_shared_column())
+def test_tensor_entries_match_the_general_oracle(case):
     ops, objs, maps, sigma, src_tree, tgt_tree = case
     order = sigma or range(len(objs))
     outs = [A if f is None else f.target for A, f in zip(objs, maps)]
     ring, base, D = ops.ring, ops.base, ops.max_degree
     src = chain._bracketed_layout(base, objs, src_tree, D)
     tgt = chain._bracketed_layout(base, [outs[j] for j in order], tgt_tree, D)
-    # the case must be one the fast path takes
-    assert chain._monomial_images(maps, D + 1) is not None
-    fast = chain._tensor_entries(ring, base, maps, sigma, src, tgt)
-    exactlin._FORCE_GENERIC = True
-    try:
-        general = chain._tensor_entries(ring, base, maps, sigma, src, tgt)
-    finally:
-        exactlin._FORCE_GENERIC = False
-    assert fast == general
-    # on a left-associated source, whose boxes are row-major runs in
-    # ascending start order, in the same order too: LinearMap keeps its
-    # entries' order
-    if src_tree == _left(len(objs)):
-        assert [list(e.items()) for e in fast] == \
-            [list(e.items()) for e in general]
+    got = chain._tensor_entries(ring, base, maps, sigma, src, tgt)
+    want = _oracle_tensor_entries(ring, base, maps, sigma, src, tgt)
+    assert got == want
+    # the oracle walks the source columns in turn; on a left-associated
+    # source, whose boxes are row-major runs in ascending start order,
+    # with every factor listing its entries by ascending column, the
+    # library walks them in that order too, so the entries agree in
+    # order: LinearMap keeps its entries' order
+    if src_tree == _left(len(objs)) and all(map(_column_ordered, maps)):
+        assert [list(e.items()) for e in got] == \
+            [list(e.items()) for e in want]
 
 
 def _tokened(A, j):

@@ -9,7 +9,10 @@ the chain associator and the simplicial swap come from the tensor
 layouts (`chain._coherence`); their oracles are the block-offset loops
 that wrote each basis vector's image by hand.  The comparison is on
 the ordered entry lists and on the level labels, since rref and Smith
-pivoting may read a map's entry order.  `operad_check`, which builds
+pivoting may read a map's entry order.  `_oracle_tensor_entries` is
+the general body that `chain._tensor_entries` kept beside its strided
+path, which expands both layouts and looks every row tuple up;
+`tests/test_operad.py` compares the two.  `operad_check`, which builds
 each structure map once per call through `operad._Replay`, is compared
 with the same replay building every map afresh.
 """
@@ -22,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from opdk import chain, corpus, simp
 from opdk import operad as op
 from opdk.chain import tensor_blocks
-from opdk.exactlin import LinearMap, free_module
+from opdk.exactlin import LinearMap, _kron_entries, free_module
 from opdk.rings import QQ, ZZ, Zmod
 
 RINGS = [ZZ, QQ, Zmod(5), Zmod(2)]
@@ -111,6 +114,51 @@ def _oracle_tensor_map(f, g, bound):
                 entries[(to + i, off + j)] = v
         comps.append(_placed(f.source.ring, len(tgt[n]), len(src[n]), entries))
     return src, tgt, comps
+
+
+def _oracle_tensor_entries(ring, base, maps, sigma, src_layout, tgt_layout):
+    """`chain._tensor_entries` the slow way: both layouts are expanded
+    by `chain._expand`, each source position's column is the product of
+    the factor maps' columns at its indices, and each row tuple is
+    looked up among the target positions."""
+    one = ring.one
+    columns = {}
+
+    def column(slot, deg, idx):
+        f = maps[slot]
+        if f is None:
+            return ((idx, one),)
+        cols = columns.get((slot, deg))
+        if cols is None:
+            cols = columns[(slot, deg)] = {}
+            for (r, c), v in f.component(deg).entries.items():
+                cols.setdefault(c, []).append((r, v))
+        return cols.get(idx, ())
+
+    # relabeling tensor factors costs a sign only in the graded world;
+    # the simplicial symmetry is plain
+    graded = sigma is not None and base == "chain"
+    signs, out = {}, []
+    for src_boxes, tgt_boxes in zip(src_layout, tgt_layout):
+        entries = {}
+        tgt_index = {key: pos
+                     for pos, key in enumerate(chain._expand(tgt_boxes))}
+        for col, (degs, idxs) in enumerate(chain._expand(src_boxes)):
+            if degs not in signs:
+                signs[degs] = chain._koszul(ring, degs, sigma) if graded \
+                    else one
+            partial = [((), signs[degs])]
+            for slot, (d, i) in enumerate(zip(degs, idxs)):
+                partial = [(rows + (r,), v * w) for rows, v in partial
+                           for r, w in column(slot, d, i)]
+            if sigma is not None:
+                degs = tuple(degs[j] for j in sigma)
+            for rows, v in partial:
+                if sigma is not None:
+                    rows = tuple(rows[j] for j in sigma)
+                entries[(tgt_index[(degs, rows)], col)] = v
+        out.append(entries)
+    return out
 
 
 def _oracle_braiding(K, L, bound):
@@ -291,6 +339,55 @@ def test_chain_tensor_matches_kronecker_route(seed):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_simp_tensor_matches_kronecker_route(seed):
     _check_simp_case(seed)
+
+
+def _typed(entries):
+    return [(k, v, type(v)) for k, v in entries.items()]
+
+
+def _kron_block_components(f, g, bound):
+    """f (x) g as the library placed it before both tensor maps went
+    through `chain._tensor_entries`: each block from
+    `exactlin._kron_entries`, in its order, at its offsets, the chain
+    blocks by source summand, p ascending."""
+    if isinstance(f, simp.SimplicialMap):
+        return [_typed(_kron_entries(f.component(n), g.component(n)))
+                for n in range(min(f.source.max_degree,
+                                   g.source.max_degree) + 1)]
+    T = chain.tensor(f.source, g.source, bound)
+    out = []
+    for n in range(T.max_degree + 1):
+        entries = {}
+        tgt_off = {(p, q): off
+                   for p, q, off in tensor_blocks(f.target, g.target, n)}
+        for p, q, off in tensor_blocks(f.source, g.source, n):
+            to = tgt_off.get((p, q))
+            if to is None:
+                continue
+            for (i, j), v in _kron_entries(f.component(p),
+                                           g.component(q)).items():
+                entries[(to + i, off + j)] = v
+        out.append(_typed(entries))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_tensor_maps_are_the_kronecker_blocks_in_order(seed):
+    """chain.tensor_map and simp.tensor_map hold the blockwise
+    `_kron_entries` entries, value types and order included, at every
+    bound: the two-factor layouts place f's entries outer and g's
+    inner."""
+    K, L, M, f, g, low = chain_case(seed)
+    d = K.max_degree
+    for bound in (None, low, d, d + 1, 2 * d):
+        tm = chain.tensor_map(f, g, bound)
+        assert [_typed(c.entries) for c in tm.components] == \
+            _kron_block_components(f, g, bound)
+    A, B, f, g = simp_case(seed)
+    tm = simp.tensor_map(f, g)
+    assert [_typed(c.entries) for c in tm.components] == \
+        _kron_block_components(f, g, None)
 
 
 def test_fixed_cases_reach_odd_degrees_rank_zero_and_every_ring():
