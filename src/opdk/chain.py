@@ -370,7 +370,10 @@ def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
     out.  `_layout` gives them for a left-associated tensor, and
     `_tensor_layout` for any bracketing.  The maps have degree 0, so the
     tensor adds no sign of its own; products are left for `LinearMap`
-    to normalize.
+    to normalize.  Each entry is the Koszul sign (the ring's one when
+    there is none) times the entries of the factors that are maps: an
+    identity factor passes the coefficient on as it stands, with no
+    multiplication by one.
 
     A source box's image is one strided sum: a tuple of factor entries
     (r_j, c_j) gives the column start + sum c_j * strides[j] and the row
@@ -387,7 +390,6 @@ def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
     graded = sigma is not None and base == "chain"
     inv = permutations.inverse(sigma) if sigma is not None else \
         range(len(maps))
-    last = len(maps) - 1
     out = []
     for boxes, tboxes in zip(src_layout, tgt_layout):
         entries = {}
@@ -403,18 +405,16 @@ def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
             for j, (f, d, cs) in enumerate(zip(maps, degs, strides)):
                 rs = tstrides[inv[j]]
                 if f is None:
-                    steps = [(c * cs, c * rs, one) for c in range(dims[j])]
+                    steps = [(c * cs, c * rs) for c in range(dims[j])]
+                    acc = [(a + c, b + r, u) for a, b, u in acc
+                           for c, r in steps]
                 else:
                     steps = [(c * cs, r * rs, v)
                              for (r, c), v in f.component(d).entries.items()]
-                if j < last:
                     acc = [(a + c, b + r, u * v) for a, b, u in acc
                            for c, r, v in steps]
-                    continue
-                # the last factor writes straight into the entries
-                for a, b, u in acc:
-                    for c, r, v in steps:
-                        entries[(b + r, a + c)] = u * v
+            for a, b, u in acc:
+                entries[(b, a)] = u
         out.append(entries)
     return out
 
@@ -925,6 +925,10 @@ def chain_from_json(data: dict) -> ChainComplex:
     from .rings import ring_from_name
     ring = ring_from_name(data["ring"])
     levels = [free_module(ring, r) for r in data["levels"]]
+    count = len(data["differentials"])
+    if count >= max(len(levels), 1):
+        raise ValueError(f"{count} differentials need {count + 1} levels, "
+                         f"got {len(levels)}")
     diffs = []
     for n, dj in enumerate(data["differentials"], start=1):
         m = matrix_from_json(dj)

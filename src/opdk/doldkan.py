@@ -248,6 +248,13 @@ def _surjection_index(n: int) -> tuple:
 
 
 @functools.cache
+def _surjection_tags(n: int) -> tuple:
+    """The label tag of each summand of `_surjection_index(n)`: eta's
+    values joined by dots."""
+    return tuple(".".join(map(str, eta)) for _, eta in _surjection_index(n))
+
+
+@functools.cache
 def _gamma_action(theta, n: int) -> tuple:
     """How theta: [m] -> [n] acts from level n of gamma to level m, per
     summand eta: [n] ->> [k] of level n (Goerss-Jardine III.2).
@@ -293,8 +300,7 @@ def gamma_summands(K: ChainComplex, n: int):
 
 def _gamma_level(K: ChainComplex, n: int) -> FreeModule:
     labels = []
-    for k, eta in _surjection_index(n):
-        tag = ".".join(map(str, eta))
+    for (k, _), tag in zip(_surjection_index(n), _surjection_tags(n)):
         labels.extend(f"{tag}|{a}" for a in K.level(k).labels)
     return FreeModule(K.ring, tuple(labels))
 

@@ -101,13 +101,12 @@ class LinearMap:
             raise ValueError("source and target lie over different rings")
         ring = source.ring
         rows, cols = target.rank, source.rank
-        zero = ring.zero
         clean = {}
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
             v = ring.normalize(v)
-            if v != zero:
+            if v:
                 clean[(i, j)] = v
         self.source = source
         self.target = target
@@ -372,7 +371,9 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     with the columns of f it hits, summing raw products; each output
     entry is reduced mod p once (over Z/p) and dropped if zero.  The
     arithmetic is exact over Z, Q and Z/p, so the result does not depend
-    on when it is reduced, and it is canonical as it stands.
+    on when it is reduced, and it is canonical as it stands.  A sum
+    starts from its first product, not from the int 0, so over Q no
+    Fraction is ever added to an int.
     """
     fs, gt = f.source, g.target
     if not gt.compatible(fs):
@@ -392,7 +393,10 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
         acc: dict = {}
         for t, w in col:
             for i, v in f_cols.get(t, ()):
-                acc[i] = acc.get(i, 0) + v * w
+                if i in acc:
+                    acc[i] += v * w
+                else:
+                    acc[i] = v * w
         for i, v in acc.items():
             if p is not None:
                 v %= p
@@ -1189,7 +1193,8 @@ def _signed_graph(m: LinearMap):
     e_i, and a column a e_i + b e_j is the edge e_j = -ab e_i, its sign
     taken in the ring.  None for any other matrix."""
     ring = m.ring
-    one, minus = ring.one, ring.neg(ring.one)
+    # int constants: a Fraction meets them on its fast int path
+    one, minus = 1, (-1 if ring.p is None else ring.p - 1)
     cols: dict = {}
     for (i, j), v in m.entries.items():
         if v != one and v != minus:
@@ -1281,10 +1286,15 @@ def matrix_to_json(m: LinearMap) -> dict:
 
 
 def matrix_from_json(data: dict) -> LinearMap:
+    """Inverse of matrix_to_json; ValueError for a malformed entry or
+    a position listed twice."""
     ring = ring_from_name(data["ring"])
     src = free_module(ring, data["cols"], "e")
     tgt = free_module(ring, data["rows"], "f")
     entries = {}
     for i, j, s in data["entries"]:
-        entries[(int(i), int(j))] = ring.from_str(s)
+        key = (int(i), int(j))
+        if key in entries:
+            raise ValueError(f"entry ({key[0]},{key[1]}) is listed twice")
+        entries[key] = ring.from_str(s)
     return LinearMap(src, tgt, entries)

@@ -991,14 +991,15 @@ def _signed_edges(ring: Ring, relations):
     column j, with s = +1 or -1, is the edge e_j = s e_i, and a listed
     column with no entry is a zero column, so e_j dies.  None when a
     column holds two entries or one that is not +1 or -1."""
-    one, zero, minus = ring.one, ring.zero, ring.neg(ring.one)
+    # int constants: a Fraction meets them on its fast int path
+    one, minus = 1, (-1 if ring.p is None else ring.p - 1)
     edges, killed = [], []
     for entries, cols in relations:
         hit = set()
         for (i, j), v in entries.items():
             # entries may come unnormalized, say -1 over Z/p
             v = ring.normalize(v)
-            if v == zero:
+            if not v:
                 continue
             if j in hit:
                 return None

@@ -53,9 +53,13 @@ def _is_prime(p: int) -> bool:
 
 
 class Ring:
-    """One of Z, Q, Z/p.  Use the module constants ZZ, QQ and Zmod(p)."""
+    """One of Z, Q, Z/p.  Use the module constants ZZ, QQ and Zmod(p).
 
-    __slots__ = ("kind", "p")
+    `zero` and `one` are the ring's canonical constants, set once here:
+    0 and 1 over Z and Z/p, Fraction(0) and Fraction(1) over Q.
+    """
+
+    __slots__ = ("kind", "p", "zero", "one")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in ("Z", "Q", "Zmod"):
@@ -67,16 +71,10 @@ class Ring:
             raise ValueError(f"ring {kind} takes no modulus, got {p!r}")
         self.kind = kind
         self.p = p
+        self.zero = Fraction(0) if kind == "Q" else 0
+        self.one = Fraction(1) if kind == "Q" else 1
 
     # -- canonical element handling -------------------------------------
-
-    @property
-    def zero(self):
-        return 0 if self.kind != "Q" else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.kind != "Q" else Fraction(1)
 
     def normalize(self, x):
         """Canonical representative of x (reduces mod p, keeps Fractions).
@@ -146,10 +144,19 @@ class Ring:
         return str(x)
 
     def from_str(self, s: str):
+        """The element s names; ValueError for a malformed string.
+
+        >>> QQ.from_str("1/0")
+        Traceback (most recent call last):
+            ...
+        ValueError: '1/0' has denominator 0
+        """
         if self.kind == "Q":
             if "/" in s:
-                num, den = s.split("/")
-                return Fraction(int(num), int(den))
+                num, den = map(int, s.split("/"))
+                if not den:
+                    raise ValueError(f"{s!r} has denominator 0")
+                return Fraction(num, den)
             return Fraction(int(s))
         return self.normalize(int(s))
 

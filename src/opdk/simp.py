@@ -579,6 +579,11 @@ def simp_from_json(data: dict) -> SimplicialModule:
     from .rings import ring_from_name
     ring = ring_from_name(data["ring"])
     levels = [free_module(ring, r) for r in data["levels"]]
+    for what in ("faces", "degeneracies"):
+        count = len(data[what])
+        if count >= max(len(levels), 1):
+            raise ValueError(f"{count} lists of {what} need {count + 1} "
+                             f"levels, got {len(levels)}")
     faces = []
     for n, fs in enumerate(data["faces"], start=1):
         faces.append([LinearMap(levels[n], levels[n - 1], matrix_from_json(m).entries)

@@ -1,6 +1,7 @@
 """Chain complexes: sign rules, homology, pushout-products, cube colimits."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -464,6 +465,25 @@ def test_json_roundtrip():
     K = random_complex(rng, ZZ, 3)
     K2 = chain_from_json(chain_to_json(K))
     assert K2 == K
+
+
+@pytest.mark.parametrize("levels, count", [([1], 1), ([], 1), ([2, 1], 3)])
+def test_json_more_differentials_than_levels_raises(levels, count):
+    d = {"ring": "Z", "rows": 1, "cols": 1, "entries": []}
+    data = {"ring": "Z", "levels": levels, "differentials": [d] * count}
+    with pytest.raises(ValueError, match=rf"^{count} differentials need "
+                                         rf"{count + 1} levels, got "
+                                         rf"{len(levels)}$"):
+        chain_from_json(data)
+
+
+def test_json_bad_rational_entries_raise():
+    K = two_term(QQ, [[Fraction(1, 2)]])
+    for bad in (["1/0"], ["1/2", "1/2"]):
+        data = chain_to_json(K)
+        data["differentials"][0]["entries"] = [[0, 0, s] for s in bad]
+        with pytest.raises(ValueError, match="denominator 0|listed twice"):
+            chain_from_json(data)
 
 
 def _complex_inputs():

@@ -37,6 +37,7 @@ from opdk.doldkan import (
     _gamma_action,
     _shuffle_entries,
     _surjection_index,
+    _surjection_tags,
     aw,
     counit,
     gamma,
@@ -465,6 +466,7 @@ def test_surjection_tables_are_immutable_and_lists_stay_fresh():
     # tables are built from it, changes neither the next call nor gamma
     K = two_term(ZZ, [[3, 0], [1, 2]])
     _surjection_index.cache_clear()
+    _surjection_tags.cache_clear()
     _gamma_action.cache_clear()
     first = monotone_surjections(3, 1)
     assert first == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
@@ -484,6 +486,8 @@ def test_surjection_tables_are_immutable_and_lists_stay_fresh():
     for n in range(4):
         table = _surjection_index(n)
         assert isinstance(table, tuple)
+        assert _surjection_tags(n) == \
+            tuple(".".join(map(str, eta)) for _, eta in table)
         assert all(isinstance(key, tuple) and isinstance(key[1], tuple)
                    for key in table)
         for theta in [delta(i, n) for i in range(n + 1) if n] + \

@@ -103,6 +103,30 @@ def det_bareiss(rows):
     return sign * m[n - 1][n - 1]
 
 
+def zero_seeded_compose(f, g):
+    """The entries of f after g as `compose` computed them when every
+    sum started from the int 0: the same sparse merge, with
+    `acc.get(i, 0) + v * w` for each product."""
+    g_cols, f_cols = {}, {}
+    for (i, j), v in g.entries.items():
+        g_cols.setdefault(j, []).append((i, v))
+    for (i, j), v in f.entries.items():
+        f_cols.setdefault(j, []).append((i, v))
+    p = f.ring.p
+    entries = {}
+    for j, col in g_cols.items():
+        acc = {}
+        for t, w in col:
+            for i, v in f_cols.get(t, ()):
+                acc[i] = acc.get(i, 0) + v * w
+        for i, v in acc.items():
+            if p is not None:
+                v %= p
+            if v:
+                entries[(i, j)] = v
+    return entries
+
+
 def random_map(rng, ring, rows, cols, density=0.6, bound=4):
     src, tgt = free_module(ring, cols, "s"), free_module(ring, rows, "t")
     entries = {}
@@ -158,6 +182,45 @@ def test_compose_matches_naive_product():
                 g = random_map(rng, ring, inner, cols, density, bound=10 ** 6)
                 expect = naive_matmul(f.to_rows(), g.to_rows(), cols, ring)
                 assert compose(f, g).to_rows() == expect
+
+
+def _typed(entries):
+    return [(k, v, type(v)) for k, v in entries.items()]
+
+
+def test_compose_matches_the_zero_seeded_oracle():
+    # ordered entries and value types: a Fraction over Q, an int
+    # elsewhere.  Single-entry columns (signed permutations), several
+    # entries per column, and sums that cancel, to zero for good or on
+    # the way to a nonzero value
+    rng = random.Random(5)
+    for ring in (ZZ, QQ, F5, Zmod(2)):
+        canonical = Fraction if ring is QQ else int
+        M = free_module(ring, 3)
+        perm = LinearMap(M, M, {(1, 0): -1, (2, 1): 1, (0, 2): -1})
+        cancel = LinearMap.from_rows(free_module(ring, 3),
+                                     free_module(ring, 2),
+                                     [[1, 1, 1], [1, -1, 0]])
+        back = LinearMap.from_rows(free_module(ring, 2), M,
+                                   [[1, 1], [-1, 1], [2, 2]])
+        half = Fraction(1, 2) if ring is QQ else 3
+        split = LinearMap.from_rows(free_module(ring, 2), M,
+                                    [[half, 0], [half, 1], [0, -1]])
+        pairs = [(perm, perm), (perm, back), (cancel, perm), (cancel, back),
+                 (cancel, split), (back, cancel)]
+        for _ in range(40):
+            a, b, c = (rng.randint(0, 5) for _ in range(3))
+            pairs.append((random_map(rng, ring, a, b, rng.random(), 2),
+                          random_map(rng, ring, b, c, rng.random(), 2)))
+        for f, g in pairs:
+            got = compose(f, g).entries
+            assert _typed(got) == _typed(zero_seeded_compose(f, g))
+            assert all(type(v) is canonical for v in got.values())
+        # 1 - 1 + 2 is back after a zero, 1 - 1 stays gone
+        assert compose(cancel, back).entries == (
+            {} if ring.p == 2 else
+            {(0, 0): ring.normalize(2), (1, 0): ring.normalize(2),
+             (0, 1): ring.normalize(4)})
 
 
 def test_entry_outside_the_shape_raises():
@@ -596,6 +659,21 @@ def test_cokernel_front_end_refuses_other_matrices():
     assert exactlin._signed_graph(_incidence(Zmod(3), 1, [{0: -2}]))
 
 
+def test_signed_graph_reads_units_against_the_ring():
+    # +1 and -1 (p - 1 over Z/p) make edges; 1/2 over Q and 2 over Z/5
+    # are units but not signs
+    for ring, minus in ((QQ, Fraction(-1)), (ZZ, -1), (F5, 4)):
+        m = _incidence(ring, 2, [{0: 1, 1: minus}, {0: minus, 1: minus},
+                                 {1: minus}])
+        assert exactlin._signed_graph(m) == ([(1, 1, 0), (1, -1, 0)], [1])
+    for ring, bad in ((QQ, Fraction(1, 2)), (QQ, Fraction(-1, 2)),
+                      (F5, 2), (F5, 3)):
+        assert exactlin._signed_graph(_incidence(ring, 2, [{0: bad}])) \
+            is None
+        assert exactlin._signed_graph(
+            _incidence(ring, 2, [{0: 1, 1: bad}])) is None
+
+
 def test_signed_quotient_self_loop_and_killed_vertex():
     # e1 = -e1 is 2-torsion over Z; a killed vertex in the class clears
     # it, and over Q the class dies
@@ -753,6 +831,25 @@ def test_json_roundtrip():
         m2 = matrix_from_json(data)
         assert m2.to_rows() == m.to_rows()
         assert m2.ring == ring
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[0, 0, "1/0"]], "denominator 0"),
+    ([[0, 1, "-3/0"]], "denominator 0"),
+    ([[0, 0, "1"], [0, 0, "2"]], "listed twice"),
+    ([[1, 0, "1/2"], [0, 0, "1"], [1, 0, "1/2"]], "listed twice")])
+def test_matrix_from_json_refuses_bad_entries(entries, message):
+    data = {"ring": "Q", "rows": 2, "cols": 2, "entries": entries}
+    with pytest.raises(ValueError, match=message):
+        matrix_from_json(data)
+
+
+def test_matrix_from_json_refuses_a_duplicate_over_every_ring():
+    for ring in ("Z", "Zmod:5", "Zmod:2"):
+        data = {"ring": ring, "rows": 1, "cols": 1,
+                "entries": [[0, 0, "1"], [0, 0, "1"]]}
+        with pytest.raises(ValueError, match="listed twice"):
+            matrix_from_json(data)
 
 
 def test_hnf_columns_is_the_reduced_hermite_basis_of_the_span():

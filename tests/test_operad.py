@@ -889,6 +889,39 @@ def test_tensor_entries_match_the_general_oracle(case):
     if src_tree == _left(len(objs)) and all(map(_column_ordered, maps)):
         assert [list(e.items()) for e in got] == \
             [list(e.items()) for e in want]
+    # equal values of one type: the identity factors' coefficients are
+    # passed on, not multiplied by the ring's one
+    assert [{k: type(v) for k, v in e.items()} for e in got] == \
+        [{k: type(v) for k, v in e.items()} for e in want]
+
+
+@pytest.mark.parametrize("sigma", [None, (1, 0, 2), (2, 0, 1)])
+def test_tensor_entries_with_identity_factors_over_q(sigma):
+    # odd factors trade places with Koszul sign -1; every entry is a
+    # Fraction, in the oracle's order, whether a map factor multiplies
+    # it or only identities carry it
+    ops = op._ops_for("chain", QQ, _TENSOR_D)
+    A = _zero_differentials(QQ, [1, 2, 1])
+    B = _zero_differentials(QQ, [1, 1, 2])
+    f = ops.make_map(A, B, [LinearMap(A.level(0), B.level(0), {(0, 0): -1}),
+                            LinearMap(A.level(1), B.level(1),
+                                      {(0, 0): Fraction(1, 2), (0, 1): 3}),
+                            LinearMap(A.level(2), B.level(2),
+                                      {(0, 0): 1, (1, 0): -2})])
+    for maps in ([None, None, None], [None, f, None], [f, None, f]):
+        objs = [A, A, A]
+        outs = [A if g is None else g.target for g in maps]
+        order = sigma or range(3)
+        src = chain._bracketed_layout("chain", objs, _left(3), _TENSOR_D)
+        tgt = chain._bracketed_layout("chain", [outs[j] for j in order],
+                                      _left(3), _TENSOR_D)
+        got = chain._tensor_entries(QQ, "chain", maps, sigma, src, tgt)
+        want = _oracle_tensor_entries(QQ, "chain", maps, sigma, src, tgt)
+        assert [[(k, v, type(v)) for k, v in e.items()] for e in got] == \
+            [[(k, v, type(v)) for k, v in e.items()] for e in want]
+        assert all(type(v) is Fraction for e in got for v in e.values())
+        if sigma is not None:
+            assert any(v == -1 for e in got for v in e.values())
 
 
 def _tokened(A, j):
@@ -1032,6 +1065,25 @@ def test_quotient_by_pads_a_relation_outside_plus_minus_one(monkeypatch):
     assert q.generators.rank == 2
     assert q.proj.entries == old.proj.entries
     assert q.section.entries == old.section.entries
+
+
+@pytest.mark.parametrize("ring, entry, edges", [
+    (QQ, Fraction(1), [(1, 1, 0)]), (QQ, Fraction(-1), [(1, -1, 0)]),
+    (QQ, -1, [(1, -1, 0)]), (ZZ, -1, [(1, -1, 0)]), (F5, 4, [(1, -1, 0)]),
+    (F5, -1, [(1, -1, 0)]), (F5, 6, [(1, 1, 0)]), (Zmod(2), 1, [(1, 1, 0)]),
+    (Zmod(2), -1, [(1, 1, 0)])])
+def test_signed_edges_read_plus_and_minus_one(ring, entry, edges):
+    assert op._signed_edges(ring, [({(0, 1): entry}, [1])]) == (edges, [])
+    # a zero entry, here p over Z/p, leaves its column empty: e1 dies
+    zero = ring.p or 0
+    assert op._signed_edges(ring, [({(0, 1): zero}, [1])]) == ([], [1])
+
+
+@pytest.mark.parametrize("ring, entry", [
+    (QQ, Fraction(1, 2)), (QQ, Fraction(-3, 2)), (QQ, 2), (ZZ, 2),
+    (F5, 2), (F5, -2), (Zmod(7), 3)])
+def test_signed_edges_refuse_other_units(ring, entry):
+    assert op._signed_edges(ring, [({(0, 1): entry}, [1])]) is None
 
 
 @pytest.mark.parametrize("force", [False, True])
@@ -1205,6 +1257,21 @@ def test_json_composition_of_a_missing_level_raises(end):
     entry[end] = {"inputs": [X] * 3, "output": X}
     with pytest.raises(ValueError, match=r"^composition \(.*\) reads "
                                          r"x,x,x->x, which has no level"):
+        operad_from_json(data)
+
+
+@pytest.mark.parametrize("where", ["units", "compositions"])
+def test_json_bad_rational_entries_raise(where):
+    data = operad_to_json(associative_operad(QQ, "chain", 2, 0))
+    comps = data["units"][X] if where == "units" else \
+        data["compositions"][0]["map"]
+    entries = comps[0]["entries"]
+    entries[0][2] = "1/0"
+    with pytest.raises(ValueError, match="denominator 0"):
+        operad_from_json(data)
+    entries[0][2] = "1"
+    entries.append(list(entries[0]))
+    with pytest.raises(ValueError, match="listed twice"):
         operad_from_json(data)
 
 

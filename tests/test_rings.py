@@ -96,3 +96,14 @@ def test_inverses_of_units():
     F7 = Zmod(7)
     assert all(F7.mul(x, F7.inv(x)) == 1 for x in range(1, 7))
     assert F7.inv(-1) == 6
+
+
+def test_ring_constants_are_canonical():
+    for ring, kind in ((ZZ, int), (QQ, Fraction), (Zmod(5), int),
+                       (Zmod(2), int)):
+        assert type(ring.zero) is kind and ring.zero == 0
+        assert type(ring.one) is kind and ring.one == 1
+        assert ring.normalize(ring.zero) == ring.zero
+        assert ring.normalize(ring.one) == ring.one
+        # set once, not rebuilt on each read
+        assert ring.one is ring.one and ring.zero is ring.zero

@@ -274,6 +274,26 @@ def test_json_roundtrip():
     assert simp_from_json(simp_to_json(A)) == A
 
 
+@pytest.mark.parametrize("what, extra", [("faces", 1),
+                                         ("degeneracies", 1),
+                                         ("degeneracies", 2)])
+def test_json_more_operator_lists_than_levels_raises(what, extra):
+    # each extra list holds an operator, which reads a level past the top
+    data = simp_to_json(standard_simplex(1, ZZ, 2))
+    data[what] = data[what] + [data[what][-1]] * extra
+    count = len(data[what])
+    with pytest.raises(ValueError, match=rf"^{count} lists of {what} need "
+                                         rf"{count + 1} levels, got 3$"):
+        simp_from_json(data)
+
+
+def test_json_zero_denominator_raises():
+    data = simp_to_json(standard_simplex(1, QQ, 1))
+    data["faces"][0][0]["entries"][0][2] = "1/0"
+    with pytest.raises(ValueError, match="denominator 0"):
+        simp_from_json(data)
+
+
 def test_surjection_enumeration():
     assert monotone_surjections(2, 1) == [(0, 0, 1), (0, 1, 1)]
     assert len(monotone_surjections(3, 1)) == 3
