@@ -789,11 +789,9 @@ def diagram_colimit(vertices: Sequence[ChainComplex],
     diffs = []
     for n in range(1, D + 1):
         offs_n, offs_m = offsets_per_degree[n], offsets_per_degree[n - 1]
-        entries = {}
-        for vi, V in enumerate(vs):
-            for (i, j), v in V.d(n).entries.items():
-                entries[(offs_m[vi] + i, offs_n[vi] + j)] = v
-        big_d = LinearMap(projs[n].source, projs[n - 1].source, entries)
+        big_d = LinearMap.placed(projs[n].source, projs[n - 1].source,
+                                 [(offs_m[vi], offs_n[vi], V.d(n))
+                                  for vi, V in enumerate(vs)])
         diffs.append(compose(compose(projs[n - 1], big_d), sections[n]))
     out = ChainComplex(ring, levels, diffs)
 
@@ -801,9 +799,8 @@ def diagram_colimit(vertices: Sequence[ChainComplex],
     for vi, V in enumerate(vs):
         comps = []
         for n in range(D + 1):
-            off = offsets_per_degree[n][vi]
-            incl = LinearMap(V.level(n), projs[n].source,
-                             {(off + i, i): ring.one for i in range(V.level(n).rank)})
+            incl = LinearMap.placed(V.level(n), projs[n].source, [
+                (offsets_per_degree[n][vi], 0, LinearMap.identity(V.level(n)))])
             comps.append(compose(projs[n], incl))
         injections.append(ChainMap(vs[vi], out, comps))
     return ChainColimit(out, injections, sections, projs)

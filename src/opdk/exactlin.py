@@ -379,15 +379,26 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     if not gt.compatible(fs):
         raise ValueError(
             f"cannot compose: inner ranks {gt.rank} vs {fs.rank}")
-    if not f.entries or not g.entries:
-        return LinearMap._canonical(g.source, f.target, {})
+    return LinearMap._canonical(
+        g.source, f.target, _product_entries(f.entries, g.entries, fs.ring.p))
+
+
+def _product_entries(f_entries: dict, g_entries: dict, p) -> dict:
+    """The entries of f after g from the two entry dicts, reduced mod p
+    unless p is None: the sparse product `compose` takes, for callers
+    that chain products on entry dicts before any map is built.  The
+    factors' entries need not be reduced mod p, but over Q they must be
+    Fractions.  The result is canonical, its entries grouped by the
+    column of g they come from, in the order those columns first appear
+    in g_entries."""
+    if not f_entries or not g_entries:
+        return {}
     g_cols: dict = {}
-    for (i, j), v in g.entries.items():
+    for (i, j), v in g_entries.items():
         g_cols.setdefault(j, []).append((i, v))
     f_cols: dict = {}
-    for (i, j), v in f.entries.items():
+    for (i, j), v in f_entries.items():
         f_cols.setdefault(j, []).append((i, v))
-    p = fs.ring.p
     entries: dict = {}
     for j, col in g_cols.items():
         acc: dict = {}
@@ -402,7 +413,7 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
                 v %= p
             if v:
                 entries[(i, j)] = v
-    return LinearMap._canonical(g.source, f.target, entries)
+    return entries
 
 
 def _stack(maps, common: str, what: str):
@@ -960,7 +971,9 @@ def _column_map(m: LinearMap, j: int) -> LinearMap:
 
 
 def solve(m: LinearMap, b: LinearMap):
-    """Exact solution X of m @ X = b, or None.  b shares m's target."""
+    """Exact solution X of m @ X = b, or None.  b shares m's target:
+    its ring and rank, which is all `compose` asks of it, so it is
+    used as it stands."""
     if not b.target.compatible(m.target):
         raise ValueError(
             f"solve: the right-hand side has {b.target.rank} rows over "
@@ -968,7 +981,7 @@ def solve(m: LinearMap, b: LinearMap):
     ring = m.ring
     if ring.is_field:
         R1, T, pivots = rref(m)
-        tb = T @ LinearMap(b.source, T.source, b.entries)
+        tb = T @ b
         entries = {}
         pivot_rows = {c: r for r, c in enumerate(pivots)}
         for (i, j), v in tb.entries.items():
@@ -982,7 +995,7 @@ def solve(m: LinearMap, b: LinearMap):
         x = LinearMap(b.source, m.source, entries)
     else:
         sf = smith_normal_form(m)
-        ub = sf.U @ LinearMap(b.source, sf.U.source, b.entries)
+        ub = sf.U @ b
         r = len([d for d in sf.diagonal if d])
         entries = {}
         for (i, j), v in ub.entries.items():
@@ -994,8 +1007,7 @@ def solve(m: LinearMap, b: LinearMap):
             entries[(i, j)] = v // d
         z = LinearMap(b.source, sf.V.source, entries)
         x = sf.V @ z
-        x = LinearMap(b.source, m.source, x.entries)
-    if (m @ x).entries != LinearMap(b.source, m.target, b.entries).entries:
+    if (m @ x).entries != b.entries:
         return None
     return x
 

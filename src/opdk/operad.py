@@ -1399,20 +1399,20 @@ class HoCategory:
         return self.reduce(c, e, tuple(acc))
 
     def class_vectors(self, c, d, bound: int):
-        """All classes with small coordinates, plus an exhaustiveness flag."""
+        """All classes with small coordinates, plus an exhaustiveness flag.
+
+        A torsion coordinate runs over its residues, a free one over the
+        distinct values of -bound..bound in that order.  The search is
+        exhaustive when every coordinate is torsion, or over Z/p when
+        those values are all of F_p; a huge p is never enumerated."""
         pres = self.homs[(c, d)].presentation
         r = pres.generators.rank
         tors = pres.invariant_factors
-        ranges = []
-        for i in range(r):
-            if i < len(tors):
-                ranges.append([self.ring.normalize(v) for v in range(tors[i])])
-            elif self.ring.kind == "zmod":
-                ranges.append([self.ring.normalize(v) for v in range(self.ring.p)])
-            else:
-                ranges.append([self.ring.normalize(v)
-                               for v in range(-bound, bound + 1)])
-        exhaustive = self.ring.kind == "zmod" or r == len(tors)
+        window = list(dict.fromkeys(self.ring.normalize(v)
+                                    for v in range(-bound, bound + 1)))
+        ranges = [[self.ring.normalize(v) for v in range(t)] for t in tors]
+        ranges += [window] * (r - len(tors))
+        exhaustive = r == len(tors) or len(window) == self.ring.p
         return [tuple(v) for v in product(*ranges)], exhaustive
 
     def iso_pair(self, c, d, bound: int):
@@ -1482,9 +1482,13 @@ def dk_equivalence(phi: OpMorphism, search_bound: int = 2,
     surjective on colors?
 
     Levels are decided exactly.  The inverse-class search for essential
-    surjectivity is exhaustive over a finite field and bounded by
-    ``search_bound`` coordinates otherwise, returning ``inconclusive``
-    when an unexhausted search comes up empty.
+    surjectivity runs each free coordinate over -search_bound ..
+    search_bound (torsion coordinates over all their residues), and
+    returns ``inconclusive`` when an unexhausted search comes up empty.
+    Over Z/p the window's residues cover F_p once 2 * search_bound + 1
+    >= p, and the search is then exhaustive, so an empty one reads
+    ``not_equivalence``; over Z and Q, and over Z/p for larger p, it is
+    exhaustive only when every coordinate is torsion.
     """
     P, Q = phi.source, phi.target
     D = P.collection.max_degree

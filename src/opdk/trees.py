@@ -45,7 +45,12 @@ vertex drive three computations:
   through `operad._quotient_object`, the descent step of that layer.
   When the cell maps send basis elements to +-basis elements, the
   pushout relations form a signed graph, and `exactlin.cokernel` takes
-  the same union-find.
+  the same union-find;
+* the evaluation of decorated trees in an operad, on whole per-degree
+  entry lists: `_contract` composes along the unmarked edges and
+  `_act_by_labelings` acts by each labeling.  The attaching maps of the
+  extension stages and `extend_to_operad`, the map a free operad's
+  universal property gives, both evaluate this way.
 
 Everything is exact.  Quotients that would acquire torsion raise
 instead of truncating invariant factors, and every stage object records
@@ -61,7 +66,8 @@ from bisect import bisect_right
 from typing import Callable, Optional
 
 from .rings import Ring
-from .exactlin import LinearMap, cokernel, compose, hstack, solve
+from .exactlin import (LinearMap, cokernel, compose, hstack, solve,
+                       _product_entries)
 from . import chain as _chain
 from .chain import (ChainComplex, ChainMap, concentrated, pad,
                     _bracketed_layout, _coherence, _expand, _flat, _layout,
@@ -620,37 +626,31 @@ def leaf_labelings(leaf_colors, inputs):
 # goes through `chain._tensor_entries`, which places each product by the
 # strides of both layouts.  `chain._expand` lists a degree's basis only
 # where a map is not factorwise: `_pair_entries`, whose map leaves the
-# tensor of two factors, and the evaluation into an operad.
-
-
-def _col_cache(f: ChainMap):
-    """Columns of every component, keyed (degree, column)."""
-    cols: dict = {}
-    for d, comp in enumerate(f.components):
-        for (i, j), v in comp.entries.items():
-            cols.setdefault((d, j), []).append((i, v))
-    return cols
+# tensor of two factors.
 
 
 def _pair_entries(ops, src_objs, a: int, pairmap: ChainMap):
     """Per-degree entries contracting factors a, a+1 through a map out
-    of their tensor."""
-    ring, base, D = ops.ring, ops.base, ops.max_degree
+    of their tensor.  A column meets one column of pairmap, whose rows
+    land on distinct rows, so nothing is summed."""
+    base, D = ops.base, ops.max_degree
     pair = _layout(base, src_objs[a:a + 2], D)
     tgt = _layout(base, src_objs[:a] + [pairmap.target] + src_objs[a + 2:], D)
-    cols = _col_cache(pairmap)
+    cols: dict = {}
+    for d, comp in enumerate(pairmap.components):
+        for (i, j), v in comp.entries.items():
+            cols.setdefault((d, j), []).append((i, v))
     out = []
     for n, boxes in enumerate(_layout(base, src_objs, D)):
         entries: dict = {}
         for col, (degs, idxs) in enumerate(_expand(boxes)):
             d = degs[a] + degs[a + 1]
             q = _flat(pair[d][degs[a:a + 2]], idxs[a:a + 2])
-            for row_in_pair, v in cols.get((d, q), []):
+            for row_in_pair, v in cols.get((d, q), ()):
                 row = _flat(tgt[n][degs[:a] + (d,) + degs[a + 2:]],
                             idxs[:a] + (row_in_pair,) + idxs[a + 2:])
-                key = (row, col)
-                entries[key] = ring.add(entries.get(key, ring.zero), v)
-        out.append({k: v for k, v in entries.items() if v != ring.zero})
+                entries[(row, col)] = v
+        out.append(entries)
     return out
 
 
@@ -1178,12 +1178,16 @@ def extend_to_operad(F: FreeOperad, target: Operad,
     """The operad map Free(M) -> target induced by g: M -> target.
 
     Decorations must be concentrated in degree zero, so every basis
-    element sits in degree zero.  Each evaluates by composing its
-    decorations along the tree and acting by the labeling permutation;
-    each block's evaluation descends to its quotient through
-    `operad._descend`, which raises ValueError when it is not
-    move-invariant.  The result is checked as an operad map, and
-    precomposition with the generator inclusion returns g.
+    element sits in degree zero.  Each planar representative is
+    evaluated the way an extension stage collapses a block onto its
+    base level: `_contract` takes the decorations through g and composes
+    along every edge, and `_act_by_labelings` acts by each labeling
+    (through the target's unit on the edge tree).  The degree-zero
+    condition stays because no check of graded signs covers the
+    evaluation in higher degrees.  Each block's evaluation descends to
+    its quotient through `operad._descend`, which raises ValueError
+    when it is not move-invariant.  The result is checked as an operad
+    map, and precomposition with the generator inclusion returns g.
     """
     from .operad import OpMorphism
     M = F.M
@@ -1198,70 +1202,23 @@ def extend_to_operad(F: FreeOperad, target: Operad,
         tgt = target.collection.level(sig)
         pieces = []
         for b, off in zip(fl.blocks, fl.offsets):
-            entries = {}
+            evals = []
             for pi, p in enumerate(b.planar):
-                for local, (_, idxs) in enumerate(_expand(b.layouts[pi][0])):
-                    lab = b.labs[pi][idxs[-1]]
-                    colmap = _eval_tree(target, g, p, list(idxs[:-1]))
-                    if lab:
-                        colmap = target.collection.action(
-                            p.signature, permutations.inverse(lab)) @ colmap
-                    col = b.offsets[pi][0] + local
-                    for (i, _), v in colmap.component(0).entries.items():
-                        entries[(i, col)] = v
-            comps = [_descend(LinearMap(b.big.level(n), tgt.level(n),
-                                        entries if n == 0 else {}),
+                vsigs = [vsig for vsig, _ in p.vertex_preorder()]
+                tree, layout, cur = _contract(
+                    target, p, [g.component(v) for v in vsigs],
+                    [target.collection.level(v) for v in vsigs], b.labs[pi],
+                    b.layouts[pi])
+                evals.append((_products(ops.ring, _act_by_labelings(
+                    target, tree, b.labs[pi], layout), cur),
+                    b.offsets[pi], None))
+            comps = [_descend(LinearMap(b.big.level(n), tgt.level(n), e),
                               b.quotients[n], "evaluation")
-                     for n in range(F.bound + 1)]
+                     for n, e in enumerate(_placed(evals, F.bound))]
             pieces.append((comps, off, None))
         level_maps[sig] = _placed_map(ops, fl.object, tgt, pieces)
     colors = {c: c for c in M.colors}
     return OpMorphism(P, target, colors, level_maps)
-
-
-def _eval_tree(target: Operad, g: CollectionMap, p: Tree, dec_idxs):
-    """Element of target at p's planar signature, as a column map."""
-    ops = target.ops
-    ring = target.ring
-
-    idx_iter = iter(dec_idxs)
-
-    def rec(t: Tree):
-        if t.is_edge:
-            return target.unit(t.output), ((t.output,), t.output)
-        j = next(idx_iter)
-        lev = g.source.level(t.val)
-        col = ops.make_map(
-            ops.unit_obj(), lev,
-            [LinearMap(ops.unit_obj().level(n), lev.level(n),
-                       {(j, 0): ring.one} if n == 0 else {})
-             for n in range(ops.max_degree + 1)])
-        cur = g.component(t.val) @ col
-        cur_sig = t.val
-        pieces = [rec(ch) for ch in t.children]
-        for slot in range(len(t.children) - 1, -1, -1):
-            child_col, child_sig = pieces[slot]
-            pair = _pair_column(ops, cur, child_col)
-            cur = target.composition(cur_sig, slot, child_sig) @ pair
-            cur_sig = graft_signature(cur_sig, slot, child_sig)
-        return cur, cur_sig
-
-    col, sig = rec(p)
-    if sig != p.signature:
-        raise RuntimeError(f"evaluation reached {sig_str(sig)}, not the "
-                           f"tree's signature {sig_str(p.signature)}")
-    return col
-
-
-def _pair_column(ops, u, v):
-    ring = ops.ring
-    uu = ops.tensor_map(u, v)
-    dup = ops.make_map(
-        ops.unit_obj(), uu.source,
-        [LinearMap(ops.unit_obj().level(n), uu.source.level(n),
-                   {(0, 0): ring.one} if n == 0 else {})
-         for n in range(ops.max_degree + 1)])
-    return uu @ dup
 
 
 # ---------------------------------------------------------------------------
@@ -1623,34 +1580,31 @@ def _choice_block(O, f, Qc, q_sections, g, block, pi, p, marked_paths,
     D = _tensor_many(ops, facs + [L])
     if D.total_rank() == 0:
         return D, None, None
-    ents = _tensor_entries(ring, ops.base, mats + [None], None,
-                           _layout(ops.base, facs + [L], bound),
+    layout = _layout(ops.base, facs + [L], bound)
+    ents = _tensor_entries(ring, ops.base, mats + [None], None, layout,
                            block.layouts[pi])
     ents = _placed([(ents, None, block.offsets[pi])], bound)
     ink = block.proj @ ops.make_map(D, block.big, [
         LinearMap(D.level(n), block.big.level(n), ent)
         for n, ent in enumerate(ents)])
 
-    att = _collapse(O, f, Qc, q_sections, g, p, kind, facs, D,
+    att = _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, layout,
                     block.labs[pi], cells_by_stage, cell_legs, base_leg,
                     stage, sig)
     return D, ink, att
 
 
-def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
+def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, layout, labs,
               cells_by_stage, cell_legs, base_leg, stage, sig):
-    """Rewrite a mixed block into the earlier stage it factors through."""
+    """Rewrite a mixed block, D with its layout, into the earlier stage
+    it factors through."""
     ring = O.ring
     ops = O.ops
     bound = ops.max_degree
-    coll = O.collection
 
-    tree = p
+    # the X factors go through the generator map and join O's vertices
     objs = list(facs)
-    # running entry lists from D into tensor(objs + [L]); start by
-    # pushing the X factors through the generator map
-    L = _labeling_complex(ring, len(labs), bound)
-    mats = [None] * (len(objs) + 1)
+    mats = [None] * len(objs)
     flags = []
     for vi, (vsig, m) in enumerate(p.vertex_preorder()):
         if m and kind[vi] == "X":
@@ -1659,65 +1613,15 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
             objs[vi] = g.target.level(vsig)
         else:
             flags.append(m)
-    tree = _reflag(tree, flags)
-    cur = _tensor_entries(ring, ops.base, mats, None,
-                          _layout(ops.base, facs + [L], bound),
-                          _layout(ops.base, objs + [L], bound))
-
-    # contract unmarked-unmarked edges until none remain
-    while True:
-        edge = _first_contraction(tree)
-        if edge is None:
-            break
-        parent_path, slot = edge
-        parent_vi = tree.vertex_paths().index(parent_path)
-        child_path = parent_path + (slot,)
-        child_vi = tree.vertex_paths().index(child_path)
-        parent = tree.subtree_at(parent_path)
-        child = tree.subtree_at(child_path)
-        psig, csig = parent.val, child.val
-        # bring the child factor next to the parent, then compose
-        m = len(objs)
-        pi_map = list(range(m))
-        for j in range(parent_vi + 1, child_vi):
-            pi_map[j] = j + 1
-        pi_map[child_vi] = parent_vi + 1
-        sigma = permutations.inverse(pi_map + [m])
-        tgt_objs = [objs[j] for j in sigma[:m]]
-        perm_entries = _tensor_entries(
-            ring, ops.base, [None] * (m + 1), sigma,
-            _layout(ops.base, objs + [L], bound),
-            _layout(ops.base, tgt_objs + [L], bound))
-        cur = _compose_entry_lists(ring, perm_entries, cur, bound)
-        objs = tgt_objs
-        pair = O.composition(psig, slot, csig)
-        cur = _compose_entry_lists(
-            ring, _pair_entries(ops, objs + [L], parent_vi, pair), cur, bound)
-        objs = objs[:parent_vi] + [pair.target] + objs[parent_vi + 2:]
-        merged_kids = (parent.children[:slot] + child.children
-                       + parent.children[slot + 1:])
-        tree = tree.replace_at(parent_path,
-                               Tree.node(parent.output, merged_kids,
-                                         parent.marked))
+    tree, layout, cur = _contract(O, _reflag(p, flags), mats, objs, labs,
+                                  layout)
 
     kprime = tree.n_marked
     if kprime == 0:
         # a single unmarked vertex; its factor lands in the base level
         # through the action of each labeling
-        if tree.n_vertices != 1:
-            raise RuntimeError("an unmarked collapse left more than one "
-                               "vertex")
-        psig = tree.val
-        entries = []
-        for n, boxes in enumerate(_layout(ops.base, objs + [L], bound)):
-            acc: dict = {}
-            for li, lab in enumerate(labs):
-                act = coll.action(psig, permutations.inverse(lab))
-                for (i, j), v in act.component(n).entries.items():
-                    acc[(i, _flat(boxes[(n, 0)], (j, li)))] = v
-            entries.append(acc)
-        cur = _compose_entry_lists(ring, entries, cur, bound)
-        tgt = coll.level(sig)
+        cur = _products(ring, _act_by_labelings(O, tree, labs, layout), cur)
+        tgt = O.collection.level(sig)
         mdl = ops.make_map(D, pad(tgt, bound),
                            [LinearMap(D.level(n), tgt.level(n), cur[n])
                             for n in range(bound + 1)])
@@ -1735,15 +1639,13 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, labs,
     tb = target_blocks[tbi]
     tpi = next(i for i, q in enumerate(tb.planar) if q == tree)
     # inject the surviving Q factors back into the target's Y factors
-    mats = []
-    for vi, (vsig, m) in enumerate(tree.vertex_preorder()):
-        mats.append(q_sections[vsig] if m else None)
+    mats = [q_sections[vsig] if m else None
+            for vsig, m in tree.vertex_preorder()]
     lab_map = _labeling_map(ops, labs, tb.labs[tpi], lambda lab: lab)
-    final = _tensor_entries(ring, ops.base, mats + [lab_map], None,
-                            _layout(ops.base, objs + [L], bound),
+    final = _tensor_entries(ring, ops.base, mats + [lab_map], None, layout,
                             tb.layouts[tpi])
     final = _placed([(final, None, tb.offsets[tpi])], bound)
-    cur = _compose_entry_lists(ring, final, cur, bound)
+    cur = _products(ring, final, cur)
     mdl = ops.make_map(D, tb.big,
                        [LinearMap(D.level(n), tb.big.level(n), cur[n])
                         for n in range(bound + 1)])
@@ -1777,16 +1679,68 @@ def _first_contraction(tree: Tree):
     return None
 
 
-def _compose_entry_lists(ring, outer, inner, bound):
-    out = []
-    for n in range(bound + 1):
-        by_col: dict = {}
-        for (i, j), v in outer[n].items():
-            by_col.setdefault(j, []).append((i, v))
+def _contract(O: Operad, tree: Tree, maps, objs, labs, src_layout):
+    """Push a tensor, laid out by src_layout as a factor per vertex of
+    tree in preorder and then the labelings labs, through maps (None
+    for an identity) onto objs, and compose along every edge of tree
+    joining two unmarked vertices through O's partial compositions.
+
+    The preorder-first edge goes first (`_first_contraction`): a
+    reordering brings the child's factor next to its parent's, and
+    `_pair_entries` composes the two.  Returns the contracted tree, the
+    layout of its factors and labs, and the per-degree entries into it.
+    """
+    ring, ops = O.ring, O.ops
+    base, bound = ops.base, ops.max_degree
+    L = _labeling_complex(ring, len(labs), bound)
+    layout = _layout(base, objs + [L], bound)
+    cur = _tensor_entries(ring, base, maps + [None], None, src_layout, layout)
+    while (edge := _first_contraction(tree)) is not None:
+        parent_path, slot = edge
+        paths = tree.vertex_paths()
+        parent_vi = paths.index(parent_path)
+        child_vi = paths.index(parent_path + (slot,))
+        parent = tree.subtree_at(parent_path)
+        child = parent.children[slot]
+        rest = [j for j in range(len(objs) + 1) if j != child_vi]
+        sigma = tuple(rest[:parent_vi + 1] + [child_vi] + rest[parent_vi + 1:])
+        objs = [objs[j] for j in sigma[:-1]]
+        cur = _products(ring, _tensor_entries(
+            ring, base, [None] * len(sigma), sigma, layout,
+            _layout(base, objs + [L], bound)), cur)
+        pair = O.composition(parent.val, slot, child.val)
+        cur = _products(ring, _pair_entries(ops, objs + [L], parent_vi, pair),
+                        cur)
+        objs = objs[:parent_vi] + [pair.target] + objs[parent_vi + 2:]
+        layout = _layout(base, objs + [L], bound)
+        tree = tree.replace_at(parent_path, Tree.node(
+            parent.output, parent.children[:slot] + child.children
+            + parent.children[slot + 1:], parent.marked))
+    return tree, layout, cur
+
+
+def _act_by_labelings(O: Operad, tree: Tree, labs, layout):
+    """Per-degree entries from the tensor laid out by layout, the one
+    vertex of tree and the labelings labs, into O: labeling lab acts on
+    the vertex by the inverse of lab.  On the edge tree, with no vertex
+    and one labeling, O's unit is the map."""
+    if tree.is_edge:
+        return [dict(c.entries) for c in O.unit(tree.output).components]
+    if tree.n_vertices != 1:
+        raise RuntimeError("an unmarked collapse left more than one vertex")
+    acts = [O.collection.action(tree.val, permutations.inverse(lab))
+            for lab in labs]
+    entries = []
+    for n, boxes in enumerate(layout):
         acc: dict = {}
-        for (j, k), w in inner[n].items():
-            for i, v in by_col.get(j, []):
-                key = (i, k)
-                acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(v, w))
-        out.append({kk: vv for kk, vv in acc.items() if vv != ring.zero})
-    return out
+        for li, act in enumerate(acts):
+            for (i, j), v in act.component(n).entries.items():
+                acc[(i, _flat(boxes[(n, 0)], (j, li)))] = v
+        entries.append(acc)
+    return entries
+
+
+def _products(ring: Ring, outer, inner):
+    """Per-degree entries of outer after inner, through the sparse
+    product of `exactlin.compose`."""
+    return [_product_entries(o, i, ring.p) for o, i in zip(outer, inner)]

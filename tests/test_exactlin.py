@@ -223,6 +223,48 @@ def test_compose_matches_the_zero_seeded_oracle():
              (0, 1): ring.normalize(4)})
 
 
+def entry_list_product(ring, outer, inner):
+    """outer after inner on raw entry dicts as the tree contraction took
+    it before it shared `compose`'s sparse product: a ring.add and a
+    ring.mul per term, walking inner's entries."""
+    by_col = {}
+    for (i, j), v in outer.items():
+        by_col.setdefault(j, []).append((i, v))
+    acc = {}
+    for (j, k), w in inner.items():
+        for i, v in by_col.get(j, []):
+            acc[(i, k)] = ring.add(acc.get((i, k), ring.zero), ring.mul(v, w))
+    return {key: v for key, v in acc.items() if v != ring.zero}
+
+
+def test_product_entries_takes_unreduced_factors():
+    # the tree contraction chains products on entry dicts straight from
+    # `chain._tensor_entries`, which leaves products unreduced mod p; the
+    # result must still be canonical and equal compose of the maps
+    rng = random.Random(6)
+    for ring in (ZZ, QQ, F5, Zmod(2)):
+        canonical = Fraction if ring is QQ else int
+
+        def raw(rows, cols):
+            ents = {}
+            for i in range(rows):
+                for j in range(cols):
+                    if rng.random() < 0.5:
+                        v = rng.randint(-12, 12)
+                        ents[(i, j)] = Fraction(v, rng.randint(1, 3)) \
+                            if ring is QQ else v
+            return ents
+        for _ in range(40):
+            a, b, c = (rng.randint(0, 5) for _ in range(3))
+            f, g = raw(a, b), raw(b, c)
+            got = exactlin._product_entries(f, g, ring.p)
+            assert got == entry_list_product(ring, f, g)
+            assert all(type(v) is canonical for v in got.values())
+            F = LinearMap(free_module(ring, b), free_module(ring, a), f)
+            G = LinearMap(free_module(ring, c), free_module(ring, b), g)
+            assert got == compose(F, G).entries
+
+
 def test_entry_outside_the_shape_raises():
     # an explicit check, so it also holds under python -O
     with pytest.raises(ValueError, match=r"entry \(0,0\) outside 0x2"):

@@ -12,6 +12,7 @@ corrupted inputs.
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
@@ -1454,6 +1455,49 @@ def test_dk_unit_factor_over_the_integers_is_definitive():
     Q = corpus.scaled_pair_operad(ZZ, 1)
     assert dk_equivalence(corpus.point_inclusion(T, Q, "a")).status == \
         "equivalence"
+
+
+def test_dk_search_covering_a_small_field_is_definitive():
+    # u . v = 0 never inverts, and the window -2..2 is all of F_5, so the
+    # empty search is exhaustive
+    T = corpus.trivial_operad(F5, "chain", 1)
+    Q = corpus.scaled_pair_operad(F5, 0)
+    v = dk_equivalence(corpus.point_inclusion(T, Q, "a"))
+    assert v.status == "not_equivalence"
+    assert any("not isomorphic" in r for r in v.reasons)
+    assert all(v.levelwise.values())
+
+
+def test_dk_search_over_z13_depends_on_the_window():
+    # u . v = 9 id: the inverse pairs have a . b = 3 mod 13, none within
+    # -2..2; -6..6 is all of F_13 and finds one, with the first witness
+    # of the plain window order
+    T = corpus.trivial_operad(Zmod(13), "chain", 1)
+    phi = corpus.point_inclusion(T, corpus.scaled_pair_operad(Zmod(13), 9),
+                                 "a")
+    v = dk_equivalence(phi)
+    assert v.status == "inconclusive"
+    assert any("within bound 2" in r for r in v.reasons)
+    v = dk_equivalence(phi, search_bound=6)
+    assert v.status == "equivalence"
+    c, u, w = v.witnesses["b"]
+    assert c == "a" and (9 * u[0] * w[0]) % 13 == 1
+    window = [k % 13 for k in range(-6, 7)]
+    first = next((a, b) for a in window for b in window
+                 if (9 * a * b) % 13 == 1)
+    assert (u[0], w[0]) == first
+
+
+def test_dk_search_over_a_huge_field_does_not_enumerate_it():
+    # the window's five residues do not cover F_p, so the verdict stays
+    # inconclusive, and F_p itself is never listed
+    ring = Zmod(4294967311)
+    T = corpus.trivial_operad(ring, "chain", 1)
+    phi = corpus.point_inclusion(T, corpus.scaled_pair_operad(ring, 0), "a")
+    start = time.perf_counter()
+    v = dk_equivalence(phi)
+    assert time.perf_counter() - start < 30
+    assert v.status == "inconclusive"
 
 
 @pytest.mark.parametrize("maker,expect", [

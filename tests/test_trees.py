@@ -835,15 +835,42 @@ def test_generator_inclusion_and_extension_triangle():
 
     A = associative_operad(ZZ, base="chain", max_arity=3, color="c")
     # M(2) = k[Sigma_2] = A(2): send the generators to the two words
-    g = CollectionMap(M, A.collection, {sig(2): ops.make_map(
-        M.level(sig(2)), A.collection.level(sig(2)),
-        [LinearMap(M.level(sig(2)).level(0),
-                   A.collection.level(sig(2)).level(0),
-                   {(0, 0): ZZ.one, (1, 1): ZZ.one})])})
+    g = _generator_map(M, A, swap=False)
     phi = extend_to_operad(F, A, g)
     for s in M.signatures():
         assert ops.equal(phi.level_map(s) @ inc.component(s),
                          g.component(s))
+
+
+def _generator_map(M, A, swap):
+    """M(2) -> A(2), the generators to the two words in order, or
+    swapped; both commute with the slot swap."""
+    ring, s = M.ring, sig(2)
+    one = ring.one
+    ents = {(0, 1): one, (1, 0): one} if swap else {(0, 0): one, (1, 1): one}
+    src, tgt = M.level(s), A.collection.level(s)
+    return CollectionMap(M, A.collection, {s: M.ops.make_map(
+        src, tgt, [LinearMap(src.level(0), tgt.level(0), ents)])})
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["identity", "swap"])
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5, Zmod(2)],
+                         ids=lambda r: r.name())
+def test_extend_to_operad_at_arity_four_restricts_to_g(ring, swap):
+    # The constructor checks the evaluation Free(M) -> A as an operad
+    # map; the universal property pins it by its restriction along the
+    # generator inclusion, which must be g.  Binary words generate A,
+    # so all 4! words of arity four are hit.
+    M = corpus.binary_generator(ring, 4, regular=True)
+    F = FreeOperad(M, max_arity=4, max_vertices=3)
+    A = associative_operad(ring, base="chain", max_arity=4, color="c")
+    g = _generator_map(M, A, swap)
+    phi = extend_to_operad(F, A, g)
+    inc = generator_inclusion(F)
+    for s in M.signatures():
+        assert M.ops.equal(phi.level_map(s) @ inc.component(s),
+                           g.component(s))
+    assert phi.level_map(sig(4)).component(0).rank_of_image() == 24
 
 
 def test_collection_map_rejects_non_equivariant():
