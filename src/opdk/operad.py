@@ -167,12 +167,17 @@ def word_act(w, sigma):
 # (`chain._coherence`).
 
 
-class _ChainOps:
-    base = "chain"
-
+class _Ops:
     def __init__(self, ring: Ring, max_degree: int):
         self.ring = ring
         self.max_degree = max_degree
+
+    def equal(self, f, g) -> bool:
+        return f == g
+
+
+class _ChainOps(_Ops):
+    base = "chain"
 
     def zero_obj(self):
         return zero_complex(self.ring, self.max_degree)
@@ -201,19 +206,12 @@ class _ChainOps:
     def make_map(self, A, B, comps):
         return ChainMap(A, B, comps, check=False)
 
-    def equal(self, f, g) -> bool:
-        return f == g
-
     def check_map(self, f):
         ChainMap(f.source, f.target, f.components)
 
 
-class _SimpOps:
+class _SimpOps(_Ops):
     base = "simplicial"
-
-    def __init__(self, ring: Ring, max_degree: int):
-        self.ring = ring
-        self.max_degree = max_degree
 
     def zero_obj(self):
         return constant_module(self.ring, self.max_degree, 0)
@@ -244,9 +242,6 @@ class _SimpOps:
     def make_map(self, A, B, comps):
         return SimplicialMap(A, B, comps, check=False)
 
-    def equal(self, f, g) -> bool:
-        return f == g
-
     def check_map(self, f):
         SimplicialMap(f.source, f.target, f.components)
 
@@ -270,15 +265,15 @@ class _Replay:
     """The tensor objects, their layouts and the structure maps of one
     law replay, each built once.
 
-    Wraps the ops of operad P's collection.  Tensor objects, the
-    reorderings of three factors (`reordered`: the associator and the
-    parallel-associativity mediator), unitors, the unit object and the
-    zero compositions are memoized by the identity of their inputs (the
-    signatures, for a zero composition), and layouts by the ranks of
-    their factors (`layout`).  Each memo entry holds its inputs, so no
-    id is reused while the memo lives, and nothing outlives it:
-    `operad_check` makes one per call.  Every reordering is checked to
-    be a chain or simplicial map.
+    Wraps the ops of operad P's collection.  Tensor objects, each with
+    its two-factor layout for `tensor_map`, the reorderings of three
+    factors (`reordered`: the associator and the parallel-associativity
+    mediator), unitors, the unit object and the zero compositions are
+    memoized by the identity of their inputs (the signatures, for a zero
+    composition), and layouts by the ranks of their factors (`layout`).
+    Each memo entry holds its inputs, so no id is reused while the memo
+    lives, and nothing outlives it: `operad_check` makes one per call.
+    Every reordering is checked to be a chain or simplicial map.
     """
 
     __slots__ = ("P", "ops", "_memo")
@@ -293,8 +288,12 @@ class _Replay:
         return hit[1]
 
     def tensor(self, A, B):
-        return self._once(("tensor", id(A), id(B)), (A, B),
-                          lambda: self.ops.tensor(A, B))
+        return self._tensor(A, B)[0]
+
+    def _tensor(self, A, B):
+        """A (x) B and its two-factor layout, in one memo entry."""
+        return self._once(("tensor", id(A), id(B)), (A, B), lambda: (
+            self.ops.tensor(A, B), self.layout((A, B), (0, 1))))
 
     def layout(self, objs, tree):
         """The layout of the tensor of objs bracketed as tree, a factor
@@ -320,12 +319,10 @@ class _Replay:
         """f (x) g between the memoized tensors, on their memoized
         two-factor layouts (`chain._tensor_components`)."""
         ops = self.ops
-        src = self.tensor(f.source, g.source)
-        tgt = self.tensor(f.target, g.target)
+        (src, slay), (tgt, tlay) = (self._tensor(f.source, g.source),
+                                    self._tensor(f.target, g.target))
         return ops.make_map(src, tgt, _tensor_components(
-            ops.base, (f, g), None, src, tgt,
-            self.layout((f.source, g.source), (0, 1)),
-            self.layout((f.target, g.target), (0, 1))))
+            ops.base, (f, g), None, src, tgt, slay, tlay))
 
     def reordered(self, X, Y, Z, tree):
         """(X (x) Y) (x) Z -> the tensor of the same factors bracketed
@@ -384,13 +381,14 @@ class Collection:
     levels maps signatures to objects; zero objects are dropped, an
     absent signature over the known colors is the zero object, and a
     color outside ``colors`` raises ValueError.  For each level of arity
-    n, actions[sig] holds exactly the generators: the map level(sig) ->
+    n, actions[sig] holds the generators: the map level(sig) ->
     level(sig.s) for each s in ``permutations.transpositions(n)``.  The
-    constructor closes them to ``self.actions[sig][sigma]`` for every
-    sigma in S_n, and raises ValueError on a missing generator, a key
-    that is not an adjacent transposition, a generator onto a signature
-    with no level or of the wrong shape, and two words for one
-    permutation that disagree.  Actions at absent signatures are ignored.
+    constructor raises ValueError on a missing generator, a key that is
+    not an adjacent transposition, a generator onto a signature with no
+    level or of the wrong shape, and a Coxeter relation broken along its
+    path of signatures.  `action` builds any other permutation when
+    first asked and keeps it in actions[sig], so read the action through
+    it.  Actions at absent signatures are ignored.
     """
 
     __slots__ = ("ring", "base", "ops", "colors", "max_arity", "max_degree",
@@ -417,9 +415,10 @@ class Collection:
                                  f"wrong degree")
             if not self.ops.is_zero(obj):
                 self.levels[sig] = obj
-        gens = actions or {}
+        self.actions = {sig: dict((actions or {}).get(sig, {}))
+                        for sig in self.levels}
         for sig, obj in self.levels.items():
-            row = gens.get(sig, {})
+            row = self.actions[sig]
             adjacent = permutations.transpositions(sig_arity(sig))
             for g in set(row) - set(adjacent):
                 raise ValueError(f"action key {g} at {sig_str(sig)} is not "
@@ -437,16 +436,28 @@ class Collection:
                         (obj.ranks(), self.levels[tsig].ranks()):
                     raise ValueError(f"action generator {g} at "
                                      f"{sig_str(sig)} has the wrong shape")
-        self.actions = {}
-        for sig, obj in self.levels.items():
-            table = {permutations.identity(sig_arity(sig)):
-                     self.ops.identity(obj)}
-            for s, g in _action_law_failures(self.ops, sig, table,
-                                             lambda tsig, g: gens[tsig][g]):
-                raise ValueError(f"action generators inconsistent at "
-                                 f"{sig_str(sig)}, permutation "
-                                 f"{permutations.compose(s, g)}")
-            self.actions[sig] = table
+        # the Coxeter relations present S_n, so read along every path of
+        # signatures they present the groupoid of S_n acting on them
+        for sig in self.levels:
+            s = permutations.transpositions(sig_arity(sig))
+            for i, a in enumerate(s):
+                for j, b in enumerate(s[i:], i):
+                    # s_i s_i = 1, the braid relation, far commutation
+                    u, v = ((a, a), ()) if j == i else \
+                        ((a, b, a), (b, a, b)) if j == i + 1 else \
+                        ((a, b), (b, a))
+                    (f, p), (g, _) = self._path(sig, u), self._path(sig, v)
+                    if not self.ops.equal(f, g):
+                        raise ValueError(f"action generators inconsistent "
+                                         f"at {sig_str(sig)}, permutation {p}")
+
+    def _path(self, sig, word):
+        """(map, permutation) of the generators along word from sig."""
+        f, p = None, permutations.identity(sig_arity(sig))
+        for g in word:
+            h = self.actions[sig_act(sig, p)][g]
+            f, p = (h if f is None else h @ f), permutations.compose(p, g)
+        return (self.ops.identity(self.levels[sig]) if f is None else f), p
 
     def _check_colors(self, sig):
         for c in sig[0] + (sig[1],):
@@ -480,7 +491,20 @@ class Collection:
                              f"range({n})")
         if sig not in self.levels:
             return self.ops.zero_map(self.level(sig), self.level(sig_act(sig, sigma)))
-        return self.actions[sig][tuple(sigma)]
+        sigma, table = tuple(sigma), self.actions[sig]
+        f = table.get(sigma)
+        if f is None:
+            # a right descent sigma = rho s_i, rho one inversion shorter
+            i = next((i for i in range(n - 1) if sigma[i] > sigma[i + 1]),
+                     None)
+            if i is None:
+                f = self.ops.identity(self.levels[sig])
+            else:
+                rho = sigma[:i] + (sigma[i + 1], sigma[i]) + sigma[i + 2:]
+                f = self.actions[sig_act(sig, rho)][
+                    permutations.transposition(n, i)] @ self.action(sig, rho)
+            table[sigma] = f
+        return f
 
     def signatures(self):
         idx = {c: i for i, c in enumerate(self.colors)}
@@ -489,73 +513,56 @@ class Collection:
                                      idx[s[1]]))
 
 
-def _action_law_failures(ops, sig, table, generator):
-    """The pairs (s, g), g an adjacent transposition, where
-    generator(sig.s, g) after table[s] differs from table[s g].  The walk
-    is breadth-first from the identity; an entry missing from table is
-    filled with the word that reaches it instead of compared."""
-    n = sig_arity(sig)
-    e = permutations.identity(n)
-    reached, frontier = {e}, [e]
-    while frontier:
-        new = []
-        for s in frontier:
-            src = sig_act(sig, s)
-            for g in permutations.transpositions(n):
-                p = permutations.compose(s, g)
-                val = generator(src, g) @ table[s]
-                if p not in table:
-                    table[p] = val
-                elif not ops.equal(table[p], val):
-                    yield s, g
-                if p not in reached:
-                    reached.add(p)
-                    new.append(p)
-        frontier = new
+def _action_fault(M: Collection, sig, s):
+    """Why action(sig, s) is not a map of the right shape onto the
+    level of sig.s, or None."""
+    tsig = sig_act(sig, s)
+    if M.is_zero_level(tsig):
+        return "orbit-not-closed"
+    try:
+        f = M.action(sig, s)
+    except KeyError:
+        return "action-missing"
+    except ValueError:
+        return "action-shape"  # generators on the way do not compose
+    if (f.source.ranks(), f.target.ranks()) != \
+            (M.level(sig).ranks(), M.level(tsig).ranks()):
+        return "action-shape"
+    try:
+        M.ops.check_map(f)
+    except ValueError:
+        return "action-not-a-map"
+    return None
 
 
 def collection_check(M: Collection) -> list:
     """Violations of the right-action laws, empty iff valid.
 
-    Checks that every nonzero level has a complete action table, that
-    the maps land on the permuted signature's level, and that composing
-    a generator after any table entry matches the table.
+    The n! oracle for the Coxeter relations that the constructor checks,
+    and the audit of generators edited since: every permutation, read
+    through `Collection.action`, must be a map onto the permuted
+    signature's level (`_action_fault`), and each generator after it
+    must act as the product permutation.
     """
     out = []
     broken = set()
     for sig in M.signatures():
-        n = sig_arity(sig)
-        lev = M.level(sig)
-        table = M.actions.get(sig, {})
-        for s in permutations.all_permutations(n):
-            if s not in table:
-                out.append(("action-missing", sig, s))
-                broken.add(sig)
-                continue
-            f = table[s]
-            tgt_sig = sig_act(sig, s)
-            if M.is_zero_level(tgt_sig):
-                out.append(("orbit-not-closed", sig, s))
-                broken.add(sig)
-                continue
-            tgt = M.level(tgt_sig)
-            if f.source.ranks() != lev.ranks() or f.target.ranks() != tgt.ranks():
-                out.append(("action-shape", sig, s))
-                broken.add(sig)
-                continue
-            try:
-                M.ops.check_map(f)
-            except ValueError:
-                out.append(("action-not-a-map", sig, s))
+        for s in permutations.all_permutations(sig_arity(sig)):
+            fault = _action_fault(M, sig, s)
+            if fault:
+                out.append((fault, sig, s))
                 broken.add(sig)
     for sig in M.signatures():
         n = sig_arity(sig)
-        if sig in broken or any(sig_act(sig, s) in broken
-                                for s in permutations.all_permutations(n)):
+        perms = permutations.all_permutations(n)
+        if sig in broken or any(sig_act(sig, s) in broken for s in perms):
             continue
-        for s, g in _action_law_failures(M.ops, sig, M.actions[sig],
-                                         M.action):
-            out.append(("action-law", sig, s, g))
+        for s in perms:
+            for g in permutations.transpositions(n):
+                if not M.ops.equal(M.action(sig, permutations.compose(s, g)),
+                                   M.action(sig_act(sig, s), g) @
+                                   M.action(sig, s)):
+                    out.append(("action-law", sig, s, g))
     return out
 
 
@@ -918,8 +925,7 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
             levels[((color,) * n, color)] = constant_module(
                 ring, max_degree, len(ws))
 
-    def const_map(sig_src, sig_tgt, entries):
-        src, tgt = levels[sig_src], levels[sig_tgt]
+    def const_map(src, tgt, entries):
         if base == "chain":
             comps = [LinearMap(src.level(n), tgt.level(n),
                                entries if n == 0 else {})
@@ -938,7 +944,7 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
         for s in permutations.transpositions(n):
             relabel = {(index[word_act(w, s)], j): ring.one
                        for j, w in enumerate(ws)}
-            actions[sig][s] = const_map(sig, sig, relabel)
+            actions[sig][s] = const_map(levels[sig], levels[sig], relabel)
 
     coll = Collection(ring, base, (color,), max_arity, max_degree,
                       levels, actions)
@@ -961,22 +967,15 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
             osig, isig = ((color,) * k, color), ((color,) * m, color)
             wk, wm, wn = words(k), words(m), words(n)
             out_index = {w: i for i, w in enumerate(wn)}
+            src = ops.tensor(levels[osig], levels[isig])
             for i in range(k):
                 entries = {}
                 for a, w in enumerate(wk):
                     for b, v in enumerate(wm):
                         row = out_index[word_graft(w, i, v)]
                         entries[(row, a * len(wm) + b)] = ring.one
-                src = ops.tensor(levels[osig], levels[isig])
-                tgt = levels[((color,) * n, color)]
-                if base == "chain":
-                    comps = [LinearMap(src.level(d), tgt.level(d),
-                                       entries if d == 0 else {})
-                             for d in range(max_degree + 1)]
-                else:
-                    comps = [LinearMap(src.level(d), tgt.level(d), dict(entries))
-                             for d in range(max_degree + 1)]
-                compositions[(osig, i, isig)] = ops.make_map(src, tgt, comps)
+                compositions[(osig, i, isig)] = const_map(
+                    src, levels[((color,) * n, color)], entries)
     return Operad(coll, units, compositions)
 
 
@@ -1208,7 +1207,7 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     entries on the columns of the arity-k terms, the identity on the
     other terms left implicit for `_quotient_by`.  Input relabelings are
     built for the adjacent transpositions only, which the `Collection`
-    constructor closes.  Their entries, like the relations', come from
+    constructor checks.  Their entries, like the relations', come from
     `_tensor_entries`, the one routine that applies a map to each tensor
     factor of a term and reorders the factors with the Koszul sign, for
     any action maps, by strided sums over the terms' layouts; the
@@ -1266,7 +1265,7 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
         bigs[sig], offsets_of[sig] = big, offsets
 
     # the action is a homomorphism, so descent on the generators covers
-    # the group, and the Collection constructor refuses words that disagree
+    # the group, and the Collection constructor refuses broken relations
     gens = {}
     for sig, terms in data.items():
         n_inputs = sig_arity(sig)

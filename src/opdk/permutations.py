@@ -1,7 +1,8 @@
 """Finite permutations and small permutation groups.
 
 A permutation of {0..n-1} is a tuple sigma with sigma[i] the image of i.
-Groups are handled by explicit closure; every group in this project is
+A symmetric group is given by its adjacent transpositions, whose Coxeter
+relations `operad.Collection` checks; every group in this project is
 tiny (symmetric groups up to degree ~5, tree automorphism groups).
 """
 

@@ -52,6 +52,7 @@ from opdk.exactlin import (CokernelPresentation, FreeModule, LinearMap,
                            cokernel, free_module, hstack)
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import SimplicialModule, moore_complex
+from opdk.trees import cokernel_collection
 from test_tensor_routes import (_oracle_associator, _oracle_braiding,
                                 _oracle_swap, _oracle_tensor_entries)
 
@@ -185,7 +186,7 @@ def test_associative_operad_simplicial_checks():
 
 
 def test_associative_operad_tables_are_the_word_relabelings():
-    # every closed table entry is the permutation matrix of word_act,
+    # every permutation acts by the permutation matrix of word_act,
     # in every degree of a simplicial level
     for base, A, D, unital in (("chain", 4, 0, False), ("chain", 4, 0, True),
                                ("simplicial", 3, 2, False)):
@@ -247,6 +248,93 @@ def test_collection_refuses_a_broken_braid_relation():
     # while s_2 s_1 s_2 swaps the basis with signs
     with pytest.raises(ValueError, match=r"inconsistent at .*\(2, 1, 0\)"):
         _rank_two_generators(3, [[[0, 1], [1, 0]], [[1, 0], [0, -1]]])
+
+
+# the reflection representation of S_3 on the root lattice, basis
+# e0 - e1, e1 - e2: three distinct involutions, any two of them braided
+_S3_REFLECTIONS = {"(01)": [[-1, 1], [0, 1]], "(12)": [[1, 0], [1, -1]],
+                   "(02)": [[0, -1], [-1, 0]]}
+
+
+def test_collection_refuses_a_broken_far_commutation():
+    # s_0 = (12) and s_2 = (02) each braid with s_1 = (01), but they do
+    # not commute, so s_0 s_2 and s_2 s_0 disagree on (1, 0, 3, 2)
+    r = _S3_REFLECTIONS
+    with pytest.raises(ValueError, match=r"inconsistent at .*\(1, 0, 3, 2\)"):
+        _rank_two_generators(4, [r["(12)"], r["(01)"], r["(02)"]])
+    # s_0 = s_2 = (12) is S_4 onto S_3, a true action
+    assert collection_check(_rank_two_generators(
+        4, [r["(12)"], r["(01)"], r["(12)"]])) == []
+
+
+def _closed_table(coll, sig):
+    """Every permutation's map at sig, closed breadth-first from the
+    identity over the stored generators: s g gets the generator g at
+    sig.s after the map of s, for the first s that reaches it."""
+    n = len(sig[0])
+    e = perms.identity(n)
+    table, frontier = {e: coll.ops.identity(coll.level(sig))}, [e]
+    while frontier:
+        new = []
+        for s in frontier:
+            for g in perms.transpositions(n):
+                p = perms.compose(s, g)
+                if p not in table:
+                    table[p] = coll.actions[sig_act(sig, s)][g] @ table[s]
+                    new.append(p)
+        frontier = new
+    return table
+
+
+def _random_collections(ring, base, action):
+    return [corpus.random_collection(random.Random(seed), ring, base, 4, 1,
+                                     2, action) for seed in range(4)]
+
+
+def _cokernels():
+    return [cokernel_collection(f)[0] for f in (
+        corpus.split_binary_inclusion(ZZ, 3)[2],
+        corpus.split_binary_inclusion(QQ, 4, q_rank=2, q_regular=True)[2],
+        corpus.two_color_binary_inclusion(F5, 3)[2])]
+
+
+def _restrictions():
+    A = associative_operad(ZZ, "chain", 4, 0)
+    Q = corpus.indiscrete_operad(F5, "simplicial", 2,
+                                 disk=corpus.acyclic_disk(F5, 2))
+    return [restrict_colors({"a": X, "b": X}, A, ("a", "b")).collection,
+            restrict_colors({"p": "a", "q": "b", "r": "a"}, Q,
+                            ("p", "q", "r")).collection]
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda r=r, b=b, a=a: _random_collections(r, b, a)
+      for r in (ZZ, QQ, F5) for b in ("chain", "simplicial")
+      for a in ("trivial", "sign")],
+    lambda: [composite_product(*[associative_operad(
+        ZZ, "chain", 4, 0).collection] * 2).collection],
+    lambda: [composite_product(*[_two_color_associative()] * 2).collection],
+    _cokernels,
+    _restrictions,
+], ids=[f"random-{r}-{b}-{a}" for r in ("Z", "Q", "F5")
+        for b in ("chain", "simplicial") for a in ("trivial", "sign")]
+    + ["regular-composite-4", "two-color-composite", "cokernels",
+       "restrictions"])
+def test_action_matches_the_closed_table(build):
+    """action(sig, s) for every s in S_n, entry for entry, against the
+    table the breadth-first closure of the generators builds; a freshly
+    built collection stores the generators and nothing else."""
+    for coll in build():
+        for sig in coll.signatures():
+            n = len(sig[0])
+            assert set(coll.actions[sig]) == set(perms.transpositions(n))
+        for sig in coll.signatures():
+            table = _closed_table(coll, sig)
+            assert set(table) == set(perms.all_permutations(len(sig[0])))
+            for s, want in table.items():
+                got = coll.action(sig, s)
+                assert [c.entries for c in got.components] == \
+                    [c.entries for c in want.components]
 
 
 def test_collection_refuses_a_missing_generator():
@@ -500,8 +588,8 @@ def _bracketings(ring, action):
 
 def _two_color_associative():
     """Ass(3) with one color split in two, so that relabeling inputs
-    changes the signature: the closure reads generator tables at
-    signatures other than its start."""
+    changes the signature: building a permutation's action reads
+    generators at signatures other than its start."""
     A = associative_operad(ZZ, "chain", 3, 0)
     return restrict_colors({"a": X, "b": X}, A, ("a", "b")).collection
 
@@ -525,9 +613,8 @@ def test_composite_action_tables_match_tensor_map_route(pairs):
             n_in = len(sig[0])
             if n_in < 2:
                 continue
-            table = coll.actions[sig]
-            assert set(table) == set(perms.all_permutations(n_in))
-            for s, f in table.items():
+            for s in perms.all_permutations(n_in):
+                f = coll.action(sig, s)
                 crossing += sig_act(sig, s) != sig
                 for n in range(coll.max_degree + 1):
                     old = _old_route_action(M, N, res, sig, s, n)
