@@ -668,9 +668,9 @@ def _presentation_iso(induced: LinearMap, Hs: HomologyResult, Ht: HomologyResult
     than the source boundary lattice (the reverse inclusion is automatic).
     """
     rel_t = compose(Ht.presentation.proj, Ht.boundaries)
-    if not cokernel(hstack([induced, rel_t])).presentation.is_trivial():
-        return False
     big = hstack([induced, rel_t])
+    if not cokernel(big).presentation.is_trivial():
+        return False
     kmod, kincl = kernel(big)
     # pairs (v, w) with induced v = -rel_t w; drop the w rows. Over Z the
     # kernel is saturated, so the projection is the full preimage lattice.

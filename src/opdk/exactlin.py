@@ -5,7 +5,9 @@ matrices with exact entries.  On top of plain matrix arithmetic this
 module provides the workhorses everything else reduces to:
 
 * smith_normal_form  -- U*m*V = D with unimodular U, V and a divisibility
-  chain down the diagonal,
+  chain down the diagonal; U, V and U^-1 are built only when a caller
+  first reads them, over Z by replaying the row and column operations
+  the elimination recorded,
 * kernel             -- saturated kernel sublattice (nullspace over fields),
 * cokernel           -- presentation of target/im(m) with projection and
   section.  Its front end, signed_quotient, is a signed union-find: it
@@ -22,6 +24,7 @@ kept in check by smallest-pivot selection.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import _kernel
 from .rings import Ring, ZZ, ring_from_name
@@ -515,18 +518,55 @@ def rref(m: LinearMap):
 
 
 class SmithForm:
-    """U*m*V = D diagonal with div chain; all four transforms kept."""
+    """U*m*V = D: U and V are invertible over the ring, and D is the
+    diagonal matrix whose diagonal, `diagonal`, is a divisibility chain.
 
-    __slots__ = ("matrix", "U", "Uinv", "V", "Vinv", "D", "diagonal")
+    `diagonal` is computed with the form.  U, V and U^-1 are each built
+    the first time they are read, and kept: over Z from the logged row
+    and column operations of the elimination (`_replay`), over a field
+    from its rref.  `kernel` reads only V, `solve` U and V, `cokernel`
+    U and U^-1, and `is_iso` and `rank_of_image` none of them.
+    """
 
-    def __init__(self, matrix, U, Uinv, V, Vinv, D, diagonal):
-        self.matrix = matrix
-        self.U = U
-        self.Uinv = Uinv
-        self.V = V
-        self.Vinv = Vinv
-        self.D = D
+    def __init__(self, diagonal, U, V, Uinv):
         self.diagonal = diagonal
+        self._build = {"U": U, "V": V, "Uinv": Uinv}
+
+    @cached_property
+    def U(self) -> LinearMap:
+        return self._build["U"]()
+
+    @cached_property
+    def V(self) -> LinearMap:
+        return self._build["V"]()
+
+    @cached_property
+    def Uinv(self) -> LinearMap:
+        return self._build["Uinv"]()
+
+
+def _replay(log, n: int, inverse: bool = False) -> dict:
+    """Entries of the n x n integer matrix that the row operations in
+    `log` make of the identity: ("add", a, b, c) is row a += c * row b
+    (a != b), ("swap", a, b, _) swaps rows a and b, and ("neg", a, _, _)
+    negates row a.  With `inverse`, the inverse of each operation, in
+    reverse order, which makes the inverse matrix."""
+    rows = {i: {i: 1} for i in range(n)}
+    for op, a, b, c in (reversed(log) if inverse else log):
+        if op == "add":
+            c = -c if inverse else c
+            ra = rows[a]
+            for j, v in rows[b].items():
+                nv = ra.get(j, 0) + c * v
+                if nv:
+                    ra[j] = nv
+                elif j in ra:
+                    del ra[j]
+        elif op == "swap":
+            rows[a], rows[b] = rows[b], rows[a]
+        else:
+            rows[a] = {j: -v for j, v in rows[a].items()}
+    return {(i, j): v for i, r in rows.items() for j, v in r.items()}
 
 
 def _smith_integer(m: LinearMap) -> SmithForm:
@@ -539,11 +579,9 @@ def _smith_integer(m: LinearMap) -> SmithForm:
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
-
-    U = {i: {i: 1} for i in range(R)}
-    Uinv = {i: {i: 1} for i in range(R)}
-    V = {j: {j: 1} for j in range(C)}
-    Vinv = {j: {j: 1} for j in range(C)}
+    # the elementary operations in the order they are made, for _replay:
+    # U is the row operations applied to the identity, V^T the column ones
+    row_log, col_log = [], []
 
     def row_get(i, j):
         return rows.get(i, {}).get(j, 0)
@@ -563,52 +601,20 @@ def _smith_integer(m: LinearMap) -> SmithForm:
                     del cols[j]
 
     def row_add(i1, i2, c):
-        # row i1 += c * row i2, with U updated and Uinv counter-updated
+        # row i1 += c * row i2
         if c == 0:
             return
         for j, v in list(rows.get(i2, {}).items()):
             set_entry(i1, j, row_get(i1, j) + c * v)
-        u2 = U.get(i2, {})
-        u1 = U.setdefault(i1, {})
-        for j, v in u2.items():
-            nv = u1.get(j, 0) + c * v
-            if nv:
-                u1[j] = nv
-            elif j in u1:
-                del u1[j]
-        # inverse op on Uinv columns: col i2 -= c * col i1
-        for r_ in list(Uinv.keys()):
-            ur = Uinv[r_]
-            if i1 in ur:
-                nv = ur.get(i2, 0) - c * ur[i1]
-                if nv:
-                    ur[i2] = nv
-                elif i2 in ur:
-                    del ur[i2]
+        row_log.append(("add", i1, i2, c))
 
     def col_add(j1, j2, c):
-        # col j1 += c * col j2, with V updated (V acts on the right)
+        # col j1 += c * col j2
         if c == 0:
             return
         for i in list(cols.get(j2, set())):
             set_entry(i, j1, row_get(i, j1) + c * row_get(i, j2))
-        for r_ in list(V.keys()):
-            vr = V[r_]
-            if j2 in vr:
-                nv = vr.get(j1, 0) + c * vr[j2]
-                if nv:
-                    vr[j1] = nv
-                elif j1 in vr:
-                    del vr[j1]
-        # inverse op on Vinv rows: row j2 -= c * row j1
-        v1 = Vinv.get(j1, {})
-        v2 = Vinv.setdefault(j2, {})
-        for j, v in list(v1.items()):
-            nv = v2.get(j, 0) - c * v
-            if nv:
-                v2[j] = nv
-            elif j in v2:
-                del v2[j]
+        col_log.append(("add", j1, j2, c))
 
     def row_swap(i1, i2):
         if i1 == i2:
@@ -633,17 +639,7 @@ def _smith_integer(m: LinearMap) -> SmithForm:
                 cols.setdefault(j, set()).add(i2)
             if j in cols and not cols[j]:
                 del cols[j]
-        U[i1], U[i2] = U.get(i2, {}), U.get(i1, {})
-        for r_ in Uinv.values():
-            a, b = r_.get(i1), r_.get(i2)
-            if a is not None:
-                r_[i2] = a
-            elif i2 in r_:
-                del r_[i2]
-            if b is not None:
-                r_[i1] = b
-            elif i1 in r_:
-                del r_[i1]
+        row_log.append(("swap", i1, i2, 0))
 
     def col_swap(j1, j2):
         if j1 == j2:
@@ -653,25 +649,12 @@ def _smith_integer(m: LinearMap) -> SmithForm:
             a, b = row_get(i, j1), row_get(i, j2)
             set_entry(i, j1, b)
             set_entry(i, j2, a)
-        for r_ in V.values():
-            a, b = r_.get(j1), r_.get(j2)
-            if a is not None:
-                r_[j2] = a
-            elif j2 in r_:
-                del r_[j2]
-            if b is not None:
-                r_[j1] = b
-            elif j1 in r_:
-                del r_[j1]
-        Vinv[j1], Vinv[j2] = Vinv.get(j2, {}), Vinv.get(j1, {})
+        col_log.append(("swap", j1, j2, 0))
 
     def row_negate(i):
         for j in list(rows.get(i, {})):
             rows[i][j] = -rows[i][j]
-        U[i] = {j: -v for j, v in U.get(i, {}).items()}
-        for r_ in Uinv.values():
-            if i in r_:
-                r_[i] = -r_[i]
+        row_log.append(("neg", i, i, 0))
 
     n = min(R, C)
     t = 0
@@ -764,22 +747,14 @@ def _smith_integer(m: LinearMap) -> SmithForm:
             raise RuntimeError("integer Smith form: the diagonal is not a "
                                "divisibility chain")
 
-    def to_map(d, src, tgt):
-        entries = {}
-        for i, rdict in d.items():
-            for j, v in rdict.items():
-                if v:
-                    entries[(i, j)] = v
-        return LinearMap(src, tgt, entries)
-
     Rmod, Cmod = m.target, m.source
-    Umap = to_map(U, Rmod, free_module(ZZ, R, "r"))
-    Uinvmap = to_map(Uinv, free_module(ZZ, R, "r"), Rmod)
-    Vmap = to_map(V, free_module(ZZ, C, "c"), Cmod)
-    Vinvmap = to_map(Vinv, Cmod, free_module(ZZ, C, "c"))
-    entries = {(i, i): d for i, d in enumerate(diag) if d}
-    D = LinearMap(Vmap.source, Umap.target, entries)
-    return SmithForm(m, Umap, Uinvmap, Vmap, Vinvmap, D, tuple(diag))
+    r_mod, c_mod = free_module(ZZ, R, "r"), free_module(ZZ, C, "c")
+    return SmithForm(
+        tuple(diag),
+        U=lambda: LinearMap(Rmod, r_mod, _replay(row_log, R)),
+        V=lambda: LinearMap(c_mod, Cmod, {
+            (i, j): v for (j, i), v in _replay(col_log, C).items()}),
+        Uinv=lambda: LinearMap(r_mod, Rmod, _replay(row_log, R, inverse=True)))
 
 
 def _smith_field(m: LinearMap) -> SmithForm:
@@ -787,29 +762,26 @@ def _smith_field(m: LinearMap) -> SmithForm:
     R1, T, pivots = rref(m)
     r = len(pivots)
     C = m.source.rank
-    # V = V0 V1: the permutation V0 puts the pivot columns first, and the
-    # unipotent V1 clears the rest, col k (k >= r) -= sum RP[i][k] col i
-    # with RP = R1 V0.  V1 inverts by negating its off-diagonal block and
-    # V0 by its transpose, so Vinv = V1^-1 V0^T; all three are relabelings
-    # of the entries of R1, whose rows below r are zero.
-    used = set(pivots)
-    order = list(pivots) + [j for j in range(C) if j not in used]
-    slot = {j: k for k, j in enumerate(order)}
-    V_entries = {(j, k): ring.one for k, j in enumerate(order)}
-    Vinv_entries = {(k, j): ring.one for k, j in enumerate(order)}
-    for (i, j), v in R1.entries.items():
-        if slot[j] >= r:
-            V_entries[(order[i], slot[j])] = ring.neg(v)
-            Vinv_entries[(i, j)] = v
-    src = free_module(ring, C, "c")
-    V = LinearMap(src, m.source, V_entries)
-    Vinv = LinearMap(m.source, src, Vinv_entries)
-    if V @ Vinv != LinearMap.identity(m.source):
-        raise RuntimeError("field Smith form: V @ Vinv is not the identity")
-    D = R1 @ V
+
+    def build_V():
+        # V = V0 V1: the permutation V0 puts the pivot columns first, and
+        # the unipotent V1 clears the rest, col k (k >= r) -= sum RP[i][k]
+        # col i with RP = R1 V0; both are relabelings of the entries of
+        # R1, whose rows below r are zero
+        used = set(pivots)
+        order = list(pivots) + [j for j in range(C) if j not in used]
+        slot = {j: k for k, j in enumerate(order)}
+        entries = {(j, k): ring.one for k, j in enumerate(order)}
+        for (i, j), v in R1.entries.items():
+            if slot[j] >= r:
+                entries[(order[i], slot[j])] = ring.neg(v)
+        V = LinearMap(free_module(ring, C, "c"), m.source, entries)
+        if (R1 @ V).entries != {(i, i): ring.one for i in range(r)}:
+            raise RuntimeError("field Smith form: T @ m @ V is not diagonal")
+        return V
+
     diag = tuple([ring.one] * r) + tuple([ring.zero] * (min(m.target.rank, C) - r))
-    Uinv = T.inverse()
-    return SmithForm(m, T, Uinv, V, Vinv, D, diag)
+    return SmithForm(diag, U=lambda: T, V=build_V, Uinv=T.inverse)
 
 
 def smith_normal_form(m: LinearMap) -> SmithForm:
@@ -948,26 +920,20 @@ def kernel(m: LinearMap):
         K = free_module(ring, len(free_cols), "k")
         incl = LinearMap(K, m.source, entries)
     else:
+        # the columns of V against zero diagonal entries span the kernel
         sf = smith_normal_form(m)
-        zero_cols = [
-            j
-            for j in range(m.source.rank)
-            if j >= len(sf.diagonal) or sf.diagonal[j] == 0
-        ]
-        cols = hstack(
-            [_column_map(sf.V, j) for j in zero_cols]
-        ) if zero_cols else LinearMap.zero(free_module(ring, 0, "k"), m.source)
-        reduced = hnf_columns(cols)
+        diag = sf.diagonal
+        zero = [j for j in range(m.source.rank) if j >= len(diag) or diag[j] == 0]
+        slot = {j: k for k, j in enumerate(zero)}
+        cols = {(i, slot[j]): v for (i, j), v in sf.V.entries.items()
+                if j in slot}
+        reduced = hnf_columns(
+            LinearMap(free_module(ring, len(slot), "k"), m.source, cols))
         K = free_module(ring, reduced.source.rank, "k")
         incl = LinearMap(K, m.source, reduced.entries)
     if not (m @ incl).is_zero():
         raise RuntimeError("kernel: the basis is not killed by the map")
     return incl.source, incl
-
-
-def _column_map(m: LinearMap, j: int) -> LinearMap:
-    src = free_module(m.ring, 1, "v")
-    return LinearMap(src, m.target, {(i, 0): v for i, v in m.column(j).items()})
 
 
 def solve(m: LinearMap, b: LinearMap):

