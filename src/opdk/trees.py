@@ -1,51 +1,48 @@
 """Planar colored trees and the free operads they index.
 
 Rooted planar trees with colored edges and a marked/unmarked flag per
-vertex drive three computations:
+vertex drive four computations:
 
 * enumeration of isomorphism classes within a vertex bound, pruned by
   the leaf-vertex identity L - 1 = sum over vertices of (arity - 1),
   together with canonical forms, grafting, and automorphism orders; a
   free level or an extension stage takes its classes and its
   truncation flag from one enumeration one vertex past its bound;
-* levels of the free operad on a collection: each class contributes the
-  decorations of its planar representatives tensored with the leaf
-  labelings, divided by the reordering moves between representatives.
-  This is the same coinvariant machinery the composite product uses,
-  in one sum-quotient-descend layer of `operad`: `_assemble` lays out
-  every direct sum (the representatives of a class, the classes of a
-  level, the blocks of an extension stage) and maps between sums are
-  placed by its offsets; `_coinvariants` divides a class sum by its
-  moves through `_quotient_by` and pushes the differential down; and
-  `_descend` pushes relabelings and evaluations down block by block,
-  raising ValueError on one that does not descend.  A move sends each
-  basis element of one planar representative to plus or minus one
-  basis element of its swapped twin, the sign being the Koszul sign of
-  the reordering.  It is stored as those columns alone:
-  the identity on every other representative stays implicit, so a
-  level costs one entry per moved basis element, not a square matrix
-  per move.  The moves, the cell comparison isomorphisms and the block
-  rewrites of the extension stages all come from
-  `chain._tensor_entries`, the one routine that applies a map to each
-  tensor factor and reorders the factors, as the composite product does
-  for its relabelings; for the signed permutations, leaf relabelings,
-  cokernel sections and generator inclusions used here, as for any
-  other maps, it computes the target rows as strided sums over the
-  layouts of both tensors (`chain._layout`: one strided box per degree
-  tuple), whatever their bracketing.
-  `operad._quotient_by` feeds the moves' columns to the signed
-  union-find `exactlin.signed_quotient` whenever the collection's
-  actions also send basis elements to +-basis elements, and pads them
-  to full matrices for an exact cokernel otherwise;
+* levels of the free operad on a collection: each class contributes
+  the decorations of its canonical planar tree tensored with the leaf
+  labelings, divided by that tree's automorphisms, which the self-moves
+  swapping two identical adjacent siblings generate.  The sibling swaps
+  between the planar trees of a class form a connected groupoid, and a
+  colimit over it is the coinvariants of its vertex group at one object
+  (the tree-coinvariant description of free operads, as in
+  Dotsenko-Khoroshkin and in the free-extension filtration of
+  Berger-Moerdijk), so no other planar tree is summed: a map that lands
+  on another planar tree carries it to the canonical one along the
+  isomorphism that sorts siblings, then projects.  That isomorphism and
+  the self-moves come from one routine, `_iso_entries`, a single
+  `chain._tensor_entries` call: the vertex factors move with their
+  Koszul sign, each decoration goes through the action of its input
+  permutation, and the labelings follow their leaves, placed by the
+  strided layouts of both tensors (`chain._layout`).  The quotients go
+  through the sum-quotient-descend layer of `operad` that the composite
+  product uses: `_assemble` lays out every direct sum (the classes of a
+  level, the blocks and choice domains of an extension stage) and maps
+  between sums are placed by its offsets; `_coinvariants` divides a
+  block by its self-moves through `_quotient_by`, which feeds them to
+  the signed union-find `exactlin.signed_quotient` when the actions send
+  basis elements to +-basis elements and takes an exact cokernel
+  otherwise; and `_descend` pushes relabelings and evaluations down
+  block by block, raising ValueError on one that does not descend;
 * the cell maps of a free extension of operads: the map attached to a
   tree is an iterated pushout product of the collection map at marked
   vertices and the operad unit elsewhere, and the stages are assembled
-  with degreewise pushouts of complexes.  The cokernel collection of
-  the attaching map takes its levels from the cokernel presentations
-  through `operad._quotient_object`, the descent step of that layer.
-  When the cell maps send basis elements to +-basis elements, the
-  pushout relations form a signed graph, and `exactlin.cokernel` takes
-  the same union-find;
+  with degreewise pushouts of complexes, gluing each class along the
+  choice blocks of its canonical tree alone.  The cokernel collection
+  of the attaching map takes its levels from the cokernel
+  presentations through `operad._quotient_object`, the descent step of
+  that layer.  When the cell maps send basis elements to +-basis
+  elements, the pushout relations form a signed graph, and
+  `exactlin.cokernel` takes the same union-find;
 * the evaluation of decorated trees in an operad, on whole per-degree
   entry lists: `_contract` composes along the unmarked edges and
   `_act_by_labelings` acts by each labeling.  The attaching maps of the
@@ -270,8 +267,9 @@ def aut_order(T: Tree) -> int:
 def planar_orbit(T: Tree):
     """All planar trees isomorphic to T, canonical representative first.
 
-    Breadth-first over single adjacent sibling swaps; the order is
-    deterministic, which the quotient bookkeeping relies on.
+    Breadth-first over single adjacent sibling swaps.  No block is
+    built over it: it enumerates the planar trees that the tests carry
+    to the canonical one.
     """
     start = canonical(T)
     seen = {start.key(): start}
@@ -300,30 +298,25 @@ def _swap_children(T: Tree, path, t: int) -> Tree:
 
 
 class TreeIsoClass:
-    """Canonical representative plus its orbit and automorphism data.
+    """Canonical representative plus its automorphism data.
 
-    orbit is `planar_orbit(rep)` in its order, which the class's block
-    takes as its planar representatives.  It is built on first use and
-    kept: a class past a vertex bound is only counted, and orbits built
-    among the enumeration's short-lived trees scatter over the heap,
-    which raised the peak RSS of a benchmark pass."""
+    rep is the one planar tree a class's block is built on; every other
+    planar tree of the class reaches it through the isomorphism that
+    sorts siblings (`_Block.reach`).  The automorphisms act freely on
+    the child orderings at every vertex, so the planar orbit has
+    prod_v (arity of v)! / aut_order members, with no orbit built."""
 
-    __slots__ = ("rep", "aut_order", "_orbit")
+    __slots__ = ("rep", "aut_order")
 
     def __init__(self, rep: Tree):
         self.rep = canonical(rep)
         self.aut_order = aut_order(self.rep)
-        self._orbit = None
-
-    @property
-    def orbit(self):
-        if self._orbit is None:
-            self._orbit = planar_orbit(self.rep)
-        return self._orbit
 
     @property
     def orbit_size(self) -> int:
-        return len(self.orbit)
+        return math.prod(math.factorial(len(vsig[0]))
+                         for vsig, _ in self.rep.vertex_preorder()) \
+            // self.aut_order
 
     @property
     def encoding(self) -> str:
@@ -619,11 +612,12 @@ def leaf_labelings(leaf_colors, inputs):
 # start + sum idx[j] * strides[j] (`chain._flat`).  `chain._layout`
 # folds the binary combinator `chain._tensor_layout` over a factor list
 # (left-associated, as `operad._tensor_many` builds the objects), and
-# `chain._bracketed_layout` applies it along a cell's bracketing.  Blocks
-# keep one layout per planar representative, and stage rewrites build
-# theirs per factor list; no position list or index dict is stored.
-# Every map applied factorwise, a move, a relabeling or a stage rewrite,
-# goes through `chain._tensor_entries`, which places each product by the
+# `chain._bracketed_layout` applies it along a cell's bracketing.  A
+# block keeps the layout of its canonical tree, a planar tree carried
+# to it lays out its own on first use, and stage rewrites build theirs
+# per factor list; no position list or index dict is stored.  Every map
+# applied factorwise, a tree isomorphism, a relabeling or a stage
+# rewrite, goes through `chain._tensor_entries`, which places each product by the
 # strides of both layouts.  `chain._expand` lists a degree's basis only
 # where a map is not factorwise: `_pair_entries`, whose map leaves the
 # tensor of two factors.
@@ -683,118 +677,145 @@ def _placed_map(ops, src, tgt, pieces):
 
 
 # ---------------------------------------------------------------------------
-# class blocks: decorations tensor labelings, divided by reordering moves
+# class blocks: a canonical tree's decorations, divided by its automorphisms
 # ---------------------------------------------------------------------------
 
 
 class _Block:
     """The contribution of one tree class to a level.
 
-    big is the direct sum over the planar orbit of (decorations tensor
-    labelings), laid out by `operad._assemble`, with offsets[pi][n] the
-    first degree-n row of representative pi; obj is its quotient by the
-    sibling-swap moves, which act on decorations through the collection
-    actions and permute labelings through the induced leaf permutation.
-    `operad._coinvariants` takes the quotient and descends the
-    differential, as it does for the composite product.  quotients[n]
-    is the degree-n quotient, and proj and section are chain maps
-    between big and obj made of its maps.
+    tensor is the tensor of the decorations of p0 = tree_class.rep, the
+    canonical planar tree, in vertex preorder, with its leaf labelings
+    labs; layout is its `chain._layout` (per degree, one strided box per
+    degree tuple), all the tensor bookkeeping a block keeps.  obj is the
+    coinvariants of tensor under Aut(p0), which the self-moves of p0
+    generate: the swaps of two identical adjacent siblings, acting on
+    decorations through the collection actions and on labelings through
+    the induced leaf permutation.  The sibling swaps between the planar
+    trees of the class form a connected groupoid, and a colimit over it
+    is the coinvariants of its vertex group at one object, so no other
+    planar tree is summed.  `operad._coinvariants` takes the quotient
+    and descends the differential, as it does for the composite product.
+    quotients[n] is the degree-n quotient, and proj and section are
+    chain maps between tensor and obj made of its maps.
 
-    layouts[pi] is the `operad._layout` of representative pi's factors
-    (its decorations in vertex preorder, then its labelings): per
-    degree, one strided box per degree tuple.  It is all the tensor
-    bookkeeping a block keeps; a basis element's row is its box's start
-    plus its indices times the box's strides, and no position list is
-    stored.
+    Any other planar tree of the class reaches obj through `reach`.
     """
 
-    __slots__ = ("tree_class", "planar", "factors", "labs", "layouts", "big",
-                 "obj", "proj", "section", "quotients", "offsets", "ring",
-                 "bound")
+    __slots__ = ("tree_class", "labs", "layout", "tensor", "obj", "proj",
+                 "section", "quotients", "ring", "bound", "decor", "action",
+                 "sig_inputs", "_reached")
 
     def __init__(self, ring: Ring, bound: int, tree_class: TreeIsoClass,
                  decor: Callable, action: Callable, sig_inputs):
         self.ring = ring
         self.bound = bound
         self.tree_class = tree_class
+        self.decor, self.action, self.sig_inputs = decor, action, sig_inputs
+        self._reached = {}
+        p0 = tree_class.rep
+        self.labs, factors = self._factors(p0)
         ops = _ops_for("chain", ring, bound)
-        self.planar = tree_class.orbit
-        where = {p.key(): pi for pi, p in enumerate(self.planar)}
-        self.factors = []
-        self.labs = []
-        self.layouts = []
-        objs = []
-        for p in self.planar:
-            facs = [decor(vsig, m) for vsig, m in p.vertex_preorder()]
-            labs = leaf_labelings(p.leaves(), sig_inputs)
-            self.factors.append(facs)
-            self.labs.append(labs)
-            factors = facs + [_labeling_complex(ring, len(labs), bound)]
-            self.layouts.append(_layout(ops.base, factors, bound))
-            objs.append(_tensor_many(ops, factors))
-        self.big, self.offsets = _assemble(ops, objs)
-
-        # a move touches only its representative's columns; the
-        # identity on the other representatives stays implicit
+        self.layout = _layout("chain", factors, bound)
+        self.tensor = _tensor_many(ops, factors)
+        cols = [range(self.tensor.level(n).rank) for n in range(bound + 1)]
         rels = [[] for _ in range(bound + 1)]
-        for pi, p in enumerate(self.planar):
-            cols = [range(self.offsets[pi][n],
-                          self.offsets[pi][n] + objs[pi].level(n).rank)
-                    for n in range(bound + 1)]
-            paths = p.vertex_paths()
-            for vi, path in enumerate(paths):
-                v = p.subtree_at(path)
-                for t in range(len(v.children) - 1):
-                    q = _swap_children(p, path, t)
-                    qi = where[q.key()]
-                    move = self._move_entries(ops, action, pi, qi, p, q,
-                                              path, vi, t)
-                    for n in range(bound + 1):
-                        rels[n].append((move[n], cols[n]))
-        self.obj, self.quotients = _coinvariants(ops, self.big, rels)
-        self.proj = ChainMap(self.big, self.obj,
+        for vi, path in enumerate(p0.vertex_paths()):
+            kids = p0.subtree_at(path).children
+            for t in range(len(kids) - 1):
+                if kids[t] != kids[t + 1]:
+                    continue
+                swap = permutations.transposition(len(kids), t)
+                move = _iso_entries(
+                    ring, bound, action, p0,
+                    lambda wi, w: swap if wi == vi else None,
+                    (self.labs, self.layout), (self.labs, self.layout))
+                for n in range(bound + 1):
+                    rels[n].append((move[n], cols[n]))
+        self.obj, self.quotients = _coinvariants(ops, self.tensor, rels)
+        self.proj = ChainMap(self.tensor, self.obj,
                              [q.proj for q in self.quotients], check=False)
-        self.section = ChainMap(self.obj, self.big,
+        self.section = ChainMap(self.obj, self.tensor,
                                 [q.section for q in self.quotients],
                                 check=False)
 
-    def _move_entries(self, ops, action, pi, qi, p, q, path, vi, t):
-        v = p.subtree_at(path)
-        tau = permutations.transposition(len(v.children), t)
-        act = action(v.val, v.marked, tau)
-        sizes = [st.n_vertices for st in v.children]
-        first = vi + 1 + sum(sizes[:t])
-        pi_map = list(range(len(self.factors[pi])))
-        for j in range(sizes[t + 1]):
-            pi_map[first + sizes[t] + j] = first + j
-        for j in range(sizes[t]):
-            pi_map[first + j] = first + sizes[t + 1] + j
-        # leaf permutation: the two sibling blocks swap wholesale
-        lf = _leaf_offset(p, path)
-        before = sum(len(ch.leaves()) for ch in v.children[:t])
-        wa = len(v.children[t].leaves())
-        wb = len(v.children[t + 1].leaves())
-        start = lf + before
-        nleaves = len(p.leaves())
-        rho = list(range(nleaves))
-        for j in range(wa):
-            rho[start + j] = start + wb + j
-        for j in range(wb):
-            rho[start + wa + j] = start + j
-        back = permutations.inverse(rho)
-        lab_map = _labeling_map(ops, self.labs[pi], self.labs[qi],
-                                lambda lab: tuple(lab[j] for j in back))
-        maps = [None] * len(pi_map) + [lab_map]
-        maps[vi] = act
-        sigma = permutations.inverse(pi_map + [len(pi_map)])
-        ents = _tensor_entries(ops.ring, ops.base, maps, sigma,
-                               self.layouts[pi], self.layouts[qi])
-        return _placed([(ents, self.offsets[pi], self.offsets[qi])],
-                       self.bound)
+    def _factors(self, p: Tree):
+        """p's labelings, and the factors of its tensor: its decorations
+        in vertex preorder, then the labeling complex."""
+        labs = leaf_labelings(p.leaves(), self.sig_inputs)
+        return labs, [self.decor(vsig, m) for vsig, m in p.vertex_preorder()] \
+            + [_labeling_complex(self.ring, len(labs), self.bound)]
 
-    def flat_index(self, n: int, planar_idx: int, degs, idxs) -> int:
-        return self.offsets[planar_idx][n] + _flat(
-            self.layouts[planar_idx][n][tuple(degs)], idxs)
+    def reach(self, p: Tree):
+        """(labelings, layout, per-degree entries into obj) of the planar
+        tree p of this class: the tensor of p carried to p0's by the
+        isomorphism that sorts siblings, then proj.  Cached per planar
+        key."""
+        hit = self._reached.get(p.key())
+        if hit is None:
+            labs, factors = self._factors(p)
+            layout = _layout("chain", factors, self.bound)
+            iso = _iso_entries(self.ring, self.bound, self.action, p,
+                               _sorting, (labs, layout),
+                               (self.labs, self.layout))
+            hit = self._reached[p.key()] = (labs, layout, _products(
+                self.ring, [q.proj.entries for q in self.quotients], iso))
+        return hit
+
+
+def _iso_entries(ring: Ring, bound: int, action: Callable, p: Tree,
+                 order: Callable, src, tgt):
+    """Per-degree entries from the tensor of the planar tree p to the
+    tensor of the tree q that puts child order(vi, v)[i] of p's preorder
+    vertex vi, v, at slot i (None keeps the order), along that tree
+    isomorphism.  src and tgt are the (labelings, layout) pairs of p's
+    and q's tensors; action(vsig, marked, pi) is the decorations' action.
+    A block's self-moves (q = p = p0) and the sort that carries any tree
+    of a class onto its canonical one (`_Block.reach`) are both this.
+
+    It is one `chain._tensor_entries` call: the vertex factors move
+    with the Koszul sign, each vertex's decoration goes through the
+    action of its input permutation, and the labelings follow their
+    leaves."""
+    maps = []
+
+    def rec(t, leaf):
+        # t's vertices (source preorder indices) and leaf positions,
+        # both in target order
+        if t.is_edge:
+            return [], [leaf]
+        vi = len(maps)
+        pi = order(vi, t)
+        maps.append(None if pi is None else action(t.val, t.marked, pi))
+        subs = []
+        for ch in t.children:
+            subs.append(rec(ch, leaf))
+            leaf += len(subs[-1][1])
+        verts, leaves = [vi], []
+        for j in (range(len(subs)) if pi is None else pi):
+            verts += subs[j][0]
+            leaves += subs[j][1]
+        return verts, leaves
+
+    sigma, rho = rec(p, 0)
+    lab_map = _labeling_map(_ops_for("chain", ring, bound), src[0], tgt[0],
+                            lambda lab: tuple(lab[j] for j in rho))
+    return _tensor_entries(ring, "chain", maps + [lab_map],
+                           tuple(sigma) + (len(sigma),), src[1], tgt[1])
+
+
+def _sorting(vi: int, v: Tree):
+    """The child order that `canonical` gives v: stable, by encoding."""
+    pi = sorted(range(len(v.children)), key=lambda j: v.children[j].encoding())
+    return None if pi == list(range(len(pi))) else tuple(pi)
+
+
+def _block_of(blocks, tree: Tree) -> Optional[int]:
+    """Index of the block of tree's class among blocks, None when the
+    class left no block (its coinvariants were zero)."""
+    enc = tree.encoding()
+    return next((i for i, b in enumerate(blocks)
+                 if b.tree_class.encoding == enc), None)
 
 
 # ---------------------------------------------------------------------------
@@ -807,16 +828,21 @@ class FreeLevel:
 
     object is the `operad._assemble` sum of the class blocks' quotients,
     block bi starting at row offsets[bi][n] in degree n; a map out of or
-    into a block is placed by these offsets.
+    into a block is placed by these offsets.  Each block is built on its
+    class's canonical tree; a planar tree that a composition or the
+    generator inclusion lands on finds its block by `_block_of` and
+    reaches its quotient through `_Block.reach`.  An unknown color in
+    the signature raises ValueError, as the collection's levels do.
     """
 
     __slots__ = ("sig", "max_vertices", "blocks", "object", "offsets",
-                 "truncated", "ring", "bound", "lookup")
+                 "truncated", "ring", "bound")
 
     def __init__(self, M: Collection, sig, max_vertices: int):
         if M.base != "chain":
             raise ValueError("free operad levels live over chain complexes")
         self.sig = (tuple(sig[0]), sig[1])
+        M._check_colors(self.sig)
         self.max_vertices = max_vertices
         self.ring = M.ring
         self.bound = M.max_degree
@@ -830,10 +856,6 @@ class FreeLevel:
         self.blocks = [b for b in self.blocks if not ops.is_zero(b.obj)]
         self.object, self.offsets = _assemble(ops,
                                               [b.obj for b in self.blocks])
-        self.lookup = {}
-        for bi, b in enumerate(self.blocks):
-            for pi, p in enumerate(b.planar):
-                self.lookup[p.key()] = (bi, pi)
 
     def ranks(self):
         return self.object.ranks()
@@ -915,10 +937,11 @@ class FreeOperad:
         return self._operad
 
     def _action_map(self, sig, sigma):
-        """Relabel the leaf labelings; classes and planar orbits of the
-        source and target levels coincide because both only depend on
-        the leaf multiset, so each block maps to the block at its own
-        index and descends through `operad._descend` on its own."""
+        """Relabel the leaf labelings; the classes of the source and
+        target levels coincide because both only depend on the leaf
+        multiset, so each block maps to the block at its own index, on
+        the same canonical tree, and descends through `operad._descend`
+        on its own."""
         fl = self.levels[sig]
         tl = self.levels[sig_act(sig, sigma)]
         if [b.tree_class.encoding for b in fl.blocks] != \
@@ -929,17 +952,15 @@ class FreeOperad:
         pieces = []
         for b, tb, soff, toff in zip(fl.blocks, tl.blocks, fl.offsets,
                                      tl.offsets):
-            relabels = []
-            for pi, facs in enumerate(b.factors):
-                lab_map = _labeling_map(ops, b.labs[pi], tb.labs[pi],
-                                        lambda lab: word_act(lab, sigma))
-                relabels.append((_tensor_entries(
-                    ops.ring, ops.base, [None] * len(facs) + [lab_map], None,
-                    b.layouts[pi], tb.layouts[pi]), b.offsets[pi],
-                    tb.offsets[pi]))
+            lab_map = _labeling_map(ops, b.labs, tb.labs,
+                                    lambda lab: word_act(lab, sigma))
+            relabel = _tensor_entries(
+                ops.ring, ops.base,
+                [None] * b.tree_class.rep.n_vertices + [lab_map], None,
+                b.layout, tb.layout)
             comps = []
-            for n, entries in enumerate(_placed(relabels, self.bound)):
-                src, tgt = b.big.level(n), tb.big.level(n)
+            for n, entries in enumerate(relabel):
+                src, tgt = b.tensor.level(n), tb.tensor.level(n)
                 if (tgt.rank != src.rank or len(entries) != src.rank
                         or len({r for r, _ in entries}) != src.rank):
                     raise ValueError(
@@ -952,6 +973,9 @@ class FreeOperad:
         return _placed_map(self.ops, fl.object, tl.object, pieces)
 
     def _composition_map(self, osig, i, isig):
+        """Graft each pair of basis elements on their canonical trees,
+        and carry the grafted planar tree to its class's quotient
+        through `_reach_columns`, once per planar tree."""
         fl1, fl2 = self.levels[osig], self.levels[isig]
         gsig = graft_signature(osig, i, isig)
         flg = self.levels.get(gsig)
@@ -959,7 +983,7 @@ class FreeOperad:
         src = ops.tensor(fl1.object, fl2.object)
         if flg is None:
             raise ValueError(f"graft level {sig_str(gsig)} vanished")
-        columns: dict = {}  # (block, degree) -> `_proj_columns`
+        reached: dict = {}  # planar key -> `_reach_columns`
         basis1 = [_level_basis(fl1, m) for m in range(bound + 1)]
         basis2 = [_level_basis(fl2, m) for m in range(bound + 1)]
         comps = []
@@ -967,25 +991,26 @@ class FreeOperad:
             entries: dict = {}
             for s, r, off in _chain.tensor_blocks(fl1.object, fl2.object, n):
                 rank2 = fl2.object.level(r).rank
-                for c1, (b1, p1, degs1, idxs1) in basis1[s]:
+                for c1, (b1, degs1, idxs1) in basis1[s]:
                     block1 = fl1.blocks[b1]
-                    l1 = block1.labs[p1][idxs1[-1]]
-                    tree1 = block1.planar[p1]
+                    l1 = block1.labs[idxs1[-1]]
+                    tree1 = block1.tree_class.rep
                     t = l1.index(i)
                     insert = _graft_insert_position(tree1, t)
-                    for c2, (b2, p2, degs2, idxs2) in basis2[r]:
+                    for c2, (b2, degs2, idxs2) in basis2[r]:
                         block2 = fl2.blocks[b2]
-                        l2 = block2.labs[p2][idxs2[-1]]
-                        tree2 = block2.planar[p2]
-                        p = graft(tree1, t, tree2)
+                        l2 = block2.labs[idxs2[-1]]
+                        p = graft(tree1, t, block2.tree_class.rep)
                         if p.n_vertices > self.max_vertices:
                             raise ValueError(
                                 "composition grafts past the vertex bound; "
                                 "rebuild with a larger max_vertices")
-                        bg, pg = flg.lookup[p.key()]
-                        blockg = flg.blocks[bg]
-                        lg = word_graft(l1, i, l2)
-                        lgi = blockg.labs[pg].index(lg)
+                        if p.key() not in reached:
+                            reached[p.key()] = _reach_columns(flg, p)
+                        if reached[p.key()] is None:
+                            continue
+                        labs, layout, columns = reached[p.key()]
+                        lgi = labs.index(word_graft(l1, i, l2))
                         m1 = len(degs1) - 1
                         sign = 1
                         tail = [d for d in degs1[insert:m1] if d % 2]
@@ -996,11 +1021,8 @@ class FreeOperad:
                                  + degs1[insert:m1] + (0,))
                         idxsg = (idxs1[:insert] + idxs2[:-1]
                                  + idxs1[insert:m1] + (lgi,))
-                        rowflat = blockg.flat_index(n, pg, degsg, idxsg)
-                        cols = columns.get((bg, n))
-                        if cols is None:
-                            cols = columns[(bg, n)] = _proj_columns(flg, bg, n)
-                        row_obj = cols.get(rowflat)
+                        row_obj = columns[n].get(_flat(layout[n][degsg],
+                                                       idxsg))
                         if row_obj is None:
                             continue
                         col = off + c1 * rank2 + c2
@@ -1032,11 +1054,11 @@ def _graft_insert_position(t: Tree, pos: int) -> int:
 
 
 def _level_basis(fl: FreeLevel, n: int):
-    """Pairs (object index, (block, planar, degs, idxs)) at degree n,
-    through the quotient sections: object basis element c corresponds to
-    the big-module basis element its section column hits.
+    """Pairs (object index, (block, degs, idxs)) at degree n, through the
+    quotient sections: object basis element c corresponds to the basis
+    element of its block's canonical tree that its section column hits.
 
-    Sections out of the orbit fast path are unit columns, so the
+    Sections of the signed union-find route are unit columns, so the
     correspondence is exact there; a generic section would make this a
     representative choice, which the callers do not accept.  A block
     layout's boxes are contiguous row-major runs in ascending start
@@ -1052,32 +1074,34 @@ def _level_basis(fl: FreeLevel, n: int):
                 raise ValueError(
                     "composition bookkeeping needs unit section columns")
             cols[j] = i
-        runs = [list(lay[n].items()) for lay in b.layouts]
-        starts = [[box[0] for _, box in run] for run in runs]
+        run = list(b.layout[n].items())
+        starts = [box[0] for _, box in run]
         for j in range(b.obj.level(n).rank):
-            flat = cols[j]
-            pi = max(k for k, offs in enumerate(b.offsets)
-                     if flat >= offs[n])
-            local = flat - b.offsets[pi][n]
-            degs, (start, _, strides) = \
-                runs[pi][bisect_right(starts[pi], local) - 1]
-            rem, idxs = local - start, []
+            degs, (start, _, strides) = run[bisect_right(starts, cols[j]) - 1]
+            rem, idxs = cols[j] - start, []
             for stride in strides:
                 q, rem = divmod(rem, stride)
                 idxs.append(q)
-            out.append((off[n] + j, (bi, pi, degs, tuple(idxs))))
+            out.append((off[n] + j, (bi, degs, tuple(idxs))))
     return out
 
 
-def _proj_columns(fl: FreeLevel, bi: int, n: int) -> dict:
-    """Column index of block bi's degree-n proj: each big-module basis
-    element to the level-object rows it hits, as (row, entry) in the
-    order of the proj's entries."""
-    off = fl.offsets[bi][n]
-    cols: dict = {}
-    for (i, j), v in fl.blocks[bi].proj.component(n).entries.items():
-        cols.setdefault(j, []).append((off + i, v))
-    return cols
+def _reach_columns(fl: FreeLevel, p: Tree):
+    """(labelings, layout, per-degree column index) of the planar tree p
+    in the level fl: each basis element of p's tensor to the level-object
+    rows that `_Block.reach` sends it to, as (row, entry) lists.  None
+    when p's class left no block."""
+    bi = _block_of(fl.blocks, p)
+    if bi is None:
+        return None
+    labs, layout, reach = fl.blocks[bi].reach(p)
+    columns = []
+    for n, ents in enumerate(reach):
+        cols: dict = {}
+        for (i, j), v in ents.items():
+            cols.setdefault(j, []).append((fl.offsets[bi][n] + i, v))
+        columns.append(cols)
+    return labs, layout, columns
 
 
 # ---------------------------------------------------------------------------
@@ -1147,29 +1171,28 @@ class CollectionMap:
 
 
 def generator_inclusion(F: FreeOperad) -> CollectionMap:
-    """The collection map sending a generator to its one-vertex class."""
+    """The collection map sending a generator to its one-vertex class:
+    each basis element to the corolla, decorated by it and labeled by
+    the identity, carried to its block by `_Block.reach` (with two
+    colors the corolla need not be canonical)."""
     M = F.M
     ops = F.ops
     comps = {}
     for sig in M.signatures():
         fl = F.levels[sig]
         corolla = Tree.node(sig[1], [Tree.edge(c) for c in sig[0]])
-        bi, pi = fl.lookup[corolla.key()]
+        bi = _block_of(fl.blocks, corolla)
         block = fl.blocks[bi]
-        ident = tuple(range(sig_arity(sig)))
-        li = block.labs[pi].index(ident)
+        labs, layout, reach = block.reach(corolla)
+        li = labs.index(tuple(range(sig_arity(sig))))
         lev = M.level(sig)
-        entries = [dict() for _ in range(F.bound + 1)]
-        for n in range(F.bound + 1):
-            for j in range(lev.level(n).rank):
-                row = block.flat_index(n, pi, (n, 0), (j, li))
-                entries[n][(row, j)] = M.ring.one
-        emb = ops.make_map(lev, block.big,
-                           [LinearMap(lev.level(n), block.big.level(n),
-                                      entries[n])
-                            for n in range(F.bound + 1)])
-        comps[sig] = _placed_map(ops, lev, fl.object, [
-            ((block.proj @ emb).components, None, fl.offsets[bi])])
+        emb = [{(_flat(layout[n][(n, 0)], (j, li)), j): M.ring.one
+                for j in range(lev.level(n).rank)}
+               for n in range(F.bound + 1)]
+        comps[sig] = _placed_map(ops, lev, fl.object, [(
+            [LinearMap(lev.level(n), block.obj.level(n), e) for n, e in
+             enumerate(_products(M.ring, reach, emb))],
+            None, fl.offsets[bi])])
     return CollectionMap(M, F.operad().collection, comps)
 
 
@@ -1178,7 +1201,7 @@ def extend_to_operad(F: FreeOperad, target: Operad,
     """The operad map Free(M) -> target induced by g: M -> target.
 
     Decorations must be concentrated in degree zero, so every basis
-    element sits in degree zero.  Each planar representative is
+    element sits in degree zero.  Each block's canonical tree is
     evaluated the way an extension stage collapses a block onto its
     base level: `_contract` takes the decorations through g and composes
     along every edge, and `_act_by_labelings` acts by each labeling
@@ -1186,8 +1209,9 @@ def extend_to_operad(F: FreeOperad, target: Operad,
     condition stays because no check of graded signs covers the
     evaluation in higher degrees.  Each block's evaluation descends to
     its quotient through `operad._descend`, which raises ValueError
-    when it is not move-invariant.  The result is checked as an operad
-    map, and precomposition with the generator inclusion returns g.
+    when it is not invariant under the tree's automorphisms.  The
+    result is checked as an operad map, and precomposition with the
+    generator inclusion returns g.
     """
     from .operad import OpMorphism
     M = F.M
@@ -1202,20 +1226,17 @@ def extend_to_operad(F: FreeOperad, target: Operad,
         tgt = target.collection.level(sig)
         pieces = []
         for b, off in zip(fl.blocks, fl.offsets):
-            evals = []
-            for pi, p in enumerate(b.planar):
-                vsigs = [vsig for vsig, _ in p.vertex_preorder()]
-                tree, layout, cur = _contract(
-                    target, p, [g.component(v) for v in vsigs],
-                    [target.collection.level(v) for v in vsigs], b.labs[pi],
-                    b.layouts[pi])
-                evals.append((_products(ops.ring, _act_by_labelings(
-                    target, tree, b.labs[pi], layout), cur),
-                    b.offsets[pi], None))
-            comps = [_descend(LinearMap(b.big.level(n), tgt.level(n), e),
-                              b.quotients[n], "evaluation")
-                     for n, e in enumerate(_placed(evals, F.bound))]
-            pieces.append((comps, off, None))
+            vsigs = [vsig for vsig, _ in b.tree_class.rep.vertex_preorder()]
+            tree, layout, cur = _contract(
+                target, b.tree_class.rep, [g.component(v) for v in vsigs],
+                [target.collection.level(v) for v in vsigs], b.labs,
+                b.layout)
+            ev = _products(ops.ring, _act_by_labelings(target, tree, b.labs,
+                                                       layout), cur)
+            pieces.append(([_descend(LinearMap(b.tensor.level(n),
+                                               tgt.level(n), e),
+                                     b.quotients[n], "evaluation")
+                            for n, e in enumerate(ev)], off, None))
         level_maps[sig] = _placed_map(ops, fl.object, tgt, pieces)
     colors = {c: c for c in M.colors}
     return OpMorphism(P, target, colors, level_maps)
@@ -1346,13 +1367,12 @@ class ExtensionStages:
     new was attached, and whether trees beyond the bound exist.
     """
 
-    __slots__ = ("sig", "stages", "maps", "cells", "certificate")
+    __slots__ = ("sig", "stages", "maps", "certificate")
 
-    def __init__(self, sig, stages, maps, cells, certificate):
+    def __init__(self, sig, stages, maps, certificate):
         self.sig = sig
         self.stages = stages
         self.maps = maps
-        self.cells = cells
         self.certificate = certificate
 
     @property
@@ -1414,15 +1434,20 @@ def cokernel_collection(f: CollectionMap):
 
 
 def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
-                    generator_map: Optional[CollectionMap] = None,
-                    max_stage: Optional[int] = None) -> ExtensionStages:
+                    generator_map: Optional[CollectionMap] = None
+                    ) -> ExtensionStages:
     """Stage filtration of the free extension of O along f at one level.
 
     Stage k attaches the classes with k marked vertices: each class
-    contributes the coinvariants of f's target at marked vertices and O
-    elsewhere, glued along the choice blocks of its cell map.  The
-    attaching map rewrites a block through generator_map at the marked
-    source factors and contracts unmarked pairs with O's compositions.
+    contributes the coinvariants, under the automorphisms of its
+    canonical tree, of f's target at marked vertices and O elsewhere,
+    glued along the choice blocks of its cell map on that tree alone.
+    Any other planar tree of the class has the same latching image and
+    attaching value as a choice block of the canonical tree, so the
+    pushout is the same.  The attaching map rewrites a block through
+    generator_map at the marked source factors and contracts unmarked
+    pairs with O's compositions; the collapsed tree reaches its class's
+    block in an earlier stage through `_Block.reach`.
 
     O must have unit-sized unary diagonal levels and f must split
     degreewise; f's source must sit in arities >= 2 unless it is zero.
@@ -1443,17 +1468,15 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
 
     Qc, q_sections = cokernel_collection(f)
     trivial = all(ops.is_zero(Qc.level(s)) for s in f.target.signatures())
-    K = max_stage if max_stage is not None else max_vertices
     stage = pad(coll.level(sig), bound)
     if trivial:
         # the map is an isomorphism, so every attachment glues along an
         # iso and the stages never move
-        cert = {"vertex_bound": max_vertices, "stages": K,
-                "attached_ranks": [0] * K, "stable_from": 0,
+        cert = {"vertex_bound": max_vertices, "stages": max_vertices,
+                "attached_ranks": [0] * max_vertices, "stable_from": 0,
                 "stabilized": True, "truncated": False}
-        return ExtensionStages(sig, [stage] * (K + 1),
-                               [ops.identity(stage)] * K,
-                               {k: [] for k in range(1, K + 1)}, cert)
+        return ExtensionStages(sig, [stage] * (max_vertices + 1),
+                               [ops.identity(stage)] * max_vertices, cert)
     if any(sig_arity(s) < 2 for s in f.source.signatures()):
         raise ValueError("attaching maps need source generators in "
                          "arities >= 2")
@@ -1471,13 +1494,13 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
     attached = []
     truncated = False
 
-    # past stage K, a marked count is enumerated only for the flag
-    for k in range(1, max(K, max_vertices + 1) + 1):
+    # one marked vertex past the bound is enumerated only for the flag
+    for k in range(1, max_vertices + 2):
         classes, beyond = _classes_within(sig, k, max_vertices, marked_vals,
                                           unmarked_vals,
                                           no_adjacent_unmarked=True)
         truncated = truncated or beyond
-        if k > K:
+        if k > max_vertices:
             continue
         decor = lambda vsig, m: f.target.level(vsig) if m else coll.level(vsig)
         action = lambda vsig, m, tau: (f.target.action(vsig, tau) if m
@@ -1494,22 +1517,22 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
         C, c_off = _assemble(ops, [b.obj for b in blocks])
         doms, inks, atts = [], [], []
         for bi, b in enumerate(blocks):
-            for pi, p in enumerate(b.planar):
-                marked_paths = [path for path in p.vertex_paths()
-                                if p.subtree_at(path).marked]
-                for choice in itertools.product((0, 1),
-                                                repeat=len(marked_paths)):
-                    if all(choice):
-                        continue
-                    D, ink, att = _choice_block(
-                        O, f, Qc, q_sections, generator_map, b, pi, p,
-                        marked_paths, choice, cells_by_stage, cell_legs,
-                        base_leg, stage, sig)
-                    if ink is None:
-                        continue
-                    doms.append(D)
-                    inks.append((ink.components, c_off[bi]))
-                    atts.append(att.components)
+            p = b.tree_class.rep
+            marked = [vi for vi, (_, m) in enumerate(p.vertex_preorder())
+                      if m]
+            for choice in itertools.product((0, 1), repeat=len(marked)):
+                if all(choice):
+                    continue
+                kind = {vi: "Q" if c else "X"
+                        for vi, c in zip(marked, choice)}
+                D, ink, att = _choice_block(
+                    O, f, Qc, q_sections, generator_map, b, kind,
+                    cells_by_stage, cell_legs, base_leg, stage, sig)
+                if ink is None:
+                    continue
+                doms.append(D)
+                inks.append((ink.components, c_off[bi]))
+                atts.append(att.components)
         Dtot, d_off = _assemble(ops, doms)
         ink_tot = _placed_map(ops, Dtot, C, [
             (ink, off, row) for (ink, row), off in zip(inks, d_off)])
@@ -1544,27 +1567,24 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
     if truncated:
         cert["warning"] = ("classes beyond the vertex bound exist; the "
                            "colimit is truncated, not final")
-    return ExtensionStages(sig, stages, maps, cells_by_stage, cert)
+    return ExtensionStages(sig, stages, maps, cert)
 
 
-def _choice_block(O, f, Qc, q_sections, g, block, pi, p, marked_paths,
-                  choice, cells_by_stage, cell_legs, base_leg, stage, sig):
-    """One mixed block of a cell domain with its two legs.
+def _choice_block(O, f, Qc, q_sections, g, block, kind, cells_by_stage,
+                  cell_legs, base_leg, stage, sig):
+    """One mixed block of a cell domain on block's canonical tree, with
+    its two legs.
 
-    choice[j] == 1 keeps the cokernel factor at the j'th marked vertex,
-    0 keeps the source factor; at least one source factor is present.
-    The first leg includes the block into the class coinvariants, the
-    second rewrites it into earlier stages.
+    kind[vi] is "Q" to keep the cokernel factor at the marked preorder
+    vertex vi, "X" to keep the source factor; at least one source factor
+    is present.  The first leg includes the block into the class
+    coinvariants, the second rewrites it into earlier stages.
     """
     ring = O.ring
     ops = O.ops
     bound = ops.max_degree
     coll = O.collection
-    paths = p.vertex_paths()
-    path_pos = {path: vi for vi, path in enumerate(paths)}
-    kind = {}
-    for path, c in zip(marked_paths, choice):
-        kind[path_pos[path]] = "Q" if c else "X"
+    p = block.tree_class.rep
     facs, mats = [], []
     for vi, (vsig, m) in enumerate(p.vertex_preorder()):
         if not m:
@@ -1576,20 +1596,19 @@ def _choice_block(O, f, Qc, q_sections, g, block, pi, p, marked_paths,
         else:
             facs.append(f.source.level(vsig))
             mats.append(f.component(vsig))
-    L = _labeling_complex(ring, len(block.labs[pi]), bound)
+    L = _labeling_complex(ring, len(block.labs), bound)
     D = _tensor_many(ops, facs + [L])
     if D.total_rank() == 0:
         return D, None, None
     layout = _layout(ops.base, facs + [L], bound)
     ents = _tensor_entries(ring, ops.base, mats + [None], None, layout,
-                           block.layouts[pi])
-    ents = _placed([(ents, None, block.offsets[pi])], bound)
-    ink = block.proj @ ops.make_map(D, block.big, [
-        LinearMap(D.level(n), block.big.level(n), ent)
+                           block.layout)
+    ink = block.proj @ ops.make_map(D, block.tensor, [
+        LinearMap(D.level(n), block.tensor.level(n), ent)
         for n, ent in enumerate(ents)])
 
     att = _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, layout,
-                    block.labs[pi], cells_by_stage, cell_legs, base_leg,
+                    block.labs, cells_by_stage, cell_legs, base_leg,
                     stage, sig)
     return D, ink, att
 
@@ -1631,27 +1650,23 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, layout, labs,
     target_blocks = cells_by_stage.get(kprime)
     if target_blocks is None:
         raise RuntimeError("collapse reached a stage that was never built")
-    enc = tree.encoding()
-    tbi = next((i for i, b in enumerate(target_blocks)
-                if b.tree_class.encoding == enc), None)
+    tbi = _block_of(target_blocks, tree)
     if tbi is None:
         return ops.zero_map(D, stage)
     tb = target_blocks[tbi]
-    tpi = next(i for i, q in enumerate(tb.planar) if q == tree)
-    # inject the surviving Q factors back into the target's Y factors
+    tlabs, tlayout, reach = tb.reach(tree)
+    # inject the surviving Q factors back into the target's Y factors,
+    # then carry the collapsed tree to its class's canonical tree
     mats = [q_sections[vsig] if m else None
             for vsig, m in tree.vertex_preorder()]
-    lab_map = _labeling_map(ops, labs, tb.labs[tpi], lambda lab: lab)
+    lab_map = _labeling_map(ops, labs, tlabs, lambda lab: lab)
     final = _tensor_entries(ring, ops.base, mats + [lab_map], None, layout,
-                            tb.layouts[tpi])
-    final = _placed([(final, None, tb.offsets[tpi])], bound)
-    cur = _products(ring, final, cur)
-    mdl = ops.make_map(D, tb.big,
-                       [LinearMap(D.level(n), tb.big.level(n), cur[n])
-                        for n in range(bound + 1)])
+                            tlayout)
+    cur = _products(ring, reach, _products(ring, final, cur))
     leg, offs = cell_legs[kprime]
-    return leg @ _placed_map(ops, D, leg.source, [
-        ((tb.proj @ mdl).components, None, offs[tbi])])
+    return leg @ _placed_map(ops, D, leg.source, [(
+        [LinearMap(D.level(n), tb.obj.level(n), cur[n])
+         for n in range(bound + 1)], None, offs[tbi])])
 
 
 def _reflag(tree: Tree, marks) -> Tree:

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from opdk import chain, corpus, exactlin, permutations
+from opdk import chain, corpus, exactlin, permutations, trees
 from opdk import operad as op
 from opdk.chain import (ChainMap, concentrated, homology, pad, two_term,
                         _expand, _tensor_entries)
@@ -577,6 +577,11 @@ def test_free_level_generic_quotient_agrees():
     fast, slow = _fast_and_generic(
         lambda: free_operad(M4, sig(4), 3).object.ranks())
     assert fast == slow == (120,)
+    # arity 5: 5! * Catalan(4), the Smith route on canonical trees alone
+    M5 = corpus.binary_generator(ZZ, 5, regular=True)
+    fast, slow = _fast_and_generic(
+        lambda: free_operad(M5, sig(5), 4).object.ranks())
+    assert fast == slow == (1680,)
 
 
 def _graded_binary(ring, max_degree):
@@ -672,6 +677,242 @@ def test_free_level_refuses_torsion():
                     {sig(2): {(1, 0): Collection(
                         QQ, "chain", ("c",), 2, 2, {}).ops.identity(bin2q)}})
     free_operad(Mq, ((), "c"), 3)
+
+
+def test_free_level_refuses_unknown_colors():
+    # explicit checks, so they also hold under python -O: a color the
+    # collection does not have raises, it never gives a zero level
+    M = corpus.binary_generator(ZZ, 3)
+    for bad in ((("d", "d"), "d"), (("c", "c"), "d")):
+        with pytest.raises(ValueError, match="unknown color 'd'"):
+            free_operad(M, bad, 2)
+
+
+# -- one planar tree per class, against the orbit-wide quotient -------------
+
+
+def _orbit_quotient(case, tree_class):
+    """A class quotient built over the whole planar orbit: the tensors of
+    every planar tree of the class, summed by `_assemble`, divided by
+    every sibling swap between two of them through `_coinvariants`.
+    Each swap is the library's tree-isomorphism routine from a planar
+    tree to its swapped twin, not to the canonical tree.  Returns the
+    orbit (canonical tree first), each tree's (labelings, layout) and
+    per-degree offsets and ranks, and the quotient with its per-degree
+    presentations."""
+    ring, bound, sig_, _, decor, action = case
+    ops = _ops_for("chain", ring, bound)
+    orbit = planar_orbit(tree_class.rep)
+    where = {p.key(): i for i, p in enumerate(orbit)}
+    sides, objs = [], []
+    for p in orbit:
+        labs = leaf_labelings(p.leaves(), sig_[0])
+        factors = [decor(vsig, m) for vsig, m in p.vertex_preorder()] + [
+            pad(concentrated(ring, 0, len(labs)), bound)]
+        sides.append((labs, chain._layout("chain", factors, bound)))
+        objs.append(op._tensor_many(ops, factors))
+    big, offsets = op._assemble(ops, objs)
+    ranks = [obj.ranks() for obj in objs]
+    rels = [[] for _ in range(bound + 1)]
+    for pi, p in enumerate(orbit):
+        for vi, path in enumerate(p.vertex_paths()):
+            k = len(p.subtree_at(path).children)
+            for t in range(k - 1):
+                qi = where[trees._swap_children(p, path, t).key()]
+                swap = permutations.transposition(k, t)
+                move = trees._iso_entries(
+                    ring, bound, action, p,
+                    lambda wi, w: swap if wi == vi else None,
+                    sides[pi], sides[qi])
+                placed = op._placed([(move, offsets[pi], offsets[qi])], bound)
+                for n in range(bound + 1):
+                    cols = range(offsets[pi][n], offsets[pi][n] + ranks[pi][n])
+                    rels[n].append((placed[n], cols))
+    obj, quotients = op._coinvariants(ops, big, rels)
+    return orbit, sides, offsets, ranks, obj, quotients
+
+
+def _columns(entries, start, rank):
+    """The entries in columns start..start+rank-1, shifted to start at 0."""
+    return {(i, j - start): v for (i, j), v in entries.items()
+            if start <= j < start + rank}
+
+
+def _free_blocks(M, sig_, max_vertices):
+    """(ring, bound, sig, classes, decor, action) of a free level's class
+    blocks, zero ones included."""
+    return (M.ring, M.max_degree, sig_,
+            enumerate_trees(sig_, 0, max_vertices, [], M.signatures()),
+            lambda vsig, m: M.level(vsig),
+            lambda vsig, m, tau: M.action(vsig, tau))
+
+
+def _stage_blocks(Y, O, sig_, k, max_vertices):
+    """The same for the blocks extension_stage attaches at stage k: Y at
+    marked vertices, O elsewhere."""
+    coll = O.collection
+    return (Y.ring, Y.max_degree, sig_,
+            enumerate_trees(sig_, k, max_vertices, Y.signatures(),
+                            [s for s in coll.signatures() if len(s[0]) != 1],
+                            no_adjacent_unmarked=True),
+            lambda vsig, m: Y.level(vsig) if m else coll.level(vsig),
+            lambda vsig, m, tau: (Y.action(vsig, tau) if m
+                                  else coll.action(vsig, tau)))
+
+
+def _nullary_beside_regular(ring, degree):
+    """A nullary generator in the given degree beside the regular binary
+    one: leafless subtrees swap, so the labelings are not permuted
+    freely."""
+    nul = pad(concentrated(ring, degree, 1), 1)
+    reg = corpus.binary_generator(ring, 3, max_degree=1, regular=True)
+    return Collection(ring, "chain", ("c",), 3, 1,
+                      {((), "c"): nul, sig(2): reg.level(sig(2))},
+                      {sig(2): {(1, 0): reg.action(sig(2), (1, 0))}})
+
+
+def _block_cases():
+    """(id, case) pairs: case() gives `_free_blocks` or `_stage_blocks`
+    data."""
+    cases = []
+    for ring in (ZZ, QQ, F5, Zmod(2)):
+        for regular in (True, False):
+            for n in (3, 4):
+                cases.append((f"binary-{ring.name()}-{regular}-{n}",
+                              lambda ring=ring, regular=regular, n=n:
+                              _free_blocks(corpus.binary_generator(
+                                  ring, 4, regular=regular), sig(n), n - 1)))
+    for ring in (ZZ, QQ, F5):
+        for seed in range(4):
+            for action in ("trivial", "sign"):
+                for n in range(4):
+                    cases.append((
+                        f"random-{ring.name()}-{seed}-{action}-{n}",
+                        lambda ring=ring, seed=seed, action=action, n=n:
+                        _free_blocks(corpus.random_collection(
+                            random.Random(seed), ring, "chain", 3, 2, 2,
+                            action), sig(n, "x"), 3)))
+    for ring in (ZZ, QQ, F5, Zmod(2)):
+        # two odd nullary children under a trivial binary vertex: x = -x,
+        # which is torsion over Z and kills the class over Q and F_5
+        cases.append((f"odd-nullary-{ring.name()}",
+                      lambda ring=ring: _free_blocks(_odd_nullary(ring),
+                                                     ((), "c"), 3)))
+    for ring in (ZZ, QQ, F5):
+        for degree in (0, 1):
+            for n in range(3):
+                cases.append((f"nullary-{ring.name()}-{degree}-{n}",
+                              lambda ring=ring, degree=degree, n=n:
+                              _free_blocks(_nullary_beside_regular(
+                                  ring, degree), sig(n), 3)))
+        for n in (3, 4):
+            cases.append((f"graded-{ring.name()}-{n}",
+                          lambda ring=ring, n=n: _free_blocks(
+                              _graded_binary(ring, n - 1), sig(n), n - 1)))
+        for s in ((("a", "b", "b"), "a"), (("b", "a", "b"), "a"),
+                  (("b", "b", "b"), "b")):
+            cases.append((f"two-color-{ring.name()}-{','.join(s[0])}",
+                          lambda ring=ring, s=s: _free_blocks(
+                              corpus.two_color_binary_inclusion(ring, 3)[1],
+                              s, 3)))
+        for k in (1, 2):
+            cases.append((f"two-color-marked-{ring.name()}-{k}",
+                          lambda ring=ring, k=k: _stage_blocks(
+                              *_inclusion_operad(
+                                  corpus.two_color_binary_inclusion(ring, 3),
+                                  3), (("a", "b", "b"), "a"), k, 3)))
+    for ring in (ZZ, F5):
+        for k in (1, 2, 3):
+            cases.append((f"marked-{ring.name()}-{k}",
+                          lambda ring=ring, k=k: _stage_blocks(
+                              *_inclusion_operad(corpus.split_binary_inclusion(
+                                  ring, 4, q_rank=2, q_regular=True), 4),
+                              sig(4), k, 3)))
+    return cases
+
+
+def _inclusion_operad(inclusion, max_arity):
+    """(Y, the free operad on M) for an inclusion (M, Y, f)."""
+    M, Y, _ = inclusion
+    return Y, FreeOperad(M, max_arity=max_arity, max_vertices=3).operad()
+
+
+_BLOCK_CASES = _block_cases()
+
+
+def _each_block(case):
+    """(class, block) per class of case whose block builds; a class whose
+    block refuses torsion is skipped, once the orbit-wide quotient has
+    refused it too."""
+    ring, bound, sig_, classes, decor, action = case
+    for cl in classes:
+        try:
+            yield cl, trees._Block(ring, bound, cl, decor, action, sig_[0])
+        except ValueError as exc:
+            assert "torsion" in str(exc)
+            with pytest.raises(ValueError, match="torsion"):
+                _orbit_quotient(case, cl)
+
+
+@pytest.mark.parametrize("case", [c for _, c in _BLOCK_CASES],
+                         ids=[i for i, _ in _BLOCK_CASES])
+def test_block_matches_the_orbit_wide_quotient(case):
+    # the coinvariants of the canonical tree under its automorphisms are
+    # the colimit over the whole planar orbit: object, differentials,
+    # section and proj on the canonical tree's columns agree entry for
+    # entry, or both refuse torsion
+    case = case()
+    for cl, b in _each_block(case):
+        *_, obj, quotients = _orbit_quotient(case, cl)
+        assert b.obj.ranks() == obj.ranks()
+        assert [d.entries for d in b.obj.differentials] == \
+            [d.entries for d in obj.differentials]
+        for n in range(b.bound + 1):
+            assert b.quotients[n].section.entries == \
+                quotients[n].section.entries
+            assert b.quotients[n].proj.entries == _columns(
+                quotients[n].proj.entries, 0, b.tensor.level(n).rank)
+
+
+_REACH_CASES = _BLOCK_CASES + [
+    (f"binary-{ring.name()}-{regular}-5",
+     lambda ring=ring, regular=regular: _free_blocks(
+         corpus.binary_generator(ring, 5, regular=regular), sig(5), 4))
+    for ring in (ZZ, F5) for regular in (True, False)]
+
+
+@pytest.mark.parametrize("case", [c for _, c in _REACH_CASES],
+                         ids=[i for i, _ in _REACH_CASES])
+def test_reach_matches_the_orbit_wide_proj(case):
+    # every planar tree of a class, carried to the canonical tree along
+    # the isomorphism that sorts siblings and then projected, lands
+    # where the orbit-wide quotient projects that tree's own columns
+    case = case()
+    for cl, b in _each_block(case):
+        orbit, sides, offsets, ranks, _, quotients = _orbit_quotient(case, cl)
+        for p, side, off, rank in zip(orbit, sides, offsets, ranks):
+            labs, layout, reach = b.reach(p)
+            assert (labs, layout) == side
+            assert b.reach(p)[2] is reach
+            for n in range(b.bound + 1):
+                assert reach[n] == _columns(quotients[n].proj.entries,
+                                            off[n], rank[n])
+
+
+@pytest.mark.parametrize("case", [
+    c for i, c in _BLOCK_CASES
+    if i.startswith(("binary-Z-", "graded", "nullary-Q", "odd-nullary"))],
+    ids=[i for i, _ in _BLOCK_CASES
+         if i.startswith(("binary-Z-", "graded", "nullary-Q", "odd-nullary"))])
+def test_block_generic_quotient_ranks_match_the_orbit_wide_quotient(case):
+    # on the Smith-form route the bases may differ, the ranks may not
+    case = case()
+    exactlin._FORCE_GENERIC = True
+    try:
+        for cl, b in _each_block(case):
+            assert b.obj.ranks() == _orbit_quotient(case, cl)[4].ranks()
+    finally:
+        exactlin._FORCE_GENERIC = False
 
 
 # -- free operads as operads ------------------------------------------------
