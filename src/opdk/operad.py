@@ -11,9 +11,10 @@ instances whose participants all fit inside the window.
 `operad_check` replays the axioms as matrix identities and returns the
 violations instead of a bare boolean, so corrupted inputs are reported
 with the exact law and signature that broke.  `composite_product`
-realizes M o N by symmetric-group coinvariants over decorated two-level
-terms, with a signed union-find fast path so that actions sending basis
-elements to plus or minus basis elements do not pay for a Smith form.
+realizes M o N on one canonical decorated two-level term per orbit of
+the slot permutations, which act freely unless two empty fibers of one
+color let a term be fixed; only such a term is divided by its
+stabilizer, so no level is a quotient of the whole ordered sum.
 `homotopy_category` and `dk_equivalence` implement the degree-zero
 homotopy category and the weak-equivalence verdict used to compare an
 operad map with its normalization.
@@ -21,8 +22,8 @@ operad map with its normalization.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Optional
+from itertools import combinations_with_replacement, product
+from typing import NamedTuple, Optional
 
 from . import permutations
 from .chain import (ChainComplex, ChainMap, zero_complex, pad, unit_complex,
@@ -1024,7 +1025,7 @@ def _quotient_by(ring: Ring, module: FreeModule, relations) -> CokernelPresentat
     Each relation is (entries, cols): g's entries, all in the columns
     cols (a range or a set), with g the identity on every other column
     and zero on a column of cols that holds no entry.  A tree move or a
-    slot relabeling touches one representative's or one arity's
+    swap of a composite term's empty fibers touches one tensor's
     columns, so nothing else is stored.  When every listed column holds
     at most one entry, +1 or -1 (permutations, the column functions of
     tree moves, Koszul-signed actions), the relations are a signed
@@ -1060,59 +1061,68 @@ def _quotient_by(ring: Ring, module: FreeModule, relations) -> CokernelPresentat
     return pres
 
 
-class CompositeTerm:
-    __slots__ = ("k", "dbar", "phi", "msig", "fiber_sigs", "factors", "obj")
-
-    def __init__(self, k, dbar, phi, msig, fiber_sigs, factors, obj):
-        self.k = k
-        self.dbar = dbar
-        self.phi = phi
-        self.msig = msig
-        self.fiber_sigs = fiber_sigs
-        self.factors = factors
-        self.obj = obj
+class CompositeTerm(NamedTuple):
+    """A decorated two-level term: the M-level msig = (dbar, c) of arity
+    k on top, the N-level fiber_sigs[j] under slot j, phi assigning the
+    inputs to slots, and obj the tensor of these factors."""
+    k: int
+    dbar: tuple
+    phi: tuple
+    msig: tuple
+    fiber_sigs: list
+    factors: list
+    obj: object
 
     def key(self):
         return (self.k, self.dbar, self.phi)
 
 
-class CompositeResult:
-    __slots__ = ("collection", "terms", "quotients")
-
-    def __init__(self, collection, terms, quotients):
-        self.collection = collection
-        self.terms = terms
-        self.quotients = quotients
+class CompositeResult(NamedTuple):
+    collection: Collection
+    terms: dict
 
 
-def _composite_terms(M: Collection, N: Collection, sig):
-    """Decorated two-level terms for (M o N) at the output signature.
+def _slot_order(rank, dbar, phi):
+    """The slots of the term (dbar, phi) sorted by their keys: the rank
+    of the slot color, then the least input of the fiber, an empty
+    fiber last.  Slot j of the canonical term of the S_k-orbit is slot
+    order[j] of this one, and the term is canonical when the order is
+    the identity.  The sort is stable, so empty slots of one color,
+    which tie, keep their order."""
+    first = {j: i for i, j in reversed(list(enumerate(phi)))}
+    return tuple(sorted(range(len(dbar)), key=lambda j: (
+        rank[dbar[j]], first.get(j, len(phi)))))
+
+
+def _composite_terms(M: Collection, N: Collection, sig, rank):
+    """The canonical decorated two-level terms of (M o N) at the output
+    signature, one per orbit of the slot permutations.
 
     A term places an M-level of arity k on top and an N-level under each
     slot; phi assigns the n inputs to slots and the fibers keep the
-    ambient order.  Terms whose factors include a zero level are gone.
+    ambient order.  S_k permutes the slots, and each orbit keeps the
+    term whose slots are sorted (`_slot_order`); its slot colors never
+    decrease, so only those top signatures are read.  Terms whose
+    factors include a zero level are gone.
     """
     cbar, c = sig
     n = len(cbar)
     out = []
-    for k in range(0, M.max_arity + 1):
-        for dbar in product(M.colors, repeat=k):
+    for k in range(M.max_arity + 1):
+        for dbar in combinations_with_replacement(M.colors, k):
             msig = (dbar, c)
             if M.is_zero_level(msig):
                 continue
-            phis = [()] if (k == 0 and n == 0) else \
-                ([] if k == 0 else list(product(range(k), repeat=n)))
-            for phi in phis:
-                fibers = [tuple(i for i in range(n) if phi[i] == j)
-                          for j in range(k)]
-                fsigs = [(tuple(cbar[i] for i in fib), dbar[j])
-                         for j, fib in enumerate(fibers)]
+            for phi in product(range(k), repeat=n):
+                if _slot_order(rank, dbar, phi) != tuple(range(k)):
+                    continue
+                fsigs = [(tuple(cbar[i] for i in range(n) if phi[i] == j),
+                          dbar[j]) for j in range(k)]
                 if any(N.is_zero_level(fs) for fs in fsigs):
                     continue
                 factors = [M.level(msig)] + [N.level(fs) for fs in fsigs]
-                obj = _tensor_many(M.ops, factors)
-                out.append(CompositeTerm(k, dbar, phi, msig, fsigs,
-                                         factors, obj))
+                out.append(CompositeTerm(k, dbar, phi, msig, fsigs, factors,
+                                         _tensor_many(M.ops, factors)))
     return out
 
 
@@ -1136,9 +1146,9 @@ def _structured(ops, mods, make, check=True):
 def _assemble(ops, objs):
     """Direct sum of the objects, built in one pass with each degree's
     module and block-diagonal structure maps, plus each object's
-    per-degree offsets.  It is the one direct-sum layout: composite
-    terms, the planar representatives of a tree class, the classes of a
-    free level and the blocks of an extension stage are summed here, and
+    per-degree offsets.  It is the one direct-sum layout: the canonical
+    terms of a composite level, the classes of a free level and the
+    blocks and choice domains of an extension stage are summed here, and
     maps between sums are placed by these offsets."""
     mods = [FreeModule(ops.ring, sum_labels([A.level(n) for A in objs]))
             for n in range(ops.max_degree + 1)]
@@ -1158,7 +1168,8 @@ def _assemble(ops, objs):
 def _coinvariants(ops, big, relations):
     """big divided degreewise by `_quotient_by` over relations[n], with
     its structure maps pushed down: (object, per-degree quotients).
-    The composite product and the tree-class blocks both quotient here."""
+    The tree-class blocks and the composite terms with a stabilizer
+    quotient here."""
     qs = [_quotient_by(ops.ring, big.level(n), rels)
           for n, rels in enumerate(relations)]
     return _quotient_object(ops, big, qs), qs
@@ -1195,80 +1206,91 @@ def _descend(pushed: LinearMap, q: CokernelPresentation, what: str) -> LinearMap
     return f
 
 
-def composite_product(M: Collection, N: Collection) -> CompositeResult:
-    """M o N with the slot-permutation coinvariants taken exactly.
+def _slot_entries(ops, M: Collection, t: CompositeTerm, order, src, tgt,
+                  fiber=None):
+    """Per-degree entries carrying the term t to the term whose slot j is
+    slot order[j] of t, between the layouts src and tgt: one
+    `_tensor_entries` call, the routine that also builds the tree moves
+    of `trees`, with M's action on the top factor, the fibers moved
+    with their Koszul sign, and fiber = (a, map), when given, acting on
+    fiber a."""
+    maps = [M.action(t.msig, order)] + [None] * t.k
+    if fiber is not None:
+        maps[1 + fiber[0]] = fiber[1]
+    return _tensor_entries(ops.ring, ops.base, maps,
+                           (0,) + tuple(1 + j for j in order), src, tgt)
 
-    When the actions of M and N send basis elements to plus or minus
-    basis elements (permutations, with Koszul signs in odd degrees), the
-    levels are free on the surviving classes of `_quotient_by`'s signed
-    union-find, each represented by its least basis element; otherwise
-    they are exact cokernels.  Torsion in the coinvariants raises
-    ValueError.  A slot transposition of S_k is one relation: its
-    entries on the columns of the arity-k terms, the identity on the
-    other terms left implicit for `_quotient_by`.  Input relabelings are
-    built for the adjacent transpositions only, which the `Collection`
-    constructor checks.  Their entries, like the relations', come from
-    `_tensor_entries`, the one routine that applies a map to each tensor
-    factor of a term and reorders the factors with the Koszul sign, for
-    any action maps, by strided sums over the terms' layouts; the
-    free-operad blocks and extension stages of `trees` build their moves
-    with it too.  The terms are summed by `_assemble` and divided by
-    `_coinvariants`, the one sum-quotient-descend layer that the
-    tree-class blocks of `trees` share, which pushes each structure map
-    down with `_descend`; the relabeling generators are pushed down
-    with `_descend` too, and one that does not descend raises
-    ValueError.  The result is truncated beyond honesty only when N has
-    arity-zero levels, since those let the top arity exceed the window.
+
+def _term_block(ops, M: Collection, t: CompositeTerm):
+    """(layout, object, per-degree quotients) of a canonical term.
+
+    A slot permutation fixes the term only by permuting its empty
+    fibers of one color, which sit side by side, so the swaps of
+    neighbouring ones generate its stabilizer.  A term without such a
+    pair is its own tensor, with no quotient (quotients None); the
+    others are divided by `_coinvariants` over those swaps."""
+    lay = _layout(ops.base, t.factors, ops.max_degree)
+    rels = [[] for _ in range(ops.max_degree + 1)]
+    for j in range(t.k - 1):
+        if t.dbar[j] == t.dbar[j + 1] and \
+                not (t.fiber_sigs[j][0] or t.fiber_sigs[j + 1][0]):
+            move = _slot_entries(ops, M, t, permutations.transposition(
+                t.k, j), lay, lay)
+            for n, ents in enumerate(move):
+                rels[n].append((ents, range(t.obj.level(n).rank)))
+    if not rels[0]:
+        return lay, t.obj, None
+    return (lay,) + _coinvariants(ops, t.obj, rels)
+
+
+def composite_product(M: Collection, N: Collection) -> CompositeResult:
+    """M o N, built on one canonical term per orbit of the slot
+    permutations.
+
+    M o N is the sum of the decorated two-level terms (k, dbar, phi)
+    divided by the S_k permuting their slots.  S_k acts freely on the
+    terms whose fibers are all nonempty, so their part of a level is
+    the plain `_assemble` sum of the canonical terms (`_composite_terms`),
+    with block-diagonal structure maps and no quotient, for any action.
+    A term with two empty fibers of one color is fixed by their swap;
+    such a term alone is divided by its stabilizer (`_term_block`), and
+    coinvariants with torsion raise ValueError.  Keeping one term per
+    free orbit follows the shuffle compositions of Dotsenko-Khoroshkin,
+    *Groebner bases for operads* (Duke Math. J. 153, 2010); the slots
+    are sorted by color first, so with several colors a kept term need
+    not be a shuffle.
+
+    Input relabelings are built for the adjacent transpositions only,
+    which the `Collection` constructor checks.  The swap s_i sends a
+    canonical term to (dbar, phi o s_i), and the slot permutation that
+    sorts that term carries it back to a canonical one, in one
+    `_slot_entries` call that also applies N's action on a fiber that
+    holds both inputs.  A term with a stabilizer takes its target's
+    projection after, and `_descend` checks that the map descends,
+    raising ValueError when it does not.  The result is truncated beyond
+    honesty only when N has arity-zero levels, since those let the top
+    arity exceed the window.
     """
     if (M.base, M.ring, M.max_degree, M.max_arity, M.colors) != \
             (N.base, N.ring, N.max_degree, N.max_arity, N.colors):
         raise ValueError("composite factors differ in base, ring, window "
                          "or colors")
     ops, D = M.ops, M.max_degree
-    data = {}
+    rank = {c: i for i, c in enumerate(M.colors)}
+    data, built, levels = {}, {}, {}
     for sig in enumerate_signatures(M.colors, M.max_arity):
-        terms = _composite_terms(M, N, sig)
+        terms = _composite_terms(M, N, sig, rank)
         if terms:
             data[sig] = terms
-    layouts = {sig: [_layout(ops.base, t.factors, D) for t in terms]
-               for sig, terms in data.items()}
-    indices = {sig: {t.key(): ti for ti, t in enumerate(terms)}
-               for sig, terms in data.items()}
+            blocks = [_term_block(ops, M, t) for t in terms]
+            levels[sig], offsets = _assemble(ops, [b[1] for b in blocks])
+            built[sig] = (blocks, offsets,
+                          {t.key(): ti for ti, t in enumerate(terms)})
 
-    levels, quotients, bigs, offsets_of = {}, {}, {}, {}
-    for sig, terms in data.items():
-        big, offsets = _assemble(ops, [t.obj for t in terms])
-        index, lay = indices[sig], layouts[sig]
-        rels = [[] for _ in range(D + 1)]
-        for k in sorted({t.k for t in terms} - {0, 1}):
-            # S_k moves only the arity-k terms and fixes every other one
-            kterms = [ti for ti, t in enumerate(terms) if t.k == k]
-            cols = [{offsets[ti][n] + r for ti in kterms
-                     for r in range(terms[ti].obj.level(n).rank)}
-                    for n in range(D + 1)]
-            for tr in range(k - 1):
-                s = permutations.transposition(k, tr)
-                pieces = []
-                for ti in kterms:
-                    t = terms[ti]
-                    # s is an involution, so phi moves by s itself
-                    tj = index[(k, tuple(t.dbar[s[j]] for j in range(k)),
-                                tuple(s[v] for v in t.phi))]
-                    blocks = _tensor_entries(
-                        ops.ring, ops.base,
-                        (M.action(t.msig, s),) + (None,) * k,
-                        (0,) + tuple(1 + j for j in s), lay[ti], lay[tj])
-                    pieces.append((blocks, offsets[ti], offsets[tj]))
-                for n, ents in enumerate(_placed(pieces, D)):
-                    rels[n].append((ents, cols[n]))
-        levels[sig], quotients[sig] = _coinvariants(ops, big, rels)
-        bigs[sig], offsets_of[sig] = big, offsets
-
-    # the action is a homomorphism, so descent on the generators covers
-    # the group, and the Collection constructor refuses broken relations
     gens = {}
     for sig, terms in data.items():
         n_inputs = sig_arity(sig)
+        blocks, offsets, _ = built[sig]
         gens[sig] = {}
         for tr in range(n_inputs - 1):
             s = permutations.transposition(n_inputs, tr)
@@ -1277,33 +1299,39 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                 raise ValueError(f"input relabeling by {s} sends "
                                  f"{sig_str(sig)} to {sig_str(tsig)}, "
                                  f"which has no terms")
+            tblocks, toffsets, tindex = built[tsig]
             pieces = []
-            for ti, t in enumerate(terms):
+            for t, (lay, _, qs), off in zip(terms, blocks, offsets):
                 phi2 = tuple(t.phi[v] for v in s)
-                tj = indices[tsig][(t.k, t.dbar, phi2)]
-                # the swap moves fibers past each other in order, unless
-                # both inputs sit in one fiber, where it is a swap too
-                maps = [None] * (1 + t.k)
-                a = t.phi[tr]
+                order = _slot_order(rank, t.dbar, phi2)
+                inv = permutations.inverse(order)
+                tj = tindex[(t.k, tuple(t.dbar[j] for j in order),
+                             tuple(inv[v] for v in phi2))]
+                a, fiber = t.phi[tr], None
                 if phi2[tr] == a:
+                    # both inputs sit in fiber a, where s swaps them
                     fsig = t.fiber_sigs[a]
-                    maps[1 + a] = N.action(fsig, permutations.transposition(
-                        sig_arity(fsig), t.phi[:tr].count(a)))
-                blocks = _tensor_entries(ops.ring, ops.base, maps, None,
-                                         layouts[sig][ti], layouts[tsig][tj])
-                pieces.append((blocks, offsets_of[sig][ti],
-                               offsets_of[tsig][tj]))
-            comps = [_descend(compose(quotients[tsig][n].proj, LinearMap(
-                bigs[sig].level(n), bigs[tsig].level(n), ents)),
-                              quotients[sig][n], "input relabeling")
-                     for n, ents in enumerate(_placed(pieces, D))]
-            gens[sig][s] = ops.make_map(levels[sig], levels[tsig], comps)
+                    fiber = (a, N.action(fsig, permutations.transposition(
+                        sig_arity(fsig), t.phi[:tr].count(a))))
+                tlay, _, tqs = tblocks[tj]
+                ents = _slot_entries(ops, M, t, order, lay, tlay, fiber)
+                if qs is not None:
+                    # the target term has the same empty fibers, so the
+                    # same stabilizer
+                    ents = [_descend(compose(q.proj, LinearMap(
+                        p.proj.source, q.proj.source, e)), p,
+                        "input relabeling").entries
+                        for e, p, q in zip(ents, qs, tqs)]
+                pieces.append((ents, off, toffsets[tj]))
+            gens[sig][s] = ops.make_map(levels[sig], levels[tsig], [
+                LinearMap(levels[sig].level(n), levels[tsig].level(n), e)
+                for n, e in enumerate(_placed(pieces, D))])
 
     truncated = M.truncated or N.truncated or \
         any(sig_arity(s) == 0 for s in N.levels)
     coll = Collection(M.ring, M.base, M.colors, M.max_arity, D, levels,
                       gens, truncated=truncated)
-    return CompositeResult(coll, data, quotients)
+    return CompositeResult(coll, data)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,16 @@ vertex drive four computations:
   Koszul sign, each decoration goes through the action of its input
   permutation, and the labelings follow their leaves, placed by the
   strided layouts of both tensors (`chain._layout`).  The quotients go
-  through the sum-quotient-descend layer of `operad` that the composite
-  product uses: `_assemble` lays out every direct sum (the classes of a
-  level, the blocks and choice domains of an extension stage) and maps
-  between sums are placed by its offsets; `_coinvariants` divides a
-  block by its self-moves through `_quotient_by`, which feeds them to
-  the signed union-find `exactlin.signed_quotient` when the actions send
-  basis elements to +-basis elements and takes an exact cokernel
-  otherwise; and `_descend` pushes relabelings and evaluations down
-  block by block, raising ValueError on one that does not descend;
+  through the sum-quotient-descend layer of `operad`: `_assemble` lays
+  out every direct sum (the classes of a level, the blocks and choice
+  domains of an extension stage) and maps between sums are placed by
+  its offsets; `_coinvariants` divides a block by its self-moves, as it
+  divides a composite term by its stabilizer, through `_quotient_by`,
+  which feeds them to the signed union-find `exactlin.signed_quotient`
+  when the actions send basis elements to +-basis elements and takes an
+  exact cokernel otherwise; and `_descend` pushes relabelings and
+  evaluations down block by block, raising ValueError on one that does
+  not descend;
 * the cell maps of a free extension of operads: the map attached to a
   tree is an iterated pushout product of the collection map at marked
   vertices and the operad unit elsewhere, and the stages are assembled
@@ -695,7 +696,8 @@ class _Block:
     trees of the class form a connected groupoid, and a colimit over it
     is the coinvariants of its vertex group at one object, so no other
     planar tree is summed.  `operad._coinvariants` takes the quotient
-    and descends the differential, as it does for the composite product.
+    and descends the differential, as it does for a composite term with
+    a stabilizer.
     quotients[n] is the degree-n quotient, and proj and section are
     chain maps between tensor and obj made of its maps.
 
@@ -1404,7 +1406,7 @@ def cokernel_collection(f: CollectionMap):
 
     Each level is `operad._quotient_object` on the cokernel
     presentations of `_split_data`, the quotient-and-descend step that
-    the composite product and the tree-class blocks share; the
+    the tree-class blocks and the stabilized composite terms share; the
     differentials and action generators are pushed down with
     `operad._descend`, and one that does not descend raises ValueError.
     """

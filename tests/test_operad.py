@@ -3,7 +3,9 @@
 Oracle strategy: composite-product ranks are counted by brute-force
 enumeration of decorated two-level trees canonized under the top
 symmetric group, cross-checked against the closed formula n! 2^(n-1)
-for the regular representation composed with itself; word substitution
+for the regular representation composed with itself, and
+`composite_product` is compared entry for entry with the ordered sum
+divided by the slot permutations (`_ordered_composite`); word substitution
 is pinned by hand cases and by replaying both associativity shapes on
 random words.  The axiom checker is trusted only after it rejects
 corrupted inputs.
@@ -447,6 +449,106 @@ def test_checker_rejects_non_simplicial_structure_map():
 # -- composite product ------------------------------------------------------
 
 
+def _ordered_terms(M, N, sig):
+    """Every decorated two-level term (k, dbar, phi) of (M o N) at sig,
+    canonical or not, in the order of dbar and then phi."""
+    cbar, c = sig
+    n = len(cbar)
+    out = []
+    for k in range(M.max_arity + 1):
+        for dbar in iproduct(M.colors, repeat=k):
+            msig = (dbar, c)
+            if M.is_zero_level(msig):
+                continue
+            for phi in iproduct(range(k), repeat=n):
+                fsigs = [(tuple(cbar[i] for i in range(n) if phi[i] == j),
+                          dbar[j]) for j in range(k)]
+                if any(N.is_zero_level(fs) for fs in fsigs):
+                    continue
+                factors = [M.level(msig)] + [N.level(fs) for fs in fsigs]
+                out.append(op.CompositeTerm(
+                    k, dbar, phi, msig, fsigs, factors,
+                    op._tensor_many(M.ops, factors)))
+    return out
+
+
+def _ordered_composite(M, N):
+    """M o N the long way, the oracle of `composite_product`: the sum of
+    every ordered term divided by the slot transpositions of each S_k
+    through one `_coinvariants` per level, and the input relabelings
+    built on the whole sum, then pushed down with `_descend`.  Returns
+    the collection, the ordered terms and the per-degree quotients."""
+    ops, D = M.ops, M.max_degree
+    ring, base = ops.ring, ops.base
+    data = {}
+    for s in enumerate_signatures(M.colors, M.max_arity):
+        terms = _ordered_terms(M, N, s)
+        if terms:
+            data[s] = terms
+    lays = {s: [chain._layout(base, t.factors, D) for t in ts]
+            for s, ts in data.items()}
+    index = {s: {t.key(): ti for ti, t in enumerate(ts)}
+             for s, ts in data.items()}
+    levels, quotients, bigs, offs = {}, {}, {}, {}
+    for s, terms in data.items():
+        big, offsets = op._assemble(ops, [t.obj for t in terms])
+        rels = [[] for _ in range(D + 1)]
+        for k in sorted({t.k for t in terms} - {0, 1}):
+            kterms = [ti for ti, t in enumerate(terms) if t.k == k]
+            cols = [{offsets[ti][n] + r for ti in kterms
+                     for r in range(terms[ti].obj.level(n).rank)}
+                    for n in range(D + 1)]
+            for tr in range(k - 1):
+                g = perms.transposition(k, tr)
+                pieces = []
+                for ti in kterms:
+                    t = terms[ti]
+                    # g is an involution, so phi moves by g itself
+                    tj = index[s][(k, tuple(t.dbar[g[j]] for j in range(k)),
+                                   tuple(g[v] for v in t.phi))]
+                    blocks = chain._tensor_entries(
+                        ring, base, (M.action(t.msig, g),) + (None,) * k,
+                        (0,) + tuple(1 + j for j in g), lays[s][ti],
+                        lays[s][tj])
+                    pieces.append((blocks, offsets[ti], offsets[tj]))
+                for n, ents in enumerate(op._placed(pieces, D)):
+                    rels[n].append((ents, cols[n]))
+        levels[s], quotients[s] = op._coinvariants(ops, big, rels)
+        bigs[s], offs[s] = big, offsets
+    gens = {}
+    for s, terms in data.items():
+        n_in = len(s[0])
+        gens[s] = {}
+        for tr in range(n_in - 1):
+            g = perms.transposition(n_in, tr)
+            tsig = sig_act(s, g)
+            pieces = []
+            for ti, t in enumerate(terms):
+                phi2 = tuple(t.phi[v] for v in g)
+                tj = index[tsig][(t.k, t.dbar, phi2)]
+                maps = [None] * (1 + t.k)
+                a = t.phi[tr]
+                if phi2[tr] == a:
+                    fsig = t.fiber_sigs[a]
+                    maps[1 + a] = N.action(fsig, perms.transposition(
+                        len(fsig[0]), t.phi[:tr].count(a)))
+                blocks = chain._tensor_entries(ring, base, maps, None,
+                                               lays[s][ti], lays[tsig][tj])
+                pieces.append((blocks, offs[s][ti], offs[tsig][tj]))
+            gens[s][g] = ops.make_map(levels[s], levels[tsig], [
+                op._descend(exactlin.compose(quotients[tsig][n].proj,
+                                             LinearMap(bigs[s].level(n),
+                                                       bigs[tsig].level(n),
+                                                       ents)),
+                            quotients[s][n], "input relabeling")
+                for n, ents in enumerate(op._placed(pieces, D))])
+    truncated = M.truncated or N.truncated or \
+        any(len(s[0]) == 0 for s in N.levels)
+    coll = Collection(M.ring, M.base, M.colors, M.max_arity, D, levels,
+                      gens, truncated=truncated)
+    return SimpleNamespace(collection=coll, terms=data, quotients=quotients)
+
+
 def test_composite_of_regular_representations_matches_oracle():
     A = associative_operad(ZZ, "chain", 4, 0)
     res = composite_product(A.collection, A.collection)
@@ -462,6 +564,19 @@ def test_composite_simplicial_constant_levels():
     res = composite_product(A.collection, A.collection)
     assert res.collection.level(sig(2)).ranks() == (4, 4, 4)
     assert collection_check(res.collection) == []
+
+
+def test_composite_of_random_simplicial_collections():
+    """L o M for two random simplicial collections over Q with the sign
+    action reads the ranks that dividing the ordered sum by the slot
+    permutations gave (4,685 ordered basis elements in degree 2 of
+    arity 3, against 845 canonical ones)."""
+    rng = random.Random(101)
+    L, M = (corpus.random_collection(rng, QQ, "simplicial", 3, 2, 2, "sign")
+            for _ in range(2))
+    LM = composite_product(L, M).collection
+    assert [LM.level(sig(n)).ranks() for n in range(1, 4)] == \
+        [(0, 6, 25), (4, 13, 65), (28, 101, 845)]
 
 
 def test_composite_unit_laws():
@@ -532,24 +647,31 @@ def test_composite_sign_action_over_a_field_is_exact():
     assert res.collection.level(((), X)).level(0).rank == 0
 
 
-def test_composite_orbit_fast_path_matches_generic():
-    A = associative_operad(F5, "chain", 3, 0)
-    fast = composite_product(A.collection, A.collection).collection
-    exactlin._FORCE_GENERIC = True
-    try:
-        slow = composite_product(A.collection, A.collection).collection
-    finally:
-        exactlin._FORCE_GENERIC = False
-    for n in range(1, 4):
+def test_composite_orbit_fast_path_matches_generic(monkeypatch):
+    # only a term with two empty fibers has a stabilizer to divide by,
+    # so the quotient runs on the unital operad's arity-0 level
+    A = associative_operad(F5, "chain", 3, 0, unital=True).collection
+    fast = composite_product(A, A).collection
+    seen = []
+    monkeypatch.setattr(op, "cokernel", lambda m: seen.append(m) or
+                        cokernel(m))
+    monkeypatch.setattr(exactlin, "_FORCE_GENERIC", True)
+    slow = composite_product(A, A).collection
+    assert seen
+    for n in range(4):
         assert fast.level(sig(n)).ranks() == slow.level(sig(n)).ranks()
+    # A(k) (x) A(0)^k is the regular representation of S_k, which the
+    # swaps of the empty fibers divide to rank one, for k = 0..3
+    assert fast.level(sig(0)).ranks() == (4,)
     assert collection_check(slow) == []
 
 
 def _old_route_action(M, N, res, sig, s, n):
     """Degree-n component of the input relabeling s on (M o N)(sig),
     built the way composite_product used to: the tensor map of the
-    identity and the fiber actions, one per term, embedded at the term
-    offsets, then proj_t o bigmap o section_s."""
+    identity and the fiber actions, one per ordered term of res (an
+    `_ordered_composite`), embedded at the term offsets, then
+    proj_t o bigmap o section_s."""
     ops, ring = M.ops, M.ring
     tsig = sig_act(sig, s)
     terms, tterms = res.terms[sig], res.terms[tsig]
@@ -607,8 +729,8 @@ def test_composite_action_tables_match_tensor_map_route(pairs):
     the tensor-complex route it replaced."""
     checked = crossing = 0
     for M, N in pairs():
-        res = composite_product(M, N)
-        coll = res.collection
+        coll = composite_product(M, N).collection
+        res = _ordered_composite(M, N)
         for sig in coll.signatures():
             n_in = len(sig[0])
             if n_in < 2:
@@ -625,22 +747,164 @@ def test_composite_action_tables_match_tensor_map_route(pairs):
         assert crossing
 
 
-def _random_pair(base):
-    rng = random.Random(101)
-    return [corpus.random_collection(rng, QQ, base, 2, 2, 2, "sign")
-            for _ in range(2)]
+def _graded_collection(ring, action):
+    """Levels of arity 1..3 with a nonzero odd degree and zero
+    differentials (`_graded_factor`), each transposition acting by a
+    scalar: slot moves between them carry Koszul signs."""
+    rng = random.Random(5)
+    ops = op._ops_for("chain", ring, 2)
+    scale = ring.one if action == "trivial" else ring.normalize(-1)
+    levels, actions = {}, {}
+    for n in range(1, 4):
+        lev = levels[sig(n)] = _graded_factor(rng, ring, 2)
+        swap = ops.make_map(lev, lev, [LinearMap(
+            lev.level(m), lev.level(m),
+            {(i, i): scale for i in range(lev.level(m).rank)})
+            for m in range(3)])
+        actions[sig(n)] = dict.fromkeys(perms.transpositions(n), swap)
+    return Collection(ring, "chain", (X,), 3, 2, levels, actions)
+
+
+def _shear_swap():
+    """A rank-two binary level over Q whose swap is [[1, 0], [1, -1]],
+    an involution that is not a signed permutation, so that slot moves
+    take the generic route of the oracle."""
+    ops = op._ops_for("chain", QQ, 0)
+    two = ChainComplex(QQ, [free_module(QQ, 2)], [])
+    shear = ops.make_map(two, two, [LinearMap.from_rows(
+        two.level(0), two.level(0), [[1, 0], [1, -1]])])
+    return Collection(QQ, "chain", (X,), 3, 0,
+                      {sig(1): ops.unit_obj(), sig(2): two},
+                      {sig(2): {(1, 0): shear}})
+
+
+def _basis_change(M, res, ref, s, n):
+    """Degree n of the map from composite_product's level at s (res) to
+    the oracle's (ref): each canonical term's block, through the section
+    of its stabilizer quotient when it has one (`operad._term_block`),
+    placed at that term among the ordered terms, then the oracle's
+    projection."""
+    quotient = ref.quotients[s][n]
+    index = {t.key(): ti for ti, t in enumerate(ref.terms[s])}
+    starts = [0]
+    for t in ref.terms[s]:
+        starts.append(starts[-1] + t.obj.level(n).rank)
+    entries, col = {}, 0
+    for t in res.terms[s]:
+        _, obj, qs = op._term_block(M.ops, M, t)
+        rank = obj.level(n).rank
+        section = qs[n].section.entries if qs else \
+            {(r, r): M.ring.one for r in range(rank)}
+        row = starts[index[t.key()]]
+        entries.update({(row + r, col + c): v
+                        for (r, c), v in section.items()})
+        col += rank
+    return quotient.proj @ LinearMap(free_module(M.ring, col),
+                                     quotient.proj.source, entries)
+
+
+def _structure_maps(obj):
+    """(degree from, degree to, map) of each differential, face and
+    degeneracy."""
+    if isinstance(obj, ChainComplex):
+        return [(n, n - 1, obj.d(n)) for n in range(1, obj.max_degree + 1)]
+    return [(n, n - 1, obj.face(n, i)) for n in range(1, obj.max_degree + 1)
+            for i in range(n + 1)] + \
+        [(n, n + 1, obj.degeneracy(n, i)) for n in range(obj.max_degree)
+         for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("pairs,generic", [
+    *[(lambda r=r, a=a: [tuple(corpus.random_collection(
+        random.Random(seed), r, "chain", 3, 2, 2, a) for seed in (s, s + 1))
+        for s in (3, 7)], False)
+      for r in (ZZ, QQ, F5) for a in ("trivial", "sign")],
+    (lambda: _bracketings(F5, "trivial"), False),
+    (lambda: _bracketings(QQ, "sign"), False),
+    (lambda: [(_graded_collection(r, a), _graded_collection(r, a))
+              for r, a in ((ZZ, "trivial"), (QQ, "sign"), (F5, "sign"))],
+     False),
+    (lambda: [(_two_color_associative(),) * 2], False),
+    (lambda: [(associative_operad(ZZ, "chain", 3, 0, unital=True)
+               .collection,) * 2,
+              (associative_operad(F5, "simplicial", 3, 1, unital=True)
+               .collection,) * 2,
+              _nullary_pair("chain"), _nullary_pair("simplicial"),
+              _sign_and_nullary(F5)], False),
+    (lambda: [(_shear_swap(),) * 2], True),
+], ids=[f"random-{r}-{a}" for r in ("Z", "Q", "F5")
+        for a in ("trivial", "sign")]
+    + ["triple-F5-trivial", "triple-Q-sign", "graded", "two-color",
+       "nullary", "shear"])
+def test_composite_matches_the_ordered_sum_oracle(pairs, generic):
+    """composite_product against `_ordered_composite`, entry for entry:
+    every level's ranks and structure maps, and the action of every
+    permutation.  The oracle keeps the canonical terms' basis elements
+    whenever the actions are signed, so the change of basis between the
+    two is the identity; a generic action sends the oracle through an
+    exact cokernel of its own choosing, and there both sides are compared
+    through that change of basis, which must be invertible.  Each result
+    also passes `collection_check`, the action laws with which
+    `operad_check` starts; the triples run both bracketings of the
+    composite associativity triple."""
+    for M, N in pairs():
+        res, ref = composite_product(M, N), _ordered_composite(M, N)
+        got, want = res.collection, ref.collection
+        assert got.signatures() == want.signatures()
+        assert got.truncated == want.truncated
+        for s in want.signatures():
+            g, w = got.level(s), want.level(s)
+            assert g.ranks() == w.ranks()
+            P = [_basis_change(M, res, ref, s, n)
+                 for n in range(got.max_degree + 1)]
+            if generic:
+                assert all(exactlin.kernel(p)[0].rank == 0 for p in P)
+            else:
+                assert all(p == LinearMap.identity(p.source) for p in P)
+            for (n, m, f), (_, _, h) in zip(_structure_maps(g),
+                                            _structure_maps(w)):
+                assert (P[m] @ f).entries == (h @ P[n]).entries
+            for p in perms.all_permutations(len(s[0])):
+                t = sig_act(s, p)
+                Pt = [_basis_change(M, res, ref, t, n)
+                      for n in range(got.max_degree + 1)]
+                for n, (f, h) in enumerate(zip(
+                        got.action(s, p).components,
+                        want.action(s, p).components)):
+                    assert (Pt[n] @ f).entries == (h @ P[n]).entries
+        assert collection_check(got) == []
+
+
+def _nullary_pair(base):
+    """A random collection with a binary level over Q, against one with a
+    random nullary level: the swap of the two empty fibers under the
+    binary top fixes that term, so its stabilizer quotient runs, on
+    random structure maps."""
+    rng = random.Random(0)
+    M = corpus.random_collection(rng, QQ, base, 2, 2, 2, "sign")
+    ops = op._ops_for(base, QQ, 2)
+    nullary = corpus.random_complex(rng, QQ, 2, 2) if base == "chain" else \
+        corpus.random_simplicial_module(rng, QQ, 2, 2)
+    N = Collection(QQ, base, (X,), 2, 2, {((), X): nullary,
+                                          sig(1): ops.unit_obj()})
+    return M, N
 
 
 @pytest.mark.parametrize("pair,what", [
-    (lambda: [associative_operad(ZZ, "chain", 3, 0).collection] * 2,
+    (lambda: [associative_operad(ZZ, "chain", 4, 0,
+                                 unital=True).collection] * 2,
      "input relabeling"),
-    (lambda: _random_pair("chain"), "differential"),
-    (lambda: _random_pair("simplicial"), "face"),
+    (lambda: _nullary_pair("chain"), "differential"),
+    (lambda: _nullary_pair("simplicial"), "face"),
 ], ids=["relabeling", "differential", "face"])
 def test_composite_refuses_a_quotient_that_does_not_descend(
         monkeypatch, pair, what):
-    # explicit checks, so they also hold under python -O
+    # explicit checks, so they also hold under python -O.  Only a term
+    # with two empty fibers of one color is divided, so each pair has
+    # arity-0 levels; at arity 4 the unital operad has such terms under
+    # two inputs, which the relabelings move
     M, N = pair()
+    assert not M.is_zero_level(sig(2))
     real = op._quotient_by
 
     def keep_e0(ring, module, mats):
