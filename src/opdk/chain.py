@@ -20,7 +20,6 @@ from .exactlin import (
     LinearMap,
     cokernel,
     compose,
-    free_module,
     hstack,
     kernel,
     matrix_from_json,
@@ -53,8 +52,7 @@ class ChainComplex:
                 raise ValueError(f"level {n} is over {M.ring.name()}, "
                                  f"not {ring.name()}")
         for n, d in enumerate(differentials, start=1):
-            if not (d.source.compatible(levels[n])
-                    and d.target.compatible(levels[n - 1])):
+            if d.source != levels[n] or d.target != levels[n - 1]:
                 raise ValueError(f"d_{n} is not a map from level {n} to "
                                  f"level {n - 1}")
         self.ring = ring
@@ -70,7 +68,7 @@ class ChainComplex:
     def level(self, n: int) -> FreeModule:
         if 0 <= n <= self.max_degree:
             return self.levels[n]
-        return FreeModule(self.ring, ())
+        return FreeModule(self.ring, 0)
 
     def d(self, n: int) -> LinearMap:
         """Differential out of degree n; zero maps off the ends."""
@@ -100,18 +98,18 @@ class ChainComplex:
 
 
 def zero_complex(ring: Ring, max_degree: int = 0) -> ChainComplex:
-    levels = [FreeModule(ring, ()) for _ in range(max_degree + 1)]
+    levels = [FreeModule(ring, 0) for _ in range(max_degree + 1)]
     diffs = [LinearMap.zero(levels[n], levels[n - 1]) for n in range(1, max_degree + 1)]
     return ChainComplex(ring, levels, diffs)
 
 
 def unit_complex(ring: Ring) -> ChainComplex:
-    return ChainComplex(ring, [free_module(ring, 1, "u")], [])
+    return ChainComplex(ring, [FreeModule(ring, 1)], [])
 
 
-def concentrated(ring: Ring, degree: int, rank: int = 1, prefix: str = "e") -> ChainComplex:
+def concentrated(ring: Ring, degree: int, rank: int = 1) -> ChainComplex:
     """rank^degree: one nonzero level, everything else 0."""
-    levels = [free_module(ring, rank if n == degree else 0, prefix)
+    levels = [FreeModule(ring, rank if n == degree else 0)
               for n in range(degree + 1)]
     diffs = [LinearMap.zero(levels[n], levels[n - 1]) for n in range(1, degree + 1)]
     return ChainComplex(ring, levels, diffs)
@@ -120,19 +118,16 @@ def concentrated(ring: Ring, degree: int, rank: int = 1, prefix: str = "e") -> C
 def two_term(ring: Ring, rows: Sequence[Sequence]) -> ChainComplex:
     """d_1 given by a dense matrix; degree 1 has len(rows[0]) generators."""
     cols = len(rows[0]) if rows else 0
-    M1 = free_module(ring, cols, "a")
-    M0 = free_module(ring, len(rows), "b")
+    M1 = FreeModule(ring, cols)
+    M0 = FreeModule(ring, len(rows))
     return ChainComplex(ring, [M0, M1], [LinearMap.from_rows(M1, M0, rows)])
 
 
 def direct_sum(K: ChainComplex, L: ChainComplex) -> ChainComplex:
     if K.ring != L.ring or K.max_degree != L.max_degree:
         raise ValueError("direct sum summands differ in ring or max_degree")
-    levels = []
-    for n in range(K.max_degree + 1):
-        labels = tuple(f"l:{a}" for a in K.level(n).labels) + \
-            tuple(f"r:{b}" for b in L.level(n).labels)
-        levels.append(FreeModule(K.ring, labels))
+    levels = [FreeModule(K.ring, K.level(n).rank + L.level(n).rank)
+              for n in range(K.max_degree + 1)]
     diffs = [LinearMap.placed(levels[n], levels[n - 1], [
         (0, 0, K.d(n)), (K.level(n - 1).rank, K.level(n).rank, L.d(n))])
         for n in range(1, K.max_degree + 1)]
@@ -149,7 +144,7 @@ def pad(K: ChainComplex, max_degree: int) -> ChainComplex:
     levels = list(K.levels)
     diffs = list(K.differentials)
     for n in range(K.max_degree + 1, max_degree + 1):
-        levels.append(FreeModule(K.ring, ()))
+        levels.append(FreeModule(K.ring, 0))
         diffs.append(LinearMap.zero(levels[n], levels[n - 1]))
     return ChainComplex(K.ring, levels, diffs, check=False)
 
@@ -174,8 +169,7 @@ class ChainMap:
             raise ValueError(f"need {source.max_degree + 1} components, got "
                              f"{len(components)}")
         for n, f in enumerate(components):
-            if not (f.source.compatible(source.level(n))
-                    and f.target.compatible(target.level(n))):
+            if f.source != source.level(n) or f.target != target.level(n):
                 raise ValueError(f"component {n} is not a map between the "
                                  f"degree-{n} levels")
         self.source = source
@@ -454,15 +448,6 @@ def _pair_map_components(base: str, f, g, src, tgt) -> list:
                               _layout(base, (f.target, g.target), D))
 
 
-def _tensor_level(K: ChainComplex, L: ChainComplex, blocks) -> FreeModule:
-    labels = []
-    for p, q, _ in blocks:
-        for a in K.level(p).labels:
-            for b in L.level(q).labels:
-                labels.append(f"{p}|({a})(x)({b})")
-    return FreeModule(K.ring, tuple(labels))
-
-
 def tensor(K: ChainComplex, L: ChainComplex, bound: Optional[int] = None) -> ChainComplex:
     """(K (x) L)_n = sum over p+q=n of K_p (x) L_q, Koszul differential.
 
@@ -483,7 +468,8 @@ def tensor(K: ChainComplex, L: ChainComplex, bound: Optional[int] = None) -> Cha
     if bound is not None:
         D = min(D, bound)
     blocks = [tensor_blocks(K, L, n) for n in range(D + 1)]
-    levels = [_tensor_level(K, L, b) for b in blocks]
+    levels = [FreeModule(ring, sum(K.level(p).rank * L.level(q).rank
+                                   for p, q, _ in b)) for b in blocks]
     diffs = []
     for n in range(1, D + 1):
         entries = {}
@@ -766,7 +752,7 @@ def diagram_colimit(vertices: Sequence[ChainComplex],
             offs.append(total)
             total += V.level(n).rank
         offsets_per_degree.append(offs)
-        big = free_module(ring, total, "v")
+        big = FreeModule(ring, total)
         cols = []
         for s, t, f in es:
             fe = f.component(n)
@@ -777,7 +763,7 @@ def diagram_colimit(vertices: Sequence[ChainComplex],
                 key = (offs[s] + j, j)
                 entries[key] = ring.sub(entries.get(key, ring.zero), ring.one)
             cols.append(LinearMap(vs[s].level(n), big, entries))
-        rel = hstack(cols) if cols else LinearMap.zero(FreeModule(ring, ()), big)
+        rel = hstack(cols) if cols else LinearMap.zero(FreeModule(ring, 0), big)
         pres = cokernel(rel)
         if pres.presentation.invariant_factors:
             raise ValueError(f"colimit has torsion at degree {n}; "
@@ -921,7 +907,7 @@ def chain_to_json(K: ChainComplex) -> dict:
 def chain_from_json(data: dict) -> ChainComplex:
     from .rings import ring_from_name
     ring = ring_from_name(data["ring"])
-    levels = [free_module(ring, r) for r in data["levels"]]
+    levels = [FreeModule(ring, r) for r in data["levels"]]
     count = len(data["differentials"])
     if count >= max(len(levels), 1):
         raise ValueError(f"{count} differentials need {count + 1} levels, "

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .chain import ChainComplex, ChainMap, concentrated, pad, tensor_blocks, two_term
 from .doldkan import gamma, gamma_map
-from .exactlin import LinearMap, compose, free_module, kernel
+from .exactlin import FreeModule, LinearMap, compose, kernel
 from .rings import Ring
 from .simp import SimplicialMap, SimplicialModule
 
@@ -44,7 +44,7 @@ def random_complex(rng: random.Random, ring: Ring, max_degree: int,
     ranks = [rng.randint(0, max_rank) for _ in range(max_degree + 1)]
     if not any(ranks):
         ranks[rng.randrange(max_degree + 1)] = 1
-    levels = [free_module(ring, r, "e") for r in ranks]
+    levels = [FreeModule(ring, r) for r in ranks]
     diffs = []
     for n in range(1, max_degree + 1):
         if n == 1:
@@ -77,8 +77,8 @@ def random_chain_map(rng: random.Random, K: ChainComplex, L: ChainComplex,
     for n in range(1, D + 1):
         row_off[n] = rows_total
         rows_total += K.level(n).rank * L.level(n - 1).rank
-    src = free_module(ring, total, "f")
-    tgt = free_module(ring, rows_total, "r")
+    src = FreeModule(ring, total)
+    tgt = FreeModule(ring, rows_total)
     ent: dict = {}
 
     def bump(key, v):
@@ -102,7 +102,7 @@ def random_chain_map(rng: random.Random, K: ChainComplex, L: ChainComplex,
     coeffs = {(j, 0): ring.normalize(rng.randint(-bound, bound))
               for j in range(incl.source.rank)}
     coeffs = {k: v for k, v in coeffs.items() if v != ring.zero}
-    vec = compose(incl, LinearMap(free_module(ring, 1, "c"), incl.source,
+    vec = compose(incl, LinearMap(FreeModule(ring, 1), incl.source,
                                   coeffs)).column(0)
     comps = []
     for n in range(D + 1):
@@ -138,23 +138,17 @@ def random_unimodular(rng: random.Random, module,
 def conjugate(A: SimplicialModule, change) -> SimplicialModule:
     """Transport all operators along levelwise isomorphisms.
 
-    change[n] maps A.level(n) to the new basis; the result has fresh
-    anonymous labels so nothing leaks about how it was built.
+    change[n] maps A.level(n) to the new basis.
     """
     D = A.max_degree
     inv = [p.inverse() for p in change]
-    levels = [free_module(A.ring, A.level(n).rank, "x") for n in range(D + 1)]
-    faces = [[LinearMap(levels[n], levels[n - 1],
-                        compose(compose(change[n - 1], A.face(n, i)),
-                                inv[n]).entries)
+    faces = [[compose(compose(change[n - 1], A.face(n, i)), inv[n])
               for i in range(n + 1)]
              for n in range(1, D + 1)]
-    degeneracies = [[LinearMap(levels[n], levels[n + 1],
-                               compose(compose(change[n + 1], A.degeneracy(n, i)),
-                                       inv[n]).entries)
+    degeneracies = [[compose(compose(change[n + 1], A.degeneracy(n, i)), inv[n])
                      for i in range(n + 1)]
                     for n in range(D)]
-    return SimplicialModule(A.ring, levels, faces, degeneracies)
+    return SimplicialModule(A.ring, A.levels, faces, degeneracies)
 
 
 class SimplicialInstance:
@@ -511,7 +505,7 @@ def binary_generator(ring: Ring, max_arity: int, max_degree: int = 0,
     ops = op._ops_for("chain", ring, max_degree)
     sig = ((color, color), color)
     r = 2 if regular else rank
-    obj = pad(concentrated(ring, 0, r, prefix="m"), max_degree)
+    obj = pad(concentrated(ring, 0, r), max_degree)
     if regular:
         table = {(0, 1): ring.one, (1, 0): ring.one}
     else:
@@ -557,7 +551,7 @@ def split_binary_inclusion(ring: Ring, max_arity: int, m_rank: int = 2,
         if r == 0:
             return op.Collection(ring, "chain", (color,), max_arity,
                                  max_degree, {}, {})
-        obj = pad(concentrated(ring, 0, r, prefix="y"), max_degree)
+        obj = pad(concentrated(ring, 0, r), max_degree)
         swap = ops.make_map(obj, obj, [
             LinearMap(obj.level(n), obj.level(n), tbl if n == 0 else {})
             for n in range(max_degree + 1)])
@@ -591,7 +585,7 @@ def two_color_binary_inclusion(ring: Ring, max_arity: int,
     s_bb = ((b, b), b)
 
     def rank1():
-        return pad(concentrated(ring, 0, 1, prefix="g"), max_degree)
+        return pad(concentrated(ring, 0, 1), max_degree)
 
     def unit_map(A, B):
         return ops.make_map(A, B, [

@@ -39,7 +39,7 @@ from typing import Optional
 from . import permutations
 from .chain import ChainComplex, ChainMap, tensor_blocks
 from .chain import tensor as tensor_complex
-from .exactlin import FreeModule, LinearMap, compose, free_module, hnf_columns
+from .exactlin import FreeModule, LinearMap, compose, hnf_columns
 from .simp import (
     SimplicialMap,
     SimplicialModule,
@@ -117,7 +117,7 @@ def _image_basis(p: LinearMap):
     if flip:
         entries = {(R - 1 - i, r - 1 - j): v for (i, j), v in entries.items()}
         pivots = [R - 1 - i for i in reversed(pivots)]
-    return LinearMap(free_module(ring, r, "k"), p.target, entries), pivots
+    return LinearMap(FreeModule(ring, r), p.target, entries), pivots
 
 
 def _coordinates(basis: LinearMap, pivots, x: LinearMap) -> LinearMap:
@@ -248,13 +248,6 @@ def _surjection_index(n: int) -> tuple:
 
 
 @functools.cache
-def _surjection_tags(n: int) -> tuple:
-    """The label tag of each summand of `_surjection_index(n)`: eta's
-    values joined by dots."""
-    return tuple(".".join(map(str, eta)) for _, eta in _surjection_index(n))
-
-
-@functools.cache
 def _gamma_action(theta, n: int) -> tuple:
     """How theta: [m] -> [n] acts from level n of gamma to level m, per
     summand eta: [n] ->> [k] of level n (Goerss-Jardine III.2).
@@ -298,13 +291,6 @@ def gamma_summands(K: ChainComplex, n: int):
     return out
 
 
-def _gamma_level(K: ChainComplex, n: int) -> FreeModule:
-    labels = []
-    for (k, _), tag in zip(_surjection_index(n), _surjection_tags(n)):
-        labels.extend(f"{tag}|{a}" for a in K.level(k).labels)
-    return FreeModule(K.ring, tuple(labels))
-
-
 def gamma(K: ChainComplex, max_degree: Optional[int] = None) -> SimplicialModule:
     """Simplicial module with level n the sum of K_k over [n] ->> [k].
 
@@ -315,7 +301,8 @@ def gamma(K: ChainComplex, max_degree: Optional[int] = None) -> SimplicialModule
     """
     D = K.max_degree if max_degree is None else max_degree
     summands = [gamma_summands(K, n) for n in range(D + 1)]
-    levels = [_gamma_level(K, n) for n in range(D + 1)]
+    levels = [FreeModule(K.ring, sum(K.level(k).rank for k, _, _ in s))
+              for s in summands]
     idents = [LinearMap.identity(K.level(k)) for k in range(D + 1)]
 
     def operator(theta, n, m):
@@ -511,7 +498,7 @@ def normalize_operad_data(P):
     Returns the chain operad together with the per-signature
     Normalization records, so morphisms can be transported without
     recomputing kernels.  Structure maps are conjugated through the
-    shuffle map, which is compatible with both associativities because
+    shuffle map, which respects both associativities because
     the simplicial tensor is strict and the shuffle is associative and
     symmetric; the result is replayed through the full law check and a
     violation is an internal error, not a property of the input.  That

@@ -1,8 +1,9 @@
 """Exact linear algebra over Z, Q and Z/p.
 
-Free modules carry ordered basis labels; maps are sparse coordinate
-matrices with exact entries.  On top of plain matrix arithmetic this
-module provides the workhorses everything else reduces to:
+A free module is a ring and a rank, with basis 0..rank-1; maps are
+sparse coordinate matrices with exact entries.  On top of plain matrix
+arithmetic this module provides the workhorses everything else reduces
+to:
 
 * smith_normal_form  -- U*m*V = D with unimodular U, V and a divisibility
   chain down the diagonal; U, V and U^-1 are built only when a caller
@@ -30,24 +31,20 @@ from . import _kernel
 from .rings import Ring, ZZ, ring_from_name
 
 class FreeModule:
-    """Finitely generated free module with an ordered, labeled basis."""
+    """The free module ring^rank.  Its basis is 0..rank-1: a module is
+    its ring and its rank, and two modules with the same ones are equal.
+    Every builder documents the order in which its basis lists the
+    pieces it is made of.  ValueError unless rank is an int (not a bool)
+    and at least 0."""
 
-    __slots__ = ("ring", "labels", "rank")
+    __slots__ = ("ring", "rank")
 
-    def __init__(self, ring: Ring, labels):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("basis labels must be distinct")
+    def __init__(self, ring: Ring, rank: int):
+        if type(rank) is not int or rank < 0:
+            raise ValueError(f"a free module's rank must be an int >= 0, "
+                             f"not {rank!r}")
         self.ring = ring
-        self.labels = labels
-        self.rank = len(labels)
-
-    def compatible(self, other: "FreeModule") -> bool:
-        return self is other or (
-            self.ring == other.ring and self.rank == other.rank)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
+        self.rank = rank
 
     def __repr__(self):
         return f"FreeModule({self.ring.name()}, rank={self.rank})"
@@ -56,26 +53,11 @@ class FreeModule:
         return (
             isinstance(other, FreeModule)
             and self.ring == other.ring
-            and self.labels == other.labels
+            and self.rank == other.rank
         )
 
     def __hash__(self):
-        return hash((self.ring, self.labels))
-
-
-def free_module(ring: Ring, rank: int, prefix: str = "e") -> FreeModule:
-    return FreeModule(ring, tuple(f"{prefix}{i}" for i in range(rank)))
-
-
-def tensor_labels(a: FreeModule, b: FreeModule):
-    return tuple(f"({x})⊗({y})" for x in a.labels for y in b.labels)
-
-
-def sum_labels(mods) -> tuple:
-    out = []
-    for i, m in enumerate(mods):
-        out.extend(f"{i}:{lab}" for lab in m.labels)
-    return tuple(out)
+        return hash((self.ring, self.rank))
 
 
 class LinearMap:
@@ -271,18 +253,18 @@ class LinearMap:
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
         ring = self.ring
-        src = FreeModule(ring, tensor_labels(self.source, other.source))
-        tgt = FreeModule(ring, tensor_labels(self.target, other.target))
+        src = FreeModule(ring, self.source.rank * other.source.rank)
+        tgt = FreeModule(ring, self.target.rank * other.target.rank)
         return LinearMap._canonical(src, tgt, _kron_entries(self, other))
 
     def direct_sum(self, other: "LinearMap") -> "LinearMap":
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
         ring = self.ring
-        src = FreeModule(ring, sum_labels([self.source, other.source]))
-        tgt = FreeModule(ring, sum_labels([self.target, other.target]))
-        entries = dict(self.entries)
         r0, c0 = self.target.rank, self.source.rank
+        src = FreeModule(ring, c0 + other.source.rank)
+        tgt = FreeModule(ring, r0 + other.target.rank)
+        entries = dict(self.entries)
         for (i, j), v in other.entries.items():
             entries[(i + r0, j + c0)] = v
         return LinearMap._canonical(src, tgt, entries)
@@ -322,7 +304,7 @@ class LinearMap:
     def inverse(self) -> "LinearMap":
         """Two-sided inverse; ValueError if the map is not invertible.
 
-        >>> M = free_module(ZZ, 1)
+        >>> M = FreeModule(ZZ, 1)
         >>> LinearMap.from_rows(M, M, [[2]]).inverse()
         Traceback (most recent call last):
             ...
@@ -379,7 +361,7 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     Fraction is ever added to an int.
     """
     fs, gt = f.source, g.target
-    if not gt.compatible(fs):
+    if gt != fs:
         raise ValueError(
             f"cannot compose: inner ranks {gt.rank} vs {fs.rank}")
     return LinearMap._canonical(
@@ -427,7 +409,7 @@ def _stack(maps, common: str, what: str):
         raise ValueError(f"{what} needs at least one map")
     side = getattr(maps[0], common)
     for m in maps:
-        if not getattr(m, common).compatible(side):
+        if getattr(m, common) != side:
             raise ValueError(f"{what}: the maps' {common}s differ in ring or rank")
     return maps, side
 
@@ -435,7 +417,7 @@ def _stack(maps, common: str, what: str):
 def hstack(maps) -> LinearMap:
     """[f g ...] : S1 + S2 + ... -> T for maps with a common target."""
     maps, tgt = _stack(maps, "target", "hstack")
-    src = FreeModule(tgt.ring, sum_labels([m.source for m in maps]))
+    src = FreeModule(tgt.ring, sum(m.source.rank for m in maps))
     entries = {}
     off = 0
     for m in maps:
@@ -448,7 +430,7 @@ def hstack(maps) -> LinearMap:
 def vstack(maps) -> LinearMap:
     """(f; g; ...) : S -> T1 + T2 + ... for maps with a common source."""
     maps, src = _stack(maps, "source", "vstack")
-    tgt = FreeModule(src.ring, sum_labels([m.target for m in maps]))
+    tgt = FreeModule(src.ring, sum(m.target.rank for m in maps))
     entries = {}
     off = 0
     for m in maps:
@@ -748,13 +730,12 @@ def _smith_integer(m: LinearMap) -> SmithForm:
                                "divisibility chain")
 
     Rmod, Cmod = m.target, m.source
-    r_mod, c_mod = free_module(ZZ, R, "r"), free_module(ZZ, C, "c")
     return SmithForm(
         tuple(diag),
-        U=lambda: LinearMap(Rmod, r_mod, _replay(row_log, R)),
-        V=lambda: LinearMap(c_mod, Cmod, {
+        U=lambda: LinearMap(Rmod, Rmod, _replay(row_log, R)),
+        V=lambda: LinearMap(Cmod, Cmod, {
             (i, j): v for (j, i), v in _replay(col_log, C).items()}),
-        Uinv=lambda: LinearMap(r_mod, Rmod, _replay(row_log, R, inverse=True)))
+        Uinv=lambda: LinearMap(Rmod, Rmod, _replay(row_log, R, inverse=True)))
 
 
 def _smith_field(m: LinearMap) -> SmithForm:
@@ -775,7 +756,7 @@ def _smith_field(m: LinearMap) -> SmithForm:
         for (i, j), v in R1.entries.items():
             if slot[j] >= r:
                 entries[(order[i], slot[j])] = ring.neg(v)
-        V = LinearMap(free_module(ring, C, "c"), m.source, entries)
+        V = LinearMap(m.source, m.source, entries)
         if (R1 @ V).entries != {(i, i): ring.one for i in range(r)}:
             raise RuntimeError("field Smith form: T @ m @ V is not diagonal")
         return V
@@ -790,7 +771,7 @@ def smith_normal_form(m: LinearMap) -> SmithForm:
     Over Z the diagonal is the nonnegative invariant chain; over a field
     it is 1s then 0s.
 
-    >>> M = free_module(ZZ, 2)
+    >>> M = FreeModule(ZZ, 2)
     >>> f = LinearMap.from_rows(M, M, [[2, 0], [0, 3]])
     >>> smith_normal_form(f).diagonal
     (1, 6)
@@ -889,7 +870,7 @@ def hnf_columns(m: LinearMap) -> LinearMap:
     for j, c in enumerate(out):
         for i, v in c.items():
             entries[(i, j)] = v
-    src = free_module(ring, len(out), "h")
+    src = FreeModule(ring, len(out))
     return LinearMap(src, m.target, entries)
 
 
@@ -899,7 +880,7 @@ def kernel(m: LinearMap):
     Over Z the span is the full kernel sublattice (automatically
     saturated); the basis is Hermite-reduced for determinism.
 
-    >>> M2, M1 = free_module(ZZ, 2), free_module(ZZ, 1)
+    >>> M2, M1 = FreeModule(ZZ, 2), FreeModule(ZZ, 1)
     >>> f = LinearMap.from_rows(M2, M1, [[2, 4]])
     >>> K, incl = kernel(f)
     >>> incl.to_rows()
@@ -917,8 +898,7 @@ def kernel(m: LinearMap):
                 v = R1.entries.get((pivot_of_col[c], j))
                 if v is not None:
                     entries[(c, k)] = ring.neg(v)
-        K = free_module(ring, len(free_cols), "k")
-        incl = LinearMap(K, m.source, entries)
+        incl = LinearMap(FreeModule(ring, len(free_cols)), m.source, entries)
     else:
         # the columns of V against zero diagonal entries span the kernel
         sf = smith_normal_form(m)
@@ -927,10 +907,8 @@ def kernel(m: LinearMap):
         slot = {j: k for k, j in enumerate(zero)}
         cols = {(i, slot[j]): v for (i, j), v in sf.V.entries.items()
                 if j in slot}
-        reduced = hnf_columns(
-            LinearMap(free_module(ring, len(slot), "k"), m.source, cols))
-        K = free_module(ring, reduced.source.rank, "k")
-        incl = LinearMap(K, m.source, reduced.entries)
+        incl = hnf_columns(
+            LinearMap(FreeModule(ring, len(slot)), m.source, cols))
     if not (m @ incl).is_zero():
         raise RuntimeError("kernel: the basis is not killed by the map")
     return incl.source, incl
@@ -940,7 +918,7 @@ def solve(m: LinearMap, b: LinearMap):
     """Exact solution X of m @ X = b, or None.  b shares m's target:
     its ring and rank, which is all `compose` asks of it, so it is
     used as it stands."""
-    if not b.target.compatible(m.target):
+    if b.target != m.target:
         raise ValueError(
             f"solve: the right-hand side has {b.target.rank} rows over "
             f"{b.ring.name()}, the map {m.target.rank} over {m.ring.name()}")
@@ -980,7 +958,7 @@ def solve(m: LinearMap, b: LinearMap):
 
 def same_span(a: LinearMap, b: LinearMap) -> bool:
     """Whether the column spans (sublattices over Z) coincide."""
-    if not a.target.compatible(b.target):
+    if a.target != b.target:
         raise ValueError(
             f"same_span: targets of rank {a.target.rank} over {a.ring.name()} "
             f"and {b.target.rank} over {b.ring.name()}")
@@ -1085,11 +1063,6 @@ class CokernelPresentation:
         return not self.invariant_factors
 
 
-def _generators(ring: Ring, n_torsion: int, n_free: int) -> FreeModule:
-    return FreeModule(ring, tuple([f"t{k}" for k in range(n_torsion)]
-                                  + [f"q{k}" for k in range(n_free)]))
-
-
 def signed_quotient(module: FreeModule, edges, killed=()) -> CokernelPresentation:
     """module / <e_j - s e_i, e_k> for the signed edges (j, s, i), that
     is e_j = s e_i with s = +1 or -1, and the killed vertices k.
@@ -1104,7 +1077,7 @@ def signed_quotient(module: FreeModule, edges, killed=()) -> CokernelPresentatio
     path; over Q and Z/p with p odd it dies.  Over Z/2, where -1 = 1,
     every sign counts as +1, so no class is unbalanced.
 
-    >>> M = free_module(ZZ, 3)
+    >>> M = FreeModule(ZZ, 3)
     >>> signed_quotient(M, [(1, -1, 0)], killed=[2]).presentation
     Presentation(rank 1)
     >>> signed_quotient(M, [(1, -1, 0), (1, 1, 0)]).presentation
@@ -1158,7 +1131,7 @@ def signed_quotient(module: FreeModule, edges, killed=()) -> CokernelPresentatio
         k = pos.get(find(x))
         if k is not None:
             proj[(k, x)] = one if sign[x] == 1 else minus
-    gens = _generators(ring, len(torsion), len(free))
+    gens = FreeModule(ring, len(reps))
     return CokernelPresentation(
         LinearMap(module, gens, proj),
         LinearMap(gens, module, {(r, k): one for k, r in enumerate(reps)}),
@@ -1206,7 +1179,7 @@ def _smith_cokernel(m: LinearMap) -> CokernelPresentation:
         torsion_idx = [i for i in range(R) if diag[i] not in (0, 1)]
         free_idx = [i for i in range(R) if diag[i] == 0]
     slot = {i: k for k, i in enumerate(torsion_idx + free_idx)}
-    gens = _generators(ring, len(torsion_idx), len(free_idx))
+    gens = FreeModule(ring, len(slot))
     proj = {(slot[r], c): v for (r, c), v in sf.U.entries.items() if r in slot}
     sec = {(r, slot[c]): v for (r, c), v in sf.Uinv.entries.items()
            if c in slot}
@@ -1228,7 +1201,7 @@ def cokernel(m: LinearMap) -> CokernelPresentation:
     cokernel is a signed_quotient; every other matrix goes through the
     Smith form.
 
-    >>> M = free_module(ZZ, 2)
+    >>> M = FreeModule(ZZ, 2)
     >>> f = LinearMap.from_rows(M, M, [[2, 0], [0, 3]])
     >>> cokernel(f).presentation
     Presentation(rank 0 + Z/6)
@@ -1267,8 +1240,8 @@ def matrix_from_json(data: dict) -> LinearMap:
     """Inverse of matrix_to_json; ValueError for a malformed entry or
     a position listed twice."""
     ring = ring_from_name(data["ring"])
-    src = free_module(ring, data["cols"], "e")
-    tgt = free_module(ring, data["rows"], "f")
+    src = FreeModule(ring, data["cols"])
+    tgt = FreeModule(ring, data["rows"])
     entries = {}
     for i, j, s in data["entries"]:
         key = (int(i), int(j))

@@ -35,8 +35,8 @@ from . import simp as _simp
 from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
 from . import exactlin
 from .exactlin import (CokernelPresentation, FreeModule, LinearMap, cokernel,
-                       compose, free_module, hstack, matrix_from_json,
-                       matrix_to_json, signed_quotient, sum_labels)
+                       compose, hstack, matrix_from_json, matrix_to_json,
+                       signed_quotient)
 from .rings import Ring, ZZ, ring_from_name
 from .doldkan import normalize, normalize_map
 
@@ -921,7 +921,7 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
             continue
         if base == "chain":
             levels[((color,) * n, color)] = pad(
-                _chain.concentrated(ring, 0, len(ws), "w"), max_degree)
+                _chain.concentrated(ring, 0, len(ws)), max_degree)
         else:
             levels[((color,) * n, color)] = constant_module(
                 ring, max_degree, len(ws))
@@ -1150,12 +1150,11 @@ def _assemble(ops, objs):
     terms of a composite level, the classes of a free level and the
     blocks and choice domains of an extension stage are summed here, and
     maps between sums are placed by these offsets."""
-    mods = [FreeModule(ops.ring, sum_labels([A.level(n) for A in objs]))
-            for n in range(ops.max_degree + 1)]
-    offsets, acc = [], [0] * len(mods)
+    offsets, acc = [], [0] * (ops.max_degree + 1)
     for A in objs:
         offsets.append(acc)
         acc = [a + A.level(n).rank for n, a in enumerate(acc)]
+    mods = [FreeModule(ops.ring, a) for a in acc]
 
     def block(what, n, m, get):
         return LinearMap(mods[n], mods[m], {
@@ -1383,7 +1382,7 @@ def restrict_colors(alpha: dict, Q: Operad, colors) -> Operad:
 
 
 def _column(module: FreeModule, vec) -> LinearMap:
-    one = free_module(module.ring, 1, "v")
+    one = FreeModule(module.ring, 1)
     return LinearMap(one, module,
                      {(i, 0): v for i, v in enumerate(vec)
                       if v != module.ring.zero})

@@ -20,7 +20,6 @@ from .exactlin import (
     LinearMap,
     _kron_entries,
     compose,
-    free_module,
     matrix_from_json,
     matrix_to_json,
 )
@@ -61,31 +60,26 @@ def monotone_surjections(n: int, k: int):
         return []
     out = []
 
-    def build(prefix, last):
-        if len(prefix) == n + 1:
+    def build(head, last):
+        if len(head) == n + 1:
             if last == k:
-                out.append(tuple(prefix))
+                out.append(tuple(head))
             return
-        remaining = n + 1 - len(prefix)
+        remaining = n + 1 - len(head)
         for v in (last, last + 1):
             if v > k:
                 continue
             if k - v <= remaining - 1:
-                build(prefix + [v], v)
+                build(head + [v], v)
 
     build([0], 0)
     return out
 
 
-def epi_factor_word(eta) -> tuple:
-    """The duplicate positions of a surjection, decreasing: eta equals
-    s-word s_{j_l}..s_{j_1} with this index tuple read left to right."""
-    dups = [i for i in range(len(eta) - 1) if eta[i] == eta[i + 1]]
-    return tuple(reversed(dups))
-
-
 def surjection_from_word(word, k: int):
-    """Inverse of epi_factor_word: word is strictly decreasing."""
+    """The surjection onto [k] that a strictly decreasing degeneracy
+    word names: s_{j_l}..s_{j_1} with word read left to right, so its
+    duplicate positions are the word's entries."""
     eta = tuple(range(k + 1))
     for j in reversed(word):
         eta = compose_monotone(eta, sigma(j, len(eta) - 1))
@@ -124,16 +118,14 @@ class SimplicialModule:
             if len(faces[n - 1]) != n + 1:
                 raise ValueError(f"need d_0..d_{n} at degree {n}")
             for i, d in enumerate(faces[n - 1]):
-                if not (d.source.compatible(levels[n])
-                        and d.target.compatible(levels[n - 1])):
+                if d.source != levels[n] or d.target != levels[n - 1]:
                     raise ValueError(f"d_{i} at degree {n} is not a map "
                                      f"from level {n} to level {n - 1}")
         for n in range(D):
             if len(degeneracies[n]) != n + 1:
                 raise ValueError(f"need s_0..s_{n} at degree {n}")
             for i, s in enumerate(degeneracies[n]):
-                if not (s.source.compatible(levels[n])
-                        and s.target.compatible(levels[n + 1])):
+                if s.source != levels[n] or s.target != levels[n + 1]:
                     raise ValueError(f"s_{i} at degree {n} is not a map "
                                      f"from level {n} to level {n + 1}")
         self.ring = ring
@@ -145,7 +137,7 @@ class SimplicialModule:
     def level(self, n: int) -> FreeModule:
         if 0 <= n <= self.max_degree:
             return self.levels[n]
-        return FreeModule(self.ring, ())
+        return FreeModule(self.ring, 0)
 
     def face(self, n: int, i: int) -> LinearMap:
         if not (1 <= n <= self.max_degree and 0 <= i <= n):
@@ -364,6 +356,9 @@ def from_simplicial_set(simplices: dict, ring: Ring, max_degree: int
     strictly decreasing degeneracy word, so dim(name) + len(word) = n - 1.
     Level n gets one generator per pair (x, eta) with x nondegenerate and
     eta: [n] ->> [dim x]; operators are induced by monotone composition.
+    The basis of level n lists these pairs with x outer, the simplices
+    ordered by (dimension, position in `simplices`), and eta inner, in
+    `monotone_surjections(n, dim x)` order.
     """
     names = list(simplices)
     dims = {}
@@ -414,14 +409,7 @@ def from_simplicial_set(simplices: dict, ring: Ring, max_degree: int
         for pos, key in enumerate(level):
             index[(n, key)] = pos
 
-    def label(name, eta):
-        word = epi_factor_word(eta)
-        if not word:
-            return name
-        return "".join(f"s{j}" for j in word) + "|" + name
-
-    levels = [FreeModule(ring, tuple(label(*key) for key in basis[n]))
-              for n in range(max_degree + 1)]
+    levels = [FreeModule(ring, len(level)) for level in basis]
     faces = []
     for n in range(1, max_degree + 1):
         fs = []
@@ -466,7 +454,7 @@ def standard_simplex(k: int, ring: Ring, max_degree: int) -> SimplicialModule:
 
 def constant_module(ring: Ring, max_degree: int, rank: int = 1) -> SimplicialModule:
     """All levels equal, all operators the identity."""
-    M = free_module(ring, rank, "c")
+    M = FreeModule(ring, rank)
     levels = [M] * (max_degree + 1)
     faces = [[LinearMap.identity(M) for _ in range(n + 1)]
              for n in range(1, max_degree + 1)]
@@ -488,11 +476,8 @@ def tensor(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
     if A.ring != B.ring:
         raise ValueError("ring mismatch")
     D = min(A.max_degree, B.max_degree)
-    levels = []
-    for n in range(D + 1):
-        labels = tuple(f"({a})(x)({b})" for a in A.level(n).labels
-                       for b in B.level(n).labels)
-        levels.append(FreeModule(A.ring, labels))
+    levels = [FreeModule(A.ring, A.level(n).rank * B.level(n).rank)
+              for n in range(D + 1)]
     faces = [[LinearMap(levels[n], levels[n - 1],
                         _kron_entries(A.face(n, i), B.face(n, i)))
               for i in range(n + 1)]
@@ -518,11 +503,9 @@ def direct_sum(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
         raise ValueError("direct sum of simplicial modules over different "
                          "rings or degrees")
     D = A.max_degree
-    levels = []
-    for n in range(D + 1):
-        labels = tuple(f"l:{a}" for a in A.level(n).labels) + \
-            tuple(f"r:{b}" for b in B.level(n).labels)
-        levels.append(FreeModule(A.ring, labels))
+    levels = [FreeModule(A.ring, A.level(n).rank + B.level(n).rank)
+              for n in range(D + 1)]
+
     def block_sum(f, g, n, m):
         return LinearMap.placed(levels[n], levels[m], [
             (0, 0, f), (A.level(m).rank, A.level(n).rank, g)])
@@ -578,7 +561,7 @@ def simp_to_json(A: SimplicialModule) -> dict:
 def simp_from_json(data: dict) -> SimplicialModule:
     from .rings import ring_from_name
     ring = ring_from_name(data["ring"])
-    levels = [free_module(ring, r) for r in data["levels"]]
+    levels = [FreeModule(ring, r) for r in data["levels"]]
     for what in ("faces", "degeneracies"):
         count = len(data[what])
         if count >= max(len(levels), 1):

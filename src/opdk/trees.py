@@ -446,9 +446,9 @@ def enumerate_trees(sig, marked: int, max_vertices: int,
 
     Extending the vertex bound appends classes without reordering the
     ones already emitted, so one call at max_vertices + 1 holds the
-    call at max_vertices as a prefix: `FreeLevel` and `extension_stage`
-    take both their classes and their truncation flag from it, through
-    `_classes_within`.
+    call at max_vertices as an initial segment: `FreeLevel` and
+    `extension_stage` take both their classes and their truncation flag
+    from it, through `_classes_within`.
     """
     seen = {}
     for p in enumerate_planar(sig, marked, max_vertices, marked_valencies,
@@ -650,7 +650,7 @@ def _pair_entries(ops, src_objs, a: int, pairmap: ChainMap):
 
 
 def _labeling_complex(ring: Ring, count: int, bound: int) -> ChainComplex:
-    return pad(concentrated(ring, 0, count, prefix="l"), bound)
+    return pad(concentrated(ring, 0, count), bound)
 
 
 def _labeling_map(ops, labs, tgt_labs, relabel):

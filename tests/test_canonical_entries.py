@@ -20,10 +20,7 @@ from opdk.exactlin import (
     FreeModule,
     LinearMap,
     compose,
-    free_module,
     hstack,
-    sum_labels,
-    tensor_labels,
     vstack,
 )
 from opdk.rings import QQ, ZZ, Zmod
@@ -75,9 +72,8 @@ def _tensor(f, g):
     for (i, j), v in f.entries.items():
         for (k, l), w in g.entries.items():
             entries[(i * tb + k, j * sb + l)] = ring.mul(v, w)
-    return LinearMap(FreeModule(ring, tensor_labels(f.source, g.source)),
-                     FreeModule(ring, tensor_labels(f.target, g.target)),
-                     entries)
+    return LinearMap(FreeModule(ring, f.source.rank * sb),
+                     FreeModule(ring, f.target.rank * tb), entries)
 
 
 def _direct_sum(f, g):
@@ -85,9 +81,8 @@ def _direct_sum(f, g):
     entries = dict(f.entries)
     for (i, j), v in g.entries.items():
         entries[(i + f.target.rank, j + f.source.rank)] = v
-    return LinearMap(FreeModule(ring, sum_labels([f.source, g.source])),
-                     FreeModule(ring, sum_labels([f.target, g.target])),
-                     entries)
+    return LinearMap(FreeModule(ring, f.source.rank + g.source.rank),
+                     FreeModule(ring, f.target.rank + g.target.rank), entries)
 
 
 def _hstack(maps):
@@ -96,7 +91,7 @@ def _hstack(maps):
         for (i, j), v in m.entries.items():
             entries[(i, j + off)] = v
         off += m.source.rank
-    src = FreeModule(maps[0].ring, sum_labels([m.source for m in maps]))
+    src = FreeModule(maps[0].ring, off)
     return LinearMap(src, maps[0].target, entries)
 
 
@@ -106,7 +101,7 @@ def _vstack(maps):
         for (i, j), v in m.entries.items():
             entries[(i + off, j)] = v
         off += m.target.rank
-    tgt = FreeModule(maps[0].ring, sum_labels([m.target for m in maps]))
+    tgt = FreeModule(maps[0].ring, off)
     return LinearMap(maps[0].source, tgt, entries)
 
 
@@ -145,8 +140,8 @@ def linear_map(draw, ring, rows, cols, src=None, tgt=None):
     cells = [(i, j) for i in range(rows) for j in range(cols)]
     cells = draw(st.permutations(cells))[:draw(st.integers(0, len(cells)))]
     entries = {k: draw(raw_value(ring)) for k in cells}
-    src = src or free_module(ring, cols, "s")
-    tgt = tgt or free_module(ring, rows, "t")
+    src = src or FreeModule(ring, cols)
+    tgt = tgt or FreeModule(ring, rows)
     return LinearMap(src, tgt, entries)
 
 
@@ -225,11 +220,11 @@ def test_blocks_match_the_public_route(data):
 def test_stacks_match_the_public_route(data):
     ring = data.draw(rings)
     r = data.draw(ranks)
-    tgt = free_module(ring, r, "t")
+    tgt = FreeModule(ring, r)
     row = [data.draw(linear_map(ring, r, data.draw(ranks), tgt=tgt))
            for _ in range(data.draw(st.integers(1, 3)))]
     assert_same_canonical(hstack(row), _hstack(row))
-    src = free_module(ring, r, "s")
+    src = FreeModule(ring, r)
     col = [data.draw(linear_map(ring, data.draw(ranks), r, src=src))
            for _ in range(data.draw(st.integers(1, 3)))]
     assert_same_canonical(vstack(col), _vstack(col))
@@ -238,7 +233,7 @@ def test_stacks_match_the_public_route(data):
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name())
 @pytest.mark.parametrize("rank", [0, 1, 3])
 def test_identity_and_zero_match_the_public_route(ring, rank):
-    M, N = free_module(ring, rank), free_module(ring, 2, "f")
+    M, N = FreeModule(ring, rank), FreeModule(ring, 2)
     assert_same_canonical(
         LinearMap.identity(M),
         LinearMap(M, M, {(i, i): 1 for i in range(rank)}))
@@ -247,7 +242,7 @@ def test_identity_and_zero_match_the_public_route(ring, rank):
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name())
 def test_cancellations_store_no_zero(ring):
-    M, N = free_module(ring, 2), free_module(ring, 3, "f")
+    M, N = FreeModule(ring, 2), FreeModule(ring, 3)
     f = LinearMap(M, N, {(2, 1): 3, (0, 0): -1, (1, 1): 1})
     assert (f - f).entries == {}
     assert (f + (-f)).entries == {}
@@ -262,7 +257,7 @@ def test_cancellations_store_no_zero(ring):
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name())
 def test_empty_operands_compose_to_the_zero_map(ring):
-    A, B, C = free_module(ring, 2, "a"), free_module(ring, 3, "b"), free_module(ring, 0, "c")
+    A, B, C = FreeModule(ring, 2), FreeModule(ring, 3), FreeModule(ring, 0)
     f = LinearMap(B, A, {(0, 0): 1, (1, 2): 2})
     z = LinearMap.zero(A, B)
     assert_same_canonical(compose(f, z), LinearMap(A, A, {}))

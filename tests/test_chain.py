@@ -34,7 +34,7 @@ from opdk.chain import (
     unit_complex,
     zero_complex,
 )
-from opdk.exactlin import LinearMap, cokernel, compose, free_module, vstack
+from opdk.exactlin import FreeModule, LinearMap, cokernel, compose, vstack
 from opdk.rings import QQ, ZZ, Zmod
 
 
@@ -77,7 +77,7 @@ def random_complex(rng, ring, max_degree, max_rank=2):
     by construction and homology is usually nonzero."""
     from opdk.exactlin import kernel
 
-    levels = [free_module(ring, rng.randint(0, max_rank), f"x{n}")
+    levels = [FreeModule(ring, rng.randint(0, max_rank))
               for n in range(max_degree + 1)]
     diffs = []
     prev_kernel = None  # (module, incl) inside levels[n-1]
@@ -113,8 +113,8 @@ def random_chain_map(rng, f_source, f_target):
 
 
 def test_tensor_kunneth_ranks_zero_differential():
-    K = ChainComplex(ZZ, [free_module(ZZ, 1), free_module(ZZ, 1)],
-                     [LinearMap.zero(free_module(ZZ, 1), free_module(ZZ, 1))])
+    K = ChainComplex(ZZ, [FreeModule(ZZ, 1), FreeModule(ZZ, 1)],
+                     [LinearMap.zero(FreeModule(ZZ, 1), FreeModule(ZZ, 1))])
     T = tensor(K, K)
     assert T.ranks() == (1, 2, 1)
 
@@ -391,8 +391,8 @@ def test_punctured_cube_mapping_cylinder_instance():
     # X = Z[0], Y = Z[0] + Z[1] with zero differential; f includes the
     # degree-0 part
     X = concentrated(ZZ, 0, 1)
-    Y = ChainComplex(ZZ, [free_module(ZZ, 1), free_module(ZZ, 1)],
-                     [LinearMap.zero(free_module(ZZ, 1), free_module(ZZ, 1))])
+    Y = ChainComplex(ZZ, [FreeModule(ZZ, 1), FreeModule(ZZ, 1)],
+                     [LinearMap.zero(FreeModule(ZZ, 1), FreeModule(ZZ, 1))])
     f = ChainMap(pad(X, 1), Y,
                  [LinearMap.identity(X.level(0)),
                   LinearMap.zero(pad(X, 1).level(1), Y.level(1))])
@@ -412,8 +412,8 @@ def test_pushout_product_domain_is_punctured_square():
     # natural agreement: mutually inverse mediating maps commuting with the
     # canonical maps to the tensor target
     X = concentrated(ZZ, 0, 1)
-    Y = ChainComplex(ZZ, [free_module(ZZ, 1), free_module(ZZ, 1)],
-                     [LinearMap.zero(free_module(ZZ, 1), free_module(ZZ, 1))])
+    Y = ChainComplex(ZZ, [FreeModule(ZZ, 1), FreeModule(ZZ, 1)],
+                     [LinearMap.zero(FreeModule(ZZ, 1), FreeModule(ZZ, 1))])
     f = ChainMap(pad(X, 1), Y,
                  [LinearMap.identity(X.level(0)),
                   LinearMap.zero(pad(X, 1).level(1), Y.level(1))])
@@ -446,7 +446,7 @@ def test_pushout_product_domain_is_punctured_square():
 
 
 def test_d_squared_enforced():
-    M = free_module(ZZ, 1)
+    M = FreeModule(ZZ, 1)
     with pytest.raises(ValueError):
         ChainComplex(ZZ, [M, M, M],
                      [LinearMap.from_rows(M, M, [[1]]),
@@ -477,6 +477,17 @@ def test_json_more_differentials_than_levels_raises(levels, count):
         chain_from_json(data)
 
 
+@pytest.mark.parametrize("levels", [[-2], [True], [2.5], ["2"], [None],
+                                    [1, -1], [1, False]])
+def test_json_refuses_a_level_rank_that_is_not_a_rank(levels):
+    # -2 read as a silent zero level, True as rank 1
+    d = {"ring": "Z", "rows": 1, "cols": 0, "entries": []}
+    data = {"ring": "Z", "levels": levels,
+            "differentials": [d] * (len(levels) - 1)}
+    with pytest.raises(ValueError, match="rank must be an int >= 0"):
+        chain_from_json(data)
+
+
 def test_json_bad_rational_entries_raise():
     K = two_term(QQ, [[Fraction(1, 2)]])
     for bad in (["1/0"], ["1/2", "1/2"]):
@@ -487,7 +498,7 @@ def test_json_bad_rational_entries_raise():
 
 
 def _complex_inputs():
-    M1, M2, M3 = (free_module(ZZ, r) for r in (1, 2, 3))
+    M1, M2, M3 = (FreeModule(ZZ, r) for r in (1, 2, 3))
     return {
         "empty": ((ZZ, [], []), "at least degree 0"),
         "count": ((ZZ, [M3, M2], []), "need 1 differentials, got 0"),

@@ -37,7 +37,6 @@ from opdk.doldkan import (
     _gamma_action,
     _shuffle_entries,
     _surjection_index,
-    _surjection_tags,
     aw,
     counit,
     gamma,
@@ -145,7 +144,6 @@ def assert_same_normalization(got, want):
     assert got.complex == want.complex
     assert got.moore == want.moore
     for n in range(want.complex.max_degree + 1):
-        assert got.complex.level(n).labels == want.complex.level(n).labels
         assert got.incl.component(n).entries == want.incl.component(n).entries
         assert got.proj.component(n).entries == want.proj.component(n).entries
 
@@ -336,43 +334,45 @@ def _oracle_summands(K, n):
     return out
 
 
-def _oracle_level(K, n):
-    labels = []
-    for k, eta, _ in _oracle_summands(K, n):
-        tag = ".".join(map(str, eta))
-        labels.extend(f"{tag}|{a}" for a in K.level(k).labels)
-    return FreeModule(K.ring, tuple(labels))
+def _oracle_basis(K, n):
+    """Level n of gamma as index tuples (k, eta, a): the summands in
+    `_surjection_index` order, k descending and eta lexicographic, and
+    the basis of K_k inner."""
+    return [(k, eta, a) for k in range(n, -1, -1)
+            for eta in monotone_surjections(n, k)
+            for a in range(K.level(k).rank)]
 
 
-def _oracle_operator(K, theta, src, tgt, src_level, tgt_level):
+def _oracle_operator(K, theta, n, m):
+    """theta: [m] -> [n] from level n of gamma to level m, each entry
+    placed at the positions of its index tuples."""
     ring = K.ring
-    tgt_off = {(k, eta): off for k, eta, off in tgt}
+    src, tgt = _oracle_basis(K, n), _oracle_basis(K, m)
+    col = {key: pos for pos, key in enumerate(src)}
+    row = {key: pos for pos, key in enumerate(tgt)}
     entries = {}
-    for k, eta, off in src:
-        if K.level(k).rank == 0:
-            continue
-        c = compose_monotone(eta, theta)
-        image = sorted(set(c))
-        if len(image) == k + 1:
-            to = tgt_off[(k, c)]
-            for i in range(K.level(k).rank):
-                entries[(to + i, off + i)] = ring.one
-        elif image == list(range(1, k + 1)):
-            to = tgt_off[(k - 1, tuple(v - 1 for v in c))]
-            for (i, j), v in K.d(k).entries.items():
-                entries[(to + i, off + j)] = v
-    return LinearMap(src_level, tgt_level, entries)
+    for k in range(n, -1, -1):
+        for eta in monotone_surjections(n, k):
+            c = compose_monotone(eta, theta)
+            image = sorted(set(c))
+            if len(image) == k + 1:
+                for i in range(K.level(k).rank):
+                    entries[(row[(k, c, i)], col[(k, eta, i)])] = ring.one
+            elif image == list(range(1, k + 1)):
+                c = tuple(v - 1 for v in c)
+                for (i, j), v in K.d(k).entries.items():
+                    entries[(row[(k - 1, c, i)], col[(k, eta, j)])] = v
+    return LinearMap(FreeModule(ring, len(src)), FreeModule(ring, len(tgt)),
+                     entries)
 
 
 def _oracle_gamma(K, D):
-    summands = [_oracle_summands(K, n) for n in range(D + 1)]
-    levels = [_oracle_level(K, n) for n in range(D + 1)]
-    faces = [[_oracle_operator(K, delta(i, n), summands[n], summands[n - 1],
-                               levels[n], levels[n - 1])
+    levels = [FreeModule(K.ring, len(_oracle_basis(K, n)))
+              for n in range(D + 1)]
+    faces = [[_oracle_operator(K, delta(i, n), n, n - 1)
               for i in range(n + 1)]
              for n in range(1, D + 1)]
-    degeneracies = [[_oracle_operator(K, sigma(i, n), summands[n],
-                                      summands[n + 1], levels[n], levels[n + 1])
+    degeneracies = [[_oracle_operator(K, sigma(i, n), n, n + 1)
                      for i in range(n + 1)]
                     for n in range(D)]
     return SimplicialModule(K.ring, levels, faces, degeneracies)
@@ -382,12 +382,12 @@ def _oracle_gamma_map(f, D):
     A, B = _oracle_gamma(f.source, D), _oracle_gamma(f.target, D)
     comps = []
     for n in range(D + 1):
-        tgt_off = {(k, eta): off for k, eta, off in _oracle_summands(f.target, n)}
+        col = {key: pos for pos, key in enumerate(_oracle_basis(f.source, n))}
+        row = {key: pos for pos, key in enumerate(_oracle_basis(f.target, n))}
         entries = {}
-        for k, eta, off in _oracle_summands(f.source, n):
-            to = tgt_off[(k, eta)]
+        for k, eta, _ in _oracle_summands(f.source, n):
             for (i, j), v in f.component(k).entries.items():
-                entries[(to + i, off + j)] = v
+                entries[(row[(k, eta, i)], col[(k, eta, j)])] = v
         comps.append(LinearMap(A.level(n), B.level(n), entries))
     return comps
 
@@ -403,16 +403,16 @@ def _oracle_counit(A, nz):
 
 
 def _ordered(m):
-    """A map as its labels and its entries in insertion order, with the
+    """A map as its modules and its entries in insertion order, with the
     type of each entry."""
-    return (m.source.labels, m.target.labels,
+    return (m.source, m.target,
             [(key, type(v), v) for key, v in m.entries.items()])
 
 
 def _complex_with_ranks(rng, ring, ranks):
     """A random complex with the given ranks; d*d = 0 because each
     differential factors through the kernel of the one below."""
-    levels = [FreeModule(ring, tuple(f"e{i}" for i in range(r))) for r in ranks]
+    levels = [FreeModule(ring, r) for r in ranks]
     diffs = []
     for n in range(1, len(ranks)):
         if n == 1:
@@ -466,7 +466,6 @@ def test_surjection_tables_are_immutable_and_lists_stay_fresh():
     # tables are built from it, changes neither the next call nor gamma
     K = two_term(ZZ, [[3, 0], [1, 2]])
     _surjection_index.cache_clear()
-    _surjection_tags.cache_clear()
     _gamma_action.cache_clear()
     first = monotone_surjections(3, 1)
     assert first == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
@@ -486,8 +485,6 @@ def test_surjection_tables_are_immutable_and_lists_stay_fresh():
     for n in range(4):
         table = _surjection_index(n)
         assert isinstance(table, tuple)
-        assert _surjection_tags(n) == \
-            tuple(".".join(map(str, eta)) for _, eta in table)
         assert all(isinstance(key, tuple) and isinstance(key[1], tuple)
                    for key in table)
         for theta in [delta(i, n) for i in range(n + 1) if n] + \

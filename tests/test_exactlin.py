@@ -18,7 +18,6 @@ from opdk.exactlin import (
     LinearMap,
     cokernel,
     compose,
-    free_module,
     hnf_columns,
     hstack,
     kernel,
@@ -31,6 +30,9 @@ from opdk.exactlin import (
     vstack,
 )
 from opdk.rings import QQ, ZZ, Zmod
+
+# ranks a free module refuses: not an int, a bool, or negative
+BAD_RANKS = [-3, -1, True, False, 2.5, "2", None]
 
 F5 = Zmod(5)
 
@@ -128,7 +130,7 @@ def zero_seeded_compose(f, g):
 
 
 def random_map(rng, ring, rows, cols, density=0.6, bound=4):
-    src, tgt = free_module(ring, cols, "s"), free_module(ring, rows, "t")
+    src, tgt = FreeModule(ring, cols), FreeModule(ring, rows)
     entries = {}
     for i in range(rows):
         for j in range(cols):
@@ -153,7 +155,7 @@ def test_compose_identity_law():
 
 
 def test_compose_scalar_example():
-    M1, M2 = free_module(ZZ, 1), free_module(ZZ, 2)
+    M1, M2 = FreeModule(ZZ, 1), FreeModule(ZZ, 2)
     f = LinearMap.from_rows(M1, M2, [[1], [0]])
     g = LinearMap.from_rows(M1, M1, [[3]])
     assert compose(f, g).to_rows() == [[3], [0]]
@@ -196,15 +198,15 @@ def test_compose_matches_the_zero_seeded_oracle():
     rng = random.Random(5)
     for ring in (ZZ, QQ, F5, Zmod(2)):
         canonical = Fraction if ring is QQ else int
-        M = free_module(ring, 3)
+        M = FreeModule(ring, 3)
         perm = LinearMap(M, M, {(1, 0): -1, (2, 1): 1, (0, 2): -1})
-        cancel = LinearMap.from_rows(free_module(ring, 3),
-                                     free_module(ring, 2),
+        cancel = LinearMap.from_rows(FreeModule(ring, 3),
+                                     FreeModule(ring, 2),
                                      [[1, 1, 1], [1, -1, 0]])
-        back = LinearMap.from_rows(free_module(ring, 2), M,
+        back = LinearMap.from_rows(FreeModule(ring, 2), M,
                                    [[1, 1], [-1, 1], [2, 2]])
         half = Fraction(1, 2) if ring is QQ else 3
-        split = LinearMap.from_rows(free_module(ring, 2), M,
+        split = LinearMap.from_rows(FreeModule(ring, 2), M,
                                     [[half, 0], [half, 1], [0, -1]])
         pairs = [(perm, perm), (perm, back), (cancel, perm), (cancel, back),
                  (cancel, split), (back, cancel)]
@@ -260,18 +262,18 @@ def test_product_entries_takes_unreduced_factors():
             got = exactlin._product_entries(f, g, ring.p)
             assert got == entry_list_product(ring, f, g)
             assert all(type(v) is canonical for v in got.values())
-            F = LinearMap(free_module(ring, b), free_module(ring, a), f)
-            G = LinearMap(free_module(ring, c), free_module(ring, b), g)
+            F = LinearMap(FreeModule(ring, b), FreeModule(ring, a), f)
+            G = LinearMap(FreeModule(ring, c), FreeModule(ring, b), g)
             assert got == compose(F, G).entries
 
 
 def test_entry_outside_the_shape_raises():
     # an explicit check, so it also holds under python -O
     with pytest.raises(ValueError, match=r"entry \(0,0\) outside 0x2"):
-        LinearMap(free_module(ZZ, 2), free_module(ZZ, 0),
+        LinearMap(FreeModule(ZZ, 2), FreeModule(ZZ, 0),
                   {(0, 0): 1, (1, 1): 1})
     with pytest.raises(ValueError, match=r"outside 2x2"):
-        LinearMap(free_module(ZZ, 2), free_module(ZZ, 2), {(0, -1): 1})
+        LinearMap(FreeModule(ZZ, 2), FreeModule(ZZ, 2), {(0, -1): 1})
 
 
 def test_compose_shape_mismatch_raises():
@@ -285,18 +287,18 @@ def test_compose_shape_mismatch_raises():
 def test_mismatched_sums_raise(op):
     # the 3x3 map's only entry lies inside the 2x2 shape, so only an
     # explicit shape check can refuse it (also under python -O)
-    small = LinearMap.zero(free_module(ZZ, 2), free_module(ZZ, 2))
-    big = LinearMap(free_module(ZZ, 3), free_module(ZZ, 3), {(0, 0): 1})
+    small = LinearMap.zero(FreeModule(ZZ, 2), FreeModule(ZZ, 2))
+    big = LinearMap(FreeModule(ZZ, 3), FreeModule(ZZ, 3), {(0, 0): 1})
     for f, g in ((small, big), (big, small)):
         with pytest.raises(ValueError, match="cannot add"):
             f + g if op == "add" else f - g
-    over_q = LinearMap.zero(free_module(QQ, 2), free_module(QQ, 2))
+    over_q = LinearMap.zero(FreeModule(QQ, 2), FreeModule(QQ, 2))
     with pytest.raises(ValueError, match="cannot add"):
         small + over_q if op == "add" else small - over_q
 
 
 def test_mismatched_blocks_and_stacks_raise():
-    Z2, Q2, Z3 = free_module(ZZ, 2), free_module(QQ, 2), free_module(ZZ, 3)
+    Z2, Q2, Z3 = FreeModule(ZZ, 2), FreeModule(QQ, 2), FreeModule(ZZ, 3)
     fz, fq = LinearMap.identity(Z2), LinearMap.identity(Q2)
     with pytest.raises(ValueError, match="ring mismatch"):
         fz.tensor(fq)
@@ -316,16 +318,17 @@ def test_mismatched_blocks_and_stacks_raise():
 
 
 def test_placed_blocks_match_the_checking_constructor():
-    Z2, Z3, Z5 = free_module(ZZ, 2), free_module(ZZ, 3), free_module(ZZ, 5)
+    Z2, Z3, Z5 = FreeModule(ZZ, 2), FreeModule(ZZ, 3), FreeModule(ZZ, 5)
     f = LinearMap(Z3, Z2, {(1, 2): -4, (0, 0): 3, (1, 0): 1})
     g = LinearMap(Z2, Z3, {(2, 1): 7, (0, 0): -1})
     got = LinearMap.placed(Z5, Z5, [(3, 0, f), (0, 3, g),
                                     (0, 0, LinearMap.zero(Z3, Z3))])
     raw = {(4, 2): -4, (3, 0): 3, (4, 0): 1, (2, 4): 7, (0, 3): -1}
     assert list(got.entries.items()) == list(LinearMap(Z5, Z5, raw).entries.items())
-    # one block filling the shape relabels a map
-    rel = LinearMap.placed(free_module(ZZ, 3, "x"), Z2, [(0, 0, f)])
-    assert rel.source.labels == ("x0", "x1", "x2") and rel.entries == f.entries
+    # one block filling the shape copies a map onto the given modules
+    X3 = FreeModule(ZZ, 3)
+    rel = LinearMap.placed(X3, Z2, [(0, 0, f)])
+    assert rel.source is X3 and rel.entries == f.entries
     assert rel.entries is not f.entries
     # blocks may share rows and columns where their entries do not meet
     h = LinearMap.placed(Z2, Z2, [(0, 0, LinearMap(Z2, Z2, {(0, 1): 1})),
@@ -339,13 +342,13 @@ def test_placed_blocks_match_the_checking_constructor():
     "too many rows", "too many columns", "negative offset",
     "entries overlap"])
 def test_placed_refuses_bad_blocks(case):
-    Z2, Z3 = free_module(ZZ, 2), free_module(ZZ, 3)
+    Z2, Z3 = FreeModule(ZZ, 2), FreeModule(ZZ, 3)
     one = LinearMap.identity(Z2)
     source, target, blocks = Z3, Z3, [(0, 0, one)]
     if case == "block over another ring":
-        blocks = [(0, 0, LinearMap.identity(free_module(QQ, 2)))]
+        blocks = [(0, 0, LinearMap.identity(FreeModule(QQ, 2)))]
     elif case == "source and target over different rings":
-        source = free_module(QQ, 3)
+        source = FreeModule(QQ, 3)
     elif case == "too many rows":
         blocks = [(2, 0, one)]
     elif case == "too many columns":
@@ -360,17 +363,18 @@ def test_placed_refuses_bad_blocks(case):
 
 def test_maps_and_modules_refuse_malformed_input():
     with pytest.raises(ValueError, match="different rings"):
-        LinearMap(free_module(ZZ, 1), free_module(QQ, 1), {})
+        LinearMap(FreeModule(ZZ, 1), FreeModule(QQ, 1), {})
     with pytest.raises(ValueError, match="different rings"):
-        LinearMap.zero(free_module(ZZ, 1), free_module(QQ, 1))
-    with pytest.raises(ValueError, match="distinct"):
-        FreeModule(ZZ, ("e", "e"))
+        LinearMap.zero(FreeModule(ZZ, 1), FreeModule(QQ, 1))
+    for rank in BAD_RANKS:
+        with pytest.raises(ValueError, match="rank must be an int >= 0"):
+            FreeModule(ZZ, rank)
 
 
 def test_solve_and_same_span_refuse_mismatched_operands():
-    m = LinearMap.identity(free_module(ZZ, 2))
-    b3 = LinearMap(free_module(ZZ, 1), free_module(ZZ, 3), {(0, 0): 1})
-    bq = LinearMap(free_module(QQ, 1), free_module(QQ, 2), {(0, 0): 1})
+    m = LinearMap.identity(FreeModule(ZZ, 2))
+    b3 = LinearMap(FreeModule(ZZ, 1), FreeModule(ZZ, 3), {(0, 0): 1})
+    bq = LinearMap(FreeModule(QQ, 1), FreeModule(QQ, 2), {(0, 0): 1})
     for b in (b3, bq):
         with pytest.raises(ValueError, match="solve: the right-hand side"):
             solve(m, b)
@@ -379,12 +383,12 @@ def test_solve_and_same_span_refuse_mismatched_operands():
 
 
 def test_inverse_of_a_non_unit_raises():
-    M, M2 = free_module(ZZ, 1), free_module(ZZ, 2)
+    M, M2 = FreeModule(ZZ, 1), FreeModule(ZZ, 2)
     with pytest.raises(ValueError, match="map is not invertible"):
         LinearMap.from_rows(M, M, [[2]]).inverse()
     with pytest.raises(ValueError, match="map is not invertible"):
         LinearMap.from_rows(M2, M, [[1, 0]]).inverse()
-    F = free_module(Zmod(5), 2)
+    F = FreeModule(Zmod(5), 2)
     with pytest.raises(ValueError, match="map is not invertible"):
         LinearMap.from_rows(F, F, [[1, 2], [2, 4]]).inverse()
     f = LinearMap.from_rows(M2, M2, [[2, 1], [1, 1]])
@@ -413,10 +417,10 @@ RREF_RINGS = [QQ, F5, Zmod(2), Zmod(4294967311)]
 
 def _rref_cases():
     for ring in RREF_RINGS:
-        cases = {f"{rows}x{cols}": LinearMap.zero(free_module(ring, cols, "s"),
-                                                  free_module(ring, rows, "t"))
+        cases = {f"{rows}x{cols}": LinearMap.zero(FreeModule(ring, cols),
+                                                  FreeModule(ring, rows))
                  for rows, cols in ((0, 3), (3, 0), (0, 0))}
-        M = free_module(ring, 1)
+        M = FreeModule(ring, 1)
         cases["1x1"] = LinearMap.from_rows(M, M, [[3]])
         bound = ring.p - 1 if ring.kind == "Zmod" else 4
         for density in (0, 0.5, 1):
@@ -451,7 +455,7 @@ def test_rref_is_a_reduced_echelon_form(m):
 
 def test_rref_over_Z_raises():
     # an explicit check, so it also holds under python -O
-    M = free_module(ZZ, 2)
+    M = FreeModule(ZZ, 2)
     with pytest.raises(ValueError, match="rref needs a field"):
         exactlin.rref(LinearMap.from_rows(M, M, [[2, 1], [4, 3]]))
 
@@ -462,7 +466,7 @@ def test_rref_over_Z_raises():
 
 
 def _snf_of_rows(rows, nrows, ncols):
-    src, tgt = free_module(ZZ, ncols), free_module(ZZ, nrows, "f")
+    src, tgt = FreeModule(ZZ, ncols), FreeModule(ZZ, nrows)
     return smith_normal_form(LinearMap.from_rows(src, tgt, rows))
 
 
@@ -568,7 +572,7 @@ def test_smith_transforms_are_built_on_read(ring, rows, cols, inner, seed):
 
 
 def test_kernel_single_relation():
-    M2, M1 = free_module(ZZ, 2), free_module(ZZ, 1)
+    M2, M1 = FreeModule(ZZ, 2), FreeModule(ZZ, 1)
     m = LinearMap.from_rows(M2, M1, [[1, 1]])
     K, incl = kernel(m)
     assert K.rank == 1
@@ -576,7 +580,7 @@ def test_kernel_single_relation():
 
 
 def test_kernel_identity():
-    M = free_module(ZZ, 3)
+    M = FreeModule(ZZ, 3)
     K, incl = kernel(LinearMap.identity(M))
     assert K.rank == 0
 
@@ -596,7 +600,7 @@ def test_kernel_rank_nullity_f5():
 def test_kernel_saturated_over_Z():
     # [[2, 2]] has rational kernel (1,-1); the lattice kernel must be the
     # saturated span, not 2*(1,-1)
-    M2, M1 = free_module(ZZ, 2), free_module(ZZ, 1)
+    M2, M1 = FreeModule(ZZ, 2), FreeModule(ZZ, 1)
     m = LinearMap.from_rows(M2, M1, [[2, 2]])
     K, incl = kernel(m)
     assert incl.to_rows() == [[1], [-1]]
@@ -617,7 +621,7 @@ def test_kernel_saturation_random(seed):
         for j, c in enumerate(coeffs):
             for i, v in incl.column(j).items():
                 vec[i] = vec.get(i, 0) + c * v
-        src = free_module(ZZ, 1, "x")
+        src = FreeModule(ZZ, 1)
         target_vec = LinearMap(src, m.source, {(i, 0): v for i, v in vec.items()})
         assert solve(incl, target_vec) is not None
 
@@ -628,21 +632,21 @@ def test_kernel_saturation_random(seed):
 
 
 def test_cokernel_times_two():
-    M = free_module(ZZ, 1)
+    M = FreeModule(ZZ, 1)
     pres = cokernel(LinearMap.from_rows(M, M, [[2]]))
     assert pres.presentation.free_rank == 0
     assert pres.presentation.invariant_factors == (2,)
 
 
 def test_cokernel_zero_map():
-    M0, M2 = free_module(ZZ, 0), free_module(ZZ, 2)
+    M0, M2 = FreeModule(ZZ, 0), FreeModule(ZZ, 2)
     pres = cokernel(LinearMap.zero(M0, M2))
     assert pres.presentation.free_rank == 2
     assert pres.presentation.invariant_factors == ()
 
 
 def test_cokernel_diag_2_3():
-    M = free_module(ZZ, 2)
+    M = FreeModule(ZZ, 2)
     pres = cokernel(LinearMap.from_rows(M, M, [[2, 0], [0, 3]]))
     assert pres.presentation.free_rank == 0
     assert pres.presentation.invariant_factors == (6,)
@@ -691,14 +695,14 @@ def _signed_graph_matrix(draw):
                              unique=True)) if rows else []
         for i in ends:
             entries[(i, j)] = draw(st.sampled_from([1, -1]))
-    return LinearMap(free_module(ring, cols, "s"),
-                     free_module(ring, rows, "t"), entries)
+    return LinearMap(FreeModule(ring, cols),
+                     FreeModule(ring, rows), entries)
 
 
 def _incidence(ring, rows, cols):
     """The matrix with the listed columns, each {row: entry}."""
-    return LinearMap(free_module(ring, len(cols), "s"),
-                     free_module(ring, rows, "t"),
+    return LinearMap(FreeModule(ring, len(cols)),
+                     FreeModule(ring, rows),
                      {(i, j): v for j, col in enumerate(cols)
                       for i, v in col.items()})
 
@@ -732,9 +736,13 @@ def test_cokernel_signed_graph_front_end_matches_smith(m):
         assert compose(pres.proj, pres.section) == \
             LinearMap.identity(pres.generators)
         assert pres.reduce_map(compose(pres.proj, m)).is_zero()
-    # torsion generators first, as on the Smith path
-    assert all(lab.startswith("t") for lab in
-               fast.generators.labels[:fast.torsion_rank])
+    # torsion generators first, as on the Smith path: generator k <
+    # torsion_rank times its invariant factor lifts into the image of m
+    one = FreeModule(m.ring, 1)
+    for k, d in enumerate(fast.invariant_factors):
+        lift = compose(fast.section,
+                       LinearMap(one, fast.generators, {(k, 0): d}))
+        assert solve(m, lift) is not None
 
 
 def test_cokernel_front_end_refuses_other_matrices():
@@ -766,19 +774,19 @@ def test_signed_graph_reads_units_against_the_ring():
 def test_signed_quotient_self_loop_and_killed_vertex():
     # e1 = -e1 is 2-torsion over Z; a killed vertex in the class clears
     # it, and over Q the class dies
-    M = free_module(ZZ, 3)
+    M = FreeModule(ZZ, 3)
     pres = signed_quotient(M, [(1, -1, 1), (2, 1, 0)])
     assert pres.presentation.free_rank == 1
     assert pres.invariant_factors == (2,)
-    assert pres.generators.labels == ("t0", "q0")
+    assert pres.generators == FreeModule(ZZ, 2)
     assert pres.section.entries == {(1, 0): 1, (0, 1): 1}
     killed = signed_quotient(M, [(1, -1, 1), (2, 1, 0)], killed=[1])
     assert killed.presentation.free_rank == 1
     assert killed.invariant_factors == ()
-    over_q = signed_quotient(free_module(QQ, 3), [(1, -1, 1), (2, 1, 0)])
+    over_q = signed_quotient(FreeModule(QQ, 3), [(1, -1, 1), (2, 1, 0)])
     assert over_q.presentation.free_rank == 1
     # over Z/2 the sign -1 is 1, so the self-loop relates nothing
-    over_2 = signed_quotient(free_module(Zmod(2), 3), [(1, -1, 1), (2, 1, 0)])
+    over_2 = signed_quotient(FreeModule(Zmod(2), 3), [(1, -1, 1), (2, 1, 0)])
     assert over_2.presentation.free_rank == 2
 
 
@@ -791,12 +799,12 @@ def coinvariants(module, mats):
     """module / <g x - x> for the listed action matrices."""
     ident = LinearMap.identity(module)
     rel = [g - ident for g in mats]
-    return cokernel(hstack(rel + [LinearMap.zero(free_module(module.ring, 0),
+    return cokernel(hstack(rel + [LinearMap.zero(FreeModule(module.ring, 0),
                                                  module)]))
 
 
 def test_coinvariants_swap():
-    M = free_module(ZZ, 2)
+    M = FreeModule(ZZ, 2)
     swap = LinearMap.from_rows(M, M, [[0, 1], [1, 0]])
     pres = coinvariants(M, [swap])
     assert pres.presentation.free_rank == 1
@@ -806,7 +814,7 @@ def test_coinvariants_swap():
 
 
 def test_coinvariants_sign_action():
-    M = free_module(ZZ, 1)
+    M = FreeModule(ZZ, 1)
     sgn = LinearMap.from_rows(M, M, [[-1]])
     pres = coinvariants(M, [sgn])
     assert pres.presentation.free_rank == 0
@@ -814,7 +822,7 @@ def test_coinvariants_sign_action():
 
 
 def test_coinvariants_trivial_action():
-    M = free_module(ZZ, 3)
+    M = FreeModule(ZZ, 3)
     pres = coinvariants(M, [LinearMap.identity(M)])
     assert pres.proj == LinearMap(M, pres.generators,
                                   LinearMap.identity(M).entries)
@@ -824,7 +832,7 @@ def test_coinvariants_functoriality():
     # equivariant maps induce maps on coinvariants: symmetrize a random
     # map over the group, then check proj-compatibility
     rng = random.Random(13)
-    M = free_module(ZZ, 3)
+    M = FreeModule(ZZ, 3)
     cyc = LinearMap.from_rows(
         M, M, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     )  # 3-cycle permuting the basis
@@ -862,20 +870,20 @@ def pushout(f, g):
 
 
 def test_pushout_of_identities():
-    M = free_module(ZZ, 2)
+    M = FreeModule(ZZ, 2)
     po = pushout(LinearMap.identity(M), LinearMap.identity(M))
     assert po.complex.ranks() == (2,)
 
 
 def test_pushout_coproduct():
-    M0 = free_module(ZZ, 0)
-    M, N = free_module(ZZ, 2), free_module(ZZ, 3)
+    M0 = FreeModule(ZZ, 0)
+    M, N = FreeModule(ZZ, 2), FreeModule(ZZ, 3)
     po = pushout(LinearMap.zero(M0, M), LinearMap.zero(M0, N))
     assert po.complex.ranks() == (5,)
 
 
 def test_pushout_two_against_identity():
-    M = free_module(ZZ, 1)
+    M = FreeModule(ZZ, 1)
     two = LinearMap.from_rows(M, M, [[2]])
     po = pushout(two, LinearMap.identity(M))
     assert po.complex.ranks() == (1,)
@@ -889,7 +897,7 @@ def test_pushout_two_against_identity():
 def test_pushout_universal_property_random():
     rng = random.Random(17)
     for _ in range(10):
-        S = free_module(ZZ, 2)
+        S = FreeModule(ZZ, 2)
         f = random_map(rng, ZZ, 3, 2, bound=3)
         g = random_map(rng, ZZ, 2, 2, bound=3)
         f = LinearMap(S, f.target, f.entries)
@@ -933,6 +941,16 @@ def test_matrix_from_json_refuses_bad_entries(entries, message):
         matrix_from_json(data)
 
 
+@pytest.mark.parametrize("side", ["rows", "cols"])
+@pytest.mark.parametrize("rank", BAD_RANKS)
+def test_matrix_from_json_refuses_a_shape_that_is_not_a_rank(side, rank):
+    # a negative count read as an empty side, True as 1
+    data = {"ring": "Z", "rows": 2, "cols": 2, "entries": []}
+    data[side] = rank
+    with pytest.raises(ValueError, match="rank must be an int >= 0"):
+        matrix_from_json(data)
+
+
 def test_matrix_from_json_refuses_a_duplicate_over_every_ring():
     for ring in ("Z", "Zmod:5", "Zmod:2"):
         data = {"ring": ring, "rows": 1, "cols": 1,
@@ -970,9 +988,9 @@ def test_hnf_columns_canonical_span():
         for newj, j in enumerate(cols):
             for i, v in m.column(j).items():
                 entries[(i, newj)] = v
-        m_shuf = LinearMap(free_module(ZZ, 3, "s"), m.target, entries)
+        m_shuf = LinearMap(FreeModule(ZZ, 3), m.target, entries)
         doubled = LinearMap(
-            free_module(ZZ, 3, "d"),
+            FreeModule(ZZ, 3),
             m.target,
             {(i, j): 1 * v for (i, j), v in m_shuf.entries.items()},
         )

@@ -13,7 +13,6 @@ corrupted inputs.
 
 import json
 import random
-import re
 import time
 from fractions import Fraction
 from itertools import product as iproduct
@@ -51,7 +50,7 @@ from opdk.operad import (
 from opdk.chain import ChainComplex, homology, tensor_many
 from opdk import exactlin
 from opdk.exactlin import (CokernelPresentation, FreeModule, LinearMap,
-                           cokernel, free_module, hstack)
+                           cokernel, hstack)
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import SimplicialModule, moore_complex
 from opdk.trees import cokernel_collection
@@ -225,7 +224,7 @@ def test_collection_rejects_unknown_color():
 def _rank_two_generators(n, rows):
     """One rank-2 level in arity n, where s_t acts by the matrix rows[t]."""
     ops = op._ops_for("chain", ZZ, 0)
-    lev = ChainComplex(ZZ, [free_module(ZZ, 2)], [])
+    lev = ChainComplex(ZZ, [FreeModule(ZZ, 2)], [])
     gens = {perms.transposition(n, t): ops.make_map(lev, lev, [
         LinearMap.from_rows(lev.level(0), lev.level(0), r)])
         for t, r in enumerate(rows)}
@@ -372,7 +371,7 @@ def test_collection_refuses_a_generator_onto_a_missing_level():
 
 def test_collection_refuses_a_generator_of_the_wrong_shape():
     ops = op._ops_for("chain", ZZ, 0)
-    two = ChainComplex(ZZ, [free_module(ZZ, 2)], [])
+    two = ChainComplex(ZZ, [FreeModule(ZZ, 2)], [])
     one = ops.unit_obj()
     with pytest.raises(ValueError, match="wrong shape"):
         Collection(ZZ, "chain", (X,), 2, 0, {sig(2): two},
@@ -694,7 +693,7 @@ def _old_route_action(M, N, res, sig, s, n):
             whole = ops.tensor_map(whole, N.action(t.fiber_sigs[j], tau))
         for (r, c), v in whole.component(n).entries.items():
             entries[(to[tj] + r, so[ti] + c)] = v
-    bigmap = LinearMap(free_module(ring, so[-1]), free_module(ring, to[-1]),
+    bigmap = LinearMap(FreeModule(ring, so[-1]), FreeModule(ring, to[-1]),
                        entries)
     return res.quotients[tsig][n].proj @ bigmap @ res.quotients[sig][n].section
 
@@ -770,7 +769,7 @@ def _shear_swap():
     an involution that is not a signed permutation, so that slot moves
     take the generic route of the oracle."""
     ops = op._ops_for("chain", QQ, 0)
-    two = ChainComplex(QQ, [free_module(QQ, 2)], [])
+    two = ChainComplex(QQ, [FreeModule(QQ, 2)], [])
     shear = ops.make_map(two, two, [LinearMap.from_rows(
         two.level(0), two.level(0), [[1, 0], [1, -1]])])
     return Collection(QQ, "chain", (X,), 3, 0,
@@ -799,7 +798,7 @@ def _basis_change(M, res, ref, s, n):
         entries.update({(row + r, col + c): v
                         for (r, c), v in section.items()})
         col += rank
-    return quotient.proj @ LinearMap(free_module(M.ring, col),
+    return quotient.proj @ LinearMap(FreeModule(M.ring, col),
                                      quotient.proj.source, entries)
 
 
@@ -912,7 +911,7 @@ def test_composite_refuses_a_quotient_that_does_not_descend(
         descend to."""
         if module.rank < 2:
             return real(ring, module, mats)
-        gens = free_module(ring, 1, "b")
+        gens = FreeModule(ring, 1)
         return CokernelPresentation(LinearMap(module, gens, {(0, 0): 1}),
                                     LinearMap(gens, module, {(0, 0): 1}))
 
@@ -925,7 +924,7 @@ def _graded_factor(rng, ring, D):
     """A complex with zero differentials and a nonzero odd degree."""
     ranks = [rng.randint(0, 2) for _ in range(D + 1)]
     ranks[1] = max(ranks[1], 1)
-    levels = [free_module(ring, r) for r in ranks]
+    levels = [FreeModule(ring, r) for r in ranks]
     return ChainComplex(ring, levels, [LinearMap.zero(levels[n], levels[n - 1])
                                        for n in range(1, D + 1)])
 
@@ -1084,12 +1083,11 @@ def test_unitors_are_identity_entries(base, ring):
                 g = (chain.left_unitor if side == "left" else chain.right_unitor)(X)
                 assert [list(c.entries.items()) for c in g.components] == \
                     [list(c.entries.items()) for c in f.components]
-                assert [L.labels for L in g.source.levels] == \
-                    [L.labels for L in src.levels]
+                assert g.source.ranks() == src.ranks()
 
 
 def _zero_differentials(ring, ranks):
-    levels = [free_module(ring, r) for r in ranks]
+    levels = [FreeModule(ring, r) for r in ranks]
     return ChainComplex(ring, levels, [LinearMap.zero(levels[n], levels[n - 1])
                                        for n in range(1, len(ranks))])
 
@@ -1276,45 +1274,39 @@ def test_tensor_entries_with_identity_factors_over_q(sigma):
             assert any(v == -1 for e in got for v in e.values())
 
 
-def _tokened(A, j):
-    """A with the basis labels replaced by unique tokens <j.n.i>: factor
-    j, degree n, index i."""
-    D = A.max_degree
-    levels = [FreeModule(A.ring, tuple(f"<{j}.{n}.{i}>"
-                                       for i in range(A.level(n).rank)))
-              for n in range(D + 1)]
-
-    def moved(f, n, m):
-        return LinearMap(levels[n], levels[m], f.entries)
-
-    if isinstance(A, ChainComplex):
-        return ChainComplex(A.ring, levels, [moved(A.d(n), n, n - 1)
-                                             for n in range(1, D + 1)])
-    return SimplicialModule(
-        A.ring, levels,
-        [[moved(A.face(n, i), n, n - 1) for i in range(n + 1)]
-         for n in range(1, D + 1)],
-        [[moved(A.degeneracy(n, i), n, n + 1) for i in range(n + 1)]
-         for n in range(D)])
-
-
 def _bracketed_tensor(ops, objs, tree):
     if isinstance(tree, int):
         return objs[tree]
     return ops.tensor(*(_bracketed_tensor(ops, objs, t) for t in tree))
 
 
-def _assert_layout_reads_labels(ops, T, layout, k):
-    """The tokens in T's label at each flat index, factor by factor, are
-    the degree and index tuples that `_expand` puts there."""
+def _oracle_tensor_basis(base, objs, tree, D):
+    """The basis of the tensor of objs bracketed as tree, by degree, as
+    (degree tuple, index tuple) per position, one slot per factor: a
+    two-factor tensor lists its summands p ascending (a simplicial one
+    has the single summand (n, n)), the left factor's basis outer and
+    the right factor's inner."""
+    if isinstance(tree, int):
+        A = objs[tree]
+        return [[((n,), (i,)) for i in range(A.level(n).rank)]
+                for n in range(A.max_degree + 1)]
+    X, Y = (_oracle_tensor_basis(base, objs, t, D) for t in tree)
+    mx, my = len(X) - 1, len(Y) - 1
+    if base == "simplicial":
+        return [[(dx + dy, ix + iy) for dx, ix in X[n] for dy, iy in Y[n]]
+                for n in range(min(mx, my) + 1)]
+    return [[(dx + dy, ix + iy)
+             for p in range(max(0, n - my), min(n, mx) + 1)
+             for dx, ix in X[p] for dy, iy in Y[n - p]]
+            for n in range(min(mx + my, D) + 1)]
+
+
+def _assert_layout_reads_the_basis(ops, T, layout, basis):
+    """At each flat index of T, `_expand` puts the degree and index
+    tuples that the oracle basis lists there."""
     assert len(layout) == ops.max_degree + 1
-    for n, boxes in enumerate(layout):
-        want = []
-        for label in T.level(n).labels:
-            toks = re.findall(r"<(\d+)\.(\d+)\.(\d+)>", label)
-            assert [int(j) for j, _, _ in toks] == list(range(k))
-            want.append((tuple(int(d) for _, d, _ in toks),
-                         tuple(int(i) for _, _, i in toks)))
+    assert T.ranks() == tuple(len(b) for b in basis)
+    for boxes, want in zip(layout, basis):
         assert chain._expand(boxes) == want
 
 
@@ -1323,8 +1315,9 @@ def _assert_layout_reads_labels(ops, T, layout, k):
        st.integers(0, 2 ** 32 - 1), st.data())
 def test_layouts_read_the_tensor_labels(base, k, seed, data):
     """`chain._layout`, and `chain._bracketed_layout` on a random
-    bracketing, against the basis of the tensor object itself, with
-    rank-0 levels among the chain factors."""
+    bracketing, against the basis of the tensor object as index tuples
+    (`_oracle_tensor_basis`), with rank-0 levels among the chain
+    factors."""
     D = 2
     rng = random.Random(seed)
     ring = rng.choice([ZZ, QQ, F5])
@@ -1335,14 +1328,16 @@ def test_layouts_read_the_tensor_labels(base, k, seed, data):
     else:
         objs = [corpus.random_simplicial_module(rng, ring, D, 1)
                 for _ in range(k)]
-    objs = [_tokened(A, j) for j, A in enumerate(objs)]
     left = tensor_many(objs, D) if base == "chain" else \
         _bracketed_tensor(ops, objs, _left(k))
-    _assert_layout_reads_labels(ops, left, chain._layout(base, objs, D), k)
+    _assert_layout_reads_the_basis(
+        ops, left, chain._layout(base, objs, D),
+        _oracle_tensor_basis(base, objs, _left(k), D))
     tree = data.draw(_bracketing(0, k))
-    _assert_layout_reads_labels(ops, _bracketed_tensor(ops, objs, tree),
-                                chain._bracketed_layout(base, objs, tree, D),
-                                k)
+    _assert_layout_reads_the_basis(
+        ops, _bracketed_tensor(ops, objs, tree),
+        chain._bracketed_layout(base, objs, tree, D),
+        _oracle_tensor_basis(base, objs, tree, D))
 
 
 @st.composite
@@ -1367,11 +1362,11 @@ def _signed_action(draw):
                   {(0, 0): 1, (1, 1): 1, (0, 2): 1}]))
 def test_signed_quotient_matches_cokernel(case):
     ring, n, entries = case
-    M = free_module(ring, n)
+    M = FreeModule(ring, n)
     ident = LinearMap.identity(M)
     mats = [LinearMap(M, M, e) for e in entries]
     rel = hstack([m - ident for m in mats]
-                 + [LinearMap.zero(free_module(ring, 0), M)])
+                 + [LinearMap.zero(FreeModule(ring, 0), M)])
     exactlin._FORCE_GENERIC = True
     try:
         pres = cokernel(rel)
@@ -1404,7 +1399,7 @@ def test_quotient_by_pads_a_relation_outside_plus_minus_one(monkeypatch):
     # monomial, but not signed, so the relation takes the general
     # cokernel, padded with the identity on e2, exactly as the full
     # matrix did
-    M = free_module(QQ, 3)
+    M = FreeModule(QQ, 3)
     swap = {(0, 1): 2, (1, 0): Fraction(1, 2)}
     full = LinearMap(M, M, {**swap, (2, 2): 1})
     old = cokernel(hstack([full - LinearMap.identity(M)]))
@@ -1442,7 +1437,7 @@ def test_signed_edges_refuse_other_units(ring, entry):
 def test_quotient_by_reads_a_missing_column_as_zero(force):
     # g e0 = e1 and g e1 = 0 on columns {0, 1}, the identity on e2: e1
     # dies, then e0 with it; read as the identity, e1 would survive
-    M = free_module(ZZ, 3)
+    M = FreeModule(ZZ, 3)
     full = LinearMap(M, M, {(1, 0): 1, (2, 2): 1})
     old = cokernel(hstack([full - LinearMap.identity(M)]))
     exactlin._FORCE_GENERIC = force

@@ -3,7 +3,7 @@
 import pytest
 
 from opdk.chain import homology
-from opdk.exactlin import LinearMap, compose, free_module
+from opdk.exactlin import FreeModule, LinearMap, compose
 from opdk.rings import QQ, ZZ
 from opdk.simp import (
     SimplicialModule,
@@ -73,26 +73,19 @@ class RawInterval:
 def interval_basis_permutation(A, raw):
     """Permutation matrices aligning ZZ[interval] bases with the raw model.
 
-    A basis label is a normal form (x, eta); the corresponding monotone map
-    [n] -> [1] is eta composed into the vertex/edge inclusion.
+    Level n of `from_simplicial_set` lists the pairs (x, eta), the
+    simplices x by (dimension, listed order) outer and eta: [n] ->> [dim x]
+    inner in `monotone_surjections` order; the matching monotone map
+    [n] -> [1] is the vertex/edge inclusion of x after eta.
     """
-    vertex_map = {"v0": (0,), "v1": (1,), "v01": (0, 1)}
+    inclusions = [(0,), (1,), (0, 1)]  # v0, v1, v01
     perms = []
     for n in range(A.max_degree + 1):
-        cols = {}
-        for pos, lab in enumerate(A.level(n).labels):
-            if "|" in lab:
-                word, name = lab.split("|")
-                js = [int(c) for c in word.replace("s", " ").split()]
-            else:
-                js, name = [], lab
-            f = vertex_map[name]
-            for j in reversed(js):
-                f = compose_monotone(f, sigma(j, len(f) - 1))
-            cols[pos] = raw.index[n][f]
-        entries = {(raw_i, pos): 1 for pos, raw_i in cols.items()}
+        basis = [compose_monotone(x, eta) for x in inclusions
+                 for eta in monotone_surjections(n, len(x) - 1)]
+        entries = {(raw.index[n][f], pos): 1 for pos, f in enumerate(basis)}
         perms.append(LinearMap(A.level(n),
-                               free_module(ZZ, len(raw.basis[n]), "r"), entries))
+                               FreeModule(ZZ, len(raw.basis[n])), entries))
     return perms
 
 
@@ -261,7 +254,7 @@ def test_moore_interval_homology():
 
 
 def test_moore_zero_module():
-    M = free_module(ZZ, 0)
+    M = FreeModule(ZZ, 0)
     A = SimplicialModule(ZZ, [M, M],
                          [[LinearMap.zero(M, M), LinearMap.zero(M, M)]],
                          [[LinearMap.zero(M, M)]])
@@ -284,6 +277,19 @@ def test_json_more_operator_lists_than_levels_raises(what, extra):
     count = len(data[what])
     with pytest.raises(ValueError, match=rf"^{count} lists of {what} need "
                                          rf"{count + 1} levels, got 3$"):
+        simp_from_json(data)
+
+
+@pytest.mark.parametrize("levels", [[-2], [True], [2.5], ["2"], [None],
+                                    [1, -1], [1, False]])
+def test_json_refuses_a_level_rank_that_is_not_a_rank(levels):
+    # -2 read as a silent zero level, True as rank 1
+    d = {"ring": "Z", "rows": 1, "cols": 0, "entries": []}
+    s = {"ring": "Z", "rows": 0, "cols": 1, "entries": []}
+    top = len(levels) - 1
+    data = {"ring": "Z", "levels": levels, "faces": [[d, d]] * top,
+            "degeneracies": [[s]] * top}
+    with pytest.raises(ValueError, match="rank must be an int >= 0"):
         simp_from_json(data)
 
 

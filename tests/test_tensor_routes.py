@@ -7,8 +7,10 @@ for the identity factor, copied in at its offsets.  The library now
 writes the same entries straight into one dict.  The chain braiding,
 the chain associator and the simplicial swap come from the tensor
 layouts (`chain._coherence`); their oracles are the block-offset loops
-that wrote each basis vector's image by hand.  The comparison is on
-the ordered entry lists and on the level labels, since rref and Smith
+that wrote each basis vector's image by hand.  The oracles place
+each entry at the position of its index tuple in the documented basis
+order (`_oracle_basis`: summands p ascending, K_p's basis outer), and
+the comparison is on the ordered entry lists, since rref and Smith
 pivoting may read a map's entry order.  `_oracle_tensor_entries` is
 the general body that `chain._tensor_entries` kept beside its strided
 path, which expands both layouts and looks every row tuple up;
@@ -25,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from opdk import chain, corpus, simp
 from opdk import operad as op
 from opdk.chain import tensor_blocks
-from opdk.exactlin import LinearMap, _kron_entries, free_module
+from opdk.exactlin import FreeModule, LinearMap, _kron_entries
 from opdk.rings import QQ, ZZ, Zmod
 
 RINGS = [ZZ, QQ, Zmod(5), Zmod(2)]
@@ -50,68 +52,84 @@ def _kron(f, g):
     for (i, j), v in f.entries.items():
         for (k, l), w in g.entries.items():
             entries[(i * tb + k, j * sb + l)] = ring.mul(v, w)
-    return LinearMap(free_module(ring, f.source.rank * sb),
-                     free_module(ring, f.target.rank * tb), entries)
+    return LinearMap(FreeModule(ring, f.source.rank * sb),
+                     FreeModule(ring, f.target.rank * tb), entries)
 
 
 def _placed(ring, rows, cols, entries):
     """Entries as the route's final `LinearMap` normalized them."""
-    m = LinearMap(free_module(ring, cols), free_module(ring, rows), entries)
+    m = LinearMap(FreeModule(ring, cols), FreeModule(ring, rows), entries)
     return list(m.entries.items())
 
 
-def _oracle_labels(K, L, D):
-    return [tuple(f"{p}|({a})(x)({b})"
-                  for p, q, _ in tensor_blocks(K, L, n)
-                  for a in K.level(p).labels for b in L.level(q).labels)
+def _oracle_blocks(K, L, n):
+    """The summands (p, q) of (K (x) L)_n, p ascending."""
+    return [(p, n - p)
+            for p in range(max(0, n - L.max_degree), min(n, K.max_degree) + 1)]
+
+
+def _oracle_basis(K, L, D):
+    """The basis of (K (x) L)_n for n <= D as index tuples (p, a, b):
+    summands p ascending, and in each the basis of K_p outer and that
+    of L_q inner."""
+    return [tuple((p, a, b) for p, q in _oracle_blocks(K, L, n)
+                  for a in range(K.level(p).rank)
+                  for b in range(L.level(q).rank))
             for n in range(D + 1)]
 
 
+def _where(basis):
+    return [{key: pos for pos, key in enumerate(b)} for b in basis]
+
+
 def _oracle_tensor(K, L, bound):
+    """(basis, differentials): each block of d_n is a `_kron` product,
+    its row and column (a, b) read as a * rank + b and placed at the
+    basis position of (p, a, b)."""
     ring = K.ring
     D = K.max_degree + L.max_degree
     if bound is not None:
         D = min(D, bound)
-    labels = _oracle_labels(K, L, D)
+    basis = _oracle_basis(K, L, D)
+    where = _where(basis)
     diffs = []
     for n in range(1, D + 1):
         entries = {}
-        tgt_off = {(p, q): off for p, q, off in tensor_blocks(K, L, n - 1)}
-        for p, q, off in tensor_blocks(K, L, n):
-            if p >= 1 and (p - 1, q) in tgt_off:
+        src, tgt = where[n], where[n - 1]
+        for p, q in _oracle_blocks(K, L, n):
+            rq = L.level(q).rank
+            if p >= 1:
                 blk = _kron(K.d(p), LinearMap.identity(L.level(q)))
-                to = tgt_off[(p - 1, q)]
                 for (i, j), v in blk.entries.items():
-                    entries[(to + i, off + j)] = v
-            if q >= 1 and (p, q - 1) in tgt_off:
+                    entries[(tgt[(p - 1, *divmod(i, rq))],
+                             src[(p, *divmod(j, rq))])] = v
+            if q >= 1:
                 blk = _kron(LinearMap.identity(K.level(p)), L.d(q))
                 sign = ring.normalize(-1) if p % 2 else ring.one
-                to = tgt_off[(p, q - 1)]
+                rt = L.level(q - 1).rank
                 for (i, j), v in blk.entries.items():
-                    key = (to + i, off + j)
+                    key = (tgt[(p, *divmod(i, rt))], src[(p, *divmod(j, rq))])
                     entries[key] = ring.add(entries.get(key, ring.zero),
                                             ring.mul(sign, v))
-        diffs.append(_placed(ring, len(labels[n - 1]), len(labels[n]),
+        diffs.append(_placed(ring, len(basis[n - 1]), len(basis[n]),
                              {k: v for k, v in entries.items()
                               if v != ring.zero}))
-    return labels, diffs
+    return basis, diffs
 
 
 def _oracle_tensor_map(f, g, bound):
     src, _ = _oracle_tensor(f.source, g.source, bound)
     tgt, _ = _oracle_tensor(f.target, g.target, bound)
     comps = []
-    for n in range(len(src)):
+    for n, (s, t) in enumerate(zip(_where(src), _where(tgt))):
         entries = {}
-        tgt_off = {(p, q): off
-                   for p, q, off in tensor_blocks(f.target, g.target, n)}
-        for p, q, off in tensor_blocks(f.source, g.source, n):
-            if (p, q) not in tgt_off:
+        for p, q in _oracle_blocks(f.source, g.source, n):
+            if (p, q) not in _oracle_blocks(f.target, g.target, n):
                 continue
+            rs, rt = g.source.level(q).rank, g.target.level(q).rank
             blk = _kron(f.component(p), g.component(q))
-            to = tgt_off[(p, q)]
             for (i, j), v in blk.entries.items():
-                entries[(to + i, off + j)] = v
+                entries[(t[(p, *divmod(i, rt))], s[(p, *divmod(j, rs))])] = v
         comps.append(_placed(f.source.ring, len(tgt[n]), len(src[n]), entries))
     return src, tgt, comps
 
@@ -162,19 +180,18 @@ def _oracle_tensor_entries(ring, base, maps, sigma, src_layout, tgt_layout):
 
 
 def _oracle_braiding(K, L, bound):
+    """(p, i, j) of K (x) L goes to (q, j, i) of L (x) K with the sign
+    (-1)^(pq)."""
     ring = K.ring
     src, _ = _oracle_tensor(K, L, bound)
+    tgt = _where(_oracle_basis(L, K, len(src) - 1))
     comps = []
     for n in range(len(src)):
         entries = {}
-        tgt_off = {(q, p): off for q, p, off in tensor_blocks(L, K, n)}
-        for p, q, off in tensor_blocks(K, L, n):
-            to = tgt_off[(q, p)]
-            rk, rl = K.level(p).rank, L.level(q).rank
+        for col, (p, i, j) in enumerate(src[n]):
+            q = n - p
             sign = ring.one if (p * q) % 2 == 0 else ring.normalize(-1)
-            for i in range(rk):
-                for j in range(rl):
-                    entries[(to + j * rk + i, off + i * rl + j)] = sign
+            entries[(tgt[n][(q, j, i)], col)] = sign
         comps.append(_placed(ring, len(src[n]), len(src[n]), entries))
     return comps
 
@@ -270,14 +287,14 @@ def _check_chain_case(seed):
     bounds = [None] if low is None else [None, low]
     for bound in bounds:
         T = chain.tensor(K, L, bound)
-        labels, diffs = _oracle_tensor(K, L, bound)
-        assert [lev.labels for lev in T.levels] == labels
+        basis, diffs = _oracle_tensor(K, L, bound)
+        assert T.ranks() == tuple(len(b) for b in basis)
         assert _items(T.differentials) == diffs
 
         tm = chain.tensor_map(f, g, bound)
         src, tgt, comps = _oracle_tensor_map(f, g, bound)
-        assert [lev.labels for lev in tm.source.levels] == src
-        assert [lev.labels for lev in tm.target.levels] == tgt
+        assert tm.source.ranks() == tuple(len(b) for b in src)
+        assert tm.target.ranks() == tuple(len(b) for b in tgt)
         assert _items(tm.components) == comps
 
         assert _items(chain.braiding(K, L, bound).components) == \
@@ -289,9 +306,8 @@ def _check_chain_case(seed):
 def _check_simp_case(seed):
     A, B, f, g = simp_case(seed)
     T = simp.tensor(A, B)
-    assert [lev.labels for lev in T.levels] == \
-        [tuple(f"({a})(x)({b})" for a in A.level(n).labels
-               for b in B.level(n).labels) for n in range(T.max_degree + 1)]
+    assert T.ranks() == tuple(A.level(n).rank * B.level(n).rank
+                              for n in range(T.max_degree + 1))
     for n in range(1, T.max_degree + 1):
         for i in range(n + 1):
             assert list(T.face(n, i).entries.items()) == \
@@ -315,8 +331,10 @@ def test_linear_map_tensor_is_the_kronecker_product():
             a, b = f.component(n), g.component(n)
             t = a.tensor(b)
             assert list(t.entries.items()) == list(_kron(a, b).entries.items())
-            assert t.source.labels == tuple(
-                f"({x})⊗({y})" for x in a.source.labels for y in b.source.labels)
+            assert t.source == FreeModule(a.ring,
+                                          a.source.rank * b.source.rank)
+            assert t.target == FreeModule(a.ring,
+                                          a.target.rank * b.target.rank)
 
 
 @pytest.mark.parametrize("seed", FIXED_CHAIN)

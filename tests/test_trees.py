@@ -1016,7 +1016,7 @@ def test_free_level_refuses_a_quotient_that_does_not_descend(monkeypatch):
         descend to."""
         if module.rank < 2:
             return real(ring, module, rels)
-        gens = exactlin.free_module(ring, 1, "b")
+        gens = exactlin.FreeModule(ring, 1)
         return exactlin.CokernelPresentation(
             LinearMap(module, gens, {(0, 0): 1}),
             LinearMap(gens, module, {(0, 0): 1}))
