@@ -501,10 +501,16 @@ def normalize_operad_data(P):
     shuffle map, which respects both associativities because
     the simplicial tensor is strict and the shuffle is associative and
     symmetric; the result is replayed through the full law check and a
-    violation is an internal error, not a property of the input.  That
-    check builds each tensor complex and structure map of the replay
-    once, in a memo that lives only for its own call (`operad_check`);
-    nothing is cached across calls or between operads.
+    violation is an internal error, not a property of the input.
+
+    Objects are shared by value within this call: levels (and unit
+    sources) that are equal as simplicial modules share one
+    Normalization, so they become one complex of the chain operad, and
+    the normalized tensor N(X (x) Y) and the shuffle map are built once
+    per pair of distinct level values; each structure map is still
+    normalized on its own.  The law check shares by value in the same
+    way (`operad_check`).  Nothing is cached across calls or between
+    operads.
     """
     from . import operad as _op
     coll = P.collection
@@ -512,12 +518,19 @@ def normalize_operad_data(P):
         raise ValueError("only simplicial operads normalize")
     ring, D = coll.ring, coll.max_degree
     ops = _op._ops_for("chain", ring, D)
+    by_value: dict = {}
     nz: dict = {}
+
+    def shared(A):
+        nA = by_value.get(A)
+        if nA is None:
+            nA = by_value[A] = normalize(A)
+        return nA
 
     def norm(sig):
         sig = (tuple(sig[0]), sig[1])
         if sig not in nz:
-            nz[sig] = normalize(coll.level(sig))
+            nz[sig] = shared(coll.level(sig))
         return nz[sig]
 
     levels = {sig: norm(sig).complex for sig in coll.signatures()}
@@ -530,7 +543,7 @@ def normalize_operad_data(P):
     usrc = ops.unit_obj()
     for c in coll.colors:
         u = P.unit(c)
-        nu = normalize_map(u, normalize(u.source), norm(((c,), c)))
+        nu = normalize_map(u, shared(u.source), norm(((c,), c)))
         if nu.source.ranks() != usrc.ranks():
             raise RuntimeError(f"the normalized unit of color {c!r} has "
                                f"source ranks {nu.source.ranks()}, not "
@@ -541,14 +554,20 @@ def normalize_operad_data(P):
                        nu.component(n).entries) for n in range(D + 1)],
             check=False)
 
+    # N(X (x) Y) and the shuffle, keyed by the shared normalizations of
+    # X and Y, which hold them alive
+    products: dict = {}
     comps = {}
     for (osig, i, isig), f in P.compositions.items():
-        X, Y = coll.level(osig), coll.level(isig)
         nX, nY = norm(osig), norm(isig)
+        key = (id(nX), id(nY))
+        if key not in products:
+            X, Y = coll.level(osig), coll.level(isig)
+            nab = normalize(tensor_simplicial(X, Y))
+            products[key] = (nab, shuffle(X, Y, nX, nY, nab))
+        nab, sh = products[key]
         gsig = _op.graft_signature(osig, i, isig)
-        nab = normalize(tensor_simplicial(X, Y))
-        nf = normalize_map(f, nab, norm(gsig))
-        comps[(osig, i, isig)] = nf @ shuffle(X, Y, nX, nY, nab)
+        comps[(osig, i, isig)] = normalize_map(f, nab, norm(gsig)) @ sh
 
     newcoll = _op.Collection(ring, "chain", coll.colors, coll.max_arity, D,
                              levels, actions, truncated=coll.truncated)

@@ -76,7 +76,10 @@ class LinearMap:
     `direct_sum`, `transpose`, `compose`, `hstack` and `vstack`.  Each
     of them checks its operands' rings and shapes with ValueError.
     `placed` calls it too, to copy the entries of maps that are
-    canonical already into a larger or relabelled map.
+    canonical already into a larger or relabelled map, and so does
+    `signed_quotient`, whose projection and section hold only the
+    ring's `one` and its negative, at positions its union-find keeps
+    inside the shape.
     """
 
     __slots__ = ("source", "target", "entries")
@@ -1132,9 +1135,12 @@ def signed_quotient(module: FreeModule, edges, killed=()) -> CokernelPresentatio
         if k is not None:
             proj[(k, x)] = one if sign[x] == 1 else minus
     gens = FreeModule(ring, len(reps))
+    # one and minus are the ring's canonical units, at positions the
+    # union-find keeps inside both shapes
     return CokernelPresentation(
-        LinearMap(module, gens, proj),
-        LinearMap(gens, module, {(r, k): one for k, r in enumerate(reps)}),
+        LinearMap._canonical(module, gens, proj),
+        LinearMap._canonical(gens, module,
+                             {(r, k): one for k, r in enumerate(reps)}),
         [2] * len(torsion))
 
 

@@ -264,23 +264,29 @@ def _tensor_many(ops, objs):
 
 class _Replay:
     """The tensor objects, their layouts and the structure maps of one
-    law replay, each built once.
+    law replay, each built once per distinct value.
 
-    Wraps the ops of operad P's collection.  Tensor objects, each with
-    its two-factor layout for `tensor_map`, the reorderings of three
-    factors (`reordered`: the associator and the parallel-associativity
-    mediator), unitors, the unit object and the zero compositions are
-    memoized by the identity of their inputs (the signatures, for a zero
-    composition), and layouts by the ranks of their factors (`layout`).
-    Each memo entry holds its inputs, so no id is reused while the memo
-    lives, and nothing outlives it: `operad_check` makes one per call.
-    Every reordering is checked to be a chain or simplicial map.
+    Wraps the ops of operad P's collection.  Objects are shared by
+    value: `rep` answers, for each object it is given, the first object
+    of this replay equal to it (`__eq__`, which compares ranks and
+    matrices), so the levels of different signatures and the sources of
+    different compositions that are equal meet in one memo entry.
+    Tensor objects, each with its two-factor layout for `tensor_map`,
+    the reorderings of three factors (`reordered`: the associator and
+    the parallel-associativity mediator), unitors and identities are
+    memoized by the representatives of their inputs; tensor maps by
+    the identity of their two maps; the unit object once, and the zero
+    compositions by their signatures.  Layouts are memoized by the
+    ranks of their factors (`layout`).  Each memo entry holds its
+    inputs, so no id is reused while the memo lives, and nothing
+    outlives it: `operad_check` makes one per call.  Every reordering
+    is checked to be a chain or simplicial map.
     """
 
-    __slots__ = ("P", "ops", "_memo")
+    __slots__ = ("P", "ops", "_memo", "_reps")
 
     def __init__(self, P):
-        self.P, self.ops, self._memo = P, P.ops, {}
+        self.P, self.ops, self._memo, self._reps = P, P.ops, {}, {}
 
     def _once(self, key, inputs, build):
         hit = self._memo.get(key)
@@ -288,13 +294,24 @@ class _Replay:
             hit = self._memo[key] = (inputs, build())
         return hit[1]
 
+    def rep(self, A):
+        """The first object of this replay equal to A by value."""
+        return self._once(("rep", id(A)), (A,),
+                          lambda: self._reps.setdefault(A, A))
+
     def tensor(self, A, B):
         return self._tensor(A, B)[0]
 
     def _tensor(self, A, B):
         """A (x) B and its two-factor layout, in one memo entry."""
+        A, B = self.rep(A), self.rep(B)
         return self._once(("tensor", id(A), id(B)), (A, B), lambda: (
             self.ops.tensor(A, B), self.layout((A, B), (0, 1))))
+
+    def identity(self, X):
+        X = self.rep(X)
+        return self._once(("identity", id(X)), (X,),
+                          lambda: self.ops.identity(X))
 
     def layout(self, objs, tree):
         """The layout of the tensor of objs bracketed as tree, a factor
@@ -319,11 +336,13 @@ class _Replay:
     def tensor_map(self, f, g):
         """f (x) g between the memoized tensors, on their memoized
         two-factor layouts (`chain._tensor_components`)."""
-        ops = self.ops
-        (src, slay), (tgt, tlay) = (self._tensor(f.source, g.source),
-                                    self._tensor(f.target, g.target))
-        return ops.make_map(src, tgt, _tensor_components(
-            ops.base, (f, g), None, src, tgt, slay, tlay))
+        def build():
+            ops = self.ops
+            (src, slay), (tgt, tlay) = (self._tensor(f.source, g.source),
+                                        self._tensor(f.target, g.target))
+            return ops.make_map(src, tgt, _tensor_components(
+                ops.base, (f, g), None, src, tgt, slay, tlay))
+        return self._once(("tensor_map", id(f), id(g)), (f, g), build)
 
     def reordered(self, X, Y, Z, tree):
         """(X (x) Y) (x) Z -> the tensor of the same factors bracketed
@@ -332,6 +351,8 @@ class _Replay:
         mediator x (x) y (x) z |-> (-1)^{|y||z|} x (x) z (x) y of
         parallel associativity, in one signed permutation
         (`chain._coherence` on the memoized layouts)."""
+        X, Y, Z = self.rep(X), self.rep(Y), self.rep(Z)
+
         def build():
             ops, objs = self.ops, (X, Y, Z)
             src = self.tensor(self.tensor(X, Y), Z)
@@ -351,6 +372,8 @@ class _Replay:
     def unitor(self, X, side: str):
         """unit (x) X -> X (or X (x) unit -> X), from
         `chain._unitor_components`."""
+        X = self.rep(X)
+
         def build():
             ops = self.ops
             u = self._once(("unit",), (), ops.unit_obj)
@@ -659,11 +682,14 @@ def operad_check(P: Operad) -> list:
     equivariance against adjacent transpositions on both sides.  An
     empty list is the validity certificate.
 
-    Every law instance is evaluated.  The structure maps they compare
-    come from a `_Replay`, a memo local to this call: each tensor
-    object, unitor, the unit object and each reordering of three factors
-    is built once, keyed by the identity of its inputs, and the memo is
-    dropped when the call returns.  A reordering is one signed
+    Every law instance is evaluated and compared.  The structure maps
+    they compare come from a `_Replay`, a memo local to this call:
+    objects are shared by value, so levels and composition sources that
+    are equal, though built apart, are one object to it, and each tensor
+    object, identity, unitor and reordering of three factors is built
+    once per distinct value of its inputs, and each tensor map once per
+    pair of maps.  Nothing is shared between calls: the memo is dropped
+    when the call returns.  A reordering is one signed
     permutation of the tensor layouts: the associator, and for parallel
     associativity the map (X (x) Y) (x) Z -> (X (x) Z) (x) Y, with no
     braiding or inverse associator composed in.  A broken internal
@@ -692,12 +718,12 @@ def operad_check(P: Operad) -> list:
         lev = M.level(sig)
         c = sig[1]
         left = R.composition(((c,), c), 0, sig) @ R.tensor_map(
-            P.unit(c), ops.identity(lev))
+            P.unit(c), R.identity(lev))
         if not ops.equal(left, R.unitor(lev, "left")):
             out.append(("unit-left", sig))
         for i, ci in enumerate(sig[0]):
             right = R.composition(sig, i, ((ci,), ci)) @ R.tensor_map(
-                ops.identity(lev), P.unit(ci))
+                R.identity(lev), P.unit(ci))
             if not ops.equal(right, R.unitor(lev, "right")):
                 out.append(("unit-right", sig, i))
 
@@ -719,10 +745,10 @@ def operad_check(P: Operad) -> list:
                     continue
                 Z = M.level(zsig)
                 lhs = R.composition(mid, i + j, zsig) @ R.tensor_map(
-                    R.composition(osig, i, isig), ops.identity(Z))
+                    R.composition(osig, i, isig), R.identity(Z))
                 inner = graft_signature(isig, j, zsig)
                 rhs = R.composition(osig, i, inner) @ R.tensor_map(
-                    ops.identity(X), R.composition(isig, j, zsig))
+                    R.identity(X), R.composition(isig, j, zsig))
                 if not ops.equal(lhs, rhs @ R.reordered(X, Y, Z, (0, (1, 2)))):
                     out.append(("assoc-seq", osig, i, isig, j, zsig))
         # z into a later slot of x: parallel associativity
@@ -742,9 +768,9 @@ def operad_check(P: Operad) -> list:
                     raise RuntimeError("parallel grafts disagree on the "
                                        "signature")
                 lhs = R.composition(mid, j + m - 1, zsig) @ R.tensor_map(
-                    R.composition(osig, i, isig), ops.identity(Z))
+                    R.composition(osig, i, isig), R.identity(Z))
                 rhs = R.composition(mid2, i, isig) @ R.tensor_map(
-                    R.composition(osig, j, zsig), ops.identity(Y))
+                    R.composition(osig, j, zsig), R.identity(Y))
                 if not ops.equal(lhs, rhs @ R.reordered(X, Y, Z, ((0, 2), 1))):
                     out.append(("assoc-par", osig, i, j, isig, zsig))
 
@@ -763,7 +789,7 @@ def operad_check(P: Operad) -> list:
                 raise RuntimeError("outer block insertion disagrees on the "
                                    "signature")
             lhs = R.composition(ssig, i, isig) @ R.tensor_map(
-                M.action(osig, s), ops.identity(Y))
+                M.action(osig, s), R.identity(Y))
             rhs = M.action(gs, rho) @ R.composition(osig, s[i], isig)
             if not ops.equal(lhs, rhs):
                 out.append(("equiv-outer", osig, i, isig, s))
@@ -777,7 +803,7 @@ def operad_check(P: Operad) -> list:
                 raise RuntimeError("inner block insertion disagrees on the "
                                    "signature")
             lhs = R.composition(osig, i, sig_act(isig, s)) @ R.tensor_map(
-                ops.identity(X), M.action(isig, s))
+                R.identity(X), M.action(isig, s))
             rhs = M.action(gs, rho) @ R.composition(osig, i, isig)
             if not ops.equal(lhs, rhs):
                 out.append(("equiv-inner", osig, i, isig, s))
@@ -1573,7 +1599,10 @@ def integrated_normalize(phi: OpMorphism) -> OpMorphism:
 
     Color restriction commutes with normalization on the nose (the
     pulled back levels are the same objects), so the level maps are just
-    the normalized ones; the constructor re-checks preservation.
+    the normalized ones; the constructor re-checks preservation.  Each
+    operad is normalized by `normalize_operad_data`, which shares
+    normalizations among equal levels within its own call, and each
+    level map is normalized on its own; nothing is kept between calls.
     """
     from .doldkan import normalize_operad_data
     NP, nzP = normalize_operad_data(phi.source)

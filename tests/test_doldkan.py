@@ -17,7 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdk import corpus
+from opdk import corpus, permutations
+from opdk import operad as op
 from opdk.chain import (
     ChainComplex,
     ChainMap,
@@ -45,6 +46,7 @@ from opdk.doldkan import (
     gamma_summands,
     normalize,
     normalize_map,
+    normalize_operad_data,
     shuffle,
 )
 from opdk.exactlin import (
@@ -738,3 +740,164 @@ def test_gamma_oplax_source_normalizes_to_tensor():
     op = gamma_oplax(K, L)
     D = K.max_degree + L.max_degree
     assert normalize(op.source).complex == chain_tensor(K, L, bound=D)
+
+
+# -- normalization of operads -------------------------------------------------
+
+
+def _oracle_normalize_operad_data(P):
+    """The per-signature route: one `normalize` per signature and per
+    unit source, and N(X (x) Y) and the shuffle built afresh for every
+    composition, shared with nothing; the laws are not replayed."""
+    coll = P.collection
+    ring, D = coll.ring, coll.max_degree
+    usrc = op._ops_for("chain", ring, D).unit_obj()
+    nz = {sig: normalize(coll.level(sig)) for sig in coll.signatures()}
+    levels = {sig: nz[sig].complex for sig in coll.signatures()}
+    actions = {sig: {s: normalize_map(coll.action(sig, s), nz[sig],
+                                      nz[op.sig_act(sig, s)])
+                     for s in permutations.transpositions(len(sig[0]))}
+               for sig in coll.signatures()}
+    units = {}
+    for c in coll.colors:
+        u = P.unit(c)
+        nu = normalize_map(u, normalize(u.source), nz[((c,), c)])
+        units[c] = ChainMap(usrc, nu.target, [
+            LinearMap(usrc.level(n), nu.target.level(n),
+                      nu.component(n).entries) for n in range(D + 1)])
+    comps = {}
+    for (osig, i, isig), f in P.compositions.items():
+        X, Y = coll.level(osig), coll.level(isig)
+        nab = normalize(simp_tensor(X, Y))
+        gsig = op.graft_signature(osig, i, isig)
+        comps[(osig, i, isig)] = normalize_map(f, nab, nz[gsig]) @ shuffle(
+            X, Y, nz[osig], nz[isig], nab)
+    Q = op.Operad(op.Collection(ring, "chain", coll.colors, coll.max_arity, D,
+                                levels, actions, truncated=coll.truncated),
+                  units, comps)
+    return Q, nz
+
+
+def _oracle_integrated_normalize(phi):
+    NP, nzP = _oracle_normalize_operad_data(phi.source)
+    NQ, nzQ = _oracle_normalize_operad_data(phi.target)
+    maps = {}
+    for sig in phi.source.collection.signatures():
+        tsig = phi.map_sig(sig)
+        tgt = nzQ[tsig] if tsig in nzQ else \
+            normalize(phi.target.collection.level(tsig))
+        maps[sig] = normalize_map(phi.level_map(sig), nzP[sig], tgt)
+    return NP, NQ, maps
+
+
+def _stored(f):
+    """A map's ranks and its entries in stored order, degree by degree."""
+    return (f.source.ranks(), f.target.ranks(),
+            [list(c.entries.items()) for c in f.components])
+
+
+def _assert_same_normalized_operad(got, want):
+    G, W = got.collection, want.collection
+    assert G.signatures() == W.signatures()
+    assert (G.colors, G.max_arity, G.max_degree, G.truncated) == \
+        (W.colors, W.max_arity, W.max_degree, W.truncated)
+    for sig in W.signatures():
+        K, L = G.level(sig), W.level(sig)
+        assert K == L
+        assert [list(d.entries.items()) for d in K.differentials] == \
+            [list(d.entries.items()) for d in L.differentials]
+        for s in permutations.transpositions(len(sig[0])):
+            assert _stored(G.action(sig, s)) == _stored(W.action(sig, s))
+    assert got.units.keys() == want.units.keys()
+    for c in want.units:
+        assert _stored(got.unit(c)) == _stored(want.unit(c))
+    assert got.compositions.keys() == want.compositions.keys()
+    for key, f in want.compositions.items():
+        assert _stored(got.compositions[key]) == _stored(f)
+
+
+def _simplicial_scaled_pair(ring, factor, D):
+    """Two colors, every hom the constant module R, and u . v = v . u =
+    factor: the four levels and both unit sources are equal by value,
+    while the compositions on them differ (factor against 1)."""
+    ops = op._ops_for("simplicial", ring, D)
+    colors = ("a", "b")
+    lev = {((c,), d): ops.unit_obj() for c in colors for d in colors}
+    coll = op.Collection(ring, "simplicial", colors, 1, D, lev)
+    units = {c: ops.identity(lev[((c,), c)]) for c in colors}
+    comps = {}
+    for c in colors:
+        for d in colors:
+            for e in colors:
+                scale = ring.one if c == d or d == e else ring.normalize(factor)
+                src = ops.tensor(lev[((d,), e)], lev[((c,), d)])
+                tgt = lev[((c,), e)]
+                comps[(((d,), e), 0, ((c,), d))] = ops.make_map(src, tgt, [
+                    LinearMap(src.level(n), tgt.level(n), {(0, 0): scale})
+                    for n in range(D + 1)])
+    return op.Operad(coll, units, comps)
+
+
+def _simplicial_corpus():
+    """(operad, a morphism out of or into it), named, for every
+    simplicial operad of the corpus and the scaled pair."""
+    T = corpus.trivial_operad(F5, "simplicial", 2)
+    out = []
+    for name, make, disk in (
+            ("indiscrete-acyclic", corpus.indiscrete_operad, corpus.acyclic_disk),
+            ("indiscrete-loop", corpus.indiscrete_operad, corpus.loop_disk),
+            ("disconnected", corpus.disconnected_operad, corpus.acyclic_disk)):
+        Q = make(F5, "simplicial", 2, disk=disk(F5, 2))
+        out.append(pytest.param(Q, corpus.point_inclusion(T, Q, "a"), id=name))
+    out.append(pytest.param(T, op.OpMorphism.identity(T), id="trivial"))
+    for ring in (ZZ, F5):
+        A = op.associative_operad(ring, "simplicial", 3, 2)
+        out.append(pytest.param(A, op.OpMorphism.identity(A),
+                                id=f"assoc-{ring.name()}"))
+    S = _simplicial_scaled_pair(ZZ, 2, 2)
+    out.append(pytest.param(S, op.OpMorphism.identity(S), id="scaled-pair"))
+    Tz = corpus.trivial_operad(ZZ, "simplicial", 2)
+    out.append(pytest.param(S, corpus.point_inclusion(Tz, S, "b"),
+                            id="scaled-pair-point"))
+    return out
+
+
+@pytest.mark.parametrize("P, phi", _simplicial_corpus())
+def test_normalize_operad_shares_what_the_per_signature_route_builds(P, phi):
+    """Sharing normalizations among equal levels, and the normalized
+    tensor and shuffle among compositions on equal level pairs, gives
+    the per-signature route's operad and records entry for entry, and
+    equal levels become one complex."""
+    Q, nz = normalize_operad_data(P)
+    W, wnz = _oracle_normalize_operad_data(P)
+    _assert_same_normalized_operad(Q, W)
+    assert nz.keys() == wnz.keys()
+    for sig in wnz:
+        assert_same_normalization(nz[sig], wnz[sig])
+    coll = P.collection
+    sigs = coll.signatures()
+    for s in sigs:
+        for t in sigs:
+            shared = Q.collection.level(s) is Q.collection.level(t)
+            assert shared == (coll.level(s) == coll.level(t))
+
+    nphi = op.integrated_normalize(phi)
+    NP, NQ, maps = _oracle_integrated_normalize(phi)
+    _assert_same_normalized_operad(nphi.source, NP)
+    _assert_same_normalized_operad(nphi.target, NQ)
+    assert nphi.color_map == phi.color_map
+    for sig, f in maps.items():
+        assert _stored(nphi.level_map(sig)) == _stored(f)
+
+
+def test_scaled_pair_shares_levels_but_not_compositions():
+    """All four levels of the scaled pair are one complex after
+    normalization, and the compositions on them keep their own factors."""
+    S = _simplicial_scaled_pair(ZZ, 2, 2)
+    Q, nz = normalize_operad_data(S)
+    levels = {id(Q.collection.level(sig)) for sig in Q.collection.signatures()}
+    assert len(levels) == 1 and len({id(n) for n in nz.values()}) == 1
+    ab, ba = (("a",), "b"), (("b",), "a")
+    aa = (("a",), "a")
+    assert Q.compositions[(ba, 0, ab)].component(0).entries == {(0, 0): 2}
+    assert Q.compositions[(aa, 0, aa)].component(0).entries == {(0, 0): 1}

@@ -1392,6 +1392,15 @@ def test_signed_quotient_matches_cokernel(case):
     assert q.proj @ q.section == LinearMap.identity(q.generators)
     for m in mats:
         assert (q.proj @ (m - ident)).is_zero()
+    # proj and section skip the entry checks, so every entry must lie
+    # inside the shape and be a nonzero canonical element, in [1, p)
+    # over Z/p
+    for f in (q.proj, q.section):
+        for (i, j), v in f.entries.items():
+            assert 0 <= i < f.target.rank and 0 <= j < f.source.rank
+            assert v and ring.normalize(v) == v and type(v) is type(ring.one)
+            if ring.p is not None:
+                assert 0 < v < ring.p
 
 
 def test_quotient_by_pads_a_relation_outside_plus_minus_one(monkeypatch):

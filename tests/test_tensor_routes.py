@@ -15,8 +15,10 @@ pivoting may read a map's entry order.  `_oracle_tensor_entries` is
 the general body that `chain._tensor_entries` kept beside its strided
 path, which expands both layouts and looks every row tuple up;
 `tests/test_operad.py` compares the two.  `operad_check`, which builds
-each structure map once per call through `operad._Replay`, is compared
-with the same replay building every map afresh.
+each structure map once per distinct value per call through
+`operad._Replay`, is compared with the same replay building every map
+afresh, and on an operad whose levels are all equal by value its
+violations are pinned by hand.
 """
 
 import random
@@ -24,7 +26,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdk import chain, corpus, simp
+from opdk import chain, corpus, permutations, simp
 from opdk import operad as op
 from opdk.chain import tensor_blocks
 from opdk.exactlin import FreeModule, LinearMap, _kron_entries
@@ -527,3 +529,112 @@ def test_operad_check_builds_each_tensor_once_per_call(monkeypatch):
     assert n_first and len(set(seen)) == n_first
     assert op.operad_check(P) == first
     assert len(seen) == 2 * n_first
+
+
+def _commutative_operad(base, D):
+    """Com over Z up to arity 3: every level is the unit object, built
+    apart but equal by value, every action generator and composition
+    the identity entry."""
+    ops = op._ops_for(base, ZZ, D)
+    levels = {sig(n): ops.unit_obj() for n in (1, 2, 3)}
+    actions = {sig(n): {s: ops.identity(levels[sig(n)])
+                        for s in permutations.transpositions(n)}
+               for n in (1, 2, 3)}
+    coll = op.Collection(ZZ, base, (X,), 3, D, levels, actions)
+    comps = {}
+    for k in (1, 2, 3):
+        for m in range(1, 4 - k + 1):
+            for i in range(k):
+                src = ops.tensor(levels[sig(k)], levels[sig(m)])
+                tgt = levels[sig(k + m - 1)]
+                comps[(sig(k), i, sig(m))] = ops.make_map(src, tgt, [
+                    LinearMap(src.level(n), tgt.level(n),
+                              {(0, 0): 1} if tgt.level(n).rank else {})
+                    for n in range(D + 1)])
+    return op.Operad(coll, {X: ops.identity(levels[sig(1)])}, comps)
+
+
+# Com with the composition (x; x, x) o_1 (x; x) scaled by 2.  Every law
+# instance compares products of the scalars 1 and 2, so it fails where
+# the two sides use the scaled composition a different number of times:
+# the right unit law at slot 1 of arity 2; sequential associativity
+# through (2, 1, 1) with z of arity 1 and 2, through (2, 0, 2) and
+# (2, 1, 2) at j = 1, and parallel associativity through (2, 0, 2) with
+# z of arity 1 in slot 1; outer equivariance of (2, i, 1), where the
+# swap trades slot 0 for slot 1.  Inner equivariance reads one
+# composition on both sides.
+S1, S2 = sig(1), sig(2)
+SWAP = (1, 0)
+SCALED_COMPOSITION = [
+    ("unit-right", S2, 1),
+    ("assoc-seq", S2, 1, S1, 0, S1),
+    ("assoc-seq", S2, 1, S1, 0, S2),
+    ("assoc-seq", S2, 0, S2, 1, S1),
+    ("assoc-par", S2, 0, 1, S2, S1),
+    ("assoc-seq", S2, 1, S2, 1, S1),
+    ("equiv-outer", S2, 0, S1, SWAP),
+    ("equiv-outer", S2, 1, S1, SWAP),
+]
+# Com with the action generator at arity 2 negated: still an action,
+# since (-1)^2 = 1, and the laws that read it on one side only fail,
+# outer and inner equivariance of (2, i, 2), whose graft, of arity 3,
+# keeps the identity action; those of (1, 0, 2) and (2, i, 1) land in
+# arity 2 and read the sign on both sides.
+NEGATED_ACTION = [
+    ("equiv-outer", S2, 0, S2, SWAP),
+    ("equiv-inner", S2, 0, S2, SWAP),
+    ("equiv-outer", S2, 1, S2, SWAP),
+    ("equiv-inner", S2, 1, S2, SWAP),
+]
+
+
+@pytest.mark.parametrize("base, D", [("chain", 1), ("simplicial", 1)])
+def test_operad_check_finds_single_faults_among_equal_levels(
+        monkeypatch, base, D):
+    """Levels equal by value share every tensor of the replay, and one
+    corrupted composition or action generator still gives exactly the
+    violations derived by hand, as it does with no memo."""
+    assert op.operad_check(_commutative_operad(base, D)) == []
+
+    def scaled():
+        P = _commutative_operad(base, D)
+        key = (S2, 1, S1)
+        f = P.compositions[key]
+        P.compositions[key] = P.ops.make_map(
+            f.source, f.target, [c.scale(2) for c in f.components])
+        return P
+
+    def negated():
+        P = _commutative_operad(base, D)
+        g = P.collection.action(S2, SWAP)
+        P.collection.actions[S2][SWAP] = P.ops.make_map(
+            g.source, g.target, [-c for c in g.components])
+        return P
+
+    assert op.operad_check(scaled()) == SCALED_COMPOSITION
+    assert op.operad_check(negated()) == NEGATED_ACTION
+    _unmemoized(monkeypatch)
+    assert op.operad_check(scaled()) == SCALED_COMPOSITION
+    assert op.operad_check(negated()) == NEGATED_ACTION
+
+
+def test_operad_check_builds_each_distinct_tensor_once(monkeypatch):
+    # the four levels of the normalized indiscrete operad are one
+    # complex, so its law replay builds 5 chain tensors: N (x) N, the
+    # unit with N on either side, and (N (x) N) (x) N and N (x) (N (x) N)
+    # for the associators; keyed by identity it built 88
+    from opdk.doldkan import normalize_operad
+    F5 = Zmod(5)
+    Q = normalize_operad(corpus.indiscrete_operad(
+        F5, "simplicial", 2, disk=corpus.acyclic_disk(F5, 2)))
+    real = chain.tensor
+    seen = []
+
+    def counting(K, L, bound=None):
+        seen.append((K, L))
+        return real(K, L, bound)
+
+    monkeypatch.setattr(chain, "tensor", counting)
+    assert op.operad_check(Q) == []
+    assert len(seen) == 5
+    assert all(seen[a] != seen[b] for a in range(5) for b in range(a))
