@@ -13,6 +13,7 @@ hiding the direct-sum decomposition from the code under test.
 from __future__ import annotations
 
 import random
+from math import factorial
 from typing import Optional
 
 from .chain import ChainComplex, ChainMap, concentrated, pad, tensor_blocks, two_term
@@ -190,6 +191,33 @@ def random_simplicial_map(rng: random.Random, src: SimplicialInstance,
                      src.change[n].inverse())
              for n in range(D + 1)]
     return SimplicialMap(src.module, tgt.module, comps)
+
+
+def barratt_eccles_level(ring: Ring, n: int, max_degree: int) -> SimplicialModule:
+    """The arity-n level E(n) of the Barratt-Eccles operad (Berger-Fresse).
+
+    E(n)_d is free on the (d+1)-tuples of permutations of n: the tuple
+    of permutation indices (in `itertools.permutations` order) k_0..k_d
+    sits at sum k_i N^(d-i), N = n!, first entry outer.  d_i deletes
+    entry i and s_i repeats it.  E(n) is the nerve of the contractible
+    groupoid on S_n, so its normalization has ranks n! (n! - 1)^d and
+    homology the ring in degree 0.
+    """
+    N = factorial(n)
+    levels = [FreeModule(ring, N ** (d + 1)) for d in range(max_degree + 1)]
+    one = ring.one
+    # a degree-d index is hi * N^(d+1-i) + rest, hi holding the entries
+    # before i and rest entry i and those after it
+    faces = [[LinearMap(levels[d], levels[d - 1], {
+        (hi * N ** (d - i) + rest % N ** (d - i), hi * N ** (d + 1 - i) + rest): one
+        for hi in range(N ** i) for rest in range(N ** (d + 1 - i))})
+        for i in range(d + 1)] for d in range(1, max_degree + 1)]
+    degeneracies = [[LinearMap(levels[d], levels[d + 1], {
+        (hi * N ** (d + 2 - i) + rest // N ** (d - i) * N ** (d + 1 - i) + rest,
+         hi * N ** (d + 1 - i) + rest): one
+        for hi in range(N ** i) for rest in range(N ** (d + 1 - i))})
+        for i in range(d + 1)] for d in range(max_degree)]
+    return SimplicialModule(ring, levels, faces, degeneracies)
 
 # ---------------------------------------------------------------------------
 # operad fixtures

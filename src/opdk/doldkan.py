@@ -33,6 +33,7 @@ construction time rather than producing a plausible-looking matrix.
 from __future__ import annotations
 
 import functools
+import heapq
 from itertools import combinations
 from typing import Optional
 
@@ -84,12 +85,41 @@ def _idempotent(A: SimplicialModule, n: int) -> LinearMap:
     """p_n = (1 - s_0 d_1)(1 - s_1 d_2) ... (1 - s_{n-1} d_n) on level n.
 
     The rightmost factor acts first: once 1 - s_{i} d_{i+1} has made
-    d_{i+1} vanish, the factors to its left keep it vanishing.
+    d_{i+1} vanish, the factors to its left keep it vanishing.  Column j
+    is basis vector j pushed through the n factors in turn, with each
+    face and degeneracy indexed by column once; a vector that dies stops.
     """
-    p = LinearMap.identity(A.level(n))
-    for i in range(n - 1, -1, -1):
-        p = p - compose(A.degeneracy(n - 1, i), compose(A.face(n, i + 1), p))
-    return p
+    ring = A.ring
+    mod = ring.p
+
+    def by_column(m):
+        cols: dict = {}
+        for (i, j), v in m.entries.items():
+            cols.setdefault(j, []).append((i, v))
+        return cols
+
+    factors = [(by_column(A.face(n, i + 1)), by_column(A.degeneracy(n - 1, i)))
+               for i in range(n - 1, -1, -1)]
+    entries = {}
+    for j in range(A.level(n).rank):
+        vec = {j: ring.one}
+        for face, degeneracy in factors:
+            dv: dict = {}
+            for t, x in vec.items():
+                for r, y in face.get(t, ()):
+                    dv[r] = dv[r] + x * y if r in dv else x * y
+            for t, x in dv.items():
+                for r, y in degeneracy.get(t, ()):
+                    vec[r] = vec[r] - x * y if r in vec else -x * y
+            if mod is None:
+                vec = {r: x for r, x in vec.items() if x}
+            else:
+                vec = {r: x % mod for r, x in vec.items() if x % mod}
+            if not vec:
+                break
+        for r, x in vec.items():
+            entries[(r, j)] = x
+    return LinearMap(A.level(n), A.level(n), entries)
 
 
 def _image_basis(p: LinearMap):
@@ -121,35 +151,55 @@ def _image_basis(p: LinearMap):
 
 
 def _coordinates(basis: LinearMap, pivots, x: LinearMap) -> LinearMap:
-    """c with basis . c = x, by forward substitution on the pivot rows.
+    """c with basis . c = x, for the basis `_image_basis` returns.
 
-    Basis vector t is zero above its pivot row, so row pivots[k] meets
-    only vectors t <= k.  Raises ValueError when a column of x is not in
-    the span: the pivot rows then cannot account for all of x.
+    Over a field that basis is the identity on its pivot rows, so c is
+    the pivot rows of x.  Over Z basis vector t is zero above its pivot
+    row, so row pivots[k] meets only vectors t <= k: each column of x is
+    solved by forward substitution in pivot order over the pivot rows
+    it touches, its own and those meeting a vector it uses.  Raises
+    ValueError when a column of x is not in the span: the pivot rows
+    then cannot account for all of x.
     """
-    ring = basis.ring
-    at = [dict() for _ in pivots]
     where = {r: k for k, r in enumerate(pivots)}
-    for (i, t), v in basis.entries.items():
-        k = where.get(i)
-        if k is not None:
-            at[k][t] = v
-    cols: dict = {}
-    for (i, j), v in x.entries.items():
-        cols.setdefault(j, {})[i] = v
     entries = {}
-    for j, col in cols.items():
-        c = {}
-        for k, r in enumerate(pivots):
-            row = at[k]
-            v = col.get(r, ring.zero)
-            for t, w in row.items():
-                if t in c:
-                    v = ring.sub(v, ring.mul(w, c[t]))
-            if v != ring.zero:
-                c[k] = ring.mul(v, ring.inv(row[k])) if ring.is_field else v // row[k]
-        for k, v in c.items():
-            entries[(k, j)] = v
+    if basis.ring.is_field:
+        for (i, j), v in x.entries.items():
+            k = where.get(i)
+            if k is not None:
+                entries[(k, j)] = v
+    else:
+        at = [dict() for _ in pivots]
+        meets = [[] for _ in pivots]
+        for (i, t), v in basis.entries.items():
+            k = where.get(i)
+            if k is not None:
+                at[k][t] = v
+                if k != t:
+                    meets[t].append(k)
+        cols: dict = {}
+        for (i, j), v in x.entries.items():
+            cols.setdefault(j, {})[i] = v
+        for j, col in cols.items():
+            todo = [where[i] for i in col if i in where]
+            seen = set(todo)
+            heapq.heapify(todo)
+            c = {}
+            while todo:
+                k = heapq.heappop(todo)
+                row = at[k]
+                v = col.get(pivots[k], 0)
+                for t, w in row.items():
+                    if t in c:
+                        v -= w * c[t]
+                if v:
+                    c[k] = v // row[k]
+                    for k2 in meets[k]:
+                        if k2 not in seen:
+                            seen.add(k2)
+                            heapq.heappush(todo, k2)
+            for k, v in c.items():
+                entries[(k, j)] = v
     coords = LinearMap(x.source, basis.source, entries)
     if compose(basis, coords).entries != x.entries:
         raise ValueError("column is not in the span of the basis")
@@ -169,11 +219,13 @@ def normalize(A: SimplicialModule) -> Normalization:
 
     Level n is the image of the degeneracy idempotent
     p_n = (1 - s_0 d_1)(1 - s_1 d_2) ... (1 - s_{n-1} d_n), rightmost
-    factor first (Goerss-Jardine III.2), built from sparse products.
-    incl_n is a canonical basis of that image, the Hermite basis over Z
-    and the reduced echelon basis over a field, as `kernel` returns;
-    proj_n reads off the coordinates of p_n, checked to give
-    incl_n . proj_n = p_n.
+    factor first (Goerss-Jardine III.2), built column by column
+    (`_idempotent`).  incl_n is a canonical basis of that image, the
+    Hermite basis over Z and the reduced echelon basis over a field, as
+    `kernel` returns; proj_n reads off the coordinates of p_n
+    (`_coordinates`), checked to give incl_n . proj_n = p_n.  Each step
+    follows the supports, so the work grows with the entries, not with
+    the square of the rank.
 
     x - p_n x lies in the degenerate part D_n for every x, and p_n fixes
     every x killed by d_1..d_n, whatever the structure maps are.  Three

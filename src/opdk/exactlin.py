@@ -24,6 +24,7 @@ kept in check by smallest-pivot selection.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from functools import cached_property
 
@@ -50,6 +51,8 @@ class FreeModule:
         return f"FreeModule({self.ring.name()}, rank={self.rank})"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FreeModule)
             and self.ring == other.ring
@@ -79,7 +82,8 @@ class LinearMap:
     canonical already into a larger or relabelled map, and so does
     `signed_quotient`, whose projection and section hold only the
     ring's `one` and its negative, at positions its union-find keeps
-    inside the shape.
+    inside the shape, and `hnf_columns`, whose entries are exact
+    combinations of its canonical input entries, reduced mod p over Z/p.
     """
 
     __slots__ = ("source", "target", "entries")
@@ -276,15 +280,6 @@ class LinearMap:
         return LinearMap._canonical(
             self.target, self.source, {(j, i): v for (i, j), v in self.entries.items()}
         )
-
-    def apply(self, vec: dict) -> dict:
-        """Apply to a sparse column vector {index: entry}."""
-        ring = self.ring
-        out: dict = {}
-        for (i, j), v in self.entries.items():
-            if j in vec:
-                out[i] = ring.add(out.get(i, ring.zero), ring.mul(v, vec[j]))
-        return {i: v for i, v in out.items() if v != ring.zero}
 
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
@@ -790,18 +785,37 @@ def hnf_columns(m: LinearMap) -> LinearMap:
     Canonical: pivots positive (monic over fields), entries right of a
     pivot reduced, zero columns dropped, pivot rows strictly increasing.
     Used to compare spans and to normalize kernel bases.
+
+    Each pivot step takes its columns from a bucket keyed by leading
+    row (a heap holds the leads), and a reduced column goes to the
+    bucket of its new lead.  Buckets keep the order of one work list of
+    all columns, so every operation is that of scanning such a list.
+    The reduction above the pivots visits each column only at the pivot
+    rows it holds.
     """
     ring = m.ring
+    zero, mod = ring.zero, ring.p
     cols: dict = {}
     for (i, j), v in m.entries.items():
         cols.setdefault(j, {})[i] = v
-    work = [cols[j] for j in sorted(cols)]
-    out = []
-    while work:
-        # smallest leading row
-        lead = min(min(c) for c in work)
-        group = [c for c in work if min(c) == lead]
-        rest = [c for c in work if min(c) != lead]
+    buckets: dict = {}
+    heap: list = []
+
+    def file(c):
+        lead = min(c)
+        bucket = buckets.get(lead)
+        if bucket is None:
+            buckets[lead] = [c]
+            heapq.heappush(heap, lead)
+        else:
+            bucket.append(c)
+
+    for j in sorted(cols):
+        file(cols[j])
+    out, leads = [], []
+    while heap:
+        lead = heapq.heappop(heap)
+        group = buckets.pop(lead)
         if ring.is_field:
             piv = group[0]
             inv = ring.inv(piv[lead])
@@ -810,14 +824,15 @@ def hnf_columns(m: LinearMap) -> LinearMap:
                 f = ring.neg(c[lead])
                 merged = dict(c)
                 for i, v in piv.items():
-                    nv = ring.add(merged.get(i, ring.zero), ring.mul(f, v))
-                    if nv != ring.zero:
+                    nv = merged.get(i, zero) + f * v
+                    if mod is not None:
+                        nv %= mod
+                    if nv != zero:
                         merged[i] = nv
                     elif i in merged:
                         del merged[i]
                 if merged:
-                    rest.append(merged)
-            out.append(piv)
+                    file(merged)
         else:
             # gcd rounds on the leading entries: the smallest one reduces
             # all others to symmetric remainders.  Re-selecting it every
@@ -843,38 +858,48 @@ def hnf_columns(m: LinearMap) -> LinearMap:
                     if lead in c:
                         kept.append(c)
                     elif c:
-                        rest.append(c)
+                        file(c)
                 group = kept
             piv = group[0]
-            if piv.get(lead, 0) < 0:
+            if piv[lead] < 0:
                 piv = {i: -v for i, v in piv.items()}
-            out.append(piv)
-        work = rest
-    # reduce above-pivot entries for canonicity
-    out.sort(key=lambda c: min(c))
-    for k in range(len(out)):
-        lead = min(out[k])
-        p = out[k][lead]
-        for t in range(k):
-            c = out[t]
-            if lead in c:
-                if ring.is_field:
-                    q = ring.mul(c[lead], ring.inv(p))
-                else:
-                    q = c[lead] // p
-                if q != ring.zero:
-                    for i, v in out[k].items():
-                        nv = ring.sub(c.get(i, ring.zero), ring.mul(q, v))
-                        if nv != ring.zero:
-                            c[i] = nv
-                        elif i in c:
-                            del c[i]
+        out.append(piv)
+        leads.append(lead)
+    # reduce above-pivot entries for canonicity.  Column t meets the
+    # later columns k in increasing order, each while column k is still
+    # unreduced, so it visits only the pivot rows it holds, smallest
+    # first; a reduction adds rows below the one it clears, never above
+    pivot_of = {lead: k for k, lead in enumerate(leads)}
+    for t, c in enumerate(out):
+        todo = [i for i in c if i in pivot_of and i != leads[t]]
+        heapq.heapify(todo)
+        last = None
+        while todo:
+            r = heapq.heappop(todo)
+            if r == last or r not in c:
+                continue
+            last = r
+            piv = out[pivot_of[r]]
+            if ring.is_field:
+                q = ring.mul(c[r], ring.inv(piv[r]))
+            else:
+                q = c[r] // piv[r]
+            if q != zero:
+                for i, v in piv.items():
+                    nv = c.get(i, zero) - q * v
+                    if mod is not None:
+                        nv %= mod
+                    if nv != zero:
+                        if i not in c and i in pivot_of:
+                            heapq.heappush(todo, i)
+                        c[i] = nv
+                    elif i in c:
+                        del c[i]
     entries = {}
     for j, c in enumerate(out):
         for i, v in c.items():
             entries[(i, j)] = v
-    src = FreeModule(ring, len(out))
-    return LinearMap(src, m.target, entries)
+    return LinearMap._canonical(FreeModule(ring, len(out)), m.target, entries)
 
 
 def kernel(m: LinearMap):

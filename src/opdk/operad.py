@@ -192,6 +192,14 @@ class _ChainOps(_Ops):
     def tensor(self, A, B):
         return _chain.tensor(A, B, bound=self.max_degree)
 
+    def tensor_ranks(self, A, B):
+        """The ranks of `tensor(A, B)`, without building it."""
+        a, b = A.ranks(), B.ranks()
+        D = min(A.max_degree + B.max_degree, self.max_degree)
+        return tuple(sum(a[p] * b[n - p] for p in range(
+            max(0, n - B.max_degree), min(n, A.max_degree) + 1))
+            for n in range(D + 1))
+
     def tensor_map(self, f, g):
         return _chain.tensor_map(f, g, bound=self.max_degree)
 
@@ -225,6 +233,10 @@ class _SimpOps(_Ops):
 
     def tensor(self, A, B):
         return _simp.tensor(A, B)
+
+    def tensor_ranks(self, A, B):
+        """The ranks of `tensor(A, B)`, without building it."""
+        return tuple(x * y for x, y in zip(A.ranks(), B.ranks()))
 
     def tensor_map(self, f, g):
         return _simp.tensor_map(f, g)
@@ -638,8 +650,8 @@ class Operad:
             if sig_arity(gsig) > collection.max_arity:
                 raise ValueError(f"composite {sig_str(gsig)} leaves the "
                                  f"arity window")
-            src = ops.tensor(collection.level(osig), collection.level(isig))
-            if f.source.ranks() != src.ranks():
+            if f.source.ranks() != ops.tensor_ranks(collection.level(osig),
+                                                   collection.level(isig)):
                 raise ValueError(f"composition source mismatch at {where}")
             if f.target.ranks() != collection.level(gsig).ranks():
                 raise ValueError(f"composition target mismatch at {where}")

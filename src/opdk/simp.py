@@ -532,14 +532,24 @@ def swap_map(A: SimplicialModule, B: SimplicialModule) -> SimplicialMap:
 
 
 def moore_complex(A: SimplicialModule) -> ChainComplex:
-    """Same levels, differential the alternating face sum."""
+    """Same levels, differential the alternating face sum, summed in one
+    pass over the faces' entries: positions in the order d_0, d_1, ...
+    first reach them, a position that cancels dropped."""
+    p = A.ring.p
     diffs = []
     for n in range(1, A.max_degree + 1):
-        d = LinearMap.zero(A.level(n), A.level(n - 1))
+        entries: dict = {}
         for i in range(n + 1):
-            term = A.face(n, i)
-            d = d + term if i % 2 == 0 else d - term
-        diffs.append(d)
+            sign = -1 if i % 2 else 1
+            for k, v in A.face(n, i).entries.items():
+                v = entries.get(k, 0) + sign * v
+                if p is not None:
+                    v %= p
+                if v:
+                    entries[k] = v
+                else:
+                    del entries[k]
+        diffs.append(LinearMap(A.level(n), A.level(n - 1), entries))
     return ChainComplex(A.ring, A.levels, diffs)
 
 

@@ -13,6 +13,8 @@ degeneracy tables.  Random instances come from the seeded corpus.
 
 import random
 from fractions import Fraction
+from itertools import product as iproduct
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +37,10 @@ from opdk.chain import direct_sum as chain_direct_sum
 from opdk.chain import tensor as chain_tensor
 from opdk.doldkan import (
     Normalization,
+    _coordinates,
     _gamma_action,
+    _idempotent,
+    _image_basis,
     _shuffle_entries,
     _surjection_index,
     aw,
@@ -60,6 +65,7 @@ from opdk.exactlin import (
     vstack,
 )
 from opdk.rings import QQ, ZZ, Zmod
+from test_exactlin import oracle_hnf_columns
 from opdk.simp import (
     SimplicialMap,
     SimplicialModule,
@@ -155,6 +161,94 @@ def assert_same_chain_map(got, want):
     assert got.target.ranks() == want.target.ranks()
     for n in range(want.source.max_degree + 1):
         assert got.component(n).entries == want.component(n).entries
+
+
+def _oracle_idempotent(A, n):
+    """p_n as the product of its factors, each a sparse product of
+    whole matrices: p = p - s_i d_{i+1} p for i = n-1 down to 0."""
+    p = LinearMap.identity(A.level(n))
+    for i in range(n - 1, -1, -1):
+        p = p - compose(A.degeneracy(n - 1, i), compose(A.face(n, i + 1), p))
+    return p
+
+
+def _oracle_image_basis(p):
+    """`_image_basis` on the work-list Hermite form."""
+    ring, R = p.ring, p.target.rank
+    flip = ring.is_field
+    if flip:
+        p = LinearMap(p.source, p.target,
+                      {(R - 1 - i, j): v for (i, j), v in p.entries.items()})
+    h = oracle_hnf_columns(p)
+    r = h.source.rank
+    pivots = [R] * r
+    for i, j in h.entries:
+        pivots[j] = min(pivots[j], i)
+    entries = h.entries
+    if flip:
+        entries = {(R - 1 - i, r - 1 - j): v for (i, j), v in entries.items()}
+        pivots = [R - 1 - i for i in reversed(pivots)]
+    return LinearMap(FreeModule(ring, r), p.target, entries), pivots
+
+
+def _oracle_coordinates(basis, pivots, x):
+    """Forward substitution over every pivot row for every column of x,
+    on any ring; ValueError when basis . c misses x."""
+    ring = basis.ring
+    at = [dict() for _ in pivots]
+    where = {r: k for k, r in enumerate(pivots)}
+    for (i, t), v in basis.entries.items():
+        if i in where:
+            at[where[i]][t] = v
+    cols = {}
+    for (i, j), v in x.entries.items():
+        cols.setdefault(j, {})[i] = v
+    entries = {}
+    for j, col in cols.items():
+        c = {}
+        for k, r in enumerate(pivots):
+            row = at[k]
+            v = col.get(r, ring.zero)
+            for t, w in row.items():
+                if t in c:
+                    v = ring.sub(v, ring.mul(w, c[t]))
+            if v != ring.zero:
+                c[k] = ring.mul(v, ring.inv(row[k])) if ring.is_field else v // row[k]
+        for k, v in c.items():
+            entries[(k, j)] = v
+    coords = LinearMap(x.source, basis.source, entries)
+    if compose(basis, coords).entries != x.entries:
+        raise ValueError("column is not in the span of the basis")
+    return coords
+
+
+def _oracle_normalize(A):
+    """`normalize` on the whole-matrix idempotent, the work-list Hermite
+    form and substitution over every pivot row, with the same checks."""
+    ring, D = A.ring, A.max_degree
+    ident = LinearMap.identity(A.level(0))
+    incls, projs = [ident], [ident]
+    for n in range(1, D + 1):
+        p = _oracle_idempotent(A, n)
+        incl, pivots = _oracle_image_basis(p)
+        proj = _oracle_coordinates(incl, pivots, p)
+        for i in range(1, n + 1):
+            if not compose(A.face(n, i), incl).is_zero():
+                raise ValueError("not a simplicial module")
+        for j in range(n):
+            if not compose(proj, A.degeneracy(n - 1, j)).is_zero():
+                raise ValueError("not a simplicial module")
+        if compose(p, incl).entries != incl.entries:
+            raise ValueError("not a simplicial module")
+        incls.append(incl)
+        projs.append(proj)
+    levels = [f.source for f in incls]
+    N = ChainComplex(ring, levels, [
+        compose(projs[n - 1], compose(A.face(n, 0), incls[n]))
+        for n in range(1, D + 1)])
+    moore = moore_complex(A)
+    return Normalization(N, moore, ChainMap(N, moore, incls),
+                         ChainMap(moore, N, projs))
 
 
 # -- normalization ----------------------------------------------------------
@@ -275,6 +369,108 @@ def test_normalize_map_rejects_a_map_leaving_the_face_kernels():
                              LinearMap.identity(A.level(2))], check=False)
     with pytest.raises(ValueError, match="leaves the normalized summand at degree 1"):
         normalize_map(f)
+
+
+def _differential_modules(rng, ring):
+    """Random instances, gamma images, a tensor and a Barratt-Eccles
+    level over ring, with a copy of one instance whose top face is
+    doubled, so the routines also meet maps that are not simplicial."""
+    out = [corpus.random_instance(rng, ring, D, max_rank=2).module
+           for D in (1, 2, 3, 3)]
+    out.append(gamma(corpus.random_complex(rng, ring, 3, max_rank=2)))
+    A, B = (corpus.random_instance(rng, ring, 2, max_rank=2).module
+            for _ in range(2))
+    out.append(simp_tensor(A, B))
+    out.append(corpus.barratt_eccles_level(ring, 3, 2))
+    X = out[2]
+    out.append(X.replace_face(3, 3, X.face(3, 3).scale(2)))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([ZZ, QQ, F5, Zmod(2)]), st.integers(0, 2 ** 32 - 1))
+def test_idempotent_and_coordinates_match_the_whole_matrix_oracles(ring, seed):
+    rng = random.Random(seed)
+    for A in _differential_modules(rng, ring):
+        for n in range(1, A.max_degree + 1):
+            p = _idempotent(A, n)
+            assert p.source == p.target == A.level(n)
+            assert p.entries == _oracle_idempotent(A, n).entries
+            basis, pivots = _image_basis(p)
+            want_basis, want_pivots = _oracle_image_basis(p)
+            assert basis.entries == want_basis.entries and pivots == want_pivots
+            # x: p itself and a random combination of the basis vectors
+            coeffs = corpus.random_matrix(
+                rng, FreeModule(ring, rng.randint(0, 4)), basis.source)
+            for x in (p, compose(basis, coeffs)):
+                try:
+                    want = _oracle_coordinates(basis, pivots, x)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not in the span"):
+                        _coordinates(basis, pivots, x)
+                    continue
+                got = _coordinates(basis, pivots, x)
+                assert got.source == want.source and got.target == want.target
+                assert got.entries == want.entries
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=["Z", "Q", "F5"])
+def test_coordinates_refuse_a_column_outside_the_span(ring):
+    # over Z the basis vector (2, 1) spans a lattice that misses (1, 0),
+    # whose substitution even divides inexactly; over a field the
+    # reduced basis (3, 1) misses (0, 1) and (1, 0)
+    M, L = FreeModule(ring, 2), FreeModule(ring, 1)
+    col = [[2], [1]] if ring == ZZ else [[3], [1]]
+    basis, pivots = _image_basis(LinearMap.from_rows(L, M, col))
+    assert basis.entries == LinearMap.from_rows(L, M, col).entries
+    for x in ([[1], [0]], [[0], [1]], [[1], [1]]):
+        x = LinearMap.from_rows(L, M, x)
+        for route in (_coordinates, _oracle_coordinates):
+            with pytest.raises(ValueError, match="not in the span"):
+                route(basis, pivots, x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([ZZ, QQ, F5, Zmod(2)]), st.integers(0, 2 ** 32 - 1))
+def test_normalize_matches_the_whole_matrix_oracle(ring, seed):
+    rng = random.Random(seed)
+    modules = [corpus.random_instance(rng, ring, D, max_rank=2).module
+               for D in (1, 2, 3)]
+    modules.append(gamma(corpus.random_complex(rng, ring, 3, max_rank=2)))
+    for A in modules:
+        assert_same_normalization(normalize(A), _oracle_normalize(A))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=["Z", "Q", "F5"])
+@pytest.mark.parametrize("n, D", [(1, 3), (2, 3), (3, 3)])
+def test_barratt_eccles_levels_normalize_to_a_contractible_complex(ring, n, D):
+    # E(n) is the nerve of the contractible groupoid on S_n: N E(n) has
+    # ranks n! (n! - 1)^d and the homology of a point
+    A = corpus.barratt_eccles_level(ring, n, D)
+    N = factorial(n)
+    assert A.ranks() == tuple(N ** (d + 1) for d in range(D + 1))
+    assert validate(A) == []
+    nz = normalize(A)
+    assert nz.complex.ranks() == tuple(N * (N - 1) ** d for d in range(D + 1))
+    h0 = homology(nz.complex, 0)
+    assert h0.rank == 1 and not h0.invariant_factors
+    for k in range(1, D):
+        assert homology(nz.complex, k).is_zero()
+
+
+def test_barratt_eccles_operators_delete_and_repeat_entries():
+    # at n = 2, N = 2: (k0, k1, k2) sits at 4 k0 + 2 k1 + k2
+    A = corpus.barratt_eccles_level(ZZ, 2, 2)
+    assert A.ranks() == (2, 4, 8)
+    idx = lambda *ks: sum(k * 2 ** (len(ks) - 1 - t) for t, k in enumerate(ks))
+    for ks in iproduct(range(2), repeat=3):
+        for i in range(3):
+            dropped = ks[:i] + ks[i + 1:]
+            assert A.face(2, i).column(idx(*ks)) == {idx(*dropped): 1}
+    for ks in iproduct(range(2), repeat=2):
+        for i in range(2):
+            repeated = ks[:i + 1] + ks[i:]
+            assert A.degeneracy(1, i).column(idx(*ks)) == {idx(*repeated): 1}
 
 
 # -- the inverse construction ------------------------------------------------

@@ -105,6 +105,89 @@ def det_bareiss(rows):
     return sign * m[n - 1][n - 1]
 
 
+def oracle_hnf_columns(m):
+    """`hnf_columns` as one work list of columns: each pivot step scans
+    every remaining column for its leading row, and the reduction above
+    the pivots visits every earlier column.  The same operations in the
+    same order as the bucketed routine, in quadratic time."""
+    ring = m.ring
+    cols = {}
+    for (i, j), v in m.entries.items():
+        cols.setdefault(j, {})[i] = v
+    work = [cols[j] for j in sorted(cols)]
+    out = []
+    while work:
+        lead = min(min(c) for c in work)
+        group = [c for c in work if min(c) == lead]
+        rest = [c for c in work if min(c) != lead]
+        if ring.is_field:
+            piv = group[0]
+            inv = ring.inv(piv[lead])
+            piv = {i: ring.mul(inv, v) for i, v in piv.items()}
+            for c in group[1:]:
+                f = ring.neg(c[lead])
+                merged = dict(c)
+                for i, v in piv.items():
+                    nv = ring.add(merged.get(i, ring.zero), ring.mul(f, v))
+                    if nv != ring.zero:
+                        merged[i] = nv
+                    elif i in merged:
+                        del merged[i]
+                if merged:
+                    rest.append(merged)
+            out.append(piv)
+        else:
+            while len(group) > 1:
+                piv = min(group, key=lambda c: abs(c[lead]))
+                p = piv[lead]
+                kept = [piv]
+                for c in group:
+                    if c is piv:
+                        continue
+                    q, r = divmod(c[lead], p)
+                    if 2 * abs(r) > abs(p):
+                        q += 1
+                    for i, v in piv.items():
+                        nv = c.get(i, 0) - q * v
+                        if nv:
+                            c[i] = nv
+                        else:
+                            del c[i]
+                    if lead in c:
+                        kept.append(c)
+                    elif c:
+                        rest.append(c)
+                group = kept
+            piv = group[0]
+            if piv.get(lead, 0) < 0:
+                piv = {i: -v for i, v in piv.items()}
+            out.append(piv)
+        work = rest
+    out.sort(key=lambda c: min(c))
+    for k in range(len(out)):
+        lead = min(out[k])
+        p = out[k][lead]
+        for t in range(k):
+            c = out[t]
+            if lead in c:
+                if ring.is_field:
+                    q = ring.mul(c[lead], ring.inv(p))
+                else:
+                    q = c[lead] // p
+                if q != ring.zero:
+                    for i, v in out[k].items():
+                        nv = ring.sub(c.get(i, ring.zero), ring.mul(q, v))
+                        if nv != ring.zero:
+                            c[i] = nv
+                        elif i in c:
+                            del c[i]
+    entries = {}
+    for j, c in enumerate(out):
+        for i, v in c.items():
+            entries[(i, j)] = v
+    return LinearMap(FreeModule(ring, len(out)), m.target, entries)
+
+
 def zero_seeded_compose(f, g):
     """The entries of f after g as `compose` computed them when every
     sum started from the int 0: the same sparse merge, with
@@ -973,6 +1056,61 @@ def test_hnf_columns_is_the_reduced_hermite_basis_of_the_span():
             assert h.entries[(r, k)] > 0
             assert all(0 <= h.entries.get((r, t), 0) < h.entries[(r, k)] for t in range(k))
         assert solve(h, m) is not None and solve(m, h) is not None
+
+
+HNF_RINGS = [ZZ, QQ, F5, Zmod(2)]
+
+
+def dense_idempotent(rng, ring, n):
+    """U P U^-1 for a coordinate projection P and a unimodular U made of
+    shears, so every entry is filled in while e . e = e."""
+    M = FreeModule(ring, n)
+    U, Uinv = LinearMap.identity(M), LinearMap.identity(M)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        e = {(t, t): 1 for t in range(n)}
+        U = compose(LinearMap(M, M, {**e, (i, j): c}), U)
+        Uinv = compose(Uinv, LinearMap(M, M, {**e, (i, j): -c}))
+    keep = rng.sample(range(n), rng.randint(0, n))
+    P = LinearMap(M, M, {(t, t): 1 for t in keep})
+    return compose(U, compose(P, Uinv))
+
+
+def hnf_input(rng, ring, kind):
+    rows, cols = rng.randint(0, 10), rng.randint(0, 10)
+    if kind == "sparse":
+        return random_map(rng, ring, rows, cols, density=0.15)
+    if kind == "dense":
+        return random_map(rng, ring, rows, cols, density=0.95, bound=9)
+    if kind == "deficient":
+        inner = rng.randint(0, min(rows, cols))
+        return compose(random_map(rng, ring, rows, inner, density=0.7),
+                       random_map(rng, ring, inner, cols, density=0.7))
+    if kind == "zero-columns":
+        m = random_map(rng, ring, rows, cols, density=0.5)
+        spread = sorted(rng.sample(range(2 * cols + 1), cols))
+        return LinearMap(FreeModule(ring, 2 * cols + 1), m.target,
+                         {(i, spread[j]): v for (i, j), v in m.entries.items()})
+    return dense_idempotent(rng, ring, rng.randint(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(HNF_RINGS),
+       st.sampled_from(["sparse", "dense", "deficient", "zero-columns",
+                        "idempotent"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_hnf_columns_matches_the_work_list_oracle(ring, kind, seed):
+    m = hnf_input(random.Random(seed), ring, kind)
+    got, want = hnf_columns(m), oracle_hnf_columns(m)
+    assert got.source == want.source and got.target == m.target
+    assert got.entries == want.entries
+    # the same operations in the same order store the same entry order
+    assert list(got.entries.items()) == list(want.entries.items())
+    for v in got.entries.values():
+        assert v == ring.normalize(v) and v
 
 
 def test_hnf_columns_canonical_span():

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opdk import chain, corpus, operad as op
+from opdk import chain, corpus, operad as op, simp
 from opdk import permutations as perms
 from opdk.doldkan import normalize_operad, normalize_operad_data
 from opdk.operad import (
@@ -1707,6 +1707,68 @@ def test_operad_constructor_refuses_bad_shapes(case):
     # explicit checks, so they also hold under python -O
     with pytest.raises(ValueError, match="^" + _BROKEN_OPERAD_MESSAGES[case]):
         op.Operad(*_broken_operad_parts(case))
+
+
+def _graded_operads():
+    """Chain and simplicial operads whose levels live in several
+    degrees, so the Kunneth sum and the degreewise product differ."""
+    out = []
+    for base in ("chain", "simplicial"):
+        disk = corpus.acyclic_disk(ZZ, 2, base=base)
+        out.append(corpus.indiscrete_operad(ZZ, base, 2, disk=disk))
+        out.append(corpus.disconnected_operad(ZZ, base, 2, disk=disk))
+        out.append(associative_operad(ZZ, base, 3, 2))
+    return out
+
+
+def test_tensor_ranks_are_the_ranks_of_the_tensor():
+    for P in _graded_operads():
+        coll, ops = P.collection, P.ops
+        levels = [coll.level(s) for s in coll.signatures()]
+        for A in levels:
+            for B in levels:
+                assert ops.tensor_ranks(A, B) == ops.tensor(A, B).ranks()
+    # complexes of different lengths, against the degree bound
+    rng = random.Random(8)
+    for bound in range(4):
+        ops = op._ops_for("chain", ZZ, bound)
+        for _ in range(6):
+            K = corpus.random_complex(rng, ZZ, rng.randint(0, 3))
+            L = corpus.random_complex(rng, ZZ, rng.randint(0, 3))
+            assert ops.tensor_ranks(K, L) == ops.tensor(K, L).ranks()
+
+
+@pytest.mark.parametrize("base", ["chain", "simplicial"])
+def test_mis_shaped_composition_source_is_refused(base):
+    # the source of one composition gains the unit object as a summand,
+    # so its ranks are off in degree 0 (chain) or in every degree
+    # (simplicial)
+    P = corpus.indiscrete_operad(ZZ, base, 2,
+                                 disk=corpus.acyclic_disk(ZZ, 2, base=base))
+    coll, ops = P.collection, P.ops
+    key, f = next(iter(P.compositions.items()))
+    src = ops.direct_sum(f.source, ops.unit_obj())
+    comps = dict(P.compositions)
+    comps[key] = ops.zero_map(src, f.target)
+    with pytest.raises(ValueError, match="^composition source mismatch"):
+        op.Operad(coll, P.units, comps)
+
+
+@pytest.mark.parametrize("base", ["chain", "simplicial"])
+def test_operad_constructor_builds_no_tensor(monkeypatch, base):
+    for P in _graded_operads():
+        if P.collection.base != base:
+            continue
+        calls = []
+        for module in (chain, simp):
+            real = module.tensor
+            monkeypatch.setattr(
+                module, "tensor",
+                lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+        Q = op.Operad(P.collection, P.units, P.compositions)
+        assert calls == []
+        assert Q.compositions.keys() == P.compositions.keys()
+        monkeypatch.undo()
 
 
 # -- normalization of operads -------------------------------------------------
