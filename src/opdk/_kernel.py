@@ -1,12 +1,13 @@
-"""Dense arithmetic over Z/p: the only mod-p elimination in ``opdk``.
+"""Dense arithmetic over Z/p, which no library code calls.
 
 Matrices are lists of row lists with entries already reduced into [0, p).
-``exactlin.rref`` calls ``rref_mod`` for every matrix over Z/p.
-``matmul_mod`` has no caller in the library and ``BACKEND`` names no
-choice; both stay because the benchmark harness reads them: it traces
-``rref_mod`` and ``matmul_mod`` as its ``kernel`` layer and records
-``BACKEND`` with every result.  Entries are Python integers, so any
-modulus is exact.
+``exactlin.rref`` runs one sparse elimination over Q and Z/p, so neither
+``rref_mod`` nor ``matmul_mod`` has a caller in the library, and
+``BACKEND`` names no choice.  The file stays only because the benchmark
+harness imports it: it traces ``rref_mod`` and ``matmul_mod`` as its
+``kernel`` layer and records ``BACKEND`` with every result, until the
+harness drops that layer (ROADMAP, direction 1).  Entries are Python
+integers, so any modulus is exact.
 """
 
 BACKEND = "python"

@@ -18,6 +18,8 @@ from . import permutations
 from .exactlin import (
     FreeModule,
     LinearMap,
+    _coordinates,
+    _pivots,
     cokernel,
     compose,
     hstack,
@@ -589,18 +591,21 @@ def right_unitor(K: ChainComplex) -> ChainMap:
 class HomologyResult:
     """H_n as a presentation, plus the data needed to map in and out.
 
-    kernel_incl : cycles -> level(n)
-    boundaries  : generators of the boundary lattice in cycle coordinates
-    presentation: cycles / boundaries
+    kernel_incl  : cycles -> level(n), the basis `kernel` returns
+    kernel_pivots: its pivot rows (`exactlin._pivots`), against which
+                   `exactlin._coordinates` reads cycles in its coordinates
+    boundaries   : generators of the boundary lattice in cycle coordinates
+    presentation : cycles / boundaries
     """
 
     __slots__ = ("degree", "rank", "invariant_factors", "boundary_unreliable",
-                 "kernel_incl", "boundaries", "presentation")
+                 "kernel_incl", "kernel_pivots", "boundaries", "presentation")
 
-    def __init__(self, degree, kernel_incl, boundaries, presentation,
-                 boundary_unreliable):
+    def __init__(self, degree, kernel_incl, kernel_pivots, boundaries,
+                 presentation, boundary_unreliable):
         self.degree = degree
         self.kernel_incl = kernel_incl
+        self.kernel_pivots = kernel_pivots
         self.boundaries = boundaries
         self.presentation = presentation
         self.rank = presentation.presentation.free_rank
@@ -617,16 +622,25 @@ class HomologyResult:
 
 
 def homology(K: ChainComplex, n: int) -> HomologyResult:
-    """ker(d_n)/im(d_{n+1}); at n == max_degree only a truncation artifact."""
+    """ker(d_n)/im(d_{n+1}); at n == max_degree only a truncation artifact.
+
+    One elimination finds the cycles, `kernel(d_n)`.  The boundaries
+    d_{n+1} are then read in cycle coordinates by substitution against
+    that basis (`exactlin._coordinates`): over a field it is the
+    identity on its free columns, over Z it is in Hermite form.  No
+    second elimination solves for them, and the check that the cycle
+    basis gives d_{n+1} back raises RuntimeError if it does not.
+    """
     if not 0 <= n <= K.max_degree:
         raise ValueError(f"homology degree {n} outside 0..{K.max_degree}")
     cycles, incl = kernel(K.d(n))
-    dn1 = K.d(n + 1)
-    X = solve(incl, dn1)
-    if X is None:
-        raise RuntimeError("boundaries must lie in the cycle lattice")
+    pivots = _pivots(incl)
+    try:
+        X = _coordinates(incl, pivots, K.d(n + 1))
+    except ValueError:
+        raise RuntimeError("boundaries must lie in the cycle lattice") from None
     pres = cokernel(X)
-    return HomologyResult(n, incl, X, pres,
+    return HomologyResult(n, incl, pivots, X, pres,
                           boundary_unreliable=(n == K.max_degree))
 
 
@@ -634,13 +648,16 @@ def homology_map(f: ChainMap, n: int):
     """Induced map on degree-n homology, in presentation generators.
 
     Returns (map, H_src, H_tgt); the map is proj_tgt composed with the lift
-    of f through the target cycle lattice.
+    of f through the target cycle lattice, read in its coordinates
+    (`exactlin._coordinates`).
     """
     Hs = homology(f.source, n)
     Ht = homology(f.target, n)
-    lifted = solve(Ht.kernel_incl, compose(f.component(n), Hs.kernel_incl))
-    if lifted is None:
-        raise RuntimeError("chain maps send cycles to cycles")
+    try:
+        lifted = _coordinates(Ht.kernel_incl, Ht.kernel_pivots,
+                              compose(f.component(n), Hs.kernel_incl))
+    except ValueError:
+        raise RuntimeError("chain maps send cycles to cycles") from None
     induced = compose(Ht.presentation.proj, lifted)
     return induced, Hs, Ht
 

@@ -33,14 +33,14 @@ construction time rather than producing a plausible-looking matrix.
 from __future__ import annotations
 
 import functools
-import heapq
 from itertools import combinations
 from typing import Optional
 
 from . import permutations
 from .chain import ChainComplex, ChainMap, tensor_blocks
 from .chain import tensor as tensor_complex
-from .exactlin import FreeModule, LinearMap, compose, hnf_columns
+from .exactlin import (FreeModule, LinearMap, _coordinates, _pivots,
+                       compose, hnf_columns)
 from .simp import (
     SimplicialMap,
     SimplicialModule,
@@ -139,71 +139,11 @@ def _image_basis(p: LinearMap):
                       {(R - 1 - i, j): v for (i, j), v in p.entries.items()})
     h = hnf_columns(p)
     r = h.source.rank
-    pivots = [R] * r
-    for i, j in h.entries:
-        if i < pivots[j]:
-            pivots[j] = i
     entries = h.entries
     if flip:
         entries = {(R - 1 - i, r - 1 - j): v for (i, j), v in entries.items()}
-        pivots = [R - 1 - i for i in reversed(pivots)]
-    return LinearMap(FreeModule(ring, r), p.target, entries), pivots
-
-
-def _coordinates(basis: LinearMap, pivots, x: LinearMap) -> LinearMap:
-    """c with basis . c = x, for the basis `_image_basis` returns.
-
-    Over a field that basis is the identity on its pivot rows, so c is
-    the pivot rows of x.  Over Z basis vector t is zero above its pivot
-    row, so row pivots[k] meets only vectors t <= k: each column of x is
-    solved by forward substitution in pivot order over the pivot rows
-    it touches, its own and those meeting a vector it uses.  Raises
-    ValueError when a column of x is not in the span: the pivot rows
-    then cannot account for all of x.
-    """
-    where = {r: k for k, r in enumerate(pivots)}
-    entries = {}
-    if basis.ring.is_field:
-        for (i, j), v in x.entries.items():
-            k = where.get(i)
-            if k is not None:
-                entries[(k, j)] = v
-    else:
-        at = [dict() for _ in pivots]
-        meets = [[] for _ in pivots]
-        for (i, t), v in basis.entries.items():
-            k = where.get(i)
-            if k is not None:
-                at[k][t] = v
-                if k != t:
-                    meets[t].append(k)
-        cols: dict = {}
-        for (i, j), v in x.entries.items():
-            cols.setdefault(j, {})[i] = v
-        for j, col in cols.items():
-            todo = [where[i] for i in col if i in where]
-            seen = set(todo)
-            heapq.heapify(todo)
-            c = {}
-            while todo:
-                k = heapq.heappop(todo)
-                row = at[k]
-                v = col.get(pivots[k], 0)
-                for t, w in row.items():
-                    if t in c:
-                        v -= w * c[t]
-                if v:
-                    c[k] = v // row[k]
-                    for k2 in meets[k]:
-                        if k2 not in seen:
-                            seen.add(k2)
-                            heapq.heappush(todo, k2)
-            for k, v in c.items():
-                entries[(k, j)] = v
-    coords = LinearMap(x.source, basis.source, entries)
-    if compose(basis, coords).entries != x.entries:
-        raise ValueError("column is not in the span of the basis")
-    return coords
+    basis = LinearMap(FreeModule(ring, r), p.target, entries)
+    return basis, _pivots(basis)
 
 
 def _corestrict(nz: Normalization, n: int, x: LinearMap) -> LinearMap:
@@ -222,8 +162,9 @@ def normalize(A: SimplicialModule) -> Normalization:
     factor first (Goerss-Jardine III.2), built column by column
     (`_idempotent`).  incl_n is a canonical basis of that image, the
     Hermite basis over Z and the reduced echelon basis over a field, as
-    `kernel` returns; proj_n reads off the coordinates of p_n
-    (`_coordinates`), checked to give incl_n . proj_n = p_n.  Each step
+    `kernel` returns; proj_n reads off the coordinates of p_n with
+    `exactlin._coordinates`, the routine `homology` reads boundaries
+    with, which checks incl_n . proj_n = p_n.  Each step
     follows the supports, so the work grows with the entries, not with
     the square of the rank.
 

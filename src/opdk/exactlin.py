@@ -5,11 +5,16 @@ sparse coordinate matrices with exact entries.  On top of plain matrix
 arithmetic this module provides the workhorses everything else reduces
 to:
 
+* rref               -- over Q and Z/p, one sparse elimination on dict
+  rows that logs its row operations; T is replayed from the log only
+  when a caller reads it,
 * smith_normal_form  -- U*m*V = D with unimodular U, V and a divisibility
   chain down the diagonal; U, V and U^-1 are built only when a caller
-  first reads them, over Z by replaying the row and column operations
-  the elimination recorded,
+  first reads them, by replaying the row and column operations the
+  elimination recorded (over a field, those of its rref),
 * kernel             -- saturated kernel sublattice (nullspace over fields),
+  a basis against which `_coordinates` reads coordinates by
+  substitution, with no second elimination,
 * cokernel           -- presentation of target/im(m) with projection and
   section.  Its front end, signed_quotient, is a signed union-find: it
   takes every relation matrix whose columns hold at most two entries,
@@ -25,10 +30,8 @@ kept in check by smallest-pivot selection.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from functools import cached_property
 
-from . import _kernel
 from .rings import Ring, ZZ, ring_from_name
 
 class FreeModule:
@@ -82,8 +85,9 @@ class LinearMap:
     canonical already into a larger or relabelled map, and so does
     `signed_quotient`, whose projection and section hold only the
     ring's `one` and its negative, at positions its union-find keeps
-    inside the shape, and `hnf_columns`, whose entries are exact
-    combinations of its canonical input entries, reduced mod p over Z/p.
+    inside the shape.  So do `hnf_columns`, `rref`, the transforms
+    `_replayed` builds, the field `kernel` and `solve`, whose entries are
+    exact combinations of canonical entries, reduced mod p over Z/p.
     """
 
     __slots__ = ("source", "target", "entries")
@@ -286,8 +290,7 @@ class LinearMap:
 
     def rank_of_image(self) -> int:
         if self.ring.is_field:
-            _, _, pivots = rref(self)
-            return len(pivots)
+            return len(rref(self).pivots)
         return len([d for d in smith_normal_form(self).diagonal if d != 0])
 
     def is_iso(self) -> bool:
@@ -443,58 +446,101 @@ def vstack(maps) -> LinearMap:
 # ---------------------------------------------------------------------------
 
 
-def rref(m: LinearMap):
-    """Reduced row echelon form over a field: (R, T, pivots), R = T*m."""
+class Echelon:
+    """The reduced row echelon form R = T*m of a map m over a field.
+
+    `R` and `pivots` (the pivot column of each nonzero row, increasing)
+    are computed with the form, and so is `log`, the row operations of
+    the elimination in the order they were made (see `_replay`).  T is
+    built from the log the first time it is read, and kept.  Unpacks as
+    (R, T, pivots).
+    """
+
+    def __init__(self, R: LinearMap, pivots: list, log: list):
+        self.R = R
+        self.pivots = pivots
+        self.log = log
+
+    @cached_property
+    def T(self) -> LinearMap:
+        return _replayed(self.log, self.R.target)
+
+    def __iter__(self):
+        return iter((self.R, self.T, self.pivots))
+
+
+def rref(m: LinearMap) -> Echelon:
+    """Reduced row echelon form over a field: R = T*m, as an `Echelon`.
+
+    One sparse elimination for Q and Z/p, on dict rows with an index of
+    the rows holding each column.  For each column in turn, the first
+    row at or below the current one with an entry there is swapped up,
+    scaled to 1 and cleared from every other row.  Each swap, scale and
+    add is logged, and T is replayed from the log only when it is read:
+    `kernel`, `rank_of_image` and `is_iso` read R and the pivots alone,
+    and `solve` replays the log on its right-hand side.
+    """
     ring = m.ring
     if not ring.is_field:
         raise ValueError(f"rref needs a field, got {ring}")
-    if ring.kind == "Zmod":
-        rows, trans, pivots = _kernel.rref_mod(m.to_rows(), ring.p)
-        if m.target.rank == 0:
-            rows, trans = [], []
-        R = LinearMap.from_rows(m.source, m.target, rows) if rows else LinearMap.zero(m.source, m.target)
-        T = (
-            LinearMap.from_rows(m.target, m.target, trans)
-            if trans
-            else LinearMap.identity(m.target)
-        )
-        return R, T, pivots
-    # dense Fraction path
-    n, mm = m.target.rank, m.source.rank
-    r = m.to_rows()  # entries over Q are already Fractions
-    t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(mm):
-        if row >= n:
+    p, one = ring.p, ring.one
+    n = m.target.rank
+    # rows by id, their first position; `where` maps a column to the ids
+    # of the rows holding it, and a swap only exchanges positions
+    rows = [{} for _ in range(n)]
+    where: dict = {}
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+        where.setdefault(j, set()).add(i)
+    at, pos = list(range(n)), list(range(n))
+    log, pivots = [], []
+    r = 0
+    for col in range(m.source.rank):
+        if r >= n:
             break
-        piv = next((i for i in range(row, n) if r[i][col] != 0), None)
+        piv = min((pos[i] for i in where.get(col, ()) if pos[i] >= r),
+                  default=None)
         if piv is None:
             continue
-        r[row], r[piv] = r[piv], r[row]
-        t[row], t[piv] = t[piv], t[row]
-        # row operations touch only the pivot row's nonzero positions
-        prow, ptrow = r[row], t[row]
-        rnz = [k for k, x in enumerate(prow) if x]
-        tnz = [k for k, x in enumerate(ptrow) if x]
-        c = prow[col]
-        for k in rnz:
-            prow[k] /= c
-        for k in tnz:
-            ptrow[k] /= c
-        for i in range(n):
-            if i != row and r[i][col] != 0:
-                ri, ti = r[i], t[i]
-                c = ri[col]
-                for k in rnz:
-                    ri[k] -= c * prow[k]
-                for k in tnz:
-                    ti[k] -= c * ptrow[k]
+        if piv != r:
+            a, b = at[r], at[piv]
+            at[r], at[piv], pos[a], pos[b] = b, a, piv, r
+            log.append(("swap", r, piv, None))
+        k = at[r]
+        prow = rows[k]
+        u = prow[col]
+        if u != one:
+            c = ring.inv(u)
+            if p is None:
+                prow = {j: v * c for j, v in prow.items()}
+            else:
+                prow = {j: v * c % p for j, v in prow.items()}
+            rows[k] = prow
+            log.append(("scale", r, u, c))
+        for i in list(where[col]):
+            if i == k:
+                continue
+            ri = rows[i]
+            f = ri[col]
+            for j, v in prow.items():
+                if j in ri:
+                    nv = ri[j] - f * v
+                    if p is not None:
+                        nv %= p
+                    if nv:
+                        ri[j] = nv
+                    else:
+                        del ri[j]
+                        where[j].discard(i)
+                else:
+                    ri[j] = -f * v if p is None else -f * v % p
+                    where.setdefault(j, set()).add(i)
+            log.append(("add", pos[i], r, -f))
         pivots.append(col)
-        row += 1
-    R = LinearMap.from_rows(m.source, m.target, r)
-    T = LinearMap.from_rows(m.target, m.target, t)
-    return R, T, pivots
+        r += 1
+    entries = {(i, j): v for i, k in enumerate(at) for j, v in rows[k].items()}
+    return Echelon(LinearMap._canonical(m.source, m.target, entries),
+                   pivots, log)
 
 
 class SmithForm:
@@ -502,10 +548,12 @@ class SmithForm:
     diagonal matrix whose diagonal, `diagonal`, is a divisibility chain.
 
     `diagonal` is computed with the form.  U, V and U^-1 are each built
-    the first time they are read, and kept: over Z from the logged row
-    and column operations of the elimination (`_replay`), over a field
-    from its rref.  `kernel` reads only V, `solve` U and V, `cokernel`
-    U and U^-1, and `is_iso` and `rank_of_image` none of them.
+    the first time they are read, and kept.  Over Z all three are
+    replayed from the logged row and column operations of the
+    elimination (`_replay`).  Over a field from its rref: U is T and U^-1
+    its log replayed in reverse, and V is read off R.  `kernel` reads
+    only V, `solve` U and V, `cokernel` U and U^-1, and `is_iso` and
+    `rank_of_image` none of them.
     """
 
     def __init__(self, diagonal, U, V, Uinv):
@@ -525,19 +573,22 @@ class SmithForm:
         return self._build["Uinv"]()
 
 
-def _replay(log, n: int, inverse: bool = False) -> dict:
-    """Entries of the n x n integer matrix that the row operations in
-    `log` make of the identity: ("add", a, b, c) is row a += c * row b
-    (a != b), ("swap", a, b, _) swaps rows a and b, and ("neg", a, _, _)
-    negates row a.  With `inverse`, the inverse of each operation, in
-    reverse order, which makes the inverse matrix."""
-    rows = {i: {i: 1} for i in range(n)}
+def _replay(log, rows: dict, p=None, inverse: bool = False) -> dict:
+    """Apply the row operations in `log` to `rows`, {i: {j: entry}} with
+    every row present, in place, and return it.  ("add", a, b, c) is
+    row a += c * row b (a != b), ("swap", a, b, _) swaps rows a and b,
+    ("neg", a, _, _) negates row a, and ("scale", a, u, c) is row a *= c
+    for c = 1/u.  Entries are reduced mod p unless p is None.  With
+    `inverse`, the inverse of each operation, in reverse order: on the
+    identity that makes the inverse of the matrix the log makes."""
     for op, a, b, c in (reversed(log) if inverse else log):
         if op == "add":
             c = -c if inverse else c
             ra = rows[a]
             for j, v in rows[b].items():
-                nv = ra.get(j, 0) + c * v
+                nv = ra[j] + c * v if j in ra else c * v
+                if p is not None:
+                    nv %= p
                 if nv:
                     ra[j] = nv
                 elif j in ra:
@@ -545,8 +596,23 @@ def _replay(log, n: int, inverse: bool = False) -> dict:
         elif op == "swap":
             rows[a], rows[b] = rows[b], rows[a]
         else:
-            rows[a] = {j: -v for j, v in rows[a].items()}
-    return {(i, j): v for i, r in rows.items() for j, v in r.items()}
+            f = -1 if op == "neg" else b if inverse else c
+            if p is None:
+                rows[a] = {j: f * v for j, v in rows[a].items()}
+            else:
+                rows[a] = {j: f * v % p for j, v in rows[a].items()}
+    return rows
+
+
+def _replayed(log, module: FreeModule, inverse: bool = False) -> LinearMap:
+    """The map of `module` to itself that the row operations in `log`
+    make of the identity (`_replay`).  Its entries are exact
+    combinations of canonical ones, reduced mod p over Z/p."""
+    ring = module.ring
+    rows = {i: {i: ring.one} for i in range(module.rank)}
+    rows = _replay(log, rows, ring.p, inverse)
+    return LinearMap._canonical(
+        module, module, {(i, j): v for i, r in rows.items() for j, v in r.items()})
 
 
 def _smith_integer(m: LinearMap) -> SmithForm:
@@ -727,18 +793,17 @@ def _smith_integer(m: LinearMap) -> SmithForm:
             raise RuntimeError("integer Smith form: the diagonal is not a "
                                "divisibility chain")
 
-    Rmod, Cmod = m.target, m.source
     return SmithForm(
         tuple(diag),
-        U=lambda: LinearMap(Rmod, Rmod, _replay(row_log, R)),
-        V=lambda: LinearMap(Cmod, Cmod, {
-            (i, j): v for (j, i), v in _replay(col_log, C).items()}),
-        Uinv=lambda: LinearMap(Rmod, Rmod, _replay(row_log, R, inverse=True)))
+        U=lambda: _replayed(row_log, m.target),
+        V=lambda: _replayed(col_log, m.source).transpose(),
+        Uinv=lambda: _replayed(row_log, m.target, inverse=True))
 
 
 def _smith_field(m: LinearMap) -> SmithForm:
     ring = m.ring
-    R1, T, pivots = rref(m)
+    ech = rref(m)
+    R1, pivots = ech.R, ech.pivots
     r = len(pivots)
     C = m.source.rank
 
@@ -760,7 +825,8 @@ def _smith_field(m: LinearMap) -> SmithForm:
         return V
 
     diag = tuple([ring.one] * r) + tuple([ring.zero] * (min(m.target.rank, C) - r))
-    return SmithForm(diag, U=lambda: T, V=build_V, Uinv=T.inverse)
+    return SmithForm(diag, U=lambda: ech.T, V=build_V,
+                     Uinv=lambda: _replayed(ech.log, m.target, inverse=True))
 
 
 def smith_normal_form(m: LinearMap) -> SmithForm:
@@ -905,8 +971,12 @@ def hnf_columns(m: LinearMap) -> LinearMap:
 def kernel(m: LinearMap):
     """Saturated kernel: (K, incl) with incl a basis of {x : m x = 0}.
 
-    Over Z the span is the full kernel sublattice (automatically
-    saturated); the basis is Hermite-reduced for determinism.
+    Over a field the basis is read off the rref: one vector per free
+    column, 1 there and minus that column of R at the pivot columns, so
+    it is the identity on the free columns.  Over Z the span is the full
+    kernel sublattice (automatically saturated), from the Smith form;
+    the basis is Hermite-reduced for determinism.  Either way it is the
+    basis `_coordinates` reads coordinates against (`_pivots`).
 
     >>> M2, M1 = FreeModule(ZZ, 2), FreeModule(ZZ, 1)
     >>> f = LinearMap.from_rows(M2, M1, [[2, 4]])
@@ -916,17 +986,17 @@ def kernel(m: LinearMap):
     """
     ring = m.ring
     if ring.is_field:
-        R1, _, pivots = rref(m)
-        free_cols = [j for j in range(m.source.rank) if j not in pivots]
-        entries = {}
-        pivot_of_col = {c: r for r, c in enumerate(pivots)}
-        for k, j in enumerate(free_cols):
-            entries[(j, k)] = ring.one
-            for c in pivots:
-                v = R1.entries.get((pivot_of_col[c], j))
-                if v is not None:
-                    entries[(c, k)] = ring.neg(v)
-        incl = LinearMap(FreeModule(ring, len(free_cols)), m.source, entries)
+        ech = rref(m)
+        pivots, p = ech.pivots, ring.p
+        is_pivot = set(pivots)
+        free = [j for j in range(m.source.rank) if j not in is_pivot]
+        slot = {j: k for k, j in enumerate(free)}
+        entries = {(j, k): ring.one for j, k in slot.items()}
+        for (i, j), v in ech.R.entries.items():
+            if j in slot:
+                entries[(pivots[i], slot[j])] = -v if p is None else p - v
+        incl = LinearMap._canonical(FreeModule(ring, len(free)),
+                                    m.source, entries)
     else:
         # the columns of V against zero diagonal entries span the kernel
         sf = smith_normal_form(m)
@@ -952,19 +1022,18 @@ def solve(m: LinearMap, b: LinearMap):
             f"{b.ring.name()}, the map {m.target.rank} over {m.ring.name()}")
     ring = m.ring
     if ring.is_field:
-        R1, T, pivots = rref(m)
-        tb = T @ b
-        entries = {}
-        pivot_rows = {c: r for r, c in enumerate(pivots)}
-        for (i, j), v in tb.entries.items():
-            if i >= len(pivots):
-                return None
-        for c, r in pivot_rows.items():
-            for j in range(b.source.rank):
-                v = tb.entries.get((r, j))
-                if v is not None:
-                    entries[(c, j)] = v
-        x = LinearMap(b.source, m.source, entries)
+        # T b, by replaying the elimination on b's rows
+        ech = rref(m)
+        rows = {i: {} for i in range(m.target.rank)}
+        for (i, j), v in b.entries.items():
+            rows[i][j] = v
+        rows = _replay(ech.log, rows, ring.p)
+        r = len(ech.pivots)
+        if any(rows[i] for i in range(r, m.target.rank)):
+            return None
+        entries = {(c, j): v for k, c in enumerate(ech.pivots)
+                   for j, v in rows[k].items()}
+        x = LinearMap._canonical(b.source, m.source, entries)
     else:
         sf = smith_normal_form(m)
         ub = sf.U @ b
@@ -982,6 +1051,76 @@ def solve(m: LinearMap, b: LinearMap):
     if (m @ x).entries != b.entries:
         return None
     return x
+
+
+def _pivots(basis: LinearMap) -> list:
+    """The pivot row of each vector of a basis from `kernel` or
+    `doldkan._image_basis`, as `_coordinates` reads them: its first
+    support row over Z, where the basis is in Hermite form, and its last
+    over a field, where the basis is the identity on those rows."""
+    first = not basis.ring.is_field
+    pivots = [None] * basis.source.rank
+    for i, j in basis.entries:
+        q = pivots[j]
+        if q is None or (i < q if first else i > q):
+            pivots[j] = i
+    return pivots
+
+
+def _coordinates(basis: LinearMap, pivots, x: LinearMap) -> LinearMap:
+    """c with basis . c = x, for a basis and its `_pivots`.
+
+    Over a field that basis is the identity on its pivot rows, so c is
+    the pivot rows of x.  Over Z basis vector t is zero above its pivot
+    row, so row pivots[k] meets only vectors t <= k: each column of x is
+    solved by forward substitution in pivot order over the pivot rows
+    it touches, its own and those meeting a vector it uses.  Raises
+    ValueError when a column of x is not in the span: the pivot rows
+    then cannot account for all of x.
+    """
+    where = {r: k for k, r in enumerate(pivots)}
+    entries = {}
+    if basis.ring.is_field:
+        for (i, j), v in x.entries.items():
+            k = where.get(i)
+            if k is not None:
+                entries[(k, j)] = v
+    else:
+        at = [dict() for _ in pivots]
+        meets = [[] for _ in pivots]
+        for (i, t), v in basis.entries.items():
+            k = where.get(i)
+            if k is not None:
+                at[k][t] = v
+                if k != t:
+                    meets[t].append(k)
+        cols: dict = {}
+        for (i, j), v in x.entries.items():
+            cols.setdefault(j, {})[i] = v
+        for j, col in cols.items():
+            todo = [where[i] for i in col if i in where]
+            seen = set(todo)
+            heapq.heapify(todo)
+            c = {}
+            while todo:
+                k = heapq.heappop(todo)
+                row = at[k]
+                v = col.get(pivots[k], 0)
+                for t, w in row.items():
+                    if t in c:
+                        v -= w * c[t]
+                if v:
+                    c[k] = v // row[k]
+                    for k2 in meets[k]:
+                        if k2 not in seen:
+                            seen.add(k2)
+                            heapq.heappush(todo, k2)
+            for k, v in c.items():
+                entries[(k, j)] = v
+    coords = LinearMap(x.source, basis.source, entries)
+    if compose(basis, coords).entries != x.entries:
+        raise ValueError("column is not in the span of the basis")
+    return coords
 
 
 def same_span(a: LinearMap, b: LinearMap) -> bool:

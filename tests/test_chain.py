@@ -34,8 +34,13 @@ from opdk.chain import (
     unit_complex,
     zero_complex,
 )
-from opdk.exactlin import FreeModule, LinearMap, cokernel, compose, vstack
+from opdk import corpus
+from opdk.doldkan import normalize
+from opdk.exactlin import (FreeModule, LinearMap, cokernel, compose, kernel,
+                           solve, vstack)
 from opdk.rings import QQ, ZZ, Zmod
+
+F5 = Zmod(5)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,6 @@ def test_braiding_squares_to_identity_and_koszul_sign():
 
 def test_kunneth_over_field():
     rng = random.Random(37)
-    F5 = Zmod(5)
     for _ in range(8):
         K = random_complex(rng, F5, 2)
         L = random_complex(rng, F5, 2)
@@ -246,6 +250,63 @@ def test_homology_interval_with_two_vertices():
     h0 = homology(K, 0)
     assert h0.rank == 1 and h0.invariant_factors == ()
     assert homology(K, 1).is_zero()
+
+
+def _solve_route_homology(K, n):
+    """H_n as `homology` built it before it read coordinates: kernel(d_n),
+    then a solve for the boundaries in cycle coordinates, then the
+    cokernel; (kernel_incl, boundaries, presentation)."""
+    _, incl = kernel(K.d(n))
+    X = solve(incl, K.d(n + 1))
+    assert X is not None
+    return incl, X, cokernel(X)
+
+
+def _typed(m):
+    return {k: (v, type(v)) for k, v in m.entries.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ZZ, QQ, F5]), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_homology_matches_the_solve_route(ring, max_degree, max_rank, seed):
+    # the cycle basis, the boundaries in its coordinates, the
+    # presentation's proj and section, the rank and the invariant
+    # factors are those of the solve route, entry for entry; the induced
+    # map of a random chain map lifts as a solve lifts it
+    rng = random.Random(seed)
+    K = corpus.random_complex(rng, ring, max_degree, max_rank=max_rank)
+    L = corpus.random_complex(rng, ring, max_degree, max_rank=max_rank)
+    f = corpus.random_chain_map(rng, K, L)
+    for n in range(max_degree + 1):
+        h = homology(K, n)
+        incl, X, pres = _solve_route_homology(K, n)
+        assert _typed(h.kernel_incl) == _typed(incl)
+        assert _typed(h.boundaries) == _typed(X)
+        assert h.boundaries.source == X.source and h.boundaries.target == X.target
+        assert _typed(h.presentation.proj) == _typed(pres.proj)
+        assert _typed(h.presentation.section) == _typed(pres.section)
+        assert h.rank == pres.presentation.free_rank
+        assert h.invariant_factors == pres.invariant_factors
+        induced, Hs, Ht = homology_map(f, n)
+        lifted = solve(Ht.kernel_incl, compose(f.component(n), Hs.kernel_incl))
+        assert _typed(induced) == _typed(compose(Ht.presentation.proj, lifted))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=["Z", "Q", "F5"])
+def test_homology_of_a_normalized_level_matches_the_solve_route(ring):
+    # N E(3) at degree 2 (ranks 6, 30, 150): the kernel bases are no
+    # longer tiny, and H_0 is the ring with H_1 zero
+    N = normalize(corpus.barratt_eccles_level(ring, 3, 2)).complex
+    for n in range(3):
+        h = homology(N, n)
+        incl, X, pres = _solve_route_homology(N, n)
+        assert _typed(h.kernel_incl) == _typed(incl)
+        assert _typed(h.boundaries) == _typed(X)
+        assert (h.rank, h.invariant_factors) == (
+            pres.presentation.free_rank, pres.invariant_factors)
+    assert [(homology(N, n).rank, homology(N, n).invariant_factors)
+            for n in range(2)] == [(1, ()), (0, ())]
 
 
 def test_homology_map_identity_is_iso():
@@ -582,8 +643,15 @@ def test_chain_input_checks_raise_value_error(case):
 
 
 def test_homology_invariant_raises_runtime_error(monkeypatch):
+    # homology reads the boundaries in cycle coordinates; a coordinate
+    # routine that finds a column outside the span must surface as the
+    # broken invariant, not as the routine's ValueError
     import opdk.chain as chain_module
-    monkeypatch.setattr(chain_module, "solve", lambda a, b: None)
+
+    def refuse(basis, pivots, x):
+        raise ValueError("column is not in the span of the basis")
+
+    monkeypatch.setattr(chain_module, "_coordinates", refuse)
     with pytest.raises(RuntimeError, match="boundaries must lie in the "
                                            "cycle lattice"):
         homology(two_term(ZZ, [[2]]), 0)

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opdk import exactlin
+from opdk import _kernel, exactlin
 from opdk.chain import ChainComplex, ChainMap, pushout_complex
+from opdk.doldkan import _image_basis
 from opdk.exactlin import (
     FreeModule,
     LinearMap,
@@ -186,6 +187,37 @@ def oracle_hnf_columns(m):
         for i, v in c.items():
             entries[(i, j)] = v
     return LinearMap(FreeModule(ring, len(out)), m.target, entries)
+
+
+def oracle_coordinates(basis, pivots, x):
+    """Forward substitution over every pivot row for every column of x,
+    on any ring; ValueError when basis . c misses x."""
+    ring = basis.ring
+    at = [dict() for _ in pivots]
+    where = {r: k for k, r in enumerate(pivots)}
+    for (i, t), v in basis.entries.items():
+        if i in where:
+            at[where[i]][t] = v
+    cols = {}
+    for (i, j), v in x.entries.items():
+        cols.setdefault(j, {})[i] = v
+    entries = {}
+    for j, col in cols.items():
+        c = {}
+        for k, r in enumerate(pivots):
+            row = at[k]
+            v = col.get(r, ring.zero)
+            for t, w in row.items():
+                if t in c:
+                    v = ring.sub(v, ring.mul(w, c[t]))
+            if v != ring.zero:
+                c[k] = ring.mul(v, ring.inv(row[k])) if ring.is_field else v // row[k]
+        for k, v in c.items():
+            entries[(k, j)] = v
+    coords = LinearMap(x.source, basis.source, entries)
+    if compose(basis, coords).entries != x.entries:
+        raise ValueError("column is not in the span of the basis")
+    return coords
 
 
 def zero_seeded_compose(f, g):
@@ -543,6 +575,137 @@ def test_rref_over_Z_raises():
         exactlin.rref(LinearMap.from_rows(M, M, [[2, 1], [4, 3]]))
 
 
+def oracle_rref(m):
+    """rref as it was before the sparse elimination: the dense Fraction
+    row loop over Q and `_kernel.rref_mod` over Z/p, each carrying T
+    along row by row; (R, T, pivots)."""
+    ring = m.ring
+    if ring.kind == "Zmod":
+        rows, trans, pivots = _kernel.rref_mod(m.to_rows(), ring.p)
+        if m.target.rank == 0:
+            rows, trans = [], []
+        R = (LinearMap.from_rows(m.source, m.target, rows) if rows
+             else LinearMap.zero(m.source, m.target))
+        T = (LinearMap.from_rows(m.target, m.target, trans) if trans
+             else LinearMap.identity(m.target))
+        return R, T, pivots
+    n, mm = m.target.rank, m.source.rank
+    r = m.to_rows()
+    t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    pivots = []
+    row = 0
+    for col in range(mm):
+        if row >= n:
+            break
+        piv = next((i for i in range(row, n) if r[i][col] != 0), None)
+        if piv is None:
+            continue
+        r[row], r[piv] = r[piv], r[row]
+        t[row], t[piv] = t[piv], t[row]
+        prow, ptrow = r[row], t[row]
+        rnz = [k for k, x in enumerate(prow) if x]
+        tnz = [k for k, x in enumerate(ptrow) if x]
+        c = prow[col]
+        for k in rnz:
+            prow[k] /= c
+        for k in tnz:
+            ptrow[k] /= c
+        for i in range(n):
+            if i != row and r[i][col] != 0:
+                ri, ti = r[i], t[i]
+                c = ri[col]
+                for k in rnz:
+                    ri[k] -= c * prow[k]
+                for k in tnz:
+                    ti[k] -= c * ptrow[k]
+        pivots.append(col)
+        row += 1
+    R = LinearMap.from_rows(m.source, m.target, r)
+    T = LinearMap.from_rows(m.target, m.target, t)
+    return R, T, pivots
+
+
+def _typed_set(m):
+    return {k: (v, type(v)) for k, v in m.entries.items()}
+
+
+def _field_draw(ring, rows, cols, inner, density, seed):
+    """A random rows x cols map over a field: dense to empty by
+    `density`, or, given `inner`, a product through rank inner, so
+    rank-deficient when inner < min(rows, cols)."""
+    rng = random.Random(seed)
+    bound = min(ring.p - 1, 4) if ring.kind == "Zmod" else 4
+    if inner is None:
+        return random_map(rng, ring, rows, cols, density=density, bound=bound)
+    return compose(random_map(rng, ring, rows, inner, bound=bound),
+                   random_map(rng, ring, inner, cols, bound=bound))
+
+
+FIELD_DRAW = (st.sampled_from(RREF_RINGS), st.integers(0, 7), st.integers(0, 7),
+              st.one_of(st.none(), st.integers(0, 3)), st.floats(0, 1),
+              st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(*FIELD_DRAW)
+@example(QQ, 0, 4, None, 1.0, 0)
+@example(F5, 4, 0, None, 1.0, 0)
+@example(Zmod(2), 0, 0, None, 1.0, 0)
+@example(Zmod(4294967311), 6, 7, 2, 1.0, 3)
+@example(QQ, 7, 7, None, 0.0, 1)
+def test_rref_matches_the_dense_oracle(ring, rows, cols, inner, density, seed):
+    # R, T and the pivots are the dense loop's, entry for entry and of
+    # the same value types, and T, replayed from the log, is built once
+    m = _field_draw(ring, rows, cols, inner, density, seed)
+    R0, T0, pivots0 = oracle_rref(m)
+    ech = exactlin.rref(m)
+    R, T, pivots = ech
+    assert pivots == pivots0
+    assert _typed_set(R) == _typed_set(R0)
+    assert _typed_set(T) == _typed_set(T0)
+    assert (R.source, R.target, T.source, T.target) == (
+        R0.source, R0.target, T0.source, T0.target)
+    assert ech.T is T
+
+
+@settings(max_examples=120, deadline=None)
+@given(*FIELD_DRAW)
+@example(QQ, 0, 3, None, 1.0, 0)
+@example(F5, 3, 0, None, 1.0, 0)
+@example(Zmod(2), 6, 5, 1, 1.0, 2)
+def test_field_smith_transforms_match_the_dense_oracle(ring, rows, cols,
+                                                       inner, density, seed):
+    # U is the old T and U^-1 the old T.inverse(), which checks itself
+    # on both sides; U^-1 now comes from the log replayed in reverse
+    m = _field_draw(ring, rows, cols, inner, density, seed)
+    _, T0, _ = oracle_rref(m)
+    sf = smith_normal_form(m)
+    assert _typed_set(sf.U) == _typed_set(T0)
+    assert _typed_set(sf.Uinv) == _typed_set(T0.inverse())
+
+
+def test_field_kernel_rank_and_iso_build_no_transform(monkeypatch):
+    # kernel, rank_of_image and is_iso read R and the pivots alone, and
+    # solve replays the log on its right-hand side: none builds T
+    built = []
+    replayed = exactlin._replayed
+
+    def counting(*args, **kw):
+        built.append(args)
+        return replayed(*args, **kw)
+
+    monkeypatch.setattr(exactlin, "_replayed", counting)
+    for ring in RREF_RINGS:
+        rng = random.Random(5)
+        m = random_map(rng, ring, 5, 5, bound=min(4, (ring.p or 5) - 1))
+        kernel(m)
+        m.rank_of_image()
+        m.is_iso()
+        solve(m, compose(m, random_map(rng, ring, 5, 2)))
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # smith normal form
 # ---------------------------------------------------------------------------
@@ -707,6 +870,23 @@ def test_kernel_saturation_random(seed):
         src = FreeModule(ZZ, 1)
         target_vec = LinearMap(src, m.source, {(i, 0): v for i, v in vec.items()})
         assert solve(incl, target_vec) is not None
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=["Z", "Q", "F5"])
+def test_coordinates_refuse_a_column_outside_the_span(ring):
+    # over Z the basis vector (2, 1) spans a lattice that misses (1, 0),
+    # whose substitution even divides inexactly; over a field the
+    # reduced basis (3, 1) misses (0, 1) and (1, 0)
+    M, L = FreeModule(ring, 2), FreeModule(ring, 1)
+    col = [[2], [1]] if ring == ZZ else [[3], [1]]
+    basis, pivots = _image_basis(LinearMap.from_rows(L, M, col))
+    assert basis.entries == LinearMap.from_rows(L, M, col).entries
+    assert pivots == exactlin._pivots(basis)
+    for x in ([[1], [0]], [[0], [1]], [[1], [1]]):
+        x = LinearMap.from_rows(L, M, x)
+        for route in (exactlin._coordinates, oracle_coordinates):
+            with pytest.raises(ValueError, match="not in the span"):
+                route(basis, pivots, x)
 
 
 # ---------------------------------------------------------------------------
