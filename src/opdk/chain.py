@@ -9,7 +9,7 @@ Sign convention for tensors: d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from math import prod
 from operator import mul
 from typing import Optional, Sequence
@@ -19,16 +19,25 @@ from .exactlin import (
     FreeModule,
     LinearMap,
     _coordinates,
+    _matrix_in_slot,
     _pivots,
     cokernel,
     compose,
     hstack,
     kernel,
-    matrix_from_json,
     matrix_to_json,
     solve,
 )
 from .rings import Ring
+
+__all__ = ["ChainComplex", "ChainMap", "zero_complex", "unit_complex",
+           "concentrated", "two_term", "direct_sum", "pad", "tensor_blocks",
+           "tensor", "tensor_map", "tensor_many", "tensor_map_many",
+           "braiding", "associator", "left_unitor", "right_unitor",
+           "HomologyResult", "homology", "homology_map", "is_quasi_iso",
+           "ChainColimit", "diagram_colimit", "ChainPushout",
+           "pushout_complex", "pushout_product", "chain_to_json",
+           "chain_from_json"]
 
 
 class ChainComplex:
@@ -868,45 +877,6 @@ def pushout_product(f: ChainMap, g: ChainMap, bound: Optional[int] = None) -> Ch
     return po.mediating(u, v)
 
 
-def iterated_pushout_product(f: ChainMap, n: int, bound: Optional[int] = None) -> ChainMap:
-    """f^{square n}, left-associated."""
-    if n < 1:
-        raise ValueError(f"pushout-product power {n} is not positive")
-    out = f
-    for _ in range(n - 1):
-        out = pushout_product(out, f, bound)
-    return out
-
-
-def punctured_cube_colimit(f: ChainMap, n: int) -> ChainColimit:
-    """Colimit over proper subsets S of {1..n} of the tensor with f's
-    target in slots S and f's source elsewhere."""
-    if n < 1:
-        raise ValueError(f"punctured cube of dimension {n} is not positive")
-    X, A = f.source, f.target
-    subsets = []
-    for size in range(n):
-        for c in combinations(range(n), size):
-            subsets.append(frozenset(c))
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
-    index = {s: i for i, s in enumerate(subsets)}
-    verts = [tensor_many([A if i in S else X for i in range(n)]) for S in subsets]
-    edges = []
-    for S in subsets:
-        for i in range(n):
-            if i in S:
-                continue
-            T = S | {i}
-            if T not in index:
-                continue
-            emap = tensor_map_many([
-                (ChainMap.identity(A) if k in S else
-                 (f if k == i else ChainMap.identity(X)))
-                for k in range(n)])
-            edges.append((index[S], index[T], emap))
-    return diagram_colimit(verts, edges)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -929,8 +899,9 @@ def chain_from_json(data: dict) -> ChainComplex:
     if count >= max(len(levels), 1):
         raise ValueError(f"{count} differentials need {count + 1} levels, "
                          f"got {len(levels)}")
-    diffs = []
-    for n, dj in enumerate(data["differentials"], start=1):
-        m = matrix_from_json(dj)
-        diffs.append(LinearMap(levels[n], levels[n - 1], m.entries))
+    if data.get("max_degree") != len(levels) - 1:
+        raise ValueError(f"max_degree {data.get('max_degree')!r} does not "
+                         f"match {len(levels)} levels")
+    diffs = [_matrix_in_slot(dj, levels[n], levels[n - 1])
+             for n, dj in enumerate(data["differentials"], start=1)]
     return ChainComplex(ring, levels, diffs)

@@ -22,6 +22,16 @@ from .exactlin import FreeModule, LinearMap, compose, kernel
 from .rings import Ring
 from .simp import SimplicialMap, SimplicialModule
 
+__all__ = ["CORPUS_VERSION", "random_matrix", "random_complex",
+           "random_chain_map", "random_unimodular", "conjugate",
+           "SimplicialInstance", "random_instance", "random_simplicial_module",
+           "random_simplicial_map", "barratt_eccles_level", "category_operad",
+           "acyclic_disk", "loop_disk", "trivial_operad", "indiscrete_operad",
+           "disconnected_operad", "scaled_pair_operad", "point_inclusion",
+           "nilpotent_two_color_operad", "random_collection",
+           "binary_generator", "split_binary_inclusion",
+           "two_color_binary_inclusion"]
+
 CORPUS_VERSION = "corpus-1"
 
 

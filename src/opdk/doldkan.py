@@ -54,6 +54,10 @@ from .simp import (
 )
 from .simp import tensor as tensor_simplicial
 
+__all__ = ["Normalization", "normalize", "normalize_map", "gamma_summands",
+           "gamma", "gamma_map", "counit", "aw", "shuffle", "gamma_oplax",
+           "normalize_operad_data", "normalize_operad"]
+
 
 # ---------------------------------------------------------------------------
 # normalization

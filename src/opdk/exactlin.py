@@ -34,6 +34,12 @@ from functools import cached_property
 
 from .rings import Ring, ZZ, ring_from_name
 
+__all__ = ["FreeModule", "LinearMap", "compose", "hstack", "vstack", "Echelon",
+           "rref", "SmithForm", "smith_normal_form", "hnf_columns", "kernel",
+           "solve", "ModulePresentation", "CokernelPresentation",
+           "signed_quotient", "cokernel", "matrix_to_json", "matrix_from_json"]
+
+
 class FreeModule:
     """The free module ring^rank.  Its basis is 0..rank-1: a module is
     its ring and its rank, and two modules with the same ones are equal.
@@ -1123,17 +1129,6 @@ def _coordinates(basis: LinearMap, pivots, x: LinearMap) -> LinearMap:
     return coords
 
 
-def same_span(a: LinearMap, b: LinearMap) -> bool:
-    """Whether the column spans (sublattices over Z) coincide."""
-    if a.target != b.target:
-        raise ValueError(
-            f"same_span: targets of rank {a.target.rank} over {a.ring.name()} "
-            f"and {b.target.rank} over {b.ring.name()}")
-    ha = hnf_columns(a)
-    hb = hnf_columns(LinearMap(b.source, a.target, b.entries))
-    return ha.entries == hb.entries and ha.source.rank == hb.source.rank
-
-
 # ---------------------------------------------------------------------------
 # cokernels
 # ---------------------------------------------------------------------------
@@ -1220,11 +1215,6 @@ class CokernelPresentation:
             if v != self.ring.zero:
                 entries[(i, j)] = v
         return LinearMap(f.source, f.target, entries)
-
-    def classes_equal(self, f: LinearMap, g: LinearMap) -> bool:
-        """Whether two maps into the generator coordinates agree as maps
-        into the quotient."""
-        return self.reduce_map(f).entries == self.reduce_map(g).entries
 
     def is_free(self) -> bool:
         return not self.invariant_factors
@@ -1407,15 +1397,33 @@ def matrix_to_json(m: LinearMap) -> dict:
 
 
 def matrix_from_json(data: dict) -> LinearMap:
-    """Inverse of matrix_to_json; ValueError for a malformed entry or
-    a position listed twice."""
+    """Inverse of matrix_to_json; ValueError for a missing key, an entry
+    that is not [int, int, str], a malformed entry or a position listed
+    twice."""
+    for key in ("ring", "rows", "cols", "entries"):
+        if key not in data:
+            raise ValueError(f"a matrix document needs the key {key!r}")
     ring = ring_from_name(data["ring"])
     src = FreeModule(ring, data["cols"])
     tgt = FreeModule(ring, data["rows"])
     entries = {}
     for i, j, s in data["entries"]:
-        key = (int(i), int(j))
-        if key in entries:
-            raise ValueError(f"entry ({key[0]},{key[1]}) is listed twice")
-        entries[key] = ring.from_str(s)
+        if type(i) is not int or type(j) is not int or type(s) is not str:
+            raise ValueError(f"entry {[i, j, s]!r} is not [int, int, str]")
+        if (i, j) in entries:
+            raise ValueError(f"entry ({i},{j}) is listed twice")
+        entries[(i, j)] = ring.from_str(s)
     return LinearMap(src, tgt, entries)
+
+
+def _matrix_in_slot(data: dict, source: FreeModule,
+                    target: FreeModule) -> LinearMap:
+    """matrix_from_json(data), which must map source to target (the same
+    ring and ranks), or ValueError: a loader never re-reads a matrix's
+    entries in its slot's modules."""
+    m = matrix_from_json(data)
+    if m.source != source or m.target != target:
+        raise ValueError(
+            f"a {m.target.rank}x{m.source.rank} matrix over {m.ring.name()} "
+            f"in a {target.rank}x{source.rank} slot over {target.ring.name()}")
+    return m

@@ -35,10 +35,19 @@ from . import simp as _simp
 from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
 from . import exactlin
 from .exactlin import (CokernelPresentation, FreeModule, LinearMap, cokernel,
-                       compose, hstack, matrix_from_json, matrix_to_json,
-                       signed_quotient)
+                       compose, hstack, matrix_to_json, signed_quotient,
+                       _matrix_in_slot)
 from .rings import Ring, ZZ, ring_from_name
 from .doldkan import normalize, normalize_map
+
+__all__ = ["sig_arity", "sig_act", "graft_signature", "enumerate_signatures",
+           "sig_str", "perm_block_insert", "perm_inner_insert", "word_graft",
+           "word_act", "Collection", "collection_check", "identity_collection",
+           "Operad", "operad_check", "OpMorphism", "associative_operad",
+           "CompositeTerm", "CompositeResult", "composite_product",
+           "restrict_colors", "HoCategory", "homotopy_category", "DKVerdict",
+           "dk_equivalence", "integrated_normalize", "operad_to_json",
+           "operad_from_json"]
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +57,6 @@ from .doldkan import normalize, normalize_map
 # A signature is ((c_1, .., c_n), c): input colors in order, then the
 # output color.  The right action permutes inputs, (sig . s)_j =
 # c_{s(j)}, so acting by s and then t is acting by s o t.
-
-
-def signature(inputs, output):
-    return (tuple(inputs), output)
 
 
 def sig_arity(sig) -> int:
@@ -1639,10 +1644,8 @@ def _map_to_json(f) -> list:
 
 
 def _map_from_json(ops, A, B, data) -> object:
-    raw = [matrix_from_json(d) for d in data]
-    comps = [LinearMap(A.level(n), B.level(n), raw[n].entries)
-             for n in range(len(raw))]
-    return ops.make_map(A, B, comps)
+    return ops.make_map(A, B, [_matrix_in_slot(d, A.level(n), B.level(n))
+                               for n, d in enumerate(data)])
 
 
 def _obj_to_json(base, obj) -> dict:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from itertools import permutations as _itperms
 
+__all__ = ["identity", "compose", "inverse", "sign", "transposition",
+           "transpositions", "all_permutations"]
+
 
 def identity(n: int) -> tuple:
     return tuple(range(n))

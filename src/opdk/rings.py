@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+__all__ = ["Ring", "ZZ", "QQ", "Zmod", "ring_from_name"]
+
 
 # Strong-probable-prime tests to the thirteen prime bases 2..41 decide
 # primality exactly below _MR_BOUND, the least strong pseudoprime to all
@@ -79,16 +81,27 @@ class Ring:
     def normalize(self, x):
         """Canonical representative of x (reduces mod p, keeps Fractions).
 
+        Over Z and Z/p, x must be an int or a Fraction with denominator 1;
+        anything else raises ValueError, never a truncated number.
+
         >>> Zmod(5).normalize(-3)
         2
         >>> QQ.normalize(2)
         Fraction(2, 1)
+        >>> ZZ.normalize(Fraction(1, 2))
+        Traceback (most recent call last):
+            ...
+        ValueError: Fraction(1, 2) is not an integer, so not an element of Z
         """
-        if self.kind == "Z":
-            return int(x)
         if self.kind == "Q":
             return x if type(x) is Fraction else Fraction(x)
-        return int(x) % self.p
+        if type(x) is not int:
+            if not (isinstance(x, int) or
+                    (isinstance(x, Fraction) and x.denominator == 1)):
+                raise ValueError(f"{x!r} is not an integer, so not an "
+                                 f"element of {self.name()}")
+            x = int(x)
+        return x if self.p is None else x % self.p
 
     def add(self, x, y):
         return self.normalize(x + y)

@@ -11,7 +11,7 @@ factor into faces and degeneracies, and induce operators contravariantly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .chain import (ChainComplex, _bracketed_layout, _coherence,
                     _pair_map_components)
@@ -19,11 +19,18 @@ from .exactlin import (
     FreeModule,
     LinearMap,
     _kron_entries,
+    _matrix_in_slot,
     compose,
-    matrix_from_json,
     matrix_to_json,
 )
 from .rings import Ring
+
+__all__ = ["delta", "sigma", "compose_monotone", "is_monotone",
+           "monotone_surjections", "surjection_from_word", "SimplicialModule",
+           "SimplicialMap", "validate", "simplicial_operator",
+           "from_simplicial_set", "standard_simplex", "constant_module",
+           "tensor", "tensor_map", "direct_sum", "swap_map", "moore_complex",
+           "simp_to_json", "simp_from_json"]
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +177,6 @@ class SimplicialModule:
 
     def __repr__(self):
         return f"SimplicialModule({self.ring.name()}, ranks={self.ranks()})"
-
-    def replace_face(self, n: int, i: int, new: LinearMap) -> "SimplicialModule":
-        """Copy with one face matrix swapped out (for negative controls)."""
-        faces = [list(fs) for fs in self.faces]
-        faces[n - 1][i] = new
-        return SimplicialModule(self.ring, self.levels, faces, self.degeneracies)
-
-    def replace_degeneracy(self, n: int, i: int, new: LinearMap) -> "SimplicialModule":
-        """Copy with one degeneracy matrix swapped out (for negative controls)."""
-        degeneracies = [list(ss) for ss in self.degeneracies]
-        degeneracies[n][i] = new
-        return SimplicialModule(self.ring, self.levels, self.faces, degeneracies)
 
 
 class SimplicialMap:
@@ -577,12 +572,11 @@ def simp_from_json(data: dict) -> SimplicialModule:
         if count >= max(len(levels), 1):
             raise ValueError(f"{count} lists of {what} need {count + 1} "
                              f"levels, got {len(levels)}")
-    faces = []
-    for n, fs in enumerate(data["faces"], start=1):
-        faces.append([LinearMap(levels[n], levels[n - 1], matrix_from_json(m).entries)
-                      for m in fs])
-    degeneracies = []
-    for n, ss in enumerate(data["degeneracies"]):
-        degeneracies.append([LinearMap(levels[n], levels[n + 1],
-                                       matrix_from_json(m).entries) for m in ss])
+    if data.get("max_degree") != len(levels) - 1:
+        raise ValueError(f"max_degree {data.get('max_degree')!r} does not "
+                         f"match {len(levels)} levels")
+    faces = [[_matrix_in_slot(m, levels[n], levels[n - 1]) for m in fs]
+             for n, fs in enumerate(data["faces"], start=1)]
+    degeneracies = [[_matrix_in_slot(m, levels[n], levels[n + 1]) for m in ss]
+                    for n, ss in enumerate(data["degeneracies"])]
     return SimplicialModule(ring, levels, faces, degeneracies)

@@ -34,16 +34,14 @@ vertex drive four computations:
   exact cokernel otherwise; and `_descend` pushes relabelings and
   evaluations down block by block, raising ValueError on one that does
   not descend;
-* the cell maps of a free extension of operads: the map attached to a
-  tree is an iterated pushout product of the collection map at marked
-  vertices and the operad unit elsewhere, and the stages are assembled
-  with degreewise pushouts of complexes, gluing each class along the
-  choice blocks of its canonical tree alone.  The cokernel collection
-  of the attaching map takes its levels from the cokernel
-  presentations through `operad._quotient_object`, the descent step of
-  that layer.  When the cell maps send basis elements to +-basis
-  elements, the pushout relations form a signed graph, and
-  `exactlin.cokernel` takes the same union-find;
+* the stages of a free extension of operads, assembled with degreewise
+  pushouts of complexes, gluing each class along the choice blocks of
+  its canonical tree alone.  The cokernel collection of the attaching
+  map takes its levels from the cokernel presentations through
+  `operad._quotient_object`, the descent step of that layer.  When the
+  cell maps send basis elements to +-basis elements, the pushout
+  relations form a signed graph, and `exactlin.cokernel` takes the
+  same union-find;
 * the evaluation of decorated trees in an operad, on whole per-degree
   entry lists: `_contract` composes along the unmarked edges and
   `_act_by_labelings` acts by each labeling.  The attaching maps of the
@@ -64,17 +62,23 @@ from bisect import bisect_right
 from typing import Callable, Optional
 
 from .rings import Ring
-from .exactlin import (LinearMap, cokernel, compose, hstack, solve,
+from .exactlin import (LinearMap, cokernel, compose, hstack,
                        _product_entries)
 from . import chain as _chain
-from .chain import (ChainComplex, ChainMap, concentrated, pad,
-                    _bracketed_layout, _coherence, _expand, _flat, _layout,
-                    _tensor_entries)
+from .chain import (ChainComplex, ChainMap, concentrated, pad, _expand,
+                    _flat, _layout, _tensor_entries)
 from . import permutations
 from .operad import (Collection, Operad, graft_signature, sig_act, sig_arity,
                      sig_str, word_act, word_graft, _assemble, _coinvariants,
                      _descend, _ops_for, _placed, _quotient_object,
                      _tensor_many)
+
+__all__ = ["Tree", "canonical", "aut_order", "TreeIsoClass",
+           "enumerate_planar", "enumerate_trees", "graft", "tree_to_json",
+           "tree_from_json", "leaf_labelings", "FreeLevel", "free_operad",
+           "FreeOperad", "CollectionMap", "generator_inclusion",
+           "extend_to_operad", "ExtensionStages", "cokernel_collection",
+           "extension_stage"]
 
 
 _COLOR = re.compile(r"[A-Za-z0-9_.+-]+\Z")
@@ -239,10 +243,6 @@ def canonical(T: Tree) -> Tree:
     return Tree.node(T.output, kids, T.marked)
 
 
-def is_isomorphic(S: Tree, T: Tree) -> bool:
-    return S.encoding() == T.encoding()
-
-
 def aut_order(T: Tree) -> int:
     """Order of the automorphism group of the underlying non-planar tree.
 
@@ -265,39 +265,6 @@ def aut_order(T: Tree) -> int:
     return out
 
 
-def planar_orbit(T: Tree):
-    """All planar trees isomorphic to T, canonical representative first.
-
-    Breadth-first over single adjacent sibling swaps.  No block is
-    built over it: it enumerates the planar trees that the tests carry
-    to the canonical one.
-    """
-    start = canonical(T)
-    seen = {start.key(): start}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        new = []
-        for p in frontier:
-            for path in p.vertex_paths():
-                v = p.subtree_at(path)
-                for t in range(len(v.children) - 1):
-                    q = _swap_children(p, path, t)
-                    if q.key() not in seen:
-                        seen[q.key()] = q
-                        order.append(q)
-                        new.append(q)
-        frontier = new
-    return order
-
-
-def _swap_children(T: Tree, path, t: int) -> Tree:
-    v = T.subtree_at(path)
-    kids = list(v.children)
-    kids[t], kids[t + 1] = kids[t + 1], kids[t]
-    return T.replace_at(path, Tree.node(v.output, kids, v.marked))
-
-
 class TreeIsoClass:
     """Canonical representative plus its automorphism data.
 
@@ -312,12 +279,6 @@ class TreeIsoClass:
     def __init__(self, rep: Tree):
         self.rep = canonical(rep)
         self.aut_order = aut_order(self.rep)
-
-    @property
-    def orbit_size(self) -> int:
-        return math.prod(math.factorial(len(vsig[0]))
-                         for vsig, _ in self.rep.vertex_preorder()) \
-            // self.aut_order
 
     @property
     def encoding(self) -> str:
@@ -470,33 +431,8 @@ def _classes_within(sig, marked: int, max_vertices: int, *valencies, **kw):
 
 
 # ---------------------------------------------------------------------------
-# grafting and decomposition
+# grafting
 # ---------------------------------------------------------------------------
-
-
-def root_decomposition(T: Tree):
-    """The root corolla and the subtrees grafted onto its inputs."""
-    if T.is_edge:
-        raise ValueError("the edge tree has no root vertex")
-    corolla = Tree.node(T.output,
-                        tuple(Tree.edge(ch.output) for ch in T.children),
-                        T.marked)
-    return corolla, T.children
-
-
-def graft_root(corolla: Tree, subtrees) -> Tree:
-    """Graft subtrees onto the inputs of a corolla, one per input."""
-    if corolla.is_edge:
-        raise ValueError("the edge tree has no root vertex to graft onto")
-    if len(subtrees) != len(corolla.children):
-        raise ValueError(f"{len(subtrees)} subtrees for a corolla with "
-                         f"{len(corolla.children)} inputs")
-    for slot, sub in zip(corolla.children, subtrees):
-        if not slot.is_edge:
-            raise ValueError("graft_root needs a corolla")
-        if slot.output != sub.root_color:
-            raise ValueError("grafted root color does not match the slot")
-    return Tree.node(corolla.output, subtrees, corolla.marked)
 
 
 def graft(T1: Tree, leaf_index: int, T2: Tree) -> Tree:
@@ -516,32 +452,6 @@ def graft(T1: Tree, leaf_index: int, T2: Tree) -> Tree:
             return Tree.node(T1.output, kids, T1.marked)
         offset += w
     raise IndexError(f"no leaf at position {leaf_index}")
-
-
-def edge_decompositions(T: Tree):
-    """(T1, leaf_index, T2) per internal edge; grafting T2 back onto the
-    leaf of T1 restores T exactly.  The edge color is kept on both sides."""
-    out = []
-    for path in T.vertex_paths():
-        if not path:
-            continue
-        sub = T.subtree_at(path)
-        stub = T.replace_at(path, Tree.edge(sub.root_color))
-        parent = T.subtree_at(path[:-1])
-        leaf_index = _leaf_offset(T, path)
-        if parent.children[path[-1]] is not sub:
-            raise RuntimeError("vertex path does not lead to its subtree")
-        out.append((stub, leaf_index, sub))
-    return out
-
-
-def _leaf_offset(T: Tree, path) -> int:
-    """Leaves strictly to the left of the subtree at path."""
-    if not path:
-        return 0
-    j = path[0]
-    off = sum(len(ch.leaves()) for ch in T.children[:j])
-    return off + _leaf_offset(T.children[j], path[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +522,7 @@ def leaf_labelings(leaf_colors, inputs):
 # tuple with nonzero rank, so index tuple idx sits at flat position
 # start + sum idx[j] * strides[j] (`chain._flat`).  `chain._layout`
 # folds the binary combinator `chain._tensor_layout` over a factor list
-# (left-associated, as `operad._tensor_many` builds the objects), and
-# `chain._bracketed_layout` applies it along a cell's bracketing.  A
+# (left-associated, as `operad._tensor_many` builds the objects).  A
 # block keeps the layout of its canonical tree, a planar tree carried
 # to it lays out its own on first use, and stage rewrites build theirs
 # per factor list; no position list or index dict is stored.  Every map
@@ -1242,117 +1151,6 @@ def extend_to_operad(F: FreeOperad, target: Operad,
         level_maps[sig] = _placed_map(ops, fl.object, tgt, pieces)
     colors = {c: c for c in M.colors}
     return OpMorphism(P, target, colors, level_maps)
-
-
-# ---------------------------------------------------------------------------
-# cell maps
-# ---------------------------------------------------------------------------
-
-
-class EpsilonCell:
-    """An iterated pushout product together with its factor bookkeeping.
-
-    atoms are the vertex maps in preorder; build records the bracketing
-    of the codomain, a tree of atom indices as `chain._bracketed_layout`
-    reads it (() for no atom), so cells assembled along different
-    decompositions can be compared through an explicit reordering
-    isomorphism.
-    """
-
-    __slots__ = ("map", "atoms", "vertices", "build")
-
-    def __init__(self, map: ChainMap, atoms, vertices, build):
-        self.map = map
-        self.atoms = atoms
-        self.vertices = vertices
-        self.build = build
-
-
-def _vertex_cell(f: CollectionMap, O: Operad, vsig, marked: bool) -> ChainMap:
-    ops = O.ops
-    if marked:
-        return f.component(vsig)
-    if sig_arity(vsig) == 1 and vsig[0][0] == vsig[1]:
-        return O.unit(vsig[1])
-    return ops.zero_map(ops.zero_obj(), O.collection.level(vsig))
-
-
-def epsilon(T: Tree, f: CollectionMap, O: Operad) -> EpsilonCell:
-    """The cell map of a tree: the pushout product, over vertices in
-    preorder, of f at marked vertices and the unit of O elsewhere.
-
-    The edge tree has no vertices; its cell is zero into the unit."""
-    ops = O.ops
-    bound = ops.max_degree
-    verts = T.vertex_preorder()
-    atoms = [_vertex_cell(f, O, vsig, m) for vsig, m in verts]
-    if not atoms:
-        return EpsilonCell(ops.zero_map(ops.zero_obj(), ops.unit_obj()),
-                           [], [], ())
-    cur = atoms[0]
-    build = 0
-    for k in range(1, len(atoms)):
-        cur = _chain.pushout_product(cur, atoms[k], bound=bound)
-        build = (build, k)
-    return EpsilonCell(cur, atoms, verts, build)
-
-
-def cell_pushout_product(a: EpsilonCell, b: EpsilonCell,
-                         bound: int) -> EpsilonCell:
-    m = _chain.pushout_product(a.map, b.map, bound=bound)
-    shift = len(a.atoms)
-    return EpsilonCell(m, a.atoms + b.atoms, a.vertices + b.vertices,
-                       (a.build, _relabel(b.build, lambda j: j + shift)))
-
-
-def _relabel(build, rename):
-    """A cell's bracketing with atom j renamed rename(j)."""
-    if isinstance(build, int):
-        return rename(build)
-    return tuple(_relabel(t, rename) for t in build)
-
-
-def cell_comparison_iso(cellA: EpsilonCell, cellB: EpsilonCell,
-                        atom_perm, ops) -> ChainMap:
-    """The codomain isomorphism matching atom j of A with atom
-    atom_perm[j] of B, with the graded reordering sign: the reordering
-    (`chain._coherence`) from A's bracketing to B's, each atom of B
-    named by its match in A."""
-    match = {b: a for a, b in enumerate(atom_perm)}
-    codA, codB = cellA.map.target, cellB.map.target
-    atoms = [a.target for a in cellA.atoms]
-    return ops.make_map(codA, codB, _coherence(
-        ops.base,
-        lambda t: _bracketed_layout(ops.base, atoms, t, codA.max_degree),
-        cellA.build, _relabel(cellB.build, match.__getitem__), codA, codB))
-
-
-def cells_agree(cellA: EpsilonCell, cellB: EpsilonCell, atom_perm,
-                ops) -> bool:
-    """Whether two cells agree through the atom-matching isomorphism.
-
-    The domain comparison is the corestriction of the codomain one, so
-    both maps must be degreewise split injections for the test to make
-    sense; it is exact, no homology is taken."""
-    phi = cell_comparison_iso(cellA, cellB, atom_perm, ops)
-    bound = ops.max_degree
-    psis = []
-    for n in range(bound + 1):
-        rhs = phi.component(n) @ cellA.map.component(n)
-        psi = solve(cellB.map.component(n), rhs)
-        if psi is None:
-            return False
-        back = solve(cellA.map.component(n),
-                     phi.component(n).transpose() @ cellB.map.component(n))
-        if back is None:
-            return False
-        psis.append(psi)
-    dom = cellA.map.source
-    domB = cellB.map.source
-    for n in range(1, bound + 1):
-        if not (psis[n - 1] @ dom.d(n)) == (domB.d(n) @ psis[n]):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdk.chain import (
+    ChainColimit,
     ChainComplex,
     ChainMap,
     associator,
@@ -19,15 +21,14 @@ from opdk.chain import (
     homology,
     homology_map,
     is_quasi_iso,
-    iterated_pushout_product,
     left_unitor,
     pad,
-    punctured_cube_colimit,
     pushout_complex,
     pushout_product,
     right_unitor,
     tensor,
     tensor_blocks,
+    tensor_many,
     tensor_map,
     tensor_map_many,
     two_term,
@@ -37,7 +38,7 @@ from opdk.chain import (
 from opdk import corpus
 from opdk.doldkan import normalize
 from opdk.exactlin import (FreeModule, LinearMap, cokernel, compose, kernel,
-                           solve, vstack)
+                           matrix_to_json, solve, vstack)
 from opdk.rings import QQ, ZZ, Zmod
 
 F5 = Zmod(5)
@@ -428,6 +429,51 @@ def test_pushout_product_identity_absorbs():
     assert sq.source.total_rank() == gt.source.total_rank()
 
 
+# -- pushout-product powers and punctured cubes --------------------------------
+#
+# Only these tests build the n-fold pushout product of one map and the
+# punctured-cube colimit that is its domain.
+
+
+def iterated_pushout_product(f: ChainMap, n: int, bound=None) -> ChainMap:
+    """f^{square n}, left-associated."""
+    if n < 1:
+        raise ValueError(f"pushout-product power {n} is not positive")
+    out = f
+    for _ in range(n - 1):
+        out = pushout_product(out, f, bound)
+    return out
+
+
+def punctured_cube_colimit(f: ChainMap, n: int) -> ChainColimit:
+    """Colimit over proper subsets S of {1..n} of the tensor with f's
+    target in slots S and f's source elsewhere."""
+    if n < 1:
+        raise ValueError(f"punctured cube of dimension {n} is not positive")
+    X, A = f.source, f.target
+    subsets = []
+    for size in range(n):
+        for c in combinations(range(n), size):
+            subsets.append(frozenset(c))
+    subsets.sort(key=lambda s: (len(s), sorted(s)))
+    index = {s: i for i, s in enumerate(subsets)}
+    verts = [tensor_many([A if i in S else X for i in range(n)]) for S in subsets]
+    edges = []
+    for S in subsets:
+        for i in range(n):
+            if i in S:
+                continue
+            T = S | {i}
+            if T not in index:
+                continue
+            emap = tensor_map_many([
+                (ChainMap.identity(A) if k in S else
+                 (f if k == i else ChainMap.identity(X)))
+                for k in range(n)])
+            edges.append((index[S], index[T], emap))
+    return diagram_colimit(verts, edges)
+
+
 def test_iterated_pushout_product_of_point_inclusion():
     # f: 0 -> Z[0]; f^{square n} has domain 0 and codomain Z in degree 0
     M = concentrated(ZZ, 0, 1)
@@ -459,7 +505,6 @@ def test_punctured_cube_mapping_cylinder_instance():
                   LinearMap.zero(pad(X, 1).level(1), Y.level(1))])
     Q = punctured_cube_colimit(f, 2)
     # oracle: direct diagram colimit over the three proper subsets
-    from opdk.chain import tensor_many, tensor_map_many, ChainMap as CM
     XX = tensor(pad(X, 1), pad(X, 1))
     AX = tensor(Y, pad(X, 1))
     XA = tensor(pad(X, 1), Y)
@@ -547,6 +592,39 @@ def test_json_refuses_a_level_rank_that_is_not_a_rank(levels):
             "differentials": [d] * (len(levels) - 1)}
     with pytest.raises(ValueError, match="rank must be an int >= 0"):
         chain_from_json(data)
+
+
+def _bad_chain_document(case):
+    """chain_to_json of a rank-2 complex over Z, with one field broken."""
+    data = chain_to_json(two_term(ZZ, [[1, 0], [0, 1]]))
+    if case == "ring":
+        data["differentials"][0] = matrix_to_json(
+            LinearMap.from_rows(FreeModule(QQ, 2), FreeModule(QQ, 2),
+                                [[Fraction(1, 2), 0], [0, 1]]))
+    elif case == "shape":
+        data["differentials"][0] = matrix_to_json(
+            LinearMap.identity(FreeModule(ZZ, 1)))
+    elif case == "max_degree":
+        data["max_degree"] = 3
+    else:
+        del data["max_degree"]
+    return data
+
+
+_BAD_CHAIN_DOCUMENTS = {
+    "ring": r"^a 2x2 matrix over Q in a 2x2 slot over Z$",
+    "shape": r"^a 1x1 matrix over Z in a 2x2 slot over Z$",
+    "max_degree": r"^max_degree 3 does not match 2 levels$",
+    "no-max_degree": r"^max_degree None does not match 2 levels$",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHAIN_DOCUMENTS))
+def test_json_refuses_a_matrix_or_max_degree_that_misses_its_slot(case):
+    # the Q differential holding 1/2 loaded as zero, the 1x1 one filled
+    # the 2x2 slot, and a declared max_degree was never read
+    with pytest.raises(ValueError, match=_BAD_CHAIN_DOCUMENTS[case]):
+        chain_from_json(_bad_chain_document(case))
 
 
 def test_json_bad_rational_entries_raise():

@@ -24,7 +24,6 @@ from opdk.exactlin import (
     kernel,
     matrix_from_json,
     matrix_to_json,
-    same_span,
     signed_quotient,
     smith_normal_form,
     solve,
@@ -255,6 +254,17 @@ def random_map(rng, ring, rows, cols, density=0.6, bound=4):
                     v = Fraction(v, rng.randint(1, 3))
                 entries[(i, j)] = v
     return LinearMap(src, tgt, entries)
+
+
+def same_span(a: LinearMap, b: LinearMap) -> bool:
+    """Whether the column spans (sublattices over Z) coincide."""
+    if a.target != b.target:
+        raise ValueError(
+            f"same_span: targets of rank {a.target.rank} over {a.ring.name()} "
+            f"and {b.target.rank} over {b.ring.name()}")
+    ha = hnf_columns(a)
+    hb = hnf_columns(LinearMap(b.source, a.target, b.entries))
+    return ha.entries == hb.entries and ha.source.rank == hb.source.rank
 
 
 # ---------------------------------------------------------------------------
@@ -1211,6 +1221,26 @@ def test_matrix_from_json_refuses_a_shape_that_is_not_a_rank(side, rank):
     data = {"ring": "Z", "rows": 2, "cols": 2, "entries": []}
     data[side] = rank
     with pytest.raises(ValueError, match="rank must be an int >= 0"):
+        matrix_from_json(data)
+
+
+@pytest.mark.parametrize("entry", [[0.5, 1, "3"], [True, 0, "1"],
+                                   ["1", 0, "1"], [0, 1.0, "1"],
+                                   [0, 0, 3], [0, 0, 1.5]],
+                         ids=["half-row", "bool-row", "str-row", "float-col",
+                              "int-value", "float-value"])
+def test_matrix_from_json_refuses_an_entry_that_is_not_int_int_str(entry):
+    # int() read [0.5, 1, "3"] at (0, 1), and True and "1" as row 1
+    data = {"ring": "Z", "rows": 2, "cols": 2, "entries": [entry]}
+    with pytest.raises(ValueError, match=r"is not \[int, int, str\]"):
+        matrix_from_json(data)
+
+
+@pytest.mark.parametrize("key", ["ring", "rows", "cols", "entries"])
+def test_matrix_from_json_names_a_missing_key(key):
+    data = matrix_to_json(LinearMap.identity(FreeModule(ZZ, 2)))
+    del data[key]
+    with pytest.raises(ValueError, match=f"needs the key '{key}'"):
         matrix_from_json(data)
 
 

@@ -50,7 +50,7 @@ from opdk.operad import (
 from opdk.chain import ChainComplex, homology, tensor_many
 from opdk import exactlin
 from opdk.exactlin import (CokernelPresentation, FreeModule, LinearMap,
-                           cokernel, hstack)
+                           cokernel, hstack, matrix_to_json)
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import SimplicialModule, moore_complex
 from opdk.trees import cokernel_collection
@@ -1628,6 +1628,24 @@ def test_json_bad_rational_entries_raise(where):
     entries[0][2] = "1"
     entries.append(list(entries[0]))
     with pytest.raises(ValueError, match="listed twice"):
+        operad_from_json(data)
+
+
+@pytest.mark.parametrize("where, ring, rank, slot", [
+    ("units", QQ, 7, "1x1"), ("actions", ZZ, 1, "2x2"),
+    ("compositions", F5, 2, "2x2")], ids=["units", "actions", "compositions"])
+def test_json_refuses_a_map_that_misses_its_slot(where, ring, rank, slot):
+    # a 7x7 unit over Q loaded as the 1x1 unit over Z: every map was
+    # re-read in its slot's modules
+    data = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    doc = matrix_to_json(LinearMap.identity(FreeModule(ring, rank)))
+    message = (rf"^a {rank}x{rank} matrix over {ring.name()} in a {slot} "
+               rf"slot over Z$")
+    if where == "units":
+        data["units"][X] = [doc]
+    else:
+        data[where][0]["map"] = [doc]
+    with pytest.raises(ValueError, match=message):
         operad_from_json(data)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from opdk.exactlin import FreeModule, LinearMap
 from opdk.rings import QQ, ZZ, Ring, Zmod, _MR_BOUND, _is_prime, ring_from_name
 
 
@@ -107,3 +108,23 @@ def test_ring_constants_are_canonical():
         assert ring.normalize(ring.one) == ring.one
         # set once, not rebuilt on each read
         assert ring.one is ring.one and ring.zero is ring.zero
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(5)], ids=["Z", "F5"])
+def test_a_non_integer_is_refused_over_z_and_z_mod_p(ring):
+    # int() truncated these: 1/2 read 0 and 2.7 read 2, over Z and F_5
+    for x in (Fraction(1, 2), Fraction(-7, 3), 2.7, 2.0, "3", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            ring.normalize(x)
+    with pytest.raises(ValueError, match="is not an integer"):
+        LinearMap.from_rows(FreeModule(ring, 1), FreeModule(ring, 1),
+                            [[Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="is not an integer"):
+        LinearMap(FreeModule(ring, 1), FreeModule(ring, 1), {(0, 0): 2.7})
+    # ints, bools and whole Fractions are elements, stored as plain ints
+    p = ring.p or 0
+    for x, want in ((7, 7), (-1, -1), (True, 1), (False, 0),
+                    (Fraction(6, 2), 3), (Fraction(-8, 1), -8)):
+        got = ring.normalize(x)
+        assert type(got) is int and got == (want % p if p else want)
+    assert ring.add(Fraction(1, 1), 1) == 2

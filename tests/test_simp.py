@@ -6,7 +6,7 @@ import pytest
 
 from opdk import corpus
 from opdk.chain import homology
-from opdk.exactlin import FreeModule, LinearMap, compose
+from opdk.exactlin import FreeModule, LinearMap, compose, matrix_to_json
 from opdk.rings import QQ, ZZ, Zmod
 from opdk.simp import (
     SimplicialModule,
@@ -27,6 +27,26 @@ from opdk.simp import (
     tensor,
     validate,
 )
+
+
+# ---------------------------------------------------------------------------
+# negative controls: a module with one face or degeneracy swapped out
+# breaks the simplicial identities; test_doldkan.py imports these too
+# ---------------------------------------------------------------------------
+
+
+def replace_face(A, n: int, i: int, new: LinearMap) -> SimplicialModule:
+    """A copy of A with the face d_i out of degree n swapped for new."""
+    faces = [list(fs) for fs in A.faces]
+    faces[n - 1][i] = new
+    return SimplicialModule(A.ring, A.levels, faces, A.degeneracies)
+
+
+def replace_degeneracy(A, n: int, i: int, new: LinearMap) -> SimplicialModule:
+    """A copy of A with the degeneracy s_i out of degree n swapped for new."""
+    degeneracies = [list(ss) for ss in A.degeneracies]
+    degeneracies[n][i] = new
+    return SimplicialModule(A.ring, A.levels, A.faces, degeneracies)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +171,7 @@ def test_interval_valid():
 def test_corrupted_copy_reports_only_touched_identities():
     A = standard_simplex(1, ZZ, 2)
     Z = LinearMap.zero(A.level(2), A.level(1))
-    bad = A.replace_face(2, 1, Z)
+    bad = replace_face(A, 2, 1, Z)
     report = validate(bad)
     assert report
     assert ("ds=", 1, 1, 0) in report
@@ -320,6 +340,36 @@ def test_json_refuses_a_level_rank_that_is_not_a_rank(levels):
     data = {"ring": "Z", "levels": levels, "faces": [[d, d]] * top,
             "degeneracies": [[s]] * top}
     with pytest.raises(ValueError, match="rank must be an int >= 0"):
+        simp_from_json(data)
+
+
+_BAD_SIMP_DOCUMENTS = {
+    "face-ring": r"^a 2x3 matrix over Q in a 2x3 slot over Z$",
+    "face-shape": r"^a 1x1 matrix over Z in a 2x3 slot over Z$",
+    "degeneracy-shape": r"^a 1x1 matrix over Z in a 3x2 slot over Z$",
+    "max_degree": r"^max_degree 3 does not match 2 levels$",
+    "no-max_degree": r"^max_degree None does not match 2 levels$",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SIMP_DOCUMENTS))
+def test_json_refuses_a_matrix_or_max_degree_that_misses_its_slot(case):
+    # each matrix was re-read in its slot's modules, and max_degree ignored
+    A = standard_simplex(1, ZZ, 1)
+    data = simp_to_json(A)
+    one = matrix_to_json(LinearMap.identity(FreeModule(ZZ, 1)))
+    if case == "face-ring":
+        data["faces"][0][0] = simp_to_json(standard_simplex(1, QQ, 1))[
+            "faces"][0][0]
+    elif case == "face-shape":
+        data["faces"][0][1] = one
+    elif case == "degeneracy-shape":
+        data["degeneracies"][0][0] = one
+    elif case == "max_degree":
+        data["max_degree"] = 3
+    else:
+        del data["max_degree"]
+    with pytest.raises(ValueError, match=_BAD_SIMP_DOCUMENTS[case]):
         simp_from_json(data)
 
 
