@@ -9,9 +9,12 @@ to:
   rows that logs its row operations; T is replayed from the log only
   when a caller reads it,
 * smith_normal_form  -- U*m*V = D with unimodular U, V and a divisibility
-  chain down the diagonal; U, V and U^-1 are built only when a caller
-  first reads them, by replaying the row and column operations the
-  elimination recorded (over a field, those of its rref),
+  chain down the diagonal.  Over Z the elimination keeps each entry
+  twice, by row and by column, so that rows and columns share one set
+  of line operations (add, swap, clear) and a column operation is the
+  row operation on the transpose.  U, V and U^-1 are built only when a
+  caller first reads them, by replaying the row and column operations
+  the elimination recorded (over a field, those of its rref),
 * kernel             -- saturated kernel sublattice (nullspace over fields),
   a basis against which `_coordinates` reads coordinates by
   substitution, with no second elimination,
@@ -105,6 +108,9 @@ class LinearMap:
         rows, cols = target.rank, source.rank
         clean = {}
         for (i, j), v in entries.items():
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"entry position ({i!r},{j!r}) is not a "
+                                 f"pair of ints")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
             v = ring.normalize(v)
@@ -621,91 +627,71 @@ def _replayed(log, module: FreeModule, inverse: bool = False) -> LinearMap:
         module, module, {(i, j): v for i, r in rows.items() for j, v in r.items()})
 
 
+def _add(lines, other, log, a, b, c):
+    """Line a += c * line b (a != b) of a matrix stored twice, as
+    `lines` and as its transpose `other`, and log ("add", a, b, c);
+    nothing when c is 0."""
+    if not c:
+        return
+    la = lines[a]
+    for k, v in lines[b].items():
+        nv = la.get(k, 0) + c * v
+        if nv:
+            la[k] = other[k][a] = nv
+        else:
+            del la[k], other[k][a]
+    log.append(("add", a, b, c))
+
+
+def _swap(lines, other, log, a, b):
+    """Exchange lines a and b of a matrix stored twice (see `_add`), and
+    log ("swap", a, b, 0); nothing when a == b."""
+    if a == b:
+        return
+    la, lb = lines[a], lines[b]
+    for k in la:
+        del other[k][a]
+    for k in lb:
+        del other[k][b]
+    for k, v in la.items():
+        other[k][b] = v
+    for k, v in lb.items():
+        other[k][a] = v
+    lines[a], lines[b] = lb, la
+    log.append(("swap", a, b, 0))
+
+
+def _clear(lines, other, log, t) -> bool:
+    """Reduce each line a != t with an entry at t, in order of a, by the
+    multiple of line t that leaves the symmetric remainder of that entry
+    by the pivot lines[t][t] > 0, which keeps the fill-in multiplier
+    minimal; whether any remainder is left."""
+    p = lines[t][t]
+    left = False
+    for a in sorted(other[t]):
+        if a != t:
+            q, r = divmod(lines[a][t], p)
+            _add(lines, other, log, a, t, -q - (2 * r > p))
+            left = left or t in lines[a]
+    return left
+
+
 def _smith_integer(m: LinearMap) -> SmithForm:
     R, C = m.target.rank, m.source.rank
-    # dict-of-dicts working copies
-    rows = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = int(v)
-    cols = {}
-    for i, r in rows.items():
-        for j in r:
-            cols.setdefault(j, set()).add(i)
-    # the elementary operations in the order they are made, for _replay:
+    # each entry twice, rows[i][j] = cols[j][i]: a column operation is the
+    # row operation on the transpose, so _add, _swap and _clear serve both
+    # sides, as (rows, cols, row_log) or as (cols, rows, col_log).  The
+    # logs keep the operations in the order they are made, for _replay:
     # U is the row operations applied to the identity, V^T the column ones
+    rows, cols = [{} for _ in range(R)], [{} for _ in range(C)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = cols[j][i] = v
     row_log, col_log = [], []
 
-    def row_get(i, j):
-        return rows.get(i, {}).get(j, 0)
-
-    def set_entry(i, j, v):
-        if v:
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
-        else:
-            if i in rows and j in rows[i]:
-                del rows[i][j]
-                if not rows[i]:
-                    del rows[i]
-            if j in cols and i in cols[j]:
-                cols[j].discard(i)
-                if not cols[j]:
-                    del cols[j]
-
-    def row_add(i1, i2, c):
-        # row i1 += c * row i2
-        if c == 0:
-            return
-        for j, v in list(rows.get(i2, {}).items()):
-            set_entry(i1, j, row_get(i1, j) + c * v)
-        row_log.append(("add", i1, i2, c))
-
-    def col_add(j1, j2, c):
-        # col j1 += c * col j2
-        if c == 0:
-            return
-        for i in list(cols.get(j2, set())):
-            set_entry(i, j1, row_get(i, j1) + c * row_get(i, j2))
-        col_log.append(("add", j1, j2, c))
-
-    def row_swap(i1, i2):
-        if i1 == i2:
-            return
-        r1, r2 = rows.get(i1, {}), rows.get(i2, {})
-        for j in set(r1) | set(r2):
-            cols.setdefault(j, set())
-            cols[j].discard(i1)
-            cols[j].discard(i2)
-        if r1:
-            rows[i2] = r1
-        elif i2 in rows:
-            del rows[i2]
-        if r2:
-            rows[i1] = r2
-        elif i1 in rows:
-            del rows[i1]
-        for j in set(r1) | set(r2):
-            if j in rows.get(i1, {}):
-                cols.setdefault(j, set()).add(i1)
-            if j in rows.get(i2, {}):
-                cols.setdefault(j, set()).add(i2)
-            if j in cols and not cols[j]:
-                del cols[j]
-        row_log.append(("swap", i1, i2, 0))
-
-    def col_swap(j1, j2):
-        if j1 == j2:
-            return
-        touched = cols.get(j1, set()) | cols.get(j2, set())
-        for i in list(touched):
-            a, b = row_get(i, j1), row_get(i, j2)
-            set_entry(i, j1, b)
-            set_entry(i, j2, a)
-        col_log.append(("swap", j1, j2, 0))
-
-    def row_negate(i):
-        for j in list(rows.get(i, {})):
-            rows[i][j] = -rows[i][j]
+    def negate(i):
+        r = rows[i]
+        for j in r:
+            r[j] = cols[j][i] = -r[j]
         row_log.append(("neg", i, i, 0))
 
     n = min(R, C)
@@ -714,86 +700,43 @@ def _smith_integer(m: LinearMap) -> SmithForm:
         # smallest-magnitude pivot in the remaining block; ties by position.
         # Re-selected after every remainder round: without that, entry sizes
         # square each round on dense inputs and the computation never ends.
-        best = None
-        for i in sorted(rows):
-            if i < t:
-                continue
-            for j in sorted(rows[i]):
-                if j < t:
-                    continue
-                v = abs(rows[i][j])
-                if best is None or v < best[0] or (v == best[0] and (i, j) < best[1:]):
-                    best = (v, i, j)
+        best = min(((abs(v), i, j) for i in range(t, R)
+                    for j, v in rows[i].items() if j >= t), default=None)
         if best is None:
             break
-        _, pi, pj = best
-        row_swap(t, pi)
-        col_swap(t, pj)
-        if row_get(t, t) < 0:
-            row_negate(t)
-        p = row_get(t, t)
-        reduced = False
-        for i in sorted(cols.get(t, set())):
-            if i == t:
-                continue
-            # symmetric remainder keeps the fill-in multiplier minimal
-            q, r = divmod(row_get(i, t), p)
-            if 2 * r > p:
-                q += 1
-            if q:
-                row_add(i, t, -q)
-            if row_get(i, t):
-                reduced = True
-        if reduced:
-            continue
-        # column t is clear below the pivot, so these column ops touch
-        # row t only and cannot re-dirty column t
-        for j in sorted(rows.get(t, {})):
-            if j == t:
-                continue
-            q, r = divmod(row_get(t, j), p)
-            if 2 * r > p:
-                q += 1
-            if q:
-                col_add(j, t, -q)
-            if row_get(t, j):
-                reduced = True
-        if reduced:
-            continue
-        t += 1
+        _swap(rows, cols, row_log, t, best[1])
+        _swap(cols, rows, col_log, t, best[2])
+        if rows[t][t] < 0:
+            negate(t)
+        # once column t is clear below the pivot, the column operations
+        # touch row t only and cannot re-dirty column t
+        if not (_clear(rows, cols, row_log, t)
+                or _clear(cols, rows, col_log, t)):
+            t += 1
 
-    diag = [row_get(i, i) for i in range(n)]
-    # enforce the divisibility chain d_i | d_{i+1}
-    r = len([d for d in diag if d])
+    # the matrix is now diagonal, nonzero exactly at d_0..d_{t-1}.  Enforce
+    # the divisibility chain d_i | d_{i+1}: fold d_{i+1} into column i, run
+    # Euclid down column i to gcd(d_i, d_{i+1}) at (i, i), and clear the
+    # entry it leaves at (i, i + 1), which that gcd divides
     changed = True
     while changed:
         changed = False
-        for i in range(r - 1):
-            a, b = row_get(i, i), row_get(i + 1, i + 1)
-            if b % a != 0:
-                # fold entry b into position (i,i) and rediagonalize the block
-                col_add(i, i + 1, 1)
+        for i in range(t - 1):
+            if rows[i + 1][i + 1] % rows[i][i]:
+                _add(cols, rows, col_log, i, i + 1, 1)
                 while True:
-                    p = row_get(i, i)
-                    q = row_get(i + 1, i) // p if p else 0
-                    row_add(i + 1, i, -q)
-                    if row_get(i + 1, i):
-                        row_swap(i, i + 1)
-                        continue
-                    break
-                p = row_get(i, i)
-                q = row_get(i, i + 1) // p
-                col_add(i + 1, i, -q)
-                if row_get(i, i + 1):
-                    col_swap(i, i + 1)
-                    continue
-                if row_get(i, i) < 0:
-                    row_negate(i)
-                if row_get(i + 1, i + 1) < 0:
-                    row_negate(i + 1)
+                    _add(rows, cols, row_log, i + 1, i,
+                         -(rows[i + 1][i] // rows[i][i]))
+                    if i not in rows[i + 1]:
+                        break
+                    _swap(rows, cols, row_log, i, i + 1)
+                _add(cols, rows, col_log, i + 1, i,
+                     -(rows[i][i + 1] // rows[i][i]))
+                for k in (i, i + 1):
+                    if rows[k][k] < 0:
+                        negate(k)
                 changed = True
-    diag = [row_get(i, i) for i in range(n)]
-    # nonzero entries first is guaranteed by pivoting; sanity-check the chain
+    diag = [rows[i].get(i, 0) for i in range(n)]
     for a, b in zip(diag, diag[1:]):
         if (b % a if a else b) != 0:
             raise RuntimeError("integer Smith form: the diagonal is not a "
@@ -1348,11 +1291,6 @@ def _smith_cokernel(m: LinearMap) -> CokernelPresentation:
                                 [diag[i] for i in torsion_idx])
 
 
-# tests flip this to route every cokernel through the Smith form and
-# compare; it is not part of the interface
-_FORCE_GENERIC = False
-
-
 def cokernel(m: LinearMap) -> CokernelPresentation:
     """Presentation of target(m)/im(m) with projection and section.
 
@@ -1368,7 +1306,7 @@ def cokernel(m: LinearMap) -> CokernelPresentation:
     >>> cokernel(LinearMap.from_rows(M, M, [[1, 1], [1, 1]])).presentation
     Presentation(rank 1)
     """
-    graph = None if _FORCE_GENERIC else _signed_graph(m)
+    graph = _signed_graph(m)
     if graph is None:
         pres = _smith_cokernel(m)
     else:

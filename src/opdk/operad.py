@@ -33,7 +33,6 @@ from .chain import (ChainComplex, ChainMap, zero_complex, pad, unit_complex,
 from . import chain as _chain
 from . import simp as _simp
 from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
-from . import exactlin
 from .exactlin import (CokernelPresentation, FreeModule, LinearMap, cokernel,
                        compose, hstack, matrix_to_json, signed_quotient,
                        _matrix_in_slot)
@@ -1076,16 +1075,15 @@ def _quotient_by(ring: Ring, module: FreeModule, relations) -> CokernelPresentat
     relation matrix and no Smith form: the quotient is free on the
     surviving classes, each represented by its least basis index, with
     proj sending e_x to +-[class] and section sending [class] to the
-    representative.  Any other relation, and every relation under
-    `exactlin._FORCE_GENERIC`, is padded here, and only here, to its
-    full matrix, and all relations go through one exact cokernel.
+    representative.  Any other relation is padded here, and only here,
+    to its full matrix, and all relations go through one exact
+    cokernel.
     Either way torsion is refused, because the levels of a collection
     must stay free: a class forced to e = -e is 2-torsion over Z, dies
     over Q and Z/p with p odd, and cannot arise over Z/2, since
     -1 = 1 there.
     """
-    graph = None if exactlin._FORCE_GENERIC else \
-        _signed_edges(ring, relations)
+    graph = _signed_edges(ring, relations)
     if graph is not None:
         pres = signed_quotient(module, *graph)
     else:

@@ -81,8 +81,10 @@ class Ring:
     def normalize(self, x):
         """Canonical representative of x (reduces mod p, keeps Fractions).
 
-        Over Z and Z/p, x must be an int or a Fraction with denominator 1;
-        anything else raises ValueError, never a truncated number.
+        Over Z and Z/p, x must be an int or a Fraction with denominator 1,
+        and over Q an int or a Fraction (an int includes a bool); anything
+        else, a float or a string too, raises ValueError, never a
+        truncated, rounded or parsed number.
 
         >>> Zmod(5).normalize(-3)
         2
@@ -92,9 +94,18 @@ class Ring:
         Traceback (most recent call last):
             ...
         ValueError: Fraction(1, 2) is not an integer, so not an element of Z
+        >>> QQ.normalize(0.1)
+        Traceback (most recent call last):
+            ...
+        ValueError: 0.1 is not an int or a Fraction, so not an element of Q
         """
         if self.kind == "Q":
-            return x if type(x) is Fraction else Fraction(x)
+            if type(x) is Fraction:
+                return x
+            if not isinstance(x, (int, Fraction)):
+                raise ValueError(f"{x!r} is not an int or a Fraction, so "
+                                 f"not an element of Q")
+            return Fraction(x)
         if type(x) is not int:
             if not (isinstance(x, int) or
                     (isinstance(x, Fraction) and x.denominator == 1)):
@@ -130,17 +141,6 @@ class Ring:
         if self.kind == "Q":
             return Fraction(1) / x
         return pow(x, self.p - 2, self.p)
-
-    def divides(self, x, y) -> bool:
-        """Whether x divides y exactly."""
-        x, y = self.normalize(x), self.normalize(y)
-        if y == 0:
-            return True
-        if x == 0:
-            return False
-        if self.kind == "Z":
-            return y % x == 0
-        return True
 
     @property
     def is_field(self) -> bool:

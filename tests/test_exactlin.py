@@ -17,6 +17,8 @@ from opdk.doldkan import _image_basis
 from opdk.exactlin import (
     FreeModule,
     LinearMap,
+    SmithForm,
+    _replayed,
     cokernel,
     compose,
     hnf_columns,
@@ -219,6 +221,195 @@ def oracle_coordinates(basis, pivots, x):
     return coords
 
 
+def oracle_smith_integer(m):
+    """`smith_normal_form` over Z with the row and the column operations
+    written out as separate closures on a dict-of-dicts store and a
+    dict-of-sets column index: the same operations in the same order,
+    so the same logs, diagonal and transforms."""
+    R, C = m.target.rank, m.source.rank
+    # dict-of-dicts working copies
+    rows = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = int(v)
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    # the elementary operations in the order they are made, for _replay:
+    # U is the row operations applied to the identity, V^T the column ones
+    row_log, col_log = [], []
+
+    def row_get(i, j):
+        return rows.get(i, {}).get(j, 0)
+
+    def set_entry(i, j, v):
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, set()).add(i)
+        else:
+            if i in rows and j in rows[i]:
+                del rows[i][j]
+                if not rows[i]:
+                    del rows[i]
+            if j in cols and i in cols[j]:
+                cols[j].discard(i)
+                if not cols[j]:
+                    del cols[j]
+
+    def row_add(i1, i2, c):
+        # row i1 += c * row i2
+        if c == 0:
+            return
+        for j, v in list(rows.get(i2, {}).items()):
+            set_entry(i1, j, row_get(i1, j) + c * v)
+        row_log.append(("add", i1, i2, c))
+
+    def col_add(j1, j2, c):
+        # col j1 += c * col j2
+        if c == 0:
+            return
+        for i in list(cols.get(j2, set())):
+            set_entry(i, j1, row_get(i, j1) + c * row_get(i, j2))
+        col_log.append(("add", j1, j2, c))
+
+    def row_swap(i1, i2):
+        if i1 == i2:
+            return
+        r1, r2 = rows.get(i1, {}), rows.get(i2, {})
+        for j in set(r1) | set(r2):
+            cols.setdefault(j, set())
+            cols[j].discard(i1)
+            cols[j].discard(i2)
+        if r1:
+            rows[i2] = r1
+        elif i2 in rows:
+            del rows[i2]
+        if r2:
+            rows[i1] = r2
+        elif i1 in rows:
+            del rows[i1]
+        for j in set(r1) | set(r2):
+            if j in rows.get(i1, {}):
+                cols.setdefault(j, set()).add(i1)
+            if j in rows.get(i2, {}):
+                cols.setdefault(j, set()).add(i2)
+            if j in cols and not cols[j]:
+                del cols[j]
+        row_log.append(("swap", i1, i2, 0))
+
+    def col_swap(j1, j2):
+        if j1 == j2:
+            return
+        touched = cols.get(j1, set()) | cols.get(j2, set())
+        for i in list(touched):
+            a, b = row_get(i, j1), row_get(i, j2)
+            set_entry(i, j1, b)
+            set_entry(i, j2, a)
+        col_log.append(("swap", j1, j2, 0))
+
+    def row_negate(i):
+        for j in list(rows.get(i, {})):
+            rows[i][j] = -rows[i][j]
+        row_log.append(("neg", i, i, 0))
+
+    n = min(R, C)
+    t = 0
+    while t < n:
+        # smallest-magnitude pivot in the remaining block; ties by position.
+        # Re-selected after every remainder round: without that, entry sizes
+        # square each round on dense inputs and the computation never ends.
+        best = None
+        for i in sorted(rows):
+            if i < t:
+                continue
+            for j in sorted(rows[i]):
+                if j < t:
+                    continue
+                v = abs(rows[i][j])
+                if best is None or v < best[0] or (v == best[0] and (i, j) < best[1:]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        row_swap(t, pi)
+        col_swap(t, pj)
+        if row_get(t, t) < 0:
+            row_negate(t)
+        p = row_get(t, t)
+        reduced = False
+        for i in sorted(cols.get(t, set())):
+            if i == t:
+                continue
+            # symmetric remainder keeps the fill-in multiplier minimal
+            q, r = divmod(row_get(i, t), p)
+            if 2 * r > p:
+                q += 1
+            if q:
+                row_add(i, t, -q)
+            if row_get(i, t):
+                reduced = True
+        if reduced:
+            continue
+        # column t is clear below the pivot, so these column ops touch
+        # row t only and cannot re-dirty column t
+        for j in sorted(rows.get(t, {})):
+            if j == t:
+                continue
+            q, r = divmod(row_get(t, j), p)
+            if 2 * r > p:
+                q += 1
+            if q:
+                col_add(j, t, -q)
+            if row_get(t, j):
+                reduced = True
+        if reduced:
+            continue
+        t += 1
+
+    diag = [row_get(i, i) for i in range(n)]
+    # enforce the divisibility chain d_i | d_{i+1}
+    r = len([d for d in diag if d])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            a, b = row_get(i, i), row_get(i + 1, i + 1)
+            if b % a != 0:
+                # fold entry b into position (i,i) and rediagonalize the block
+                col_add(i, i + 1, 1)
+                while True:
+                    p = row_get(i, i)
+                    q = row_get(i + 1, i) // p if p else 0
+                    row_add(i + 1, i, -q)
+                    if row_get(i + 1, i):
+                        row_swap(i, i + 1)
+                        continue
+                    break
+                p = row_get(i, i)
+                q = row_get(i, i + 1) // p
+                col_add(i + 1, i, -q)
+                if row_get(i, i + 1):
+                    col_swap(i, i + 1)
+                    continue
+                if row_get(i, i) < 0:
+                    row_negate(i)
+                if row_get(i + 1, i + 1) < 0:
+                    row_negate(i + 1)
+                changed = True
+    diag = [row_get(i, i) for i in range(n)]
+    # nonzero entries first is guaranteed by pivoting; sanity-check the chain
+    for a, b in zip(diag, diag[1:]):
+        if (b % a if a else b) != 0:
+            raise RuntimeError("integer Smith form: the diagonal is not a "
+                               "divisibility chain")
+
+    return SmithForm(
+        tuple(diag),
+        U=lambda: _replayed(row_log, m.target),
+        V=lambda: _replayed(col_log, m.source).transpose(),
+        Uinv=lambda: _replayed(row_log, m.target, inverse=True))
+
+
 def zero_seeded_compose(f, g):
     """The entries of f after g as `compose` computed them when every
     sum started from the int 0: the same sparse merge, with
@@ -399,6 +590,16 @@ def test_entry_outside_the_shape_raises():
                   {(0, 0): 1, (1, 1): 1})
     with pytest.raises(ValueError, match=r"outside 2x2"):
         LinearMap(FreeModule(ZZ, 2), FreeModule(ZZ, 2), {(0, -1): 1})
+
+
+@pytest.mark.parametrize("position", [(0.5, 0), (True, 1), (0, False),
+                                      (1.0, 1), ("0", 0), (0, None)])
+def test_an_entry_position_that_is_not_an_int_raises(position):
+    # 0 <= 0.5 < 2 and True == 1: without the type test both were stored,
+    # and to_rows() then raised TypeError on the float
+    M = FreeModule(ZZ, 2)
+    with pytest.raises(ValueError, match="is not a pair of ints"):
+        LinearMap(M, M, {position: 1})
 
 
 def test_compose_shape_mismatch_raises():
@@ -773,6 +974,43 @@ def test_snf_entry_growth_regression():
     _check_snf_instance(m)
 
 
+@st.composite
+def _integer_smith_input(draw):
+    """A Z matrix of shape 0..9 x 0..9, or a product of two such through
+    a smaller rank (rank-deficient), with entries from one set, some of
+    them heavy in common divisors so that the pivots leave a diagonal
+    the divisibility-chain fix-up must repair."""
+    entry = st.sampled_from(draw(st.sampled_from(
+        [(0, 2, 3), (0, 4, 6, 9, -6), (0, 6, 10, 15), tuple(range(-4, 5))])))
+
+    def matrix(r, c):
+        return LinearMap.from_rows(
+            FreeModule(ZZ, c), FreeModule(ZZ, r),
+            [[draw(entry) for _ in range(c)] for _ in range(r)])
+
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    inner = draw(st.one_of(st.none(), st.integers(0, min(rows, cols))))
+    if inner is None:
+        return matrix(rows, cols)
+    return matrix(rows, inner) @ matrix(inner, cols)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_integer_smith_input())
+@example(LinearMap.from_rows(FreeModule(ZZ, 2), FreeModule(ZZ, 2),
+                             [[2, 0], [0, 3]]))
+@example(LinearMap.from_rows(FreeModule(ZZ, 3), FreeModule(ZZ, 3),
+                             [[4, 0, 0], [0, 6, 0], [0, 0, 9]]))
+def test_integer_smith_form_matches_the_oracle(m):
+    # the same operations in the same order: the same diagonal, and U,
+    # V and U^-1 equal entry for entry in stored order
+    sf, want = smith_normal_form(m), oracle_smith_integer(m)
+    assert sf.diagonal == want.diagonal
+    for name in ("U", "V", "Uinv"):
+        assert list(getattr(sf, name).entries.items()) == \
+            list(getattr(want, name).entries.items())
+
+
 def _smith_draw(ring, rows, cols, inner, seed):
     """A random rows x cols map over ring; given `inner`, the product of
     two random maps through rank inner, rank-deficient when inner <
@@ -946,15 +1184,6 @@ def test_cokernel_projection_section():
         assert killed.is_zero()
 
 
-def _smith_cokernel(m):
-    """cokernel(m) through the Smith form, the front end switched off."""
-    exactlin._FORCE_GENERIC = True
-    try:
-        return cokernel(m)
-    finally:
-        exactlin._FORCE_GENERIC = False
-
-
 @st.composite
 def _signed_graph_matrix(draw):
     """A ring and a matrix whose columns each hold zero, one or two
@@ -1001,7 +1230,7 @@ def _incidence(ring, rows, cols):
 @example(_incidence(Zmod(2), 3, []))
 def test_cokernel_signed_graph_front_end_matches_smith(m):
     fast = cokernel(m)
-    slow = _smith_cokernel(m)
+    slow = exactlin._smith_cokernel(m)
     assert exactlin._signed_graph(m) is not None
     assert fast.presentation == slow.presentation
     for pres in (fast, slow):
@@ -1025,7 +1254,7 @@ def test_cokernel_front_end_refuses_other_matrices():
                        (F5, [{0: 2, 1: 1}])):
         m = _incidence(ring, 3, cols)
         assert exactlin._signed_graph(m) is None
-        assert cokernel(m).presentation == _smith_cokernel(m).presentation
+        assert cokernel(m).presentation == exactlin._smith_cokernel(m).presentation
     assert exactlin._signed_graph(_incidence(Zmod(3), 1, [{0: -2}]))
 
 
@@ -1163,7 +1392,7 @@ def test_pushout_two_against_identity():
     # direct quotient oracle: coker(f, -g) on stacked matrix
     stacked = vstack([two, -LinearMap.identity(M)])
     assert cokernel(stacked).presentation == exactlin.ModulePresentation(1)
-    assert _smith_cokernel(stacked).presentation == \
+    assert exactlin._smith_cokernel(stacked).presentation == \
         exactlin.ModulePresentation(1)
 
 

@@ -128,3 +128,19 @@ def test_a_non_integer_is_refused_over_z_and_z_mod_p(ring):
         got = ring.normalize(x)
         assert type(got) is int and got == (want % p if p else want)
     assert ring.add(Fraction(1, 1), 1) == 2
+
+
+def test_only_an_int_or_a_fraction_is_an_element_of_q():
+    # Fraction(x) read 0.1 as its binary value 3602879701896397/2**55
+    # and parsed the string "1/2"
+    for x in (0.1, 0.5, "1/2", None):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            QQ.normalize(x)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        LinearMap(FreeModule(QQ, 1), FreeModule(QQ, 1), {(0, 0): 0.1})
+    # ints, bools and Fractions are elements, stored as Fractions
+    for x, want in ((7, 7), (True, 1), (False, 0),
+                    (Fraction(1, 2), Fraction(1, 2))):
+        got = QQ.normalize(x)
+        assert type(got) is Fraction and got == want
+    assert QQ.from_str("1/2") == Fraction(1, 2)

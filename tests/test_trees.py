@@ -14,6 +14,7 @@ objects, never against the code's own intermediate output.
 import itertools
 import math
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -44,6 +45,7 @@ from opdk.trees import (
     tree_from_json,
     tree_to_json,
 )
+from test_operad import smith_route
 
 F5 = Zmod(5)
 
@@ -648,11 +650,8 @@ def test_free_level_truncation_flag():
 def _fast_and_generic(build):
     """build() on the union-find quotient, then on the Smith-form one."""
     fast = build()
-    exactlin._FORCE_GENERIC = True
-    try:
+    with smith_route():
         slow = build()
-    finally:
-        exactlin._FORCE_GENERIC = False
     return fast, slow
 
 
@@ -735,13 +734,9 @@ def test_free_level_sign_conflict_matches_generic():
             lambda: free_operad(M, ((), "c"), 3).object.ranks())
         assert fast == slow == want
     M = _odd_nullary(ZZ)
-    for force in (False, True):
-        exactlin._FORCE_GENERIC = force
-        try:
-            with pytest.raises(ValueError, match="torsion"):
-                free_operad(M, ((), "c"), 3)
-        finally:
-            exactlin._FORCE_GENERIC = False
+    for route in (nullcontext, smith_route):
+        with route(), pytest.raises(ValueError, match="torsion"):
+            free_operad(M, ((), "c"), 3)
 
 
 def test_free_level_refuses_torsion():
@@ -996,12 +991,9 @@ def test_reach_matches_the_orbit_wide_proj(case):
 def test_block_generic_quotient_ranks_match_the_orbit_wide_quotient(case):
     # on the Smith-form route the bases may differ, the ranks may not
     case = case()
-    exactlin._FORCE_GENERIC = True
-    try:
+    with smith_route():
         for cl, b in _each_block(case):
             assert b.obj.ranks() == _orbit_quotient(case, cl)[4].ranks()
-    finally:
-        exactlin._FORCE_GENERIC = False
 
 
 # -- free operads as operads ------------------------------------------------
