@@ -19,6 +19,7 @@ from .exactlin import (
     FreeModule,
     LinearMap,
     _coordinates,
+    _json_fields,
     _matrix_in_slot,
     _pivots,
     cokernel,
@@ -30,12 +31,12 @@ from .exactlin import (
 )
 from .rings import Ring
 
-__all__ = ["ChainComplex", "ChainMap", "zero_complex", "unit_complex",
-           "concentrated", "two_term", "direct_sum", "pad", "tensor_blocks",
-           "tensor", "tensor_map", "tensor_many", "tensor_map_many",
-           "braiding", "associator", "left_unitor", "right_unitor",
-           "HomologyResult", "homology", "homology_map", "is_quasi_iso",
-           "ChainColimit", "diagram_colimit", "ChainPushout",
+__all__ = ["ChainComplex", "DegreewiseMap", "ChainMap", "zero_complex",
+           "unit_complex", "concentrated", "two_term", "direct_sum", "pad",
+           "tensor_blocks", "tensor", "tensor_map", "tensor_many",
+           "tensor_map_many", "braiding", "associator", "left_unitor",
+           "right_unitor", "HomologyResult", "homology", "homology_map",
+           "is_quasi_iso", "ChainColimit", "diagram_colimit", "ChainPushout",
            "pushout_complex", "pushout_product", "chain_to_json",
            "chain_from_json"]
 
@@ -160,24 +161,34 @@ def pad(K: ChainComplex, max_degree: int) -> ChainComplex:
     return ChainComplex(K.ring, levels, diffs, check=False)
 
 
-class ChainMap:
-    """Degreewise map commuting with the differentials.
+class DegreewiseMap:
+    """One linear map per degree between two degree-truncated objects
+    over one ring, chain complexes or simplicial modules.
 
-    Source and target must share max_degree; use pad() to align.
+    The constructor checks the ring, the truncation degree, the number
+    of components and the shape of each, and with check=True the
+    subclass's `_check` that the components commute with the structure
+    maps; `kind` names the base category in messages.  Two maps are
+    equal when their source and target ranks and their entries are;
+    `component` reads the zero map off the ends.
     """
 
     __slots__ = ("source", "target", "components")
 
-    def __init__(self, source: ChainComplex, target: ChainComplex,
-                 components: Sequence[LinearMap], check: bool = True):
+    def __init__(self, source, target, components: Sequence[LinearMap],
+                 check: bool = True):
         if source.ring != target.ring:
-            raise ValueError("ring mismatch")
+            raise ValueError(f"ring mismatch: source over "
+                             f"{source.ring.name()}, target over "
+                             f"{target.ring.name()}")
         if source.max_degree != target.max_degree:
-            raise ValueError("source and target truncated at different "
-                             "degrees; pad first")
+            raise ValueError(f"source degree {source.max_degree}, target "
+                             f"degree {target.max_degree}: truncated at "
+                             f"different degrees; pad first")
         components = tuple(components)
         if len(components) != source.max_degree + 1:
-            raise ValueError(f"need {source.max_degree + 1} components, got "
+            raise ValueError(f"degrees 0..{source.max_degree} need "
+                             f"{source.max_degree + 1} components, got "
                              f"{len(components)}")
         for n, f in enumerate(components):
             if f.source != source.level(n) or f.target != target.level(n):
@@ -187,44 +198,38 @@ class ChainMap:
         self.target = target
         self.components = components
         if check:
-            for n in range(1, source.max_degree + 1):
-                lhs = compose(target.d(n), components[n])
-                rhs = compose(components[n - 1], source.d(n))
-                if lhs.entries != rhs.entries:
-                    raise ValueError(f"does not commute with d at degree {n}")
+            self._check()
+
+    def _check(self):
+        raise NotImplementedError
 
     @classmethod
-    def identity(cls, K: ChainComplex) -> "ChainMap":
-        return cls(K, K, [LinearMap.identity(M) for M in K.levels], check=False)
-
-    @classmethod
-    def zero(cls, K: ChainComplex, L: ChainComplex) -> "ChainMap":
-        return cls(K, L, [LinearMap.zero(a, b) for a, b in zip(K.levels, L.levels)],
+    def identity(cls, A):
+        return cls(A, A, [LinearMap.identity(M) for M in A.levels],
                    check=False)
+
+    @classmethod
+    def zero(cls, A, B):
+        return cls(A, B, [LinearMap.zero(a, b)
+                          for a, b in zip(A.levels, B.levels)], check=False)
 
     def component(self, n: int) -> LinearMap:
         if 0 <= n <= self.source.max_degree:
             return self.components[n]
         return LinearMap.zero(self.source.level(n), self.target.level(n))
 
-    def __matmul__(self, other: "ChainMap") -> "ChainMap":
+    def __matmul__(self, other):
         if other.target.ranks() != self.source.ranks():
-            raise ValueError(f"composable chain maps need matching ranks, "
-                             f"got {other.target.ranks()} -> "
+            raise ValueError(f"composable {self.kind} maps need matching "
+                             f"ranks, got "
+                             f"{other.target.ranks()} -> "
                              f"{self.source.ranks()}")
-        comps = [compose(a, b) for a, b in zip(self.components, other.components)]
-        return ChainMap(other.source, self.target, comps, check=False)
-
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        comps = [a + b for a, b in zip(self.components, other.components)]
-        return ChainMap(self.source, self.target, comps, check=False)
-
-    def __sub__(self, other: "ChainMap") -> "ChainMap":
-        comps = [a - b for a, b in zip(self.components, other.components)]
-        return ChainMap(self.source, self.target, comps, check=False)
+        comps = [compose(a, b) for a, b in zip(self.components,
+                                               other.components)]
+        return type(self)(other.source, self.target, comps, check=False)
 
     def __eq__(self, other):
-        if not isinstance(other, ChainMap):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.source.ranks() == other.source.ranks()
                 and self.target.ranks() == other.target.ranks()
@@ -240,12 +245,39 @@ class ChainMap:
     def is_iso(self) -> bool:
         return all(f.is_iso() for f in self.components)
 
-    def inverse(self) -> "ChainMap":
-        comps = [f.inverse() for f in self.components]
-        return ChainMap(self.target, self.source, comps, check=False)
+    def inverse(self):
+        return type(self)(self.target, self.source,
+                          [f.inverse() for f in self.components], check=False)
 
     def __repr__(self):
-        return f"ChainMap({self.source.ranks()} -> {self.target.ranks()})"
+        return (f"{type(self).__name__}({self.source.ranks()} -> "
+                f"{self.target.ranks()})")
+
+
+class ChainMap(DegreewiseMap):
+    """Degreewise map commuting with the differentials.
+
+    Source and target must share max_degree; use pad() to align.
+    """
+
+    __slots__ = ()
+    kind = "chain"
+
+    def _check(self):
+        source, target, components = self.source, self.target, self.components
+        for n in range(1, source.max_degree + 1):
+            lhs = compose(target.d(n), components[n])
+            rhs = compose(components[n - 1], source.d(n))
+            if lhs.entries != rhs.entries:
+                raise ValueError(f"does not commute with d at degree {n}")
+
+    def __add__(self, other: "ChainMap") -> "ChainMap":
+        comps = [a + b for a, b in zip(self.components, other.components)]
+        return ChainMap(self.source, self.target, comps, check=False)
+
+    def __sub__(self, other: "ChainMap") -> "ChainMap":
+        comps = [a - b for a, b in zip(self.components, other.components)]
+        return ChainMap(self.source, self.target, comps, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -893,9 +925,12 @@ def chain_to_json(K: ChainComplex) -> dict:
 
 def chain_from_json(data: dict) -> ChainComplex:
     from .rings import ring_from_name
-    ring = ring_from_name(data["ring"])
-    levels = [FreeModule(ring, r) for r in data["levels"]]
-    count = len(data["differentials"])
+    name, ranks, diffs = _json_fields(
+        data, "a chain complex", ("ring", "levels", "differentials"),
+        ("levels", "differentials"))
+    ring = ring_from_name(name)
+    levels = [FreeModule(ring, r) for r in ranks]
+    count = len(diffs)
     if count >= max(len(levels), 1):
         raise ValueError(f"{count} differentials need {count + 1} levels, "
                          f"got {len(levels)}")
@@ -903,5 +938,5 @@ def chain_from_json(data: dict) -> ChainComplex:
         raise ValueError(f"max_degree {data.get('max_degree')!r} does not "
                          f"match {len(levels)} levels")
     diffs = [_matrix_in_slot(dj, levels[n], levels[n - 1])
-             for n, dj in enumerate(data["differentials"], start=1)]
+             for n, dj in enumerate(diffs, start=1)]
     return ChainComplex(ring, levels, diffs)

@@ -16,7 +16,8 @@ import random
 from math import factorial
 from typing import Optional
 
-from .chain import ChainComplex, ChainMap, concentrated, pad, tensor_blocks, two_term
+from .chain import (ChainComplex, ChainMap, concentrated, pad, tensor_blocks,
+                    two_term)
 from .doldkan import gamma, gamma_map
 from .exactlin import FreeModule, LinearMap, compose, kernel
 from .rings import Ring
@@ -296,17 +297,13 @@ def _sq_zero_mult(ops, ring, X, Y, Z, xc: bool, yc: bool, zc: bool):
                         entries[(dz + (j - dy), col)] = ring.one
                     elif yj_const:
                         entries[(dz + (i - dx), col)] = ring.one
-        comps.append(LinearMap(src.level(n), Z.level(n), entries))
-    return ops.make_map(src, Z, comps)
+        comps.append(entries)
+    return ops.maps(src, Z, comps)
 
 
 def _unit_into(ops, ring, H):
     """unit -> C (+) disk, hitting the constant generator."""
-    u = ops.unit_obj()
-    comps = [LinearMap(u.level(n), H.level(n),
-                       {(0, 0): ring.one} if u.level(n).rank else {})
-             for n in range(ops.max_degree + 1)]
-    return ops.make_map(u, H, comps)
+    return ops.constant(ops.unit_obj(), H, {(0, 0): ring.one})
 
 
 def category_operad(ring: Ring, base: str, max_degree: int, colors,
@@ -413,11 +410,8 @@ def scaled_pair_operad(ring: Ring, factor: int, max_degree: int = 1):
             for e in colors:
                 scale = ring.one if (c == d or d == e) else f
                 src = ops.tensor(lev[((d,), e)], lev[((c,), d)])
-                comps[((( d,), e), 0, ((c,), d))] = ops.make_map(
-                    src, lev[((c,), e)],
-                    [LinearMap(src.level(n), lev[((c,), e)].level(n),
-                               {(0, 0): scale} if n == 0 else {})
-                     for n in range(max_degree + 1)])
+                comps[((( d,), e), 0, ((c,), d))] = ops.constant(
+                    src, lev[((c,), e)], {(0, 0): scale})
     return op.Operad(coll, units, comps)
 
 
@@ -427,14 +421,9 @@ def point_inclusion(P, Q, target_color):
     from . import operad as op
     (c0,) = P.collection.colors
     sig = ((c0,), c0)
-    f = _unit_into(Q.ops, Q.ring, Q.collection.level(((target_color,),
-                                                      target_color)))
-    src = P.collection.level(sig)
-    comps = [LinearMap(src.level(n), f.target.level(n),
-                       f.component(n).entries)
-             for n in range(P.collection.max_degree + 1)]
-    return op.OpMorphism(P, Q, {c0: target_color},
-                         {sig: P.ops.make_map(src, f.target, comps)})
+    tgt = Q.collection.level(((target_color,), target_color))
+    return op.OpMorphism(P, Q, {c0: target_color}, {sig: P.ops.constant(
+        P.collection.level(sig), tgt, {(0, 0): Q.ring.one})})
 
 
 def nilpotent_two_color_operad(ring: Ring, max_degree: int):
@@ -458,26 +447,13 @@ def nilpotent_two_color_operad(ring: Ring, max_degree: int):
         ((a, a), b): WW,
     }
     swap = (1, 0)
-
-    def ident(X, Y):
-        return ops.make_map(X, Y, [
-            LinearMap(X.level(n), Y.level(n),
-                      {(i, i): ring.one for i in range(X.level(n).rank)})
-            for n in range(max_degree + 1)])
-
-    def summand_swap(X):
-        comps = []
-        for n in range(max_degree + 1):
-            w = X.level(n).rank // 2
-            comps.append(LinearMap(X.level(n), X.level(n),
-                                   {(i + w if i < w else i - w, i): ring.one
-                                    for i in range(2 * w)}))
-        return ops.make_map(X, X, comps)
-
+    summand_swap = ops.maps(WW, WW, [
+        {(i + w if i < w else i - w, i): ring.one for i in range(2 * w)}
+        for w in [r // 2 for r in WW.ranks()]])
     actions = {
-        ((a, b), a): {swap: ident(W, W)},
-        ((b, a), a): {swap: ident(W, W)},
-        ((a, a), b): {swap: summand_swap(WW)},
+        ((a, b), a): {swap: ops.identity(W)},
+        ((b, a), a): {swap: ops.identity(W)},
+        ((a, a), b): {swap: summand_swap},
     }
     coll = op.Collection(ring, base, (a, b), 2, max_degree, levels, actions)
     units = {c: _unit_into(ops, ring, C) for c in (a, b)}
@@ -519,10 +495,8 @@ def random_collection(rng: random.Random, ring: Ring, base: str,
         levels[sig] = obj
         # a transposition has sign -1
         scale = ring.one if action == "trivial" else ring.normalize(-1)
-        swap = ops.make_map(obj, obj, [
-            LinearMap(obj.level(m), obj.level(m),
-                      {(i, i): scale for i in range(obj.level(m).rank)})
-            for m in range(max_degree + 1)])
+        swap = ops.maps(obj, obj, [
+            {(i, i): scale for i in range(rank)} for rank in obj.ranks()])
         actions[sig] = dict.fromkeys(perms.transpositions(n), swap)
     if not levels:
         levels[((color,), color)] = ops.unit_obj()
@@ -543,14 +517,12 @@ def binary_generator(ring: Ring, max_arity: int, max_degree: int = 0,
     ops = op._ops_for("chain", ring, max_degree)
     sig = ((color, color), color)
     r = 2 if regular else rank
-    obj = pad(concentrated(ring, 0, r), max_degree)
+    obj = ops.free(r)
     if regular:
         table = {(0, 1): ring.one, (1, 0): ring.one}
     else:
         table = {(i, i): ring.one for i in range(r)}
-    swap = ops.make_map(obj, obj, [
-        LinearMap(obj.level(n), obj.level(n), table if n == 0 else {})
-        for n in range(max_degree + 1)])
+    swap = ops.constant(obj, obj, table)
     return op.Collection(ring, "chain", (color,), max_arity, max_degree,
                          {sig: obj}, {sig: {(1, 0): swap}})
 
@@ -589,22 +561,17 @@ def split_binary_inclusion(ring: Ring, max_arity: int, m_rank: int = 2,
         if r == 0:
             return op.Collection(ring, "chain", (color,), max_arity,
                                  max_degree, {}, {})
-        obj = pad(concentrated(ring, 0, r), max_degree)
-        swap = ops.make_map(obj, obj, [
-            LinearMap(obj.level(n), obj.level(n), tbl if n == 0 else {})
-            for n in range(max_degree + 1)])
+        obj = ops.free(r)
         return op.Collection(ring, "chain", (color,), max_arity,
-                             max_degree, {sig: obj}, {sig: {(1, 0): swap}})
+                             max_degree, {sig: obj},
+                             {sig: {(1, 0): ops.constant(obj, obj, tbl)}})
 
     M = coll(rm, block(rm, m_regular))
     Y = coll(rm + rq, table)
     comps = {}
     if rm:
-        A, B = M.level(sig), Y.level(sig)
-        comps[sig] = ops.make_map(A, B, [
-            LinearMap(A.level(n), B.level(n),
-                      {(i, i): ring.one for i in range(A.level(n).rank)})
-            for n in range(max_degree + 1)])
+        comps[sig] = ops.constant(M.level(sig), Y.level(sig),
+                                  {(i, i): ring.one for i in range(rm)})
     f = trees.CollectionMap(M, Y, comps)
     return M, Y, f
 
@@ -622,21 +589,15 @@ def two_color_binary_inclusion(ring: Ring, max_arity: int,
     s_ba = ((b, a), a)
     s_bb = ((b, b), b)
 
-    def rank1():
-        return pad(concentrated(ring, 0, 1), max_degree)
-
     def unit_map(A, B):
-        return ops.make_map(A, B, [
-            LinearMap(A.level(n), B.level(n),
-                      {(0, 0): ring.one} if A.level(n).rank else {})
-            for n in range(max_degree + 1)])
+        return ops.constant(A, B, {(0, 0): ring.one})
 
-    m_levels = {s_ab: rank1(), s_ba: rank1()}
+    m_levels = {s_ab: ops.free(1), s_ba: ops.free(1)}
     m_actions = {s_ab: {(1, 0): unit_map(m_levels[s_ab], m_levels[s_ba])},
                  s_ba: {(1, 0): unit_map(m_levels[s_ba], m_levels[s_ab])}}
     M = op.Collection(ring, "chain", colors, max_arity, max_degree,
                       m_levels, m_actions)
-    y_levels = {s_ab: rank1(), s_ba: rank1(), s_bb: rank1()}
+    y_levels = {s_ab: ops.free(1), s_ba: ops.free(1), s_bb: ops.free(1)}
     y_actions = {s_ab: {(1, 0): unit_map(y_levels[s_ab], y_levels[s_ba])},
                  s_ba: {(1, 0): unit_map(y_levels[s_ba], y_levels[s_ab])},
                  s_bb: {(1, 0): unit_map(y_levels[s_bb], y_levels[s_bb])}}

@@ -545,11 +545,8 @@ def normalize_operad_data(P):
             raise RuntimeError(f"the normalized unit of color {c!r} has "
                                f"source ranks {nu.source.ranks()}, not "
                                f"{usrc.ranks()}")
-        units[c] = ChainMap(
-            usrc, nu.target,
-            [LinearMap(usrc.level(n), nu.target.level(n),
-                       nu.component(n).entries) for n in range(D + 1)],
-            check=False)
+        units[c] = ops.maps(usrc, nu.target,
+                            [f.entries for f in nu.components])
 
     # N(X (x) Y) and the shuffle, keyed by the shared normalizations of
     # X and Y, which hold them alive

@@ -1334,20 +1334,45 @@ def matrix_to_json(m: LinearMap) -> dict:
     }
 
 
+def _json_list(value, what: str) -> list:
+    """value, which a JSON loader reads as a list, or ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} is a list, not {type(value).__name__}")
+    return value
+
+
+def _json_fields(data, what: str, keys, lists=()) -> list:
+    """The values under keys of data, a JSON object that a loader reads
+    as what ("a matrix") document, or ValueError: when data is not an
+    object, lacks one of keys or holds anything but a list under one of
+    lists.  Every loader reads its documents and their nested entries
+    through this."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} document is an object, not "
+                         f"{type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} document needs the key {key!r}")
+    for key in lists:
+        _json_list(data[key], f"{key!r} of {what} document")
+    return [data[key] for key in keys]
+
+
 def matrix_from_json(data: dict) -> LinearMap:
     """Inverse of matrix_to_json; ValueError for a missing key, an entry
     that is not [int, int, str], a malformed entry or a position listed
     twice."""
-    for key in ("ring", "rows", "cols", "entries"):
-        if key not in data:
-            raise ValueError(f"a matrix document needs the key {key!r}")
-    ring = ring_from_name(data["ring"])
-    src = FreeModule(ring, data["cols"])
-    tgt = FreeModule(ring, data["rows"])
+    name, rows, cols, items = _json_fields(
+        data, "a matrix", ("ring", "rows", "cols", "entries"), ("entries",))
+    ring = ring_from_name(name)
+    src = FreeModule(ring, cols)
+    tgt = FreeModule(ring, rows)
     entries = {}
-    for i, j, s in data["entries"]:
-        if type(i) is not int or type(j) is not int or type(s) is not str:
-            raise ValueError(f"entry {[i, j, s]!r} is not [int, int, str]")
+    for entry in items:
+        if not (isinstance(entry, list) and len(entry) == 3 and
+                [type(x) for x in entry] == [int, int, str]):
+            raise ValueError(f"entry {entry!r} is not [int, int, str]")
+        i, j, s = entry
         if (i, j) in entries:
             raise ValueError(f"entry ({i},{j}) is listed twice")
         entries[(i, j)] = ring.from_str(s)

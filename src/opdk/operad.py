@@ -26,16 +26,16 @@ from itertools import combinations_with_replacement, product
 from typing import NamedTuple, Optional
 
 from . import permutations
-from .chain import (ChainComplex, ChainMap, zero_complex, pad, unit_complex,
-                    homology, is_quasi_iso, _atom_layout, _coherence,
-                    _layout, _tensor_components, _tensor_entries,
-                    _tensor_layout, _unitor_components)
+from .chain import (ChainComplex, ChainMap, concentrated, pad, homology,
+                    is_quasi_iso, _atom_layout, _coherence, _layout,
+                    _tensor_components, _tensor_entries, _tensor_layout,
+                    _unitor_components)
 from . import chain as _chain
 from . import simp as _simp
 from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
 from .exactlin import (CokernelPresentation, FreeModule, LinearMap, cokernel,
                        compose, hstack, matrix_to_json, signed_quotient,
-                       _matrix_in_slot)
+                       _json_fields, _json_list, _matrix_in_slot)
 from .rings import Ring, ZZ, ring_from_name
 from .doldkan import normalize, normalize_map
 
@@ -167,9 +167,16 @@ def word_act(w, sigma):
 #
 # Everything downstream is written against this tiny interface so that
 # chain complexes and simplicial modules are handled by the same code.
-# The shims build objects and maps; the braidings and associators of
-# both bases are not here but come from the tensor layouts
-# (`chain._coherence`).
+# A shim builds objects and maps of its base; the two differ only in
+# the tensor product, the direct sum, the free object on a rank
+# (`free`: concentrated in degree 0 over chains, constant over
+# simplicial modules; the unit is free(1)) and the map class `Map`.
+# Every degreewise map is built here: `maps` from per-degree entries,
+# `constant` from one entry table placed in each degree where the free
+# objects live, and `make_map` from finished components; `identity`,
+# `zero_map` and `check_map` are written once over `Map`, the shared
+# `chain.DegreewiseMap`.  The braidings and associators of both bases
+# are not here but come from the tensor layouts (`chain._coherence`).
 
 
 class _Ops:
@@ -177,21 +184,47 @@ class _Ops:
         self.ring = ring
         self.max_degree = max_degree
 
-    def equal(self, f, g) -> bool:
-        return f == g
+    def zero_obj(self):
+        return self.free(0)
+
+    def unit_obj(self):
+        return self.free(1)
+
+    def is_zero(self, A) -> bool:
+        return not any(A.ranks())
+
+    def identity(self, A):
+        return self.Map.identity(A)
+
+    def zero_map(self, A, B):
+        return self.Map.zero(A, B)
+
+    def make_map(self, A, B, comps):
+        return self.Map(A, B, comps, check=False)
+
+    def maps(self, A, B, entries):
+        """The map A -> B whose degree-n component holds entries[n]."""
+        return self.make_map(A, B, [LinearMap(A.level(n), B.level(n), e)
+                                    for n, e in enumerate(entries)])
+
+    def constant(self, A, B, entries):
+        """The map A -> B holding entries in every degree where the free
+        objects live: degree 0 over chains, all degrees over simplicial
+        modules."""
+        return self.maps(A, B, [
+            entries if n == 0 or self.base == "simplicial" else {}
+            for n in range(self.max_degree + 1)])
+
+    def check_map(self, f):
+        self.Map(f.source, f.target, f.components)
 
 
 class _ChainOps(_Ops):
     base = "chain"
+    Map = ChainMap
 
-    def zero_obj(self):
-        return zero_complex(self.ring, self.max_degree)
-
-    def unit_obj(self):
-        return pad(unit_complex(self.ring), self.max_degree)
-
-    def is_zero(self, A) -> bool:
-        return A.total_rank() == 0
+    def free(self, rank: int):
+        return pad(concentrated(self.ring, 0, rank), self.max_degree)
 
     def tensor(self, A, B):
         return _chain.tensor(A, B, bound=self.max_degree)
@@ -210,30 +243,13 @@ class _ChainOps(_Ops):
     def direct_sum(self, A, B):
         return _chain.direct_sum(A, B)
 
-    def identity(self, A):
-        return ChainMap.identity(A)
-
-    def zero_map(self, A, B):
-        return ChainMap.zero(A, B)
-
-    def make_map(self, A, B, comps):
-        return ChainMap(A, B, comps, check=False)
-
-    def check_map(self, f):
-        ChainMap(f.source, f.target, f.components)
-
 
 class _SimpOps(_Ops):
     base = "simplicial"
+    Map = SimplicialMap
 
-    def zero_obj(self):
-        return constant_module(self.ring, self.max_degree, 0)
-
-    def unit_obj(self):
-        return constant_module(self.ring, self.max_degree, 1)
-
-    def is_zero(self, A) -> bool:
-        return sum(A.ranks()) == 0
+    def free(self, rank: int):
+        return constant_module(self.ring, self.max_degree, rank)
 
     def tensor(self, A, B):
         return _simp.tensor(A, B)
@@ -247,20 +263,6 @@ class _SimpOps(_Ops):
 
     def direct_sum(self, A, B):
         return _simp.direct_sum(A, B)
-
-    def identity(self, A):
-        return SimplicialMap.identity(A)
-
-    def zero_map(self, A, B):
-        comps = [LinearMap.zero(A.level(n), B.level(n))
-                 for n in range(self.max_degree + 1)]
-        return SimplicialMap(A, B, comps, check=False)
-
-    def make_map(self, A, B, comps):
-        return SimplicialMap(A, B, comps, check=False)
-
-    def check_map(self, f):
-        SimplicialMap(f.source, f.target, f.components)
 
 
 def _ops_for(base: str, ring: Ring, max_degree: int):
@@ -441,6 +443,9 @@ class Collection:
         self.base = base
         self.ops = _ops_for(base, ring, max_degree)
         self.colors = tuple(colors)
+        for i, c in enumerate(self.colors):
+            if c in self.colors[:i]:
+                raise ValueError(f"color {c!r} is listed twice")
         self.max_arity = max_arity
         self.max_degree = max_degree
         self.truncated = truncated
@@ -487,7 +492,7 @@ class Collection:
                         ((a, b, a), (b, a, b)) if j == i + 1 else \
                         ((a, b), (b, a))
                     (f, p), (g, _) = self._path(sig, u), self._path(sig, v)
-                    if not self.ops.equal(f, g):
+                    if f != g:
                         raise ValueError(f"action generators inconsistent "
                                          f"at {sig_str(sig)}, permutation {p}")
 
@@ -599,9 +604,8 @@ def collection_check(M: Collection) -> list:
             continue
         for s in perms:
             for g in permutations.transpositions(n):
-                if not M.ops.equal(M.action(sig, permutations.compose(s, g)),
-                                   M.action(sig_act(sig, s), g) @
-                                   M.action(sig, s)):
+                if M.action(sig, permutations.compose(s, g)) != \
+                        M.action(sig_act(sig, s), g) @ M.action(sig, s):
                     out.append(("action-law", sig, s, g))
     return out
 
@@ -659,7 +663,7 @@ class Operad:
                 raise ValueError(f"composition source mismatch at {where}")
             if f.target.ranks() != collection.level(gsig).ranks():
                 raise ValueError(f"composition target mismatch at {where}")
-            if not all(c.is_zero() for c in f.components):
+            if not f.is_zero():
                 self.compositions[(osig, i, isig)] = f
 
     @property
@@ -735,12 +739,12 @@ def operad_check(P: Operad) -> list:
         c = sig[1]
         left = R.composition(((c,), c), 0, sig) @ R.tensor_map(
             P.unit(c), R.identity(lev))
-        if not ops.equal(left, R.unitor(lev, "left")):
+        if left != R.unitor(lev, "left"):
             out.append(("unit-left", sig))
         for i, ci in enumerate(sig[0]):
             right = R.composition(sig, i, ((ci,), ci)) @ R.tensor_map(
                 R.identity(lev), P.unit(ci))
-            if not ops.equal(right, R.unitor(lev, "right")):
+            if right != R.unitor(lev, "right"):
                 out.append(("unit-right", sig, i))
 
     pairs = [(osig, i, isig)
@@ -765,7 +769,7 @@ def operad_check(P: Operad) -> list:
                 inner = graft_signature(isig, j, zsig)
                 rhs = R.composition(osig, i, inner) @ R.tensor_map(
                     R.identity(X), R.composition(isig, j, zsig))
-                if not ops.equal(lhs, rhs @ R.reordered(X, Y, Z, (0, (1, 2)))):
+                if lhs != rhs @ R.reordered(X, Y, Z, (0, (1, 2))):
                     out.append(("assoc-seq", osig, i, isig, j, zsig))
         # z into a later slot of x: parallel associativity
         for zsig in sigs:
@@ -787,7 +791,7 @@ def operad_check(P: Operad) -> list:
                     R.composition(osig, i, isig), R.identity(Z))
                 rhs = R.composition(mid2, i, isig) @ R.tensor_map(
                     R.composition(osig, j, zsig), R.identity(Y))
-                if not ops.equal(lhs, rhs @ R.reordered(X, Y, Z, ((0, 2), 1))):
+                if lhs != rhs @ R.reordered(X, Y, Z, ((0, 2), 1)):
                     out.append(("assoc-par", osig, i, j, isig, zsig))
 
     for osig, i, isig in pairs:
@@ -807,7 +811,7 @@ def operad_check(P: Operad) -> list:
             lhs = R.composition(ssig, i, isig) @ R.tensor_map(
                 M.action(osig, s), R.identity(Y))
             rhs = M.action(gs, rho) @ R.composition(osig, s[i], isig)
-            if not ops.equal(lhs, rhs):
+            if lhs != rhs:
                 out.append(("equiv-outer", osig, i, isig, s))
         # inner equivariance against transpositions of the inner slots
         for t in range(m - 1):
@@ -821,7 +825,7 @@ def operad_check(P: Operad) -> list:
             lhs = R.composition(osig, i, sig_act(isig, s)) @ R.tensor_map(
                 R.identity(X), M.action(isig, s))
             rhs = M.action(gs, rho) @ R.composition(osig, i, isig)
-            if not ops.equal(lhs, rhs):
+            if lhs != rhs:
                 out.append(("equiv-inner", osig, i, isig, s))
     return out
 
@@ -881,16 +885,16 @@ class OpMorphism:
         sig = (tuple(sig[0]), sig[1])
         if sig in self.level_maps:
             return self.level_maps[sig]
-        ops = self.source.ops
-        return ops.zero_map(self.source.collection.level(sig),
-                            self.target.collection.level(self.map_sig(sig)))
+        return self.source.ops.zero_map(
+            self.source.collection.level(sig),
+            self.target.collection.level(self.map_sig(sig)))
 
     def _check(self):
         P, Q = self.source, self.target
         ops = P.ops
         for c in P.collection.colors:
             lhs = self.level_map(((c,), c)) @ P.unit(c)
-            if not ops.equal(lhs, Q.unit(self.color_map[c])):
+            if lhs != Q.unit(self.color_map[c]):
                 raise ValueError(f"unit of color {c!r} is not preserved")
         sigs = P.collection.signatures()
         for sig in sigs:
@@ -899,7 +903,7 @@ class OpMorphism:
                 s = permutations.transposition(n, t)
                 lhs = self.level_map(sig_act(sig, s)) @ P.collection.action(sig, s)
                 rhs = Q.collection.action(self.map_sig(sig), s) @ self.level_map(sig)
-                if not ops.equal(lhs, rhs):
+                if lhs != rhs:
                     raise ValueError(
                         f"action not preserved at {sig_str(sig)}, swap {t}")
         for osig in sigs:
@@ -911,7 +915,7 @@ class OpMorphism:
                     lhs = self.level_map(gsig) @ P.composition(osig, i, isig)
                     rhs = Q.composition(self.map_sig(osig), i, self.map_sig(isig)) \
                         @ ops.tensor_map(self.level_map(osig), self.level_map(isig))
-                    if not ops.equal(lhs, rhs):
+                    if lhs != rhs:
                         raise ValueError(
                             f"composition not preserved at "
                             f"({sig_str(osig)}, {i}, {sig_str(isig)})")
@@ -956,27 +960,7 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
         return permutations.all_permutations(n) if n or not unital else [()]
 
     arities = range(0 if unital else 1, max_arity + 1)
-    levels = {}
-    for n in arities:
-        ws = words(n)
-        if not ws:
-            continue
-        if base == "chain":
-            levels[((color,) * n, color)] = pad(
-                _chain.concentrated(ring, 0, len(ws)), max_degree)
-        else:
-            levels[((color,) * n, color)] = constant_module(
-                ring, max_degree, len(ws))
-
-    def const_map(src, tgt, entries):
-        if base == "chain":
-            comps = [LinearMap(src.level(n), tgt.level(n),
-                               entries if n == 0 else {})
-                     for n in range(max_degree + 1)]
-        else:
-            comps = [LinearMap(src.level(n), tgt.level(n), dict(entries))
-                     for n in range(max_degree + 1)]
-        return ops.make_map(src, tgt, comps)
+    levels = {((color,) * n, color): ops.free(len(words(n))) for n in arities}
 
     actions = {}
     for n in arities:
@@ -987,17 +971,13 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
         for s in permutations.transpositions(n):
             relabel = {(index[word_act(w, s)], j): ring.one
                        for j, w in enumerate(ws)}
-            actions[sig][s] = const_map(levels[sig], levels[sig], relabel)
+            actions[sig][s] = ops.constant(levels[sig], levels[sig],
+                                           relabel)
 
     coll = Collection(ring, base, (color,), max_arity, max_degree,
                       levels, actions)
-    unit_src = ops.unit_obj()
-    usig = ((color,), color)
-    ucomps = [LinearMap(unit_src.level(n), levels[usig].level(n),
-                        {(0, 0): ring.one} if (base == "simplicial" or n == 0)
-                        else {})
-              for n in range(max_degree + 1)]
-    units = {color: ops.make_map(unit_src, levels[usig], ucomps)}
+    units = {color: ops.constant(ops.unit_obj(), levels[((color,), color)],
+                                 {(0, 0): ring.one})}
 
     compositions = {}
     for k in arities:
@@ -1017,7 +997,7 @@ def associative_operad(ring: Ring, base: str = "chain", max_arity: int = 3,
                     for b, v in enumerate(wm):
                         row = out_index[word_graft(w, i, v)]
                         entries[(row, a * len(wm) + b)] = ring.one
-                compositions[(osig, i, isig)] = const_map(
+                compositions[(osig, i, isig)] = ops.constant(
                     src, levels[((color,) * n, color)], entries)
     return Operad(coll, units, compositions)
 
@@ -1363,9 +1343,8 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
                         "input relabeling").entries
                         for e, p, q in zip(ents, qs, tqs)]
                 pieces.append((ents, off, toffsets[tj]))
-            gens[sig][s] = ops.make_map(levels[sig], levels[tsig], [
-                LinearMap(levels[sig].level(n), levels[tsig].level(n), e)
-                for n, e in enumerate(_placed(pieces, D))])
+            gens[sig][s] = ops.maps(levels[sig], levels[tsig],
+                                    _placed(pieces, D))
 
     truncated = M.truncated or N.truncated or \
         any(sig_arity(s) == 0 for s in N.levels)
@@ -1412,7 +1391,7 @@ def restrict_colors(alpha: dict, Q: Operad, colors) -> Operad:
                 if sig_arity(osig) + sig_arity(isig) - 1 > out.max_arity:
                     continue
                 f = Q.composition(push(osig), i, push(isig))
-                if not all(c.is_zero() for c in f.components):
+                if not f.is_zero():
                     comps[(osig, i, isig)] = f
     return Operad(out, units, comps)
 
@@ -1642,8 +1621,15 @@ def _map_to_json(f) -> list:
 
 
 def _map_from_json(ops, A, B, data) -> object:
-    return ops.make_map(A, B, [_matrix_in_slot(d, A.level(n), B.level(n))
-                               for n, d in enumerate(data)])
+    return ops.make_map(A, B, [
+        _matrix_in_slot(d, A.level(n), B.level(n))
+        for n, d in enumerate(_json_list(data, "a map document"))])
+
+
+def _sig_from_json(entry, what: str):
+    inputs, output = _json_fields(entry, what, ("inputs", "output"),
+                                  ("inputs",))
+    return tuple(inputs), output
 
 
 def _obj_to_json(base, obj) -> dict:
@@ -1690,6 +1676,12 @@ def operad_to_json(P: Operad) -> dict:
 
 
 def operad_from_json(data: dict) -> Operad:
+    _json_fields(data, "an operad", (
+        "ring", "base", "colors", "max_arity", "max_degree", "levels",
+        "actions", "units", "compositions"), (
+        "colors", "levels", "actions", "compositions"))
+    unit_docs = data["units"]
+    _json_fields(unit_docs, "the units", ())
     ring = ring_from_name(data["ring"])
     base = data["base"]
     colors = tuple(data["colors"])
@@ -1697,12 +1689,13 @@ def operad_from_json(data: dict) -> Operad:
     ops = _ops_for(base, ring, D)
     levels = {}
     for entry in data["levels"]:
-        sig = (tuple(entry["inputs"]), entry["output"])
-        levels[sig] = _obj_from_json(base, entry["object"])
+        (obj,) = _json_fields(entry, "a level", ("object",))
+        levels[_sig_from_json(entry, "a level")] = _obj_from_json(base, obj)
     gens = {sig: {} for sig in levels}
     for entry in data["actions"]:
-        sig = (tuple(entry["inputs"]), entry["output"])
-        n, swap = sig_arity(sig), entry["swap"]
+        sig = _sig_from_json(entry, "an action")
+        swap, m = _json_fields(entry, "an action", ("swap", "map"))
+        n = sig_arity(sig)
         if type(swap) is not int or not 0 <= swap < n - 1:
             raise ValueError(f"action swap {swap!r} at {sig_str(sig)} is not "
                              f"in range({n - 1})")
@@ -1712,25 +1705,24 @@ def operad_from_json(data: dict) -> Operad:
             if end not in levels:
                 raise ValueError(f"action {s} at {sig_str(sig)} reaches "
                                  f"{sig_str(end)}, which has no level")
-        gens[sig][s] = _map_from_json(ops, levels[sig], levels[tsig],
-                                      entry["map"])
+        gens[sig][s] = _map_from_json(ops, levels[sig], levels[tsig], m)
     coll = Collection(ring, base, colors, A, D, levels, gens,
                       truncated=data.get("truncated", False))
     units = {}
     for c in colors:
         usig = ((c,), c)
-        if str(c) not in data["units"]:
+        if str(c) not in unit_docs:
             raise ValueError(f"no unit for color {c!r}")
         if usig not in levels:
             raise ValueError(f"unit of color {c!r} reaches {sig_str(usig)}, "
                              f"which has no level")
         units[c] = _map_from_json(ops, ops.unit_obj(), levels[usig],
-                                  data["units"][str(c)])
+                                  unit_docs[str(c)])
     comps = {}
     for entry in data["compositions"]:
-        osig = (tuple(entry["outer"]["inputs"]), entry["outer"]["output"])
-        isig = (tuple(entry["inner"]["inputs"]), entry["inner"]["output"])
-        i = entry["slot"]
+        outer, i, inner, m = _json_fields(
+            entry, "a composition", ("outer", "slot", "inner", "map"))
+        osig, isig = (_sig_from_json(x, "a signature") for x in (outer, inner))
         for end in (osig, isig):
             if end not in levels:
                 raise ValueError(f"composition ({sig_str(osig)}, {i}, "
@@ -1739,5 +1731,5 @@ def operad_from_json(data: dict) -> Operad:
         gsig = graft_signature(osig, i, isig)
         src = ops.tensor(levels[osig], levels[isig])
         tgt = levels.get(gsig) or ops.zero_obj()
-        comps[(osig, i, isig)] = _map_from_json(ops, src, tgt, entry["map"])
+        comps[(osig, i, isig)] = _map_from_json(ops, src, tgt, m)
     return Operad(coll, units, comps)

@@ -204,6 +204,8 @@ def Zmod(p: int) -> Ring:
 
 def ring_from_name(name: str) -> Ring:
     """Inverse of Ring.name(), used by every JSON loader."""
+    if type(name) is not str:
+        raise ValueError(f"a ring name is a str, not {name!r}")
     if name == "Z":
         return ZZ
     if name == "Q":

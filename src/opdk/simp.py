@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .chain import (ChainComplex, _bracketed_layout, _coherence,
-                    _pair_map_components)
+from .chain import (ChainComplex, DegreewiseMap, _bracketed_layout,
+                    _coherence, _pair_map_components)
 from .exactlin import (
     FreeModule,
     LinearMap,
+    _json_fields,
+    _json_list,
     _kron_entries,
     _matrix_in_slot,
     compose,
@@ -179,69 +181,27 @@ class SimplicialModule:
         return f"SimplicialModule({self.ring.name()}, ranks={self.ranks()})"
 
 
-class SimplicialMap:
-    __slots__ = ("source", "target", "components")
+class SimplicialMap(DegreewiseMap):
+    """Degreewise map commuting with every face and degeneracy."""
 
-    def __init__(self, source: SimplicialModule, target: SimplicialModule,
-                 components: Sequence[LinearMap], check: bool = True):
-        if source.ring != target.ring:
-            raise ValueError(f"source over {source.ring.name()}, target "
-                             f"over {target.ring.name()}")
-        if source.max_degree != target.max_degree:
-            raise ValueError(f"source degree {source.max_degree}, target "
-                             f"degree {target.max_degree}")
-        components = tuple(components)
-        if len(components) != source.max_degree + 1:
-            raise ValueError(f"degrees 0..{source.max_degree} need "
-                             f"{source.max_degree + 1} components, got "
-                             f"{len(components)}")
-        self.source = source
-        self.target = target
-        self.components = components
-        if check:
-            D = source.max_degree
-            for n in range(1, D + 1):
-                for i in range(n + 1):
-                    lhs = compose(target.face(n, i), components[n])
-                    rhs = compose(components[n - 1], source.face(n, i))
-                    if lhs.entries != rhs.entries:
-                        raise ValueError(f"does not commute with d_{i} at degree {n}")
-            for n in range(D):
-                for i in range(n + 1):
-                    lhs = compose(target.degeneracy(n, i), components[n])
-                    rhs = compose(components[n + 1], source.degeneracy(n, i))
-                    if lhs.entries != rhs.entries:
-                        raise ValueError(f"does not commute with s_{i} at degree {n}")
+    __slots__ = ()
+    kind = "simplicial"
 
-    @classmethod
-    def identity(cls, A: SimplicialModule) -> "SimplicialMap":
-        return cls(A, A, [LinearMap.identity(M) for M in A.levels], check=False)
-
-    def component(self, n: int) -> LinearMap:
-        return self.components[n]
-
-    def __matmul__(self, other: "SimplicialMap") -> "SimplicialMap":
-        comps = [compose(a, b) for a, b in zip(self.components, other.components)]
-        return SimplicialMap(other.source, self.target, comps, check=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, SimplicialMap):
-            return NotImplemented
-        return all(a.entries == b.entries
-                   for a, b in zip(self.components, other.components))
-
-    def __hash__(self):
-        return hash(tuple(len(c.entries) for c in self.components))
-
-    def is_iso(self) -> bool:
-        return all(f.is_iso() for f in self.components)
-
-    def inverse(self) -> "SimplicialMap":
-        return SimplicialMap(self.target, self.source,
-                             [f.inverse() for f in self.components], check=False)
-
-    def __repr__(self):
-        return f"SimplicialMap({self.source.ranks()} -> {self.target.ranks()})"
+    def _check(self):
+        source, target, components = self.source, self.target, self.components
+        D = source.max_degree
+        for n in range(1, D + 1):
+            for i in range(n + 1):
+                lhs = compose(target.face(n, i), components[n])
+                rhs = compose(components[n - 1], source.face(n, i))
+                if lhs.entries != rhs.entries:
+                    raise ValueError(f"does not commute with d_{i} at degree {n}")
+        for n in range(D):
+            for i in range(n + 1):
+                lhs = compose(target.degeneracy(n, i), components[n])
+                rhs = compose(components[n + 1], source.degeneracy(n, i))
+                if lhs.entries != rhs.entries:
+                    raise ValueError(f"does not commute with s_{i} at degree {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +525,15 @@ def simp_to_json(A: SimplicialModule) -> dict:
 
 def simp_from_json(data: dict) -> SimplicialModule:
     from .rings import ring_from_name
-    ring = ring_from_name(data["ring"])
-    levels = [FreeModule(ring, r) for r in data["levels"]]
-    for what in ("faces", "degeneracies"):
-        count = len(data[what])
+    keys = ("ring", "levels", "faces", "degeneracies")
+    name, ranks, faces, degeneracies = _json_fields(
+        data, "a simplicial module", keys, keys[1:])
+    ring = ring_from_name(name)
+    levels = [FreeModule(ring, r) for r in ranks]
+    for what, lists in (("faces", faces), ("degeneracies", degeneracies)):
+        for n, maps in enumerate(lists):
+            _json_list(maps, f"entry {n} of {what!r}")
+        count = len(lists)
         if count >= max(len(levels), 1):
             raise ValueError(f"{count} lists of {what} need {count + 1} "
                              f"levels, got {len(levels)}")
@@ -576,7 +541,7 @@ def simp_from_json(data: dict) -> SimplicialModule:
         raise ValueError(f"max_degree {data.get('max_degree')!r} does not "
                          f"match {len(levels)} levels")
     faces = [[_matrix_in_slot(m, levels[n], levels[n - 1]) for m in fs]
-             for n, fs in enumerate(data["faces"], start=1)]
+             for n, fs in enumerate(faces, start=1)]
     degeneracies = [[_matrix_in_slot(m, levels[n], levels[n + 1]) for m in ss]
-                    for n, ss in enumerate(data["degeneracies"])]
+                    for n, ss in enumerate(degeneracies)]
     return SimplicialModule(ring, levels, faces, degeneracies)

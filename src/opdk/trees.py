@@ -27,13 +27,14 @@ vertex drive four computations:
   through the sum-quotient-descend layer of `operad`: `_assemble` lays
   out every direct sum (the classes of a level, the blocks and choice
   domains of an extension stage) and maps between sums are placed by
-  its offsets; `_coinvariants` divides a block by its self-moves, as it
-  divides a composite term by its stabilizer, through `_quotient_by`,
-  which feeds them to the signed union-find `exactlin.signed_quotient`
-  when the actions send basis elements to +-basis elements and takes an
-  exact cokernel otherwise; and `_descend` pushes relabelings and
-  evaluations down block by block, raising ValueError on one that does
-  not descend;
+  its offsets (`_placed_map`, which builds them through the shim's
+  per-degree builder `ops.maps`); `_coinvariants` divides a block by
+  its self-moves, as it divides a composite term by its stabilizer,
+  through `_quotient_by`, which feeds them to the signed union-find
+  `exactlin.signed_quotient` when the actions send basis elements to
+  +-basis elements and takes an exact cokernel otherwise; and
+  `_descend` pushes relabelings and evaluations down block by block,
+  raising ValueError on one that does not descend;
 * the stages of a free extension of operads, assembled with degreewise
   pushouts of complexes, gluing each class along the choice blocks of
   its canonical tree alone.  The cokernel collection of the attaching
@@ -65,7 +66,7 @@ from .rings import Ring
 from .exactlin import (LinearMap, cokernel, compose, hstack,
                        _product_entries)
 from . import chain as _chain
-from .chain import (ChainComplex, ChainMap, concentrated, pad, _expand,
+from .chain import (ChainComplex, ChainMap, pad, _expand,
                     _flat, _layout, _tensor_entries)
 from . import permutations
 from .operad import (Collection, Operad, graft_signature, sig_act, sig_arity,
@@ -525,12 +526,17 @@ def leaf_labelings(leaf_colors, inputs):
 # (left-associated, as `operad._tensor_many` builds the objects).  A
 # block keeps the layout of its canonical tree, a planar tree carried
 # to it lays out its own on first use, and stage rewrites build theirs
-# per factor list; no position list or index dict is stored.  Every map
-# applied factorwise, a tree isomorphism, a relabeling or a stage
-# rewrite, goes through `chain._tensor_entries`, which places each product by the
-# strides of both layouts.  `chain._expand` lists a degree's basis only
-# where a map is not factorwise: `_pair_entries`, whose map leaves the
-# tensor of two factors.
+# per factor list; no position list or index dict is stored.  The last
+# factor of every tensor is the labeling complex, the shim's free object
+# `ops.free` on the labelings, and a relabeling of it is the shim's
+# `ops.constant` map (`_labeling_map`).  Every map applied factorwise, a
+# tree isomorphism, a relabeling or a stage rewrite, goes through
+# `chain._tensor_entries`, which places each product by the strides of
+# both layouts, and the per-degree entries it returns become a map
+# through the shim's `ops.maps`, directly or, for pieces of a direct
+# sum, at their offsets through `_placed_map`.  `chain._expand` lists a
+# degree's basis only where a map is not factorwise: `_pair_entries`,
+# whose map leaves the tensor of two factors.
 
 
 def _pair_entries(ops, src_objs, a: int, pairmap: ChainMap):
@@ -558,21 +564,12 @@ def _pair_entries(ops, src_objs, a: int, pairmap: ChainMap):
     return out
 
 
-def _labeling_complex(ring: Ring, count: int, bound: int) -> ChainComplex:
-    return pad(concentrated(ring, 0, count), bound)
-
-
 def _labeling_map(ops, labs, tgt_labs, relabel):
-    """The map of labeling complexes sending labeling lab to
-    relabel(lab) among tgt_labs."""
+    """The map of labeling complexes, the free objects on the labelings,
+    sending labeling lab to relabel(lab) among tgt_labs."""
     where = {lab: i for i, lab in enumerate(tgt_labs)}
-    Lp = _labeling_complex(ops.ring, len(labs), ops.max_degree)
-    Lq = _labeling_complex(ops.ring, len(tgt_labs), ops.max_degree)
-    ents = {(where[relabel(lab)], i): ops.ring.one
-            for i, lab in enumerate(labs)}
-    return ops.make_map(Lp, Lq, [
-        LinearMap(Lp.level(n), Lq.level(n), ents if n == 0 else {})
-        for n in range(ops.max_degree + 1)])
+    return ops.constant(ops.free(len(labs)), ops.free(len(tgt_labs)), {
+        (where[relabel(lab)], i): ops.ring.one for i, lab in enumerate(labs)})
 
 
 def _placed_map(ops, src, tgt, pieces):
@@ -580,10 +577,9 @@ def _placed_map(ops, src, tgt, pieces):
     column offsets, row offsets) at its per-degree offsets, None for no
     offset: block maps go into and out of `operad._assemble` sums this
     way, through `operad._placed`."""
-    ents = _placed([([m.entries for m in maps], co, ro)
-                    for maps, co, ro in pieces], ops.max_degree)
-    return ops.make_map(src, tgt, [LinearMap(src.level(n), tgt.level(n), e)
-                                   for n, e in enumerate(ents)])
+    return ops.maps(src, tgt, _placed([([m.entries for m in maps], co, ro)
+                                       for maps, co, ro in pieces],
+                                      ops.max_degree))
 
 
 # ---------------------------------------------------------------------------
@@ -614,19 +610,19 @@ class _Block:
     """
 
     __slots__ = ("tree_class", "labs", "layout", "tensor", "obj", "proj",
-                 "section", "quotients", "ring", "bound", "decor", "action",
-                 "sig_inputs", "_reached")
+                 "section", "quotients", "ring", "bound", "ops", "decor",
+                 "action", "sig_inputs", "_reached")
 
     def __init__(self, ring: Ring, bound: int, tree_class: TreeIsoClass,
                  decor: Callable, action: Callable, sig_inputs):
         self.ring = ring
         self.bound = bound
+        self.ops = ops = _ops_for("chain", ring, bound)
         self.tree_class = tree_class
         self.decor, self.action, self.sig_inputs = decor, action, sig_inputs
         self._reached = {}
         p0 = tree_class.rep
         self.labs, factors = self._factors(p0)
-        ops = _ops_for("chain", ring, bound)
         self.layout = _layout("chain", factors, bound)
         self.tensor = _tensor_many(ops, factors)
         cols = [range(self.tensor.level(n).rank) for n in range(bound + 1)]
@@ -644,18 +640,18 @@ class _Block:
                 for n in range(bound + 1):
                     rels[n].append((move[n], cols[n]))
         self.obj, self.quotients = _coinvariants(ops, self.tensor, rels)
-        self.proj = ChainMap(self.tensor, self.obj,
-                             [q.proj for q in self.quotients], check=False)
-        self.section = ChainMap(self.obj, self.tensor,
-                                [q.section for q in self.quotients],
-                                check=False)
+        self.proj = ops.make_map(self.tensor, self.obj,
+                                 [q.proj for q in self.quotients])
+        self.section = ops.make_map(self.obj, self.tensor,
+                                    [q.section for q in self.quotients])
 
     def _factors(self, p: Tree):
         """p's labelings, and the factors of its tensor: its decorations
-        in vertex preorder, then the labeling complex."""
+        in vertex preorder, then the labeling complex, the free object
+        on the labelings."""
         labs = leaf_labelings(p.leaves(), self.sig_inputs)
         return labs, [self.decor(vsig, m) for vsig, m in p.vertex_preorder()] \
-            + [_labeling_complex(self.ring, len(labs), self.bound)]
+            + [self.ops.free(len(labs))]
 
     def reach(self, p: Tree):
         """(labelings, layout, per-degree entries into obj) of the planar
@@ -942,10 +938,8 @@ class FreeOperad:
                             key = (rr, col)
                             entries[key] = ring.add(entries.get(key, ring.zero),
                                                     ring.mul(vv, val))
-            comps.append(LinearMap(src.level(n), flg.object.level(n),
-                                   {k: v for k, v in entries.items()
-                                    if v != ring.zero}))
-        return ops.make_map(src, flg.object, comps)
+            comps.append(entries)
+        return ops.maps(src, flg.object, comps)
 
 
 def _graft_insert_position(t: Tree, pos: int) -> int:
@@ -1060,7 +1054,7 @@ class CollectionMap:
                 lhs = self.target.action(sig, tau) @ f
                 rhs = self.component(sig_act(sig, tau)) @ \
                     self.source.action(sig, tau)
-                if not ops.equal(lhs, rhs):
+                if lhs != rhs:
                     raise ValueError(
                         f"map is not equivariant at {sig_str(sig)}, swap {t}")
 
@@ -1072,13 +1066,8 @@ class CollectionMap:
                                         self.target.level(sig))
 
     def is_iso(self) -> bool:
-        sigs = set(self.source.levels) | set(self.target.levels)
-        for sig in sigs:
-            f = self.component(sig)
-            for n in range(self.source.max_degree + 1):
-                if not f.component(n).is_iso():
-                    return False
-        return True
+        return all(self.component(sig).is_iso() for sig in
+                   set(self.source.levels) | set(self.target.levels))
 
 
 def generator_inclusion(F: FreeOperad) -> CollectionMap:
@@ -1396,16 +1385,14 @@ def _choice_block(O, f, Qc, q_sections, g, block, kind, cells_by_stage,
         else:
             facs.append(f.source.level(vsig))
             mats.append(f.component(vsig))
-    L = _labeling_complex(ring, len(block.labs), bound)
+    L = ops.free(len(block.labs))
     D = _tensor_many(ops, facs + [L])
     if D.total_rank() == 0:
         return D, None, None
     layout = _layout(ops.base, facs + [L], bound)
     ents = _tensor_entries(ring, ops.base, mats + [None], None, layout,
                            block.layout)
-    ink = block.proj @ ops.make_map(D, block.tensor, [
-        LinearMap(D.level(n), block.tensor.level(n), ent)
-        for n, ent in enumerate(ents)])
+    ink = block.proj @ ops.maps(D, block.tensor, ents)
 
     att = _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, layout,
                     block.labs, cells_by_stage, cell_legs, base_leg,
@@ -1440,11 +1427,7 @@ def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, layout, labs,
         # a single unmarked vertex; its factor lands in the base level
         # through the action of each labeling
         cur = _products(ring, _act_by_labelings(O, tree, labs, layout), cur)
-        tgt = O.collection.level(sig)
-        mdl = ops.make_map(D, pad(tgt, bound),
-                           [LinearMap(D.level(n), tgt.level(n), cur[n])
-                            for n in range(bound + 1)])
-        return base_leg @ mdl
+        return base_leg @ ops.maps(D, O.collection.level(sig), cur)
     # locate the class of the collapsed tree among the earlier stages;
     # a class absent there had zero coinvariants, so the image is zero
     target_blocks = cells_by_stage.get(kprime)
@@ -1507,7 +1490,7 @@ def _contract(O: Operad, tree: Tree, maps, objs, labs, src_layout):
     """
     ring, ops = O.ring, O.ops
     base, bound = ops.base, ops.max_degree
-    L = _labeling_complex(ring, len(labs), bound)
+    L = ops.free(len(labs))
     layout = _layout(base, objs + [L], bound)
     cur = _tensor_entries(ring, base, maps + [None], None, src_layout, layout)
     while (edge := _first_contraction(tree)) is not None:

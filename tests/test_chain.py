@@ -744,3 +744,17 @@ def test_homology_map_invariant_raises_runtime_error():
                  check=False)
     with pytest.raises(RuntimeError, match="chain maps send cycles to cycles"):
         homology_map(f, 1)
+
+
+def test_chain_from_json_of_an_empty_document_names_the_ring():
+    with pytest.raises(ValueError, match="needs the key 'ring'"):
+        chain_from_json({})
+
+
+@pytest.mark.parametrize("value", [5, None, {"0": 1}, "d"])
+def test_chain_from_json_refuses_differentials_that_are_not_a_list(value):
+    data = chain_to_json(two_term(ZZ, [[1]]))
+    data["differentials"] = value
+    with pytest.raises(ValueError, match="'differentials' of a chain "
+                                         "complex document is a list"):
+        chain_from_json(data)

@@ -2085,3 +2085,65 @@ def test_corpus_input_checks_raise_value_error():
         corpus.random_chain_map(rng, K, L)
     with pytest.raises(ValueError, match="constant summand or a disk"):
         corpus._hom_object(op._ops_for("chain", ZZ, 1), ZZ, False, None)
+
+
+def test_collection_refuses_a_repeated_color():
+    # one color listed twice counted each top signature of the
+    # composite product twice: I o I read rank 2 at (x; x)
+    with pytest.raises(ValueError, match="color 'x' is listed twice"):
+        Collection(ZZ, "chain", ("x", "y", "x"), 2, 0, {})
+
+
+def test_identity_collection_refuses_a_repeated_color():
+    with pytest.raises(ValueError, match="color 'x' is listed twice"):
+        identity_collection(ZZ, "chain", ("x", "x"), 2, 0)
+
+
+def test_json_refuses_a_repeated_color():
+    data = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    data["colors"] = ["x", "x"]
+    with pytest.raises(ValueError, match="color 'x' is listed twice"):
+        operad_from_json(data)
+
+
+def test_json_of_an_empty_document_names_the_ring():
+    with pytest.raises(ValueError, match="an operad document needs the "
+                                         "key 'ring'"):
+        operad_from_json({})
+
+
+def test_json_level_without_inputs_raises():
+    data = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    del data["levels"][0]["inputs"]
+    with pytest.raises(ValueError, match="a level document needs the "
+                                         "key 'inputs'"):
+        operad_from_json(data)
+
+
+@pytest.mark.parametrize("base", ["chain", "simplicial"])
+def test_ops_builders_store_the_entries_of_the_loops_they_replace(base):
+    # ops.constant puts one table in degree 0 over chains and in every
+    # degree over simplicial modules; ops.maps reads degree n off
+    # entries[n]; both through the LinearMap constructor
+    D = 2
+    ops = op._ops_for(base, QQ, D)
+    A, B = ops.free(2), ops.free(3)
+    table = {(0, 1): 1, (2, 0): Fraction(-1, 2)}
+    loop = ops.make_map(A, B, [
+        LinearMap(A.level(n), B.level(n),
+                  table if base == "simplicial" or n == 0 else {})
+        for n in range(D + 1)])
+    f = ops.constant(A, B, table)
+    assert type(f) is type(loop) is ops.Map
+    assert [list(c.entries.items()) for c in f.components] == \
+        [list(c.entries.items()) for c in loop.components]
+    assert [[type(v) for v in c.entries.values()] for c in f.components] \
+        == [[Fraction] * len(c.entries) for c in loop.components]
+    X = ops.direct_sum(A, ops.free(1))
+    entries = [{(i, i): 2 for i in range(r)} for r in X.ranks()]
+    g = ops.maps(X, X, entries)
+    loop = ops.make_map(X, X, [LinearMap(X.level(n), X.level(n), e)
+                               for n, e in enumerate(entries)])
+    assert [list(c.entries.items()) for c in g.components] == \
+        [list(c.entries.items()) for c in loop.components]
+    assert g == loop and ops.free(1).ranks() == ops.unit_obj().ranks()

@@ -144,3 +144,9 @@ def test_only_an_int_or_a_fraction_is_an_element_of_q():
         got = QQ.normalize(x)
         assert type(got) is Fraction and got == want
     assert QQ.from_str("1/2") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("name", [None, 5, b"Z", ["Z"]])
+def test_ring_from_name_refuses_anything_but_a_str(name):
+    with pytest.raises(ValueError, match="a ring name is a str"):
+        ring_from_name(name)

@@ -449,3 +449,38 @@ def test_simp_input_checks_raise_value_error(case):
     call, msg = _simp_input_checks()[case]
     with pytest.raises(ValueError, match=msg):
         call()
+
+
+def test_simplicial_maps_of_other_shapes_are_not_equal():
+    # the identities of a degree-2 and a degree-1 constant module agree
+    # on degrees 0 and 1, and two zero maps have no entries at all
+    assert SimplicialMap.identity(constant_module(ZZ, 2)) != \
+        SimplicialMap.identity(constant_module(ZZ, 1))
+    A, B = constant_module(ZZ, 2), standard_simplex(1, ZZ, 2)
+    assert SimplicialMap.zero(A, A) != SimplicialMap.zero(A, B)
+    assert SimplicialMap.zero(A, B) == SimplicialMap.zero(A, B)
+    assert hash(SimplicialMap.identity(A)) == \
+        hash(SimplicialMap.identity(constant_module(ZZ, 2)))
+
+
+@pytest.mark.parametrize("n", [-1, 3])
+def test_simplicial_map_component_off_the_ends_is_zero(n):
+    f = SimplicialMap.identity(standard_simplex(1, ZZ, 2))
+    c = f.component(n)
+    assert (c.source.rank, c.target.rank, c.entries) == (0, 0, {})
+
+
+def test_simplicial_map_refuses_a_component_of_the_wrong_shape():
+    # without the commutation check, as with it
+    A = standard_simplex(1, ZZ, 2)
+    comps = list(SimplicialMap.identity(A).components)
+    comps[1] = LinearMap.identity(FreeModule(ZZ, 2))
+    for check in (False, True):
+        with pytest.raises(ValueError, match="component 1 is not a map "
+                                             "between the degree-1 levels"):
+            SimplicialMap(A, A, comps, check=check)
+
+
+def test_simp_from_json_of_an_empty_document_names_the_ring():
+    with pytest.raises(ValueError, match="needs the key 'ring'"):
+        simp_from_json({})

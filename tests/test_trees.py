@@ -1151,7 +1151,6 @@ def test_generator_inclusion_and_extension_triangle():
     M = corpus.binary_generator(ZZ, 3, regular=True)
     F = FreeOperad(M, max_arity=3, max_vertices=2)
     P = F.operad()
-    ops = M.ops
     inc = generator_inclusion(F)
     assert inc.component(sig(2)).component(0).rank_of_image() == 2
 
@@ -1160,8 +1159,7 @@ def test_generator_inclusion_and_extension_triangle():
     g = _generator_map(M, A, swap=False)
     phi = extend_to_operad(F, A, g)
     for s in M.signatures():
-        assert ops.equal(phi.level_map(s) @ inc.component(s),
-                         g.component(s))
+        assert phi.level_map(s) @ inc.component(s) == g.component(s)
 
 
 def _generator_map(M, A, swap):
@@ -1190,8 +1188,7 @@ def test_extend_to_operad_at_arity_four_restricts_to_g(ring, swap):
     phi = extend_to_operad(F, A, g)
     inc = generator_inclusion(F)
     for s in M.signatures():
-        assert M.ops.equal(phi.level_map(s) @ inc.component(s),
-                           g.component(s))
+        assert phi.level_map(s) @ inc.component(s) == g.component(s)
     assert phi.level_map(sig(4)).component(0).rank_of_image() == 24
 
 
@@ -1339,13 +1336,13 @@ def test_epsilon_edge_tree():
 def test_epsilon_marked_corolla_is_f():
     _, _, f, O = _epsilon_setup()
     cell = epsilon(corolla(2, marked=True), f, O)
-    assert O.ops.equal(cell.map, f.component(sig(2)))
+    assert cell.map == f.component(sig(2))
 
 
 def test_epsilon_unmarked_unary_is_unit():
     _, _, f, O = _epsilon_setup()
     cell = epsilon(node("c", [e("c")]), f, O)
-    assert O.ops.equal(cell.map, O.unit("c"))
+    assert cell.map == O.unit("c")
 
 
 def test_epsilon_domain_ranks():
