@@ -97,16 +97,26 @@ class LinearMap:
     inside the shape.  So do `hnf_columns`, `rref`, the transforms
     `_replayed` builds, the field `kernel` and `solve`, whose entries are
     exact combinations of canonical entries, reduced mod p over Z/p.
+
+    `column_function` says whether every column holds at most one entry,
+    as signed permutations and relabelings do; `compose` takes a
+    one-pass product when its right factor is one.  The flag is set by
+    the producers that know it anyway: the public constructor's entry
+    loop, `identity`, `zero` and a `compose` of two column functions.
+    Every other map scans its entries once, when first asked, and keeps
+    the answer.  It is a property of the entries, read off them: it
+    never changes them or their order.  So the entries are not mutated
+    after construction.
     """
 
-    __slots__ = ("source", "target", "entries")
+    __slots__ = ("source", "target", "entries", "_column_function")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries):
         if source.ring != target.ring:
             raise ValueError("source and target lie over different rings")
         ring = source.ring
         rows, cols = target.rank, source.rank
-        clean = {}
+        clean, seen = {}, set()
         for (i, j), v in entries.items():
             if type(i) is not int or type(j) is not int:
                 raise ValueError(f"entry position ({i!r},{j!r}) is not a "
@@ -116,20 +126,34 @@ class LinearMap:
             v = ring.normalize(v)
             if v:
                 clean[(i, j)] = v
+                seen.add(j)
         self.source = source
         self.target = target
         self.entries = clean
+        self._column_function = len(seen) == len(clean)
 
     @classmethod
     def _canonical(cls, source: FreeModule, target: FreeModule,
-                   entries: dict) -> "LinearMap":
+                   entries: dict, column_function=None) -> "LinearMap":
         """A map holding `entries` itself, unchecked: see the class
-        docstring for who may call this and what it relies on."""
+        docstring for who may call this and what it relies on.  Pass
+        column_function only when the caller knows it; None leaves it
+        to the first read."""
         m = object.__new__(cls)
         m.source = source
         m.target = target
         m.entries = entries
+        m._column_function = column_function
         return m
+
+    @property
+    def column_function(self) -> bool:
+        """Whether every column holds at most one entry (see the class
+        docstring)."""
+        if self._column_function is None:
+            self._column_function = \
+                len({j for _, j in self.entries}) == len(self.entries)
+        return self._column_function
 
     # -- construction helpers -------------------------------------------
 
@@ -146,7 +170,7 @@ class LinearMap:
     def identity(cls, module: FreeModule):
         one = module.ring.one
         return cls._canonical(
-            module, module, {(i, i): one for i in range(module.rank)})
+            module, module, {(i, i): one for i in range(module.rank)}, True)
 
     @classmethod
     def placed(cls, source: FreeModule, target: FreeModule,
@@ -184,7 +208,7 @@ class LinearMap:
     def zero(cls, source: FreeModule, target: FreeModule):
         if source.ring != target.ring:
             raise ValueError("source and target lie over different rings")
-        return cls._canonical(source, target, {})
+        return cls._canonical(source, target, {}, True)
 
     @property
     def ring(self) -> Ring:
@@ -365,30 +389,59 @@ def _kron_entries(f: LinearMap, g: LinearMap) -> dict:
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """f after g.  Inner modules must agree in ring and rank.
 
-    One sparse path for every ring and size: each column of g is merged
-    with the columns of f it hits, summing raw products; each output
-    entry is reduced mod p once (over Z/p) and dropped if zero.  The
-    arithmetic is exact over Z, Q and Z/p, so the result does not depend
-    on when it is reduced, and it is canonical as it stands.  A sum
-    starts from its first product, not from the int 0, so over Q no
-    Fraction is ever added to an int.
+    When g is a column function (`LinearMap.column_function`), column j
+    of the product is w times column t of f, for g's one entry w at
+    (t, j): one pass over g's entries writes each product v*w, reduced
+    mod p over Z/p, with nothing summed; the rings have no zero
+    divisors, so no product is zero.  f is indexed by its columns, one
+    entry each when f is known to be a column function (no scan of f
+    is made to find out), and then the product is one too.  Every other
+    g takes `_product_entries`, the general path and this one's test
+    oracle; both store the same entries in the same order.
     """
     fs, gt = f.source, g.target
     if gt != fs:
         raise ValueError(
             f"cannot compose: inner ranks {gt.rank} vs {fs.rank}")
-    return LinearMap._canonical(
-        g.source, f.target, _product_entries(f.entries, g.entries, fs.ring.p))
+    p = fs.ring.p
+    # the slot directly: most products have a few entries, and a property
+    # call would add a visible share to each
+    flag = g._column_function
+    if not (g.column_function if flag is None else flag):
+        return LinearMap._canonical(
+            g.source, f.target, _product_entries(f.entries, g.entries, p))
+    entries = {}
+    if f._column_function:
+        f_col = {t: (i, v) for (i, t), v in f.entries.items()}.get
+        for (t, j), w in g.entries.items():
+            hit = f_col(t)
+            if hit is not None:
+                v = hit[1] * w
+                entries[(hit[0], j)] = v if p is None else v % p
+        return LinearMap._canonical(g.source, f.target, entries, True)
+    f_cols: dict = {}
+    for (i, t), v in f.entries.items():
+        f_cols.setdefault(t, []).append((i, v))
+    for (t, j), w in g.entries.items():
+        for i, v in f_cols.get(t, ()):
+            entries[(i, j)] = v * w if p is None else v * w % p
+    return LinearMap._canonical(g.source, f.target, entries)
 
 
 def _product_entries(f_entries: dict, g_entries: dict, p) -> dict:
     """The entries of f after g from the two entry dicts, reduced mod p
-    unless p is None: the sparse product `compose` takes, for callers
-    that chain products on entry dicts before any map is built.  The
-    factors' entries need not be reduced mod p, but over Q they must be
-    Fractions.  The result is canonical, its entries grouped by the
-    column of g they come from, in the order those columns first appear
-    in g_entries."""
+    unless p is None: the general sparse product of `compose`, for
+    callers that chain products on entry dicts before any map is built,
+    and the oracle of `compose`'s column-function pass.  Each column of
+    g is merged with the columns of f it hits, summing raw products;
+    each output entry is reduced mod p once (over Z/p) and dropped if
+    zero.  The arithmetic is exact over Z, Q and Z/p, so the result does
+    not depend on when it is reduced, and a sum starts from its first
+    product, not from the int 0, so over Q no Fraction is ever added to
+    an int.  The factors' entries need not be reduced mod p, but over Q
+    they must be Fractions.  The result is canonical, its entries
+    grouped by the column of g they come from, in the order those
+    columns first appear in g_entries."""
     if not f_entries or not g_entries:
         return {}
     g_cols: dict = {}

@@ -1115,7 +1115,22 @@ def _slot_order(rank, dbar, phi):
         rank[dbar[j]], first.get(j, len(phi)))))
 
 
-def _composite_terms(M: Collection, N: Collection, sig, rank):
+def _sorted_phis(dbar, n: int, phi=()):
+    """The phi of the canonical terms over the top colors dbar, in the
+    order of `product(range(len(dbar)), repeat=n)`.  dbar never
+    decreases, so a term is canonical (`_slot_order` is the identity)
+    when each run of slots of one color holds its nonempty fibers first,
+    in the order of their least inputs: the next input goes into an open
+    slot or opens the slot after the last open one of its run."""
+    if len(phi) == n:
+        yield phi
+        return
+    for j in range(len(dbar)):
+        if j in phi or not j or dbar[j - 1] != dbar[j] or j - 1 in phi:
+            yield from _sorted_phis(dbar, n, phi + (j,))
+
+
+def _composite_terms(M: Collection, N: Collection, sig):
     """The canonical decorated two-level terms of (M o N) at the output
     signature, one per orbit of the slot permutations.
 
@@ -1123,7 +1138,8 @@ def _composite_terms(M: Collection, N: Collection, sig, rank):
     slot; phi assigns the n inputs to slots and the fibers keep the
     ambient order.  S_k permutes the slots, and each orbit keeps the
     term whose slots are sorted (`_slot_order`); its slot colors never
-    decrease, so only those top signatures are read.  Terms whose
+    decrease, so only those top signatures are read, and
+    `_sorted_phis` lists the sorted phi directly.  Terms whose
     factors include a zero level are gone.
     """
     cbar, c = sig
@@ -1134,9 +1150,7 @@ def _composite_terms(M: Collection, N: Collection, sig, rank):
             msig = (dbar, c)
             if M.is_zero_level(msig):
                 continue
-            for phi in product(range(k), repeat=n):
-                if _slot_order(rank, dbar, phi) != tuple(range(k)):
-                    continue
+            for phi in _sorted_phis(dbar, n):
                 fsigs = [(tuple(cbar[i] for i in range(n) if phi[i] == j),
                           dbar[j]) for j in range(k)]
                 if any(N.is_zero_level(fs) for fs in fsigs):
@@ -1299,7 +1313,7 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     rank = {c: i for i, c in enumerate(M.colors)}
     data, built, levels = {}, {}, {}
     for sig in enumerate_signatures(M.colors, M.max_arity):
-        terms = _composite_terms(M, N, sig, rank)
+        terms = _composite_terms(M, N, sig)
         if terms:
             data[sig] = terms
             blocks = [_term_block(ops, M, t) for t in terms]
@@ -1629,6 +1643,9 @@ def _map_from_json(ops, A, B, data) -> object:
 def _sig_from_json(entry, what: str):
     inputs, output = _json_fields(entry, what, ("inputs", "output"),
                                   ("inputs",))
+    if any(type(c) is not str for c in [*inputs, output]):
+        raise ValueError(f"{what} has inputs {inputs!r} and output "
+                         f"{output!r}: a color is a str")
     return tuple(inputs), output
 
 
@@ -1686,6 +1703,10 @@ def operad_from_json(data: dict) -> Operad:
     base = data["base"]
     colors = tuple(data["colors"])
     A, D = data["max_arity"], data["max_degree"]
+    for key, v in (("max_arity", A), ("max_degree", D)):
+        if type(v) is not int or v < 0:
+            raise ValueError(f"an operad's {key} must be an int >= 0, "
+                             f"not {v!r}")
     ops = _ops_for(base, ring, D)
     levels = {}
     for entry in data["levels"]:

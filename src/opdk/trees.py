@@ -1485,7 +1485,9 @@ def _contract(O: Operad, tree: Tree, maps, objs, labs, src_layout):
 
     The preorder-first edge goes first (`_first_contraction`): a
     reordering brings the child's factor next to its parent's, and
-    `_pair_entries` composes the two.  Returns the contracted tree, the
+    `_pair_entries` composes the two.  The reordering is a signed
+    permutation, so `_moved_rows` moves each entry to its new row with
+    its sign, with nothing summed.  Returns the contracted tree, the
     layout of its factors and labs, and the per-degree entries into it.
     """
     ring, ops = O.ring, O.ops
@@ -1503,9 +1505,9 @@ def _contract(O: Operad, tree: Tree, maps, objs, labs, src_layout):
         rest = [j for j in range(len(objs) + 1) if j != child_vi]
         sigma = tuple(rest[:parent_vi + 1] + [child_vi] + rest[parent_vi + 1:])
         objs = [objs[j] for j in sigma[:-1]]
-        cur = _products(ring, _tensor_entries(
-            ring, base, [None] * len(sigma), sigma, layout,
-            _layout(base, objs + [L], bound)), cur)
+        cur = [_moved_rows(move, ents, ring.p) for move, ents in zip(
+            _tensor_entries(ring, base, [None] * len(sigma), sigma, layout,
+                            _layout(base, objs + [L], bound)), cur)]
         pair = O.composition(parent.val, slot, child.val)
         cur = _products(ring, _pair_entries(ops, objs + [L], parent_vi, pair),
                         cur)
@@ -1515,6 +1517,17 @@ def _contract(O: Operad, tree: Tree, maps, objs, labs, src_layout):
             parent.output, parent.children[:slot] + child.children
             + parent.children[slot + 1:], parent.marked))
     return tree, layout, cur
+
+
+def _moved_rows(move: dict, entries: dict, p) -> dict:
+    """The entries of move after entries, for move a signed permutation:
+    each entry goes to its row's image, times that row's sign, in
+    entries' own order.  The product would group them by column, but
+    `_contract` multiplies them by `_pair_entries` next, and that product
+    groups them the same way."""
+    to = {c: (r, u) for (r, c), u in move.items()}
+    return {(to[i][0], j): to[i][1] * v if p is None else to[i][1] * v % p
+            for (i, j), v in entries.items()}
 
 
 def _act_by_labelings(O: Operad, tree: Tree, labs, layout):

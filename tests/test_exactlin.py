@@ -541,6 +541,69 @@ def test_compose_matches_the_zero_seeded_oracle():
              (0, 1): ring.normalize(4)})
 
 
+def _column_counts_agree(m):
+    """The column-function flag read off m against a count of m's
+    entries per column."""
+    cols = [j for _, j in m.entries]
+    return m.column_function == (len(set(cols)) == len(cols))
+
+
+def _drawn_map(data, ring, rows, cols, column_function):
+    """A rows x cols map whose entries come in a drawn order: at most one
+    per column when column_function, any pattern otherwise, with empty
+    columns and empty maps among them."""
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    picks = data.draw(st.lists(st.sampled_from(cells), unique=True)) \
+        if cells else []
+    if column_function:
+        picks = list({j: (i, j) for i, j in reversed(picks)}.values())[::-1]
+    values = st.integers(-4, 4).filter(bool)
+    if ring is QQ:
+        values = st.builds(Fraction, values, st.integers(1, 3))
+    return LinearMap(FreeModule(ring, cols), FreeModule(ring, rows),
+                     {k: data.draw(values) for k in picks})
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_column_function_compose_matches_the_general_product(data):
+    """compose through its column-function pass against
+    `_product_entries`, entry for entry and in stored order, on
+    column-function, general and mixed operands; the flag matches a
+    count of entries per column on every map built along the way."""
+    ring = data.draw(st.sampled_from([ZZ, QQ, F5, Zmod(2)]))
+    a, b, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    f_kind, g_kind = data.draw(st.booleans()), data.draw(st.booleans())
+    f = _drawn_map(data, ring, a, b, f_kind)
+    g, g2 = (_drawn_map(data, ring, b, c, g_kind) for _ in range(2))
+    # a sum and a placement store their entries with no flag, so the
+    # flag of each is read by a scan
+    summed = g + g2
+    beside = LinearMap.placed(FreeModule(ring, 2 * c), FreeModule(ring, b),
+                              [(0, 0, g), (0, c, g2)])
+    stacked = LinearMap.placed(FreeModule(ring, c), FreeModule(ring, 2 * b),
+                               [(0, 0, g), (b, 0, g2)])
+    # g2^T g2 is a general map unless g2 is a column function
+    square = g2.transpose() @ g2
+    canonical = Fraction if ring is QQ else int
+    for left, right in ((f, g), (f, summed), (f @ g, square),
+                        (square, square)):
+        got = compose(left, right)
+        want = exactlin._product_entries(left.entries, right.entries,
+                                         ring.p)
+        assert list(got.entries.items()) == list(want.items())
+        assert all(type(v) is canonical for v in got.entries.values())
+        assert _column_counts_agree(got)
+    for m in (f, g, summed, beside, stacked, square,
+              LinearMap.identity(FreeModule(ring, a)),
+              LinearMap.zero(FreeModule(ring, c), FreeModule(ring, a))):
+        assert _column_counts_agree(m)
+    if g_kind:
+        assert g.column_function and beside.column_function
+    if g_kind and f_kind:
+        assert compose(f, g).column_function
+
+
 def entry_list_product(ring, outer, inner):
     """outer after inner on raw entry dicts as the tree contraction took
     it before it shared `compose`'s sparse product: a ring.add and a

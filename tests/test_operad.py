@@ -16,7 +16,7 @@ import random
 import time
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 from math import factorial
 from types import SimpleNamespace
 
@@ -676,6 +676,59 @@ def test_composite_orbit_fast_path_matches_generic(monkeypatch):
     # swaps of the empty fibers divide to rank one, for k = 0..3
     assert fast.level(sig(0)).ranks() == (4,)
     assert collection_check(slow) == []
+
+
+def _filtered_phis(rank, dbar, n):
+    """The canonical phi the way `_composite_terms` first listed them:
+    every phi in range(k)^n, kept when `_slot_order` sorts its slots to
+    the identity."""
+    return [phi for phi in iproduct(range(len(dbar)), repeat=n)
+            if op._slot_order(rank, dbar, phi) == tuple(range(len(dbar)))]
+
+
+def _filtered_terms(M, N, s):
+    """(k, dbar, phi, fiber signatures) of every canonical term at s,
+    through `_filtered_phis`, in the order of `_composite_terms`."""
+    rank = {c: i for i, c in enumerate(M.colors)}
+    cbar, c = s
+    out = []
+    for k in range(M.max_arity + 1):
+        for dbar in combinations_with_replacement(M.colors, k):
+            if M.is_zero_level((dbar, c)):
+                continue
+            for phi in _filtered_phis(rank, dbar, len(cbar)):
+                fsigs = [(tuple(x for x, j in zip(cbar, phi) if j == a),
+                          dbar[a]) for a in range(k)]
+                if not any(N.is_zero_level(fs) for fs in fsigs):
+                    out.append((k, dbar, phi, fsigs))
+    return out
+
+
+def test_sorted_phis_match_the_filter_over_three_colors():
+    colors = ("a", "b", "c")
+    rank = {c: i for i, c in enumerate(colors)}
+    for k in range(5):
+        for dbar in combinations_with_replacement(colors, k):
+            for n in range(6):
+                assert list(op._sorted_phis(dbar, n)) == \
+                    _filtered_phis(rank, dbar, n), (dbar, n)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (associative_operad(ZZ, "chain", 6, 0).collection,) * 2,
+    lambda: (associative_operad(ZZ, "chain", 4, 0, unital=True)
+             .collection,) * 2,
+    lambda: (_two_color_associative(),) * 2,
+    lambda: _nullary_pair("chain"),
+], ids=["regular-6", "unital-4", "two-color", "nullary"])
+def test_composite_terms_match_the_filtered_oracle(pair):
+    """The terms of `_composite_terms`, in order, against the filter over
+    all of range(k)^n that it replaced, up to arity 6."""
+    M, N = pair()
+    for s in enumerate_signatures(M.colors, M.max_arity):
+        got = [(t.k, t.dbar, t.phi, t.fiber_sigs)
+               for t in op._composite_terms(M, N, s)]
+        assert got == _filtered_terms(M, N, s)
 
 
 def _old_route_action(M, N, res, sig, s, n):
@@ -2110,6 +2163,32 @@ def test_json_of_an_empty_document_names_the_ring():
     with pytest.raises(ValueError, match="an operad document needs the "
                                          "key 'ring'"):
         operad_from_json({})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_arity", "2"), ("max_arity", True), ("max_arity", -1),
+    ("max_degree", "0")])
+def test_json_refuses_a_bound_that_is_not_an_int(key, value):
+    # a max_arity of "2" raised TypeError from a comparison in Collection
+    data = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    data[key] = value
+    with pytest.raises(ValueError, match=f"an operad's {key} must be an "
+                                         f"int >= 0, not {value!r}"):
+        operad_from_json(data)
+
+
+@pytest.mark.parametrize("where,key,value", [
+    ("level", "output", ["x"]), ("level", "inputs", ["x", ["x"]]),
+    ("composition", "output", {"x": 1})])
+def test_json_refuses_a_color_that_is_not_a_str(where, key, value):
+    # a level whose output is ["x"] raised TypeError: unhashable type
+    data = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    entry = data["levels"][0] if where == "level" else \
+        data["compositions"][0]["outer"]
+    entry[key] = value
+    with pytest.raises(ValueError, match="has inputs .* and output .*: a "
+                                         "color is a str"):
+        operad_from_json(data)
 
 
 def test_json_level_without_inputs_raises():
