@@ -5,6 +5,14 @@ and levels 0..D. Truncation is honest; homology at degree D is flagged
 unreliable because d_{D+1} is not part of the data.
 
 Sign convention for tensors: d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.
+
+This module also holds the degreewise layer that chain complexes share
+with the simplicial modules of `simp`.  `DegreewiseObject` keeps the
+levels and writes once their checks, `level`, `ranks`, equality, hash
+and repr, and the one block-diagonal direct sum of both base
+categories (`block_sum`); `DegreewiseMap` does the same for the maps.
+`ChainComplex` and `ChainMap` add the differentials, d^2 = 0 and the
+commuting squares.
 """
 
 from __future__ import annotations
@@ -31,62 +39,56 @@ from .exactlin import (
 )
 from .rings import Ring
 
-__all__ = ["ChainComplex", "DegreewiseMap", "ChainMap", "zero_complex",
-           "unit_complex", "concentrated", "two_term", "direct_sum", "pad",
-           "tensor_blocks", "tensor", "tensor_map", "tensor_many",
-           "tensor_map_many", "braiding", "associator", "left_unitor",
-           "right_unitor", "HomologyResult", "homology", "homology_map",
-           "is_quasi_iso", "ChainColimit", "diagram_colimit", "ChainPushout",
-           "pushout_complex", "pushout_product", "chain_to_json",
-           "chain_from_json"]
+__all__ = ["DegreewiseObject", "ChainComplex", "DegreewiseMap", "ChainMap",
+           "zero_complex", "unit_complex", "concentrated", "two_term",
+           "direct_sum", "pad", "tensor_blocks", "tensor", "tensor_map",
+           "tensor_many", "tensor_map_many", "braiding", "associator",
+           "left_unitor", "right_unitor", "HomologyResult", "homology",
+           "homology_map", "is_quasi_iso", "ChainColimit", "diagram_colimit",
+           "ChainPushout", "pushout_complex", "pushout_product",
+           "chain_to_json", "chain_from_json"]
 
 
-class ChainComplex:
-    """Levels 0..max_degree with differentials d_n: level(n) -> level(n-1).
+class DegreewiseObject:
+    """Free modules levels[0..max_degree] over one ring and a subclass's
+    structure maps between them: the differentials of a chain complex,
+    the faces and degeneracies of a simplicial module.
 
-    d*d = 0 is checked at construction; an invalid complex is never a
-    value of this type.
+    The constructor checks that there is at least one level and that
+    each lies over ring; `level` reads the zero module off the ends.
+    Two objects are equal when their classes, rings, ranks and the
+    entries of their structure maps are, in the order the subclass's
+    `_maps` lists them; the hash reads the ring and the ranks.  A
+    subclass stores its maps and checks their shapes and laws, and its
+    `_rebuilt` builds an object on given levels from a builder
+    make(what, n, m, get) of each structure map out of degree n into
+    degree m, where get reads the matching map off an object of the
+    class and what names it ("differential", "face", "degeneracy").
+    `block_sum`, the one direct sum of both base categories, and the
+    quotients of `operad` build through it.
     """
 
-    __slots__ = ("ring", "max_degree", "levels", "differentials")
+    __slots__ = ("ring", "max_degree", "levels")
 
-    def __init__(self, ring: Ring, levels: Sequence[FreeModule],
-                 differentials: Sequence[LinearMap], check: bool = True):
+    def __init__(self, ring: Ring, levels: Sequence[FreeModule]):
         levels = tuple(levels)
-        differentials = tuple(differentials)
         if not levels:
-            raise ValueError("a chain complex needs at least degree 0")
-        if len(differentials) != len(levels) - 1:
-            raise ValueError(f"{len(levels)} levels need {len(levels) - 1} "
-                             f"differentials, got {len(differentials)}")
+            raise ValueError(f"a {type(self).__name__} needs at least "
+                             f"degree 0")
         for n, M in enumerate(levels):
-            if M.ring != ring:
+            # rings are shared, so identity settles nearly every level
+            # without a call to Ring.__eq__
+            if M.ring is not ring and M.ring != ring:
                 raise ValueError(f"level {n} is over {M.ring.name()}, "
                                  f"not {ring.name()}")
-        for n, d in enumerate(differentials, start=1):
-            if d.source != levels[n] or d.target != levels[n - 1]:
-                raise ValueError(f"d_{n} is not a map from level {n} to "
-                                 f"level {n - 1}")
         self.ring = ring
         self.max_degree = len(levels) - 1
         self.levels = levels
-        self.differentials = differentials
-        if check:
-            for n in range(1, self.max_degree):
-                dd = compose(self.d(n), self.d(n + 1))
-                if not dd.is_zero():
-                    raise ValueError(f"d^2 != 0 between degrees {n + 1} and {n - 1}")
 
     def level(self, n: int) -> FreeModule:
         if 0 <= n <= self.max_degree:
             return self.levels[n]
         return FreeModule(self.ring, 0)
-
-    def d(self, n: int) -> LinearMap:
-        """Differential out of degree n; zero maps off the ends."""
-        if 1 <= n <= self.max_degree:
-            return self.differentials[n - 1]
-        return LinearMap.zero(self.level(n), self.level(n - 1))
 
     def ranks(self):
         return tuple(M.rank for M in self.levels)
@@ -95,18 +97,93 @@ class ChainComplex:
         return sum(self.ranks())
 
     def __eq__(self, other):
-        if not isinstance(other, ChainComplex):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.ring == other.ring
                 and self.ranks() == other.ranks()
                 and all(a.entries == b.entries
-                        for a, b in zip(self.differentials, other.differentials)))
+                        for a, b in zip(self._maps(), other._maps())))
 
     def __hash__(self):
         return hash((self.ring, self.ranks()))
 
     def __repr__(self):
-        return f"ChainComplex({self.ring.name()}, ranks={self.ranks()})"
+        return (f"{type(self).__name__}({self.ring.name()}, "
+                f"ranks={self.ranks()})")
+
+    @classmethod
+    def block_sum(cls, ring: Ring, max_degree: int, objs):
+        """The direct sum of objs, each of this class over ring and
+        truncated at max_degree, with each summand's per-degree offsets.
+
+        Degree n is the sum of the summands' degree-n levels, in order,
+        and each structure map is block diagonal: the summands' maps
+        placed at their offsets (`LinearMap.placed`), so its entries
+        come summand by summand, each in its own entry order.  The sum
+        of no objects is the zero object.  Maps between sums are placed
+        by the offsets.
+        """
+        offsets, acc = [], [0] * (max_degree + 1)
+        for A in objs:
+            if type(A) is not cls or A.ring != ring \
+                    or A.max_degree != max_degree:
+                raise ValueError(f"direct sum summands differ in ring or "
+                                 f"max_degree, or are not all {cls.__name__}")
+            offsets.append(acc)
+            acc = [a + r for a, r in zip(acc, A.ranks())]
+        mods = [FreeModule(ring, a) for a in acc]
+        return cls._rebuilt(ring, mods, lambda what, n, m, get:
+                            LinearMap.placed(mods[n], mods[m], [
+                                (off[m], off[n], get(A))
+                                for A, off in zip(objs, offsets)])), offsets
+
+
+class ChainComplex(DegreewiseObject):
+    """Levels 0..max_degree with differentials d_n: level(n) -> level(n-1).
+
+    d*d = 0 is checked at construction; an invalid complex is never a
+    value of this type.
+    """
+
+    __slots__ = ("differentials",)
+
+    def __init__(self, ring: Ring, levels: Sequence[FreeModule],
+                 differentials: Sequence[LinearMap], check: bool = True):
+        super().__init__(ring, levels)
+        levels = self.levels
+        differentials = tuple(differentials)
+        if len(differentials) != len(levels) - 1:
+            raise ValueError(f"{len(levels)} levels need {len(levels) - 1} "
+                             f"differentials, got {len(differentials)}")
+        for n, d in enumerate(differentials, start=1):
+            if d.source != levels[n] or d.target != levels[n - 1]:
+                raise ValueError(f"d_{n} is not a map from level {n} to "
+                                 f"level {n - 1}")
+        self.differentials = differentials
+        if check:
+            for n in range(1, self.max_degree):
+                dd = compose(self.d(n), self.d(n + 1))
+                if not dd.is_zero():
+                    raise ValueError(f"d^2 != 0 between degrees {n + 1} and {n - 1}")
+
+    def d(self, n: int) -> LinearMap:
+        """Differential out of degree n; zero maps off the ends."""
+        if 1 <= n <= self.max_degree:
+            return self.differentials[n - 1]
+        return LinearMap.zero(self.level(n), self.level(n - 1))
+
+    def _maps(self):
+        return self.differentials
+
+    @classmethod
+    def _rebuilt(cls, ring: Ring, levels, make) -> "ChainComplex":
+        """The complex on levels whose d_n is make("differential", n,
+        n - 1, get), get reading d_n.  d^2 = 0 is not checked again: a
+        block sum of complexes has it, and so has a quotient whose
+        differentials descend along surjections (`operad._descend`)."""
+        return cls(ring, levels, [
+            make("differential", n, n - 1, lambda X, n=n: X.d(n))
+            for n in range(1, len(levels))], check=False)
 
 
 def zero_complex(ring: Ring, max_degree: int = 0) -> ChainComplex:
@@ -136,14 +213,7 @@ def two_term(ring: Ring, rows: Sequence[Sequence]) -> ChainComplex:
 
 
 def direct_sum(K: ChainComplex, L: ChainComplex) -> ChainComplex:
-    if K.ring != L.ring or K.max_degree != L.max_degree:
-        raise ValueError("direct sum summands differ in ring or max_degree")
-    levels = [FreeModule(K.ring, K.level(n).rank + L.level(n).rank)
-              for n in range(K.max_degree + 1)]
-    diffs = [LinearMap.placed(levels[n], levels[n - 1], [
-        (0, 0, K.d(n)), (K.level(n - 1).rank, K.level(n).rank, L.d(n))])
-        for n in range(1, K.max_degree + 1)]
-    return ChainComplex(K.ring, levels, diffs, check=False)
+    return ChainComplex.block_sum(K.ring, K.max_degree, (K, L))[0]
 
 
 def pad(K: ChainComplex, max_degree: int) -> ChainComplex:

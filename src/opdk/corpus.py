@@ -152,15 +152,10 @@ def conjugate(A: SimplicialModule, change) -> SimplicialModule:
 
     change[n] maps A.level(n) to the new basis.
     """
-    D = A.max_degree
     inv = [p.inverse() for p in change]
-    faces = [[compose(compose(change[n - 1], A.face(n, i)), inv[n])
-              for i in range(n + 1)]
-             for n in range(1, D + 1)]
-    degeneracies = [[compose(compose(change[n + 1], A.degeneracy(n, i)), inv[n])
-                     for i in range(n + 1)]
-                    for n in range(D)]
-    return SimplicialModule(A.ring, A.levels, faces, degeneracies)
+    return SimplicialModule._rebuilt(
+        A.ring, A.levels, lambda what, n, m, get:
+        compose(compose(change[m], get(A)), inv[n]))
 
 
 class SimplicialInstance:
@@ -250,10 +245,7 @@ def _hom_object(ops, ring, const: bool, disk):
         parts.append(disk)
     if not parts:
         raise ValueError("a hom object needs the constant summand or a disk")
-    out = parts[0]
-    for p in parts[1:]:
-        out = ops.direct_sum(out, p)
-    return out
+    return parts[0] if len(parts) == 1 else ops.direct_sum(parts)[0]
 
 
 def _sq_zero_mult(ops, ring, X, Y, Z, xc: bool, yc: bool, zc: bool):
@@ -440,7 +432,7 @@ def nilpotent_two_color_operad(ring: Ring, max_degree: int):
     a, b = "a", "b"
     C = ops.unit_obj()
     W = loop_disk(ring, max_degree, base)
-    WW = ops.direct_sum(W, W)
+    WW = ops.direct_sum([W, W])[0]
     levels = {
         ((a,), a): C, ((b,), b): C,
         ((a, b), a): W, ((b, a), a): W,

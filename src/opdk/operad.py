@@ -168,9 +168,12 @@ def word_act(w, sigma):
 # Everything downstream is written against this tiny interface so that
 # chain complexes and simplicial modules are handled by the same code.
 # A shim builds objects and maps of its base; the two differ only in
-# the tensor product, the direct sum, the free object on a rank
-# (`free`: concentrated in degree 0 over chains, constant over
-# simplicial modules; the unit is free(1)) and the map class `Map`.
+# the tensor product, the free object on a rank (`free`: concentrated
+# in degree 0 over chains, constant over simplicial modules; the unit
+# is free(1)), the object class `Obj` and the map class `Map`.  The
+# direct sum is written once over `Obj`, the shared
+# `chain.DegreewiseObject`: `direct_sum` lays out every sum of the
+# operad code, and maps between sums are placed by its offsets.
 # Every degreewise map is built here: `maps` from per-degree entries,
 # `constant` from one entry table placed in each degree where the free
 # objects live, and `make_map` from finished components; `identity`,
@@ -192,6 +195,13 @@ class _Ops:
 
     def is_zero(self, A) -> bool:
         return not any(A.ranks())
+
+    def direct_sum(self, objs):
+        """The direct sum of objs and each summand's per-degree offsets:
+        the canonical terms of a composite level, the classes of a free
+        level and the blocks and choice domains of an extension stage
+        are summed here (`chain.DegreewiseObject.block_sum`)."""
+        return self.Obj.block_sum(self.ring, self.max_degree, objs)
 
     def identity(self, A):
         return self.Map.identity(A)
@@ -221,6 +231,7 @@ class _Ops:
 
 class _ChainOps(_Ops):
     base = "chain"
+    Obj = ChainComplex
     Map = ChainMap
 
     def free(self, rank: int):
@@ -240,12 +251,10 @@ class _ChainOps(_Ops):
     def tensor_map(self, f, g):
         return _chain.tensor_map(f, g, bound=self.max_degree)
 
-    def direct_sum(self, A, B):
-        return _chain.direct_sum(A, B)
-
 
 class _SimpOps(_Ops):
     base = "simplicial"
+    Obj = SimplicialModule
     Map = SimplicialMap
 
     def free(self, rank: int):
@@ -260,9 +269,6 @@ class _SimpOps(_Ops):
 
     def tensor_map(self, f, g):
         return _simp.tensor_map(f, g)
-
-    def direct_sum(self, A, B):
-        return _simp.direct_sum(A, B)
 
 
 def _ops_for(base: str, ring: Ring, max_degree: int):
@@ -1161,44 +1167,6 @@ def _composite_terms(M: Collection, N: Collection, sig):
     return out
 
 
-def _structured(ops, mods, make, check=True):
-    """The chain complex or simplicial module on the modules mods whose
-    structure map out of degree n into degree m is make(what, n, m, get),
-    where get reads the matching map (d_n, d_i or s_i) off an object."""
-    D = len(mods) - 1
-    if ops.base == "chain":
-        diffs = [make("differential", n, n - 1, lambda X, n=n: X.d(n))
-                 for n in range(1, D + 1)]
-        return ChainComplex(ops.ring, mods, diffs, check=check)
-    faces = [[make("face", n, n - 1, lambda X, n=n, i=i: X.face(n, i))
-              for i in range(n + 1)] for n in range(1, D + 1)]
-    degen = [[make("degeneracy", n, n + 1,
-                   lambda X, n=n, i=i: X.degeneracy(n, i))
-              for i in range(n + 1)] for n in range(D)]
-    return SimplicialModule(ops.ring, mods, faces, degen)
-
-
-def _assemble(ops, objs):
-    """Direct sum of the objects, built in one pass with each degree's
-    module and block-diagonal structure maps, plus each object's
-    per-degree offsets.  It is the one direct-sum layout: the canonical
-    terms of a composite level, the classes of a free level and the
-    blocks and choice domains of an extension stage are summed here, and
-    maps between sums are placed by these offsets."""
-    offsets, acc = [], [0] * (ops.max_degree + 1)
-    for A in objs:
-        offsets.append(acc)
-        acc = [a + A.level(n).rank for n, a in enumerate(acc)]
-    mods = [FreeModule(ops.ring, a) for a in acc]
-
-    def block(what, n, m, get):
-        return LinearMap(mods[n], mods[m], {
-            (off[m] + r, off[n] + c): v for A, off in zip(objs, offsets)
-            for (r, c), v in get(A).entries.items()})
-
-    return _structured(ops, mods, block, check=False), offsets
-
-
 def _coinvariants(ops, big, relations):
     """big divided degreewise by `_quotient_by` over relations[n], with
     its structure maps pushed down: (object, per-degree quotients).
@@ -1206,15 +1174,15 @@ def _coinvariants(ops, big, relations):
     quotient here."""
     qs = [_quotient_by(ops.ring, big.level(n), rels)
           for n, rels in enumerate(relations)]
-    return _quotient_object(ops, big, qs), qs
+    return _quotient_object(big, qs), qs
 
 
-def _quotient_object(ops, big, quotients):
+def _quotient_object(big, quotients):
     """The object on the generators of the per-degree quotients of big,
     each structure map of big pushed down by `_descend`, which raises
     ValueError when one does not descend."""
-    return _structured(
-        ops, [q.generators for q in quotients],
+    return type(big)._rebuilt(
+        big.ring, [q.generators for q in quotients],
         lambda what, n, m, get: _descend(compose(quotients[m].proj, get(big)),
                                          quotients[n], what))
 
@@ -1284,7 +1252,7 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
     M o N is the sum of the decorated two-level terms (k, dbar, phi)
     divided by the S_k permuting their slots.  S_k acts freely on the
     terms whose fibers are all nonempty, so their part of a level is
-    the plain `_assemble` sum of the canonical terms (`_composite_terms`),
+    the plain `ops.direct_sum` of the canonical terms (`_composite_terms`),
     with block-diagonal structure maps and no quotient, for any action.
     A term with two empty fibers of one color is fixed by their swap;
     such a term alone is divided by its stabilizer (`_term_block`), and
@@ -1317,7 +1285,7 @@ def composite_product(M: Collection, N: Collection) -> CompositeResult:
         if terms:
             data[sig] = terms
             blocks = [_term_block(ops, M, t) for t in terms]
-            levels[sig], offsets = _assemble(ops, [b[1] for b in blocks])
+            levels[sig], offsets = ops.direct_sum([b[1] for b in blocks])
             built[sig] = (blocks, offsets,
                           {t.key(): ti for ti, t in enumerate(terms)})
 
@@ -1536,12 +1504,13 @@ class DKVerdict:
         return f"DKVerdict({self.status!r}, reasons={self.reasons})"
 
 
-def dk_equivalence(phi: OpMorphism, search_bound: int = 2,
-                   degrees=None) -> DKVerdict:
+def dk_equivalence(phi: OpMorphism, search_bound: int = 2) -> DKVerdict:
     """Is phi a levelwise quasi-isomorphism that is homotopy essentially
     surjective on colors?
 
-    Levels are decided exactly.  The inverse-class search for essential
+    Levels are decided exactly, on homology in every degree below the
+    top one, whose homology is a truncation artifact (degree 0 when it
+    is the top).  The inverse-class search for essential
     surjectivity runs each free coordinate over -search_bound ..
     search_bound (torsion coordinates over all their residues), and
     returns ``inconclusive`` when an unexhausted search comes up empty.
@@ -1552,8 +1521,7 @@ def dk_equivalence(phi: OpMorphism, search_bound: int = 2,
     """
     P, Q = phi.source, phi.target
     D = P.collection.max_degree
-    if degrees is None:
-        degrees = range(D) if D >= 1 else [0]
+    degrees = range(D) if D >= 1 else [0]
     reasons, levelwise = [], {}
     for sig in enumerate_signatures(P.collection.colors, P.collection.max_arity):
         if P.collection.is_zero_level(sig) and \

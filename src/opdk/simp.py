@@ -2,8 +2,11 @@
 
 A simplicial module stores explicit face and degeneracy matrices up to a
 truncation degree D (faces for 1..D, degeneracies for 0..D-1). Construction
-checks shapes only; `validate` reports which simplicial identities fail, so
-deliberately corrupted objects can be built and examined.
+checks the levels' ring and the shapes only; `validate` reports which
+simplicial identities fail, so deliberately corrupted objects can be built
+and examined.  The levels, equality and the direct sum come from the
+degreewise layer that `SimplicialModule` and `SimplicialMap` share with
+chain complexes (`chain.DegreewiseObject`, `chain.DegreewiseMap`).
 
 Monotone maps between finite ordinals are tuples of values; they compose,
 factor into faces and degeneracies, and induce operators contravariantly.
@@ -13,8 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .chain import (ChainComplex, DegreewiseMap, _bracketed_layout,
-                    _coherence, _pair_map_components)
+from .chain import (ChainComplex, DegreewiseMap, DegreewiseObject,
+                    _bracketed_layout, _coherence, _pair_map_components)
 from .exactlin import (
     FreeModule,
     LinearMap,
@@ -100,23 +103,21 @@ def surjection_from_word(word, k: int):
 # ---------------------------------------------------------------------------
 
 
-class SimplicialModule:
+class SimplicialModule(DegreewiseObject):
     """Levels 0..D with face and degeneracy matrices.
 
     faces[n-1][i] is d_i: level(n) -> level(n-1); degeneracies[n][i] is
     s_i: level(n) -> level(n+1).
     """
 
-    __slots__ = ("ring", "max_degree", "levels", "faces", "degeneracies")
+    __slots__ = ("faces", "degeneracies")
 
     def __init__(self, ring: Ring, levels: Sequence[FreeModule],
                  faces, degeneracies):
-        levels = tuple(levels)
-        D = len(levels) - 1
+        super().__init__(ring, levels)
+        levels, D = self.levels, self.max_degree
         faces = tuple(tuple(fs) for fs in faces)
         degeneracies = tuple(tuple(ss) for ss in degeneracies)
-        if not levels:
-            raise ValueError("a simplicial module needs at least degree 0")
         if len(faces) != D:
             raise ValueError(f"{D + 1} levels need face lists for degrees "
                              f"1..{D}, got {len(faces)}")
@@ -137,16 +138,8 @@ class SimplicialModule:
                 if s.source != levels[n] or s.target != levels[n + 1]:
                     raise ValueError(f"s_{i} at degree {n} is not a map "
                                      f"from level {n} to level {n + 1}")
-        self.ring = ring
-        self.max_degree = D
-        self.levels = levels
         self.faces = faces
         self.degeneracies = degeneracies
-
-    def level(self, n: int) -> FreeModule:
-        if 0 <= n <= self.max_degree:
-            return self.levels[n]
-        return FreeModule(self.ring, 0)
 
     def face(self, n: int, i: int) -> LinearMap:
         if not (1 <= n <= self.max_degree and 0 <= i <= n):
@@ -160,25 +153,21 @@ class SimplicialModule:
                              f"degrees 0..{self.max_degree}")
         return self.degeneracies[n][i]
 
-    def ranks(self):
-        return tuple(M.rank for M in self.levels)
+    def _maps(self):
+        return [m for ms in self.faces + self.degeneracies for m in ms]
 
-    def __eq__(self, other):
-        if not isinstance(other, SimplicialModule):
-            return NotImplemented
-        return (self.ring == other.ring and self.ranks() == other.ranks()
-                and all(a.entries == b.entries
-                        for fa, fb in zip(self.faces, other.faces)
-                        for a, b in zip(fa, fb))
-                and all(a.entries == b.entries
-                        for sa, sb in zip(self.degeneracies, other.degeneracies)
-                        for a, b in zip(sa, sb)))
-
-    def __hash__(self):
-        return hash((self.ring, self.ranks()))
-
-    def __repr__(self):
-        return f"SimplicialModule({self.ring.name()}, ranks={self.ranks()})"
+    @classmethod
+    def _rebuilt(cls, ring: Ring, levels, make) -> "SimplicialModule":
+        """The module on levels whose d_i out of degree n is make("face",
+        n, n - 1, get) and whose s_i out of degree n is
+        make("degeneracy", n, n + 1, get), get reading that d_i or s_i."""
+        D = len(levels) - 1
+        return cls(ring, levels, [
+            [make("face", n, n - 1, lambda X, n=n, i=i: X.face(n, i))
+             for i in range(n + 1)] for n in range(1, D + 1)], [
+            [make("degeneracy", n, n + 1,
+                  lambda X, n=n, i=i: X.degeneracy(n, i))
+             for i in range(n + 1)] for n in range(D)])
 
 
 class SimplicialMap(DegreewiseMap):
@@ -433,15 +422,9 @@ def tensor(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
     D = min(A.max_degree, B.max_degree)
     levels = [FreeModule(A.ring, A.level(n).rank * B.level(n).rank)
               for n in range(D + 1)]
-    faces = [[LinearMap(levels[n], levels[n - 1],
-                        _kron_entries(A.face(n, i), B.face(n, i)))
-              for i in range(n + 1)]
-             for n in range(1, D + 1)]
-    degeneracies = [[LinearMap(levels[n], levels[n + 1],
-                               _kron_entries(A.degeneracy(n, i), B.degeneracy(n, i)))
-                     for i in range(n + 1)]
-                    for n in range(D)]
-    return SimplicialModule(A.ring, levels, faces, degeneracies)
+    return SimplicialModule._rebuilt(
+        A.ring, levels, lambda what, n, m, get: LinearMap(
+            levels[n], levels[m], _kron_entries(get(A), get(B))))
 
 
 def tensor_map(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
@@ -454,22 +437,7 @@ def tensor_map(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
 
 
 def direct_sum(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
-    if A.ring != B.ring or A.max_degree != B.max_degree:
-        raise ValueError("direct sum of simplicial modules over different "
-                         "rings or degrees")
-    D = A.max_degree
-    levels = [FreeModule(A.ring, A.level(n).rank + B.level(n).rank)
-              for n in range(D + 1)]
-
-    def block_sum(f, g, n, m):
-        return LinearMap.placed(levels[n], levels[m], [
-            (0, 0, f), (A.level(m).rank, A.level(n).rank, g)])
-
-    faces = [[block_sum(A.face(n, i), B.face(n, i), n, n - 1)
-              for i in range(n + 1)] for n in range(1, D + 1)]
-    degeneracies = [[block_sum(A.degeneracy(n, i), B.degeneracy(n, i), n, n + 1)
-                     for i in range(n + 1)] for n in range(D)]
-    return SimplicialModule(A.ring, levels, faces, degeneracies)
+    return SimplicialModule.block_sum(A.ring, A.max_degree, (A, B))[0]
 
 
 def swap_map(A: SimplicialModule, B: SimplicialModule) -> SimplicialMap:

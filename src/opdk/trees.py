@@ -24,11 +24,13 @@ vertex drive four computations:
   Koszul sign, each decoration goes through the action of its input
   permutation, and the labelings follow their leaves, placed by the
   strided layouts of both tensors (`chain._layout`).  The quotients go
-  through the sum-quotient-descend layer of `operad`: `_assemble` lays
-  out every direct sum (the classes of a level, the blocks and choice
-  domains of an extension stage) and maps between sums are placed by
-  its offsets (`_placed_map`, which builds them through the shim's
-  per-degree builder `ops.maps`); `_coinvariants` divides a block by
+  through the sum-quotient-descend layer of `operad`: the shim's
+  `direct_sum`, the one block-diagonal sum of both base categories
+  (`chain.DegreewiseObject.block_sum`), lays out every direct sum (the
+  classes of a level, the blocks and choice domains of an extension
+  stage) and maps between sums are placed by its offsets
+  (`_placed_map`, which builds them through the shim's per-degree
+  builder `ops.maps`); `_coinvariants` divides a block by
   its self-moves, as it divides a composite term by its stabilizer,
   through `_quotient_by`, which feeds them to the signed union-find
   `exactlin.signed_quotient` when the actions send basis elements to
@@ -39,7 +41,9 @@ vertex drive four computations:
   pushouts of complexes, gluing each class along the choice blocks of
   its canonical tree alone.  The cokernel collection of the attaching
   map takes its levels from the cokernel presentations through
-  `operad._quotient_object`, the descent step of that layer.  When the
+  `operad._quotient_object`, the descent step of that layer, which
+  rebuilds an object of either base from its pushed-down structure maps
+  (the object class's `_rebuilt`).  When the
   cell maps send basis elements to +-basis elements, the pushout
   relations form a signed graph, and `exactlin.cokernel` takes the
   same union-find;
@@ -63,16 +67,15 @@ from bisect import bisect_right
 from typing import Callable, Optional
 
 from .rings import Ring
-from .exactlin import (LinearMap, cokernel, compose, hstack,
+from .exactlin import (LinearMap, cokernel, compose, hstack, _json_fields,
                        _product_entries)
 from . import chain as _chain
 from .chain import (ChainComplex, ChainMap, pad, _expand,
                     _flat, _layout, _tensor_entries)
 from . import permutations
 from .operad import (Collection, Operad, graft_signature, sig_act, sig_arity,
-                     sig_str, word_act, word_graft, _assemble, _coinvariants,
-                     _descend, _ops_for, _placed, _quotient_object,
-                     _tensor_many)
+                     sig_str, word_act, word_graft, _coinvariants, _descend,
+                     _ops_for, _placed, _quotient_object, _tensor_many)
 
 __all__ = ["Tree", "canonical", "aut_order", "TreeIsoClass",
            "enumerate_planar", "enumerate_trees", "graft", "tree_to_json",
@@ -469,15 +472,19 @@ def tree_to_json(T: Tree) -> dict:
 
 
 def tree_from_json(data: dict) -> Tree:
+    """Inverse of tree_to_json; ValueError for a document or val that is
+    not an object, a missing key, a list field that is not a list, a
+    marked flag that is not a bool, or inputs that do not match the
+    children."""
+    _json_fields(data, "a tree", ())
     if "leaf" in data:
         return Tree.edge(data["leaf"])
-    try:
-        val = data["val"]
-        ins, out = list(val["in"]), val["out"]
-        marked = bool(data["marked"])
-        children = [tree_from_json(ch) for ch in data["children"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed tree object: {exc}") from None
+    val, marked, children = _json_fields(
+        data, "a tree", ("val", "marked", "children"), ("children",))
+    ins, out = _json_fields(val, "a vertex val", ("in", "out"), ("in",))
+    if type(marked) is not bool:
+        raise ValueError(f"a tree's marked flag is a bool, not {marked!r}")
+    children = [tree_from_json(ch) for ch in children]
     if [ch.root_color for ch in children] != ins:
         raise ValueError("input colors do not match the children")
     return Tree.node(out, children, marked)
@@ -575,8 +582,8 @@ def _labeling_map(ops, labs, tgt_labs, relabel):
 def _placed_map(ops, src, tgt, pieces):
     """The map src -> tgt holding each piece (per-degree LinearMaps,
     column offsets, row offsets) at its per-degree offsets, None for no
-    offset: block maps go into and out of `operad._assemble` sums this
-    way, through `operad._placed`."""
+    offset: block maps go into and out of the sums of the shim's
+    `direct_sum` this way, through `operad._placed`."""
     return ops.maps(src, tgt, _placed([([m.entries for m in maps], co, ro)
                                        for maps, co, ro in pieces],
                                       ops.max_degree))
@@ -733,7 +740,7 @@ def _block_of(blocks, tree: Tree) -> Optional[int]:
 class FreeLevel:
     """One signature level of the free operad on a collection.
 
-    object is the `operad._assemble` sum of the class blocks' quotients,
+    object is the shim's `direct_sum` of the class blocks' quotients,
     block bi starting at row offsets[bi][n] in degree n; a map out of or
     into a block is placed by these offsets.  Each block is built on its
     class's canonical tree; a planar tree that a composition or the
@@ -761,8 +768,8 @@ class FreeLevel:
         self.blocks = [_Block(M.ring, M.max_degree, cl, decor, action,
                               self.sig[0]) for cl in classes]
         self.blocks = [b for b in self.blocks if not ops.is_zero(b.obj)]
-        self.object, self.offsets = _assemble(ops,
-                                              [b.obj for b in self.blocks])
+        self.object, self.offsets = ops.direct_sum(
+            [b.obj for b in self.blocks])
 
     def ranks(self):
         return self.object.ranks()
@@ -1204,7 +1211,7 @@ def cokernel_collection(f: CollectionMap):
         if qs is None:
             raise ValueError(f"map does not split at {sig_str(sig)}")
         T = f.target.level(sig)
-        levels[sig] = _quotient_object(ops, T, qs)
+        levels[sig] = _quotient_object(T, qs)
         quotients[sig] = qs
         sections[sig] = ops.make_map(levels[sig], T, [q.section for q in qs])
     for sig, Q in levels.items():
@@ -1303,7 +1310,7 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
             attached.append(0)
             cells_by_stage[k] = []
             continue
-        C, c_off = _assemble(ops, [b.obj for b in blocks])
+        C, c_off = ops.direct_sum([b.obj for b in blocks])
         doms, inks, atts = [], [], []
         for bi, b in enumerate(blocks):
             p = b.tree_class.rep
@@ -1322,7 +1329,7 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
                 doms.append(D)
                 inks.append((ink.components, c_off[bi]))
                 atts.append(att.components)
-        Dtot, d_off = _assemble(ops, doms)
+        Dtot, d_off = ops.direct_sum(doms)
         ink_tot = _placed_map(ops, Dtot, C, [
             (ink, off, row) for (ink, row), off in zip(inks, d_off)])
         att_tot = _placed_map(ops, Dtot, stage, [

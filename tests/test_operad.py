@@ -503,7 +503,7 @@ def _ordered_composite(M, N):
              for s, ts in data.items()}
     levels, quotients, bigs, offs = {}, {}, {}, {}
     for s, terms in data.items():
-        big, offsets = op._assemble(ops, [t.obj for t in terms])
+        big, offsets = ops.direct_sum([t.obj for t in terms])
         rels = [[] for _ in range(D + 1)]
         for k in sorted({t.k for t in terms} - {0, 1}):
             kterms = [ti for ti, t in enumerate(terms) if t.k == k]
@@ -1824,7 +1824,7 @@ def test_mis_shaped_composition_source_is_refused(base):
                                  disk=corpus.acyclic_disk(ZZ, 2, base=base))
     coll, ops = P.collection, P.ops
     key, f = next(iter(P.compositions.items()))
-    src = ops.direct_sum(f.source, ops.unit_obj())
+    src = ops.direct_sum([f.source, ops.unit_obj()])[0]
     comps = dict(P.compositions)
     comps[key] = ops.zero_map(src, f.target)
     with pytest.raises(ValueError, match="^composition source mismatch"):
@@ -2218,7 +2218,7 @@ def test_ops_builders_store_the_entries_of_the_loops_they_replace(base):
         [list(c.entries.items()) for c in loop.components]
     assert [[type(v) for v in c.entries.values()] for c in f.components] \
         == [[Fraction] * len(c.entries) for c in loop.components]
-    X = ops.direct_sum(A, ops.free(1))
+    X = ops.direct_sum([A, ops.free(1)])[0]
     entries = [{(i, i): 2 for i in range(r)} for r in X.ranks()]
     g = ops.maps(X, X, entries)
     loop = ops.make_map(X, X, [LinearMap(X.level(n), X.level(n), e)

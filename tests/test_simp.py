@@ -435,7 +435,7 @@ def _simp_input_checks():
         "map-components": (lambda: SimplicialMap(A, A, comps[:2]),
                            r"degrees 0\.\.2 need 3 components, got 2"),
         "direct-sum": (lambda: direct_sum(A, standard_simplex(1, ZZ, 1)),
-                       "over different rings or degrees"),
+                       "summands differ in ring or max_degree"),
         "operator-range": (lambda: simplicial_operator(A, (0, 3), 2),
                            r"\(0, 3\) is not a monotone map into \[2\]"),
         "operator-monotone": (lambda: simplicial_operator(A, (1, 0), 2),

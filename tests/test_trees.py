@@ -353,6 +353,36 @@ def test_json_rejects_malformed():
                         "children": [{"leaf": "c"}]})  # arity mismatch
 
 
+@pytest.mark.parametrize("doc", ["leaf", 5, None, ["leaf", "c"]])
+def test_json_refuses_a_tree_that_is_not_an_object(doc):
+    # at the root, and as a child of a vertex
+    with pytest.raises(ValueError, match="a tree document is an object"):
+        tree_from_json(doc)
+    parent = tree_to_json(node("c", [e("c")]))
+    parent["children"] = [doc]
+    with pytest.raises(ValueError, match="a tree document is an object"):
+        tree_from_json(parent)
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [False]])
+def test_json_refuses_a_marked_flag_that_is_not_a_bool(flag):
+    # bool("false") is True: the flag is read as it stands, never cast
+    doc = tree_to_json(node("a", [e("a"), e("b")], marked=False))
+    doc["marked"] = flag
+    with pytest.raises(ValueError, match="marked flag is a bool"):
+        tree_from_json(doc)
+
+
+def test_json_refuses_a_vertex_val_that_is_not_an_object():
+    doc = tree_to_json(node("a", [e("a")]))
+    for val, msg in ((["a"], "a vertex val document is an object"),
+                     ({"in": "a", "out": "a"}, "'in' of a vertex val "
+                                               "document is a list")):
+        doc["val"] = val
+        with pytest.raises(ValueError, match=msg):
+            tree_from_json(doc)
+
+
 # -- aut orders -------------------------------------------------------------
 
 
@@ -777,7 +807,7 @@ def test_free_level_refuses_unknown_colors():
 
 def _orbit_quotient(case, tree_class):
     """A class quotient built over the whole planar orbit: the tensors of
-    every planar tree of the class, summed by `_assemble`, divided by
+    every planar tree of the class, summed by `ops.direct_sum`, divided by
     every sibling swap between two of them through `_coinvariants`.
     Each swap is the library's tree-isomorphism routine from a planar
     tree to its swapped twin, not to the canonical tree.  Returns the
@@ -795,7 +825,7 @@ def _orbit_quotient(case, tree_class):
             pad(concentrated(ring, 0, len(labs)), bound)]
         sides.append((labs, chain._layout("chain", factors, bound)))
         objs.append(op._tensor_many(ops, factors))
-    big, offsets = op._assemble(ops, objs)
+    big, offsets = ops.direct_sum(objs)
     ranks = [obj.ranks() for obj in objs]
     rels = [[] for _ in range(bound + 1)]
     for pi, p in enumerate(orbit):
