@@ -30,6 +30,7 @@ from .exactlin import (
     _json_fields,
     _matrix_in_slot,
     _pivots,
+    _q_mul,
     cokernel,
     compose,
     hstack,
@@ -476,11 +477,14 @@ def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
     the layouts of the degree-n bases, with the boxes of rank 0 left
     out.  `_layout` gives them for a left-associated tensor, and
     `_tensor_layout` for any bracketing.  The maps have degree 0, so the
-    tensor adds no sign of its own; products are left for `LinearMap`
-    to normalize.  Each entry is the Koszul sign (the ring's one when
-    there is none) times the entries of the factors that are maps: an
-    identity factor passes the coefficient on as it stands, with no
-    multiplication by one.
+    tensor adds no sign of its own.  Each entry is the Koszul sign (the
+    ring's one when there is none) times the entries of the factors that
+    are maps: an identity factor passes the coefficient on as it stands,
+    with no multiplication by one.  Over Z/p the products are left
+    unreduced, for `LinearMap` or a sparse product to reduce.  Over Q
+    they go through `exactlin._q_mul`, so a sign or an entry +1 or -1
+    passes the other factor through, and every product is a canonical
+    Fraction already.
 
     A source box's image is one strided sum: a tuple of factor entries
     (r_j, c_j) gives the column start + sum c_j * strides[j] and the row
@@ -494,6 +498,7 @@ def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
     outermost, as `exactlin._kron_entries` lists two factors.
     """
     one = ring.one
+    q = ring.kind == "Q"
     graded = sigma is not None and base == "chain"
     inv = permutations.inverse(sigma) if sigma is not None else \
         range(len(maps))
@@ -518,8 +523,12 @@ def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
                 else:
                     steps = [(c * cs, r * rs, v)
                              for (r, c), v in f.component(d).entries.items()]
-                    acc = [(a + c, b + r, u * v) for a, b, u in acc
-                           for c, r, v in steps]
+                    if q:
+                        acc = [(a + c, b + r, _q_mul(u, v)) for a, b, u in acc
+                               for c, r, v in steps]
+                    else:
+                        acc = [(a + c, b + r, u * v) for a, b, u in acc
+                               for c, r, v in steps]
             for a, b, u in acc:
                 entries[(b, a)] = u
         out.append(entries)

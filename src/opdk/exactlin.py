@@ -5,6 +5,12 @@ sparse coordinate matrices with exact entries.  On top of plain matrix
 arithmetic this module provides the workhorses everything else reduces
 to:
 
+* compose            -- the sparse product.  Over Q it runs on integer
+  numerators: the general product scales each row of f and each column
+  of g by the lcm of its denominators, sums the integer products and
+  builds one Fraction per stored entry, and the one-pass product of a
+  column-function factor passes a factor +1 or -1 through with no
+  Fraction product (`_q_mul`, which `chain`'s tensor maps share),
 * rref               -- over Q and Z/p, one sparse elimination on dict
   rows that logs its row operations; T is replayed from the log only
   when a caller reads it,
@@ -33,7 +39,9 @@ kept in check by smallest-pivot selection.
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .rings import Ring, ZZ, ring_from_name
 
@@ -90,6 +98,10 @@ class LinearMap:
     `identity`, `zero`, `+`, `-`, `scale` and negation, `tensor`,
     `direct_sum`, `transpose`, `compose`, `hstack` and `vstack`.  Each
     of them checks its operands' rings and shapes with ValueError.
+    Over Q, `compose` stores the entries of the Q product kernel: its
+    general path `_q_product_entries`, which sums on integer numerators
+    and builds one Fraction per stored entry, and `_q_mul` in its
+    column-function pass, which passes a factor +1 or -1 through.
     `placed` calls it too, to copy the entries of maps that are
     canonical already into a larger or relabelled map, and so does
     `signed_quotient`, whose projection and section hold only the
@@ -112,7 +124,7 @@ class LinearMap:
     __slots__ = ("source", "target", "entries", "_column_function")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries):
-        if source.ring != target.ring:
+        if source.ring is not target.ring and source.ring != target.ring:
             raise ValueError("source and target lie over different rings")
         ring = source.ring
         rows, cols = target.rank, source.rank
@@ -185,12 +197,14 @@ class LinearMap:
         position raise ValueError.
         """
         ring = target.ring
-        if source.ring != ring:
+        # rings are shared, so identity settles nearly every check without
+        # a call to Ring.__eq__
+        if source.ring is not ring and source.ring != ring:
             raise ValueError("source and target lie over different rings")
         rows, cols = target.rank, source.rank
         entries = {}
         for r, c, m in blocks:
-            if m.source.ring != ring:
+            if m.source.ring is not ring and m.source.ring != ring:
                 raise ValueError("a block lies over another ring")
             if not (0 <= r and 0 <= c and r + m.target.rank <= rows
                     and c + m.source.rank <= cols):
@@ -386,32 +400,48 @@ def _kron_entries(f: LinearMap, g: LinearMap) -> dict:
     return entries
 
 
+def _q_mul(v: Fraction, w: Fraction) -> Fraction:
+    """v * w for two nonzero Fractions, with no Fraction product when a
+    factor is +1 or -1: the other passes through, negated for -1.  Most
+    entries over Q are signs, and a Fraction product costs two gcds and
+    a new Fraction."""
+    n = w.numerator
+    if w.denominator == 1 and (n == 1 or n == -1):
+        return v if n == 1 else -v
+    n = v.numerator
+    if v.denominator == 1 and (n == 1 or n == -1):
+        return w if n == 1 else -w
+    return v * w
+
+
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """f after g.  Inner modules must agree in ring and rank.
 
     When g is a column function (`LinearMap.column_function`), column j
     of the product is w times column t of f, for g's one entry w at
     (t, j): one pass over g's entries writes each product v*w, reduced
-    mod p over Z/p, with nothing summed; the rings have no zero
-    divisors, so no product is zero.  f is indexed by its columns, one
-    entry each when f is known to be a column function (no scan of f
-    is made to find out), and then the product is one too.  Every other
-    g takes `_product_entries`, the general path and this one's test
-    oracle; both store the same entries in the same order.
+    mod p over Z/p and through `_q_mul` over Q, with nothing summed; the
+    rings have no zero divisors, so no product is zero.  f is indexed by
+    its columns, over Z and Z/p one entry each when f is known to be a
+    column function (no scan of f is made to find out); when it is
+    known to be one, the product is one too.  Every other g takes the
+    general path, `_sparse_product`.  `_product_entries` is this pass's
+    test oracle; both store the same entries in the same order.
     """
     fs, gt = f.source, g.target
     if gt != fs:
         raise ValueError(
             f"cannot compose: inner ranks {gt.rank} vs {fs.rank}")
-    p = fs.ring.p
+    ring = fs.ring
+    p, q = ring.p, ring.kind == "Q"
     # the slot directly: most products have a few entries, and a property
     # call would add a visible share to each
     flag = g._column_function
     if not (g.column_function if flag is None else flag):
         return LinearMap._canonical(
-            g.source, f.target, _product_entries(f.entries, g.entries, p))
+            g.source, f.target, _sparse_product(ring, f.entries, g.entries))
     entries = {}
-    if f._column_function:
+    if f._column_function and not q:
         f_col = {t: (i, v) for (i, t), v in f.entries.items()}.get
         for (t, j), w in g.entries.items():
             hit = f_col(t)
@@ -422,26 +452,43 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     f_cols: dict = {}
     for (i, t), v in f.entries.items():
         f_cols.setdefault(t, []).append((i, v))
-    for (t, j), w in g.entries.items():
-        for i, v in f_cols.get(t, ()):
-            entries[(i, j)] = v * w if p is None else v * w % p
-    return LinearMap._canonical(g.source, f.target, entries)
+    if q:
+        for (t, j), w in g.entries.items():
+            for i, v in f_cols.get(t, ()):
+                entries[(i, j)] = _q_mul(v, w)
+    else:
+        for (t, j), w in g.entries.items():
+            for i, v in f_cols.get(t, ()):
+                entries[(i, j)] = v * w if p is None else v * w % p
+    return LinearMap._canonical(g.source, f.target, entries,
+                                f._column_function or None)
+
+
+def _sparse_product(ring: Ring, f_entries: dict, g_entries: dict) -> dict:
+    """The entries of f after g over ring from the two entry dicts, the
+    general product of `compose` and of callers that chain products on
+    entry dicts before any map is built: `_q_product_entries` over Q,
+    `_product_entries` over Z and Z/p."""
+    if ring.kind == "Q":
+        return _q_product_entries(f_entries, g_entries)
+    return _product_entries(f_entries, g_entries, ring.p)
 
 
 def _product_entries(f_entries: dict, g_entries: dict, p) -> dict:
     """The entries of f after g from the two entry dicts, reduced mod p
-    unless p is None: the general sparse product of `compose`, for
-    callers that chain products on entry dicts before any map is built,
-    and the oracle of `compose`'s column-function pass.  Each column of
-    g is merged with the columns of f it hits, summing raw products;
-    each output entry is reduced mod p once (over Z/p) and dropped if
-    zero.  The arithmetic is exact over Z, Q and Z/p, so the result does
-    not depend on when it is reduced, and a sum starts from its first
-    product, not from the int 0, so over Q no Fraction is ever added to
-    an int.  The factors' entries need not be reduced mod p, but over Q
-    they must be Fractions.  The result is canonical, its entries
-    grouped by the column of g they come from, in the order those
-    columns first appear in g_entries."""
+    unless p is None: `_sparse_product` over Z and Z/p, and the oracle
+    of `compose`'s column-function pass and of `_q_product_entries`.
+    Each column of g is merged with the columns of f it hits, summing
+    raw products; each output entry is reduced mod p once (over Z/p)
+    and dropped if zero.  The arithmetic is exact over Z, Q and Z/p, so
+    the result does not depend on when it is reduced, and a sum starts
+    from its first product, not from the int 0, so over Q no Fraction is
+    ever added to an int.  The factors' entries need not be reduced mod
+    p, but over Q they must be Fractions.  Over Q only tests call it on
+    Fractions: the library routes every Q product through
+    `_q_product_entries`, which calls it on integer numerators.  The
+    result is canonical, its entries grouped by the column of g they
+    come from, in the order those columns first appear in g_entries."""
     if not f_entries or not g_entries:
         return {}
     g_cols: dict = {}
@@ -465,6 +512,39 @@ def _product_entries(f_entries: dict, g_entries: dict, p) -> dict:
             if v:
                 entries[(i, j)] = v
     return entries
+
+
+def _numerators(entries: dict, side: int):
+    """Fraction entries as ints: each line (the row for side 0, the
+    column for side 1) times the lcm of its entries' denominators.
+    Returns the int entries, in the same order, and the lcm of each
+    line whose lcm is not 1.  Every stored entry over Q is a Fraction,
+    as `Ring.normalize` makes it."""
+    scale: dict = {}
+    for k, v in entries.items():
+        if v.denominator != 1:
+            scale[k[side]] = lcm(scale.get(k[side], 1), v.denominator)
+    return {k: v.numerator * (scale.get(k[side], 1) // v.denominator)
+            for k, v in entries.items()}, scale
+
+
+def _q_product_entries(f_entries: dict, g_entries: dict) -> dict:
+    """`_product_entries(f_entries, g_entries, None)` for Fraction
+    entries, summed on integer numerators: each row of f and each column
+    of g is scaled by the lcm of its denominators (`_numerators`), the
+    integer loop of `_product_entries` sums the scaled products, and each
+    stored sum x becomes one Fraction, x over its row's and its column's
+    scale.  A sum is zero exactly when its scaled one is, so both store
+    the same values, as Fractions, in the same order."""
+    F, rows = _numerators(f_entries, 0)
+    G, cols = _numerators(g_entries, 1)
+    out = _product_entries(F, G, None)
+    # all denominators 1, as on every workload and on the Barratt-Eccles
+    # levels: no scale to look up per stored entry
+    if not rows and not cols:
+        return {k: Fraction(x) for k, x in out.items()}
+    return {(i, j): Fraction(x) if (d := rows.get(i, 1) * cols.get(j, 1)) == 1
+            else Fraction(x, d) for (i, j), x in out.items()}
 
 
 def _stack(maps, common: str, what: str):

@@ -68,7 +68,7 @@ from typing import Callable, Optional
 
 from .rings import Ring
 from .exactlin import (LinearMap, cokernel, compose, hstack, _json_fields,
-                       _product_entries)
+                       _sparse_product)
 from . import chain as _chain
 from .chain import (ChainComplex, ChainMap, pad, _expand,
                     _flat, _layout, _tensor_entries)
@@ -1559,6 +1559,6 @@ def _act_by_labelings(O: Operad, tree: Tree, labs, layout):
 
 
 def _products(ring: Ring, outer, inner):
-    """Per-degree entries of outer after inner, through the sparse
-    product of `exactlin.compose`."""
-    return [_product_entries(o, i, ring.p) for o, i in zip(outer, inner)]
+    """Per-degree entries of outer after inner, through the general
+    sparse product of `exactlin.compose`."""
+    return [_sparse_product(ring, o, i) for o, i in zip(outer, inner)]

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opdk import _kernel, exactlin
+from opdk import _kernel, exactlin, trees
 from opdk.chain import ChainComplex, ChainMap, pushout_complex
 from opdk.doldkan import _image_basis
 from opdk.exactlin import (
@@ -644,6 +644,92 @@ def test_product_entries_takes_unreduced_factors():
             F = LinearMap(FreeModule(ring, b), FreeModule(ring, a), f)
             G = LinearMap(FreeModule(ring, c), FreeModule(ring, b), g)
             assert got == compose(F, G).entries
+
+
+def fraction_entries(data, rows, cols, column_function):
+    """A drawn rows x cols entry dict of nonzero Fractions with
+    denominators 1 to 6, mixed within a row and within a column: at most
+    one entry per column when column_function, any pattern otherwise,
+    empty dicts among them."""
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    picks = data.draw(st.lists(st.sampled_from(cells), unique=True)) \
+        if cells else []
+    if column_function:
+        picks = list({j: (i, j) for i, j in reversed(picks)}.values())[::-1]
+    values = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                       st.integers(1, 6))
+    return {k: data.draw(values) for k in picks}
+
+
+def with_cancelling_column(f, g, cols):
+    """g with a column at index cols added that f maps to zero in its
+    first row holding two entries x, y at columns s, t: g there is y at
+    s and -x at t, so that row's sum x*y - y*x cancels."""
+    row = {}
+    for (i, t), v in f.items():
+        row.setdefault(i, []).append((t, v))
+    pair = next((r for r in row.values() if len(r) >= 2), None)
+    if pair is None:
+        return g
+    (s, x), (t, y) = pair[:2]
+    return {**g, (s, cols): y, (t, cols): -x}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_q_product_kernel_matches_the_fraction_product(data):
+    """`_q_product_entries`, the Q product on integer numerators, against
+    `_product_entries` on the Fractions themselves: the same ordered
+    entries, each a Fraction, on column-function, general and empty
+    operands and on sums that cancel; and `compose` over Q, through
+    either of its passes, stores the same."""
+    a, b, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    f = fraction_entries(data, a, b, data.draw(st.booleans()))
+    g = fraction_entries(data, b, c, data.draw(st.booleans()))
+    for right, cols in ((g, c), (with_cancelling_column(f, g, c), c + 1)):
+        got = exactlin._q_product_entries(f, right)
+        want = exactlin._product_entries(f, right, None)
+        assert _typed(got) == _typed(want)
+        assert all(type(v) is Fraction for v in got.values())
+        F = LinearMap(FreeModule(QQ, b), FreeModule(QQ, a), f)
+        G = LinearMap(FreeModule(QQ, cols), FreeModule(QQ, b), right)
+        assert _typed(compose(F, G).entries) == _typed(want)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_tree_products_over_q_match_the_fraction_product(data):
+    """`trees._products`, the tree contraction's chained products on
+    per-degree entry dicts, over Q against `_product_entries` on the
+    Fractions: ordered entries and value types, degree by degree."""
+    degrees = data.draw(st.integers(1, 3))
+    outer, inner = [], []
+    for _ in range(degrees):
+        a, b, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        f = fraction_entries(data, a, b, data.draw(st.booleans()))
+        g = fraction_entries(data, b, c, data.draw(st.booleans()))
+        outer.append(f)
+        inner.append(with_cancelling_column(f, g, c))
+    got = trees._products(QQ, outer, inner)
+    assert [_typed(e) for e in got] == \
+        [_typed(exactlin._product_entries(f, g, None))
+         for f, g in zip(outer, inner)]
+
+
+def test_q_product_kernel_cancels_and_keeps_mixed_denominators():
+    # row 0 of f has denominators 2 and 3, and so has column 0 of g: the
+    # sum 1/2 * 1/3 - 1/3 * 1/2 cancels on the scaled numerators, and
+    # (1, 0) comes back from the numerator 1 * -3 over the scales 6 * 6
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    f = {(0, 0): h, (0, 1): t, (1, 1): Fraction(1, 6)}
+    g = {(0, 0): t, (1, 0): -h, (1, 1): Fraction(1)}
+    got = exactlin._q_product_entries(f, g)
+    assert _typed(got) == _typed(exactlin._product_entries(f, g, None))
+    assert _typed(got) == [((1, 0), Fraction(-1, 12), Fraction),
+                           ((0, 1), Fraction(1, 3), Fraction),
+                           ((1, 1), Fraction(1, 6), Fraction)]
+    assert exactlin._q_product_entries({}, g) == {}
+    assert exactlin._q_product_entries(f, {}) == {}
 
 
 def test_entry_outside_the_shape_raises():

@@ -22,6 +22,7 @@ violations are pinned by hand.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -421,6 +422,98 @@ def test_fixed_cases_reach_odd_degrees_rank_zero_and_every_ring():
             and any(d.entries for d in L.differentials)
         zero += 0 in K.ranks() + L.ranks()
     assert rings == set(RINGS) and odd and zero
+
+
+# ---------------------------------------------------------------------------
+# over Q: a factor +1 or -1 passes the other through, with no product
+# ---------------------------------------------------------------------------
+
+
+SIGNS_AND_OTHERS = (Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-2))
+FIXED_Q = range(3000, 3008)
+
+
+def _scaled(f, rng):
+    """f times a scalar drawn from SIGNS_AND_OTHERS: a chain or
+    simplicial map again."""
+    c = rng.choice(SIGNS_AND_OTHERS)
+    return type(f)(f.source, f.target, [m.scale(c) for m in f.components])
+
+
+def _rediagonalized(A, rng):
+    """A carried along a diagonal automorphism of each level with entries
+    drawn from SIGNS_AND_OTHERS, so that its faces and degeneracies hold
+    signs beside other entries."""
+    return corpus.conjugate(A, [
+        LinearMap(M, M, {(i, i): rng.choice(SIGNS_AND_OTHERS)
+                         for i in range(M.rank)}) for M in A.levels])
+
+
+def q_case(seed):
+    """Simplicial modules A, B over Q and simplicial maps f, g between
+    others; chain complexes K, L over Q and chain maps fc, gc out of
+    them; the maps scaled and the modules rediagonalized so that their
+    entries mix +1 and -1 with 3/2, -2 and their quotients."""
+    rng = random.Random(seed)
+    D = rng.randint(1, 3)
+    A, A2, B, B2 = (corpus.random_instance(rng, QQ, D, max_rank=2)
+                    for _ in range(4))
+    f = _scaled(corpus.random_simplicial_map(rng, A, A2), rng)
+    g = _scaled(corpus.random_simplicial_map(rng, B, B2), rng)
+    A, B = (_rediagonalized(X.module, rng) for X in (A, B))
+    dk, dl = rng.randint(0, 3), rng.randint(0, 3)
+    K, K2 = (corpus.random_complex(rng, QQ, dk, max_rank=2) for _ in range(2))
+    L, L2 = (corpus.random_complex(rng, QQ, dl, max_rank=2) for _ in range(2))
+    fc = _scaled(corpus.random_chain_map(rng, K, K2), rng)
+    gc = _scaled(corpus.random_chain_map(rng, L, L2), rng)
+    return A, B, f, g, K, L, fc, gc
+
+
+def _simplicial_operators(A):
+    return [A.face(n, i) for n in range(1, A.max_degree + 1)
+            for i in range(n + 1)] + \
+        [A.degeneracy(n, i) for n in range(A.max_degree) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("seed", FIXED_Q)
+def test_q_tensors_match_the_plain_product(seed):
+    """Over Q, where `chain._tensor_entries` passes a factor +1 or -1
+    through with `exactlin._q_mul`: LinearMap.tensor, simp.tensor,
+    simp.tensor_map, chain.tensor_map and chain.braiding store the
+    ordered entries and value types of the plain-product route, one
+    `ring.mul` per pair (`_kron` and the block oracles)."""
+    A, B, f, g, K, L, fc, gc = q_case(seed)
+    T = simp.tensor(A, B)
+    for a, b, t in zip(_simplicial_operators(A), _simplicial_operators(B),
+                       _simplicial_operators(T)):
+        want = _typed(_kron(a, b).entries)
+        assert _typed(t.entries) == want
+        assert _typed(a.tensor(b).entries) == want
+    assert [_typed(c.entries) for c in simp.tensor_map(f, g).components] == \
+        [_typed(_kron(f.component(n), g.component(n)).entries)
+         for n in range(min(f.source.max_degree, g.source.max_degree) + 1)]
+    for bound in (None, K.max_degree):
+        _, _, comps = _oracle_tensor_map(fc, gc, bound)
+        assert [_typed(c.entries)
+                for c in chain.tensor_map(fc, gc, bound).components] == \
+            [[(k, v, type(v)) for k, v in c] for c in comps]
+        assert [_typed(c.entries)
+                for c in chain.braiding(K, L, bound).components] == \
+            [[(k, v, type(v)) for k, v in c]
+             for c in _oracle_braiding(K, L, bound)]
+
+
+def test_q_cases_hold_signs_beside_other_entries():
+    # each product route meets a factor +1 or -1 and a factor that is not
+    signs, others = set(), set()
+    for seed in FIXED_Q:
+        A, B, f, g, K, L, fc, gc = q_case(seed)
+        for route, maps in (("simp", _simplicial_operators(A)),
+                            ("map", list(f.components) + list(fc.components))):
+            for m in maps:
+                for v in m.entries.values():
+                    (signs if v in (1, -1) else others).add(route)
+    assert signs == others == {"simp", "map"}
 
 
 # ---------------------------------------------------------------------------
