@@ -248,7 +248,7 @@ class DegreewiseMap:
 
     def __init__(self, source, target, components: Sequence[LinearMap],
                  check: bool = True):
-        if source.ring != target.ring:
+        if source.ring is not target.ring and source.ring != target.ring:
             raise ValueError(f"ring mismatch: source over "
                              f"{source.ring.name()}, target over "
                              f"{target.ring.name()}")

@@ -39,8 +39,8 @@ from typing import Optional
 from . import permutations
 from .chain import ChainComplex, ChainMap, tensor_blocks
 from .chain import tensor as tensor_complex
-from .exactlin import (FreeModule, LinearMap, _coordinates, _pivots,
-                       compose, hnf_columns)
+from .exactlin import (FreeModule, LinearMap, _coordinates, _image_basis,
+                       compose)
 from .simp import (
     SimplicialMap,
     SimplicialModule,
@@ -91,7 +91,8 @@ def _idempotent(A: SimplicialModule, n: int) -> LinearMap:
     The rightmost factor acts first: once 1 - s_{i} d_{i+1} has made
     d_{i+1} vanish, the factors to its left keep it vanishing.  Column j
     is basis vector j pushed through the n factors in turn, with each
-    face and degeneracy indexed by column once; a vector that dies stops.
+    face and degeneracy indexed by column once; a vector that dies stops,
+    and a factor whose face misses the vector leaves it as it is.
     """
     ring = A.ring
     mod = ring.p
@@ -112,6 +113,8 @@ def _idempotent(A: SimplicialModule, n: int) -> LinearMap:
             for t, x in vec.items():
                 for r, y in face.get(t, ()):
                     dv[r] = dv[r] + x * y if r in dv else x * y
+            if not dv:
+                continue
             for t, x in dv.items():
                 for r, y in degeneracy.get(t, ()):
                     vec[r] = vec[r] - x * y if r in vec else -x * y
@@ -124,30 +127,6 @@ def _idempotent(A: SimplicialModule, n: int) -> LinearMap:
         for r, x in vec.items():
             entries[(r, j)] = x
     return LinearMap(A.level(n), A.level(n), entries)
-
-
-def _image_basis(p: LinearMap):
-    """(basis, pivots): the basis `kernel` would return for the span of
-    p's columns, with one pivot row per basis vector.
-
-    Over Z this is the column Hermite form, pivoted at each vector's
-    first support row.  Over a field it is the Hermite form of the rows
-    read bottom up: monic at each vector's last support row, which the
-    other vectors miss.  Either way the pivots increase with the column.
-    """
-    ring = p.ring
-    R = p.target.rank
-    flip = ring.is_field
-    if flip:
-        p = LinearMap(p.source, p.target,
-                      {(R - 1 - i, j): v for (i, j), v in p.entries.items()})
-    h = hnf_columns(p)
-    r = h.source.rank
-    entries = h.entries
-    if flip:
-        entries = {(R - 1 - i, r - 1 - j): v for (i, j), v in entries.items()}
-    basis = LinearMap(FreeModule(ring, r), p.target, entries)
-    return basis, _pivots(basis)
 
 
 def _corestrict(nz: Normalization, n: int, x: LinearMap) -> LinearMap:
@@ -176,11 +155,14 @@ def normalize(A: SimplicialModule) -> Normalization:
     every x killed by d_1..d_n, whatever the structure maps are.  Three
     checks then certify A_n = N_n (+) D_n and raise ValueError on a
     module that breaks the simplicial identities: d_i p_n = 0 for
-    1 <= i <= n (the image is N_n), p_n incl_n = incl_n (p_n is
-    idempotent, so proj_n . incl_n = id) and p_n s_j = 0 for j < n
-    (the kernel is D_n).
+    1 <= i <= n (the image is N_n), proj_n . incl_n = id (p_n is
+    idempotent) and p_n s_j = 0 for j < n (the kernel is D_n).  The
+    second is checked on the small square proj_n . incl_n rather than as
+    p_n . incl_n = incl_n: `_coordinates` has checked incl_n . proj_n =
+    p_n, so p_n . incl_n = incl_n . (proj_n . incl_n), and as incl_n is
+    injective that equals incl_n exactly when proj_n . incl_n = id.
     """
-    ring = A.ring
+    ring, one = A.ring, A.ring.one
     D = A.max_degree
     moore = moore_complex(A)
     ident = LinearMap.identity(A.level(0))
@@ -190,8 +172,9 @@ def normalize(A: SimplicialModule) -> Normalization:
         incl, pivots = _image_basis(p)
         proj = _coordinates(incl, pivots, p)
         # p = incl . proj with incl injective, so the checks on p read
-        # off the thinner factors: d_i p = 0 iff d_i incl = 0, and
-        # p s_j = 0 iff proj s_j = 0
+        # off the thinner factors: d_i p = 0 iff d_i incl = 0,
+        # p s_j = 0 iff proj s_j = 0, and p incl = incl iff
+        # proj incl = id
         for i in range(1, n + 1):
             if not compose(A.face(n, i), incl).is_zero():
                 raise ValueError(f"d_{i} does not vanish on p_{n}: "
@@ -200,7 +183,8 @@ def normalize(A: SimplicialModule) -> Normalization:
             if not compose(proj, A.degeneracy(n - 1, j)).is_zero():
                 raise ValueError(f"p_{n} does not kill s_{j}: "
                                  "not a simplicial module")
-        if compose(p, incl).entries != incl.entries:
+        square = compose(proj, incl).entries
+        if square != {(k, k): one for k in range(incl.source.rank)}:
             raise ValueError(f"p_{n} is not idempotent: not a simplicial module")
         incls.append(incl)
         projs.append(proj)

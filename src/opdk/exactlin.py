@@ -109,12 +109,18 @@ class LinearMap:
     inside the shape.  So do `hnf_columns`, `rref`, the transforms
     `_replayed` builds, the field `kernel` and `solve`, whose entries are
     exact combinations of canonical entries, reduced mod p over Z/p.
+    So does `compose` when a factor has no entries: it returns the
+    empty map at once, after its inner-rank check.  And so do
+    `_image_basis`, whose row and column flips only move canonical
+    entries inside the shape, and `_coordinates` over a field, which
+    copies entries of x to rows the pivots index.
 
     `column_function` says whether every column holds at most one entry,
     as signed permutations and relabelings do; `compose` takes a
     one-pass product when its right factor is one.  The flag is set by
     the producers that know it anyway: the public constructor's entry
-    loop, `identity`, `zero` and a `compose` of two column functions.
+    loop, `identity`, `zero`, a `compose` with an empty factor and a
+    `compose` of two column functions.
     Every other map scans its entries once, when first asked, and keeps
     the answer.  It is a property of the entries, read off them: it
     never changes them or their order.  So the entries are not mutated
@@ -417,11 +423,13 @@ def _q_mul(v: Fraction, w: Fraction) -> Fraction:
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """f after g.  Inner modules must agree in ring and rank.
 
-    When g is a column function (`LinearMap.column_function`), column j
-    of the product is w times column t of f, for g's one entry w at
-    (t, j): one pass over g's entries writes each product v*w, reduced
-    mod p over Z/p and through `_q_mul` over Q, with nothing summed; the
-    rings have no zero divisors, so no product is zero.  f is indexed by
+    When either factor has no entries, the product is the empty map, a
+    column function, with nothing indexed.  When g is a column function
+    (`LinearMap.column_function`), column j of the product is w times
+    column t of f, for g's one entry w at (t, j): one pass over g's
+    entries writes each product v*w, reduced mod p over Z/p and through
+    `_q_mul` over Q, with nothing summed; the rings have no zero
+    divisors, so no product is zero.  f is indexed by
     its columns, over Z and Z/p one entry each when f is known to be a
     column function (no scan of f is made to find out); when it is
     known to be one, the product is one too.  Every other g takes the
@@ -432,6 +440,8 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     if gt != fs:
         raise ValueError(
             f"cannot compose: inner ranks {gt.rank} vs {fs.rank}")
+    if not f.entries or not g.entries:
+        return LinearMap._canonical(g.source, f.target, {}, True)
     ring = fs.ring
     p, q = ring.p, ring.kind == "Q"
     # the slot directly: most products have a few entries, and a property
@@ -1135,9 +1145,35 @@ def solve(m: LinearMap, b: LinearMap):
     return x
 
 
+def _image_basis(p: LinearMap):
+    """(basis, pivots): the basis `kernel` would return for the span of
+    p's columns, with one pivot row per basis vector.
+
+    Over Z this is the column Hermite form, pivoted at each vector's
+    first support row.  Over a field it is the Hermite form of the rows
+    read bottom up: monic at each vector's last support row, which the
+    other vectors miss.  Either way the pivots increase with the column.
+    The flips only move canonical entries inside the shape, so they and
+    the basis are stored unchecked, as `kernel` stores its basis.
+    """
+    ring = p.ring
+    R = p.target.rank
+    flip = ring.is_field
+    if flip:
+        p = LinearMap._canonical(p.source, p.target, {
+            (R - 1 - i, j): v for (i, j), v in p.entries.items()})
+    h = hnf_columns(p)
+    r = h.source.rank
+    entries = h.entries
+    if flip:
+        entries = {(R - 1 - i, r - 1 - j): v for (i, j), v in entries.items()}
+    basis = LinearMap._canonical(FreeModule(ring, r), p.target, entries)
+    return basis, _pivots(basis)
+
+
 def _pivots(basis: LinearMap) -> list:
     """The pivot row of each vector of a basis from `kernel` or
-    `doldkan._image_basis`, as `_coordinates` reads them: its first
+    `_image_basis`, as `_coordinates` reads them: its first
     support row over Z, where the basis is in Hermite form, and its last
     over a field, where the basis is the identity on those rows."""
     first = not basis.ring.is_field
@@ -1167,6 +1203,7 @@ def _coordinates(basis: LinearMap, pivots, x: LinearMap) -> LinearMap:
             k = where.get(i)
             if k is not None:
                 entries[(k, j)] = v
+        coords = LinearMap._canonical(x.source, basis.source, entries)
     else:
         at = [dict() for _ in pivots]
         meets = [[] for _ in pivots]
@@ -1199,7 +1236,7 @@ def _coordinates(basis: LinearMap, pivots, x: LinearMap) -> LinearMap:
                             heapq.heappush(todo, k2)
             for k, v in c.items():
                 entries[(k, j)] = v
-    coords = LinearMap(x.source, basis.source, entries)
+        coords = LinearMap(x.source, basis.source, entries)
     if compose(basis, coords).entries != x.entries:
         raise ValueError("column is not in the span of the basis")
     return coords

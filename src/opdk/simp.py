@@ -23,7 +23,6 @@ from .exactlin import (
     LinearMap,
     _json_fields,
     _json_list,
-    _kron_entries,
     _matrix_in_slot,
     compose,
     matrix_to_json,
@@ -411,11 +410,12 @@ def tensor(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
     """Degreewise tensor; operators act diagonally.
 
     Each operator is the Kronecker product of the two factors' operators,
-    with its entries in the order of `exactlin._kron_entries`.  Level n
-    is the two-factor layout's single box at degrees (n, n)
-    (`chain._layout`): the pair (a, b) sits at a * rank(B_n) + b, so
-    maps between tensors, `tensor_map` and `swap_map`, come from
-    `chain._tensor_entries` on that layout in the same entry order.
+    `LinearMap.tensor`, with its entries in the order of
+    `exactlin._kron_entries`.  Level n is the two-factor layout's single
+    box at degrees (n, n) (`chain._layout`): the pair (a, b) sits at
+    a * rank(B_n) + b, so maps between tensors, `tensor_map` and
+    `swap_map`, come from `chain._tensor_entries` on that layout in the
+    same entry order.
     """
     if A.ring != B.ring:
         raise ValueError("ring mismatch")
@@ -423,8 +423,7 @@ def tensor(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
     levels = [FreeModule(A.ring, A.level(n).rank * B.level(n).rank)
               for n in range(D + 1)]
     return SimplicialModule._rebuilt(
-        A.ring, levels, lambda what, n, m, get: LinearMap(
-            levels[n], levels[m], _kron_entries(get(A), get(B))))
+        A.ring, levels, lambda what, n, m, get: get(A).tensor(get(B)))
 
 
 def tensor_map(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
@@ -455,24 +454,17 @@ def swap_map(A: SimplicialModule, B: SimplicialModule) -> SimplicialMap:
 
 
 def moore_complex(A: SimplicialModule) -> ChainComplex:
-    """Same levels, differential the alternating face sum, summed in one
-    pass over the faces' entries: positions in the order d_0, d_1, ...
-    first reach them, a position that cancels dropped."""
-    p = A.ring.p
+    """Same levels, differential the alternating face sum d_0 - d_1 +
+    d_2 - ..., summed left to right with `LinearMap`'s `+` and `-`: the
+    positions come in the order d_0, d_1, ... first reach them, and a
+    position that cancels is dropped (and comes last if a later face
+    reaches it again)."""
     diffs = []
     for n in range(1, A.max_degree + 1):
-        entries: dict = {}
-        for i in range(n + 1):
-            sign = -1 if i % 2 else 1
-            for k, v in A.face(n, i).entries.items():
-                v = entries.get(k, 0) + sign * v
-                if p is not None:
-                    v %= p
-                if v:
-                    entries[k] = v
-                else:
-                    del entries[k]
-        diffs.append(LinearMap(A.level(n), A.level(n - 1), entries))
+        d = A.face(n, 0)
+        for i in range(1, n + 1):
+            d = d - A.face(n, i) if i % 2 else d + A.face(n, i)
+        diffs.append(d)
     return ChainComplex(A.ring, A.levels, diffs)
 
 

@@ -68,7 +68,7 @@ from typing import Callable, Optional
 
 from .rings import Ring
 from .exactlin import (LinearMap, cokernel, compose, hstack, _json_fields,
-                       _sparse_product)
+                       _q_mul, _sparse_product)
 from . import chain as _chain
 from .chain import (ChainComplex, ChainMap, pad, _expand,
                     _flat, _layout, _tensor_entries)
@@ -1512,7 +1512,7 @@ def _contract(O: Operad, tree: Tree, maps, objs, labs, src_layout):
         rest = [j for j in range(len(objs) + 1) if j != child_vi]
         sigma = tuple(rest[:parent_vi + 1] + [child_vi] + rest[parent_vi + 1:])
         objs = [objs[j] for j in sigma[:-1]]
-        cur = [_moved_rows(move, ents, ring.p) for move, ents in zip(
+        cur = [_moved_rows(move, ents, ring) for move, ents in zip(
             _tensor_entries(ring, base, [None] * len(sigma), sigma, layout,
                             _layout(base, objs + [L], bound)), cur)]
         pair = O.composition(parent.val, slot, child.val)
@@ -1526,13 +1526,18 @@ def _contract(O: Operad, tree: Tree, maps, objs, labs, src_layout):
     return tree, layout, cur
 
 
-def _moved_rows(move: dict, entries: dict, p) -> dict:
-    """The entries of move after entries, for move a signed permutation:
-    each entry goes to its row's image, times that row's sign, in
-    entries' own order.  The product would group them by column, but
-    `_contract` multiplies them by `_pair_entries` next, and that product
-    groups them the same way."""
+def _moved_rows(move: dict, entries: dict, ring: Ring) -> dict:
+    """The entries of move after entries over ring, for move a signed
+    permutation: each entry goes to its row's image, times that row's
+    sign, in entries' own order; over Q the sign passes through
+    `exactlin._q_mul`, with no Fraction product.  The product would
+    group them by column, but `_contract` multiplies them by
+    `_pair_entries` next, and that product groups them the same way."""
     to = {c: (r, u) for (r, c), u in move.items()}
+    p = ring.p
+    if ring.kind == "Q":
+        return {(to[i][0], j): _q_mul(v, to[i][1])
+                for (i, j), v in entries.items()}
     return {(to[i][0], j): to[i][1] * v if p is None else to[i][1] * v % p
             for (i, j), v in entries.items()}
 

@@ -1,4 +1,5 @@
-"""exactlin's own products, sums and blocks against the public constructor.
+"""exactlin's own products, sums and blocks, and the Dold-Kan producers
+built on them, against the public constructor.
 
 `LinearMap._canonical` stores an entry dict unchecked; exactlin's
 arithmetic uses it on entries it has just made canonical.  The oracles
@@ -11,19 +12,26 @@ constructor once more must change nothing, so no stored value is zero,
 out of range or of the wrong type.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opdk import corpus
 from opdk.exactlin import (
     FreeModule,
     LinearMap,
+    _coordinates,
+    _image_basis,
+    _kron_entries,
     compose,
     hstack,
     vstack,
 )
 from opdk.rings import QQ, ZZ, Zmod
+from opdk.simp import constant_module, moore_complex, tensor as simp_tensor
+from test_doldkan import _oracle_image_basis
 
 RINGS = [ZZ, QQ, Zmod(5), Zmod(2)]
 
@@ -103,6 +111,33 @@ def _vstack(maps):
         off += m.target.rank
     tgt = FreeModule(maps[0].ring, off)
     return LinearMap(maps[0].source, tgt, entries)
+
+
+def _moore_differential(A, n):
+    """The alternating face sum in one pass over the faces' entries."""
+    p = A.ring.p
+    entries = {}
+    for i in range(n + 1):
+        sign = -1 if i % 2 else 1
+        for k, v in A.face(n, i).entries.items():
+            v = entries.get(k, 0) + sign * v
+            if p is not None:
+                v %= p
+            if v:
+                entries[k] = v
+            else:
+                del entries[k]
+    return LinearMap(A.level(n), A.level(n - 1), entries)
+
+
+def _field_coordinates(basis, pivots, x):
+    """The pivot rows of x, read against a basis over a field."""
+    where = {r: k for k, r in enumerate(pivots)}
+    entries = {}
+    for (i, j), v in x.entries.items():
+        if i in where:
+            entries[(where[i], j)] = v
+    return LinearMap(x.source, basis.source, entries)
 
 
 def _typed(m):
@@ -265,3 +300,73 @@ def test_empty_operands_compose_to_the_zero_map(ring):
     to_c = LinearMap.zero(A, C)
     assert compose(to_c, f).shape == (0, 3)
     assert compose(LinearMap.zero(C, A), LinearMap.zero(B, C)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name())
+def test_an_empty_factor_composes_at_once(ring):
+    A, B, C = FreeModule(ring, 2), FreeModule(ring, 3), FreeModule(ring, 4)
+    full = LinearMap(A, B, {(2, 1): 3, (0, 0): -1, (1, 1): 1, (0, 1): 2})
+    perm = LinearMap(B, C, {(3, 0): 1, (0, 2): -1, (2, 1): 1})
+    for f, g in ((LinearMap.zero(B, C), full), (LinearMap(B, C, {}), full),
+                 (perm, LinearMap.zero(A, B)), (full, LinearMap.zero(B, A)),
+                 (LinearMap.zero(C, A), perm)):
+        got, want = compose(f, g), _compose(f, g)
+        assert_same_canonical(got, want)
+        assert got.entries == {}
+        assert got._column_function is True
+        assert got.column_function == want.column_function
+    # the inner ranks are checked before an empty factor returns
+    with pytest.raises(ValueError, match="inner ranks"):
+        compose(LinearMap.zero(A, C), full)
+    with pytest.raises(ValueError, match="inner ranks"):
+        compose(perm, LinearMap.zero(B, A))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name())
+@pytest.mark.parametrize("seed", range(6))
+def test_moore_complex_matches_the_one_pass_sum(ring, seed):
+    rng = random.Random(seed)
+    modules = [corpus.random_instance(rng, ring, D, max_rank=2).module
+               for D in (1, 2, 3)]
+    # d_0 - d_1 cancels on a constant module, and d_2 reaches the
+    # cancelled positions again
+    modules.append(constant_module(ring, 3, rank=2))
+    for A in modules:
+        C = moore_complex(A)
+        for n in range(1, A.max_degree + 1):
+            assert_same_canonical(C.d(n), _moore_differential(A, n))
+    assert list(C.d(2).entries) == [(0, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name())
+@pytest.mark.parametrize("seed", range(4))
+def test_simplicial_tensor_matches_the_kronecker_entries(ring, seed):
+    rng = random.Random(seed)
+    A, B = (corpus.random_instance(rng, ring, 2, max_rank=2).module
+            for _ in range(2))
+    AB = simp_tensor(A, B)
+    for n in range(1, AB.max_degree + 1):
+        for i in range(n + 1):
+            assert_same_canonical(AB.face(n, i), LinearMap(
+                AB.level(n), AB.level(n - 1),
+                _kron_entries(A.face(n, i), B.face(n, i))))
+    for n in range(AB.max_degree):
+        for i in range(n + 1):
+            assert_same_canonical(AB.degeneracy(n, i), LinearMap(
+                AB.level(n), AB.level(n + 1),
+                _kron_entries(A.degeneracy(n, i), B.degeneracy(n, i))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_span_basis_and_field_coordinates_match_the_public_route(data):
+    ring = data.draw(rings)
+    p = data.draw(linear_map(ring, data.draw(st.integers(0, 4)),
+                             data.draw(st.integers(0, 4))))
+    basis, pivots = _image_basis(p)
+    want, want_pivots = _oracle_image_basis(p)
+    assert_same_canonical(basis, want)
+    assert pivots == want_pivots
+    if ring.is_field:
+        assert_same_canonical(_coordinates(basis, pivots, p),
+                              _field_coordinates(basis, pivots, p))

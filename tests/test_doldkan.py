@@ -39,7 +39,6 @@ from opdk.doldkan import (
     Normalization,
     _gamma_action,
     _idempotent,
-    _image_basis,
     _shuffle_entries,
     _surjection_index,
     aw,
@@ -57,6 +56,7 @@ from opdk.exactlin import (
     FreeModule,
     LinearMap,
     _coordinates,
+    _image_basis,
     compose,
     hnf_columns,
     hstack,
@@ -171,6 +171,40 @@ def _oracle_idempotent(A, n):
     for i in range(n - 1, -1, -1):
         p = p - compose(A.degeneracy(n - 1, i), compose(A.face(n, i + 1), p))
     return p
+
+
+def _every_factor_idempotent(A, n):
+    """`_idempotent` with every factor's degeneracy step and filter run
+    on every column, also where the face misses the vector: the same
+    entries in the same order, with the same value types."""
+    ring, mod = A.ring, A.ring.p
+
+    def by_column(m):
+        cols = {}
+        for (i, j), v in m.entries.items():
+            cols.setdefault(j, []).append((i, v))
+        return cols
+
+    factors = [(by_column(A.face(n, i + 1)), by_column(A.degeneracy(n - 1, i)))
+               for i in range(n - 1, -1, -1)]
+    entries = {}
+    for j in range(A.level(n).rank):
+        vec = {j: ring.one}
+        for face, degeneracy in factors:
+            dv = {}
+            for t, x in vec.items():
+                for r, y in face.get(t, ()):
+                    dv[r] = dv[r] + x * y if r in dv else x * y
+            for t, x in dv.items():
+                for r, y in degeneracy.get(t, ()):
+                    vec[r] = vec[r] - x * y if r in vec else -x * y
+            vec = {r: x if mod is None else x % mod for r, x in vec.items()
+                   if (x if mod is None else x % mod)}
+            if not vec:
+                break
+        for r, x in vec.items():
+            entries[(r, j)] = x
+    return LinearMap(A.level(n), A.level(n), entries)
 
 
 def _oracle_image_basis(p):
@@ -366,6 +400,9 @@ def test_idempotent_and_coordinates_match_the_whole_matrix_oracles(ring, seed):
             p = _idempotent(A, n)
             assert p.source == p.target == A.level(n)
             assert p.entries == _oracle_idempotent(A, n).entries
+            assert ([(k, v, type(v)) for k, v in p.entries.items()]
+                    == [(k, v, type(v)) for k, v in
+                        _every_factor_idempotent(A, n).entries.items()])
             basis, pivots = _image_basis(p)
             want_basis, want_pivots = _oracle_image_basis(p)
             assert basis.entries == want_basis.entries and pivots == want_pivots

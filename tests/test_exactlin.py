@@ -13,11 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from opdk import _kernel, exactlin, trees
 from opdk.chain import ChainComplex, ChainMap, pushout_complex
-from opdk.doldkan import _image_basis
 from opdk.exactlin import (
     FreeModule,
     LinearMap,
     SmithForm,
+    _image_basis,
     _replayed,
     cokernel,
     compose,

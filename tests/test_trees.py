@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from contextlib import nullcontext
+from fractions import Fraction
 
 import pytest
 
@@ -1640,3 +1641,26 @@ def test_extension_unary_generator_never_stabilizes():
         assert not cert["stabilized"]
         assert cert["truncated"]
         assert "warning" in cert
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, Zmod(5)], ids=lambda r: r.name())
+def test_moved_rows_match_the_product_route(ring):
+    # each entry moves to its row's image times that row's sign: over Q
+    # the sign passes through with no Fraction product, and the entries,
+    # their order and their value types are those of the products
+    rng = random.Random(3)
+    n = ring.normalize
+    move = {(2, 0): n(-1), (0, 1): n(1), (3, 2): n(1), (1, 3): n(-1)}
+    values = [n(v) for v in (1, -1, 2, -3)]
+    if ring is QQ:
+        values += [QQ.normalize(Fraction(3, 2)), QQ.normalize(Fraction(-1, 4))]
+    cells = [(i, j) for i in range(4) for j in range(3)]
+    rng.shuffle(cells)
+    entries = {k: rng.choice(values) for k in cells[:9]}
+    to = {c: (r, u) for (r, c), u in move.items()}
+    p = ring.p
+    want = {(to[i][0], j): to[i][1] * v if p is None else to[i][1] * v % p
+            for (i, j), v in entries.items()}
+    got = trees._moved_rows(move, entries, ring)
+    assert ([(k, v, type(v)) for k, v in got.items()]
+            == [(k, v, type(v)) for k, v in want.items()])
