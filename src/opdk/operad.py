@@ -199,8 +199,8 @@ class _Ops:
     def direct_sum(self, objs):
         """The direct sum of objs and each summand's per-degree offsets:
         the canonical terms of a composite level, the classes of a free
-        level and the blocks and choice domains of an extension stage
-        are summed here (`chain.DegreewiseObject.block_sum`)."""
+        level and an extension stage with the cells it attaches are
+        summed here (`chain.DegreewiseObject.block_sum`)."""
         return self.Obj.block_sum(self.ring, self.max_degree, objs)
 
     def identity(self, A):

@@ -27,8 +27,8 @@ vertex drive four computations:
   through the sum-quotient-descend layer of `operad`: the shim's
   `direct_sum`, the one block-diagonal sum of both base categories
   (`chain.DegreewiseObject.block_sum`), lays out every direct sum (the
-  classes of a level, the blocks and choice domains of an extension
-  stage) and maps between sums are placed by its offsets
+  classes of a level, an extension stage and the cells it attaches)
+  and maps between sums are placed by its offsets
   (`_placed_map`, which builds them through the shim's per-degree
   builder `ops.maps`); `_coinvariants` divides a block by
   its self-moves, as it divides a composite term by its stabilizer,
@@ -37,21 +37,22 @@ vertex drive four computations:
   +-basis elements and takes an exact cokernel otherwise; and
   `_descend` pushes relabelings and evaluations down block by block,
   raising ValueError on one that does not descend;
-* the stages of a free extension of operads, assembled with degreewise
-  pushouts of complexes, gluing each class along the choice blocks of
-  its canonical tree alone.  The cokernel collection of the attaching
-  map takes its levels from the cokernel presentations through
-  `operad._quotient_object`, the descent step of that layer, which
-  rebuilds an object of either base from its pushed-down structure maps
-  (the object class's `_rebuilt`).  When the
-  cell maps send basis elements to +-basis elements, the pushout
-  relations form a signed graph, and `exactlin.cokernel` takes the
-  same union-find;
+* the stages of a free extension of operads, by cell attachment: each
+  stage is the last one plus the classes with one more marked vertex,
+  decorated by the cokernel collection of the attaching map at marked
+  vertices, so no pushout is taken and a stage map is an inclusion.
+  The cokernel collection takes its levels from the cokernel
+  presentations through `operad._quotient_object`, the descent step of
+  that layer, which rebuilds an object of either base from its
+  pushed-down structure maps (the object class's `_rebuilt`).  The
+  differential of a stage adds the attaching map on the faces with one
+  source factor, which vanishes when f splits as complexes;
 * the evaluation of decorated trees in an operad, on whole per-degree
   entry lists: `_contract` composes along the unmarked edges and
   `_act_by_labelings` acts by each labeling.  The attaching maps of the
-  extension stages and `extend_to_operad`, the map a free operad's
-  universal property gives, both evaluate this way.
+  extension stages, in positive degrees only, and `extend_to_operad`,
+  the map a free operad's universal property gives, both evaluate this
+  way.
 
 Everything is exact.  Quotients that would acquire torsion raise
 instead of truncating invariant factors, and every stage object records
@@ -1158,7 +1159,8 @@ class ExtensionStages:
     """Stagewise model of a free extension at one signature.
 
     stages[k] is the object after attaching the classes with up to k
-    marked vertices; maps[k] includes stages[k] into stages[k+1].  The
+    marked vertices; maps[k] includes stages[k] into stages[k+1] as its
+    first rows, [I; 0].  The
     certificate records the vertex bound, the stage from which nothing
     new was attached, and whether trees beyond the bound exist.
     """
@@ -1234,19 +1236,32 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
                     ) -> ExtensionStages:
     """Stage filtration of the free extension of O along f at one level.
 
-    Stage k attaches the classes with k marked vertices: each class
-    contributes the coinvariants, under the automorphisms of its
-    canonical tree, of f's target at marked vertices and O elsewhere,
-    glued along the choice blocks of its cell map on that tree alone.
-    Any other planar tree of the class has the same latching image and
-    attaching value as a choice block of the canonical tree, so the
-    pushout is the same.  The attaching map rewrites a block through
-    generator_map at the marked source factors and contracts unmarked
-    pairs with O's compositions; the collapsed tree reaches its class's
-    block in an earlier stage through `_Block.reach`.
+    Stage k attaches the classes with k marked vertices as cells:
+    stage_k = stage_(k-1) (+) C_k, where C_k sums over those classes
+    the tensor of Q, the cokernel collection of f
+    (`cokernel_collection`), at marked vertices and O elsewhere, divided
+    by the automorphisms of the class's canonical tree.  The class's
+    cell map is the iterated pushout-product of f at marked vertices
+    with O's levels, a degreewise split injection whose cokernel is
+    that tensor of cokernels (Hovey, Model Categories, 4.2;
+    Berger-Moerdijk, Axiomatic homotopy theory for operads, section 5),
+    so its pushout is, as a graded module, the previous stage plus the
+    Q-decorated block, and each stage map is the inclusion [I; 0].  A
+    block sits at the same offset in every later stage.
+
+    The differential is [[d, tau], [0, d_C]], tau the attaching map
+    (`_attaching_map`).  It is read off the faces with exactly one
+    source factor, and vanishes when the sections of f are chain maps;
+    at max_degree 0 there is no differential, and nothing of it is
+    built.  The certificate's attached_ranks are the ranks of the
+    classes decorated by f's target, Y, at marked vertices.
 
     O must have unit-sized unary diagonal levels and f must split
     degreewise; f's source must sit in arities >= 2 unless it is zero.
+    Where the sections of f's cokernel are not chain maps, the attaching
+    map is computed on the tensors of a class, which presumes that the
+    sections commute with the actions; when they do not, it need not
+    descend to the coinvariants, and ValueError is raised.
     """
     ring = O.ring
     ops = O.ops
@@ -1282,11 +1297,11 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
 
     marked_vals = f.target.signatures()
     unmarked_vals = [s for s in coll.signatures() if sig_arity(s) != 1]
-    base_leg = ops.identity(stage)
+    splits = {s: (q_sections[s],) + _splitting(f.component(s), q_sections[s])
+              for s in marked_vals} if bound else None
     stages = [stage]
     maps = []
-    cells_by_stage: dict = {}
-    cell_legs: dict = {}
+    cells: dict = {}  # k -> (Q-blocks of stage k, their offsets in it)
     attached = []
     truncated = False
 
@@ -1298,56 +1313,31 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
         truncated = truncated or beyond
         if k > max_vertices:
             continue
-        decor = lambda vsig, m: f.target.level(vsig) if m else coll.level(vsig)
-        action = lambda vsig, m, tau: (f.target.action(vsig, tau) if m
-                                       else coll.action(vsig, tau))
-        blocks = [_Block(ring, bound, cl, decor, action, sig[0])
-                  for cl in classes]
-        blocks = [b for b in blocks if not ops.is_zero(b.obj)]
-        if not blocks:
-            stages.append(stage)
-            maps.append(ops.identity(stage))
-            attached.append(0)
-            cells_by_stage[k] = []
-            continue
-        C, c_off = ops.direct_sum([b.obj for b in blocks])
-        doms, inks, atts = [], [], []
-        for bi, b in enumerate(blocks):
-            p = b.tree_class.rep
-            marked = [vi for vi, (_, m) in enumerate(p.vertex_preorder())
-                      if m]
-            for choice in itertools.product((0, 1), repeat=len(marked)):
-                if all(choice):
-                    continue
-                kind = {vi: "Q" if c else "X"
-                        for vi, c in zip(marked, choice)}
-                D, ink, att = _choice_block(
-                    O, f, Qc, q_sections, generator_map, b, kind,
-                    cells_by_stage, cell_legs, base_leg, stage, sig)
-                if ink is None:
-                    continue
-                doms.append(D)
-                inks.append((ink.components, c_off[bi]))
-                atts.append(att.components)
-        Dtot, d_off = ops.direct_sum(doms)
-        ink_tot = _placed_map(ops, Dtot, C, [
-            (ink, off, row) for (ink, row), off in zip(inks, d_off)])
-        att_tot = _placed_map(ops, Dtot, stage, [
-            (att, off, None) for att, off in zip(atts, d_off)])
-        po = _chain.pushout_complex(ink_tot, att_tot)
-        new_stage = po.complex
-        stage_map = po.inr
-        cells_by_stage[k] = blocks
-        # each earlier stage's class sum, with its block offsets, maps on
-        # into the new stage
-        for key, (leg, offs) in cell_legs.items():
-            cell_legs[key] = (stage_map @ leg, offs)
-        cell_legs[k] = (po.inl, c_off)
-        base_leg = stage_map @ base_leg
-        maps.append(stage_map)
-        stages.append(new_stage)
-        stage = new_stage
-        attached.append(sum(b.obj.total_rank() for b in blocks))
+        ys = [_Block(ring, bound, cl, *_decorated(f.target, coll), sig[0])
+              for cl in classes]
+        attached.append(sum(b.obj.total_rank() for b in ys))
+        # a Q-block is a quotient of its Y-block, so it dies with it
+        pairs = [(yb, _Block(ring, bound, yb.tree_class, *_decorated(Qc, coll),
+                             sig[0])) for yb in ys if not ops.is_zero(yb.obj)]
+        pairs = [(yb, qb) for yb, qb in pairs if not ops.is_zero(qb.obj)]
+        new, offs = ops.direct_sum([stage] + [qb.obj for _, qb in pairs])
+        cells[k] = ([qb for _, qb in pairs], offs[1:])
+        if bound:
+            diffs = [dict(new.d(n).entries) for n in range(1, bound + 1)]
+            for (yb, qb), off in zip(pairs, offs[1:]):
+                taus = _attaching_map(O, f, generator_map, splits, yb, qb,
+                                      cells, stage)
+                for n, (dn, tau) in enumerate(zip(diffs, taus), start=1):
+                    dn.update({(i, off[n] + j): v
+                               for (i, j), v in tau.entries.items()})
+            new = ChainComplex(ring, new.levels, [
+                LinearMap(new.level(n), new.level(n - 1), dn)
+                for n, dn in enumerate(diffs, start=1)])
+        maps.append(ops.maps(stage, new, [
+            {(i, i): ring.one for i in range(stage.level(n).rank)}
+            for n in range(bound + 1)]))
+        stages.append(new)
+        stage = new
 
     stable_from = len(attached)
     while stable_from > 0 and attached[stable_from - 1] == 0:
@@ -1366,97 +1356,119 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
     return ExtensionStages(sig, stages, maps, cert)
 
 
-def _choice_block(O, f, Qc, q_sections, g, block, kind, cells_by_stage,
-                  cell_legs, base_leg, stage, sig):
-    """One mixed block of a cell domain on block's canonical tree, with
-    its two legs.
+def _decorated(M: Collection, coll: Collection):
+    """(decor, action) of the blocks decorated by M at marked vertices
+    and coll elsewhere."""
+    return (lambda vsig, m: (M if m else coll).level(vsig),
+            lambda vsig, m, tau: (M if m else coll).action(vsig, tau))
 
-    kind[vi] is "Q" to keep the cokernel factor at the marked preorder
-    vertex vi, "X" to keep the source factor; at least one source factor
-    is present.  The first leg includes the block into the class
-    coinvariants, the second rewrites it into earlier stages.
-    """
-    ring = O.ring
-    ops = O.ops
+
+def _splitting(f: ChainMap, s: ChainMap):
+    """(r, p) for the degreewise split injection f with section s of its
+    cokernel: the two row blocks of [f | s]^-1 in each degree, so that
+    r f = id, r s = 0, p f = 0 and p s = id."""
+    rs, ps = [], []
+    for fn, sn in zip(f.components, s.components):
+        inv = hstack([fn, sn]).inverse()
+        x = fn.source.rank
+        rs.append({(i, j): v for (i, j), v in inv.entries.items() if i < x})
+        ps.append({(i - x, j): v for (i, j), v in inv.entries.items()
+                   if i >= x})
+    ops = _ops_for("chain", f.source.ring, f.source.max_degree)
+    return ops.maps(f.target, f.source, rs), ops.maps(f.target, s.source, ps)
+
+
+def _attaching_map(O, f, g, splits, yb, qb, cells, stage):
+    """The attaching map tau of the Q-block qb into stage, the stage
+    before it: one map out of each degree n >= 1 of qb.obj into degree
+    n - 1 of stage.
+
+    Write sigma = s (x) ... (x) s for the sections of f at the marked
+    vertices, from the Q-tensor into the Y-tensor of yb, qb's class
+    decorated by f's target.  The cell's pushout differential on a
+    Q-tensor q is d q plus the attaching value of d_Y sigma q -
+    sigma d_Q q, which lies in the latching part: each of its terms has
+    (d_Y s_v - s_v d_Q) q_v = f h_v q_v at one marked vertex v and s at
+    the others (Leibniz, with the Koszul sign of d passing the factors
+    before v).  R_v, the retraction r_v of `_splitting` at v and the
+    projection p at the other marked vertices, picks out that face, and
+    `_collapse` attaches it.  So tau = sum_v att_v R_v (d_Y sigma -
+    sigma d_Q) on the tensor, pushed down to qb's coinvariants by
+    `operad._descend`, which raises ValueError when it does not
+    descend.  When the sections are chain maps, tau is zero, and no
+    face is collapsed."""
+    ring, ops = O.ring, O.ops
     bound = ops.max_degree
-    coll = O.collection
-    p = block.tree_class.rep
-    facs, mats = [], []
-    for vi, (vsig, m) in enumerate(p.vertex_preorder()):
-        if not m:
-            facs.append(coll.level(vsig))
-            mats.append(None)
-        elif kind[vi] == "Q":
-            facs.append(Qc.level(vsig))
-            mats.append(q_sections[vsig])
-        else:
-            facs.append(f.source.level(vsig))
-            mats.append(f.component(vsig))
-    L = ops.free(len(block.labs))
-    D = _tensor_many(ops, facs + [L])
-    if D.total_rank() == 0:
-        return D, None, None
-    layout = _layout(ops.base, facs + [L], bound)
-    ents = _tensor_entries(ring, ops.base, mats + [None], None, layout,
-                           block.layout)
-    ink = block.proj @ ops.maps(D, block.tensor, ents)
+    p = qb.tree_class.rep
+    verts = p.vertex_preorder()
+    sigma = _tensor_entries(ring, "chain", [
+        splits[vsig][0] if m else None for vsig, m in verts] + [None], None,
+        qb.layout, yb.layout)
+    sigma = [LinearMap(qb.tensor.level(n), yb.tensor.level(n), e)
+             for n, e in enumerate(sigma)]
+    lift = [compose(yb.tensor.d(n), sigma[n])
+            - compose(sigma[n - 1], qb.tensor.d(n))
+            for n in range(1, bound + 1)]
+    if all(m.is_zero() for m in lift):
+        return [LinearMap.zero(qb.obj.level(n), stage.level(n - 1))
+                for n in range(1, bound + 1)]
+    faces = [LinearMap.zero(yb.tensor.level(n), stage.level(n))
+             for n in range(bound)]
+    L = ops.free(len(qb.labs))
+    for v, (vsig, marked) in enumerate(verts):
+        if not marked or ops.is_zero(f.source.level(vsig)):
+            continue
+        rmaps = [(splits[s][1] if vi == v else splits[s][2]) if m else None
+                 for vi, (s, m) in enumerate(verts)]
+        facs = [O.collection.level(s) if rm is None else rm.target
+                for rm, (s, _) in zip(rmaps, verts)]
+        layout = _layout("chain", facs + [L], bound)
+        R = _tensor_entries(ring, "chain", rmaps + [None], None, yb.layout,
+                            layout)
+        att = _collapse(O, g, p, v, facs, layout, qb.labs, cells)
+        faces = [face + LinearMap(face.source, face.target,
+                                  _sparse_product(ring, a, r))
+                 for face, a, r in zip(faces, att, R)]
+    return [_descend(compose(face, up), q, "the attaching map")
+            for face, up, q in zip(faces, lift, qb.quotients[1:])]
 
-    att = _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, layout,
-                    block.labs, cells_by_stage, cell_legs, base_leg,
-                    stage, sig)
-    return D, ink, att
 
+def _collapse(O: Operad, g: CollectionMap, p: Tree, v: int, facs, layout,
+              labs, cells):
+    """Per-degree entries of the face of a Q-block tree p with the
+    source of f at its marked preorder vertex v, Q at its other marked
+    vertices and O at the rest (facs, laid out with labs by layout),
+    into the stage it factors through.
 
-def _collapse(O, f, Qc, q_sections, g, p, kind, facs, D, layout, labs,
-              cells_by_stage, cell_legs, base_leg, stage, sig):
-    """Rewrite a mixed block, D with its layout, into the earlier stage
-    it factors through."""
+    The source factor goes through the generator map g and joins O's
+    vertices, and `_contract` composes along every edge between two
+    unmarked vertices.  A tree with no marked vertex left is a single
+    vertex, which lands in O's level, the first rows of every stage,
+    through the action of each labeling; any other lands in the Q-block
+    of its class in cells[k'], k' its marked vertices, through
+    `_Block.reach`, at that block's offset.  A class absent there had
+    zero coinvariants, so the image is zero."""
     ring = O.ring
-    ops = O.ops
-    bound = ops.max_degree
-
-    # the X factors go through the generator map and join O's vertices
+    verts = p.vertex_preorder()
+    mats = [None] * len(facs)
     objs = list(facs)
-    mats = [None] * len(objs)
-    flags = []
-    for vi, (vsig, m) in enumerate(p.vertex_preorder()):
-        if m and kind[vi] == "X":
-            mats[vi] = g.component(vsig)
-            flags.append(False)
-            objs[vi] = g.target.level(vsig)
-        else:
-            flags.append(m)
-    tree, layout, cur = _contract(O, _reflag(p, flags), mats, objs, labs,
-                                  layout)
-
-    kprime = tree.n_marked
-    if kprime == 0:
-        # a single unmarked vertex; its factor lands in the base level
-        # through the action of each labeling
-        cur = _products(ring, _act_by_labelings(O, tree, labs, layout), cur)
-        return base_leg @ ops.maps(D, O.collection.level(sig), cur)
-    # locate the class of the collapsed tree among the earlier stages;
-    # a class absent there had zero coinvariants, so the image is zero
-    target_blocks = cells_by_stage.get(kprime)
-    if target_blocks is None:
-        raise RuntimeError("collapse reached a stage that was never built")
-    tbi = _block_of(target_blocks, tree)
+    mats[v] = g.component(verts[v][0])
+    objs[v] = g.target.level(verts[v][0])
+    tree, layout, cur = _contract(
+        O, _reflag(p, [m and vi != v for vi, (_, m) in enumerate(verts)]),
+        mats, objs, labs, layout)
+    if not tree.n_marked:
+        return _products(ring, _act_by_labelings(O, tree, labs, layout), cur)
+    blocks, offs = cells[tree.n_marked]
+    tbi = _block_of(blocks, tree)
     if tbi is None:
-        return ops.zero_map(D, stage)
-    tb = target_blocks[tbi]
-    tlabs, tlayout, reach = tb.reach(tree)
-    # inject the surviving Q factors back into the target's Y factors,
-    # then carry the collapsed tree to its class's canonical tree
-    mats = [q_sections[vsig] if m else None
-            for vsig, m in tree.vertex_preorder()]
-    lab_map = _labeling_map(ops, labs, tlabs, lambda lab: lab)
-    final = _tensor_entries(ring, ops.base, mats + [lab_map], None, layout,
-                            tlayout)
-    cur = _products(ring, reach, _products(ring, final, cur))
-    leg, offs = cell_legs[kprime]
-    return leg @ _placed_map(ops, D, leg.source, [(
-        [LinearMap(D.level(n), tb.obj.level(n), cur[n])
-         for n in range(bound + 1)], None, offs[tbi])])
+        return [{} for _ in cur]
+    # the collapsed tree keeps p's leaves and its factors' ranks, so its
+    # labelings and layout are those that reach expects
+    off = offs[tbi]
+    return [{(off[n] + i, j): x for (i, j), x in ents.items()}
+            for n, ents in enumerate(_products(
+                ring, blocks[tbi].reach(tree)[2], cur))]
 
 
 def _reflag(tree: Tree, marks) -> Tree:

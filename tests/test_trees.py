@@ -1664,3 +1664,449 @@ def test_moved_rows_match_the_product_route(ring):
     got = trees._moved_rows(move, entries, ring)
     assert ([(k, v, type(v)) for k, v in got.items()]
             == [(k, v, type(v)) for k, v in want.items()])
+
+
+# -- the pushout route, the oracle of the cell attachment --------------------
+#
+# Before the stages were cell attachments, stage k was the degreewise
+# pushout of C <- D -> stage(k-1): C sums the classes with k marked
+# vertices decorated by Y = f's target, and D sums, over each class's
+# canonical tree, the choice blocks that keep f's source X at some
+# marked vertices and the cokernel Q at the others, not Q at all of
+# them.  The first leg injects a choice block into C through f and the
+# sections of Q; the second collapses it into an earlier stage.  Only
+# these tests build it now: on every instance whose sections are chain
+# maps it must agree with `extension_stage` up to an isomorphism of
+# stages that respects the stage maps.
+
+
+def _pushout_stages(O, f, sig_, max_vertices, g):
+    """(ExtensionStages, steps) of the pushout route; steps[k - 1] is
+    None when stage k attached nothing, else (pushout, Y-blocks,
+    choices), choices listing (block index, kind, D, D's layout,
+    attaching leg)."""
+    ring, ops = O.ring, O.ops
+    bound = ops.max_degree
+    coll = O.collection
+    Qc, q_sections = cokernel_collection(f)
+    stage = pad(coll.level(sig_), bound)
+    unmarked_vals = [s for s in coll.signatures() if sig_arity(s) != 1]
+    decor = lambda vsig, m: f.target.level(vsig) if m else coll.level(vsig)
+    action = lambda vsig, m, tau: (f.target.action(vsig, tau) if m
+                                   else coll.action(vsig, tau))
+    base_leg = ops.identity(stage)
+    stages, maps, steps, attached = [stage], [], [], []
+    cells_by_stage, cell_legs = {}, {}
+    truncated = False
+    for k in range(1, max_vertices + 2):
+        classes, beyond = trees._classes_within(
+            sig_, k, max_vertices, f.target.signatures(), unmarked_vals,
+            no_adjacent_unmarked=True)
+        truncated = truncated or beyond
+        if k > max_vertices:
+            continue
+        blocks = [trees._Block(ring, bound, cl, decor, action, sig_[0])
+                  for cl in classes]
+        blocks = [b for b in blocks if not ops.is_zero(b.obj)]
+        attached.append(sum(b.obj.total_rank() for b in blocks))
+        cells_by_stage[k] = blocks
+        if not blocks:
+            stages.append(stage)
+            maps.append(ops.identity(stage))
+            steps.append(None)
+            continue
+        C, c_off = ops.direct_sum([b.obj for b in blocks])
+        choices, inks = [], []
+        for bi, b in enumerate(blocks):
+            marked = [vi for vi, (_, m) in
+                      enumerate(b.tree_class.rep.vertex_preorder()) if m]
+            for choice in itertools.product((0, 1), repeat=len(marked)):
+                if all(choice):
+                    continue
+                kind = {vi: "Q" if c else "X" for vi, c in zip(marked, choice)}
+                D, layout, ink, att = _choice_block(
+                    O, f, Qc, q_sections, g, b, kind, cells_by_stage,
+                    cell_legs, base_leg, stage, sig_)
+                if ink is not None:
+                    choices.append((bi, kind, D, layout, att))
+                    inks.append((ink.components, c_off[bi]))
+        Dtot, d_off = ops.direct_sum([c[2] for c in choices])
+        ink_tot = trees._placed_map(ops, Dtot, C, [
+            (ink, off, row) for (ink, row), off in zip(inks, d_off)])
+        att_tot = trees._placed_map(ops, Dtot, stage, [
+            (c[-1].components, off, None) for c, off in zip(choices, d_off)])
+        po = chain.pushout_complex(ink_tot, att_tot)
+        for key, (leg, offs) in cell_legs.items():
+            cell_legs[key] = (po.inr @ leg, offs)
+        cell_legs[k] = (po.inl, c_off)
+        base_leg = po.inr @ base_leg
+        maps.append(po.inr)
+        stages.append(po.complex)
+        steps.append((po, blocks, choices))
+        stage = po.complex
+    stable_from = len(attached)
+    while stable_from > 0 and attached[stable_from - 1] == 0:
+        stable_from -= 1
+    cert = {"vertex_bound": max_vertices, "stages": len(stages) - 1,
+            "attached_ranks": attached, "stable_from": stable_from,
+            "stabilized": not truncated, "truncated": truncated}
+    if truncated:
+        cert["warning"] = ("classes beyond the vertex bound exist; the "
+                           "colimit is truncated, not final")
+    return trees.ExtensionStages(sig_, stages, maps, cert), steps
+
+
+def _choice_block(O, f, Qc, q_sections, g, block, kind, cells_by_stage,
+                  cell_legs, base_leg, stage, sig_):
+    """A choice block D of block's canonical tree, with its layout and
+    its legs into the class coinvariants and into the stage before; the
+    legs are None when D is zero."""
+    ring, ops = O.ring, O.ops
+    p = block.tree_class.rep
+    facs = [O.collection.level(vsig) if not m
+            else Qc.level(vsig) if kind[vi] == "Q" else f.source.level(vsig)
+            for vi, (vsig, m) in enumerate(p.vertex_preorder())]
+    mats = [None if not m else q_sections[vsig] if kind[vi] == "Q"
+            else f.component(vsig)
+            for vi, (vsig, m) in enumerate(p.vertex_preorder())]
+    L = ops.free(len(block.labs))
+    D = op._tensor_many(ops, facs + [L])
+    layout = chain._layout("chain", facs + [L], ops.max_degree)
+    if D.total_rank() == 0:
+        return D, layout, None, None
+    ents = _tensor_entries(ring, "chain", mats + [None], None, layout,
+                           block.layout)
+    ink = block.proj @ ops.maps(D, block.tensor, ents)
+    att = _pushout_collapse(O, q_sections, g, p, kind, facs, D, layout,
+                            block.labs, cells_by_stage, cell_legs,
+                            base_leg, stage, sig_)
+    return D, layout, ink, att
+
+
+def _pushout_collapse(O, q_sections, g, p, kind, facs, D, layout, labs,
+                      cells_by_stage, cell_legs, base_leg, stage, sig_):
+    """The attaching leg of a choice block: X through g into O, the
+    unmarked edges contracted, the surviving Q factors injected back
+    into Y through the sections, and the tree carried to its class's
+    Y-block in an earlier stage."""
+    ring, ops = O.ring, O.ops
+    bound = ops.max_degree
+    objs, mats, flags = list(facs), [None] * len(facs), []
+    for vi, (vsig, m) in enumerate(p.vertex_preorder()):
+        if m and kind[vi] == "X":
+            mats[vi] = g.component(vsig)
+            objs[vi] = g.target.level(vsig)
+        flags.append(m and kind[vi] == "Q")
+    tree, layout, cur = trees._contract(O, trees._reflag(p, flags), mats,
+                                        objs, labs, layout)
+    if not tree.n_marked:
+        cur = trees._products(ring, trees._act_by_labelings(
+            O, tree, labs, layout), cur)
+        return base_leg @ ops.maps(D, O.collection.level(sig_), cur)
+    target_blocks = cells_by_stage[tree.n_marked]
+    tbi = trees._block_of(target_blocks, tree)
+    if tbi is None:
+        return ops.zero_map(D, stage)
+    tb = target_blocks[tbi]
+    tlabs, tlayout, reach = tb.reach(tree)
+    mats = [q_sections[vsig] if m else None
+            for vsig, m in tree.vertex_preorder()]
+    lab_map = trees._labeling_map(ops, labs, tlabs, lambda lab: lab)
+    final = _tensor_entries(ring, "chain", mats + [lab_map], None, layout,
+                            tlayout)
+    cur = trees._products(ring, reach, trees._products(ring, final, cur))
+    leg, offs = cell_legs[tree.n_marked]
+    return leg @ trees._placed_map(ops, D, leg.source, [(
+        [LinearMap(D.level(n), tb.obj.level(n), cur[n])
+         for n in range(bound + 1)], None, offs[tbi])])
+
+
+def _compare_routes(O, f, sig_, max_vertices, g=None):
+    """Both routes agree in ranks and certificate, and each pushout stage
+    maps isomorphically onto the cell-attachment stage, compatibly with
+    the stage maps: the comparison is `ChainPushout.mediating` of the
+    previous comparison, followed by the stage map, and of
+    `_class_sum_leg`.  Returns the new route's stages."""
+    new = extension_stage(O, f, sig_, max_vertices, generator_map=g)
+    old, steps = _pushout_stages(O, f, sig_, max_vertices, g)
+    assert [s.ranks() for s in new.stages] == [s.ranks() for s in old.stages]
+    assert new.certificate == old.certificate
+    assert new.stages[0] == old.stages[0]
+    Qc, q_sections = cokernel_collection(f)
+    split = {s: trees._splitting(f.component(s), q_sections[s])
+             for s in f.target.signatures()}
+    phi = O.ops.identity(old.stages[0])
+    for k, step in enumerate(steps, 1):
+        v = new.maps[k - 1] @ phi
+        psi = v if step is None else step[0].mediating(
+            _class_sum_leg(O, Qc, split, step, new.stages[k - 1],
+                           new.stages[k], v), v)
+        assert psi.is_iso()
+        assert psi @ old.maps[k - 1] == v
+        phi = psi
+    return new
+
+
+def _class_sum_leg(O, Qc, split, step, before, stage, v):
+    """The map from the class sum C of a pushout step into the new stage
+    that follows before.  On a class's Y-tensor, [f | s]^-1 at each
+    marked vertex splits it into its faces (`trees._splitting`): the
+    all-Q face goes to the class's Q-block, where the new route put it
+    after before, and every other face to its choice block, then along
+    that block's attaching leg and v, the comparison of the stage before.
+    Each class's map descends to its coinvariants when the sections
+    commute with the actions, as on every instance here."""
+    po, blocks, choices = step
+    ring, ops = O.ring, O.ops
+    bound = ops.max_degree
+    off, qblocks = list(before.ranks()), {}
+    for b in blocks:
+        qb = trees._Block(ring, bound, b.tree_class,
+                          *trees._decorated(Qc, O.collection), b.sig_inputs)
+        if not ops.is_zero(qb.obj):
+            qblocks[b.tree_class.encoding] = (qb, off)
+            off = [a + r for a, r in zip(off, qb.obj.ranks())]
+    assert off == list(stage.ranks())
+    pieces = []
+    for bi, b in enumerate(blocks):
+        verts = b.tree_class.rep.vertex_preorder()
+        faces = [LinearMap.zero(b.tensor.level(n), stage.level(n))
+                 for n in range(bound + 1)]
+        if b.tree_class.encoding in qblocks:
+            qb, qoff = qblocks[b.tree_class.encoding]
+            P = _tensor_entries(ring, "chain", [
+                split[s][1] if m else None for s, m in verts] + [None], None,
+                b.layout, qb.layout)
+            for n, face in enumerate(faces):
+                pq = qb.quotients[n].proj @ LinearMap(
+                    face.source, qb.tensor.level(n), P[n])
+                faces[n] = face + LinearMap(face.source, face.target, {
+                    (qoff[n] + i, j): x for (i, j), x in pq.entries.items()})
+        for cbi, kind, D, layout, att in choices:
+            if cbi != bi:
+                continue
+            RP = _tensor_entries(ring, "chain", [
+                None if not m else split[s][1] if kind[vi] == "Q"
+                else split[s][0] for vi, (s, m) in enumerate(verts)] + [None],
+                None, b.layout, layout)
+            leg = v @ att
+            faces = [face + leg.component(n) @ LinearMap(
+                face.source, D.level(n), RP[n]) for n, face in enumerate(faces)]
+        pieces.append([op._descend(face, b.quotients[n], "the comparison")
+                       for n, face in enumerate(faces)])
+    c_off = ops.direct_sum([b.obj for b in blocks])[1]
+    return trees._placed_map(ops, po.inl.source, stage, [
+        (maps, off, None) for maps, off in zip(pieces, c_off)])
+
+
+def _inclusion_case(inclusion, sig_, max_vertices, free_vertices=3):
+    """extension_stage arguments for an inclusion (M, Y, f), over the
+    free operad on M with trees of up to free_vertices vertices."""
+    M, _, f = inclusion
+    F = FreeOperad(M, max_arity=max(3, sig_arity(sig_)),
+                   max_vertices=free_vertices)
+    return F.operad(), f, sig_, max_vertices, generator_inclusion(F)
+
+
+def _unary_case(r):
+    M = Collection(ZZ, "chain", ("c",), 1, 0, {}, {})
+    O = FreeOperad(M, max_arity=1, max_vertices=3).operad()
+    Y = Collection(ZZ, "chain", ("c",), 1, 0,
+                   {sig(1): concentrated(ZZ, 0, r)}, {})
+    return O, CollectionMap(M, Y, {}), sig(1), 3, None
+
+
+def _binary_inclusion(ring, max_arity, D, x, y, fs):
+    """(X, Y, f) with X(2) = x and Y(2) = y, both with trivial swap, and
+    f the map with the entries fs in its lowest degrees."""
+    ops = _ops_for("chain", ring, D)
+    X, Y = (Collection(ring, "chain", ("c",), max_arity, D, {sig(2): obj},
+                       {sig(2): {(1, 0): ops.identity(obj)}})
+            for obj in (x, y))
+    return X, Y, CollectionMap(X, Y, {sig(2): ops.maps(
+        x, y, fs + [{}] * (D + 1 - len(fs)))})
+
+
+def _graded_split_inclusion(ring, max_arity, D):
+    """X(2) = (x -> m), acyclic, and Y(2) = X(2) plus a degree-0 q: f
+    splits as complexes, so its sections are chain maps."""
+    x = pad(two_term(ring, [[1]]), D)
+    y = pad(two_term(ring, [[1], [0]]), D)
+    return _binary_inclusion(ring, max_arity, D, x, y,
+                             [{(0, 0): ring.one}, {(0, 0): ring.one}])
+
+
+def _twisted_inclusion(ring, max_arity, D):
+    """X(2) = m in degree 0 and Y(2) = (x -> m): f splits degreewise
+    but not as complexes, since d x = m leaves the section of Q = x."""
+    return _binary_inclusion(ring, max_arity, D,
+                             pad(concentrated(ring, 0, 1), D),
+                             pad(two_term(ring, [[1]]), D),
+                             [{(0, 0): ring.one}])
+
+
+def _route_cases():
+    cases = []
+    for ring in (ZZ, QQ, F5):
+        r = ring.name()
+        cases += [
+            (f"arity3-trivial-q-{r}", lambda ring=ring: _inclusion_case(
+                corpus.split_binary_inclusion(ring, 3), sig(3), 3)),
+            (f"arity3-regular-q-{r}", lambda ring=ring: _inclusion_case(
+                corpus.split_binary_inclusion(ring, 3, q_rank=2,
+                                              q_regular=True), sig(3), 3)),
+            (f"arity4-trivial-{r}", lambda ring=ring: _inclusion_case(
+                corpus.split_binary_inclusion(ring, 4, **_TRIVIAL_M),
+                sig(4), 3)),
+            (f"two-colors-{r}", lambda ring=ring: _inclusion_case(
+                corpus.two_color_binary_inclusion(ring, 3),
+                (("a", "b", "b"), "a"), 3)),
+            (f"zero-source-{r}", lambda ring=ring: _inclusion_case(
+                corpus.split_binary_inclusion(ring, 3, m_rank=0,
+                                              m_regular=False, q_rank=1),
+                sig(3), 3)),
+            (f"truncated-{r}", lambda ring=ring: _inclusion_case(
+                corpus.split_binary_inclusion(ring, 3), sig(3), 1, 2)),
+            (f"padded-degree-1-{r}", lambda ring=ring: _inclusion_case(
+                corpus.split_binary_inclusion(ring, 3, max_degree=1),
+                sig(3), 3)),
+            (f"graded-split-arity3-{r}", lambda ring=ring: _inclusion_case(
+                _graded_split_inclusion(ring, 3, 2), sig(3), 2)),
+        ]
+    cases += [
+        ("arity4-regular-Z", lambda: _inclusion_case(
+            corpus.split_binary_inclusion(ZZ, 4), sig(4), 3)),
+        ("arity4-regular-q-Z", lambda: _inclusion_case(
+            corpus.split_binary_inclusion(ZZ, 4, q_rank=2, q_regular=True),
+            sig(4), 3)),
+        ("arity4-regular-q-Zmod:5", lambda: _inclusion_case(
+            corpus.split_binary_inclusion(F5, 4, q_rank=2, q_regular=True),
+            sig(4), 3)),
+        ("graded-split-arity4-Z", lambda: _inclusion_case(
+            _graded_split_inclusion(ZZ, 4, 3), sig(4), 3)),
+        ("unary-1", lambda: _unary_case(1)),
+        ("unary-2", lambda: _unary_case(2)),
+    ]
+    return cases
+
+
+_ROUTE_CASES = _route_cases()
+
+
+@pytest.mark.parametrize("case", [c for _, c in _ROUTE_CASES],
+                         ids=[i for i, _ in _ROUTE_CASES])
+def test_cell_attachment_matches_the_pushout_route(case):
+    # same ranks and certificate, and each pushout stage is isomorphic
+    # to its cell-attachment stage, compatibly with the stage maps
+    _compare_routes(*case())
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=lambda r: r.name())
+@pytest.mark.parametrize("n,stages", [
+    (3, [(3, 0, 0), (3, 6, 0), (3, 6, 3)]),
+    (4, [(15, 0, 0, 0), (15, 45, 0, 0), (15, 45, 45, 0), (15, 45, 45, 15)]),
+], ids=["arity3", "arity4"])
+def test_extension_stages_of_a_degreewise_split_map(ring, n, stages):
+    # f: m -> (x -> m) splits in each degree, not as complexes, so the
+    # attaching map is read off the faces: h(x) = r(d x) = m is the
+    # generator of X, and stage k is the degree <= k part of the free
+    # level of the acyclic Y, with its homology in degree k alone
+    # (the cycles of degree k: 15, 30, 15, 0 at arity 4)
+    D = n - 1
+    X, Y, f = _twisted_inclusion(ring, n, D)
+    O, f, s, mv, g = _inclusion_case((X, Y, f), sig(n), D, D)
+    st = extension_stage(O, f, s, mv, generator_map=g)
+    assert [x.ranks() for x in st.stages] == stages
+    free = free_operad(Y, sig(n), D).object
+    assert st.colimit.ranks() == free.ranks() == stages[-1]
+    hom = [[homology(stage, d) for d in range(D + 1)] for stage in st.stages]
+    assert all(not h.invariant_factors for row in hom for h in row)
+    cycles = {3: [3, 3, 0], 4: [15, 30, 15, 0]}[n]
+    assert [[h.rank for h in row] for row in hom] == \
+        [[r if d == k else 0 for d in range(D + 1)]
+         for k, r in enumerate(cycles)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=lambda r: r.name())
+def test_pushout_route_refuses_a_degreewise_split_map(ring):
+    # the old route injected the Q factors through the sections, which
+    # are not chain maps here, so it could not build the stages
+    O, f, s, mv, g = _inclusion_case(_twisted_inclusion(ring, 3, 2),
+                                     sig(3), 2, 2)
+    with pytest.raises(ValueError, match="does not commute with d"):
+        _pushout_stages(O, f, s, mv, g)
+
+
+def test_attaching_map_refuses_sections_that_are_not_equivariant():
+    # Y(2) = (a, b -> m) with a and b swapped, X(2) = (a + b -> 2m): the
+    # cokernel is the sign representation in degree 1, and no section of
+    # it commutes with the swap over Z, so the attaching map, computed
+    # on the tensor of the marked corolla, does not descend; the
+    # pushout route refused this map too, as its sections are not chain
+    # maps (d a = m)
+    D = 2
+    ops = _ops_for("chain", ZZ, D)
+
+    def two_level(ranks, d1):
+        lv = [exactlin.FreeModule(ZZ, r) for r in ranks]
+        return pad(chain.ChainComplex(ZZ, lv, [LinearMap(lv[1], lv[0], d1)]),
+                   D)
+
+    x = two_level([1, 1], {(0, 0): 2})
+    y = two_level([1, 2], {(0, 0): 1, (0, 1): 1})
+    swap = ops.maps(y, y, [{(0, 0): 1}, {(1, 0): 1, (0, 1): 1}, {}])
+    X = Collection(ZZ, "chain", ("c",), 3, D, {sig(2): x},
+                   {sig(2): {(1, 0): ops.identity(x)}})
+    Y = Collection(ZZ, "chain", ("c",), 3, D, {sig(2): y},
+                   {sig(2): {(1, 0): swap}})
+    f = CollectionMap(X, Y, {sig(2): ops.maps(
+        x, y, [{(0, 0): 1}, {(0, 0): 1, (1, 0): 1}, {}])})
+    O, f, s, mv, g = _inclusion_case((X, Y, f), sig(3), 2, 2)
+    with pytest.raises(ValueError, match="attaching map does not descend"):
+        extension_stage(O, f, s, mv, generator_map=g)
+    with pytest.raises(ValueError, match="does not commute with d"):
+        _pushout_stages(O, f, s, mv, g)
+
+
+def _odd_nullary_inclusion(ring):
+    """X(2) in degree 0 and Y = X plus an odd nullary generator, both
+    with trivial swap: two nullary leaves under a binary vertex swap two
+    odd Q factors, so their class is x = -x."""
+    D = 2
+    ops = _ops_for("chain", ring, D)
+    bin2 = pad(concentrated(ring, 0, 1), D)
+    nul = pad(concentrated(ring, 1, 1), D)
+    X = Collection(ring, "chain", ("c",), 2, D, {sig(2): bin2},
+                   {sig(2): {(1, 0): ops.identity(bin2)}})
+    Y = Collection(ring, "chain", ("c",), 2, D,
+                   {sig(2): bin2, ((), "c"): nul},
+                   {sig(2): {(1, 0): ops.identity(bin2)}})
+    return X, Y, CollectionMap(X, Y, {sig(2): ops.identity(bin2)})
+
+
+def test_torsion_in_the_q_blocks_raises_in_both_routes():
+    O, f, s, mv, g = _inclusion_case(_odd_nullary_inclusion(ZZ), ((), "c"),
+                                     3)
+    for route in (lambda: extension_stage(O, f, s, mv, generator_map=g),
+                  lambda: _pushout_stages(O, f, s, mv, g)):
+        with pytest.raises(ValueError, match="torsion"):
+            route()
+    # over Q and Z/5 the class dies instead, and both routes agree
+    for ring in (QQ, F5):
+        st = _compare_routes(*_inclusion_case(_odd_nullary_inclusion(ring),
+                                              ((), "c"), 3))
+        assert st.colimit.ranks() == (0, 1, 0)
+
+
+def test_extension_stages_at_arity_five():
+    # 105 * sum_{j<=k} C(4, j) 2^(4-j) at stage k, and the colimit is the
+    # free level of Y, 105 * 3^4; the pushout route took half a minute
+    # and 409 MB here
+    M, Y, f = corpus.split_binary_inclusion(ZZ, 5)
+    F = FreeOperad(M, max_arity=5, max_vertices=4)
+    st = extension_stage(F.operad(), f, sig(5), 4,
+                         generator_map=generator_inclusion(F))
+    assert [x.total_rank() for x in st.stages] == \
+        [1680, 5040, 7560, 8400, 8505]
+    assert st.colimit.total_rank() == \
+        free_operad(Y, sig(5), 4).object.total_rank() == 8505
