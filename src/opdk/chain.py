@@ -12,7 +12,10 @@ levels and writes once their checks, `level`, `ranks`, equality, hash
 and repr, and the one block-diagonal direct sum of both base
 categories (`block_sum`); `DegreewiseMap` does the same for the maps.
 `ChainComplex` and `ChainMap` add the differentials, d^2 = 0 and the
-commuting squares.
+commuting squares.  The object class is the base category: it carries
+its map class, its free objects, its tensor of objects and of maps, and
+the block rule and signs of its tensor layouts, so code written once
+over both bases reads them off the class and never names a base.
 """
 
 from __future__ import annotations
@@ -112,6 +115,29 @@ class DegreewiseObject:
         return (f"{type(self).__name__}({self.ring.name()}, "
                 f"ranks={self.ranks()})")
 
+    # The rules of the base category, which the operad code reads off
+    # the object class (`operad._Ops`) and each subclass sets: `Map`,
+    # the map class; `koszul`, whether moving tensor factors past each
+    # other takes the Koszul sign; `tensor_degrees(n)`, the degree pairs
+    # (s, r) of the summands A_s (x) B_r of degree n of a tensor, in
+    # layout order; `free(ring, max_degree, rank)`, the free object on a
+    # rank; `tensor_objects(A, B, bound)`, the tensor of two objects
+    # truncated at bound; and `to_json` and `from_json`.  The tensor of
+    # two maps, `tensor_maps`, is written once here over them.
+
+    @classmethod
+    def tensor_maps(cls, f, g, bound):
+        """f (x) g between the tensors of the sources and of the targets:
+        `_tensor_entries` of (f, g) on the two-factor layouts, f's
+        entries outer and g's inner, the order of
+        `exactlin._kron_entries`."""
+        src = cls.tensor_objects(f.source, g.source, bound)
+        tgt = cls.tensor_objects(f.target, g.target, bound)
+        D = src.max_degree
+        return cls.Map(src, tgt, _tensor_components(
+            (f, g), None, src, tgt, _layout((f.source, g.source), D),
+            _layout((f.target, g.target), D)), check=False)
+
     @classmethod
     def block_sum(cls, ring: Ring, max_degree: int, objs):
         """The direct sum of objs, each of this class over ring and
@@ -175,6 +201,22 @@ class ChainComplex(DegreewiseObject):
 
     def _maps(self):
         return self.differentials
+
+    koszul = True
+
+    @staticmethod
+    def tensor_degrees(n: int):
+        """Blocks (s, n - s), s ascending."""
+        return [(s, n - s) for s in range(n + 1)]
+
+    @staticmethod
+    def free(ring: Ring, max_degree: int, rank: int) -> "ChainComplex":
+        """rank generators in degree 0."""
+        return pad(concentrated(ring, 0, rank), max_degree)
+
+    @staticmethod
+    def tensor_objects(K, L, bound) -> "ChainComplex":
+        return tensor(K, L, bound)
 
     @classmethod
     def _rebuilt(cls, ring: Ring, levels, make) -> "ChainComplex":
@@ -356,26 +398,31 @@ class ChainMap(DegreewiseMap):
 # ---------------------------------------------------------------------------
 
 
-def tensor_blocks(K: ChainComplex, L: ChainComplex, n: int):
-    """Summands of (K (x) L)_n as (p, q, offset), p ascending."""
+def tensor_blocks(K, L, n: int):
+    """Summands of (K (x) L)_n as (p, q, offset), in the block rule of
+    the object class (`tensor_degrees`): p ascending for chain
+    complexes, the one summand (n, n) for simplicial modules."""
     out = []
     off = 0
-    for p in range(max(0, n - L.max_degree), min(n, K.max_degree) + 1):
-        q = n - p
-        out.append((p, q, off))
-        off += K.level(p).rank * L.level(q).rank
+    for p, q in type(K).tensor_degrees(n):
+        if p <= K.max_degree and q <= L.max_degree:
+            out.append((p, q, off))
+            off += K.level(p).rank * L.level(q).rank
     return out
 
 
 # The basis of an iterated tensor, chain or simplicial, is read off its
 # layout: per degree, {degree tuple: (start, dims, strides)}, one
 # strided box per degree tuple of nonzero rank, so that index tuple idx
-# sits at flat position start + sum idx[j] * strides[j].  The chain
-# boxes follow the block rule of `tensor_blocks`.  `_tensor_entries`
-# applies maps to the factors of a tensor and permutes them between two
-# layouts; with identity maps it is `_coherence`, every braiding and
-# associator of both base categories, and with two maps and no
-# permutation it is `tensor_map` of both.
+# sits at flat position start + sum idx[j] * strides[j].  The base is
+# the object class Obj of the factors, which the helpers below take or
+# read off the objects they are given, never a name: the boxes follow
+# its block rule, `Obj.tensor_degrees`, the rule `tensor_blocks` reads
+# too.  `_tensor_entries` applies maps to the factors of a tensor and
+# permutes them between two layouts, with the Koszul sign where
+# `Obj.koszul` says; with identity maps it is `_coherence`, every
+# braiding and associator of both base categories, and with two maps
+# and no permutation it is `tensor_map` of both.
 
 
 def _koszul(ring: Ring, degs, sigma):
@@ -398,24 +445,24 @@ def _layout_rank(boxes) -> int:
     return sum(prod(dims) for _, dims, _ in boxes.values())
 
 
-def _tensor_layout(base: str, left, right):
-    """The layout of A (x) B from the layouts of A and B.
+def _tensor_layout(Obj, left, right):
+    """The layout of A (x) B from the layouts of A and B, objects of
+    class Obj.
 
-    The summands of degree n follow the base's block rule: chain blocks
-    A_s (x) B_(n-s) go s ascending, as in `tensor_blocks`, and the
-    simplicial tensor is Kronecker at equal degree.  In a summand at
-    offset off, the pair (a, b) sits at off + a * rank(B_r) + b, so a
-    box of A and a box of B give the box starting at
-    off + start_A * rank(B_r) + start_B, with A's strides scaled by
-    rank(B_r) and B's strides as they are.
+    The summands A_s (x) B_r of degree n follow Obj's block rule,
+    `Obj.tensor_degrees(n)`: chain blocks (s, n - s) go s ascending, as
+    in `tensor_blocks`, and the simplicial tensor is Kronecker at equal
+    degree.  In a summand at offset off, the pair (a, b) sits at
+    off + a * rank(B_r) + b, so a box of A and a box of B give the box
+    starting at off + start_A * rank(B_r) + start_B, with A's strides
+    scaled by rank(B_r) and B's strides as they are.
     """
     left_ranks = [_layout_rank(b) for b in left]
     right_ranks = [_layout_rank(b) for b in right]
     out = []
     for n in range(len(left)):
         boxes, off = {}, 0
-        for s in ((n,) if base == "simplicial" else range(n + 1)):
-            r = n if base == "simplicial" else n - s
+        for s, r in Obj.tensor_degrees(n):
             rb = right_ranks[r]
             for dl, (sl, diml, strl) in left[s].items():
                 for dr, (sr, dimr, strr) in right[r].items():
@@ -426,23 +473,23 @@ def _tensor_layout(base: str, left, right):
     return out
 
 
-def _layout(base: str, objs, max_degree: int):
+def _layout(objs, max_degree: int):
     """The layout in degrees 0..max_degree of the left-associated tensor
-    of objs: the combinator folded over the factors.  Its boxes are
-    contiguous row-major runs in ascending start order."""
+    of objs, all of one class: the combinator folded over the factors.
+    Its boxes are contiguous row-major runs in ascending start order."""
     out = _atom_layout(objs[0], max_degree)
     for A in objs[1:]:
-        out = _tensor_layout(base, out, _atom_layout(A, max_degree))
+        out = _tensor_layout(type(A), out, _atom_layout(A, max_degree))
     return out
 
 
-def _bracketed_layout(base: str, objs, tree, max_degree: int):
-    """The layout of the tensor of objs bracketed as tree: a factor
-    index, or a pair of trees."""
+def _bracketed_layout(objs, tree, max_degree: int):
+    """The layout of the tensor of objs, all of one class, bracketed as
+    tree: a factor index, or a pair of trees."""
     if isinstance(tree, int):
         return _atom_layout(objs[tree], max_degree)
-    return _tensor_layout(base, *(_bracketed_layout(base, objs, t, max_degree)
-                                  for t in tree))
+    return _tensor_layout(type(objs[0]), *(
+        _bracketed_layout(objs, t, max_degree) for t in tree))
 
 
 def _leaves(tree) -> tuple:
@@ -465,16 +512,16 @@ def _expand(boxes):
     return out
 
 
-def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
-                    tgt_layout):
+def _tensor_entries(ring: Ring, Obj, maps, sigma, src_layout, tgt_layout):
     """Per-degree entries of (x)_j maps[j] on a tensor of levels, with
     its factors permuted.
 
-    maps[j] acts on tensor factor j; None stands for an identity.
-    sigma, when given, then permutes the factors so that target slot j
-    carries source factor sigma(j), with a Koszul sign when odd chain
-    degrees cross (base "chain").  src_layout[n] and tgt_layout[n] are
-    the layouts of the degree-n bases, with the boxes of rank 0 left
+    maps[j] acts on tensor factor j of class Obj; None stands for an
+    identity.  sigma, when given, then permutes the factors so that
+    target slot j carries source factor sigma(j), with a Koszul sign
+    when odd degrees cross and `Obj.koszul` holds (chain complexes; the
+    simplicial tensor moves no sign).  src_layout[n] and tgt_layout[n]
+    are the layouts of the degree-n bases, with the boxes of rank 0 left
     out.  `_layout` gives them for a left-associated tensor, and
     `_tensor_layout` for any bracketing.  The maps have degree 0, so the
     tensor adds no sign of its own.  Each entry is the Koszul sign (the
@@ -499,7 +546,7 @@ def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
     """
     one = ring.one
     q = ring.kind == "Q"
-    graded = sigma is not None and base == "chain"
+    graded = sigma is not None and Obj.koszul
     inv = permutations.inverse(sigma) if sigma is not None else \
         range(len(maps))
     out = []
@@ -535,17 +582,18 @@ def _tensor_entries(ring: Ring, base: str, maps, sigma, src_layout,
     return out
 
 
-def _tensor_components(base: str, maps, sigma, src, tgt, src_layout,
+def _tensor_components(maps, sigma, src, tgt, src_layout,
                        tgt_layout) -> list:
     """`_tensor_entries` as the degreewise maps src -> tgt, src and tgt
-    the tensor objects that the two layouts describe."""
-    ents = _tensor_entries(src.ring, base, maps, sigma, src_layout,
+    the tensor objects that the two layouts describe, whose class is
+    the factors' class."""
+    ents = _tensor_entries(src.ring, type(src), maps, sigma, src_layout,
                            tgt_layout)
     return [LinearMap(src.level(n), tgt.level(n), e)
             for n, e in enumerate(ents)]
 
 
-def _coherence(base: str, layout, src_tree, tgt_tree, src, tgt):
+def _coherence(layout, src_tree, tgt_tree, src, tgt):
     """The components src -> tgt of the structure map between two
     bracketed tensors of the same factors, each bracketing a tree of
     factor indices, the target's leaves in any order, and layout(tree)
@@ -557,17 +605,8 @@ def _coherence(base: str, layout, src_tree, tgt_tree, src, tgt):
     carrying the factor at leaf j of tgt_tree."""
     where = {a: j for j, a in enumerate(_leaves(src_tree))}
     sigma = tuple(where[a] for a in _leaves(tgt_tree))
-    return _tensor_components(base, (None,) * len(sigma), sigma, src, tgt,
+    return _tensor_components((None,) * len(sigma), sigma, src, tgt,
                               layout(src_tree), layout(tgt_tree))
-
-
-def _pair_map_components(base: str, f, g, src, tgt) -> list:
-    """The components of f (x) g between the prebuilt tensors src and
-    tgt: `_tensor_entries` on the two-factor layouts."""
-    D = src.max_degree
-    return _tensor_components(base, (f, g), None, src, tgt,
-                              _layout(base, (f.source, g.source), D),
-                              _layout(base, (f.target, g.target), D))
 
 
 def tensor(K: ChainComplex, L: ChainComplex, bound: Optional[int] = None) -> ChainComplex:
@@ -622,13 +661,11 @@ def tensor_map(f: ChainMap, g: ChainMap, bound: Optional[int] = None) -> ChainMa
     """f (x) g degreewise. Both maps have degree 0, so no signs appear.
 
     The components are `_tensor_entries` of (f, g) on the two-factor
-    layouts: in each block f_p (x) g_q, p ascending, f_p's entries
-    outer and g_q's inner, the order of `exactlin._kron_entries`.
+    layouts (`DegreewiseObject.tensor_maps`): in each block f_p (x) g_q,
+    p ascending, f_p's entries outer and g_q's inner, the order of
+    `exactlin._kron_entries`.
     """
-    src = tensor(f.source, g.source, bound)
-    tgt = tensor(f.target, g.target, bound)
-    return ChainMap(src, tgt, _pair_map_components("chain", f, g, src, tgt),
-                    check=False)
+    return ChainComplex.tensor_maps(f, g, bound)
 
 
 def tensor_many(factors: Sequence[ChainComplex], bound: Optional[int] = None) -> ChainComplex:
@@ -659,8 +696,7 @@ def braiding(K: ChainComplex, L: ChainComplex,
     a chain map."""
     src, tgt = tensor(K, L, bound), tensor(L, K, bound)
     return ChainMap(src, tgt, _coherence(
-        "chain",
-        lambda t: _bracketed_layout("chain", (K, L), t, src.max_degree),
+        lambda t: _bracketed_layout((K, L), t, src.max_degree),
         (0, 1), (1, 0), src, tgt))
 
 
@@ -677,8 +713,7 @@ def associator(K: ChainComplex, L: ChainComplex, M: ChainComplex,
     src = tensor(tensor(K, L, bound), M, bound)
     tgt = tensor(K, tensor(L, M, bound), bound)
     return ChainMap(src, tgt, _coherence(
-        "chain", lambda t: _bracketed_layout("chain", (K, L, M), t,
-                                             src.max_degree),
+        lambda t: _bracketed_layout((K, L, M), t, src.max_degree),
         ((0, 1), 2), (0, (1, 2)), src, tgt))
 
 
@@ -1019,3 +1054,10 @@ def chain_from_json(data: dict) -> ChainComplex:
     diffs = [_matrix_in_slot(dj, levels[n], levels[n - 1])
              for n, dj in enumerate(diffs, start=1)]
     return ChainComplex(ring, levels, diffs)
+
+
+# the rules of the base category that are defined after the class body
+# (`DegreewiseObject`): its map class and its JSON
+ChainComplex.Map = ChainMap
+ChainComplex.to_json = chain_to_json
+ChainComplex.from_json = staticmethod(chain_from_json)

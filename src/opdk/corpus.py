@@ -20,6 +20,7 @@ from .chain import (ChainComplex, ChainMap, concentrated, pad, tensor_blocks,
                     two_term)
 from .doldkan import gamma, gamma_map
 from .exactlin import FreeModule, LinearMap, compose, kernel
+from . import operad as op, permutations as perms, trees
 from .rings import Ring
 from .simp import SimplicialMap, SimplicialModule
 
@@ -255,26 +256,25 @@ def _sq_zero_mult(ops, ring, X, Y, Z, xc: bool, yc: bool, zc: bool):
     disk identically, disk(x)disk to zero.  All three disks must be the
     same object for the identity blocks to typecheck.
 
-    Over the simplicial base the unit is constant, so index 0 is the
-    constant generator in every degree, and X (x) Y is the degreewise
-    Kronecker product: the pair (i, j) sits at i * rank(Y_n) + j.  Over
-    the chain base the unit lives in degree 0 only, and degree n of
-    X (x) Y is the sum of X_p (x) Y_q over p + q = n (`tensor_blocks`):
-    the pair sits at the block offset plus i * rank(Y_q) + j, and only
-    X_0, Y_0 and Z_0 hold the constant.  Since the constant is a cycle
-    and the disk a subcomplex, the Koszul differential then commutes
-    with this map: d(c (x) y) = c (x) dy and d(x (x) c) = dx (x) c.
+    Degree n of X (x) Y is the sum of the blocks X_p (x) Y_q of the
+    object class's rule (`tensor_blocks`), and the pair (i, j) sits at
+    the block offset plus i * rank(Y_q) + j.  The constant is the unit,
+    so it lives where the free objects do (`ops.free_degrees`): in every
+    degree over the simplicial base, whose one block is (n, n), and in
+    degree 0 only over the chain base, whose blocks run over p + q = n.
+    Over chains, since the constant is a cycle and the disk a
+    subcomplex, the Koszul differential then commutes with this map:
+    d(c (x) y) = c (x) dy and d(x (x) c) = dx (x) c.
     """
     src = ops.tensor(X, Y)
-    chain = ops.base == "chain"
+    lives = ops.free_degrees
     comps = []
     for n in range(ops.max_degree + 1):
-        blocks = tensor_blocks(X, Y, n) if chain else [(n, n, 0)]
-        dz = int(zc and (n == 0 or not chain))
+        dz = int(zc and lives[n])
         entries = {}
-        for p, q, off in blocks:
-            x0 = xc and (p == 0 or not chain)
-            y0 = yc and (q == 0 or not chain)
+        for p, q, off in tensor_blocks(X, Y, n):
+            x0 = xc and lives[p]
+            y0 = yc and lives[q]
             dx, dy = int(x0), int(y0)
             rx, ry = X.level(p).rank, Y.level(q).rank
             for i in range(rx):
@@ -307,7 +307,6 @@ def category_operad(ring: Ring, base: str, max_degree: int, colors,
     diagonal always carries the constant summand, cross pairs only when
     listed in const_pairs.  All present disks must be the same object.
     """
-    from . import operad as op
     ops = op._ops_for(base, ring, max_degree)
     const_pairs = set(const_pairs or ())
     levels, consts = {}, {}
@@ -337,17 +336,19 @@ def category_operad(ring: Ring, base: str, max_degree: int, colors,
 
 
 def acyclic_disk(ring: Ring, max_degree: int, base: str = "simplicial"):
-    """Contractible but nonconstant: gamma of an exact two-step complex."""
+    """Contractible but nonconstant: gamma of an exact two-step complex.
+    A base other than "chain" or "simplicial" raises ValueError."""
     K = two_term(ring, [[1]])
-    if base == "chain":
+    if op._ops_for(base, ring, max_degree).Obj is ChainComplex:
         return pad(K, max_degree)
     return gamma(K, max_degree)
 
 
 def loop_disk(ring: Ring, max_degree: int, base: str = "simplicial"):
-    """One nontrivial homotopy group: gamma of R in degree one."""
+    """One nontrivial homotopy group: gamma of R in degree one.  A base
+    other than "chain" or "simplicial" raises ValueError."""
     K = concentrated(ring, 1, 1)
-    if base == "chain":
+    if op._ops_for(base, ring, max_degree).Obj is ChainComplex:
         return pad(K, max_degree)
     return gamma(pad(K, max_degree) if max_degree >= 1 else K, max_degree)
 
@@ -389,7 +390,6 @@ def scaled_pair_operad(ring: Ring, factor: int, max_degree: int = 1):
     objects are not isomorphic, but certifying that needs unbounded
     search over an infinite ring, which is the inconclusive case.
     """
-    from . import operad as op
     ops = op._ops_for("chain", ring, max_degree)
     colors = ("a", "b")
     lev = {((c,), d): ops.unit_obj() for c in colors for d in colors}
@@ -410,7 +410,6 @@ def scaled_pair_operad(ring: Ring, factor: int, max_degree: int = 1):
 def point_inclusion(P, Q, target_color):
     """The morphism from the one-color trivial operad hitting the
     constant summand of hom(target_color, target_color)."""
-    from . import operad as op
     (c0,) = P.collection.colors
     sig = ((c0,), c0)
     tgt = Q.collection.level(((target_color,), target_color))
@@ -426,7 +425,6 @@ def nilpotent_two_color_operad(ring: Ring, max_degree: int):
     the arity window or land in zero levels, so only the unit laws and
     the symmetric action carry content, and those are exact.
     """
-    from . import operad as op
     base = "simplicial"
     ops = op._ops_for(base, ring, max_degree)
     a, b = "a", "b"
@@ -472,14 +470,12 @@ def random_collection(rng: random.Random, ring: Ring, base: str,
     action "trivial" fixes every permutation; "sign" acts by the sign
     character, which is only usable downstream where 2 is a unit.
     """
-    from . import operad as op
-    from . import permutations as perms
     ops = op._ops_for(base, ring, max_degree)
     levels, actions = {}, {}
     for n in range(1, max_arity + 1):
         if rng.random() < 0.25 and n > 1:
             continue
-        if base == "chain":
+        if ops.Obj is ChainComplex:
             obj = random_complex(rng, ring, max_degree, max_rank)
         else:
             obj = random_simplicial_module(rng, ring, max_degree, max_rank)
@@ -505,7 +501,6 @@ def binary_generator(ring: Ring, max_arity: int, max_degree: int = 0,
     the two basis vectors (one free orbit); otherwise the swap fixes
     each of the rank generators pointwise.
     """
-    from . import operad as op
     ops = op._ops_for("chain", ring, max_degree)
     sig = ((color, color), color)
     r = 2 if regular else rank
@@ -529,8 +524,6 @@ def split_binary_inclusion(ring: Ring, max_arity: int, m_rank: int = 2,
     nothing.  Both blocks sit in the single binary level; the swap acts
     block-diagonally.
     """
-    from . import operad as op
-    from . import trees
     ops = op._ops_for("chain", ring, max_degree)
     sig = ((color, color), color)
 
@@ -573,8 +566,6 @@ def two_color_binary_inclusion(ring: Ring, max_arity: int,
     """(M, Y, f) over two colors: M is the free orbit of a mixed-input
     binary generator, Y adds one same-input generator at the second
     color."""
-    from . import operad as op
-    from . import trees
     ops = op._ops_for("chain", ring, max_degree)
     a, b = colors
     s_ab = ((a, b), a)

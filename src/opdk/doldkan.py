@@ -495,7 +495,7 @@ def normalize_operad_data(P):
     """
     from . import operad as _op
     coll = P.collection
-    if coll.base != "simplicial":
+    if coll.ops.Obj is not SimplicialModule:
         raise ValueError("only simplicial operads normalize")
     ring, D = coll.ring, coll.max_degree
     ops = _op._ops_for("chain", ring, D)

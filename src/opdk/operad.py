@@ -22,17 +22,15 @@ operad map with its normalization.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple, Optional
 
 from . import permutations
-from .chain import (ChainComplex, ChainMap, concentrated, pad, homology,
-                    is_quasi_iso, _atom_layout, _coherence, _layout,
-                    _tensor_components, _tensor_entries, _tensor_layout,
-                    _unitor_components)
-from . import chain as _chain
-from . import simp as _simp
-from .simp import SimplicialModule, SimplicialMap, constant_module, moore_complex
+from .chain import (ChainComplex, homology, is_quasi_iso, _atom_layout,
+                    _coherence, _layout, _tensor_components, _tensor_entries,
+                    _tensor_layout, _unitor_components)
+from .simp import SimplicialModule, SimplicialMap, moore_complex
 from .exactlin import (CokernelPresentation, FreeModule, LinearMap, cokernel,
                        compose, hstack, matrix_to_json, signed_quotient,
                        _json_fields, _json_list, _matrix_in_slot)
@@ -167,25 +165,36 @@ def word_act(w, sigma):
 #
 # Everything downstream is written against this tiny interface so that
 # chain complexes and simplicial modules are handled by the same code.
-# A shim builds objects and maps of its base; the two differ only in
-# the tensor product, the free object on a rank (`free`: concentrated
-# in degree 0 over chains, constant over simplicial modules; the unit
-# is free(1)), the object class `Obj` and the map class `Map`.  The
-# direct sum is written once over `Obj`, the shared
-# `chain.DegreewiseObject`: `direct_sum` lays out every sum of the
-# operad code, and maps between sums are placed by its offsets.
-# Every degreewise map is built here: `maps` from per-degree entries,
-# `constant` from one entry table placed in each degree where the free
-# objects live, and `make_map` from finished components; `identity`,
-# `zero_map` and `check_map` are written once over `Map`, the shared
-# `chain.DegreewiseMap`.  The braidings and associators of both bases
-# are not here but come from the tensor layouts (`chain._coherence`).
+# The base is its object class `Obj`, `chain.ChainComplex` or
+# `simp.SimplicialModule`, and the one shim `_Ops` reads off it what
+# the two bases do differently: the map class `Map`, the free object on
+# a rank (`free`: concentrated in degree 0 over chains, constant over
+# simplicial modules; the unit is free(1)), the tensor of two objects
+# and of two maps with its ranks, and the block rule and signs of a
+# tensor layout (`chain._tensor_layout`).  `_ops_for` is the one place
+# where a base name, the `base` of a `Collection` and of the JSON
+# documents, becomes its class.  The direct sum is written once over
+# `Obj`, the shared `chain.DegreewiseObject`: `direct_sum` lays out
+# every sum of the operad code, and maps between sums are placed by its
+# offsets.  Every degreewise map is built here: `maps` from per-degree
+# entries, `constant` from one entry table placed in each degree where
+# the free objects live, and `make_map` from finished components;
+# `identity`, `zero_map` and `check_map` are written once over `Map`,
+# the shared `chain.DegreewiseMap`.  The braidings and associators of
+# both bases are not here but come from the tensor layouts
+# (`chain._coherence`).
+
+_BASES = {"chain": ChainComplex, "simplicial": SimplicialModule}
 
 
 class _Ops:
-    def __init__(self, ring: Ring, max_degree: int):
+    def __init__(self, Obj, ring: Ring, max_degree: int):
+        self.Obj, self.Map = Obj, Obj.Map
         self.ring = ring
         self.max_degree = max_degree
+
+    def free(self, rank: int):
+        return self.Obj.free(self.ring, self.max_degree, rank)
 
     def zero_obj(self):
         return self.free(0)
@@ -193,8 +202,30 @@ class _Ops:
     def unit_obj(self):
         return self.free(1)
 
+    @cached_property
+    def free_degrees(self):
+        """Whether the free objects live in degree n, for each n."""
+        return [bool(r) for r in self.unit_obj().ranks()]
+
     def is_zero(self, A) -> bool:
         return not any(A.ranks())
+
+    def tensor(self, A, B):
+        return self.Obj.tensor_objects(A, B, self.max_degree)
+
+    def tensor_ranks(self, A, B):
+        """The ranks of `tensor(A, B)`, without building it: degree n, up
+        to max_degree, sums the blocks of Obj's rule that both factors
+        reach.  The degrees that some block reaches run from 0 up, and
+        the tensor stops where they do."""
+        a, b = A.ranks(), B.ranks()
+        blocks = [[a[s] * b[r] for s, r in self.Obj.tensor_degrees(n)
+                   if s < len(a) and r < len(b)]
+                  for n in range(self.max_degree + 1)]
+        return tuple(sum(x) for x in blocks if x)
+
+    def tensor_map(self, f, g):
+        return self.Obj.tensor_maps(f, g, self.max_degree)
 
     def direct_sum(self, objs):
         """The direct sum of objs and each summand's per-degree offsets:
@@ -219,64 +250,21 @@ class _Ops:
 
     def constant(self, A, B, entries):
         """The map A -> B holding entries in every degree where the free
-        objects live: degree 0 over chains, all degrees over simplicial
-        modules."""
-        return self.maps(A, B, [
-            entries if n == 0 or self.base == "simplicial" else {}
-            for n in range(self.max_degree + 1)])
+        objects live (`free_degrees`)."""
+        return self.maps(A, B, [entries if live else {}
+                                for live in self.free_degrees])
 
     def check_map(self, f):
         self.Map(f.source, f.target, f.components)
 
 
-class _ChainOps(_Ops):
-    base = "chain"
-    Obj = ChainComplex
-    Map = ChainMap
-
-    def free(self, rank: int):
-        return pad(concentrated(self.ring, 0, rank), self.max_degree)
-
-    def tensor(self, A, B):
-        return _chain.tensor(A, B, bound=self.max_degree)
-
-    def tensor_ranks(self, A, B):
-        """The ranks of `tensor(A, B)`, without building it."""
-        a, b = A.ranks(), B.ranks()
-        D = min(A.max_degree + B.max_degree, self.max_degree)
-        return tuple(sum(a[p] * b[n - p] for p in range(
-            max(0, n - B.max_degree), min(n, A.max_degree) + 1))
-            for n in range(D + 1))
-
-    def tensor_map(self, f, g):
-        return _chain.tensor_map(f, g, bound=self.max_degree)
-
-
-class _SimpOps(_Ops):
-    base = "simplicial"
-    Obj = SimplicialModule
-    Map = SimplicialMap
-
-    def free(self, rank: int):
-        return constant_module(self.ring, self.max_degree, rank)
-
-    def tensor(self, A, B):
-        return _simp.tensor(A, B)
-
-    def tensor_ranks(self, A, B):
-        """The ranks of `tensor(A, B)`, without building it."""
-        return tuple(x * y for x, y in zip(A.ranks(), B.ranks()))
-
-    def tensor_map(self, f, g):
-        return _simp.tensor_map(f, g)
-
-
-def _ops_for(base: str, ring: Ring, max_degree: int):
-    if base == "chain":
-        return _ChainOps(ring, max_degree)
-    if base == "simplicial":
-        return _SimpOps(ring, max_degree)
-    raise ValueError(f"unknown base category {base!r}")
+def _ops_for(base, ring: Ring, max_degree: int) -> _Ops:
+    """The shim of the base category that base names, "chain" or
+    "simplicial"; any other value raises ValueError."""
+    Obj = _BASES.get(base) if type(base) is str else None
+    if Obj is None:
+        raise ValueError(f"unknown base category {base!r}")
+    return _Ops(Obj, ring, max_degree)
 
 
 def _tensor_many(ops, objs):
@@ -353,7 +341,7 @@ class _Replay:
             ops = self.ops
             if isinstance(tree, int):
                 return _atom_layout(objs[tree], ops.max_degree)
-            return _tensor_layout(ops.base, self.layout(objs, tree[0]),
+            return _tensor_layout(ops.Obj, self.layout(objs, tree[0]),
                                   self.layout(objs, tree[1]))
         return self._once(("layout", ranks(tree)), (), build)
 
@@ -365,7 +353,7 @@ class _Replay:
             (src, slay), (tgt, tlay) = (self._tensor(f.source, g.source),
                                         self._tensor(f.target, g.target))
             return ops.make_map(src, tgt, _tensor_components(
-                ops.base, (f, g), None, src, tgt, slay, tlay))
+                (f, g), None, src, tgt, slay, tlay))
         return self._once(("tensor_map", id(f), id(g)), (f, g), build)
 
     def reordered(self, X, Y, Z, tree):
@@ -386,8 +374,7 @@ class _Replay:
                     self.tensor(obj(t[0]), obj(t[1]))
             tgt = obj(tree)
             f = ops.make_map(src, tgt, _coherence(
-                ops.base, lambda t: self.layout(objs, t), ((0, 1), 2), tree,
-                src, tgt))
+                lambda t: self.layout(objs, t), ((0, 1), 2), tree, src, tgt))
             ops.check_map(f)
             return f
         return self._once(("reordered", tree, id(X), id(Y), id(Z)),
@@ -426,11 +413,14 @@ class _Replay:
 class Collection:
     """Signature-indexed levels with a right symmetric-group action.
 
-    levels maps signatures to objects; zero objects are dropped, an
-    absent signature over the known colors is the zero object, and a
-    color outside ``colors`` raises ValueError.  For each level of arity
-    n, actions[sig] holds the generators: the map level(sig) ->
-    level(sig.s) for each s in ``permutations.transpositions(n)``.  The
+    levels maps signatures to objects of the base category that base
+    names, "chain" or "simplicial", over ring: another name, or a level
+    of another class or over another ring, raises ValueError.  Zero
+    objects are dropped, an absent signature over the known colors is
+    the zero object, and a color outside ``colors`` raises ValueError.
+    For each level of arity n, actions[sig] holds the generators: the
+    map level(sig) -> level(sig.s) for each s in
+    ``permutations.transpositions(n)``.  The
     constructor raises ValueError on a missing generator, a key that is
     not an adjacent transposition, a generator onto a signature with no
     level or of the wrong shape, and a Coxeter relation broken along its
@@ -456,11 +446,16 @@ class Collection:
         self.max_degree = max_degree
         self.truncated = truncated
         self.levels = {}
+        Obj = self.ops.Obj
         for sig, obj in levels.items():
             sig = (tuple(sig[0]), sig[1])
             if sig_arity(sig) > max_arity:
                 raise ValueError(f"arity above bound at {sig_str(sig)}")
             self._check_colors(sig)
+            if type(obj) is not Obj or (obj.ring is not ring
+                                        and obj.ring != ring):
+                raise ValueError(f"level {sig_str(sig)} is {obj!r}, not a "
+                                 f"{Obj.__name__} over {ring.name()}")
             if obj.max_degree != max_degree:
                 raise ValueError(f"level {sig_str(sig)} truncated at the "
                                  f"wrong degree")
@@ -1219,7 +1214,7 @@ def _slot_entries(ops, M: Collection, t: CompositeTerm, order, src, tgt,
     maps = [M.action(t.msig, order)] + [None] * t.k
     if fiber is not None:
         maps[1 + fiber[0]] = fiber[1]
-    return _tensor_entries(ops.ring, ops.base, maps,
+    return _tensor_entries(ops.ring, ops.Obj, maps,
                            (0,) + tuple(1 + j for j in order), src, tgt)
 
 
@@ -1231,7 +1226,7 @@ def _term_block(ops, M: Collection, t: CompositeTerm):
     neighbouring ones generate its stabilizer.  A term without such a
     pair is its own tensor, with no quotient (quotients None); the
     others are divided by `_coinvariants` over those swaps."""
-    lay = _layout(ops.base, t.factors, ops.max_degree)
+    lay = _layout(t.factors, ops.max_degree)
     rels = [[] for _ in range(ops.max_degree + 1)]
     for j in range(t.k - 1):
         if t.dbar[j] == t.dbar[j + 1] and \
@@ -1467,7 +1462,8 @@ def homotopy_category(P: Operad) -> HoCategory:
     for c in coll.colors:
         for d in coll.colors:
             lev = coll.level(((c,), d))
-            K = lev if coll.base == "chain" else moore_complex(lev)
+            K = moore_complex(lev) if isinstance(lev, SimplicialModule) \
+                else lev
             H = homology(K, 0)
             homs[(c, d)] = H
             pres = H.presentation
@@ -1528,7 +1524,7 @@ def dk_equivalence(phi: OpMorphism, search_bound: int = 2) -> DKVerdict:
                 Q.collection.is_zero_level(phi.map_sig(sig)):
             continue
         f = phi.level_map(sig)
-        if P.collection.base == "simplicial":
+        if isinstance(f, SimplicialMap):
             f = normalize_map(f)
         ok = is_quasi_iso(f, degrees)
         levelwise[sig] = ok
@@ -1617,15 +1613,6 @@ def _sig_from_json(entry, what: str):
     return tuple(inputs), output
 
 
-def _obj_to_json(base, obj) -> dict:
-    return _chain.chain_to_json(obj) if base == "chain" else _simp.simp_to_json(obj)
-
-
-def _obj_from_json(base, data):
-    return _chain.chain_from_json(data) if base == "chain" \
-        else _simp.simp_from_json(data)
-
-
 def operad_to_json(P: Operad) -> dict:
     coll = P.collection
     out = {
@@ -1640,7 +1627,7 @@ def operad_to_json(P: Operad) -> dict:
     for sig in coll.signatures():
         out["levels"].append({"inputs": [str(c) for c in sig[0]],
                               "output": str(sig[1]),
-                              "object": _obj_to_json(coll.base, coll.level(sig))})
+                              "object": coll.level(sig).to_json()})
         n = sig_arity(sig)
         for t in range(n - 1):
             s = permutations.transposition(n, t)
@@ -1679,7 +1666,7 @@ def operad_from_json(data: dict) -> Operad:
     levels = {}
     for entry in data["levels"]:
         (obj,) = _json_fields(entry, "a level", ("object",))
-        levels[_sig_from_json(entry, "a level")] = _obj_from_json(base, obj)
+        levels[_sig_from_json(entry, "a level")] = ops.Obj.from_json(obj)
     gens = {sig: {} for sig in levels}
     for entry in data["actions"]:
         sig = _sig_from_json(entry, "an action")

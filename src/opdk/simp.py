@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .chain import (ChainComplex, DegreewiseMap, DegreewiseObject,
-                    _bracketed_layout, _coherence, _pair_map_components)
+                    _bracketed_layout, _coherence)
 from .exactlin import (
     FreeModule,
     LinearMap,
@@ -154,6 +154,24 @@ class SimplicialModule(DegreewiseObject):
 
     def _maps(self):
         return [m for ms in self.faces + self.degeneracies for m in ms]
+
+    koszul = False
+
+    @staticmethod
+    def tensor_degrees(n: int):
+        """Kronecker at equal degree: the one block (n, n)."""
+        return [(n, n)]
+
+    @staticmethod
+    def free(ring: Ring, max_degree: int, rank: int) -> "SimplicialModule":
+        """The constant module on rank generators."""
+        return constant_module(ring, max_degree, rank)
+
+    @staticmethod
+    def tensor_objects(A, B, bound) -> "SimplicialModule":
+        """The degreewise tensor, which stops at the factors' lower
+        truncation and needs no bound."""
+        return tensor(A, B)
 
     @classmethod
     def _rebuilt(cls, ring: Ring, levels, make) -> "SimplicialModule":
@@ -429,10 +447,9 @@ def tensor(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
 def tensor_map(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
     """f (x) g degreewise between the tensor modules: `chain._tensor_entries`
     of (f, g) on the two-factor layouts, f's entries outer and g's
-    inner, the order of `exactlin._kron_entries`."""
-    src, tgt = tensor(f.source, g.source), tensor(f.target, g.target)
-    return SimplicialMap(src, tgt, _pair_map_components(
-        "simplicial", f, g, src, tgt), check=False)
+    inner, the order of `exactlin._kron_entries`
+    (`chain.DegreewiseObject.tensor_maps`)."""
+    return SimplicialModule.tensor_maps(f, g, None)
 
 
 def direct_sum(A: SimplicialModule, B: SimplicialModule) -> SimplicialModule:
@@ -448,8 +465,7 @@ def swap_map(A: SimplicialModule, B: SimplicialModule) -> SimplicialMap:
     entries."""
     AB, BA = tensor(A, B), tensor(B, A)
     return SimplicialMap(AB, BA, _coherence(
-        "simplicial",
-        lambda t: _bracketed_layout("simplicial", (A, B), t, AB.max_degree),
+        lambda t: _bracketed_layout((A, B), t, AB.max_degree),
         (0, 1), (1, 0), AB, BA))
 
 
@@ -505,3 +521,10 @@ def simp_from_json(data: dict) -> SimplicialModule:
     degeneracies = [[_matrix_in_slot(m, levels[n], levels[n + 1]) for m in ss]
                     for n, ss in enumerate(degeneracies)]
     return SimplicialModule(ring, levels, faces, degeneracies)
+
+
+# the rules of the base category that are defined after the class body
+# (`chain.DegreewiseObject`): its map class and its JSON
+SimplicialModule.Map = SimplicialMap
+SimplicialModule.to_json = simp_to_json
+SimplicialModule.from_json = staticmethod(simp_from_json)

@@ -76,7 +76,7 @@ from .chain import (ChainComplex, ChainMap, pad, _expand,
 from . import permutations
 from .operad import (Collection, Operad, graft_signature, sig_act, sig_arity,
                      sig_str, word_act, word_graft, _coinvariants, _descend,
-                     _ops_for, _placed, _quotient_object, _tensor_many)
+                     _placed, _quotient_object, _tensor_many)
 
 __all__ = ["Tree", "canonical", "aut_order", "TreeIsoClass",
            "enumerate_planar", "enumerate_trees", "graft", "tree_to_json",
@@ -531,7 +531,11 @@ def leaf_labelings(leaf_colors, inputs):
 # tuple with nonzero rank, so index tuple idx sits at flat position
 # start + sum idx[j] * strides[j] (`chain._flat`).  `chain._layout`
 # folds the binary combinator `chain._tensor_layout` over a factor list
-# (left-associated, as `operad._tensor_many` builds the objects).  A
+# (left-associated, as `operad._tensor_many` builds the objects), by
+# the block rule of the factors' class.  No base is named here: every
+# shim comes from the inputs (a collection's or an operad's `ops`, or
+# the ops of f's source collection), and `chain._tensor_entries` takes
+# the shim's object class `ops.Obj` for its signs.  A
 # block keeps the layout of its canonical tree, a planar tree carried
 # to it lays out its own on first use, and stage rewrites build theirs
 # per factor list; no position list or index dict is stored.  The last
@@ -551,15 +555,15 @@ def _pair_entries(ops, src_objs, a: int, pairmap: ChainMap):
     """Per-degree entries contracting factors a, a+1 through a map out
     of their tensor.  A column meets one column of pairmap, whose rows
     land on distinct rows, so nothing is summed."""
-    base, D = ops.base, ops.max_degree
-    pair = _layout(base, src_objs[a:a + 2], D)
-    tgt = _layout(base, src_objs[:a] + [pairmap.target] + src_objs[a + 2:], D)
+    D = ops.max_degree
+    pair = _layout(src_objs[a:a + 2], D)
+    tgt = _layout(src_objs[:a] + [pairmap.target] + src_objs[a + 2:], D)
     cols: dict = {}
     for d, comp in enumerate(pairmap.components):
         for (i, j), v in comp.entries.items():
             cols.setdefault((d, j), []).append((i, v))
     out = []
-    for n, boxes in enumerate(_layout(base, src_objs, D)):
+    for n, boxes in enumerate(_layout(src_objs, D)):
         entries: dict = {}
         for col, (degs, idxs) in enumerate(_expand(boxes)):
             d = degs[a] + degs[a + 1]
@@ -596,7 +600,8 @@ def _placed_map(ops, src, tgt, pieces):
 
 
 class _Block:
-    """The contribution of one tree class to a level.
+    """The contribution of one tree class to a level, built by ops, the
+    shim of the decorations' collections.
 
     tensor is the tensor of the decorations of p0 = tree_class.rep, the
     canonical planar tree, in vertex preorder, with its leaf labelings
@@ -612,26 +617,25 @@ class _Block:
     and descends the differential, as it does for a composite term with
     a stabilizer.
     quotients[n] is the degree-n quotient, and proj and section are
-    chain maps between tensor and obj made of its maps.
+    ops maps between tensor and obj made of its maps.
 
     Any other planar tree of the class reaches obj through `reach`.
     """
 
     __slots__ = ("tree_class", "labs", "layout", "tensor", "obj", "proj",
-                 "section", "quotients", "ring", "bound", "ops", "decor",
-                 "action", "sig_inputs", "_reached")
+                 "section", "quotients", "ops", "decor", "action",
+                 "sig_inputs", "_reached")
 
-    def __init__(self, ring: Ring, bound: int, tree_class: TreeIsoClass,
-                 decor: Callable, action: Callable, sig_inputs):
-        self.ring = ring
-        self.bound = bound
-        self.ops = ops = _ops_for("chain", ring, bound)
+    def __init__(self, ops, tree_class: TreeIsoClass, decor: Callable,
+                 action: Callable, sig_inputs):
+        self.ops = ops
+        bound = ops.max_degree
         self.tree_class = tree_class
         self.decor, self.action, self.sig_inputs = decor, action, sig_inputs
         self._reached = {}
         p0 = tree_class.rep
         self.labs, factors = self._factors(p0)
-        self.layout = _layout("chain", factors, bound)
+        self.layout = _layout(factors, bound)
         self.tensor = _tensor_many(ops, factors)
         cols = [range(self.tensor.level(n).rank) for n in range(bound + 1)]
         rels = [[] for _ in range(bound + 1)]
@@ -642,7 +646,7 @@ class _Block:
                     continue
                 swap = permutations.transposition(len(kids), t)
                 move = _iso_entries(
-                    ring, bound, action, p0,
+                    ops, action, p0,
                     lambda wi, w: swap if wi == vi else None,
                     (self.labs, self.layout), (self.labs, self.layout))
                 for n in range(bound + 1):
@@ -669,22 +673,22 @@ class _Block:
         hit = self._reached.get(p.key())
         if hit is None:
             labs, factors = self._factors(p)
-            layout = _layout("chain", factors, self.bound)
-            iso = _iso_entries(self.ring, self.bound, self.action, p,
-                               _sorting, (labs, layout),
-                               (self.labs, self.layout))
+            layout = _layout(factors, self.ops.max_degree)
+            iso = _iso_entries(self.ops, self.action, p, _sorting,
+                               (labs, layout), (self.labs, self.layout))
             hit = self._reached[p.key()] = (labs, layout, _products(
-                self.ring, [q.proj.entries for q in self.quotients], iso))
+                self.ops.ring, [q.proj.entries for q in self.quotients],
+                iso))
         return hit
 
 
-def _iso_entries(ring: Ring, bound: int, action: Callable, p: Tree,
-                 order: Callable, src, tgt):
+def _iso_entries(ops, action: Callable, p: Tree, order: Callable, src, tgt):
     """Per-degree entries from the tensor of the planar tree p to the
     tensor of the tree q that puts child order(vi, v)[i] of p's preorder
     vertex vi, v, at slot i (None keeps the order), along that tree
     isomorphism.  src and tgt are the (labelings, layout) pairs of p's
-    and q's tensors; action(vsig, marked, pi) is the decorations' action.
+    and q's tensors; action(vsig, marked, pi) is the decorations' action
+    and ops their shim.
     A block's self-moves (q = p = p0) and the sort that carries any tree
     of a class onto its canonical one (`_Block.reach`) are both this.
 
@@ -713,9 +717,9 @@ def _iso_entries(ring: Ring, bound: int, action: Callable, p: Tree,
         return verts, leaves
 
     sigma, rho = rec(p, 0)
-    lab_map = _labeling_map(_ops_for("chain", ring, bound), src[0], tgt[0],
+    lab_map = _labeling_map(ops, src[0], tgt[0],
                             lambda lab: tuple(lab[j] for j in rho))
-    return _tensor_entries(ring, "chain", maps + [lab_map],
+    return _tensor_entries(ops.ring, ops.Obj, maps + [lab_map],
                            tuple(sigma) + (len(sigma),), src[1], tgt[1])
 
 
@@ -754,7 +758,7 @@ class FreeLevel:
                  "truncated", "ring", "bound")
 
     def __init__(self, M: Collection, sig, max_vertices: int):
-        if M.base != "chain":
+        if M.ops.Obj is not ChainComplex:
             raise ValueError("free operad levels live over chain complexes")
         self.sig = (tuple(sig[0]), sig[1])
         M._check_colors(self.sig)
@@ -766,8 +770,8 @@ class FreeLevel:
             self.sig, 0, max_vertices, [], M.signatures())
         decor = lambda vsig, m: M.level(vsig)
         action = lambda vsig, m, tau: M.action(vsig, tau)
-        self.blocks = [_Block(M.ring, M.max_degree, cl, decor, action,
-                              self.sig[0]) for cl in classes]
+        self.blocks = [_Block(ops, cl, decor, action, self.sig[0])
+                       for cl in classes]
         self.blocks = [b for b in self.blocks if not ops.is_zero(b.obj)]
         self.object, self.offsets = ops.direct_sum(
             [b.obj for b in self.blocks])
@@ -795,14 +799,14 @@ class FreeOperad:
     """
 
     def __init__(self, M: Collection, max_arity: int, max_vertices: int):
-        if M.base != "chain":
+        if M.ops.Obj is not ChainComplex:
             raise ValueError("free operad levels live over chain complexes")
         self.M = M
         self.ring = M.ring
         self.bound = M.max_degree
         self.max_arity = max_arity
         self.max_vertices = max_vertices
-        self.ops = _ops_for("chain", M.ring, M.max_degree)
+        self.ops = M.ops
         self.levels = {}
         from .operad import enumerate_signatures
         for sig in enumerate_signatures(M.colors, max_arity):
@@ -827,7 +831,7 @@ class FreeOperad:
         actions = {sig: {s: self._action_map(sig, s)
                          for s in permutations.transpositions(sig_arity(sig))}
                    for sig in self.levels}
-        coll = Collection(ring, "chain", self.M.colors, self.max_arity,
+        coll = Collection(ring, self.M.base, self.M.colors, self.max_arity,
                           self.bound, levels, actions,
                           truncated=self.truncated())
         units = {}
@@ -870,7 +874,7 @@ class FreeOperad:
             lab_map = _labeling_map(ops, b.labs, tb.labs,
                                     lambda lab: word_act(lab, sigma))
             relabel = _tensor_entries(
-                ops.ring, ops.base,
+                ops.ring, ops.Obj,
                 [None] * b.tree_class.rep.n_vertices + [lab_map], None,
                 b.layout, tb.layout)
             comps = []
@@ -983,7 +987,7 @@ def _level_basis(fl: FreeLevel, n: int):
         sec = b.section.component(n)
         cols: dict = {}
         for (i, j), v in sec.entries.items():
-            if j in cols or v != b.ring.one:
+            if j in cols or v != b.ops.ring.one:
                 raise ValueError(
                     "composition bookkeeping needs unit section columns")
             cols[j] = i
@@ -1226,7 +1230,7 @@ def cokernel_collection(f: CollectionMap):
                               quotients[sig][m], "action")
                      for m in range(ops.max_degree + 1)]
             actions[sig][s] = ops.make_map(Q, levels[tsig], comps)
-    Qc = Collection(f.source.ring, "chain", f.source.colors,
+    Qc = Collection(f.source.ring, f.source.base, f.source.colors,
                     f.source.max_arity, ops.max_degree, levels, actions)
     return Qc, sections
 
@@ -1297,7 +1301,8 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
 
     marked_vals = f.target.signatures()
     unmarked_vals = [s for s in coll.signatures() if sig_arity(s) != 1]
-    splits = {s: (q_sections[s],) + _splitting(f.component(s), q_sections[s])
+    splits = {s: (q_sections[s],) + _splitting(ops, f.component(s),
+                                               q_sections[s])
               for s in marked_vals} if bound else None
     stages = [stage]
     maps = []
@@ -1313,11 +1318,11 @@ def extension_stage(O: Operad, f: CollectionMap, sig, max_vertices: int,
         truncated = truncated or beyond
         if k > max_vertices:
             continue
-        ys = [_Block(ring, bound, cl, *_decorated(f.target, coll), sig[0])
+        ys = [_Block(ops, cl, *_decorated(f.target, coll), sig[0])
               for cl in classes]
         attached.append(sum(b.obj.total_rank() for b in ys))
         # a Q-block is a quotient of its Y-block, so it dies with it
-        pairs = [(yb, _Block(ring, bound, yb.tree_class, *_decorated(Qc, coll),
+        pairs = [(yb, _Block(ops, yb.tree_class, *_decorated(Qc, coll),
                              sig[0])) for yb in ys if not ops.is_zero(yb.obj)]
         pairs = [(yb, qb) for yb, qb in pairs if not ops.is_zero(qb.obj)]
         new, offs = ops.direct_sum([stage] + [qb.obj for _, qb in pairs])
@@ -1363,10 +1368,10 @@ def _decorated(M: Collection, coll: Collection):
             lambda vsig, m, tau: (M if m else coll).action(vsig, tau))
 
 
-def _splitting(f: ChainMap, s: ChainMap):
+def _splitting(ops, f: ChainMap, s: ChainMap):
     """(r, p) for the degreewise split injection f with section s of its
     cokernel: the two row blocks of [f | s]^-1 in each degree, so that
-    r f = id, r s = 0, p f = 0 and p s = id."""
+    r f = id, r s = 0, p f = 0 and p s = id, as maps of the shim ops."""
     rs, ps = [], []
     for fn, sn in zip(f.components, s.components):
         inv = hstack([fn, sn]).inverse()
@@ -1374,7 +1379,6 @@ def _splitting(f: ChainMap, s: ChainMap):
         rs.append({(i, j): v for (i, j), v in inv.entries.items() if i < x})
         ps.append({(i - x, j): v for (i, j), v in inv.entries.items()
                    if i >= x})
-    ops = _ops_for("chain", f.source.ring, f.source.max_degree)
     return ops.maps(f.target, f.source, rs), ops.maps(f.target, s.source, ps)
 
 
@@ -1401,7 +1405,7 @@ def _attaching_map(O, f, g, splits, yb, qb, cells, stage):
     bound = ops.max_degree
     p = qb.tree_class.rep
     verts = p.vertex_preorder()
-    sigma = _tensor_entries(ring, "chain", [
+    sigma = _tensor_entries(ring, ops.Obj, [
         splits[vsig][0] if m else None for vsig, m in verts] + [None], None,
         qb.layout, yb.layout)
     sigma = [LinearMap(qb.tensor.level(n), yb.tensor.level(n), e)
@@ -1422,8 +1426,8 @@ def _attaching_map(O, f, g, splits, yb, qb, cells, stage):
                  for vi, (s, m) in enumerate(verts)]
         facs = [O.collection.level(s) if rm is None else rm.target
                 for rm, (s, _) in zip(rmaps, verts)]
-        layout = _layout("chain", facs + [L], bound)
-        R = _tensor_entries(ring, "chain", rmaps + [None], None, yb.layout,
+        layout = _layout(facs + [L], bound)
+        R = _tensor_entries(ring, ops.Obj, rmaps + [None], None, yb.layout,
                             layout)
         att = _collapse(O, g, p, v, facs, layout, qb.labs, cells)
         faces = [face + LinearMap(face.source, face.target,
@@ -1510,10 +1514,11 @@ def _contract(O: Operad, tree: Tree, maps, objs, labs, src_layout):
     layout of its factors and labs, and the per-degree entries into it.
     """
     ring, ops = O.ring, O.ops
-    base, bound = ops.base, ops.max_degree
+    bound = ops.max_degree
     L = ops.free(len(labs))
-    layout = _layout(base, objs + [L], bound)
-    cur = _tensor_entries(ring, base, maps + [None], None, src_layout, layout)
+    layout = _layout(objs + [L], bound)
+    cur = _tensor_entries(ring, ops.Obj, maps + [None], None, src_layout,
+                          layout)
     while (edge := _first_contraction(tree)) is not None:
         parent_path, slot = edge
         paths = tree.vertex_paths()
@@ -1525,13 +1530,13 @@ def _contract(O: Operad, tree: Tree, maps, objs, labs, src_layout):
         sigma = tuple(rest[:parent_vi + 1] + [child_vi] + rest[parent_vi + 1:])
         objs = [objs[j] for j in sigma[:-1]]
         cur = [_moved_rows(move, ents, ring) for move, ents in zip(
-            _tensor_entries(ring, base, [None] * len(sigma), sigma, layout,
-                            _layout(base, objs + [L], bound)), cur)]
+            _tensor_entries(ring, ops.Obj, [None] * len(sigma), sigma,
+                            layout, _layout(objs + [L], bound)), cur)]
         pair = O.composition(parent.val, slot, child.val)
         cur = _products(ring, _pair_entries(ops, objs + [L], parent_vi, pair),
                         cur)
         objs = objs[:parent_vi] + [pair.target] + objs[parent_vi + 2:]
-        layout = _layout(base, objs + [L], bound)
+        layout = _layout(objs + [L], bound)
         tree = tree.replace_at(parent_path, Tree.node(
             parent.output, parent.children[:slot] + child.children
             + parent.children[slot + 1:], parent.marked))

@@ -85,7 +85,7 @@ def _old_simp_sum(A, B):
 
 def _old_structured(ops, mods, make, check=True):
     n_max = len(mods) - 1
-    if ops.base == "chain":
+    if ops.Obj is ChainComplex:
         diffs = [make("differential", n, n - 1, lambda X, n=n: X.d(n))
                  for n in range(1, n_max + 1)]
         return ChainComplex(ops.ring, mods, diffs, check=check)

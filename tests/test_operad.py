@@ -403,6 +403,53 @@ def test_collection_refuses_malformed_levels():
         Collection(ZZ, "chain", (X,), 1, 1, {sig(1): one})
 
 
+def test_collection_refuses_a_level_of_another_base_or_ring():
+    # a simplicial level beside a chain one, and a level over Q in a
+    # collection over Z, which used to fail only in composite_product
+    chain_unit = op._ops_for("chain", ZZ, 1).unit_obj()
+    levels = {sig(1, "a"): chain_unit,
+              sig(1, "b"): op._ops_for("simplicial", ZZ, 1).unit_obj()}
+    with pytest.raises(ValueError, match=r"level b->b is SimplicialModule\(Z, "
+                                         r"ranks=\(1, 1\)\), not a "
+                                         r"ChainComplex over Z"):
+        Collection(ZZ, "chain", ("a", "b"), 1, 1, levels)
+    levels = {sig(1, "a"): chain_unit,
+              sig(1, "b"): op._ops_for("chain", QQ, 1).unit_obj()}
+    with pytest.raises(ValueError, match=r"level b->b is ChainComplex\(Q, "
+                                         r"ranks=\(1, 0\)\), not a "
+                                         r"ChainComplex over Z"):
+        Collection(ZZ, "chain", ("a", "b"), 1, 1, levels)
+    # each level checks alone, so a simplicial collection refuses a chain
+    # level too, and a zero level of the wrong class is no exception
+    with pytest.raises(ValueError, match=r"level a->a is ChainComplex"):
+        Collection(ZZ, "simplicial", ("a",), 1, 1, {sig(1, "a"): chain_unit})
+    with pytest.raises(ValueError, match=r"level a->a is ChainComplex"):
+        Collection(ZZ, "simplicial", ("a",), 1, 0,
+                   {sig(1, "a"): op._ops_for("chain", ZZ, 0).zero_obj()})
+
+
+@pytest.mark.parametrize("base", ["chane", ["chain"], 5, None])
+def test_an_unknown_base_name_is_refused(base):
+    # one name lookup: a list raises ValueError, not the TypeError of an
+    # unhashable dict key
+    with pytest.raises(ValueError, match="unknown base category"):
+        Collection(ZZ, base, (X,), 1, 0, {})
+    doc = operad_to_json(associative_operad(ZZ, "chain", 2, 0))
+    doc["base"] = base
+    with pytest.raises(ValueError, match="unknown base category"):
+        operad_from_json(doc)
+
+
+@pytest.mark.parametrize("make", [corpus.acyclic_disk, corpus.loop_disk])
+def test_corpus_disks_follow_the_base_name(make):
+    assert type(make(ZZ, 2, "chain")) is ChainComplex
+    assert type(make(ZZ, 2)) is type(make(ZZ, 2, "simplicial")) \
+        is SimplicialModule
+    for base in ("chian", 5, None, ["chain"]):
+        with pytest.raises(ValueError, match="unknown base category"):
+            make(ZZ, 2, base)
+
+
 def test_action_refuses_a_permutation_of_the_wrong_length():
     A = associative_operad(ZZ, "chain", 3, 0).collection
     with pytest.raises(ValueError, match="wrong length"):
@@ -491,13 +538,13 @@ def _ordered_composite(M, N):
     built on the whole sum, then pushed down with `_descend`.  Returns
     the collection, the ordered terms and the per-degree quotients."""
     ops, D = M.ops, M.max_degree
-    ring, base = ops.ring, ops.base
+    ring, Obj = ops.ring, ops.Obj
     data = {}
     for s in enumerate_signatures(M.colors, M.max_arity):
         terms = _ordered_terms(M, N, s)
         if terms:
             data[s] = terms
-    lays = {s: [chain._layout(base, t.factors, D) for t in ts]
+    lays = {s: [chain._layout(t.factors, D) for t in ts]
             for s, ts in data.items()}
     index = {s: {t.key(): ti for ti, t in enumerate(ts)}
              for s, ts in data.items()}
@@ -519,7 +566,7 @@ def _ordered_composite(M, N):
                     tj = index[s][(k, tuple(t.dbar[g[j]] for j in range(k)),
                                    tuple(g[v] for v in t.phi))]
                     blocks = chain._tensor_entries(
-                        ring, base, (M.action(t.msig, g),) + (None,) * k,
+                        ring, Obj, (M.action(t.msig, g),) + (None,) * k,
                         (0,) + tuple(1 + j for j in g), lays[s][ti],
                         lays[s][tj])
                     pieces.append((blocks, offsets[ti], offsets[tj]))
@@ -544,7 +591,7 @@ def _ordered_composite(M, N):
                     fsig = t.fiber_sigs[a]
                     maps[1 + a] = N.action(fsig, perms.transposition(
                         len(fsig[0]), t.phi[:tr].count(a)))
-                blocks = chain._tensor_entries(ring, base, maps, None,
+                blocks = chain._tensor_entries(ring, Obj, maps, None,
                                                lays[s][ti], lays[tsig][tj])
                 pieces.append((blocks, offs[s][ti], offs[tsig][tj]))
             gens[s][g] = ops.make_map(levels[s], levels[tsig], [
@@ -1003,7 +1050,8 @@ def _oracle_map(ops, src, tgt, items):
 
 def _hand_braiding(ops, A, B):
     """A (x) B -> B (x) A from the hand loops of `test_tensor_routes`."""
-    items = _oracle_braiding(A, B, ops.max_degree) if ops.base == "chain" \
+    items = _oracle_braiding(A, B, ops.max_degree) \
+        if ops.Obj is ChainComplex \
         else _oracle_swap(A, B)
     return _oracle_map(ops, ops.tensor(A, B), ops.tensor(B, A), items)
 
@@ -1015,7 +1063,7 @@ def _hand_associator(ops, A, B, C):
     src = ops.tensor(ops.tensor(A, B), C)
     tgt = ops.tensor(A, ops.tensor(B, C))
     items = _oracle_associator(A, B, C, ops.max_degree) \
-        if ops.base == "chain" else \
+        if ops.Obj is ChainComplex else \
         [[((i, i), ops.ring.one) for i in range(src.level(n).rank)]
          for n in range(ops.max_degree + 1)]
     return _oracle_map(ops, src, tgt, items)
@@ -1073,12 +1121,12 @@ def test_tensor_entries_match_braiding_route(base, ring, k):
             corpus.random_matrix(rng, A.level(n), B.level(n), 1, 0.8)
             for n in range(D + 1)]) for A, B in zip(objs, tgts)]
         outs = [A if f is None else f.target for A, f in zip(objs, maps)]
-        src = chain._layout(base, objs, D)
+        src = chain._layout(objs, D)
         for sigma in [None] + perms.all_permutations(k):
             order = sigma or range(k)
             route = _tensor_route(ops, objs, maps, order)
-            tgt = chain._layout(base, [outs[j] for j in order], D)
-            got = chain._tensor_entries(ring, base, maps, sigma, src, tgt)
+            tgt = chain._layout([outs[j] for j in order], D)
+            got = chain._tensor_entries(ring, ops.Obj, maps, sigma, src, tgt)
             for n in range(D + 1):
                 comp = route.component(n)
                 assert LinearMap(comp.source, comp.target,
@@ -1291,11 +1339,11 @@ def test_tensor_entries_match_the_general_oracle(case):
     ops, objs, maps, sigma, src_tree, tgt_tree = case
     order = sigma or range(len(objs))
     outs = [A if f is None else f.target for A, f in zip(objs, maps)]
-    ring, base, D = ops.ring, ops.base, ops.max_degree
-    src = chain._bracketed_layout(base, objs, src_tree, D)
-    tgt = chain._bracketed_layout(base, [outs[j] for j in order], tgt_tree, D)
-    got = chain._tensor_entries(ring, base, maps, sigma, src, tgt)
-    want = _oracle_tensor_entries(ring, base, maps, sigma, src, tgt)
+    ring, Obj, D = ops.ring, ops.Obj, ops.max_degree
+    src = chain._bracketed_layout(objs, src_tree, D)
+    tgt = chain._bracketed_layout([outs[j] for j in order], tgt_tree, D)
+    got = chain._tensor_entries(ring, Obj, maps, sigma, src, tgt)
+    want = _oracle_tensor_entries(ring, Obj, maps, sigma, src, tgt)
     assert got == want
     # the oracle walks the source columns in turn; on a left-associated
     # source, whose boxes are row-major runs in ascending start order,
@@ -1328,11 +1376,12 @@ def test_tensor_entries_with_identity_factors_over_q(sigma):
         objs = [A, A, A]
         outs = [A if g is None else g.target for g in maps]
         order = sigma or range(3)
-        src = chain._bracketed_layout("chain", objs, _left(3), _TENSOR_D)
-        tgt = chain._bracketed_layout("chain", [outs[j] for j in order],
-                                      _left(3), _TENSOR_D)
-        got = chain._tensor_entries(QQ, "chain", maps, sigma, src, tgt)
-        want = _oracle_tensor_entries(QQ, "chain", maps, sigma, src, tgt)
+        src = chain._bracketed_layout(objs, _left(3), _TENSOR_D)
+        tgt = chain._bracketed_layout([outs[j] for j in order], _left(3),
+                                      _TENSOR_D)
+        got = chain._tensor_entries(QQ, ChainComplex, maps, sigma, src, tgt)
+        want = _oracle_tensor_entries(QQ, ChainComplex, maps, sigma, src,
+                                      tgt)
         assert [[(k, v, type(v)) for k, v in e.items()] for e in got] == \
             [[(k, v, type(v)) for k, v in e.items()] for e in want]
         assert all(type(v) is Fraction for e in got for v in e.values())
@@ -1397,12 +1446,12 @@ def test_layouts_read_the_tensor_labels(base, k, seed, data):
     left = tensor_many(objs, D) if base == "chain" else \
         _bracketed_tensor(ops, objs, _left(k))
     _assert_layout_reads_the_basis(
-        ops, left, chain._layout(base, objs, D),
+        ops, left, chain._layout(objs, D),
         _oracle_tensor_basis(base, objs, _left(k), D))
     tree = data.draw(_bracketing(0, k))
     _assert_layout_reads_the_basis(
         ops, _bracketed_tensor(ops, objs, tree),
-        chain._bracketed_layout(base, objs, tree, D),
+        chain._bracketed_layout(objs, tree, D),
         _oracle_tensor_basis(base, objs, tree, D))
 
 
@@ -2121,10 +2170,11 @@ def test_operad_check_block_insertion_invariants_raise(monkeypatch, name,
 
 
 def test_normalize_operad_unit_shape_invariant_raises(monkeypatch):
-    unit = op._ChainOps.unit_obj
-    monkeypatch.setattr(op._ChainOps, "unit_obj",
-                        lambda self: op.pad(op._chain.direct_sum(
-                            unit(self), unit(self)), self.max_degree))
+    # the chain shim's unit gains a second generator, the simplicial
+    # shim's stays
+    unit = op._Ops.unit_obj
+    monkeypatch.setattr(op._Ops, "unit_obj", lambda self: self.direct_sum(
+        [unit(self)] * 2)[0] if self.Obj is ChainComplex else unit(self))
     with pytest.raises(RuntimeError, match="the normalized unit of color "
                                            "'x' has source ranks"):
         normalize_operad_data(associative_operad(ZZ, "simplicial", 2, 1))

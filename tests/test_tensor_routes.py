@@ -137,7 +137,7 @@ def _oracle_tensor_map(f, g, bound):
     return src, tgt, comps
 
 
-def _oracle_tensor_entries(ring, base, maps, sigma, src_layout, tgt_layout):
+def _oracle_tensor_entries(ring, Obj, maps, sigma, src_layout, tgt_layout):
     """`chain._tensor_entries` the slow way: both layouts are expanded
     by `chain._expand`, each source position's column is the product of
     the factor maps' columns at its indices, and each row tuple is
@@ -158,7 +158,7 @@ def _oracle_tensor_entries(ring, base, maps, sigma, src_layout, tgt_layout):
 
     # relabeling tensor factors costs a sign only in the graded world;
     # the simplicial symmetry is plain
-    graded = sigma is not None and base == "chain"
+    graded = sigma is not None and Obj is chain.ChainComplex
     signs, out = {}, []
     for src_boxes, tgt_boxes in zip(src_layout, tgt_layout):
         entries = {}

@@ -824,7 +824,7 @@ def _orbit_quotient(case, tree_class):
         labs = leaf_labelings(p.leaves(), sig_[0])
         factors = [decor(vsig, m) for vsig, m in p.vertex_preorder()] + [
             pad(concentrated(ring, 0, len(labs)), bound)]
-        sides.append((labs, chain._layout("chain", factors, bound)))
+        sides.append((labs, chain._layout(factors, bound)))
         objs.append(op._tensor_many(ops, factors))
     big, offsets = ops.direct_sum(objs)
     ranks = [obj.ranks() for obj in objs]
@@ -836,7 +836,7 @@ def _orbit_quotient(case, tree_class):
                 qi = where[_swap_children(p, path, t).key()]
                 swap = permutations.transposition(k, t)
                 move = trees._iso_entries(
-                    ring, bound, action, p,
+                    ops, action, p,
                     lambda wi, w: swap if wi == vi else None,
                     sides[pi], sides[qi])
                 placed = op._placed([(move, offsets[pi], offsets[qi])], bound)
@@ -962,7 +962,8 @@ def _each_block(case):
     ring, bound, sig_, classes, decor, action = case
     for cl in classes:
         try:
-            yield cl, trees._Block(ring, bound, cl, decor, action, sig_[0])
+            yield cl, trees._Block(_ops_for("chain", ring, bound), cl, decor,
+                                   action, sig_[0])
         except ValueError as exc:
             assert "torsion" in str(exc)
             with pytest.raises(ValueError, match="torsion"):
@@ -982,7 +983,7 @@ def test_block_matches_the_orbit_wide_quotient(case):
         assert b.obj.ranks() == obj.ranks()
         assert [d.entries for d in b.obj.differentials] == \
             [d.entries for d in obj.differentials]
-        for n in range(b.bound + 1):
+        for n in range(b.ops.max_degree + 1):
             assert b.quotients[n].section.entries == \
                 quotients[n].section.entries
             assert b.quotients[n].proj.entries == _columns(
@@ -1009,7 +1010,7 @@ def test_reach_matches_the_orbit_wide_proj(case):
             labs, layout, reach = b.reach(p)
             assert (labs, layout) == side
             assert b.reach(p)[2] is reach
-            for n in range(b.bound + 1):
+            for n in range(b.ops.max_degree + 1):
                 assert reach[n] == _columns(quotients[n].proj.entries,
                                             off[n], rank[n])
 
@@ -1316,8 +1317,7 @@ def cell_comparison_iso(cellA: EpsilonCell, cellB: EpsilonCell,
     codA, codB = cellA.map.target, cellB.map.target
     atoms = [a.target for a in cellA.atoms]
     return ops.make_map(codA, codB, chain._coherence(
-        ops.base,
-        lambda t: chain._bracketed_layout(ops.base, atoms, t, codA.max_degree),
+        lambda t: chain._bracketed_layout(atoms, t, codA.max_degree),
         cellA.build, _relabel(cellB.build, match.__getitem__), codA, codB))
 
 
@@ -1441,13 +1441,13 @@ def test_tensor_entries_on_interleaved_runs_is_the_tensor_map():
                                                                (0, 1): 1}),
                             LinearMap.identity(B.level(1)),
                             LinearMap.zero(B.level(2), B.level(2))])
-    lay = chain._bracketed_layout("chain", [A, B, C], (0, (1, 2)), 2)
+    lay = chain._bracketed_layout([A, B, C], (0, (1, 2)), 2)
     runs = [degs for degs, _ in itertools.groupby(
         degs for degs, _ in _expand(lay[1]))]
     assert len(runs) > len(lay[1])
     want = ops.tensor_map(ops.identity(A),
                           ops.tensor_map(f, ops.identity(C)))
-    got = _tensor_entries(ZZ, "chain", [None, f, None], None, lay, lay)
+    got = _tensor_entries(ZZ, ops.Obj, [None, f, None], None, lay, lay)
     for n in range(3):
         comp = want.component(n)
         assert LinearMap(comp.source, comp.target, got[n]).entries == \
@@ -1705,7 +1705,7 @@ def _pushout_stages(O, f, sig_, max_vertices, g):
         truncated = truncated or beyond
         if k > max_vertices:
             continue
-        blocks = [trees._Block(ring, bound, cl, decor, action, sig_[0])
+        blocks = [trees._Block(ops, cl, decor, action, sig_[0])
                   for cl in classes]
         blocks = [b for b in blocks if not ops.is_zero(b.obj)]
         attached.append(sum(b.obj.total_rank() for b in blocks))
@@ -1771,10 +1771,10 @@ def _choice_block(O, f, Qc, q_sections, g, block, kind, cells_by_stage,
             for vi, (vsig, m) in enumerate(p.vertex_preorder())]
     L = ops.free(len(block.labs))
     D = op._tensor_many(ops, facs + [L])
-    layout = chain._layout("chain", facs + [L], ops.max_degree)
+    layout = chain._layout(facs + [L], ops.max_degree)
     if D.total_rank() == 0:
         return D, layout, None, None
-    ents = _tensor_entries(ring, "chain", mats + [None], None, layout,
+    ents = _tensor_entries(ring, ops.Obj, mats + [None], None, layout,
                            block.layout)
     ink = block.proj @ ops.maps(D, block.tensor, ents)
     att = _pushout_collapse(O, q_sections, g, p, kind, facs, D, layout,
@@ -1812,7 +1812,7 @@ def _pushout_collapse(O, q_sections, g, p, kind, facs, D, layout, labs,
     mats = [q_sections[vsig] if m else None
             for vsig, m in tree.vertex_preorder()]
     lab_map = trees._labeling_map(ops, labs, tlabs, lambda lab: lab)
-    final = _tensor_entries(ring, "chain", mats + [lab_map], None, layout,
+    final = _tensor_entries(ring, ops.Obj, mats + [lab_map], None, layout,
                             tlayout)
     cur = trees._products(ring, reach, trees._products(ring, final, cur))
     leg, offs = cell_legs[tree.n_marked]
@@ -1833,7 +1833,7 @@ def _compare_routes(O, f, sig_, max_vertices, g=None):
     assert new.certificate == old.certificate
     assert new.stages[0] == old.stages[0]
     Qc, q_sections = cokernel_collection(f)
-    split = {s: trees._splitting(f.component(s), q_sections[s])
+    split = {s: trees._splitting(O.ops, f.component(s), q_sections[s])
              for s in f.target.signatures()}
     phi = O.ops.identity(old.stages[0])
     for k, step in enumerate(steps, 1):
@@ -1861,7 +1861,7 @@ def _class_sum_leg(O, Qc, split, step, before, stage, v):
     bound = ops.max_degree
     off, qblocks = list(before.ranks()), {}
     for b in blocks:
-        qb = trees._Block(ring, bound, b.tree_class,
+        qb = trees._Block(ops, b.tree_class,
                           *trees._decorated(Qc, O.collection), b.sig_inputs)
         if not ops.is_zero(qb.obj):
             qblocks[b.tree_class.encoding] = (qb, off)
@@ -1874,7 +1874,7 @@ def _class_sum_leg(O, Qc, split, step, before, stage, v):
                  for n in range(bound + 1)]
         if b.tree_class.encoding in qblocks:
             qb, qoff = qblocks[b.tree_class.encoding]
-            P = _tensor_entries(ring, "chain", [
+            P = _tensor_entries(ring, ops.Obj, [
                 split[s][1] if m else None for s, m in verts] + [None], None,
                 b.layout, qb.layout)
             for n, face in enumerate(faces):
@@ -1885,7 +1885,7 @@ def _class_sum_leg(O, Qc, split, step, before, stage, v):
         for cbi, kind, D, layout, att in choices:
             if cbi != bi:
                 continue
-            RP = _tensor_entries(ring, "chain", [
+            RP = _tensor_entries(ring, ops.Obj, [
                 None if not m else split[s][1] if kind[vi] == "Q"
                 else split[s][0] for vi, (s, m) in enumerate(verts)] + [None],
                 None, b.layout, layout)
